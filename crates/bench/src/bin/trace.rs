@@ -187,7 +187,7 @@ fn show(args: &[String]) -> i32 {
 /// Weighted critical-path analysis: the longest causal chain behind
 /// each commit decision, with wall time attributed to typed phases.
 /// Needs a trace recorded with wall-clock kept (`record-engine`, or a
-/// `run_dist` trace) — stripped traces carry no edge weights.
+/// `run_pipeline` trace) — stripped traces carry no edge weights.
 fn critical_path(args: &[String]) -> i32 {
     let Some(path) = args.first() else {
         eprintln!("trace critical-path: a trace path is required");

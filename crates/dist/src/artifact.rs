@@ -1,13 +1,14 @@
 //! Replayable counterexample artifacts for distributed runs.
 
-use crate::runtime::{run_dist, DistConfig, DistOutcome};
+use crate::multishot::{run_pipeline, PipelineConfig, PipelineOutcome};
 use crate::shrink::REPRO_ATTEMPTS;
 use std::io;
 use std::path::Path;
 
-/// A self-contained, replayable counterexample: the full distributed
-/// configuration (topology, workload, timed faults, targeted crash),
-/// which oracle it violates, and the command line that replays it.
+/// A self-contained, replayable counterexample: the full run
+/// configuration (topology, workload, timed faults, targeted crash,
+/// submission schedule), which oracle it violates, and the command
+/// line that replays it.
 ///
 /// Threaded runs are not bit-deterministic, so
 /// [`DistArtifact::reproduces`] allows a few attempts — the shipped
@@ -22,7 +23,7 @@ pub struct DistArtifact {
     /// Evidence text from the oracle.
     pub detail: String,
     /// The exact configuration to replay.
-    pub config: DistConfig,
+    pub config: PipelineConfig,
     /// Shell command that replays this artifact once written to a file
     /// named `<id>.json`.
     pub replay_cmd: String,
@@ -30,8 +31,9 @@ pub struct DistArtifact {
 
 impl DistArtifact {
     /// Packages a violating configuration.
-    pub fn new(config: DistConfig, violated: String, detail: String) -> Self {
-        let id = format!("dist-{}-{}ev-seed{}", violated, config.schedule.len(), config.seed);
+    pub fn new(config: PipelineConfig, violated: String, detail: String) -> Self {
+        let id =
+            format!("dist-{}-{}ev-seed{}", violated, config.dist.schedule.len(), config.dist.seed);
         let replay_cmd = format!("cargo run --release --example dist_stress -- --replay {id}.json");
         DistArtifact { id, violated, detail, config, replay_cmd }
     }
@@ -80,8 +82,8 @@ impl DistArtifact {
     }
 
     /// Re-executes the packaged configuration once.
-    pub fn replay(&self) -> DistOutcome {
-        run_dist(&self.config)
+    pub fn replay(&self) -> PipelineOutcome {
+        run_pipeline(&self.config)
     }
 
     /// Whether a replay (allowing [`REPRO_ATTEMPTS`] tries) still
@@ -94,13 +96,30 @@ impl DistArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runtime::DistConfig;
 
     #[test]
     fn artifact_round_trips_through_json() {
-        let cfg = DistConfig { naive_timeouts: true, seed: 9, ..DistConfig::default() };
+        let cfg = PipelineConfig {
+            dist: DistConfig { naive_timeouts: true, seed: 9, ..DistConfig::default() },
+            max_inflight: 4,
+            batch_window_us: 600,
+            arrival_us: Some(vec![0, 250]),
+        };
         let a = DistArtifact::new(cfg, "atomicity".into(), "split".into());
         let back = DistArtifact::from_json(&a.to_json()).unwrap();
         assert_eq!(back, a);
         assert!(back.replay_cmd.contains("--replay"));
+    }
+
+    #[test]
+    fn malformed_artifacts_are_errors_not_panics() {
+        let good = DistArtifact::new(PipelineConfig::default(), "atomicity".into(), String::new())
+            .to_json();
+        let wrong_type = good.replace("\"max_inflight\": 16", "\"max_inflight\": \"many\"");
+        assert_ne!(wrong_type, good);
+        for text in ["", "{", "[]", "{\"id\": 1}", &good[..good.len() / 2], &wrong_type] {
+            assert!(DistArtifact::from_json(text).is_err(), "accepted {text:?}");
+        }
     }
 }

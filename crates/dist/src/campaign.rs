@@ -4,17 +4,18 @@
 
 use crate::artifact::DistArtifact;
 use crate::multishot::{run_pipeline, PipelineConfig};
-use crate::runtime::{run_dist, DistConfig};
+use crate::runtime::DistConfig;
 use crate::shrink::shrink;
 use mcv_chaos::{CampaignSummary, FaultPlan, FaultSchedule};
 use std::collections::BTreeMap;
 
-/// A campaign: a base configuration (its `seed` and `schedule` are
-/// overwritten per run) plus the random-schedule plan.
+/// A campaign: a base configuration (its `dist.seed` and
+/// `dist.schedule` are overwritten per run; the submission schedule is
+/// kept) plus the random-schedule plan.
 #[derive(Debug, Clone)]
 pub struct DistCampaign {
     /// Scenario template.
-    pub base: DistConfig,
+    pub base: PipelineConfig,
     /// Random-schedule bounds (ticks; the runtime maps them onto real
     /// time via `tick_us`).
     pub plan: FaultPlan,
@@ -31,24 +32,24 @@ impl DistCampaign {
     /// redo-logged stable prepared state the thesis assumes, so there
     /// is no byte image to tear; the transport degrades a `TornWrite`
     /// to a plain crash when replaying foreign schedules.
-    pub fn tolerated(base: DistConfig) -> Self {
-        let plan =
-            FaultPlan { torn_writes: false, ..FaultPlan::tolerated(base.n_nodes(), base.horizon) };
+    pub fn tolerated(base: PipelineConfig) -> Self {
+        let plan = FaultPlan {
+            torn_writes: false,
+            ..FaultPlan::tolerated(base.dist.n_nodes(), base.dist.horizon)
+        };
         DistCampaign { base, plan, shrink_budget: 60 }
     }
 
     /// The configuration for one seed.
-    pub fn config_for(&self, seed: u64) -> DistConfig {
-        DistConfig {
-            seed,
-            schedule: FaultSchedule::generate(seed, &self.plan),
+    pub fn config_for(&self, seed: u64) -> PipelineConfig {
+        PipelineConfig {
+            dist: DistConfig {
+                seed,
+                schedule: FaultSchedule::generate(seed, &self.plan),
+                ..self.base.dist.clone()
+            },
             ..self.base.clone()
         }
-    }
-
-    /// Sweeps seeds `0..n_seeds`.
-    pub fn run(&self, n_seeds: u64) -> CampaignSummary {
-        self.run_seeds(0, n_seeds)
     }
 
     /// Sweeps seeds `seed_base..seed_base + n_seeds`, recording
@@ -61,7 +62,7 @@ impl DistCampaign {
         let mut failures = Vec::new();
         for seed in seed_base..seed_base + n_seeds {
             let cfg = self.config_for(seed);
-            let out = run_dist(&cfg);
+            let out = run_pipeline(&cfg);
             mcv_obs::counter("dist.runs", 1);
             for o in &out.oracles {
                 *if o.pass { &mut passes } else { &mut fails }
@@ -76,46 +77,6 @@ impl DistCampaign {
         CampaignSummary { runs: n_seeds, passes, fails, failures }
     }
 
-    /// Sweeps seeds `seed_base..seed_base + n_seeds` over the
-    /// **pipelined** multi-shot runtime: the same generated fault
-    /// schedules and the same eight oracles, but plans streamed by the
-    /// submission pump with batched transport and forces. Violations
-    /// are tallied, not shrunk — the shrinker replays through the
-    /// serial runtime, and a schedule minimized there does not pin
-    /// down a pipelined interleaving.
-    pub fn run_seeds_pipelined(
-        &self,
-        seed_base: u64,
-        n_seeds: u64,
-        max_inflight: usize,
-        batch_window_us: u64,
-    ) -> CampaignSummary {
-        let _span = mcv_obs::Span::enter("dist.campaign.pipeline");
-        let mut passes: BTreeMap<String, u64> = BTreeMap::new();
-        let mut fails: BTreeMap<String, u64> = BTreeMap::new();
-        let mut failures = Vec::new();
-        for seed in seed_base..seed_base + n_seeds {
-            let cfg = PipelineConfig {
-                dist: self.config_for(seed),
-                max_inflight,
-                batch_window_us,
-                arrival_us: None,
-            };
-            let out = run_pipeline(&cfg);
-            mcv_obs::counter("dist.pipeline.runs", 1);
-            for o in &out.oracles {
-                *if o.pass { &mut passes } else { &mut fails }
-                    .entry(o.name.clone())
-                    .or_insert(0) += 1;
-            }
-            if let Some(v) = out.violated() {
-                mcv_obs::counter("dist.pipeline.violations", 1);
-                failures.push((seed, v.name.clone()));
-            }
-        }
-        CampaignSummary { runs: n_seeds, passes, fails, failures }
-    }
-
     /// Sweeps seeds until the first violation, shrinks it, and wraps
     /// the minimal counterexample as a replayable artifact. `None` if
     /// all runs pass every oracle.
@@ -123,7 +84,7 @@ impl DistCampaign {
         let _span = mcv_obs::Span::enter("dist.hunt");
         for seed in 0..n_seeds {
             let cfg = self.config_for(seed);
-            let out = run_dist(&cfg);
+            let out = run_pipeline(&cfg);
             mcv_obs::counter("dist.runs", 1);
             let Some(v) = out.violated() else { continue };
             let oracle = v.name.clone();
@@ -132,7 +93,7 @@ impl DistCampaign {
             let shrunk = shrink(&cfg, &oracle, self.shrink_budget);
             // Re-run the minimum for its authoritative detail and
             // trace.
-            let min_out = run_dist(&shrunk.config);
+            let min_out = run_pipeline(&shrunk.config);
             let min_detail = min_out
                 .oracles
                 .iter()
@@ -142,7 +103,7 @@ impl DistCampaign {
             return Some(DistViolation {
                 seed,
                 oracle: oracle.clone(),
-                original_events: cfg.schedule.len(),
+                original_events: cfg.dist.schedule.len(),
                 shrink_runs: shrunk.runs,
                 trace: min_out.trace,
                 artifact: DistArtifact::new(shrunk.config, oracle, min_detail),

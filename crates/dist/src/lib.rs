@@ -34,8 +34,11 @@
 //! A fault-free cross-shard run commits everywhere:
 //!
 //! ```
-//! use mcv_dist::{run_dist, DistConfig};
-//! let out = run_dist(&DistConfig { n_shards: 2, n_txns: 1, ..DistConfig::default() });
+//! use mcv_dist::{run_pipeline, DistConfig, PipelineConfig};
+//! let out = run_pipeline(&PipelineConfig {
+//!     dist: DistConfig { n_shards: 2, n_txns: 1, ..DistConfig::default() },
+//!     ..PipelineConfig::default()
+//! });
 //! assert!(out.violated().is_none(), "{:?}", out.violated());
 //! assert_eq!(out.stats.committed, 1);
 //! ```
@@ -57,7 +60,7 @@ pub use artifact::DistArtifact;
 pub use campaign::{DistCampaign, DistViolation};
 pub use multishot::{run_pipeline, CommitLogEntry, PipelineConfig, PipelineOutcome};
 pub use oracle::DIST_ORACLE_NAMES;
-pub use runtime::{run_dist, DistConfig, DistOutcome, DistStats, GLOBAL_TXN_BASE};
+pub use runtime::{DistConfig, DistStats, GLOBAL_TXN_BASE};
 pub use shrink::{shrink, DistShrunk, REPRO_ATTEMPTS};
 pub use store::{CoordStore, EngineStore};
 pub use transport::{

@@ -1,57 +1,58 @@
-//! The multi-shot pipelined commit runtime: many cross-shard
-//! transactions in flight per shard-link at once.
+//! The cross-shard runtime: per-shard engines on their own node
+//! threads, the coordinator, the network thread, the submission pump
+//! and the stop monitor. [`run_pipeline`] is the only assembly; serial,
+//! all-at-once and pipelined commit are values of [`PipelineConfig`]:
 //!
-//! [`run_dist`](crate::run_dist) starts every transaction at tick 0
-//! and waits out a fixed fault horizon — fine for oracle campaigns,
-//! hopeless as a throughput measurement (the serial path settles near
-//! 210 tps against ~8,900 tps single-shard). [`run_pipeline`] keeps
-//! the same topology, protocol code, fault vocabulary, and oracles,
-//! and changes only the *scheduling*:
-//!
-//! - a **submission pump** streams [`TxnPlan`]s to the coordinator
-//!   through [`NodeEvent::Submit`](crate::NodeEvent::Submit), holding
-//!   at most `max_inflight` undecided transactions open — the
-//!   coordinator's commit log ([`CommitLogEntry`]) totally orders
-//!   their decisions;
+//! - a **submission pump** streams [`TxnPlan`](mcv_commit::TxnPlan)s
+//!   to the coordinator through
+//!   [`NodeEvent::Submit`](crate::NodeEvent::Submit), holding at most
+//!   `max_inflight` undecided transactions open — the coordinator's
+//!   commit log ([`CommitLogEntry`]) totally orders their decisions.
+//!   `max_inflight: 1` is single-shot commit (the serial reference:
+//!   one transaction at a time), `max_inflight: n_txns` starts every
+//!   plan at once;
 //! - the transport runs with a per-link **batching window**: messages
 //!   submitted while a link's batch head is still in flight ride along
 //!   at the head's delivery instant, so concurrent transactions share
-//!   hop delays instead of queuing behind FIFO clamps;
-//! - shard stores run in **pipelined mode**
-//!   ([`EngineStore::pipelined`]): commit records are staged and each
-//!   delivery batch pays one WAL force for all of them
-//!   (`engine.wal.forces` collapses below `engine.wal.commits`), with
-//!   acknowledgements still held until the force completes;
+//!   hop delays instead of queuing behind FIFO clamps.
+//!   `batch_window_us: 0` is the per-message schedule;
+//! - shard stores **stage** commit records and each delivery (batch)
+//!   pays one WAL force for all of them (`engine.wal.forces` collapses
+//!   below `engine.wal.commits` once deliveries batch; unbatched, it
+//!   is one force per commit), with acknowledgements held until the
+//!   force completes;
 //! - the run ends on **quiescence** (every submitted transaction
-//!   decided everywhere, plus a quiet tail), not on a horizon — a
-//!   fault-free pipelined run never waits out phantom fault windows.
+//!   decided everywhere, plus a quiet tail); only a run with faults
+//!   scheduled also waits out their horizon.
 
 use crate::node::{run_node, NodeSeat};
 use crate::runtime::{fault_horizon, DistConfig, DistStats, Ledger};
 use crate::store::{CoordStore, EngineStore};
-use crate::transport::{NetMsg, Network, NodeEvent};
+use crate::transport::{NodeEvent, TransportConfig, Wiring};
 use mcv_chaos::OracleResult;
 use mcv_commit::{Protocol, Site, SiteConfig};
 use mcv_engine::{Engine, EngineConfig};
 use mcv_sim::ProcId;
-use std::collections::BTreeMap;
-use std::sync::mpsc;
+use mcv_txn::TxnId;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of one pipelined run: a [`DistConfig`] (topology,
-/// workload, faults, protocol knobs) plus the multi-shot scheduling
-/// parameters.
+/// Configuration of one run: a [`DistConfig`] (topology, workload,
+/// faults, protocol knobs) plus the submission schedule. Serializable,
+/// so a violating run ships as a replayable artifact.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct PipelineConfig {
     /// The underlying distributed configuration. Its `n_txns` plans
-    /// are streamed by the pump instead of all starting at once; its
-    /// `horizon` only matters when faults are scheduled.
+    /// are streamed by the pump; its `horizon` only matters when faults
+    /// are scheduled.
     pub dist: DistConfig,
-    /// Maximum undecided transactions in flight at once.
+    /// Maximum undecided transactions in flight at once (0 is read as
+    /// 1). `1` commits one transaction at a time; `dist.n_txns` starts
+    /// them all at once.
     pub max_inflight: usize,
-    /// Per-link transport batching window in microseconds; 0 degrades
-    /// to the serial per-message schedule.
+    /// Per-link transport batching window in microseconds; 0 is the
+    /// unbatched per-message schedule.
     pub batch_window_us: u64,
     /// Open-loop arrival offsets in microseconds since run start, one
     /// per transaction (`None` = submit as fast as the window allows).
@@ -84,18 +85,15 @@ pub struct CommitLogEntry {
     pub commit: bool,
 }
 
-/// Everything one pipelined run produced.
+/// Everything one run produced.
 #[derive(Debug)]
 pub struct PipelineOutcome {
-    /// Aggregate statistics. `wall_ms` is the settle time (submission
-    /// of the first plan to quiescence), excluding thread teardown —
-    /// the denominator of throughput measurements.
+    /// Aggregate statistics.
     pub stats: DistStats,
-    /// Every oracle's verdict — the same eight oracles the serial
-    /// runtime checks.
+    /// Every oracle's verdict.
     pub oracles: Vec<OracleResult>,
     /// First decision per `(node, txn)`; `true` = commit.
-    pub decisions: BTreeMap<(u64, u64), bool>,
+    pub decisions: BTreeMap<(usize, u64), bool>,
     /// The coordinator's totally-ordered commit log.
     pub commit_log: Vec<CommitLogEntry>,
     /// The run's causal trace.
@@ -122,21 +120,29 @@ impl PipelineOutcome {
     }
 }
 
-/// Runs one pipelined multi-shot execution to completion and evaluates
-/// every oracle over it.
+/// Runs one distributed execution to completion and evaluates every
+/// oracle over it.
 ///
-/// The assembly mirrors [`run_dist`](crate::run_dist) — node 0
-/// coordinates, nodes `1..=n_shards` each own a live [`Engine`] —
-/// with three differences: shard stores are pipelined
-/// ([`EngineStore::pipelined`]), the network runs with the configured
-/// batching window, and plans arrive through the submission pump
-/// rather than the coordinator's start-time plan list.
+/// Topology: node 0 is the coordinator (no shard), nodes
+/// `1..=n_shards` each own a live [`Engine`] reached through the
+/// [`EngineStore`] adapter, so the commit FSMs govern real 2PL locks
+/// and per-shard group-commit WALs. All protocol traffic crosses the
+/// threaded transport with seeded delays and the configured faults;
+/// plans reach the coordinator through the submission pump.
 pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     let _span = mcv_obs::Span::enter("dist.pipeline");
     let d = &cfg.dist;
+    // A window of zero (a hand-edited or foreign artifact) would never
+    // submit; read it as one transaction at a time.
+    let max_inflight = cfg.max_inflight.max(1);
     let n = d.n_nodes();
     let rec = mcv_trace::Recorder::unbounded();
+    // Node threads record at sites `0..n`; engine-side events (WAL,
+    // locks) pick lanes above them.
     rec.reserve_lanes(n);
+    // Sized from measured traces: 37-58 events per transaction per
+    // shard at 1-8 writes. Too small a hint only brings regrowth back.
+    rec.reserve_events(d.n_txns * d.n_shards * (40 + 3 * d.writes_per_shard));
     let start = Instant::now();
     let ledger = Ledger::new(n);
     let engines: Vec<Engine> = mcv_trace::with_recorder(Arc::clone(&rec), || {
@@ -152,31 +158,19 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
             .collect()
     });
 
-    let (net_tx, net_rx) = mpsc::channel::<NetMsg>();
-    let mut node_txs: Vec<mpsc::Sender<NodeEvent>> = Vec::with_capacity(n);
-    let mut node_rxs: Vec<mpsc::Receiver<NodeEvent>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel::<NodeEvent>();
-        node_txs.push(tx);
-        node_rxs.push(rx);
-    }
-
-    let network = Network {
-        rx: net_rx,
-        nodes: node_txs.clone(),
+    let mut wiring = Wiring::spawn(
+        n,
         start,
-        tick_us: d.tick_us,
-        delay_ticks: d.delay_ticks,
-        batch_window_us: cfg.batch_window_us,
-        seed: d.seed,
-        rec: Some(Arc::clone(&rec)),
-        prof: mcv_prof::installed(),
-    };
-    let schedule = d.schedule.clone();
-    let net_handle = std::thread::Builder::new()
-        .name("dist-net".into())
-        .spawn(move || network.run(&schedule))
-        .expect("spawn network thread");
+        &TransportConfig {
+            tick_us: d.tick_us,
+            delay_ticks: d.delay_ticks,
+            seed: d.seed,
+            batch_window_us: cfg.batch_window_us,
+        },
+        &d.schedule,
+        Some(Arc::clone(&rec)),
+        mcv_prof::installed(),
+    );
 
     let site_cfg = |node: usize| SiteConfig {
         protocol: Protocol::ThreePhase,
@@ -191,14 +185,14 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     };
 
     let mut handles = Vec::with_capacity(n);
-    for (node, rx) in node_rxs.into_iter().enumerate() {
+    for (node, rx) in std::mem::take(&mut wiring.node_rxs).into_iter().enumerate() {
         let seat = NodeSeat {
             id: node,
             n,
             tick_us: d.tick_us,
             start,
             rx,
-            net: net_tx.clone(),
+            net: wiring.net.clone(),
             ledger: Arc::clone(&ledger),
         };
         let scfg = site_cfg(node);
@@ -208,17 +202,24 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
             .name(format!("dist-node-{node}"))
             .spawn(move || {
                 mcv_trace::with_recorder(rec, || match engine {
-                    Some(e) => run_node(seat, Site::with_store(scfg, EngineStore::pipelined(e))),
+                    Some(e) => run_node(seat, Site::with_store(scfg, EngineStore::new(e))),
                     None => run_node(seat, Site::with_store(scfg, CoordStore)),
                 })
             })
             .expect("spawn node thread");
         handles.push(h);
     }
+    let node_txs = &wiring.node_txs;
 
-    // Submission pump + stop monitor. Fault-free runs owe no horizon
-    // wait — quiescence alone ends them; faulted runs still wait out
-    // the schedule so late fault windows get their chance to bite.
+    // Submission pump + stop monitor. Success needs every plan
+    // streamed, every up participant decided, and a short quiet tail
+    // (no new notes) so in-flight messages that would pull a late node
+    // into the protocol get to land first. Fault-free runs owe no
+    // horizon wait — quiescence alone ends them; faulted runs still
+    // wait out the schedule so late fault windows get their chance to
+    // bite. The first pass pumps before any sleep, so the plans the
+    // window admits start at tick 0 — the instant a campaign's
+    // tick-timed fault schedule is laid out against.
     let plans = d.plans();
     let txns = d.global_txns();
     let fault_free = d.schedule.events.is_empty() && d.crash_at.is_none();
@@ -229,13 +230,12 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     let mut quiet = 0u32;
     let mut last_notes = usize::MAX;
     let settle_ms = loop {
-        std::thread::sleep(Duration::from_millis(1));
         let elapsed = start.elapsed();
         let now_us = elapsed.as_micros() as u64;
         // Pump: respect the in-flight window and the arrival schedule.
         let mut awaiting_arrival = false;
         while submitted < plans.len() {
-            if submitted.saturating_sub(ledger.decided_txn_count()) >= cfg.max_inflight {
+            if submitted.saturating_sub(ledger.decided_txn_count()) >= max_inflight {
                 break;
             }
             if let Some(at) = cfg.arrival_us.as_ref().and_then(|a| a.get(submitted)) {
@@ -275,24 +275,26 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
             timed_out = !all_out || !ledger.settled(&txns[..submitted]);
             break elapsed.as_millis() as u64;
         }
+        std::thread::sleep(Duration::from_millis(1));
     };
-    for tx in &node_txs {
+    for tx in node_txs {
         let _ = tx.send(NodeEvent::Shutdown);
     }
-    let _ = net_tx.send(NetMsg::Shutdown);
     for h in handles {
         let _ = h.join();
     }
-    let _ = net_handle.join();
+    drop(wiring);
 
     let led = ledger.snapshot();
     let trace = rec.snapshot();
+    // One WAL scan per engine; the tally and the oracles share it.
+    let durable: Vec<BTreeSet<TxnId>> = engines.iter().map(Engine::committed_ids).collect();
     let mut committed = 0u64;
     let mut aborted = 0u64;
     let mut undecided = 0u64;
     for t in &txns {
-        let all_committed = engines.iter().all(|e| e.committed_ids().contains(t));
-        let any_decided = led.decided.iter().any(|((_, txn), _)| *txn == t.0);
+        let all_committed = durable.iter().all(|ids| ids.contains(t));
+        let any_decided = led.decided_txns.contains(&t.0);
         if all_committed {
             committed += 1;
         } else if any_decided {
@@ -309,8 +311,8 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
         wall_ms: settle_ms,
         timed_out,
     };
-    mcv_obs::counter("dist.pipeline.committed", committed);
-    mcv_obs::counter("dist.pipeline.aborted", aborted);
+    mcv_obs::counter("dist.txn.committed", committed);
+    mcv_obs::counter("dist.txn.aborted", aborted);
     let (wal_commits, wal_forces) = engines
         .iter()
         .map(|e| {
@@ -318,19 +320,17 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
             (m.counter("engine.wal.commits"), m.counter("engine.wal.forces"))
         })
         .fold((0, 0), |(c, f), (dc, df)| (c + dc, f + df));
-    let oracles = crate::oracle::evaluate(d, &stats, &led, &engines, &trace);
+    let oracles = crate::oracle::evaluate(d, &stats, &led, &engines, &durable, &trace);
     let commit_log = led
         .decision_log
         .iter()
         .enumerate()
         .map(|(index, &(tick, txn, commit))| CommitLogEntry { index, tick, txn, commit })
         .collect();
-    let decisions =
-        led.decided.into_iter().map(|((node, txn), c)| ((node as u64, txn), c)).collect();
     PipelineOutcome {
         stats,
         oracles,
-        decisions,
+        decisions: led.decided,
         commit_log,
         trace,
         submitted: submitted as u64,
@@ -343,10 +343,17 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
 mod tests {
     use super::*;
 
+    /// Two shards, no fault scheduled, and a protocol timeout far above
+    /// any scheduler stall — which would otherwise surface as a
+    /// legitimate timeout abort in tests that assert commits.
+    fn patient(n_txns: usize, seed: u64) -> DistConfig {
+        DistConfig { n_shards: 2, n_txns, seed, timeout: 2_000, ..DistConfig::default() }
+    }
+
     #[test]
     fn pipeline_fault_free_commits_everything() {
         let cfg = PipelineConfig {
-            dist: DistConfig { n_shards: 2, n_txns: 8, seed: 7, ..DistConfig::default() },
+            dist: patient(8, 7),
             max_inflight: 4,
             batch_window_us: 600,
             arrival_us: None,
@@ -365,13 +372,7 @@ mod tests {
     #[test]
     fn pipeline_batches_wal_forces() {
         let cfg = PipelineConfig {
-            dist: DistConfig {
-                n_shards: 2,
-                n_txns: 12,
-                seed: 3,
-                force_latency_us: 50,
-                ..DistConfig::default()
-            },
+            dist: DistConfig { force_latency_us: 50, ..patient(12, 3) },
             max_inflight: 12,
             batch_window_us: 1_000,
             arrival_us: None,
@@ -388,15 +389,24 @@ mod tests {
     }
 
     #[test]
+    fn zero_window_is_read_as_one_at_a_time() {
+        let cfg = PipelineConfig {
+            dist: patient(3, 5),
+            max_inflight: 0,
+            batch_window_us: 0,
+            arrival_us: None,
+        };
+        let out = run_pipeline(&cfg);
+        assert!(out.violated().is_none(), "{:?}", out.violated());
+        assert_eq!(out.submitted, 3);
+        assert_eq!(out.stats.committed, 3);
+        assert_eq!(out.wal_forces, out.wal_commits, "unbatched: one force per commit");
+    }
+
+    #[test]
     fn pipeline_vote_no_aborts_everywhere() {
         let cfg = PipelineConfig {
-            dist: DistConfig {
-                n_shards: 2,
-                n_txns: 4,
-                seed: 11,
-                vote_no: Some(1),
-                ..DistConfig::default()
-            },
+            dist: DistConfig { vote_no: Some(1), ..patient(4, 11) },
             max_inflight: 4,
             batch_window_us: 600,
             arrival_us: None,

@@ -12,7 +12,8 @@ use crate::runtime::{DistConfig, DistStats, LedgerInner};
 use mcv_chaos::OracleResult;
 use mcv_engine::Engine;
 use mcv_sim::{ProcId, SimTime, Trace, TraceEvent};
-use mcv_txn::Wal;
+use mcv_txn::{TxnId, Wal};
+use std::collections::BTreeSet;
 
 /// Every dist oracle, in evaluation order.
 pub const DIST_ORACLE_NAMES: [&str; 8] = [
@@ -45,12 +46,14 @@ fn sim_trace(led: &LedgerInner) -> Trace {
     t
 }
 
-/// Evaluates every oracle.
+/// Evaluates every oracle. `durable[i]` is the set of transactions
+/// `engines[i]` durably committed, scanned once by the caller.
 pub(crate) fn evaluate(
     cfg: &DistConfig,
     stats: &DistStats,
     led: &LedgerInner,
     engines: &[Engine],
+    durable: &[BTreeSet<TxnId>],
     trace: &mcv_trace::CausalTrace,
 ) -> Vec<OracleResult> {
     let mut out = Vec::new();
@@ -63,10 +66,10 @@ pub(crate) fn evaluate(
     {
         let mut bad = Vec::new();
         for t in &txns {
-            let committed_shards: Vec<usize> = engines
+            let committed_shards: Vec<usize> = durable
                 .iter()
                 .enumerate()
-                .filter(|(_, e)| e.committed_ids().contains(t))
+                .filter(|(_, ids)| ids.contains(t))
                 .map(|(i, _)| i + 1)
                 .collect();
             let abort_nodes: Vec<usize> = led
@@ -126,7 +129,7 @@ pub(crate) fn evaluate(
         let fault_free = cfg.schedule.is_empty() && cfg.crash_at.is_none() && cfg.vote_no.is_none();
         if fault_free {
             for t in &txns {
-                if !engines.iter().all(|e| e.committed_ids().contains(t)) {
+                if !durable.iter().all(|ids| ids.contains(t)) {
                     bad.push(format!("T{} did not commit in a fault-free all-yes run", t.0));
                 }
             }

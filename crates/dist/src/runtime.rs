@@ -1,19 +1,13 @@
-//! Assembles and runs one distributed execution: per-shard engines on
-//! their own node threads, the coordinator, the network thread, and
-//! the stop monitor.
+//! What one distributed run is made of besides its assembly: the
+//! configuration, the shared decision ledger and the run statistics.
+//! The assembly itself is [`run_pipeline`](crate::run_pipeline).
 
-use crate::node::{run_node, NodeSeat};
-use crate::store::{CoordStore, EngineStore};
-use crate::transport::{NetMsg, Network, NodeEvent};
-use mcv_chaos::{FaultEvent, FaultSchedule, OracleResult};
-use mcv_commit::{CrashPoint, Protocol, Site, SiteConfig, TxnPlan};
-use mcv_engine::{Engine, EngineConfig};
+use mcv_chaos::{FaultEvent, FaultSchedule};
+use mcv_commit::{CrashPoint, TxnPlan};
 use mcv_sim::ProcId;
 use mcv_txn::TxnId;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Global (cross-shard) transaction ids start here. The per-shard
 /// engines' own allocators count up from 1, so the two id spaces never
@@ -28,7 +22,8 @@ pub struct DistConfig {
     /// Number of data shards; the topology is node 0 (coordinator,
     /// no shard) plus nodes `1..=n_shards` (one engine each).
     pub n_shards: usize,
-    /// Number of cross-shard transactions, all started at once.
+    /// Number of cross-shard transactions the submission pump streams
+    /// to the coordinator.
     pub n_txns: usize,
     /// Items each transaction writes at each shard.
     pub writes_per_shard: usize,
@@ -60,8 +55,9 @@ pub struct DistConfig {
     pub vote_no: Option<usize>,
     /// Timed faults (ticks), in the `mcv-chaos` vocabulary.
     pub schedule: FaultSchedule,
-    /// All scheduled faults lie before this tick; the run only
-    /// declares success after it has passed.
+    /// All scheduled faults lie before this tick; a run with a
+    /// non-empty `schedule` or a `crash_at` only declares success after
+    /// it has passed (a fault-free run ends on quiescence alone).
     pub horizon: u64,
     /// Hard wall-clock stop in milliseconds.
     pub deadline_ms: u64,
@@ -140,6 +136,9 @@ pub(crate) struct LedgerInner {
     pub up: Vec<bool>,
     /// First decision per `(node, txn)`; `true` = commit.
     pub decided: BTreeMap<(usize, u64), bool>,
+    /// Transactions with a decision at any node, kept alongside
+    /// `decided` so the pump's window accounting is a length read.
+    pub decided_txns: BTreeSet<u64>,
     /// Nodes that entered the protocol for a transaction (noted a
     /// state transition for it). A node that crashed or was
     /// partitioned away before the vote request arrived never joins
@@ -162,6 +161,7 @@ impl Ledger {
                 notes: Vec::new(),
                 up: vec![true; n_nodes],
                 decided: BTreeMap::new(),
+                decided_txns: BTreeSet::new(),
                 participated: BTreeSet::new(),
                 flips: Vec::new(),
                 decision_log: Vec::new(),
@@ -179,6 +179,7 @@ impl Ledger {
             if let (Some(txn_text), Some(verdict)) = (parts.next(), parts.next()) {
                 if let Some(Ok(txn)) = txn_text.strip_prefix('T').map(str::parse::<u64>) {
                     g.participated.insert((node, txn));
+                    g.decided_txns.insert(txn);
                     let commit = verdict == "commit";
                     match g.decided.insert((node, txn), commit) {
                         None => {
@@ -232,11 +233,10 @@ impl Ledger {
         self.inner.lock().expect("ledger mutex").notes.len()
     }
 
-    /// Distinct transactions with a decision anywhere — the multi-shot
+    /// Distinct transactions with a decision anywhere — the
     /// submission pump's window accounting.
     pub fn decided_txn_count(&self) -> usize {
-        let g = self.inner.lock().expect("ledger mutex");
-        g.decided.keys().map(|(_, txn)| *txn).collect::<BTreeSet<_>>().len()
+        self.inner.lock().expect("ledger mutex").decided_txns.len()
     }
 
     pub fn snapshot(&self) -> LedgerInner {
@@ -255,35 +255,12 @@ pub struct DistStats {
     pub aborted: u64,
     /// No decision recorded anywhere (blocked or shut down early).
     pub undecided: u64,
-    /// Wall time of the run.
+    /// Settle time: run start to quiescence (or to the stop rule
+    /// giving up), excluding thread teardown and oracle evaluation —
+    /// the denominator of every throughput figure.
     pub wall_ms: u64,
     /// The hard deadline fired before the run settled.
     pub timed_out: bool,
-}
-
-/// Everything one distributed run produced.
-#[derive(Debug)]
-pub struct DistOutcome {
-    /// Aggregate statistics.
-    pub stats: DistStats,
-    /// Every oracle's verdict.
-    pub oracles: Vec<OracleResult>,
-    /// First decision per `(node, txn)`; `true` = commit.
-    pub decisions: BTreeMap<(usize, u64), bool>,
-    /// The run's causal trace.
-    pub trace: mcv_trace::CausalTrace,
-}
-
-impl DistOutcome {
-    /// The first violated oracle, if any.
-    pub fn violated(&self) -> Option<&OracleResult> {
-        self.oracles.iter().find(|o| !o.pass)
-    }
-
-    /// Whether the named oracle failed.
-    pub fn violates(&self, name: &str) -> bool {
-        self.oracles.iter().any(|o| o.name == name && !o.pass)
-    }
 }
 
 /// The tick after which no scheduled fault is still pending.
@@ -304,166 +281,21 @@ pub(crate) fn fault_horizon(schedule: &FaultSchedule) -> u64 {
         .unwrap_or(0)
 }
 
-/// Runs one distributed execution to completion and evaluates every
-/// oracle over it.
-///
-/// Topology: node 0 is the coordinator (no shard), nodes
-/// `1..=n_shards` each own a live [`Engine`] reached through the
-/// [`EngineStore`] adapter, so the commit FSMs govern real 2PL locks
-/// and per-shard group-commit WALs. All protocol traffic crosses the
-/// threaded transport with seeded delays and the configured faults.
-pub fn run_dist(cfg: &DistConfig) -> DistOutcome {
-    let _span = mcv_obs::Span::enter("dist.run");
-    let n = cfg.n_nodes();
-    let rec = mcv_trace::Recorder::unbounded();
-    // Node threads record at sites `0..n`; engine-side events (WAL,
-    // locks) pick lanes above them.
-    rec.reserve_lanes(n);
-    let start = Instant::now();
-    let ledger = Ledger::new(n);
-    let engines: Vec<Engine> = mcv_trace::with_recorder(Arc::clone(&rec), || {
-        (0..cfg.n_shards)
-            .map(|_| {
-                Engine::new(EngineConfig {
-                    shards: 4,
-                    force_latency_us: cfg.force_latency_us,
-                    sample_every: 1,
-                    ..Default::default()
-                })
-            })
-            .collect()
-    });
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let (net_tx, net_rx) = mpsc::channel::<NetMsg>();
-    let mut node_txs: Vec<mpsc::Sender<NodeEvent>> = Vec::with_capacity(n);
-    let mut node_rxs: Vec<mpsc::Receiver<NodeEvent>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel::<NodeEvent>();
-        node_txs.push(tx);
-        node_rxs.push(rx);
+    #[test]
+    fn ledger_counts_each_decided_transaction_once() {
+        let led = Ledger::new(3);
+        led.note(1, 4, "state T1000000 w");
+        assert_eq!(led.decided_txn_count(), 0);
+        led.note(0, 5, "decide T1000000 commit");
+        led.note(1, 6, "decide T1000000 commit");
+        led.note(1, 7, "decide T1000000 commit");
+        assert_eq!(led.decided_txn_count(), 1);
+        led.note(2, 8, "decide T1000001 abort");
+        assert_eq!(led.decided_txn_count(), 2);
+        assert_eq!(led.snapshot().decision_log, vec![(5, 1_000_000, true)]);
     }
-
-    let network = Network {
-        rx: net_rx,
-        nodes: node_txs.clone(),
-        start,
-        tick_us: cfg.tick_us,
-        delay_ticks: cfg.delay_ticks,
-        // Serial path: no transport batching — every message pays its
-        // own sampled hop delay, exactly the pre-multi-shot schedule.
-        batch_window_us: 0,
-        seed: cfg.seed,
-        rec: Some(Arc::clone(&rec)),
-        prof: mcv_prof::installed(),
-    };
-    let schedule = cfg.schedule.clone();
-    let net_handle = std::thread::Builder::new()
-        .name("dist-net".into())
-        .spawn(move || network.run(&schedule))
-        .expect("spawn network thread");
-
-    let site_cfg = |node: usize| SiteConfig {
-        protocol: Protocol::ThreePhase,
-        coordinator: ProcId(0),
-        timeout: cfg.timeout,
-        crash_at: cfg.crash_at.and_then(|(who, p)| (who == node).then_some(p)),
-        vote_no: cfg.vote_no == Some(node),
-        plans: if node == 0 { cfg.plans() } else { Vec::new() },
-        naive_timeouts: cfg.naive_timeouts,
-        quorum_termination: cfg.quorum_termination,
-    };
-
-    let mut handles = Vec::with_capacity(n);
-    for (node, rx) in node_rxs.into_iter().enumerate() {
-        let seat = NodeSeat {
-            id: node,
-            n,
-            tick_us: cfg.tick_us,
-            start,
-            rx,
-            net: net_tx.clone(),
-            ledger: Arc::clone(&ledger),
-        };
-        let scfg = site_cfg(node);
-        let rec = Arc::clone(&rec);
-        let engine = (node > 0).then(|| engines[node - 1].clone());
-        let h = std::thread::Builder::new()
-            .name(format!("dist-node-{node}"))
-            .spawn(move || {
-                mcv_trace::with_recorder(rec, || match engine {
-                    Some(e) => run_node(seat, Site::with_store(scfg, EngineStore::new(e))),
-                    None => run_node(seat, Site::with_store(scfg, CoordStore)),
-                })
-            })
-            .expect("spawn node thread");
-        handles.push(h);
-    }
-
-    // Stop monitor: success needs every fault played out, every up
-    // participant decided, and a short quiet tail (no new notes) so
-    // in-flight messages that would pull a late node into the
-    // protocol get to land first; the deadline is the failsafe
-    // against livelock or a genuinely blocked protocol.
-    let txns = cfg.global_txns();
-    let horizon = cfg.horizon.max(fault_horizon(&cfg.schedule));
-    let deadline = Duration::from_millis(cfg.deadline_ms);
-    let mut timed_out = false;
-    let mut quiet = 0u32;
-    let mut last_notes = usize::MAX;
-    loop {
-        std::thread::sleep(Duration::from_millis(2));
-        let elapsed = start.elapsed();
-        let ticks = elapsed.as_micros() as u64 / cfg.tick_us.max(1);
-        let notes = ledger.notes_len();
-        if ticks > horizon && notes == last_notes && ledger.settled(&txns) {
-            quiet += 1;
-        } else {
-            quiet = 0;
-        }
-        last_notes = notes;
-        if quiet >= 4 {
-            break;
-        }
-        if elapsed >= deadline {
-            timed_out = !ledger.settled(&txns);
-            break;
-        }
-    }
-    for tx in &node_txs {
-        let _ = tx.send(NodeEvent::Shutdown);
-    }
-    let _ = net_tx.send(NetMsg::Shutdown);
-    for h in handles {
-        let _ = h.join();
-    }
-    let _ = net_handle.join();
-
-    let led = ledger.snapshot();
-    let trace = rec.snapshot();
-    let mut committed = 0u64;
-    let mut aborted = 0u64;
-    let mut undecided = 0u64;
-    for t in &txns {
-        let all_committed = engines.iter().all(|e| e.committed_ids().contains(t));
-        let any_decided = led.decided.iter().any(|((_, txn), _)| *txn == t.0);
-        if all_committed {
-            committed += 1;
-        } else if any_decided {
-            aborted += 1;
-        } else {
-            undecided += 1;
-        }
-    }
-    let stats = DistStats {
-        txns: txns.len() as u64,
-        committed,
-        aborted,
-        undecided,
-        wall_ms: start.elapsed().as_millis() as u64,
-        timed_out,
-    };
-    mcv_obs::counter("dist.txn.committed", committed);
-    mcv_obs::counter("dist.txn.aborted", aborted);
-    let oracles = crate::oracle::evaluate(cfg, &stats, &led, &engines, &trace);
-    DistOutcome { stats, oracles, decisions: led.decided, trace }
 }

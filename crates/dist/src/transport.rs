@@ -177,104 +177,113 @@ impl Transport for SimTransport {
     }
 }
 
-/// The network thread's state and configuration: owns every link,
-/// drives the shared fabric with wall-clock time, and dispatches due
-/// events into per-node channels.
-pub(crate) struct Network {
-    pub rx: Receiver<NetMsg>,
-    pub nodes: Vec<Sender<NodeEvent>>,
-    pub start: Instant,
-    pub tick_us: u64,
-    /// Uniform per-hop delay in `1..=delay_ticks` ticks.
-    pub delay_ticks: u64,
-    /// Per-link batching window in microseconds (0 = serial schedule).
-    pub batch_window_us: u64,
-    pub seed: u64,
-    pub rec: Option<Arc<mcv_trace::Recorder>>,
-    /// Phase profiler captured at runtime entry; each delivery records
-    /// its measured flight time as an anonymous `transport_rtt` sample.
-    pub prof: Option<mcv_prof::Profiler>,
+/// A running network thread and the channel ends its owner holds: the
+/// one wiring behind both the runtime and [`ThreadedTransport`].
+pub(crate) struct Wiring {
+    /// Into the network thread.
+    pub net: Sender<NetMsg>,
+    /// Into each node's inbox (the network thread holds clones).
+    pub node_txs: Vec<Sender<NodeEvent>>,
+    /// Each node's inbox; the runtime moves these into its node
+    /// threads, [`ThreadedTransport`] drains them in place.
+    pub node_rxs: Vec<Receiver<NodeEvent>>,
+    handle: Option<std::thread::JoinHandle<()>>,
 }
 
-impl Network {
-    /// Runs the network loop until shutdown or every sender hangs up.
-    /// `schedule` times are simulation ticks, scaled by `tick_us`.
-    pub fn run(self, schedule: &FaultSchedule) {
-        let mut fabric = Fabric::new(
-            self.tick_us,
-            self.delay_ticks,
-            self.batch_window_us,
-            self.seed,
-            self.rec.clone(),
-            self.prof.clone(),
+impl Wiring {
+    /// Builds the channels for `n_nodes` endpoints and spawns the
+    /// network thread over `schedule`'s faults, with `start` as the
+    /// epoch of its clock. With a profiler, each delivery records its
+    /// measured flight time as an anonymous `transport_rtt` sample.
+    pub fn spawn(
+        n_nodes: usize,
+        start: Instant,
+        cfg: &TransportConfig,
+        schedule: &FaultSchedule,
+        rec: Option<Arc<mcv_trace::Recorder>>,
+        prof: Option<mcv_prof::Profiler>,
+    ) -> Wiring {
+        let (net, rx) = mpsc::channel::<NetMsg>();
+        let (node_txs, node_rxs): (Vec<_>, Vec<_>) =
+            (0..n_nodes).map(|_| mpsc::channel::<NodeEvent>()).unzip();
+        let nodes = node_txs.clone();
+        let fabric = Fabric::new(
+            cfg.tick_us,
+            cfg.delay_ticks,
+            cfg.batch_window_us,
+            cfg.seed,
+            rec,
+            prof,
             schedule,
         );
-        loop {
-            let now_us = self.start.elapsed().as_micros() as u64;
-            for (to, ev) in fabric.pop_due(now_us) {
-                // A hung-up node (already shut down) just loses traffic.
-                let _ = self.nodes[to].send(ev);
-            }
-            let wait = fabric
-                .next_due()
-                .map(|due| Duration::from_micros(due.saturating_sub(now_us)))
-                .unwrap_or(Duration::from_millis(5))
-                .min(Duration::from_millis(5))
-                .max(Duration::from_micros(50));
-            match self.rx.recv_timeout(wait) {
-                Ok(NetMsg::Send { from, to, msg, label, cause }) => {
-                    let now_us = self.start.elapsed().as_micros() as u64;
-                    fabric.submit(now_us, from, to, msg, label, cause);
-                }
-                Ok(NetMsg::Shutdown) => break,
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
+        let handle = std::thread::Builder::new()
+            .name("dist-net".into())
+            .spawn(move || run_network(&rx, &nodes, start, fabric))
+            .expect("spawn network thread");
+        Wiring { net, node_txs, node_rxs, handle: Some(handle) }
+    }
+}
+
+impl Drop for Wiring {
+    fn drop(&mut self) {
+        let _ = self.net.send(NetMsg::Shutdown);
+        if let Some(h) = self.handle.take() {
+            let _ = h.join();
         }
     }
 }
 
-/// The threaded channel transport behind the [`Transport`] trait: a
-/// real network thread (the same one the dist runtime uses) owning the
-/// fabric, reached over channels, with wall-clock time. Built for the
-/// conformance suite; the runtime wires the network thread directly.
-pub struct ThreadedTransport {
-    net: Sender<NetMsg>,
-    rxs: Vec<Receiver<NodeEvent>>,
+/// The network thread: owns every link, drives the shared fabric with
+/// wall-clock time, and dispatches due events into per-node channels
+/// until shutdown or every sender hangs up.
+fn run_network(
+    rx: &Receiver<NetMsg>,
+    nodes: &[Sender<NodeEvent>],
     start: Instant,
-    handle: Option<std::thread::JoinHandle<()>>,
+    mut fabric: Fabric,
+) {
+    loop {
+        let now_us = start.elapsed().as_micros() as u64;
+        for (to, ev) in fabric.pop_due(now_us) {
+            // A hung-up node (already shut down) just loses traffic.
+            let _ = nodes[to].send(ev);
+        }
+        let wait = fabric
+            .next_due()
+            .map(|due| Duration::from_micros(due.saturating_sub(now_us)))
+            .unwrap_or(Duration::from_millis(5))
+            .min(Duration::from_millis(5))
+            .max(Duration::from_micros(50));
+        match rx.recv_timeout(wait) {
+            Ok(NetMsg::Send { from, to, msg, label, cause }) => {
+                let now_us = start.elapsed().as_micros() as u64;
+                fabric.submit(now_us, from, to, msg, label, cause);
+            }
+            Ok(NetMsg::Shutdown) => break,
+            Err(RecvTimeoutError::Timeout) => {}
+            Err(RecvTimeoutError::Disconnected) => break,
+        }
+    }
+}
+
+/// The threaded channel transport behind the [`Transport`] trait: the
+/// same network thread the runtime uses, owning the fabric, reached
+/// over channels, with wall-clock time. Built for the conformance
+/// suite.
+pub struct ThreadedTransport {
+    start: Instant,
+    wiring: Wiring,
 }
 
 impl ThreadedTransport {
     /// Spawns a network thread over `schedule`'s faults for `n_nodes`
     /// endpoints.
     pub fn new(n_nodes: usize, cfg: &TransportConfig, schedule: &FaultSchedule) -> Self {
-        let (net_tx, net_rx) = mpsc::channel::<NetMsg>();
-        let mut node_txs = Vec::with_capacity(n_nodes);
-        let mut rxs = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
-            let (tx, rx) = mpsc::channel::<NodeEvent>();
-            node_txs.push(tx);
-            rxs.push(rx);
-        }
         let start = Instant::now();
-        let network = Network {
-            rx: net_rx,
-            nodes: node_txs,
+        ThreadedTransport {
             start,
-            tick_us: cfg.tick_us,
-            delay_ticks: cfg.delay_ticks,
-            batch_window_us: cfg.batch_window_us,
-            seed: cfg.seed,
-            rec: None,
-            prof: None,
-        };
-        let schedule = schedule.clone();
-        let handle = std::thread::Builder::new()
-            .name("conf-net".into())
-            .spawn(move || network.run(&schedule))
-            .expect("spawn network thread");
-        ThreadedTransport { net: net_tx, rxs, start, handle: Some(handle) }
+            wiring: Wiring::spawn(n_nodes, start, cfg, schedule, None, None),
+        }
     }
 }
 
@@ -284,7 +293,7 @@ impl Transport for ThreadedTransport {
     }
 
     fn send(&mut self, from: usize, to: usize, msg: Msg, label: String) {
-        let _ = self.net.send(NetMsg::Send { from, to, msg, label, cause: None });
+        let _ = self.wiring.net.send(NetMsg::Send { from, to, msg, label, cause: None });
     }
 
     fn advance(&mut self, until_us: u64) -> Vec<(usize, NodeEvent)> {
@@ -300,20 +309,11 @@ impl Transport for ThreadedTransport {
         }
         std::thread::sleep(Duration::from_millis(5));
         let mut out = Vec::new();
-        for (node, rx) in self.rxs.iter().enumerate() {
+        for (node, rx) in self.wiring.node_rxs.iter().enumerate() {
             while let Ok(ev) = rx.try_recv() {
                 out.push((node, ev));
             }
         }
         out
-    }
-}
-
-impl Drop for ThreadedTransport {
-    fn drop(&mut self) {
-        let _ = self.net.send(NetMsg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
     }
 }

@@ -2,8 +2,8 @@
 //! crash/recover, duplication, and batching assertions driven against
 //! BOTH [`Transport`] implementations — the deterministic virtual-clock
 //! [`SimTransport`] and the real threaded network ([`ThreadedTransport`])
-//! — plus pipelined-vs-serial runtime equivalence (same seeds, same
-//! commit/abort decisions).
+//! — plus schedule equivalence through the one runtime: unbatched and
+//! batched schedules reach the same per-transaction decisions.
 //!
 //! Both implementations share the fabric policy core, so every policy
 //! assertion here must hold identically in both worlds; only timing
@@ -14,8 +14,8 @@
 use mcv_chaos::{CutKind, FaultEvent, FaultSchedule};
 use mcv_commit::Msg;
 use mcv_dist::{
-    run_dist, run_pipeline, DistConfig, NodeEvent, PipelineConfig, SimTransport, ThreadedTransport,
-    Transport, TransportConfig,
+    run_pipeline, DistConfig, NodeEvent, PipelineConfig, PipelineOutcome, SimTransport,
+    ThreadedTransport, Transport, TransportConfig,
 };
 use mcv_txn::TxnId;
 
@@ -234,52 +234,69 @@ fn zero_window_reproduces_the_serial_schedule_exactly() {
     assert_eq!(serial_got, spaced_got, "spaced traffic must match the serial schedule");
 }
 
-/// Same seeds, same workload, both runtimes: every transaction must
-/// reach the same commit/abort decision whether it is driven serially
-/// or streamed through the pipelined runtime.
-#[test]
-fn pipelined_and_serial_reach_the_same_decisions() {
-    for seed in [1u64, 9, 23] {
-        let dist = DistConfig { n_shards: 2, n_txns: 6, seed, ..DistConfig::default() };
-        let serial = run_dist(&dist);
-        let pipe = run_pipeline(&PipelineConfig {
-            dist: dist.clone(),
-            max_inflight: 6,
-            batch_window_us: 600,
-            arrival_us: None,
-        });
-        assert!(serial.violated().is_none(), "seed {seed}: {:?}", serial.violated());
-        assert!(pipe.violated().is_none(), "seed {seed}: {:?}", pipe.violated());
-        // Fault-free: AC2 obliges both runtimes to commit everything.
-        assert_eq!(serial.stats.committed, 6, "seed {seed} serial");
-        assert_eq!(pipe.stats.committed, 6, "seed {seed} pipelined");
+/// The same workload under the unbatched schedule (every plan at once,
+/// per-message transport) and the batched one (windowed pump, 600 us
+/// link batches).
+fn unbatched_and_batched(dist: &DistConfig) -> (PipelineOutcome, PipelineOutcome) {
+    let unbatched = run_pipeline(&PipelineConfig {
+        dist: dist.clone(),
+        max_inflight: dist.n_txns,
+        batch_window_us: 0,
+        arrival_us: None,
+    });
+    let batched = run_pipeline(&PipelineConfig {
+        dist: dist.clone(),
+        max_inflight: dist.n_txns,
+        batch_window_us: 600,
+        arrival_us: None,
+    });
+    (unbatched, batched)
+}
+
+/// Asserts both runs are oracle-clean and every transaction reached
+/// `expect` (`true` = commit) at every node that decided it, under both
+/// schedules.
+fn assert_decision_parity(
+    seed: u64,
+    dist: &DistConfig,
+    (unbatched, batched): &(PipelineOutcome, PipelineOutcome),
+    expect: bool,
+) {
+    assert!(unbatched.violated().is_none(), "seed {seed}: {:?}", unbatched.violated());
+    assert!(batched.violated().is_none(), "seed {seed}: {:?}", batched.violated());
+    for txn in dist.global_txns() {
+        let u = unbatched.decisions.iter().find(|(k, _)| k.1 == txn.0).map(|(_, c)| *c);
+        let b = batched.decisions.iter().find(|(k, _)| k.1 == txn.0).map(|(_, c)| *c);
+        assert_eq!(u, b, "seed {seed} txn {} decision parity", txn.0);
+        assert_eq!(u, Some(expect), "seed {seed} txn {} decision", txn.0);
     }
 }
 
 #[test]
-fn pipelined_and_serial_agree_on_vote_no_aborts() {
+fn unbatched_and_batched_schedules_reach_the_same_decisions() {
+    for seed in [1u64, 9, 23] {
+        // No fault to time out on: a patient timeout keeps a scheduler
+        // stall from surfacing as a legitimate abort.
+        let dist =
+            DistConfig { n_shards: 2, n_txns: 6, seed, timeout: 2_000, ..DistConfig::default() };
+        let runs = unbatched_and_batched(&dist);
+        assert_decision_parity(seed, &dist, &runs, true);
+        // Fault-free: AC2 obliges both schedules to commit everything.
+        assert_eq!(runs.0.stats.committed, 6, "seed {seed} unbatched");
+        assert_eq!(runs.1.stats.committed, 6, "seed {seed} batched");
+    }
+}
+
+#[test]
+fn unbatched_and_batched_schedules_agree_on_vote_no_aborts() {
     for seed in [4u64, 17] {
         let dist =
             DistConfig { n_shards: 2, n_txns: 4, seed, vote_no: Some(1), ..DistConfig::default() };
-        let serial = run_dist(&dist);
-        let pipe = run_pipeline(&PipelineConfig {
-            dist: dist.clone(),
-            max_inflight: 4,
-            batch_window_us: 600,
-            arrival_us: None,
-        });
-        assert!(serial.violated().is_none(), "seed {seed}: {:?}", serial.violated());
-        assert!(pipe.violated().is_none(), "seed {seed}: {:?}", pipe.violated());
-        assert_eq!(serial.stats.aborted, 4, "seed {seed} serial aborts all");
-        assert_eq!(pipe.stats.aborted, 4, "seed {seed} pipelined aborts all");
-        assert_eq!(serial.stats.committed, 0);
-        assert_eq!(pipe.stats.committed, 0);
-        // Per-transaction agreement, not just tallies.
-        for txn in dist.global_txns() {
-            let s = serial.decisions.iter().find(|(k, _)| k.1 == txn.0).map(|(_, c)| *c);
-            let p = pipe.decisions.iter().find(|(k, _)| k.1 == txn.0).map(|(_, c)| *c);
-            assert_eq!(s, p, "seed {seed} txn {} decision parity", txn.0);
-            assert_eq!(s, Some(false), "seed {seed} txn {} aborts", txn.0);
-        }
+        let runs = unbatched_and_batched(&dist);
+        assert_decision_parity(seed, &dist, &runs, false);
+        assert_eq!(runs.0.stats.aborted, 4, "seed {seed} unbatched aborts all");
+        assert_eq!(runs.1.stats.aborted, 4, "seed {seed} batched aborts all");
+        assert_eq!(runs.0.stats.committed, 0);
+        assert_eq!(runs.1.stats.committed, 0);
     }
 }

@@ -29,9 +29,9 @@
 //!   curves, the saturation knee, and the seeded
 //!   shard-crash-during-flash-crowd campaign behind `exp.slo` and the
 //!   `BENCH_slo.json` gate;
-//! - [`run_dist_waves`] — the cross-shard leg: open-loop arrivals
-//!   wave-paced into `mcv_dist`'s batch runtime, every wave judged by
-//!   the eight cross-shard oracles.
+//! - [`run_dist_stream`] — the cross-shard leg: the open-loop arrival
+//!   schedule streamed through one `mcv_dist` cluster, judged by the
+//!   eight cross-shard oracles.
 //!
 //! # Example
 //!
@@ -53,16 +53,13 @@
 #![warn(missing_docs)]
 
 mod arrivals;
-mod dist_waves;
+mod dist_stream;
 mod driver;
 mod sim;
 mod slo;
 
 pub use arrivals::{Arrival, ArrivalProcess, ArrivalSchedule, LoadProfile, Ownership};
-pub use dist_waves::{
-    run_dist_stream, run_dist_waves, DistStreamConfig, DistStreamReport, DistWavesConfig,
-    DistWavesReport,
-};
+pub use dist_stream::{run_dist_stream, DistStreamConfig, DistStreamReport};
 pub use driver::{
     backoff_us, load_latency_histogram, p99_curve, p99_exact, run_load, run_load_with_schedule,
     CrashPlan, LoadConfig, LoadReport, LoadWorkload, ShedPolicy, BANK_INITIAL_BALANCE,

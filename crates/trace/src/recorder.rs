@@ -156,6 +156,15 @@ impl Recorder {
         g.next_lane = g.next_lane.max(n);
     }
 
+    /// Reserves room for `n` more events now, on the calling thread. A
+    /// long multi-threaded recording otherwise regrows its buffer from
+    /// whichever thread records at capacity, and the copy-sized blocks
+    /// that leaves in short-lived threads' allocator arenas are kept
+    /// by the process.
+    pub fn reserve_events(&self, n: usize) {
+        self.inner.lock().unwrap().events.reserve(n);
+    }
+
     /// Snapshot of everything currently retained.
     pub fn snapshot(&self) -> CausalTrace {
         let g = self.inner.lock().unwrap();

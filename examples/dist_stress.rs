@@ -17,34 +17,48 @@
 //! - `-- --campaign N [--seed-base B]` — sweep N seeds of tolerated
 //!   faults (the acceptance run uses N >= 300).
 //! - `-- --pipeline-smoke [--seed-base B]` — the pipelined CI gate:
-//!   fixed-seed tolerated faults through the multi-shot runtime plus a
-//!   fault-free throughput sanity check (pipelined must beat serial).
+//!   the same fixed-seed tolerated faults under the windowed, batched
+//!   schedule plus a fault-free throughput sanity check (pipelined
+//!   must beat one-at-a-time).
 //! - `-- --pipeline-campaign N [--seed-base B]` — sweep N seeds of
-//!   tolerated faults over the pipelined runtime (acceptance: N >= 300
-//!   all green alongside the serial campaign).
+//!   tolerated faults under the windowed, batched schedule
+//!   (acceptance: N >= 300 all green alongside `--campaign`).
 //! - `-- --replay <artifact.json>` — re-execute a written artifact
 //!   and report whether it still violates its oracle.
 
-use mcv::dist::{run_dist, run_pipeline, DistArtifact, DistCampaign, DistConfig, PipelineConfig};
+use mcv::dist::{run_pipeline, DistArtifact, DistCampaign, DistConfig, PipelineConfig};
 use std::process::ExitCode;
 
-fn hardened_campaign() -> DistCampaign {
-    DistCampaign::tolerated(DistConfig { n_txns: 1, ..DistConfig::default() })
+/// The two submission schedules the gates sweep, as
+/// `(max_inflight, batch_window_us)`: unbatched (every plan at once over
+/// the per-message transport — the campaigns run one transaction) and
+/// pipelined (an 8-wide window over 600 us link batches).
+const UNBATCHED: (usize, u64) = (1, 0);
+const PIPELINED: (usize, u64) = (8, 600);
+
+fn scheduled(dist: DistConfig, (max_inflight, batch_window_us): (usize, u64)) -> PipelineConfig {
+    PipelineConfig { dist, max_inflight, batch_window_us, arrival_us: None }
+}
+
+/// Tolerated faults over the hardened protocol, under `schedule`.
+fn hardened_campaign(schedule: (usize, u64)) -> DistCampaign {
+    DistCampaign::tolerated(scheduled(DistConfig { n_txns: 1, ..DistConfig::default() }, schedule))
 }
 
 /// The deliberately unsafe configuration: naive Figure 3.2 timeouts
 /// with the coordinator crashing after sending prepare to only the
 /// first shard — shard 1 times out prepared (commit), the rest time
 /// out waiting (abort).
-fn naive_config() -> DistConfig {
-    DistConfig {
+fn naive_config() -> PipelineConfig {
+    let dist = DistConfig {
         naive_timeouts: true,
         quorum_termination: false,
         crash_at: Some((0, mcv_commit::CrashPoint::AfterPartialPrepare)),
         n_shards: 2,
         n_txns: 1,
         ..DistConfig::default()
-    }
+    };
+    scheduled(dist, UNBATCHED)
 }
 
 fn naive_campaign() -> DistCampaign {
@@ -61,7 +75,7 @@ fn naive_campaign() -> DistCampaign {
 
 fn hunt() -> ExitCode {
     println!("=== dist hunt: hardened 3PC over live shards, 40 seeds of tolerated faults ===\n");
-    let summary = hardened_campaign().run(40);
+    let summary = hardened_campaign(UNBATCHED).run_seeds(0, 40);
     println!("{}", summary.to_report("dist.hardened").summary());
     if !summary.all_green() {
         println!("hardened protocol regressed: {:?}", summary.failures);
@@ -79,7 +93,7 @@ fn hunt() -> ExitCode {
         v.seed,
         v.oracle,
         v.original_events,
-        v.artifact.config.schedule.len(),
+        v.artifact.config.dist.schedule.len(),
         v.shrink_runs
     );
     println!("evidence: {}", v.artifact.detail);
@@ -93,10 +107,10 @@ fn hunt() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn campaign(n: u64, seed_base: u64) -> ExitCode {
-    println!("=== dist campaign: {n} seeds (base {seed_base}) of tolerated faults ===\n");
-    let summary = hardened_campaign().run_seeds(seed_base, n);
-    println!("{}", summary.to_report("dist.campaign").summary());
+fn campaign(label: &str, c: &DistCampaign, n: u64, seed_base: u64) -> ExitCode {
+    println!("=== {label}: {n} seeds (base {seed_base}) of tolerated faults ===\n");
+    let summary = c.run_seeds(seed_base, n);
+    println!("{}", summary.to_report(label).summary());
     if summary.all_green() {
         println!("all green");
         ExitCode::SUCCESS
@@ -144,14 +158,14 @@ fn replay(path: &str) -> ExitCode {
 
 fn smoke(seed_base: u64) -> ExitCode {
     // Fixed seeds, bounded work: suitable for every CI run.
-    let green = hardened_campaign().run_seeds(seed_base, 12);
+    let green = hardened_campaign(UNBATCHED).run_seeds(seed_base, 12);
     if !green.all_green() {
         println!("dist smoke: hardened protocol regressed: {:?}", green.failures);
         return ExitCode::FAILURE;
     }
     let cfg = naive_config();
     let split = (0..3).any(|_| {
-        let out = run_dist(&cfg);
+        let out = run_pipeline(&cfg);
         out.violates("atomicity") || out.violates("ac1_agreement")
     });
     if !split {
@@ -162,38 +176,21 @@ fn smoke(seed_base: u64) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn pipeline_campaign(n: u64, seed_base: u64) -> ExitCode {
-    println!("=== pipelined campaign: {n} seeds (base {seed_base}) of tolerated faults ===\n");
-    let summary = hardened_campaign().run_seeds_pipelined(seed_base, n, 8, 600);
-    println!("{}", summary.to_report("dist.pipeline.campaign").summary());
-    if summary.all_green() {
-        println!("all green");
-        ExitCode::SUCCESS
-    } else {
-        println!("failures: {:?}", summary.failures);
-        ExitCode::FAILURE
-    }
-}
-
 fn pipeline_smoke(seed_base: u64) -> ExitCode {
-    // Fixed seeds through the multi-shot runtime: the same fault
-    // schedules and oracles as the serial smoke.
-    let green = hardened_campaign().run_seeds_pipelined(seed_base, 12, 8, 600);
+    // The same fixed seeds, fault schedules and oracles as the dist
+    // smoke, under the windowed, batched schedule.
+    let green = hardened_campaign(PIPELINED).run_seeds(seed_base, 12);
     if !green.all_green() {
-        println!("pipeline smoke: pipelined runtime regressed: {:?}", green.failures);
+        println!("pipeline smoke: pipelined schedule regressed: {:?}", green.failures);
         return ExitCode::FAILURE;
     }
-    // Fault-free throughput sanity: the pipelined path must decisively
-    // beat the serial path on the same workload (the full measurement
-    // lives in exp.pipeline; this is the cheap canary).
+    // Fault-free throughput sanity: the pipelined schedule must
+    // decisively beat one transaction at a time on the same workload
+    // (the full measurement lives in exp.pipeline; this is the cheap
+    // canary).
     let dist = DistConfig { n_shards: 3, n_txns: 24, seed: seed_base, ..DistConfig::default() };
-    let serial = run_dist(&DistConfig { n_txns: 4, ..dist.clone() });
-    let pipe = run_pipeline(&PipelineConfig {
-        dist: dist.clone(),
-        max_inflight: 12,
-        batch_window_us: 600,
-        arrival_us: None,
-    });
+    let serial = run_pipeline(&scheduled(DistConfig { n_txns: 4, ..dist.clone() }, (1, 0)));
+    let pipe = run_pipeline(&scheduled(dist.clone(), (12, 600)));
     if pipe.violated().is_some() || pipe.stats.committed != dist.n_txns as u64 {
         println!("pipeline smoke: fault-free pipelined run failed: {:?}", pipe.violated());
         return ExitCode::FAILURE;
@@ -227,21 +224,21 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         None => hunt(),
         Some("--smoke") => smoke(seed_base(&args)),
-        Some("--campaign") => match args.get(1).and_then(|s| s.parse().ok()) {
-            Some(n) => campaign(n, seed_base(&args)),
-            None => {
-                eprintln!("usage: dist_stress -- --campaign <n> [--seed-base <b>]");
-                ExitCode::FAILURE
-            }
-        },
         Some("--pipeline-smoke") => pipeline_smoke(seed_base(&args)),
-        Some("--pipeline-campaign") => match args.get(1).and_then(|s| s.parse().ok()) {
-            Some(n) => pipeline_campaign(n, seed_base(&args)),
-            None => {
-                eprintln!("usage: dist_stress -- --pipeline-campaign <n> [--seed-base <b>]");
-                ExitCode::FAILURE
+        Some(flag @ ("--campaign" | "--pipeline-campaign")) => {
+            let (label, schedule) = if flag == "--campaign" {
+                ("dist.campaign", UNBATCHED)
+            } else {
+                ("dist.pipeline.campaign", PIPELINED)
+            };
+            match args.get(1).and_then(|s| s.parse().ok()) {
+                Some(n) => campaign(label, &hardened_campaign(schedule), n, seed_base(&args)),
+                None => {
+                    eprintln!("usage: dist_stress -- {flag} <n> [--seed-base <b>]");
+                    ExitCode::FAILURE
+                }
             }
-        },
+        }
         Some("--replay") => match args.get(1) {
             Some(path) => replay(path),
             None => {

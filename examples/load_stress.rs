@@ -11,7 +11,7 @@
 //! cargo run --release --example load_stress -- --flash-crowd # 3x crowd + curve
 //! cargo run --release --example load_stress -- \
 //!     --crash-shard --seeds 100 --seed-base 0                # recovery-SLO campaign
-//! cargo run --release --example load_stress -- --dist        # cross-shard waves
+//! cargo run --release --example load_stress -- --dist        # cross-shard stream
 //! ```
 //!
 //! Flags: `--rate TPS` (offered Poisson rate), `--duration-ms N`,
@@ -37,8 +37,8 @@
 //! oracle.
 
 use mcv::load::{
-    crash_campaign_template, run_dist_waves, run_load, run_slo_campaign, ArrivalProcess,
-    DistWavesConfig, LoadConfig, LoadProfile, ShedPolicy, SloCampaignConfig,
+    crash_campaign_template, run_dist_stream, run_load, run_slo_campaign, ArrivalProcess,
+    DistStreamConfig, LoadConfig, LoadProfile, ShedPolicy, SloCampaignConfig,
 };
 use std::process::ExitCode;
 
@@ -237,22 +237,22 @@ fn crash_shard(args: &Args) -> ExitCode {
     }
 }
 
-fn dist_waves(args: &Args) -> ExitCode {
-    let mut cfg = DistWavesConfig::default();
+fn dist_stream(args: &Args) -> ExitCode {
+    let mut cfg = DistStreamConfig::default();
     cfg.profile.seed = args.seed;
     println!(
-        "load_stress: cross-shard open-loop waves, {:?} for {} ms over {} shards",
+        "load_stress: cross-shard open-loop stream, {:?} for {} ms over {} shards",
         cfg.profile.process,
         cfg.profile.duration_us / 1_000,
         cfg.n_shards,
     );
-    let report = run_dist_waves(&cfg);
+    let report = run_dist_stream(&cfg);
     println!("\n{}", report.summary());
-    let conserved = report.served + report.shed == report.arrivals;
+    let conserved = report.committed + report.aborted == report.arrivals;
     if report.oracles_ok() && conserved {
         ExitCode::SUCCESS
     } else {
-        eprintln!("DIST WAVES FAILED: oracles {} conserved {conserved}", report.oracles_ok());
+        eprintln!("DIST STREAM FAILED: oracles {} conserved {conserved}", report.oracles_ok());
         ExitCode::FAILURE
     }
 }
@@ -351,7 +351,7 @@ fn main() -> ExitCode {
     } else if args.flash_crowd {
         flash_crowd(&args)
     } else if args.dist {
-        dist_waves(&args)
+        dist_stream(&args)
     } else {
         run_once(&args)
     }

@@ -82,17 +82,22 @@ fn parse() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The cross-shard attribution config: a fault-free 3-shard run with
-/// a realistic (800 us) commit-point force, same shape `exp.prof`
-/// gates at seed 7.
-fn dist_cfg(seed: u64) -> mcv::dist::DistConfig {
-    mcv::dist::DistConfig {
-        n_shards: 3,
-        n_txns: 8,
-        writes_per_shard: 2,
-        seed,
-        force_latency_us: 800,
-        ..Default::default()
+/// The cross-shard attribution config: a fault-free 3-shard run, one
+/// transaction at a time, with a realistic (800 us) commit-point
+/// force — same shape `exp.prof` gates at seed 7.
+fn dist_cfg(seed: u64) -> mcv::dist::PipelineConfig {
+    mcv::dist::PipelineConfig {
+        dist: mcv::dist::DistConfig {
+            n_shards: 3,
+            n_txns: 8,
+            writes_per_shard: 2,
+            seed,
+            force_latency_us: 800,
+            ..Default::default()
+        },
+        max_inflight: 1,
+        batch_window_us: 0,
+        arrival_us: None,
     }
 }
 
@@ -101,7 +106,7 @@ fn dist_cfg(seed: u64) -> mcv::dist::DistConfig {
 /// attribution); returns the commit-path timelines for the merged
 /// campaign table.
 fn judge_dist(seed: u64) -> (bool, AttributionTable, Vec<mcv::prof::Timeline>) {
-    let o = mcv::dist::run_dist(&dist_cfg(seed));
+    let o = mcv::dist::run_pipeline(&dist_cfg(seed));
     let (table, paths) = attribute_commits(&o.trace);
     let mut ok = o.violated().is_none();
     if !ok {
@@ -268,7 +273,7 @@ fn smoke(args: &Args) -> ExitCode {
 /// Default mode: one verbose cross-shard attribution with the slowest
 /// commit's critical path rendered in full.
 fn verbose(args: &Args) -> ExitCode {
-    let o = mcv::dist::run_dist(&dist_cfg(args.seed));
+    let o = mcv::dist::run_pipeline(&dist_cfg(args.seed));
     let (table, paths) = attribute_commits(&o.trace);
     println!(
         "prof_stress: cross-shard attribution, seed {}, {} commit paths, oracles {}\n",
