@@ -9,9 +9,7 @@ use crate::shard::{Shard, TryAcquire};
 use mcv_mvcc::{IsolationLevel, MvccStore};
 use mcv_obs::{Histogram, MetricsSnapshot};
 use mcv_prof::Phase;
-use mcv_txn::{
-    shard_of, youngest_victim, History, Item, LockMode, LogRecord, OpKind, TxnId, Value,
-};
+use mcv_txn::{shard_of, youngest_victim, History, Item, LockMode, OpKind, TxnId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -532,6 +530,21 @@ impl Engine {
         }
     }
 
+    /// Logs `txn`'s update of `item` (which lives in shard `s`) and
+    /// then stores it, returning the before-image. One shard-mutex
+    /// hold covers the before-image read, the append and the store, so
+    /// write-ahead order is structural: the record is in the log
+    /// buffer before the store changes. The caller holds `item`'s
+    /// exclusive 2PL lock, so nobody else writes it meanwhile. This is
+    /// the one place two engine mutexes nest: shard, then WAL.
+    fn log_and_store(&self, txn: TxnId, s: usize, item: &str, value: Value) -> Value {
+        let mut state = self.inner.shards[s].state.lock().expect("shard mutex");
+        let old = state.value(item);
+        self.inner.wal.append_update(txn, item, old, value);
+        state.set(item, value);
+        old
+    }
+
     fn sample(&self, txn: TxnId, item: &str, kind: OpKind) {
         let mut s = self.inner.sampler.lock().expect("sampler mutex");
         s.ops.push(mcv_txn::Op { txn, item: item.to_owned(), kind });
@@ -687,14 +700,7 @@ impl Txn {
         }
         let s = self.acquire(item, LockMode::Exclusive)?;
         let t0 = self.prof_now();
-        let old = self.engine.inner.shards[s].state.lock().expect("shard mutex").value(item);
-        self.engine.inner.wal.append(LogRecord::Update {
-            txn: self.id,
-            item: item.to_owned(),
-            old,
-            new: value,
-        });
-        self.engine.inner.shards[s].state.lock().expect("shard mutex").set(item, value);
+        let old = self.engine.log_and_store(self.id, s, item, value);
         self.undo.push((s, item.to_owned(), old));
         if self.sampled {
             self.engine.sample(self.id, item, OpKind::Write);
@@ -842,15 +848,7 @@ impl Txn {
         // shard stores so `state()` / recovery equivalence see the same
         // world the version chains do.
         for (item, value) in &writes {
-            let s = shard_of(item, inner.cfg.shards);
-            let old = inner.shards[s].state.lock().expect("shard mutex").value(item);
-            inner.wal.append(LogRecord::Update {
-                txn: self.id,
-                item: item.clone(),
-                old,
-                new: *value,
-            });
-            inner.shards[s].state.lock().expect("shard mutex").set(item, *value);
+            engine.log_and_store(self.id, shard_of(item, inner.cfg.shards), item, *value);
         }
         self.prof_add(Phase::Execute, exec0);
         if self.prof.is_some() {
@@ -1002,7 +1000,7 @@ impl Txn {
         for (s, item, before) in self.undo.iter().rev() {
             self.engine.inner.shards[*s].state.lock().expect("shard mutex").set(item, *before);
         }
-        self.engine.inner.wal.append(LogRecord::Abort { txn: self.id });
+        self.engine.inner.wal.append_abort(self.id);
         if let Some(t) = &self.engine.inner.trace {
             t.record(t.lane(), 0, None, mcv_trace::EventKind::Abort { txn: self.id.0 });
         }

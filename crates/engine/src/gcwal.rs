@@ -1,19 +1,21 @@
 //! Group-commit write-ahead logging.
 //!
 //! Wraps [`mcv_txn::ForcedWal`] behind a mutex and models the force as
-//! a device operation with configurable latency. In group-commit mode
-//! a dedicated log-writer thread serializes the pending tail once per
-//! device operation and every commit that arrived while the device was
-//! busy rides the next force — so under concurrency
-//! `forces < commits`. With group commit off, every committer pays a
-//! full device operation of its own (`forces == commits`), which is
-//! the baseline the `exp.gc` experiment compares against.
+//! a device operation with configurable latency. Records are encoded
+//! into the log buffer when they are appended, so a force under the
+//! mutex is a cursor move. In group-commit mode a dedicated log-writer
+//! thread forces the pending tail once per device operation and every
+//! commit that arrived while the device was busy rides the next force
+//! — so under concurrency `forces < commits`. With group commit off,
+//! every committer pays a full device operation of its own
+//! (`forces == commits`), which is the baseline the `exp.gc`
+//! experiment compares against.
 //!
 //! Commit acknowledgements wait on a durable cursor that only advances
 //! *after* the device latency has elapsed — a commit is never acked
 //! before its log record is durable.
 
-use mcv_txn::{LogRecord, TxnId};
+use mcv_txn::{LogRecord, TxnId, Value};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -32,7 +34,7 @@ pub(crate) struct GroupWal {
     group: bool,
     force_latency: Duration,
     /// How long the writer dwells after the first force request before
-    /// serializing, so committers that are a few microseconds behind
+    /// forcing, so committers that are a few microseconds behind
     /// make this batch instead of the next (the classic group-commit
     /// timer).
     group_window: Duration,
@@ -59,7 +61,7 @@ struct GwInner {
     log: mcv_txn::ForcedWal,
     /// Highest LSN some committer asked to have forced.
     requested: usize,
-    /// Records that are durable (serialized *and* past device latency).
+    /// Records that are durable (forced *and* past device latency).
     durable: usize,
     /// A device operation is in flight (serializes forces in
     /// per-commit mode).
@@ -106,15 +108,10 @@ impl GroupWal {
         &self.mark
     }
 
-    /// Records a `WalAppend` trace event for `rec` at `lsn`.
-    fn trace_append(&self, rec: &LogRecord, lsn: usize) {
+    /// Records a `WalAppend` trace event for `txn`'s `what` record at
+    /// `lsn`.
+    fn trace_append(&self, txn: TxnId, what: &str, lsn: usize) {
         let Some(t) = &self.trace else { return };
-        let (txn, what) = match rec {
-            LogRecord::Update { txn, .. } => (*txn, "update"),
-            LogRecord::Commit { txn } => (*txn, "commit"),
-            LogRecord::Abort { txn } => (*txn, "abort"),
-            LogRecord::CheckpointDone { .. } => (TxnId(0), "checkpoint"),
-        };
         // Cite the thread's ambient cause (e.g. the delivered message a
         // dist node is processing) so cross-thread commit chains stay
         // decomposable; engine-only worker threads carry no context.
@@ -145,14 +142,16 @@ impl GroupWal {
         t.set_mark(&self.mark, c);
     }
 
-    /// Appends a record without forcing (updates, aborts); returns its
-    /// log sequence number.
-    pub(crate) fn append(&self, rec: LogRecord) -> usize {
-        let mut g = self.inner.lock().expect("wal mutex");
-        let lsn = g.log.append(rec.clone());
-        drop(g);
-        self.trace_append(&rec, lsn);
-        lsn
+    /// Appends `txn`'s update record for `item` without forcing.
+    pub(crate) fn append_update(&self, txn: TxnId, item: &str, old: Value, new: Value) {
+        let lsn = self.inner.lock().expect("wal mutex").log.append_update(txn, item, old, new);
+        self.trace_append(txn, "update", lsn);
+    }
+
+    /// Appends `txn`'s abort record without forcing.
+    pub(crate) fn append_abort(&self, txn: TxnId) {
+        let lsn = self.inner.lock().expect("wal mutex").log.append(LogRecord::Abort { txn });
+        self.trace_append(txn, "abort", lsn);
     }
 
     /// Appends `txn`'s commit record *without* waiting for durability
@@ -165,7 +164,7 @@ impl GroupWal {
         let lsn = g.log.append(LogRecord::Commit { txn });
         g.commits += 1;
         drop(g);
-        self.trace_append(&LogRecord::Commit { txn }, lsn);
+        self.trace_append(txn, "commit", lsn);
         lsn
     }
 
@@ -226,7 +225,7 @@ impl GroupWal {
         g.commits += 1;
         if self.trace.is_some() {
             drop(g);
-            self.trace_append(&LogRecord::Commit { txn }, lsn);
+            self.trace_append(txn, "commit", lsn);
             g = self.inner.lock().expect("wal mutex");
         }
         if self.group {
@@ -281,9 +280,11 @@ impl GroupWal {
     }
 
     /// The log-writer loop (group mode). Runs until shutdown; each
-    /// iteration serializes the entire pending tail in one device
+    /// iteration forces the entire pending tail in one device
     /// operation, so commits queued during the previous operation's
-    /// latency are batched.
+    /// latency are batched. The tail is already encoded, so the mutex
+    /// committers need for their appends is held only for the cursor
+    /// move.
     pub(crate) fn writer_loop(&self) {
         loop {
             {
@@ -296,7 +297,7 @@ impl GroupWal {
                 }
                 if !self.group_window.is_zero() {
                     // Dwell with the mutex free so near-simultaneous
-                    // committers land in this batch, then serialize.
+                    // committers land in this batch, then force.
                     drop(g);
                     std::thread::sleep(self.group_window);
                     g = self.inner.lock().expect("wal mutex");
@@ -344,9 +345,10 @@ impl GroupWal {
 
     /// Transactions with a commit record appended (volatile view, for
     /// oracle filtering; use [`GroupWal::durable_image`] for the
-    /// crash-surviving set).
+    /// crash-surviving set). Kept as commit records are appended, so
+    /// this scans no log.
     pub(crate) fn committed(&self) -> BTreeSet<TxnId> {
-        self.inner.lock().expect("wal mutex").log.wal().committed()
+        self.inner.lock().expect("wal mutex").log.committed().iter().copied().collect()
     }
 
     /// `(commit records, device operations, total records)`.
@@ -365,12 +367,7 @@ mod tests {
     fn per_commit_mode_forces_once_per_commit() {
         let wal = GroupWal::new(false, Duration::ZERO, Duration::ZERO, None);
         for t in 1..=5 {
-            wal.append(LogRecord::Update {
-                txn: TxnId(t),
-                item: "X".into(),
-                old: 0,
-                new: t as i64,
-            });
+            wal.append_update(TxnId(t), "X", 0, t as i64);
             wal.append_commit_and_wait(TxnId(t));
         }
         let (commits, forces, _) = wal.stats();
@@ -389,12 +386,7 @@ mod tests {
             .map(|t| {
                 let wal = Arc::clone(&wal);
                 std::thread::spawn(move || {
-                    wal.append(LogRecord::Update {
-                        txn: TxnId(t),
-                        item: "X".into(),
-                        old: 0,
-                        new: t as i64,
-                    });
+                    wal.append_update(TxnId(t), "X", 0, t as i64);
                     wal.append_commit_and_wait(TxnId(t));
                 })
             })

@@ -23,6 +23,22 @@ impl LockEntry {
     fn is_idle(&self) -> bool {
         self.sharers.is_empty() && self.exclusive.is_none() && self.waiting.is_empty()
     }
+
+    /// Records `txn` as a holder in `mode` (the caller checked
+    /// compatibility).
+    fn grant(&mut self, txn: TxnId, mode: LockMode) {
+        match mode {
+            LockMode::Shared => {
+                if self.exclusive != Some(txn) {
+                    self.sharers.insert(txn);
+                }
+            }
+            LockMode::Exclusive => {
+                self.sharers.remove(&txn);
+                self.exclusive = Some(txn);
+            }
+        }
+    }
 }
 
 /// Outcome of a non-blocking acquisition attempt.
@@ -54,9 +70,16 @@ impl ShardState {
         self.data.get(item).copied().unwrap_or(0)
     }
 
-    /// Overwrites `item`, returning the previous value.
+    /// Overwrites `item`, returning the previous value. Allocates a
+    /// key only for an item the shard has never stored.
     pub(crate) fn set(&mut self, item: &str, value: Value) -> Value {
-        self.data.insert(item.to_owned(), value).unwrap_or(0)
+        match self.data.get_mut(item) {
+            Some(slot) => std::mem::replace(slot, value),
+            None => {
+                self.data.insert(item.to_owned(), value);
+                0
+            }
+        }
     }
 
     /// All items of this shard (for state comparison after quiesce).
@@ -70,7 +93,15 @@ impl ShardState {
     /// is granted immediately. An upgrade (shared → exclusive) is
     /// granted when `txn` is the sole sharer.
     pub(crate) fn try_or_enqueue(&mut self, txn: TxnId, item: &str, mode: LockMode) -> TryAcquire {
-        let entry = self.locks.entry(item.to_owned()).or_default();
+        // Entries are dropped when idle, so a miss means nobody holds
+        // or awaits `item`: grant outright, and allocate the key only
+        // here.
+        let Some(entry) = self.locks.get_mut(item) else {
+            let mut entry = LockEntry::default();
+            entry.grant(txn, mode);
+            self.locks.insert(item.to_owned(), entry);
+            return TryAcquire::Granted;
+        };
         let compatible = match mode {
             LockMode::Shared => entry.exclusive.is_none() || entry.exclusive == Some(txn),
             LockMode::Exclusive => {
@@ -89,17 +120,7 @@ impl ShardState {
             if let Some(p) = my_pos {
                 entry.waiting.remove(p);
             }
-            match mode {
-                LockMode::Shared => {
-                    if entry.exclusive != Some(txn) {
-                        entry.sharers.insert(txn);
-                    }
-                }
-                LockMode::Exclusive => {
-                    entry.sharers.remove(&txn);
-                    entry.exclusive = Some(txn);
-                }
-            }
+            entry.grant(txn, mode);
             return TryAcquire::Granted;
         }
         match my_pos {

@@ -10,13 +10,30 @@
 //!   apply a write that was not logged first;
 //! - *log is a sequence of entries `[t, X, v]` plus sets of committed
 //!   and aborted transactions* — exactly [`LogRecord`]'s shape.
+//!
+//! # Byte image
+//!
+//! The thesis fixes what a record is, not its bytes. The one image
+//! format (see DESIGN.md, "Log image format") is a sequence of frames
+//!
+//! ```text
+//! u32 LE body length | body | u32 LE checksum(body)
+//! ```
+//!
+//! whose body is a tag byte followed by the record's fields: `txn` as
+//! an LEB128 varint, `item` as a varint length plus UTF-8 bytes,
+//! `old`/`new` as zig-zag varints; a checkpoint is a varint count plus
+//! that many `item`/value pairs. Records are encoded once, when they
+//! are appended ([`ForcedWal::append`]) or imaged ([`Wal::to_bytes`]);
+//! a recovery scan ([`Wal::from_bytes_lossy`]) keeps the longest prefix
+//! of intact frames.
 
 use crate::ids::{Item, TxnId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One record of the write-ahead log.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogRecord {
     /// Transaction `txn` intends to change `item` from `old` to `new`.
     /// `old` is the undo entry, `new` the redo entry.
@@ -60,7 +77,7 @@ pub enum LogRecord {
 /// let state = wal.recover();
 /// assert_eq!(state.get("X"), Some(&10));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Wal {
     records: Vec<LogRecord>,
 }
@@ -191,35 +208,40 @@ impl Wal {
         state
     }
 
-    /// The on-disk image of the log: one JSON record per line, in
-    /// append order. This is the byte representation torn-write
-    /// injection operates on.
-    pub fn to_bytes(&self) -> Vec<u8> {
+    /// The encoded image plus the length of its forced prefix (the
+    /// bytes through the last commit, abort, or checkpoint record).
+    fn image(&self) -> (Vec<u8>, usize) {
         let mut out = Vec::new();
+        let mut stable = 0;
         for r in &self.records {
-            out.extend_from_slice(
-                serde_json::to_string(r).expect("log record serializes").as_bytes(),
-            );
-            out.push(b'\n');
+            codec::encode(&mut out, r);
+            if !matches!(r, LogRecord::Update { .. }) {
+                stable = out.len();
+            }
         }
-        out
+        (out, stable)
     }
 
-    /// Rebuilds a log from a (possibly torn) byte image: complete JSON
-    /// lines are kept, a trailing partial or corrupt line — the torn
-    /// write — is discarded, exactly as a real recovery scan would.
+    /// The on-disk image of the log: one checksummed frame per record,
+    /// in append order (layout in the module docs). This is the byte
+    /// representation torn-write injection operates on.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.image().0
+    }
+
+    /// Rebuilds a log from a (possibly torn or corrupted) byte image:
+    /// the longest prefix of intact frames is kept, and the scan stops
+    /// at the first frame that is short, longer than the bytes that
+    /// remain, fails its checksum, or does not decode to a record —
+    /// the torn tail — exactly as a real recovery scan would. Accepts
+    /// any byte string and never panics; a length field is checked
+    /// against the bytes that remain before anything is sized by it.
     pub fn from_bytes_lossy(bytes: &[u8]) -> Self {
         let mut records = Vec::new();
-        for line in bytes.split(|b| *b == b'\n') {
-            if line.is_empty() {
-                continue;
-            }
-            match std::str::from_utf8(line).ok().and_then(|s| serde_json::from_str(s).ok()) {
-                Some(r) => records.push(r),
-                // A record that doesn't parse marks the torn tail; the
-                // log is a prefix-valid sequence, so stop here.
-                None => break,
-            }
+        let mut rest = bytes;
+        while let Some((record, tail)) = codec::decode(rest) {
+            records.push(record);
+            rest = tail;
         }
         Wal { records }
     }
@@ -230,23 +252,7 @@ impl Wal {
     /// is flushed before a decision is durable), so a torn write can
     /// only affect bytes past this offset.
     pub fn stable_len_bytes(&self) -> usize {
-        let last_forced = self
-            .records
-            .iter()
-            .rposition(|r| {
-                matches!(
-                    r,
-                    LogRecord::Commit { .. }
-                        | LogRecord::Abort { .. }
-                        | LogRecord::CheckpointDone { .. }
-                )
-            })
-            .map(|i| i + 1)
-            .unwrap_or(0);
-        self.records[..last_forced]
-            .iter()
-            .map(|r| serde_json::to_string(r).expect("log record serializes").len() + 1)
-            .sum()
+        self.image().1
     }
 
     /// Simulates a torn (partial) write: the byte image is truncated at
@@ -258,8 +264,8 @@ impl Wal {
     /// reached stable storage, so only the unforced tail (in-doubt
     /// updates) can be lost. Returns the number of records lost.
     pub fn torn_write(&mut self, at: usize) -> usize {
-        let bytes = self.to_bytes();
-        let cut = at.max(self.stable_len_bytes()).min(bytes.len());
+        let (bytes, stable) = self.image();
+        let cut = at.max(stable).min(bytes.len());
         let survived = Wal::from_bytes_lossy(&bytes[..cut]);
         let lost = self.records.len() - survived.records.len();
         *self = survived;
@@ -267,20 +273,185 @@ impl Wal {
     }
 }
 
-/// A [`Wal`] with an explicit force (durability) cursor — the
+/// The log's byte format: the only encoder and decoder of records.
+mod codec {
+    use super::LogRecord;
+    use crate::ids::{Item, TxnId, Value};
+    use std::collections::BTreeMap;
+
+    const UPDATE: u8 = 0;
+    const COMMIT: u8 = 1;
+    const ABORT: u8 = 2;
+    const CHECKPOINT: u8 = 3;
+
+    /// 32-bit FNV-1a. Every step is a bijection of the running hash,
+    /// so two bodies of equal length that differ in one byte never
+    /// collide: a flipped bit inside a body is always caught, a torn
+    /// tail with probability 1 - 2^-32. It guards against faults, not
+    /// adversaries.
+    fn checksum(body: &[u8]) -> u32 {
+        body.iter().fold(0x811c_9dc5, |h, b| (h ^ u32::from(*b)).wrapping_mul(0x0100_0193))
+    }
+
+    fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    fn put_item(out: &mut Vec<u8>, item: &str) {
+        put_varint(out, item.len() as u64);
+        out.extend_from_slice(item.as_bytes());
+    }
+
+    /// Zig-zag: small magnitudes of either sign become short varints.
+    fn put_value(out: &mut Vec<u8>, v: Value) {
+        put_varint(out, ((v << 1) ^ (v >> 63)) as u64);
+    }
+
+    /// Appends one frame whose body is `tag` followed by what `fields`
+    /// writes.
+    fn put_frame(out: &mut Vec<u8>, tag: u8, fields: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        out.push(tag);
+        fields(out);
+        let body = start + 4;
+        let len = u32::try_from(out.len() - body).expect("log record body under 4 GiB");
+        out[start..body].copy_from_slice(&len.to_le_bytes());
+        let sum = checksum(&out[body..]);
+        out.extend_from_slice(&sum.to_le_bytes());
+    }
+
+    /// Appends an update record's frame from borrowed fields.
+    pub(super) fn encode_update(out: &mut Vec<u8>, txn: TxnId, item: &str, old: Value, new: Value) {
+        put_frame(out, UPDATE, |out| {
+            put_varint(out, txn.0);
+            put_item(out, item);
+            put_value(out, old);
+            put_value(out, new);
+        });
+    }
+
+    /// Appends `record`'s frame to `out`.
+    pub(super) fn encode(out: &mut Vec<u8>, record: &LogRecord) {
+        match record {
+            LogRecord::Update { txn, item, old, new } => encode_update(out, *txn, item, *old, *new),
+            LogRecord::Commit { txn } => put_frame(out, COMMIT, |out| put_varint(out, txn.0)),
+            LogRecord::Abort { txn } => put_frame(out, ABORT, |out| put_varint(out, txn.0)),
+            LogRecord::CheckpointDone { state } => put_frame(out, CHECKPOINT, |out| {
+                put_varint(out, state.len() as u64);
+                for (item, value) in state {
+                    put_item(out, item);
+                    put_value(out, *value);
+                }
+            }),
+        }
+    }
+
+    /// A cursor over one frame body; every read is bounds-checked and
+    /// returns `None` past the end.
+    struct Body<'a>(&'a [u8]);
+
+    impl<'a> Body<'a> {
+        fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+            let (head, tail) = self.0.split_at_checked(n)?;
+            self.0 = tail;
+            Some(head)
+        }
+
+        fn varint(&mut self) -> Option<u64> {
+            let mut v = 0u64;
+            for shift in (0..64).step_by(7) {
+                let b = self.take(1)?[0];
+                let bits = u64::from(b & 0x7f);
+                if shift == 63 && bits > 1 {
+                    return None;
+                }
+                v |= bits << shift;
+                if b & 0x80 == 0 {
+                    return Some(v);
+                }
+            }
+            None
+        }
+
+        fn txn(&mut self) -> Option<TxnId> {
+            self.varint().map(TxnId)
+        }
+
+        fn item(&mut self) -> Option<Item> {
+            let len = usize::try_from(self.varint()?).ok()?;
+            std::str::from_utf8(self.take(len)?).ok().map(str::to_owned)
+        }
+
+        fn value(&mut self) -> Option<Value> {
+            let z = self.varint()?;
+            Some((z >> 1) as i64 ^ -((z & 1) as i64))
+        }
+    }
+
+    fn decode_body(body: &[u8]) -> Option<LogRecord> {
+        let mut b = Body(body);
+        let record = match b.take(1)?[0] {
+            UPDATE => LogRecord::Update {
+                txn: b.txn()?,
+                item: b.item()?,
+                old: b.value()?,
+                new: b.value()?,
+            },
+            COMMIT => LogRecord::Commit { txn: b.txn()? },
+            ABORT => LogRecord::Abort { txn: b.txn()? },
+            CHECKPOINT => {
+                // The count is input: it bounds the loop, never an
+                // allocation (each pair consumes at least two bytes of
+                // a body that is already in memory).
+                let mut state = BTreeMap::new();
+                for _ in 0..b.varint()? {
+                    state.insert(b.item()?, b.value()?);
+                }
+                LogRecord::CheckpointDone { state }
+            }
+            _ => return None,
+        };
+        b.0.is_empty().then_some(record)
+    }
+
+    /// Decodes the frame at the head of `bytes`; returns the record
+    /// and the bytes after it, or `None` when the head is not an
+    /// intact frame.
+    pub(super) fn decode(bytes: &[u8]) -> Option<(LogRecord, &[u8])> {
+        let (len, rest) = bytes.split_first_chunk::<4>()?;
+        let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
+        let (body, rest) = rest.split_at_checked(len)?;
+        let (sum, rest) = rest.split_first_chunk::<4>()?;
+        if u32::from_le_bytes(*sum) != checksum(body) {
+            return None;
+        }
+        Some((decode_body(body)?, rest))
+    }
+}
+
+/// A log buffer with an explicit force (durability) cursor — the
 /// group-commit hook the concurrent engine builds on.
 ///
 /// [`Wal`] models durability implicitly: [`Wal::stable_len_bytes`]
 /// assumes every decision record was forced the instant it was
 /// appended, which is exactly the per-transaction force discipline the
 /// thesis states — and exactly what a group-commit log amortizes away.
-/// `ForcedWal` makes the force explicit: appends land in a volatile
-/// tail, and only [`ForcedWal::force`] moves them into the durable
-/// byte image (one "device write" per call, covering *all* pending
-/// records). A crash at any instant surrenders exactly
-/// [`ForcedWal::durable_image`]; committers therefore must not
-/// acknowledge until their commit record's index is below the forced
-/// cursor.
+/// `ForcedWal` makes the force explicit: [`ForcedWal::append`] encodes
+/// the record onto the volatile tail of one byte buffer, and only
+/// [`ForcedWal::force`] moves the durable cursor over that tail (one
+/// "device write" per call, covering *all* pending records; the bytes
+/// are already encoded, so the call itself is a cursor move). A crash
+/// at any instant surrenders exactly [`ForcedWal::durable_image`];
+/// committers therefore must not acknowledge until their commit
+/// record's index is below the forced cursor.
+///
+/// The buffer holds the log only as bytes; decode it with
+/// [`Wal::from_bytes_lossy`] to inspect records.
 ///
 /// # Examples
 ///
@@ -297,13 +468,18 @@ impl Wal {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ForcedWal {
-    wal: Wal,
-    /// Byte image of the forced prefix — what a crash surrenders.
-    durable: Vec<u8>,
-    /// Number of records covered by `durable`.
+    /// Every appended record, encoded, in append order.
+    buf: Vec<u8>,
+    /// Length of the forced prefix of `buf` — what a crash surrenders.
+    durable_len: usize,
+    /// Number of records in `buf`.
+    records: usize,
+    /// Number of records below `durable_len`.
     forced_records: usize,
     /// Number of force operations performed.
     forces: u64,
+    /// Transactions with a commit record, in append order.
+    committed: Vec<TxnId>,
 }
 
 impl ForcedWal {
@@ -312,27 +488,40 @@ impl ForcedWal {
         ForcedWal::default()
     }
 
-    /// Appends `record` to the volatile tail and returns its LSN (the
+    /// Encodes `record` onto the volatile tail and returns its LSN (the
     /// record count after the append): the log is forced through this
     /// record once `forced_records() >= lsn`.
     pub fn append(&mut self, record: LogRecord) -> usize {
-        self.wal.records.push(record);
-        self.wal.records.len()
+        if let LogRecord::Commit { txn } = record {
+            self.committed.push(txn);
+        }
+        codec::encode(&mut self.buf, &record);
+        self.records += 1;
+        self.records
     }
 
-    /// The full in-memory log (forced prefix + volatile tail).
-    pub fn wal(&self) -> &Wal {
-        &self.wal
+    /// [`ForcedWal::append`] of an update record from borrowed fields,
+    /// for callers that hold the item as a `&str`.
+    pub fn append_update(&mut self, txn: TxnId, item: &str, old: Value, new: Value) -> usize {
+        codec::encode_update(&mut self.buf, txn, item, old, new);
+        self.records += 1;
+        self.records
+    }
+
+    /// Transactions with a commit record appended (forced or not), in
+    /// append order.
+    pub fn committed(&self) -> &[TxnId] {
+        &self.committed
     }
 
     /// Number of records in the log, forced or not.
     pub fn len(&self) -> usize {
-        self.wal.records.len()
+        self.records
     }
 
     /// Whether the log has no records at all.
     pub fn is_empty(&self) -> bool {
-        self.wal.records.is_empty()
+        self.records == 0
     }
 
     /// Number of records covered by the durable image.
@@ -355,7 +544,7 @@ impl ForcedWal {
 
     /// Number of appended-but-unforced records.
     pub fn pending(&self) -> usize {
-        self.wal.records.len() - self.forced_records
+        self.records - self.forced_records
     }
 
     /// Forces the entire volatile tail to stable storage in one device
@@ -368,13 +557,8 @@ impl ForcedWal {
         if newly == 0 {
             return 0;
         }
-        for r in &self.wal.records[self.forced_records..] {
-            self.durable.extend_from_slice(
-                serde_json::to_string(r).expect("log record serializes").as_bytes(),
-            );
-            self.durable.push(b'\n');
-        }
-        self.forced_records = self.wal.records.len();
+        self.durable_len = self.buf.len();
+        self.forced_records = self.records;
         self.forces += 1;
         newly
     }
@@ -383,7 +567,7 @@ impl ForcedWal {
     /// crash at this instant. Feed it to [`Wal::from_bytes_lossy`] to
     /// recover.
     pub fn durable_image(&self) -> &[u8] {
-        &self.durable
+        &self.buf[..self.durable_len]
     }
 }
 
@@ -495,6 +679,21 @@ mod tests {
     }
 
     #[test]
+    fn frame_layout_is_length_body_checksum() {
+        let mut wal = Wal::new();
+        wal.log_update(TxnId(300), "X", 0, -1);
+        let bytes = wal.to_bytes();
+        // tag 0, txn 300 as LEB128, item length 1 + "X", zig-zag 0 and -1.
+        let body = [0, 0xac, 0x02, 1, b'X', 0, 1];
+        assert_eq!(bytes[..4], (body.len() as u32).to_le_bytes());
+        assert_eq!(bytes[4..4 + body.len()], body);
+        // FNV-1a of the body, little-endian, closes the frame.
+        let sum =
+            body.iter().fold(0x811c_9dc5u32, |h, b| (h ^ *b as u32).wrapping_mul(0x0100_0193));
+        assert_eq!(bytes[4 + body.len()..], sum.to_le_bytes());
+    }
+
+    #[test]
     fn from_bytes_discards_trailing_partial_record() {
         let mut wal = Wal::new();
         wal.log_update(TxnId(1), "X", 0, 10);
@@ -595,7 +794,7 @@ mod tests {
         assert_eq!(crash.recover().get("Y"), None);
         fw.force();
         let after = Wal::from_bytes_lossy(fw.durable_image());
-        assert_eq!(after, *fw.wal());
+        assert_eq!(after, Wal::from_bytes_lossy(&fw.buf));
         assert_eq!(after.recover().get("Y"), Some(&20));
     }
 
