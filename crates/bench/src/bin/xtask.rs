@@ -7,7 +7,9 @@
 //!
 //! `docsync` fails (exit 1) if any workspace crate is absent from the
 //! DESIGN.md crate inventory or the README crate list — the docs drift
-//! the moment a crate lands without them.
+//! the moment a crate lands without them — or if none of `./ci`'s
+//! `cargo test` invocations runs a workspace crate's tests (an
+//! `--exclude` nobody balances with a `-p` silently un-wires a crate).
 //!
 //! `ci-report` turns the gate log the `./ci` script accumulates (one
 //! `<name> <pass|fail> <seconds>` line per gate) into a summary table
@@ -82,6 +84,28 @@ fn workspace_crates(root: &Path) -> Result<Vec<String>, String> {
     Ok(names)
 }
 
+/// The `crates` that no `cargo test` invocation in `script` runs.
+/// `--workspace` covers every crate but its `--exclude`s, `-p` /
+/// `--package` covers the one it names, and a bare `cargo test` covers
+/// only the root package, which is not a `crates/*` member. Comment
+/// lines are skipped.
+fn untested_crates(script: &str, crates: &[String]) -> Vec<String> {
+    let mut tested: Vec<&str> = Vec::new();
+    for line in script.lines().filter(|l| !l.trim_start().starts_with('#')) {
+        let Some((_, args)) = line.split_once("cargo test") else { continue };
+        let words: Vec<&str> = args.split_whitespace().collect();
+        let named = |flags: &[&str]| -> Vec<&str> {
+            words.windows(2).filter(|w| flags.contains(&w[0])).map(|w| w[1]).collect()
+        };
+        if words.contains(&"--workspace") {
+            let excluded = named(&["--exclude"]);
+            tested.extend(crates.iter().map(String::as_str).filter(|c| !excluded.contains(c)));
+        }
+        tested.extend(named(&["-p", "--package"]));
+    }
+    crates.iter().filter(|c| !tested.contains(&c.as_str())).cloned().collect()
+}
+
 fn docsync() -> ExitCode {
     let root = repo_root();
     let crates = match workspace_crates(&root) {
@@ -106,9 +130,20 @@ fn docsync() -> ExitCode {
             }
         }
     }
+    match std::fs::read_to_string(root.join("ci")) {
+        Ok(script) => {
+            missing.extend(untested_crates(&script, &crates).into_iter().map(|name| {
+                format!("no `cargo test` invocation in ./ci runs workspace crate {name}")
+            }))
+        }
+        Err(e) => {
+            eprintln!("docsync: cannot read ci: {e}");
+            return ExitCode::from(2);
+        }
+    }
     if missing.is_empty() {
         println!(
-            "docsync OK: {} workspace crates covered by DESIGN.md and README.md",
+            "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -377,6 +412,21 @@ fn ci_report(args: &[String]) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_crate_excluded_and_never_run_is_named() {
+        let crates: Vec<String> = ["mcv-bench", "mcv-orphan", "mcv-txn"].map(String::from).into();
+        let script = "\
+            # cargo test -p mcv-orphan   (a comment runs nothing)\n\
+            gate tests cargo test -q --workspace --exclude mcv-bench --exclude mcv-orphan\n\
+            gate bench_tests cargo test -q -p mcv-bench\n\
+            try_gate tests@r1 cargo test -q\n";
+        assert_eq!(untested_crates(script, &crates), vec!["mcv-orphan".to_owned()]);
+        let balanced = format!("{script}gate orphan cargo test --package mcv-orphan\n");
+        assert!(untested_crates(&balanced, &crates).is_empty());
+        // A bare `cargo test` runs only the root package.
+        assert_eq!(untested_crates("cargo test -q\n", &crates), crates);
+    }
 
     #[test]
     fn gatelog_round_trips() {

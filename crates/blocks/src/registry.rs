@@ -133,7 +133,7 @@ pub fn blocks(lib: &SpecLibrary) -> Vec<Block> {
             ],
             spec: lib.two_phase_lock.clone(),
             chapter5_script: true,
-            executable: "mcv_txn::LockManager",
+            executable: "mcv_txn::{LockTable, WaitsFor} under LockManager and mcv_engine's shards",
         },
         Block {
             number: "6",

@@ -6,13 +6,15 @@
 //! *and* every earlier waiter of the item — which can doom a
 //! transaction slightly early but never misses a real deadlock.
 //!
-//! Victim selection is delegated to [`mcv_txn::youngest_victim`] so the
-//! engine and the single-threaded [`mcv_txn::LockManager`] abort the
-//! same transaction for the same cycle (documented policy: youngest,
-//! i.e. largest `TxnId`).
+//! The edges and the cycle search are [`mcv_txn::WaitsFor`] and victim
+//! selection is [`mcv_txn::youngest_victim`], both shared with the
+//! single-threaded [`mcv_txn::LockManager`], so the two abort the same
+//! transaction for the same cycle (documented policy: youngest, i.e.
+//! largest `TxnId`). What this module adds is what threads need: the
+//! doom set, the epoch and the condvar.
 
-use mcv_txn::TxnId;
-use std::collections::{BTreeMap, BTreeSet};
+use mcv_txn::{TxnId, WaitsFor};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
 
@@ -47,8 +49,8 @@ impl WaitGraph {
 
 #[derive(Debug, Default)]
 pub(crate) struct GraphInner {
-    /// `t → set of transactions t waits for`.
-    edges: BTreeMap<TxnId, BTreeSet<TxnId>>,
+    /// The edges and the cycle search, shared with the model.
+    waits: WaitsFor,
     /// Transactions chosen as deadlock victims that have not yet
     /// noticed; they abort at their next scheduling point.
     doomed: BTreeSet<TxnId>,
@@ -63,21 +65,18 @@ pub(crate) struct GraphInner {
 impl GraphInner {
     /// Replaces the out-edges of `t`.
     pub(crate) fn set_edges(&mut self, t: TxnId, blockers: impl IntoIterator<Item = TxnId>) {
-        self.edges.insert(t, blockers.into_iter().collect());
+        self.waits.set_edges(t, blockers);
     }
 
     /// Drops the out-edges of `t` (it is no longer waiting).
     pub(crate) fn clear_waiting(&mut self, t: TxnId) {
-        self.edges.remove(&t);
+        self.waits.clear_waiting(t);
     }
 
     /// Removes every trace of `t`: out-edges, in-edges, doom flag.
     /// Called when `t` commits or aborts.
     pub(crate) fn forget(&mut self, t: TxnId) {
-        self.edges.remove(&t);
-        for targets in self.edges.values_mut() {
-            targets.remove(&t);
-        }
+        self.waits.forget(t);
         self.doomed.remove(&t);
     }
 
@@ -91,41 +90,19 @@ impl GraphInner {
         self.doomed.insert(t);
     }
 
-    /// Clears the doom flag (the victim has acknowledged it).
-    pub(crate) fn undoom(&mut self, t: TxnId) {
-        self.doomed.remove(&t);
+    /// If `t` is doomed, acknowledges it — the flag and `t`'s
+    /// out-edges go — and returns true: the caller must abort `t`.
+    pub(crate) fn take_doom(&mut self, t: TxnId) -> bool {
+        let doomed = self.doomed.remove(&t);
+        if doomed {
+            self.waits.clear_waiting(t);
+        }
+        doomed
     }
 
-    /// A waits-for cycle through `start`, if one exists (DFS).
+    /// A waits-for cycle through `start`, if one exists.
     pub(crate) fn cycle_from(&self, start: TxnId) -> Option<Vec<TxnId>> {
-        let mut path = vec![start];
-        let mut on_path: BTreeSet<TxnId> = [start].into();
-        let mut iters: Vec<std::collections::btree_set::Iter<'_, TxnId>> = Vec::new();
-        static EMPTY: BTreeSet<TxnId> = BTreeSet::new();
-        iters.push(self.edges.get(&start).unwrap_or(&EMPTY).iter());
-        let mut visited: BTreeSet<TxnId> = BTreeSet::new();
-        while let Some(it) = iters.last_mut() {
-            match it.next() {
-                Some(&next) => {
-                    if next == start {
-                        return Some(path.clone());
-                    }
-                    if on_path.contains(&next) || visited.contains(&next) {
-                        continue;
-                    }
-                    path.push(next);
-                    on_path.insert(next);
-                    iters.push(self.edges.get(&next).unwrap_or(&EMPTY).iter());
-                }
-                None => {
-                    let done = path.pop().expect("path tracks iters");
-                    on_path.remove(&done);
-                    visited.insert(done);
-                    iters.pop();
-                }
-            }
-        }
-        None
+        self.waits.cycle_from(start)
     }
 }
 

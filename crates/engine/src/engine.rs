@@ -5,11 +5,13 @@
 
 use crate::deadlock::WaitGraph;
 use crate::gcwal::GroupWal;
-use crate::shard::{Shard, TryAcquire};
+use crate::shard::Shard;
 use mcv_mvcc::{IsolationLevel, MvccStore};
 use mcv_obs::{Histogram, MetricsSnapshot};
 use mcv_prof::Phase;
-use mcv_txn::{shard_of, youngest_victim, History, Item, LockMode, OpKind, TxnId, Value};
+use mcv_txn::{
+    shard_of, youngest_victim, History, Item, LockMode, OpKind, TryAcquire, TxnId, Value,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -427,6 +429,11 @@ impl Engine {
         // flag to check and no stale waits-for edges to clear, so an
         // immediate grant never needs the global graph mutex.
         let mut was_blocked = false;
+        // The way out for a deadlock victim: withdraw the request.
+        let deadlock = || {
+            inner.shards[s].state.lock().expect("shard mutex").locks.dequeue(txn, item);
+            Err(EngineError::Deadlock { victim: txn })
+        };
         loop {
             // Read the epoch *before* trying, so a release between the
             // failed try and the wait below moves the epoch and the
@@ -436,19 +443,20 @@ impl Engine {
             // epoch hint suffices and the global mutex is skipped.
             let ep = if was_blocked {
                 let mut g = inner.graph.m.lock().expect("graph mutex");
-                if g.is_doomed(txn) {
-                    g.undoom(txn);
-                    g.clear_waiting(txn);
+                if g.take_doom(txn) {
                     drop(g);
-                    inner.shards[s].state.lock().expect("shard mutex").dequeue(txn, item);
-                    return Err(EngineError::Deadlock { victim: txn });
+                    return deadlock();
                 }
                 g.epoch
             } else {
                 inner.graph.epoch_hint()
             };
-            let attempt =
-                inner.shards[s].state.lock().expect("shard mutex").try_or_enqueue(txn, item, mode);
+            let attempt = inner.shards[s]
+                .state
+                .lock()
+                .expect("shard mutex")
+                .locks
+                .try_or_enqueue(txn, item, mode);
             match attempt {
                 TryAcquire::Granted => {
                     if was_blocked {
@@ -461,34 +469,33 @@ impl Engine {
                     was_blocked = true;
                     inner.counters.conflicts.fetch_add(1, Ordering::Relaxed);
                     let mut g = inner.graph.m.lock().expect("graph mutex");
-                    if g.is_doomed(txn) {
-                        // Re-check under the graph mutex: doomed while
-                        // we were enqueueing.
-                        g.undoom(txn);
-                        g.clear_waiting(txn);
+                    // Re-check under the graph mutex: doomed while we
+                    // were enqueueing.
+                    if g.take_doom(txn) {
                         drop(g);
-                        inner.shards[s].state.lock().expect("shard mutex").dequeue(txn, item);
-                        return Err(EngineError::Deadlock { victim: txn });
+                        return deadlock();
                     }
                     g.set_edges(txn, blockers);
                     if let Some(cycle) = g.cycle_from(txn) {
-                        g.deadlocks += 1;
                         let victim = youngest_victim(&cycle);
-                        if victim == txn {
-                            g.clear_waiting(txn);
-                            drop(g);
-                            inner.shards[s].state.lock().expect("shard mutex").dequeue(txn, item);
-                            return Err(EngineError::Deadlock { victim });
+                        // A victim already doomed has been counted and
+                        // woken: its cycle stands until it gets to run,
+                        // so wait for that instead of re-dooming it —
+                        // bumping the epoch again would fall through
+                        // our own wait and spin.
+                        if !g.is_doomed(victim) {
+                            g.deadlocks += 1;
+                            g.doom(victim);
+                            inner.graph.bump_epoch(&mut g);
+                            inner.graph.cv.notify_all();
                         }
-                        g.doom(victim);
-                        inner.graph.bump_epoch(&mut g);
-                        inner.graph.cv.notify_all();
                     }
                     while g.epoch == ep && !g.is_doomed(txn) {
                         g = inner.graph.cv.wait(g).expect("graph mutex");
                     }
                     // Loop: either the world changed (retry the
-                    // acquire) or we are doomed (handled at the top).
+                    // acquire) or we are doomed — possibly by our own
+                    // hand just above (handled at the top).
                 }
             }
         }
@@ -503,11 +510,8 @@ impl Engine {
         let mut had_waiters = false;
         let mut released = self.inner.trace.as_ref().map(|_| Vec::new());
         for &s in touched {
-            had_waiters |= self.inner.shards[s]
-                .state
-                .lock()
-                .expect("shard mutex")
-                .release_all(txn, released.as_mut());
+            let mut state = self.inner.shards[s].state.lock().expect("shard mutex");
+            had_waiters |= !state.locks.release_all(txn, released.as_mut()).is_empty();
         }
         if let (Some(t), Some(items)) = (&self.inner.trace, released) {
             for item in items {
@@ -1136,7 +1140,7 @@ mod tests {
         // Exactly one side must have aborted; the other commits.
         assert_eq!(committed, 1, "one victim, one survivor: {results:?}");
         let snap = engine.metrics_snapshot();
-        assert!(snap.counter("engine.locks.deadlocks") >= 1);
+        assert_eq!(snap.counter("engine.locks.deadlocks"), 1);
         assert!(engine.sampled_history().is_conflict_serializable());
     }
 

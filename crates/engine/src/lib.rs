@@ -9,8 +9,9 @@
 //!
 //! - [`Engine`] / [`Txn`] — sharded strict-2PL data store with
 //!   blocking lock acquisition, cross-shard deadlock detection
-//!   (youngest-victim policy shared with [`mcv_txn::LockManager`]),
-//!   and undo/redo write-ahead logging;
+//!   (lock table, waits-for graph and youngest-victim policy are
+//!   [`mcv_txn`]'s, shared with [`mcv_txn::LockManager`]), and
+//!   undo/redo write-ahead logging;
 //! - group-commit WAL — a dedicated log-writer thread batches commit
 //!   forces so concurrent commits share device operations
 //!   (`engine.wal.forces < engine.wal.commits`);

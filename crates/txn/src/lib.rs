@@ -6,8 +6,10 @@
 //! formal specs in `mcv-blocks` state.
 //!
 //! - [`Wal`] — undo/redo write-ahead logging (`Storevalues`, SP6);
-//! - [`LockManager`] — strict two-phase locking (`Readlock`/`Writelock`,
-//!   SP7/SP8);
+//! - [`LockTable`] + [`WaitsFor`] — strict two-phase locking
+//!   (`Readlock`/`Writelock`, SP7/SP8) and its deadlock detection, the
+//!   one implementation under both [`LockManager`] (single-threaded
+//!   driver) and `mcv-engine`'s shards;
 //! - [`CheckpointStore`] — tentative/permanent checkpoints (SP9);
 //! - [`History`] — conflict-serializability checking (global property 1);
 //! - [`SiteDb`] — the crash-faithful site database integrating all of
@@ -42,6 +44,9 @@ pub use checkpoint::{CheckpointStore, Snapshot};
 pub use db::{DbError, SiteDb};
 pub use ids::{Item, TxnId, TxnStatus, Value};
 pub use keys::{KeyPicker, Zipfian};
-pub use locks::{shard_of, youngest_victim, LockError, LockManager, LockMode, LockOutcome};
+pub use locks::{
+    shard_of, youngest_victim, LockError, LockManager, LockMode, LockOutcome, LockTable,
+    TryAcquire, WaitsFor,
+};
 pub use schedule::{History, Op, OpKind};
 pub use wal::{ForcedWal, LogRecord, Wal};

@@ -1,5 +1,12 @@
 //! Strict two-phase locking (the thesis' *Two Phase Locking Protocol*
-//! building block).
+//! building block): one [`LockTable`], one [`WaitsFor`] graph, two
+//! drivers.
+//!
+//! The table and the graph are the only implementation of the block.
+//! [`LockManager`] drives them from a single thread, granting at
+//! release; `mcv-engine` puts one table behind each shard mutex and
+//! wraps the graph with its doom set and condvar, granting when the
+//! blocked thread re-requests.
 //!
 //! Requirements from Section 3.5.1, enforced and tested here:
 //! - *only one transaction at a time may write-lock an object* —
@@ -33,8 +40,8 @@ pub enum LockOutcome {
     /// The request conflicts and was queued; the transaction must wait.
     Queued,
     /// Granting would deadlock. The `victim` is chosen deterministically
-    /// (see [`LockManager::deadlock_victim`]); the caller must abort it —
-    /// usually, but not necessarily, the requester itself.
+    /// (see [`youngest_victim`]); the caller must abort it — usually,
+    /// but not necessarily, the requester itself.
     WouldDeadlock {
         /// The waits-for cycle found, as transaction ids.
         cycle: Vec<TxnId>,
@@ -87,17 +94,256 @@ impl fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
+/// Lock state of one item.
 #[derive(Debug, Default, Clone)]
 struct LockEntry {
     /// Holders of shared locks (the "read counter" is `sharers.len()`).
     sharers: BTreeSet<TxnId>,
     /// Holder of the exclusive lock, if any (the "1-bit write lock flag").
     exclusive: Option<TxnId>,
-    /// FIFO wait queue.
+    /// FIFO wait queue, at most one slot per transaction.
     waiting: VecDeque<(TxnId, LockMode)>,
 }
 
-/// A strict two-phase lock manager.
+impl LockEntry {
+    fn is_idle(&self) -> bool {
+        self.sharers.is_empty() && self.exclusive.is_none() && self.waiting.is_empty()
+    }
+
+    /// Whether `txn` holds a lock at least as strong as `mode`
+    /// (exclusive subsumes shared).
+    fn holds(&self, txn: TxnId, mode: LockMode) -> bool {
+        self.exclusive == Some(txn) || (mode == LockMode::Shared && self.sharers.contains(&txn))
+    }
+
+    /// Whether `mode` for `txn` is compatible with every *other*
+    /// holder: shared needs no foreign writer, exclusive needs no
+    /// foreign holder at all (a sole sharer may upgrade).
+    fn compatible(&self, txn: TxnId, mode: LockMode) -> bool {
+        let no_foreign_writer = self.exclusive.is_none() || self.exclusive == Some(txn);
+        match mode {
+            LockMode::Shared => no_foreign_writer,
+            LockMode::Exclusive => no_foreign_writer && self.sharers.iter().all(|s| *s == txn),
+        }
+    }
+
+    /// Records `txn` as a holder in `mode` (the caller checked
+    /// compatibility).
+    fn grant(&mut self, txn: TxnId, mode: LockMode) {
+        match mode {
+            LockMode::Shared => {
+                if self.exclusive != Some(txn) {
+                    self.sharers.insert(txn);
+                }
+            }
+            LockMode::Exclusive => {
+                self.sharers.remove(&txn);
+                self.exclusive = Some(txn);
+            }
+        }
+    }
+}
+
+/// Outcome of a non-blocking acquisition attempt.
+#[derive(Debug)]
+pub enum TryAcquire {
+    /// The lock is held; proceed.
+    Granted,
+    /// Conflict. The requester was enqueued (once); the payload is the
+    /// conservative waits-for edge set: current holders plus waiters
+    /// queued ahead of the requester.
+    Blocked(Vec<TxnId>),
+}
+
+/// The lock table: strict 2PL with FIFO wait queues. A request is
+/// granted only when it is compatible with the current holders *and*
+/// no earlier waiter is still queued (no barging), which prevents
+/// writer starvation. Entries exist only while somebody holds or
+/// awaits the item, so the table is bounded by the locks in flight,
+/// not by the items ever seen.
+///
+/// The table never blocks and never grants on its own: a waiter gets
+/// its lock by calling [`LockTable::try_or_enqueue`] again once it
+/// reaches the head of the queue.
+#[derive(Debug, Default, Clone)]
+pub struct LockTable {
+    locks: BTreeMap<Item, LockEntry>,
+}
+
+impl LockTable {
+    /// Tries to take `item` in `mode` for `txn`; enqueues on conflict.
+    ///
+    /// Re-entrant: a holder re-requesting a mode it already satisfies
+    /// is granted immediately. An upgrade (shared → exclusive) is
+    /// granted when `txn` is the sole sharer. A waiter that asks again
+    /// keeps its queue slot (the mode is updated in place).
+    pub fn try_or_enqueue(&mut self, txn: TxnId, item: &str, mode: LockMode) -> TryAcquire {
+        // Entries are dropped when idle, so a miss means nobody holds
+        // or awaits `item`: grant outright, and allocate the key only
+        // here.
+        let Some(entry) = self.locks.get_mut(item) else {
+            let mut entry = LockEntry::default();
+            entry.grant(txn, mode);
+            self.locks.insert(item.to_owned(), entry);
+            return TryAcquire::Granted;
+        };
+        if entry.holds(txn, mode) {
+            return TryAcquire::Granted;
+        }
+        let my_pos = entry.waiting.iter().position(|(t, _)| *t == txn);
+        let ahead = my_pos.unwrap_or(entry.waiting.len());
+        if ahead == 0 && entry.compatible(txn, mode) {
+            if my_pos.is_some() {
+                entry.waiting.pop_front();
+            }
+            entry.grant(txn, mode);
+            return TryAcquire::Granted;
+        }
+        match my_pos {
+            Some(p) => entry.waiting[p].1 = mode,
+            None => entry.waiting.push_back((txn, mode)),
+        }
+        let mut blockers: Vec<TxnId> = entry
+            .waiting
+            .iter()
+            .take(ahead)
+            .map(|(t, _)| *t)
+            .chain(entry.sharers.iter().copied())
+            .chain(entry.exclusive)
+            .filter(|b| *b != txn)
+            .collect();
+        blockers.sort_unstable();
+        blockers.dedup();
+        TryAcquire::Blocked(blockers)
+    }
+
+    /// Removes `txn`'s pending request on `item` (a deadlock victim or
+    /// a caller that will not wait); holders are untouched.
+    pub fn dequeue(&mut self, txn: TxnId, item: &str) {
+        if let Some(entry) = self.locks.get_mut(item) {
+            entry.waiting.retain(|(t, _)| *t != txn);
+            if entry.is_idle() {
+                self.locks.remove(item);
+            }
+        }
+    }
+
+    /// Releases every lock and pending request of `txn` (strict 2PL:
+    /// called only at commit/abort). Returns the items `txn` was
+    /// involved in that still have waiters — empty means nobody needs
+    /// waking. When `released` is given, the items `txn` actually
+    /// *held* (not merely queued on) are appended to it, so the caller
+    /// can trace the releases.
+    pub fn release_all(&mut self, txn: TxnId, mut released: Option<&mut Vec<Item>>) -> Vec<Item> {
+        let mut contended = Vec::new();
+        self.locks.retain(|item, entry| {
+            let held = entry.sharers.remove(&txn) | (entry.exclusive == Some(txn));
+            let involved = held | entry.waiting.iter().any(|(t, _)| *t == txn);
+            if entry.exclusive == Some(txn) {
+                entry.exclusive = None;
+            }
+            entry.waiting.retain(|(t, _)| *t != txn);
+            if involved && !entry.waiting.is_empty() {
+                contended.push(item.clone());
+            }
+            if held {
+                if let Some(out) = released.as_deref_mut() {
+                    out.push(item.clone());
+                }
+            }
+            !entry.is_idle()
+        });
+        contended
+    }
+
+    /// The request at the head of `item`'s wait queue, if any.
+    fn queue_head(&self, item: &str) -> Option<(TxnId, LockMode)> {
+        self.locks.get(item).and_then(|e| e.waiting.front().copied())
+    }
+
+    /// Number of items somebody currently holds or awaits.
+    pub fn len(&self) -> usize {
+        self.locks.len()
+    }
+
+    /// Whether nobody holds or awaits anything.
+    pub fn is_empty(&self) -> bool {
+        self.locks.is_empty()
+    }
+}
+
+/// The waits-for graph: `t → transactions t waits for`, with the one
+/// cycle search. The edge sets fed to it are the conservative ones
+/// [`TryAcquire::Blocked`] reports, which can flag a transaction
+/// slightly early but never miss a real deadlock.
+#[derive(Debug, Default, Clone)]
+pub struct WaitsFor {
+    edges: BTreeMap<TxnId, BTreeSet<TxnId>>,
+}
+
+impl WaitsFor {
+    /// Replaces the out-edges of `t` (a blocked thread waits on one
+    /// request at a time).
+    pub fn set_edges(&mut self, t: TxnId, blockers: impl IntoIterator<Item = TxnId>) {
+        self.edges.insert(t, blockers.into_iter().collect());
+    }
+
+    /// Adds to the out-edges of `t` (a model transaction may be queued
+    /// on several items at once).
+    fn add_edges(&mut self, t: TxnId, blockers: impl IntoIterator<Item = TxnId>) {
+        self.edges.entry(t).or_default().extend(blockers);
+    }
+
+    /// Drops the out-edges of `t` (it is no longer waiting).
+    pub fn clear_waiting(&mut self, t: TxnId) {
+        self.edges.remove(&t);
+    }
+
+    /// Removes every edge from or to `t`. Called when `t` commits or
+    /// aborts.
+    pub fn forget(&mut self, t: TxnId) {
+        self.edges.remove(&t);
+        for targets in self.edges.values_mut() {
+            targets.remove(&t);
+        }
+    }
+
+    /// A waits-for cycle through `start`, if one exists (iterative
+    /// DFS), as the path from `start` to the transaction that waits
+    /// for it.
+    pub fn cycle_from(&self, start: TxnId) -> Option<Vec<TxnId>> {
+        static EMPTY: BTreeSet<TxnId> = BTreeSet::new();
+        let out = |t: TxnId| self.edges.get(&t).unwrap_or(&EMPTY).iter();
+        // `path` is the DFS stack and `iters[i]` the unexplored
+        // out-edges of `path[i]`; a transaction enters the stack at
+        // most once.
+        let mut path = vec![start];
+        let mut iters = vec![out(start)];
+        let mut seen = BTreeSet::from([start]);
+        while let Some(it) = iters.last_mut() {
+            match it.next() {
+                Some(&next) if next == start => return Some(path),
+                Some(&next) => {
+                    if seen.insert(next) {
+                        path.push(next);
+                        iters.push(out(next));
+                    }
+                }
+                None => {
+                    path.pop();
+                    iters.pop();
+                }
+            }
+        }
+        None
+    }
+}
+
+/// A strict two-phase lock manager: the single-threaded driver of
+/// [`LockTable`] and [`WaitsFor`]. Nobody blocks here, so a queued
+/// request is granted when its blocker releases
+/// ([`LockManager::release_all`] reports the grants). What it adds to
+/// the table is the 2PL rule proper: no lock after the first release.
 ///
 /// # Examples
 ///
@@ -111,16 +357,10 @@ struct LockEntry {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct LockManager {
-    table: BTreeMap<Item, LockEntry>,
+    table: LockTable,
+    graph: WaitsFor,
     /// Transactions that have released at least one lock.
     shrinking: BTreeSet<TxnId>,
-    /// Waits-for edges for deadlock detection.
-    waits_for: BTreeMap<TxnId, BTreeSet<TxnId>>,
-    /// Monotone request counter driving `first_touch`.
-    seq: u64,
-    /// Sequence number of each transaction's first lock request, for
-    /// the victim-selection tie-break.
-    first_touch: BTreeMap<TxnId, u64>,
 }
 
 impl LockManager {
@@ -129,7 +369,16 @@ impl LockManager {
         LockManager::default()
     }
 
-    /// Requests `mode` on `item` for `txn`.
+    fn check_growing(&self, txn: TxnId) -> Result<(), LockError> {
+        if self.shrinking.contains(&txn) {
+            return Err(LockError::ShrinkingPhase(txn));
+        }
+        Ok(())
+    }
+
+    /// Requests `mode` on `item` for `txn`. On
+    /// [`LockOutcome::WouldDeadlock`] the request is withdrawn (not
+    /// queued) and `txn`'s waits-for edges are dropped.
     ///
     /// # Errors
     ///
@@ -137,63 +386,29 @@ impl LockManager {
     pub fn acquire(
         &mut self,
         txn: TxnId,
-        item: impl Into<Item>,
+        item: impl AsRef<str>,
         mode: LockMode,
     ) -> Result<LockOutcome, LockError> {
-        if self.shrinking.contains(&txn) {
-            return Err(LockError::ShrinkingPhase(txn));
-        }
-        self.seq += 1;
-        let seq = self.seq;
-        self.first_touch.entry(txn).or_insert(seq);
-        let item = item.into();
-        let entry = self.table.entry(item.clone()).or_default();
-        let compatible = match mode {
-            LockMode::Shared => entry.exclusive.is_none() || entry.exclusive == Some(txn),
-            LockMode::Exclusive => {
-                (entry.exclusive.is_none() || entry.exclusive == Some(txn))
-                    && entry.sharers.iter().all(|s| *s == txn)
-            }
+        self.check_growing(txn)?;
+        let item = item.as_ref();
+        let blockers = match self.table.try_or_enqueue(txn, item, mode) {
+            TryAcquire::Granted => return Ok(LockOutcome::Granted),
+            TryAcquire::Blocked(blockers) => blockers,
         };
-        // Respect the FIFO queue: even a compatible request waits behind
-        // earlier queued conflicting requests (no starvation of writers).
-        let must_queue = !entry.waiting.is_empty() && entry.waiting.iter().any(|(t, _)| *t != txn);
-        if compatible && !must_queue {
-            match mode {
-                LockMode::Shared => {
-                    // Holding exclusive subsumes shared.
-                    if entry.exclusive != Some(txn) {
-                        entry.sharers.insert(txn);
-                    }
-                }
-                LockMode::Exclusive => {
-                    entry.sharers.remove(&txn);
-                    entry.exclusive = Some(txn);
-                }
-            }
-            return Ok(LockOutcome::Granted);
-        }
-        // Build waits-for edges to current holders.
-        let holders: BTreeSet<TxnId> =
-            entry.sharers.iter().copied().chain(entry.exclusive).filter(|h| *h != txn).collect();
-        let edges = self.waits_for.entry(txn).or_default();
-        for h in &holders {
-            edges.insert(*h);
-        }
-        if let Some(cycle) = self.find_cycle(txn) {
-            // Undo the tentative edges for this request.
-            self.waits_for.remove(&txn);
-            let victim = self.deadlock_victim(&cycle);
-            return Ok(LockOutcome::WouldDeadlock { cycle, victim });
-        }
-        self.table.get_mut(&item).expect("entry just touched").waiting.push_back((txn, mode));
-        Ok(LockOutcome::Queued)
+        self.graph.add_edges(txn, blockers);
+        let Some(cycle) = self.graph.cycle_from(txn) else {
+            return Ok(LockOutcome::Queued);
+        };
+        self.table.dequeue(txn, item);
+        self.graph.clear_waiting(txn);
+        let victim = youngest_victim(&cycle);
+        Ok(LockOutcome::WouldDeadlock { cycle, victim })
     }
 
     /// Non-queuing variant of [`LockManager::acquire`]: grants the lock
-    /// if immediately compatible, otherwise returns `Ok(false)` without
-    /// enqueuing (the caller retries or aborts — how `SiteDb` models
-    /// waiting under the event-driven simulator).
+    /// if immediately compatible, otherwise withdraws the request and
+    /// returns `Ok(false)` (the caller retries or aborts — how `SiteDb`
+    /// models waiting under the event-driven simulator).
     ///
     /// # Errors
     ///
@@ -201,77 +416,34 @@ impl LockManager {
     pub fn try_acquire(
         &mut self,
         txn: TxnId,
-        item: impl Into<Item>,
+        item: impl AsRef<str>,
         mode: LockMode,
     ) -> Result<bool, LockError> {
-        if self.shrinking.contains(&txn) {
-            return Err(LockError::ShrinkingPhase(txn));
-        }
-        let item = item.into();
-        let entry = self.table.entry(item).or_default();
-        let compatible = match mode {
-            LockMode::Shared => entry.exclusive.is_none() || entry.exclusive == Some(txn),
-            LockMode::Exclusive => {
-                (entry.exclusive.is_none() || entry.exclusive == Some(txn))
-                    && entry.sharers.iter().all(|s| *s == txn)
+        self.check_growing(txn)?;
+        let item = item.as_ref();
+        match self.table.try_or_enqueue(txn, item, mode) {
+            TryAcquire::Granted => Ok(true),
+            TryAcquire::Blocked(_) => {
+                self.table.dequeue(txn, item);
+                Ok(false)
             }
-        };
-        let must_queue = !entry.waiting.is_empty() && entry.waiting.iter().any(|(t, _)| *t != txn);
-        if compatible && !must_queue {
-            match mode {
-                LockMode::Shared => {
-                    // Holding exclusive subsumes shared.
-                    if entry.exclusive != Some(txn) {
-                        entry.sharers.insert(txn);
-                    }
-                }
-                LockMode::Exclusive => {
-                    entry.sharers.remove(&txn);
-                    entry.exclusive = Some(txn);
-                }
-            }
-            Ok(true)
-        } else {
-            Ok(false)
         }
     }
 
     /// Releases everything `txn` holds or waits for, marking it
     /// shrinking (strict 2PL: called at commit/abort). Returns the
-    /// requests that became grantable, in grant order.
+    /// requests that became grantable, in grant order: the table is
+    /// re-asked on behalf of each queue head until one stays blocked.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, Item, LockMode)> {
         self.shrinking.insert(txn);
-        self.waits_for.remove(&txn);
-        self.first_touch.remove(&txn);
-        for edges in self.waits_for.values_mut() {
-            edges.remove(&txn);
-        }
+        self.graph.forget(txn);
         let mut granted = Vec::new();
-        let items: Vec<Item> = self.table.keys().cloned().collect();
-        for item in items {
-            let entry = self.table.get_mut(&item).expect("key listed");
-            entry.sharers.remove(&txn);
-            if entry.exclusive == Some(txn) {
-                entry.exclusive = None;
-            }
-            entry.waiting.retain(|(t, _)| *t != txn);
-            // Promote waiters.
-            while let Some((next, mode)) = entry.waiting.front().copied() {
-                let ok = match mode {
-                    LockMode::Shared => entry.exclusive.is_none(),
-                    LockMode::Exclusive => entry.exclusive.is_none() && entry.sharers.is_empty(),
-                };
-                if !ok {
+        for item in self.table.release_all(txn, None) {
+            while let Some((next, mode)) = self.table.queue_head(&item) {
+                if let TryAcquire::Blocked(_) = self.table.try_or_enqueue(next, &item, mode) {
                     break;
                 }
-                entry.waiting.pop_front();
-                match mode {
-                    LockMode::Shared => {
-                        entry.sharers.insert(next);
-                    }
-                    LockMode::Exclusive => entry.exclusive = Some(next),
-                }
-                self.waits_for.remove(&next);
+                self.graph.clear_waiting(next);
                 granted.push((next, item.clone(), mode));
             }
         }
@@ -280,73 +452,22 @@ impl LockManager {
 
     /// Whether `txn` holds a lock on `item` at least as strong as `mode`.
     pub fn holds(&self, txn: TxnId, item: &str, mode: LockMode) -> bool {
-        match self.table.get(item) {
-            None => false,
-            Some(e) => match mode {
-                LockMode::Shared => e.sharers.contains(&txn) || e.exclusive == Some(txn),
-                LockMode::Exclusive => e.exclusive == Some(txn),
-            },
-        }
+        self.table.locks.get(item).is_some_and(|e| e.holds(txn, mode))
     }
 
     /// Number of shared holders of `item` (the thesis' read counter).
     pub fn read_count(&self, item: &str) -> usize {
-        self.table.get(item).map_or(0, |e| e.sharers.len())
+        self.table.locks.get(item).map_or(0, |e| e.sharers.len())
     }
 
     /// Whether `item` is write-locked (the 1-bit write-lock flag).
     pub fn write_locked(&self, item: &str) -> bool {
-        self.table.get(item).is_some_and(|e| e.exclusive.is_some())
+        self.table.locks.get(item).is_some_and(|e| e.exclusive.is_some())
     }
 
-    /// Deterministic deadlock-victim selection over `cycle`.
-    ///
-    /// Rule (documented so the engine's abort/retry loop stays
-    /// reproducible): the **youngest** transaction in the cycle is the
-    /// victim — primarily the numerically greatest [`TxnId`] (ids are
-    /// assigned monotonically); among hypothetical equal ids, the one
-    /// whose *first lock acquisition* came latest. Since `TxnId`s are
-    /// unique in any one manager, the tie-break never fires in
-    /// practice, but pinning it keeps the rule total.
-    ///
-    /// Panics on an empty cycle.
-    pub fn deadlock_victim(&self, cycle: &[TxnId]) -> TxnId {
-        *cycle
-            .iter()
-            .max_by_key(|t| (t.0, self.first_touch.get(t).copied().unwrap_or(0)))
-            .expect("deadlock cycle is non-empty")
-    }
-
-    /// DFS cycle search in the waits-for graph starting from `from`.
-    fn find_cycle(&self, from: TxnId) -> Option<Vec<TxnId>> {
-        let mut path = vec![from];
-        let mut on_path = BTreeSet::from([from]);
-        self.dfs(from, from, &mut path, &mut on_path)
-    }
-
-    fn dfs(
-        &self,
-        start: TxnId,
-        at: TxnId,
-        path: &mut Vec<TxnId>,
-        on_path: &mut BTreeSet<TxnId>,
-    ) -> Option<Vec<TxnId>> {
-        if let Some(next) = self.waits_for.get(&at) {
-            for &n in next {
-                if n == start {
-                    return Some(path.clone());
-                }
-                if on_path.insert(n) {
-                    path.push(n);
-                    if let Some(c) = self.dfs(start, n, path, on_path) {
-                        return Some(c);
-                    }
-                    path.pop();
-                    on_path.remove(&n);
-                }
-            }
-        }
-        None
+    /// The underlying lock table.
+    pub fn table(&self) -> &LockTable {
+        &self.table
     }
 }
 
@@ -494,11 +615,127 @@ mod tests {
     }
 
     #[test]
+    fn re_requesting_waiter_is_queued_once() {
+        let mut lm = LockManager::new();
+        lm.acquire(TxnId(1), "X", LockMode::Exclusive).unwrap();
+        assert_eq!(lm.acquire(TxnId(2), "X", LockMode::Shared).unwrap(), LockOutcome::Queued);
+        assert_eq!(lm.acquire(TxnId(2), "X", LockMode::Shared).unwrap(), LockOutcome::Queued);
+        let granted = lm.release_all(TxnId(1));
+        assert_eq!(granted, vec![(TxnId(2), "X".to_string(), LockMode::Shared)]);
+        assert_eq!(lm.read_count("X"), 1);
+    }
+
+    #[test]
+    fn holder_re_request_is_granted_even_behind_a_waiter() {
+        let mut lm = LockManager::new();
+        lm.acquire(TxnId(1), "X", LockMode::Shared).unwrap();
+        assert_eq!(lm.acquire(TxnId(2), "X", LockMode::Exclusive).unwrap(), LockOutcome::Queued);
+        // T1 already holds what it asks for: no queueing behind T2, and
+        // so no T1 -> T2 -> T1 "deadlock" of its own making.
+        assert_eq!(lm.acquire(TxnId(1), "X", LockMode::Shared).unwrap(), LockOutcome::Granted);
+    }
+
+    #[test]
+    fn queued_upgrade_is_granted_when_the_other_sharer_leaves() {
+        let mut lm = LockManager::new();
+        lm.acquire(TxnId(1), "X", LockMode::Shared).unwrap();
+        lm.acquire(TxnId(2), "X", LockMode::Shared).unwrap();
+        assert_eq!(lm.acquire(TxnId(1), "X", LockMode::Exclusive).unwrap(), LockOutcome::Queued);
+        let granted = lm.release_all(TxnId(2));
+        assert_eq!(granted, vec![(TxnId(1), "X".to_string(), LockMode::Exclusive)]);
+        assert!(lm.holds(TxnId(1), "X", LockMode::Exclusive));
+        assert_eq!(lm.read_count("X"), 0);
+    }
+
+    #[test]
+    fn table_forgets_items_nobody_holds_or_awaits() {
+        let mut lm = LockManager::new();
+        for t in 1..=50u64 {
+            lm.acquire(TxnId(t), format!("X{t}"), LockMode::Exclusive).unwrap();
+            assert!(!lm.try_acquire(TxnId(t + 100), format!("X{t}"), LockMode::Shared).unwrap());
+            lm.release_all(TxnId(t));
+        }
+        assert!(lm.table().is_empty());
+    }
+
+    #[test]
     fn holds_reflects_modes() {
         let mut lm = LockManager::new();
         lm.acquire(TxnId(1), "X", LockMode::Shared).unwrap();
         assert!(lm.holds(TxnId(1), "X", LockMode::Shared));
         assert!(!lm.holds(TxnId(1), "X", LockMode::Exclusive));
         assert!(!lm.holds(TxnId(2), "X", LockMode::Shared));
+    }
+}
+
+/// The table driven directly, as the engine's shards drive it.
+#[cfg(test)]
+mod table_tests {
+    use super::*;
+
+    const S: LockMode = LockMode::Shared;
+    const X: LockMode = LockMode::Exclusive;
+
+    fn granted(r: TryAcquire) -> bool {
+        matches!(r, TryAcquire::Granted)
+    }
+
+    fn blockers(r: TryAcquire) -> Vec<TxnId> {
+        match r {
+            TryAcquire::Granted => panic!("expected Blocked"),
+            TryAcquire::Blocked(b) => b,
+        }
+    }
+
+    #[test]
+    fn shared_locks_coexist_exclusive_blocks() {
+        let mut s = LockTable::default();
+        assert!(granted(s.try_or_enqueue(TxnId(1), "X", S)));
+        assert!(granted(s.try_or_enqueue(TxnId(2), "X", S)));
+        let b = blockers(s.try_or_enqueue(TxnId(3), "X", X));
+        assert_eq!(b, vec![TxnId(1), TxnId(2)]);
+    }
+
+    #[test]
+    fn fifo_queue_prevents_barging() {
+        let mut s = LockTable::default();
+        assert!(granted(s.try_or_enqueue(TxnId(1), "X", X)));
+        let _ = s.try_or_enqueue(TxnId(2), "X", X);
+        // T3's shared request is compatible with nothing held once T1
+        // releases, but T2 is queued ahead — T3 must see T2 as a blocker.
+        let b = blockers(s.try_or_enqueue(TxnId(3), "X", S));
+        assert!(b.contains(&TxnId(2)));
+        s.release_all(TxnId(1), None);
+        // Head of queue gets through now.
+        assert!(granted(s.try_or_enqueue(TxnId(2), "X", X)));
+    }
+
+    #[test]
+    fn upgrade_granted_for_sole_sharer() {
+        let mut s = LockTable::default();
+        assert!(granted(s.try_or_enqueue(TxnId(1), "X", S)));
+        assert!(granted(s.try_or_enqueue(TxnId(1), "X", X)));
+        // And it is a real exclusive now.
+        assert!(!granted(s.try_or_enqueue(TxnId(2), "X", S)));
+    }
+
+    #[test]
+    fn release_all_clears_holds_and_queue_entries() {
+        let mut s = LockTable::default();
+        assert!(granted(s.try_or_enqueue(TxnId(1), "X", X)));
+        let _ = s.try_or_enqueue(TxnId(2), "X", S);
+        s.release_all(TxnId(1), None);
+        s.release_all(TxnId(2), None);
+        assert!(s.locks.is_empty());
+    }
+
+    #[test]
+    fn dequeue_removes_only_the_waiter() {
+        let mut s = LockTable::default();
+        assert!(granted(s.try_or_enqueue(TxnId(1), "X", X)));
+        let _ = s.try_or_enqueue(TxnId(2), "X", X);
+        s.dequeue(TxnId(2), "X");
+        s.release_all(TxnId(1), None);
+        assert!(s.locks.is_empty());
     }
 }

@@ -161,11 +161,13 @@ proptest! {
     }
 
     /// SP7/SP8: the lock manager never grants incompatible locks,
-    /// whatever the request sequence.
+    /// whatever the request sequence, and keeps no entry for an item
+    /// nobody holds or awaits.
     #[test]
     fn lock_table_invariants(ops in ops_strategy(40)) {
         let mut lm = LockManager::new();
         let mut finished = std::collections::BTreeSet::new();
+        let txns = || (1u64..5).map(TxnId);
         for op in &ops {
             let txn = TxnId(op.txn);
             if finished.contains(&txn) {
@@ -178,6 +180,9 @@ proptest! {
                     lm.release_all(txn);
                     finished.insert(txn);
                 }
+                Ok(mcv::txn::LockOutcome::Queued) => {
+                    prop_assert!(!lm.holds(txn, &item, mode), "{} queued for a lock it holds", txn);
+                }
                 Ok(_) => {}
                 Err(_) => {}
             }
@@ -185,7 +190,29 @@ proptest! {
             if lm.write_locked(&item) {
                 prop_assert_eq!(lm.read_count(&item), 0, "readers under a write lock on {}", item);
             }
+            // Invariant, on every item: at most one exclusive holder,
+            // and it excludes every other sharer.
+            for i in 0u8..4 {
+                let item = format!("X{i}");
+                let writers: Vec<TxnId> =
+                    txns().filter(|t| lm.holds(*t, &item, LockMode::Exclusive)).collect();
+                prop_assert!(writers.len() <= 1, "{:?} all write-lock {}", writers, item);
+                if let Some(w) = writers.first() {
+                    for t in txns().filter(|t| t != w) {
+                        prop_assert!(
+                            !lm.holds(t, &item, LockMode::Shared),
+                            "{} shares {} under {}'s write lock", t, item, w
+                        );
+                    }
+                }
+            }
         }
+        // Once everybody has released, the table is empty: it is
+        // bounded by the locks in flight, not by the items ever seen.
+        for t in txns() {
+            lm.release_all(t);
+        }
+        prop_assert_eq!(lm.table().len(), 0);
     }
 
     /// The WAL recovery function is idempotent and monotone in commits.
