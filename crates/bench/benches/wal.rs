@@ -63,45 +63,52 @@ fn bench_append_force(c: &mut Criterion) {
     group.finish();
 }
 
-/// One client running 4-read/4-write transactions over 10k preloaded
-/// items: 16 shards, a force per commit, no device latency, no
-/// sampling.
+/// One client running 4-read/4-write transactions over 1 000 or
+/// 100 000 preloaded items: 16 shards, a force per commit, no device
+/// latency, no sampling. Finding an item is a hash probe, so what the
+/// two sizes differ by is cache misses, not a walk whose depth grows
+/// with the table.
 fn bench_engine_txn(c: &mut Criterion) {
-    let keys = keys(10_000);
-    let engine = Engine::new(EngineConfig {
-        shards: 16,
-        group_commit: false,
-        force_latency_us: 0,
-        group_window_us: 0,
-        sample_every: 0,
-        ..EngineConfig::default()
-    });
-    for chunk in keys.chunks(256) {
-        let mut t = engine.begin();
-        for key in chunk {
-            t.write(key, 0).expect("preload write");
-        }
-        t.commit().expect("preload commit");
-    }
-    let mut next = 0usize;
-    c.bench_function("engine/txn-8op/1000-txns", |b| {
-        b.iter(|| {
-            for _ in 0..BATCH {
-                let mut t = engine.begin();
-                for op in 0..8 {
-                    // A stride coprime to the table size: every item
-                    // distinct within a transaction, no RNG on the clock.
-                    next = (next + 7919) % keys.len();
-                    if op % 2 == 0 {
-                        t.read(&keys[next]).expect("uncontended read");
-                    } else {
-                        t.write(&keys[next], op).expect("uncontended write");
-                    }
-                }
-                t.commit().expect("commit");
+    let mut group = c.benchmark_group("engine/txn-8op");
+    for items in [1_000usize, 100_000] {
+        let keys = keys(items);
+        let engine = Engine::new(EngineConfig {
+            shards: 16,
+            group_commit: false,
+            force_latency_us: 0,
+            group_window_us: 0,
+            sample_every: 0,
+            ..EngineConfig::default()
+        });
+        for chunk in keys.chunks(256) {
+            let mut t = engine.begin();
+            for key in chunk {
+                t.write(key, 0).expect("preload write");
             }
-        })
-    });
+            t.commit().expect("preload commit");
+        }
+        let mut next = 0usize;
+        group.bench_with_input(BenchmarkId::new("items", items), &keys, |b, keys| {
+            b.iter(|| {
+                for _ in 0..BATCH {
+                    let mut t = engine.begin();
+                    for op in 0..8 {
+                        // A stride coprime to the table size: every item
+                        // distinct within a transaction, no RNG on the
+                        // clock.
+                        next = (next + 7919) % keys.len();
+                        if op % 2 == 0 {
+                            t.read(&keys[next]).expect("uncontended read");
+                        } else {
+                            t.write(&keys[next], op).expect("uncontended write");
+                        }
+                    }
+                    t.commit().expect("commit");
+                }
+            })
+        });
+    }
+    group.finish();
 }
 
 criterion_group!(benches, bench_codec, bench_append_force, bench_engine_txn);

@@ -9,7 +9,10 @@
 //! DESIGN.md crate inventory or the README crate list — the docs drift
 //! the moment a crate lands without them — or if none of `./ci`'s
 //! `cargo test` invocations runs a workspace crate's tests (an
-//! `--exclude` nobody balances with a `-p` silently un-wires a crate).
+//! `--exclude` nobody balances with a `-p` silently un-wires a crate),
+//! or if a `CHANGES.md` entry tagged `[perf_opt]` has no row in
+//! EXPERIMENTS.md's "Performance trajectory" table (a claimed gain
+//! nobody can look up did not happen).
 //!
 //! `ci-report` turns the gate log the `./ci` script accumulates (one
 //! `<name> <pass|fail> <seconds>` line per gate) into a summary table
@@ -106,6 +109,26 @@ fn untested_crates(script: &str, crates: &[String]) -> Vec<String> {
     crates.iter().filter(|c| !tested.contains(&c.as_str())).cloned().collect()
 }
 
+/// The PRs whose `CHANGES.md` entry (`- PR <n> (... [perf_opt] ...): `)
+/// carries the `[perf_opt]` tag in its heading but which have no row
+/// starting `| <n> (` in the "Performance trajectory" section of
+/// `experiments`.
+fn perf_prs_without_trajectory_row(changes: &str, experiments: &str) -> Vec<u32> {
+    let table = experiments
+        .split_once("Performance trajectory")
+        .map_or("", |(_, rest)| rest.split("\n## ").next().unwrap_or(""));
+    changes
+        .lines()
+        .filter_map(|line| {
+            let entry = line.strip_prefix("- PR ")?;
+            let heading = entry.split_once("): ").map_or(entry, |(heading, _)| heading);
+            let (n, _) = heading.split_once(' ')?;
+            heading.contains("[perf_opt]").then(|| n.parse().ok()).flatten()
+        })
+        .filter(|n| !table.lines().any(|row| row.starts_with(&format!("| {n} ("))))
+        .collect()
+}
+
 fn docsync() -> ExitCode {
     let root = repo_root();
     let crates = match workspace_crates(&root) {
@@ -141,9 +164,25 @@ fn docsync() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    let read = |doc: &str| std::fs::read_to_string(root.join(doc));
+    match (read("CHANGES.md"), read("EXPERIMENTS.md")) {
+        (Ok(changes), Ok(experiments)) => missing.extend(
+            perf_prs_without_trajectory_row(&changes, &experiments).into_iter().map(|n| {
+                format!(
+                    "CHANGES.md tags PR {n} [perf_opt] but EXPERIMENTS.md's \"Performance \
+                     trajectory\" table has no row starting `| {n} (`"
+                )
+            }),
+        ),
+        (Err(e), _) | (_, Err(e)) => {
+            eprintln!("docsync: cannot read CHANGES.md / EXPERIMENTS.md: {e}");
+            return ExitCode::from(2);
+        }
+    }
     if missing.is_empty() {
         println!(
-            "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests",
+            "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests; \
+             every [perf_opt] PR has its trajectory row",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -426,6 +465,26 @@ mod tests {
         assert!(untested_crates(&balanced, &crates).is_empty());
         // A bare `cargo test` runs only the root package.
         assert_eq!(untested_crates("cargo test -q\n", &crates), crates);
+    }
+
+    #[test]
+    fn a_perf_pr_without_a_trajectory_row_is_named() {
+        let changes = "\
+            # Changes\n\
+            - PR 13 (ISSUE 13, [simplicity] one runtime): mentions [perf_opt] only in passing\n\
+            - PR 14 (ISSUE 14, [perf_opt] binary log image): faster\n\
+            - PR 16 (ISSUE 16, [perf_opt] item index): faster still\n";
+        let experiments = "\
+            ## Performance trajectory (one row per PR)\n\
+            | PR | workload |\n|---|---|\n\
+            | 14 (binary log image) | `engine-2pl-uniform` |\n\
+            ## Another section\n\
+            | 16 (a row outside the trajectory table does not count) |\n";
+        assert_eq!(perf_prs_without_trajectory_row(changes, experiments), vec![16]);
+        let with_row = experiments.replace("## Another", "| 16 (item index) | x |\n## Another");
+        assert!(perf_prs_without_trajectory_row(changes, &with_row).is_empty());
+        // No table at all: every tagged PR is missing.
+        assert_eq!(perf_prs_without_trajectory_row(changes, ""), vec![14, 16]);
     }
 
     #[test]

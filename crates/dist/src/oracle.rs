@@ -185,12 +185,10 @@ pub(crate) fn evaluate(
         for (i, e) in engines.iter().enumerate() {
             let recovered = Wal::from_bytes_lossy(&e.durable_image()).recover();
             let state = e.state();
-            // Items an aborted transaction touched appear in the
-            // engine's state map rolled back to 0 but never reach the
-            // durable image — compare value-wise with the 0 default.
-            let diverged = recovered.keys().chain(state.keys()).find(|item| {
-                recovered.get(*item).copied().unwrap_or(0) != state.get(*item).copied().unwrap_or(0)
-            });
+            let diverged = recovered
+                .keys()
+                .chain(state.keys())
+                .find(|item| recovered.get(*item) != state.get(*item));
             if let Some(item) = diverged {
                 bad.push(format!(
                     "shard {}: WAL replay diverges from committed state at {item:?} ({:?} vs {:?})",

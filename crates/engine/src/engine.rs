@@ -5,7 +5,7 @@
 
 use crate::deadlock::WaitGraph;
 use crate::gcwal::GroupWal;
-use crate::shard::Shard;
+use crate::shard::{Shard, ShardState};
 use mcv_mvcc::{IsolationLevel, MvccStore};
 use mcv_obs::{Histogram, MetricsSnapshot};
 use mcv_prof::Phase;
@@ -15,7 +15,7 @@ use mcv_txn::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -262,8 +262,7 @@ impl Engine {
             write_buf: Vec::new(),
             read_set: BTreeSet::new(),
             undo: Vec::new(),
-            touched: BTreeSet::new(),
-            ever_blocked: false,
+            held: Held::default(),
             active: true,
             prof: self.inner.prof.as_ref().map(|_| ProfState {
                 begin: Instant::now(),
@@ -300,7 +299,7 @@ impl Engine {
                 let cause = t.mark(self.inner.wal.force_mark());
                 t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: s.id.0 });
             }
-            self.release_locks(s.id, &s.touched, s.ever_blocked);
+            self.release_locks(s.id, &s.held);
             self.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
             if let Some(state) = s.prof.take() {
                 if let Some(profiler) = &self.inner.prof {
@@ -324,7 +323,8 @@ impl Engine {
     pub fn state(&self) -> BTreeMap<Item, Value> {
         let mut out = BTreeMap::new();
         for shard in &self.inner.shards {
-            out.extend(shard.state.lock().expect("shard mutex").data().clone());
+            let state = shard.state.lock().expect("shard mutex");
+            out.extend(state.data.iter().map(|(item, value)| (item.clone(), *value)));
         }
         out
     }
@@ -420,18 +420,26 @@ impl Engine {
         MetricsSnapshot { counters, gauges: BTreeMap::new(), histograms: BTreeMap::new() }
     }
 
-    /// Blocking lock acquisition with deadlock handling. Returns the
-    /// shard index and whether the request ever blocked.
-    fn lock(&self, txn: TxnId, item: &str, mode: LockMode) -> Result<(usize, bool), EngineError> {
+    /// Blocking lock acquisition with deadlock handling. Returns with
+    /// `item`'s shard still locked — the caller reads or writes under
+    /// the very hold that granted, so an uncontended operation takes
+    /// the shard mutex once — plus whether the request ever blocked.
+    fn lock(
+        &self,
+        txn: TxnId,
+        item: &str,
+        mode: LockMode,
+    ) -> Result<(MutexGuard<'_, ShardState>, usize, bool), EngineError> {
         let inner = &*self.inner;
         let s = shard_of(item, inner.cfg.shards);
+        let shard = || inner.shards[s].state.lock().expect("shard mutex");
         // Fast path: no prior conflict on this request means no doom
         // flag to check and no stale waits-for edges to clear, so an
         // immediate grant never needs the global graph mutex.
         let mut was_blocked = false;
         // The way out for a deadlock victim: withdraw the request.
         let deadlock = || {
-            inner.shards[s].state.lock().expect("shard mutex").locks.dequeue(txn, item);
+            shard().locks.dequeue(txn, item);
             Err(EngineError::Deadlock { victim: txn })
         };
         loop {
@@ -451,21 +459,19 @@ impl Engine {
             } else {
                 inner.graph.epoch_hint()
             };
-            let attempt = inner.shards[s]
-                .state
-                .lock()
-                .expect("shard mutex")
-                .locks
-                .try_or_enqueue(txn, item, mode);
-            match attempt {
+            let mut state = shard();
+            match state.locks.try_or_enqueue(txn, item, mode) {
+                TryAcquire::Granted if !was_blocked => return Ok((state, s, false)),
                 TryAcquire::Granted => {
-                    if was_blocked {
-                        let mut g = inner.graph.m.lock().expect("graph mutex");
-                        g.clear_waiting(txn);
-                    }
-                    return Ok((s, was_blocked));
+                    // The graph mutex is never taken under a shard
+                    // mutex: let go, clear the edges, take the shard
+                    // again (the lock is ours by now, nothing moves).
+                    drop(state);
+                    inner.graph.m.lock().expect("graph mutex").clear_waiting(txn);
+                    return Ok((shard(), s, true));
                 }
                 TryAcquire::Blocked(blockers) => {
+                    drop(state);
                     was_blocked = true;
                     inner.counters.conflicts.fetch_add(1, Ordering::Relaxed);
                     let mut g = inner.graph.m.lock().expect("graph mutex");
@@ -501,15 +507,71 @@ impl Engine {
         }
     }
 
-    /// Releases every lock of `txn` and wakes waiters. `touched` names
-    /// the shards `txn` ever locked in. When the txn never conflicted
-    /// (`ever_blocked` false) and nobody is queued behind it, there is
-    /// no graph state to clean and nobody to wake — skip the global
-    /// mutex entirely.
-    fn release_locks(&self, txn: TxnId, touched: &BTreeSet<usize>, ever_blocked: bool) {
+    /// [`Engine::lock`] on behalf of a transaction: notes the shard in
+    /// its `held` set and traces the grant (or the victim's abort)
+    /// before handing the locked shard to the caller.
+    fn acquire(
+        &self,
+        txn: TxnId,
+        held: &mut Held,
+        item: &str,
+        mode: LockMode,
+    ) -> Result<MutexGuard<'_, ShardState>, EngineError> {
+        let trace = self.inner.trace.as_ref();
+        match self.lock(txn, item, mode) {
+            Ok((state, s, blocked)) => {
+                held.ever_blocked |= blocked;
+                held.shards.insert(s);
+                if let Some(t) = trace {
+                    // A grant after blocking was enabled by the prior
+                    // holder's release — cite it so the wait shows up
+                    // as a causal edge between the two transactions. An
+                    // uncontended grant cites the thread's ambient
+                    // cause (the delivered message a dist node is
+                    // processing), if any.
+                    let cause = if blocked {
+                        t.mark(&format!("release:{item}"))
+                    } else {
+                        mcv_trace::context()
+                    };
+                    t.record(
+                        t.lane(),
+                        0,
+                        cause,
+                        mcv_trace::EventKind::LockAcquire {
+                            txn: txn.0,
+                            item: item.to_owned(),
+                            exclusive: matches!(mode, LockMode::Exclusive),
+                        },
+                    );
+                }
+                Ok(state)
+            }
+            Err(e) => {
+                // A deadlock victim necessarily blocked; make sure the
+                // rollback takes the full graph-cleanup path.
+                held.ever_blocked = true;
+                if let Some(t) = trace {
+                    t.record(
+                        t.lane(),
+                        0,
+                        None,
+                        mcv_trace::EventKind::LockAbort { txn: txn.0, item: item.to_owned() },
+                    );
+                }
+                Err(e)
+            }
+        }
+    }
+
+    /// Releases every lock of a transaction and wakes waiters. When it
+    /// never conflicted (`ever_blocked` false) and nobody is queued
+    /// behind it, there is no graph state to clean and nobody to wake —
+    /// skip the global mutex entirely.
+    fn release_locks(&self, txn: TxnId, held: &Held) {
         let mut had_waiters = false;
         let mut released = self.inner.trace.as_ref().map(|_| Vec::new());
-        for &s in touched {
+        for &s in &held.shards {
             let mut state = self.inner.shards[s].state.lock().expect("shard mutex");
             had_waiters |= !state.locks.release_all(txn, released.as_mut()).is_empty();
         }
@@ -526,7 +588,7 @@ impl Engine {
                 t.set_mark(&format!("release:{item}"), c);
             }
         }
-        if ever_blocked || had_waiters {
+        if held.ever_blocked || had_waiters {
             let mut g = self.inner.graph.m.lock().expect("graph mutex");
             g.forget(txn);
             self.inner.graph.bump_epoch(&mut g);
@@ -534,19 +596,32 @@ impl Engine {
         }
     }
 
-    /// Logs `txn`'s update of `item` (which lives in shard `s`) and
-    /// then stores it, returning the before-image. One shard-mutex
-    /// hold covers the before-image read, the append and the store, so
-    /// write-ahead order is structural: the record is in the log
-    /// buffer before the store changes. The caller holds `item`'s
-    /// exclusive 2PL lock, so nobody else writes it meanwhile. This is
-    /// the one place two engine mutexes nest: shard, then WAL.
-    fn log_and_store(&self, txn: TxnId, s: usize, item: &str, value: Value) -> Value {
-        let mut state = self.inner.shards[s].state.lock().expect("shard mutex");
-        let old = state.value(item);
-        self.inner.wal.append_update(txn, item, old, value);
-        state.set(item, value);
-        old
+    /// Logs `txn`'s update of `item` and then stores it in `state`,
+    /// the item's locked shard, returning the before-image (`None`: the
+    /// shard did not store the item; the log's `old` field reads 0).
+    /// One shard-mutex hold covers the lock grant, the before-image
+    /// read, the append and the store, so write-ahead order is
+    /// structural: the record is in the log buffer before the store
+    /// changes. This is the one place two engine mutexes nest: shard,
+    /// then WAL.
+    fn log_and_store(
+        &self,
+        state: &mut ShardState,
+        txn: TxnId,
+        item: &str,
+        value: Value,
+    ) -> Option<Value> {
+        match state.data.get_mut(item) {
+            Some(slot) => {
+                self.inner.wal.append_update(txn, item, *slot, value);
+                Some(std::mem::replace(slot, value))
+            }
+            None => {
+                self.inner.wal.append_update(txn, item, 0, value);
+                state.data.insert(item.to_owned(), value);
+                None
+            }
+        }
     }
 
     fn sample(&self, txn: TxnId, item: &str, kind: OpKind) {
@@ -579,18 +654,26 @@ pub struct Txn {
     /// Items read under SSI, validated against concurrent committers
     /// at commit time.
     read_set: BTreeSet<Item>,
-    /// `(shard, item, before-image)` of the first write per item, in
-    /// write order; rollback replays it in reverse.
-    undo: Vec<(usize, Item, Value)>,
-    touched: BTreeSet<usize>,
-    /// Whether any acquisition of this txn ever blocked — if not, its
-    /// release can skip the global waits-for graph.
-    ever_blocked: bool,
+    /// `(item, before-image)` of every write, in write order; rollback
+    /// replays it in reverse. `None` is the before-image of an item
+    /// the shard did not store: rollback removes it again.
+    undo: Vec<(Item, Option<Value>)>,
+    held: Held,
     active: bool,
     /// Phase-attribution state (present only when the engine was built
     /// with a profiler installed). Flushed at commit; aborted
     /// transactions are not flushed.
     prof: Option<ProfState>,
+}
+
+/// What a transaction must give back when it ends.
+#[derive(Debug, Default)]
+struct Held {
+    /// The shards it ever locked in.
+    shards: BTreeSet<usize>,
+    /// Whether any acquisition ever blocked — if not, the release can
+    /// skip the global waits-for graph.
+    ever_blocked: bool,
 }
 
 /// Per-transaction profiling scratch: the begin instant anchoring the
@@ -610,9 +693,8 @@ struct ProfState {
 #[derive(Debug)]
 pub struct StagedCommit {
     id: TxnId,
+    held: Held,
     lsn: usize,
-    touched: BTreeSet<usize>,
-    ever_blocked: bool,
     prof: Option<ProfState>,
 }
 
@@ -640,16 +722,16 @@ impl Txn {
             self.prof_add(Phase::Execute, t0);
             return Ok(v);
         }
-        let s = self.acquire(item, LockMode::Shared)?;
         let t0 = self.prof_now();
+        let state = self.engine.acquire(self.id, &mut self.held, item, LockMode::Shared)?;
+        let t1 = self.prof_now();
         self.engine.inner.counters.read_acquisitions.fetch_add(1, Ordering::Relaxed);
-        let state = self.engine.inner.shards[s].state.lock().expect("shard mutex");
         let v = state.value(item);
         drop(state);
         if self.sampled {
             self.engine.sample(self.id, item, OpKind::Read);
         }
-        self.prof_add(Phase::Execute, t0);
+        self.prof_lock_then_execute(t0, t1);
         Ok(v)
     }
 
@@ -690,8 +772,9 @@ impl Txn {
     pub fn write(&mut self, item: &str, value: Value) -> Result<(), EngineError> {
         self.check_active()?;
         if self.engine.inner.cfg.isolation.is_mvcc() {
-            self.acquire(item, LockMode::Exclusive)?;
             let t0 = self.prof_now();
+            drop(self.engine.acquire(self.id, &mut self.held, item, LockMode::Exclusive)?);
+            let t1 = self.prof_now();
             if let Some(snap) = self.snapshot {
                 if self.engine.inner.mvcc.latest_ts(item) > snap {
                     self.engine.inner.counters.cert_aborts.fetch_add(1, Ordering::Relaxed);
@@ -699,17 +782,19 @@ impl Txn {
                 }
             }
             self.write_buf.push((item.to_owned(), value));
-            self.prof_add(Phase::Execute, t0);
+            self.prof_lock_then_execute(t0, t1);
             return Ok(());
         }
-        let s = self.acquire(item, LockMode::Exclusive)?;
         let t0 = self.prof_now();
-        let old = self.engine.log_and_store(self.id, s, item, value);
-        self.undo.push((s, item.to_owned(), old));
+        let mut state = self.engine.acquire(self.id, &mut self.held, item, LockMode::Exclusive)?;
+        let t1 = self.prof_now();
+        let before = self.engine.log_and_store(&mut state, self.id, item, value);
+        drop(state);
+        self.undo.push((item.to_owned(), before));
         if self.sampled {
             self.engine.sample(self.id, item, OpKind::Write);
         }
-        self.prof_add(Phase::Execute, t0);
+        self.prof_lock_then_execute(t0, t1);
         Ok(())
     }
 
@@ -743,7 +828,7 @@ impl Txn {
             let cause = t.mark(self.engine.inner.wal.force_mark());
             t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: self.id.0 });
         }
-        self.engine.release_locks(self.id, &self.touched, self.ever_blocked);
+        self.engine.release_locks(self.id, &self.held);
         self.engine.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
         self.prof_add(Phase::CommitAck, ack0);
         self.prof_flush();
@@ -765,22 +850,14 @@ impl Txn {
     pub fn commit_stage(mut self) -> Result<StagedCommit, EngineError> {
         self.check_active()?;
         if self.engine.inner.cfg.isolation.is_mvcc() {
-            let id = self.id;
             self.mvcc_commit()?;
-            return Ok(StagedCommit {
-                id,
-                lsn: 0,
-                touched: BTreeSet::new(),
-                ever_blocked: false,
-                prof: None,
-            });
+            return Ok(StagedCommit { id: self.id, held: Held::default(), lsn: 0, prof: None });
         }
         let lsn = self.engine.inner.wal.append_commit(self.id);
         let staged = StagedCommit {
             id: self.id,
+            held: std::mem::take(&mut self.held),
             lsn,
-            touched: std::mem::take(&mut self.touched),
-            ever_blocked: self.ever_blocked,
             prof: self.prof.take(),
         };
         // The commit record is in the log: the transaction is decided,
@@ -806,7 +883,7 @@ impl Txn {
                 t.record(t.lane(), 0, None, mcv_trace::EventKind::Commit { txn: self.id.0 });
             }
             self.finish_snapshot();
-            self.engine.release_locks(self.id, &self.touched, self.ever_blocked);
+            self.engine.release_locks(self.id, &self.held);
             inner.counters.committed.fetch_add(1, Ordering::Relaxed);
             self.prof_flush();
             self.active = false;
@@ -852,7 +929,9 @@ impl Txn {
         // shard stores so `state()` / recovery equivalence see the same
         // world the version chains do.
         for (item, value) in &writes {
-            engine.log_and_store(self.id, shard_of(item, inner.cfg.shards), item, *value);
+            let s = shard_of(item, inner.cfg.shards);
+            let mut state = inner.shards[s].state.lock().expect("shard mutex");
+            engine.log_and_store(&mut state, self.id, item, *value);
         }
         self.prof_add(Phase::Execute, exec0);
         if self.prof.is_some() {
@@ -886,7 +965,7 @@ impl Txn {
             t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: self.id.0 });
         }
         self.finish_snapshot();
-        self.engine.release_locks(self.id, &self.touched, self.ever_blocked);
+        self.engine.release_locks(self.id, &self.held);
         inner.counters.committed.fetch_add(1, Ordering::Relaxed);
         self.prof_add(Phase::CommitAck, ack0);
         self.prof_flush();
@@ -928,6 +1007,15 @@ impl Txn {
         }
     }
 
+    /// Attributes `t0..t1` to waiting for a lock and the time since `t1`
+    /// to executing under it.
+    fn prof_lock_then_execute(&mut self, t0: Option<Instant>, t1: Option<Instant>) {
+        if let (Some(t0), Some(t1)) = (t0, t1) {
+            self.prof_add_ns(Phase::LockWait, (t1 - t0).as_nanos() as u64);
+        }
+        self.prof_add(Phase::Execute, t1);
+    }
+
     /// Attributes an externally measured duration to `phase`.
     fn prof_add_ns(&mut self, phase: Phase, ns: u64) {
         if let Some(p) = &mut self.prof {
@@ -948,68 +1036,21 @@ impl Txn {
         }
     }
 
-    fn acquire(&mut self, item: &str, mode: LockMode) -> Result<usize, EngineError> {
-        let t0 = self.prof_now();
-        match self.engine.lock(self.id, item, mode) {
-            Ok((s, blocked)) => {
-                self.prof_add(Phase::LockWait, t0);
-                self.ever_blocked |= blocked;
-                self.touched.insert(s);
-                if let Some(t) = &self.engine.inner.trace {
-                    // A grant after blocking was enabled by the prior
-                    // holder's release — cite it so the wait shows up
-                    // as a causal edge between the two transactions. An
-                    // uncontended grant cites the thread's ambient
-                    // cause (the delivered message a dist node is
-                    // processing), if any.
-                    let cause = if blocked {
-                        t.mark(&format!("release:{item}"))
-                    } else {
-                        mcv_trace::context()
-                    };
-                    t.record(
-                        t.lane(),
-                        0,
-                        cause,
-                        mcv_trace::EventKind::LockAcquire {
-                            txn: self.id.0,
-                            item: item.to_owned(),
-                            exclusive: matches!(mode, LockMode::Exclusive),
-                        },
-                    );
-                }
-                Ok(s)
-            }
-            Err(e) => {
-                // A deadlock victim necessarily blocked; make sure the
-                // rollback takes the full graph-cleanup path.
-                self.ever_blocked = true;
-                if let Some(t) = &self.engine.inner.trace {
-                    t.record(
-                        t.lane(),
-                        0,
-                        None,
-                        mcv_trace::EventKind::LockAbort { txn: self.id.0, item: item.to_owned() },
-                    );
-                }
-                Err(e)
-            }
-        }
-    }
-
     fn rollback(&mut self) {
         if !self.active {
             return;
         }
-        for (s, item, before) in self.undo.iter().rev() {
-            self.engine.inner.shards[*s].state.lock().expect("shard mutex").set(item, *before);
+        let inner = &self.engine.inner;
+        for (item, before) in self.undo.iter().rev() {
+            let s = shard_of(item, inner.cfg.shards);
+            inner.shards[s].state.lock().expect("shard mutex").restore(item, *before);
         }
         self.engine.inner.wal.append_abort(self.id);
         if let Some(t) = &self.engine.inner.trace {
             t.record(t.lane(), 0, None, mcv_trace::EventKind::Abort { txn: self.id.0 });
         }
         self.finish_snapshot();
-        self.engine.release_locks(self.id, &self.touched, self.ever_blocked);
+        self.engine.release_locks(self.id, &self.held);
         self.engine.inner.counters.aborted.fetch_add(1, Ordering::Relaxed);
         self.active = false;
     }

@@ -6,8 +6,7 @@
 //! [`mcv_txn::LockTable`], the same one the single-threaded
 //! [`mcv_txn::LockManager`] drives.
 
-use mcv_txn::{Item, LockTable, Value};
-use std::collections::BTreeMap;
+use mcv_txn::{ItemMap, LockTable, Value};
 use std::sync::Mutex;
 
 /// One shard: data items plus their lock entries, under one mutex.
@@ -18,7 +17,9 @@ pub(crate) struct Shard {
 
 #[derive(Debug, Default)]
 pub(crate) struct ShardState {
-    data: BTreeMap<Item, Value>,
+    /// An item nobody has stored is absent, here as in a recovered
+    /// log; it reads as 0.
+    pub(crate) data: ItemMap<Value>,
     pub(crate) locks: LockTable,
 }
 
@@ -29,20 +30,15 @@ impl ShardState {
         self.data.get(item).copied().unwrap_or(0)
     }
 
-    /// Overwrites `item`, returning the previous value. Allocates a
-    /// key only for an item the shard has never stored.
-    pub(crate) fn set(&mut self, item: &str, value: Value) -> Value {
-        match self.data.get_mut(item) {
-            Some(slot) => std::mem::replace(slot, value),
+    /// Puts a before-image back: the old value, or absence for an item
+    /// the rolled-back transaction created.
+    pub(crate) fn restore(&mut self, item: &str, before: Option<Value>) {
+        match before {
+            // The exclusive lock is still held: the slot is still there.
+            Some(value) => *self.data.get_mut(item).expect("overwritten item is stored") = value,
             None => {
-                self.data.insert(item.to_owned(), value);
-                0
+                self.data.remove(item);
             }
         }
-    }
-
-    /// All items of this shard (for state comparison after quiesce).
-    pub(crate) fn data(&self) -> &BTreeMap<Item, Value> {
-        &self.data
     }
 }

@@ -239,12 +239,7 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
     let sampled_ops = history.len();
 
     let recovered = mcv_txn::Wal::from_bytes_lossy(&engine.durable_image()).recover();
-    let volatile = engine.state();
-    let keys: std::collections::BTreeSet<&String> =
-        recovered.keys().chain(volatile.keys()).collect();
-    let recovered_matches = keys
-        .into_iter()
-        .all(|k| recovered.get(k).copied().unwrap_or(0) == volatile.get(k).copied().unwrap_or(0));
+    let recovered_matches = recovered == engine.state();
 
     let bank_invariant_ok = bank.then(|| {
         let total: i64 =

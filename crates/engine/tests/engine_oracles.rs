@@ -243,3 +243,37 @@ fn contended_bank_run_commits_every_admission() {
         "engine counter should include setup commits on top of admissions"
     );
 }
+
+/// An item the engine holds is an item the log recovers: rolling back
+/// the write that created an item removes it again (absent is not 0),
+/// and reading an item nobody wrote stores nothing.
+#[test]
+fn state_equals_recovery_after_aborts_and_reads_of_fresh_items() {
+    let engine = Engine::new(EngineConfig { group_commit: false, ..Default::default() });
+    let recovered = |engine: &Engine| Wal::from_bytes_lossy(&engine.durable_image()).recover();
+    let mut t = engine.begin();
+    t.write("Y", 1).expect("write");
+    t.commit().expect("commit");
+
+    // Abort of a first write, overwritten once more before the abort.
+    let mut t = engine.begin();
+    t.write("X", 5).expect("write");
+    t.write("X", 6).expect("write");
+    t.abort();
+    assert_eq!(engine.state(), recovered(&engine));
+    assert!(!engine.state().contains_key("X"), "aborted first write left a phantom key");
+
+    // Abort after overwriting a committed value.
+    let mut t = engine.begin();
+    t.write("Y", 9).expect("write");
+    t.abort();
+    assert_eq!(engine.state(), recovered(&engine));
+    assert_eq!(engine.value("Y"), 1);
+
+    // Read of a never-written item.
+    let mut t = engine.begin();
+    assert_eq!(t.read("Z").expect("read"), 0);
+    t.commit().expect("commit");
+    assert_eq!(engine.state(), recovered(&engine));
+    assert_eq!(engine.state().len(), 1);
+}

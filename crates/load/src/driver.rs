@@ -777,12 +777,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         let engine = &slot.engine;
         serializable &= engine.sampled_history().is_conflict_serializable();
         let recovered = mcv_txn::Wal::from_bytes_lossy(&engine.durable_image()).recover();
-        let volatile = engine.state();
-        let keys: std::collections::BTreeSet<&String> =
-            recovered.keys().chain(volatile.keys()).collect();
-        recovered_matches &= keys.into_iter().all(|k| {
-            recovered.get(k).copied().unwrap_or(0) == volatile.get(k).copied().unwrap_or(0)
-        });
+        recovered_matches &= recovered == engine.state();
         if bank {
             bank_total += (0..cfg.items_per_engine)
                 .map(|i| recovered.get(&item_name(i)).copied().unwrap_or(0))

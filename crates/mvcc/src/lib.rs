@@ -31,7 +31,7 @@
 
 #![warn(missing_docs)]
 
-use mcv_txn::{shard_of, Item, TxnId, Value};
+use mcv_txn::{shard_of, ItemMap, TxnId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -130,7 +130,7 @@ type Chain = Vec<Version>;
 
 #[derive(Debug, Default)]
 struct VersionShard {
-    chains: BTreeMap<Item, Chain>,
+    chains: ItemMap<Chain>,
 }
 
 /// The multi-version store: sharded version chains plus the timestamp
@@ -293,7 +293,7 @@ impl MvccStore {
         let watermark = self.watermark();
         let mut collected = 0;
         for shard in &self.shards {
-            let mut shard = shard.lock().expect("mcv shard mutex");
+            let mut shard = shard.lock().expect("mvcc shard mutex");
             for chain in shard.chains.values_mut() {
                 collected += trim(chain, watermark);
             }
@@ -451,7 +451,9 @@ mod tests {
     fn concurrent_snapshots_read_stable_prefixes() {
         use std::sync::Arc;
         let store = Arc::new(MvccStore::new(8));
-        committed(&store, "X", &[0]);
+        // Every version's value equals its timestamp, the seed's too: a
+        // reader may well pin its snapshot before any writer commits.
+        committed(&store, "X", &[1]);
         let writers: Vec<_> = (0..2)
             .map(|_| {
                 let store = Arc::clone(&store);

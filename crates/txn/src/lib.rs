@@ -10,6 +10,8 @@
 //!   (`Readlock`/`Writelock`, SP7/SP8) and its deadlock detection, the
 //!   one implementation under both [`LockManager`] (single-threaded
 //!   driver) and `mcv-engine`'s shards;
+//! - [`ItemMap`] — the one hashed item index under the lock table,
+//!   `mcv-engine`'s shard data and `mcv-mvcc`'s version chains;
 //! - [`CheckpointStore`] — tentative/permanent checkpoints (SP9);
 //! - [`History`] — conflict-serializability checking (global property 1);
 //! - [`SiteDb`] — the crash-faithful site database integrating all of
@@ -45,8 +47,8 @@ pub use db::{DbError, SiteDb};
 pub use ids::{Item, TxnId, TxnStatus, Value};
 pub use keys::{KeyPicker, Zipfian};
 pub use locks::{
-    shard_of, youngest_victim, LockError, LockManager, LockMode, LockOutcome, LockTable,
-    TryAcquire, WaitsFor,
+    shard_of, youngest_victim, ItemHasher, ItemMap, LockError, LockManager, LockMode, LockOutcome,
+    LockTable, TryAcquire, WaitsFor,
 };
 pub use schedule::{History, Op, OpKind};
 pub use wal::{ForcedWal, LogRecord, Wal};

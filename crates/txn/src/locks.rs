@@ -20,8 +20,9 @@
 //!   may not acquire another (growing/shrinking phases).
 
 use crate::ids::{Item, TxnId};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Lock modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -74,6 +75,51 @@ pub fn shard_of(item: &str, shards: usize) -> usize {
     (h % shards as u64) as usize
 }
 
+/// The item index: every per-shard map keyed by item name (the
+/// engine's data, the lock table, the version chains) is this one
+/// hashed map. Seedless, so runs repeat; iteration order is still
+/// arbitrary and must never reach an output (sort first).
+pub type ItemMap<V> = HashMap<Item, V, BuildHasherDefault<ItemHasher>>;
+
+/// The hasher behind [`ItemMap`]: eight bytes at a time through a
+/// folded 64x64 -> 128-bit multiply. Deliberately not FNV: all items of
+/// one shard share `fnv1a(item) % shards` ([`shard_of`]), and a table
+/// indexed by that same hash would cluster. Not collision-resistant —
+/// keys come from workload generators, not from an adversary.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ItemHasher(u64);
+
+impl Hasher for ItemHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let fold = |word: u64| {
+            let m = u128::from(word) * 0x9e37_79b9_7f4a_7c15;
+            (m as u64) ^ (m >> 64) as u64
+        };
+        let word = |eight: &[u8]| u64::from_le_bytes(eight.try_into().expect("eight bytes"));
+        // The length goes in first, so padding cannot make "a" and
+        // "a\0" one key.
+        let mut h = self.0.wrapping_add(bytes.len() as u64);
+        let mut words = bytes.chunks_exact(8);
+        for eight in &mut words {
+            h = fold(h ^ word(eight));
+        }
+        // What is left over: the last eight bytes again (no
+        // variable-length copy), or a short key's few bytes.
+        match words.remainder() {
+            [] => {}
+            _ if bytes.len() > 8 => h = fold(h ^ word(&bytes[bytes.len() - 8..])),
+            few => h = fold(h ^ few.iter().rev().fold(0, |w, b| w << 8 | u64::from(*b))),
+        }
+        self.0 = h;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Errors violating the locking discipline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LockError {
@@ -94,11 +140,60 @@ impl fmt::Display for LockError {
 
 impl std::error::Error for LockError {}
 
+/// The shared holders of one item, each once. Nearly always one, and
+/// that one lives inline: a shared grant on a fresh entry allocates
+/// nothing and the holder check touches no second cache line.
+/// Invariant: `rest` is empty whenever `first` is.
+#[derive(Debug, Default, Clone)]
+struct Sharers {
+    first: Option<TxnId>,
+    rest: Vec<TxnId>,
+}
+
+impl Sharers {
+    fn iter(&self) -> impl Iterator<Item = TxnId> + '_ {
+        self.first.iter().chain(&self.rest).copied()
+    }
+
+    fn len(&self) -> usize {
+        self.iter().count()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.first.is_none()
+    }
+
+    fn contains(&self, txn: TxnId) -> bool {
+        self.iter().any(|s| s == txn)
+    }
+
+    fn insert(&mut self, txn: TxnId) {
+        if self.first.is_none() {
+            self.first = Some(txn);
+        } else if !self.contains(txn) {
+            self.rest.push(txn);
+        }
+    }
+
+    /// Removes `txn`; whether it was a sharer.
+    fn remove(&mut self, txn: TxnId) -> bool {
+        if self.first == Some(txn) {
+            self.first = self.rest.pop();
+            return true;
+        }
+        let at = self.rest.iter().position(|s| *s == txn);
+        if let Some(at) = at {
+            self.rest.swap_remove(at);
+        }
+        at.is_some()
+    }
+}
+
 /// Lock state of one item.
 #[derive(Debug, Default, Clone)]
 struct LockEntry {
     /// Holders of shared locks (the "read counter" is `sharers.len()`).
-    sharers: BTreeSet<TxnId>,
+    sharers: Sharers,
     /// Holder of the exclusive lock, if any (the "1-bit write lock flag").
     exclusive: Option<TxnId>,
     /// FIFO wait queue, at most one slot per transaction.
@@ -113,7 +208,7 @@ impl LockEntry {
     /// Whether `txn` holds a lock at least as strong as `mode`
     /// (exclusive subsumes shared).
     fn holds(&self, txn: TxnId, mode: LockMode) -> bool {
-        self.exclusive == Some(txn) || (mode == LockMode::Shared && self.sharers.contains(&txn))
+        self.exclusive == Some(txn) || (mode == LockMode::Shared && self.sharers.contains(txn))
     }
 
     /// Whether `mode` for `txn` is compatible with every *other*
@@ -123,7 +218,7 @@ impl LockEntry {
         let no_foreign_writer = self.exclusive.is_none() || self.exclusive == Some(txn);
         match mode {
             LockMode::Shared => no_foreign_writer,
-            LockMode::Exclusive => no_foreign_writer && self.sharers.iter().all(|s| *s == txn),
+            LockMode::Exclusive => no_foreign_writer && self.sharers.iter().all(|s| s == txn),
         }
     }
 
@@ -137,7 +232,7 @@ impl LockEntry {
                 }
             }
             LockMode::Exclusive => {
-                self.sharers.remove(&txn);
+                self.sharers.remove(txn);
                 self.exclusive = Some(txn);
             }
         }
@@ -167,7 +262,7 @@ pub enum TryAcquire {
 /// reaches the head of the queue.
 #[derive(Debug, Default, Clone)]
 pub struct LockTable {
-    locks: BTreeMap<Item, LockEntry>,
+    locks: ItemMap<LockEntry>,
 }
 
 impl LockTable {
@@ -208,7 +303,7 @@ impl LockTable {
             .iter()
             .take(ahead)
             .map(|(t, _)| *t)
-            .chain(entry.sharers.iter().copied())
+            .chain(entry.sharers.iter())
             .chain(entry.exclusive)
             .filter(|b| *b != txn)
             .collect();
@@ -233,11 +328,14 @@ impl LockTable {
     /// involved in that still have waiters — empty means nobody needs
     /// waking. When `released` is given, the items `txn` actually
     /// *held* (not merely queued on) are appended to it, so the caller
-    /// can trace the releases.
+    /// can trace the releases. Both lists come out ascending by item:
+    /// the table's own iteration order is arbitrary and must not reach
+    /// grant order or a trace.
     pub fn release_all(&mut self, txn: TxnId, mut released: Option<&mut Vec<Item>>) -> Vec<Item> {
         let mut contended = Vec::new();
+        let first_released = released.as_deref().map_or(0, Vec::len);
         self.locks.retain(|item, entry| {
-            let held = entry.sharers.remove(&txn) | (entry.exclusive == Some(txn));
+            let held = entry.sharers.remove(txn) | (entry.exclusive == Some(txn));
             let involved = held | entry.waiting.iter().any(|(t, _)| *t == txn);
             if entry.exclusive == Some(txn) {
                 entry.exclusive = None;
@@ -253,6 +351,10 @@ impl LockTable {
             }
             !entry.is_idle()
         });
+        contended.sort_unstable();
+        if let Some(out) = released {
+            out[first_released..].sort_unstable();
+        }
         contended
     }
 
@@ -602,6 +704,40 @@ mod tests {
         assert!(spread.len() > 4, "hash should spread: {spread:?}");
     }
 
+    fn item_hash(item: &str) -> u64 {
+        use std::hash::BuildHasher;
+        BuildHasherDefault::<ItemHasher>::default().hash_one(item)
+    }
+
+    /// All keys of one shard share `fnv1a(key) % shards`; the in-shard
+    /// hash must not inherit that: both the low bits a table indexes by
+    /// and the top bits it tags by take every value, about evenly.
+    #[test]
+    fn item_hash_is_independent_of_the_shard_residue() {
+        let in_shard_0: Vec<String> =
+            (0..100_000).map(|i| format!("k{i}")).filter(|k| shard_of(k, 16) == 0).collect();
+        assert!(in_shard_0.len() > 5_000, "shard 0 got {} keys", in_shard_0.len());
+        let mean = in_shard_0.len() / 128;
+        for (bits, shift) in [("low", 0), ("top", 57)] {
+            let mut seen = [0usize; 128];
+            for key in &in_shard_0 {
+                seen[(item_hash(key) >> shift) as usize % 128] += 1;
+            }
+            let (min, max) = (seen.iter().min().unwrap(), seen.iter().max().unwrap());
+            assert!(
+                *min > mean / 3 && *max < mean * 3,
+                "{bits} 7 bits: {min}..{max} around {mean}"
+            );
+        }
+    }
+
+    #[test]
+    fn item_hash_tells_padding_and_length_apart() {
+        let keys = ["", "a", "a\0", "a\0\0", "aaaaaaaa", "aaaaaaaa\0", "aaaaaaaaa", "\0aaaaaaaa"];
+        let hashes: BTreeSet<u64> = keys.iter().map(|k| item_hash(k)).collect();
+        assert_eq!(hashes.len(), keys.len());
+    }
+
     #[test]
     fn victim_abort_unblocks_the_other() {
         let mut lm = LockManager::new();
@@ -665,6 +801,52 @@ mod tests {
         assert!(lm.holds(TxnId(1), "X", LockMode::Shared));
         assert!(!lm.holds(TxnId(1), "X", LockMode::Exclusive));
         assert!(!lm.holds(TxnId(2), "X", LockMode::Shared));
+    }
+}
+
+#[cfg(test)]
+mod item_map_properties {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Keys a hasher could trip over: empty, NUL and multi-byte
+    /// characters, a shared `item000123`-style prefix, a shared 1 KiB
+    /// prefix.
+    fn key_strategy() -> impl Strategy<Value = String> {
+        let tail =
+            prop::collection::vec(prop_oneof![Just('a'), Just('\0'), Just('é'), Just('🔑')], 0..10);
+        (tail, 0u8..3, 0u32..4).prop_map(|(tail, prefix, n)| {
+            let tail: String = tail.into_iter().collect();
+            match prefix {
+                0 => tail,
+                1 => format!("item{n:06}{tail}"),
+                _ => format!("{}{tail}", "p".repeat(1024)),
+            }
+        })
+    }
+
+    proptest! {
+        /// Whatever the keys, the hashed index stores what a B-tree
+        /// stores and finds a `String` key by its `&str`.
+        #[test]
+        fn adversarial_keys_read_back_exactly(
+            keys in prop::collection::vec(key_strategy(), 1..48),
+        ) {
+            let mut map: ItemMap<usize> = ItemMap::default();
+            let mut model = BTreeMap::new();
+            for (i, key) in keys.iter().enumerate() {
+                prop_assert_eq!(map.insert(key.clone(), i), model.insert(key.clone(), i));
+            }
+            prop_assert_eq!(map.len(), model.len());
+            for (key, value) in &model {
+                prop_assert_eq!(map.get(key.as_str()), Some(value));
+            }
+            prop_assert_eq!(map.get("never stored"), None);
+            for key in &keys {
+                prop_assert_eq!(map.remove(key.as_str()), model.remove(key.as_str()));
+            }
+            prop_assert!(map.is_empty());
+        }
     }
 }
 

@@ -2,8 +2,9 @@
 //! counterparts of the thesis' SP6–SP10 sub-properties, checked on
 //! randomized workloads and crash points.
 
-use mcv::txn::{History, LockManager, LockMode, LogRecord, OpKind, SiteDb, TxnId, Wal};
+use mcv::txn::{History, LockManager, LockMode, LockTable, LogRecord, OpKind, SiteDb, TxnId, Wal};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A randomly generated operation.
 #[derive(Debug, Clone)]
@@ -162,10 +163,17 @@ proptest! {
 
     /// SP7/SP8: the lock manager never grants incompatible locks,
     /// whatever the request sequence, and keeps no entry for an item
-    /// nobody holds or awaits.
+    /// nobody holds or awaits. The table is hashed, yet nothing it
+    /// returns shows it: a release reports its items ascending and
+    /// grants in (item ascending, queue order).
     #[test]
     fn lock_table_invariants(ops in ops_strategy(40)) {
         let mut lm = LockManager::new();
+        // The same requests, driven into a bare table as the engine's
+        // shards drive it, for what `release_all` itself returns.
+        let mut table = LockTable::default();
+        // Who waits for each item, in arrival order.
+        let mut queues: BTreeMap<String, Vec<TxnId>> = BTreeMap::new();
         let mut finished = std::collections::BTreeSet::new();
         let txns = || (1u64..5).map(TxnId);
         for op in &ops {
@@ -175,15 +183,45 @@ proptest! {
             }
             let item = format!("X{}", op.item);
             let mode = if op.write { LockMode::Exclusive } else { LockMode::Shared };
+            let _ = table.try_or_enqueue(txn, &item, mode);
+            let queue = queues.entry(item.clone()).or_default();
+            // A holder asking again is granted on the spot and keeps
+            // whatever stronger request it has queued.
+            let held_already = lm.holds(txn, &item, mode);
             match lm.acquire(txn, item.clone(), mode) {
                 Ok(mcv::txn::LockOutcome::WouldDeadlock { .. }) => {
-                    lm.release_all(txn);
+                    for queue in queues.values_mut() {
+                        queue.retain(|t| *t != txn);
+                    }
+                    let granted = lm.release_all(txn);
+                    prop_assert!(
+                        granted.windows(2).all(|w| w[0].1 <= w[1].1),
+                        "grants not ascending by item: {:?}", granted
+                    );
+                    for (item, queue) in &mut queues {
+                        let now: Vec<TxnId> =
+                            granted.iter().filter(|g| &g.1 == item).map(|g| g.0).collect();
+                        prop_assert!(
+                            queue.starts_with(&now),
+                            "{} granted to {:?}, queued {:?}", item, now, queue
+                        );
+                        queue.drain(..now.len());
+                    }
+                    let mut released = vec!["A".to_owned()];
+                    let contended = table.release_all(txn, Some(&mut released));
+                    prop_assert!(contended.windows(2).all(|w| w[0] < w[1]), "{:?}", contended);
+                    prop_assert!(released[1..].windows(2).all(|w| w[0] < w[1]), "{:?}", released);
+                    prop_assert_eq!(&released[0], "A", "release_all reordered the caller's list");
                     finished.insert(txn);
                 }
                 Ok(mcv::txn::LockOutcome::Queued) => {
                     prop_assert!(!lm.holds(txn, &item, mode), "{} queued for a lock it holds", txn);
+                    if !queue.contains(&txn) {
+                        queue.push(txn);
+                    }
                 }
-                Ok(_) => {}
+                Ok(_) if held_already => {}
+                Ok(_) => queue.retain(|t| *t != txn),
                 Err(_) => {}
             }
             // Invariant: write-locked => no readers.
