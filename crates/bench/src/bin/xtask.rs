@@ -12,7 +12,11 @@
 //! `--exclude` nobody balances with a `-p` silently un-wires a crate),
 //! or if a `CHANGES.md` entry tagged `[perf_opt]` has no row in
 //! EXPERIMENTS.md's "Performance trajectory" table (a claimed gain
-//! nobody can look up did not happen).
+//! nobody can look up did not happen), or if non-test code of
+//! `crates/dist` parks on a timer anywhere but in its wait primitive
+//! (`wait.rs`): a timed park overshoots by more than the hops the
+//! runtime times, and the floor that bought came back one call site at
+//! a time once already.
 //!
 //! `ci-report` turns the gate log the `./ci` script accumulates (one
 //! `<name> <pass|fail> <seconds>` line per gate) into a summary table
@@ -129,6 +133,48 @@ fn perf_prs_without_trajectory_row(changes: &str, experiments: &str) -> Vec<u32>
         .collect()
 }
 
+/// The 1-based lines of `source`'s non-test code (everything above its
+/// first `#[cfg(test)]`) that park on a timer: `thread::sleep`,
+/// `recv_timeout`, `wait_timeout`. Comment lines are skipped.
+fn timed_parks(source: &str) -> Vec<usize> {
+    source
+        .lines()
+        .take_while(|l| l.trim() != "#[cfg(test)]")
+        .enumerate()
+        .filter(|(_, l)| !l.trim_start().starts_with("//"))
+        .filter(|(_, l)| {
+            ["thread::sleep", "recv_timeout", "wait_timeout"].iter().any(|call| l.contains(call))
+        })
+        .map(|(i, _)| i + 1)
+        .collect()
+}
+
+/// `timed_parks` over every source file of `crates/dist` but the wait
+/// primitive's own, as `file:line` complaints.
+fn dist_timed_parks(root: &Path) -> Result<Vec<String>, String> {
+    let dir = root.join("crates/dist/src");
+    let entries =
+        std::fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    let mut found = Vec::new();
+    for entry in entries {
+        let path = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_owned();
+        if !name.ends_with(".rs") || name == "wait.rs" {
+            continue;
+        }
+        let source = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        found.extend(timed_parks(&source).into_iter().map(|line| {
+            format!(
+                "crates/dist/src/{name}:{line} parks on a timer; wait through \
+                 crates/dist/src/wait.rs instead"
+            )
+        }));
+    }
+    found.sort();
+    Ok(found)
+}
+
 fn docsync() -> ExitCode {
     let root = repo_root();
     let crates = match workspace_crates(&root) {
@@ -179,10 +225,17 @@ fn docsync() -> ExitCode {
             return ExitCode::from(2);
         }
     }
+    match dist_timed_parks(&root) {
+        Ok(found) => missing.extend(found),
+        Err(e) => {
+            eprintln!("docsync: {e}");
+            return ExitCode::from(2);
+        }
+    }
     if missing.is_empty() {
         println!(
             "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests; \
-             every [perf_opt] PR has its trajectory row",
+             every [perf_opt] PR has its trajectory row; mcv-dist parks on timers only in wait.rs",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -485,6 +538,27 @@ mod tests {
         assert!(perf_prs_without_trajectory_row(changes, &with_row).is_empty());
         // No table at all: every tagged PR is missing.
         assert_eq!(perf_prs_without_trajectory_row(changes, ""), vec![14, 16]);
+    }
+
+    #[test]
+    fn a_timed_park_outside_test_code_is_named() {
+        let source = "\
+            use std::sync::mpsc::RecvTimeoutError;\n\
+            // std::thread::sleep(d) in a comment parks nothing\n\
+            fn run() {\n\
+            \x20   match rx.recv_timeout(wait) {}\n\
+            \x20   std::thread::sleep(Duration::from_millis(1));\n\
+            \x20   let (g, _) = cv.wait_timeout(g, d).unwrap();\n\
+            \x20   let m = rx.recv();\n\
+            }\n\
+            #[cfg(test)]\n\
+            mod tests {\n\
+            \x20   fn t() { std::thread::sleep(d); }\n\
+            }\n";
+        assert_eq!(timed_parks(source), vec![4, 5, 6]);
+        assert!(timed_parks("fn run() { wait::sleep_until(deadline); rx.recv(); }\n").is_empty());
+        // The lint's own subject is clean at head.
+        assert_eq!(dist_timed_parks(&repo_root()), Ok(Vec::new()));
     }
 
     #[test]

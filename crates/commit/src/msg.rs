@@ -170,6 +170,30 @@ impl Msg {
             | Msg::DecisionResp { txn, .. } => *txn,
         }
     }
+
+    /// The variant's name — the message label recorded in causal
+    /// traces, equal to `mcv_trace::label_of` of the `Debug` rendering
+    /// without formatting the payload.
+    pub fn label(&self) -> &'static str {
+        match self {
+            Msg::StartWork { .. } => "StartWork",
+            Msg::WorkDone { .. } => "WorkDone",
+            Msg::VoteReq { .. } => "VoteReq",
+            Msg::VoteYes { .. } => "VoteYes",
+            Msg::VoteNo { .. } => "VoteNo",
+            Msg::Prepare { .. } => "Prepare",
+            Msg::PrepareAck { .. } => "PrepareAck",
+            Msg::Commit { .. } => "Commit",
+            Msg::Abort { .. } => "Abort",
+            Msg::Election { .. } => "Election",
+            Msg::ElectionAck { .. } => "ElectionAck",
+            Msg::Coordinator { .. } => "Coordinator",
+            Msg::StateReq { .. } => "StateReq",
+            Msg::StateResp { .. } => "StateResp",
+            Msg::DecisionReq { .. } => "DecisionReq",
+            Msg::DecisionResp { .. } => "DecisionResp",
+        }
+    }
 }
 
 /// Which commit protocol a site runs.
@@ -228,6 +252,35 @@ mod tests {
     fn txn_extraction() {
         let m = Msg::Commit { txn: TxnId(9) };
         assert_eq!(m.txn(), TxnId(9));
+    }
+
+    #[test]
+    fn label_is_the_debug_rendering_up_to_the_payload() {
+        let txn = TxnId(9);
+        let one_of_each = [
+            Msg::StartWork { txn, writes: vec![("x".to_owned(), 1)] },
+            Msg::WorkDone { txn, ok: true },
+            Msg::VoteReq { txn },
+            Msg::VoteYes { txn },
+            Msg::VoteNo { txn },
+            Msg::Prepare { txn },
+            Msg::PrepareAck { txn },
+            Msg::Commit { txn },
+            Msg::Abort { txn },
+            Msg::Election { txn, candidate: ProcId(1) },
+            Msg::ElectionAck { txn },
+            Msg::Coordinator { txn, elected: ProcId(1) },
+            Msg::StateReq { txn },
+            Msg::StateResp { txn, state: LocalState::Wait },
+            Msg::DecisionReq { txn },
+            Msg::DecisionResp { txn, commit: true },
+        ];
+        let mut labels = std::collections::BTreeSet::new();
+        for m in &one_of_each {
+            assert_eq!(m.label(), mcv_trace::label_of(&format!("{m:?}")));
+            labels.insert(m.label());
+        }
+        assert_eq!(labels.len(), 16, "the sixteen variants, each walked once");
     }
 
     #[test]

@@ -105,6 +105,38 @@ impl PartitionWindow {
     }
 }
 
+/// Plain counts of what the network did, kept by the thread that owns
+/// the fabric and handed back when it is joined: `mcv_obs` collectors
+/// are thread-local, so only the caller of `run_pipeline` can emit them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct NetTally {
+    /// Messages handed to the fabric.
+    pub sent: u64,
+    /// Lost to a partition or drop window.
+    pub dropped: u64,
+    /// Sent twice by a duplication window.
+    pub duplicated: u64,
+    /// Rode a link's open batch instead of paying their own hop.
+    pub batched: u64,
+    /// Dispatch rounds of the network thread that had something due.
+    pub dispatches: u64,
+    /// Over those rounds, dispatch instant minus the head's due
+    /// instant, summed, in microseconds.
+    pub late_us: u64,
+}
+
+impl NetTally {
+    /// Adds the counts to the calling thread's `mcv_obs` collector.
+    pub fn emit(&self) {
+        mcv_obs::counter("dist.net.sent", self.sent);
+        mcv_obs::counter("dist.net.dropped", self.dropped);
+        mcv_obs::counter("dist.net.duplicated", self.duplicated);
+        mcv_obs::counter("dist.net.batched", self.batched);
+        mcv_obs::counter("dist.net.dispatches", self.dispatches);
+        mcv_obs::counter("dist.net.late_us", self.late_us);
+    }
+}
+
 /// The shared fault/delay/batching policy engine (see module docs).
 pub(crate) struct Fabric {
     tick_us: u64,
@@ -126,6 +158,7 @@ pub(crate) struct Fabric {
     /// Each delivery records its measured flight time as an anonymous
     /// `transport_rtt` sample.
     prof: Option<mcv_prof::Profiler>,
+    pub tally: NetTally,
 }
 
 impl Fabric {
@@ -155,6 +188,7 @@ impl Fabric {
             partitions: Vec::new(),
             rec,
             prof,
+            tally: NetTally::default(),
         };
         let us = |ticks: u64| ticks.saturating_mul(tick_us);
         for ev in &schedule.events {
@@ -233,18 +267,18 @@ impl Fabric {
         cause: Option<Cause>,
     ) {
         let tick = now_us / self.tick_us.max(1);
-        mcv_obs::counter("dist.net.sent", 1);
+        self.tally.sent += 1;
         let lost = self.partitions.iter().any(|p| p.blocks(now_us, from, to))
             || self.drops.iter().any(|w| w.matches(now_us, from, to));
         if lost {
-            mcv_obs::counter("dist.net.dropped", 1);
+            self.tally.dropped += 1;
             if let Some(rec) = &self.rec {
                 rec.record(from, tick, cause, mcv_trace::EventKind::Drop { from, to, label });
             }
             return;
         }
         let copies = if self.dups.iter().any(|w| w.matches(now_us, from, to)) {
-            mcv_obs::counter("dist.net.duplicated", 1);
+            self.tally.duplicated += 1;
             2
         } else {
             1
@@ -277,7 +311,7 @@ impl Fabric {
                 // hop delay, so joiners land with it at near-zero
                 // marginal flight — the group-commit dwell window
                 // lifted up to the transport.
-                mcv_obs::counter("dist.net.batched", 1);
+                self.tally.batched += 1;
                 let h = self.link_head[&(from, to)];
                 self.fifo_last.insert((from, to), h);
                 h

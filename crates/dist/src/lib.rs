@@ -55,6 +55,7 @@ mod runtime;
 mod shrink;
 mod store;
 mod transport;
+mod wait;
 
 pub use artifact::DistArtifact;
 pub use campaign::{DistCampaign, DistViolation};

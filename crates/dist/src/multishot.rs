@@ -25,7 +25,7 @@
 //!   decided everywhere, plus a quiet tail); only a run with faults
 //!   scheduled also waits out their horizon.
 
-use crate::node::{run_node, NodeSeat};
+use crate::node::{run_node, NodeSeat, NodeTally};
 use crate::runtime::{fault_horizon, DistConfig, DistStats, Ledger};
 use crate::store::{CoordStore, EngineStore};
 use crate::transport::{NodeEvent, TransportConfig, Wiring};
@@ -70,6 +70,13 @@ impl Default for PipelineConfig {
         }
     }
 }
+
+/// The run has settled once no note has landed for this long with
+/// every plan streamed and every up participant decided.
+const QUIET_TAIL_US: u64 = 4_000;
+/// A run that has been that quiet for this long with plans still held
+/// back by the in-flight window is blocked: give up.
+const JAMMED_GIVE_UP_US: u64 = 250_000;
 
 /// One entry of the coordinator's commit log: the `index`-th decision
 /// node 0 reached, at ledger tick `tick`.
@@ -211,79 +218,85 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     }
     let node_txs = &wiring.node_txs;
 
-    // Submission pump + stop monitor. Success needs every plan
+    // Submission pump + stop monitor, event-driven: the loop runs once
+    // per ledger change it acts on (a transaction's first decision, a
+    // decision that settles the run, a node going down or up) and once
+    // per instant at which the clock alone changes its verdict (the
+    // next due arrival, the end of the quiet tail, the deadline), and
+    // parks on the ledger in between. Success needs every plan
     // streamed, every up participant decided, and a short quiet tail
-    // (no new notes) so in-flight messages that would pull a late node
-    // into the protocol get to land first. Fault-free runs owe no
-    // horizon wait — quiescence alone ends them; faulted runs still
-    // wait out the schedule so late fault windows get their chance to
-    // bite. The first pass pumps before any sleep, so the plans the
-    // window admits start at tick 0 — the instant a campaign's
-    // tick-timed fault schedule is laid out against.
+    // (no note for `QUIET_TAIL_US`) so in-flight messages that would
+    // pull a late node into the protocol get to land first. Fault-free
+    // runs owe no horizon wait — quiescence alone ends them; faulted
+    // runs still wait out the schedule so late fault windows get their
+    // chance to bite. The first pass pumps before any wait, so the
+    // plans the window admits start at tick 0 — the instant a
+    // campaign's tick-timed fault schedule is laid out against.
     let plans = d.plans();
     let txns = d.global_txns();
+    let tick_us = d.tick_us.max(1);
     let fault_free = d.schedule.events.is_empty() && d.crash_at.is_none();
     let horizon = if fault_free { 0 } else { d.horizon.max(fault_horizon(&d.schedule)) };
-    let deadline = Duration::from_millis(d.deadline_ms);
+    // The first instant whose tick lies past the horizon.
+    let past_horizon_us = horizon.saturating_add(1).saturating_mul(tick_us);
+    let deadline_us = d.deadline_ms.saturating_mul(1_000);
     let mut submitted = 0usize;
+    let mut last_submit_us = 0u64;
     let mut timed_out = false;
-    let mut quiet = 0u32;
-    let mut last_notes = usize::MAX;
+    let mut pulse = ledger.pulse();
     let settle_ms = loop {
-        let elapsed = start.elapsed();
-        let now_us = elapsed.as_micros() as u64;
+        let now_us = start.elapsed().as_micros() as u64;
         // Pump: respect the in-flight window and the arrival schedule.
-        let mut awaiting_arrival = false;
-        while submitted < plans.len() {
-            if submitted.saturating_sub(ledger.decided_txn_count()) >= max_inflight {
-                break;
-            }
-            if let Some(at) = cfg.arrival_us.as_ref().and_then(|a| a.get(submitted)) {
-                if now_us < *at {
-                    awaiting_arrival = true;
+        let mut next_arrival_us = None;
+        while submitted < plans.len() && submitted.saturating_sub(pulse.decided_txns) < max_inflight
+        {
+            if let Some(&at) = cfg.arrival_us.as_ref().and_then(|a| a.get(submitted)) {
+                if now_us < at {
+                    next_arrival_us = Some(at);
                     break;
                 }
             }
             let _ = node_txs[0].send(NodeEvent::Submit(plans[submitted].clone()));
             submitted += 1;
+            last_submit_us = now_us;
         }
-        let ticks = now_us / d.tick_us.max(1);
-        let notes = ledger.notes_len();
         let all_out = submitted == plans.len();
-        if !awaiting_arrival
-            && ticks > horizon
-            && notes == last_notes
-            && ledger.settled(&txns[..submitted])
-        {
-            quiet += 1;
-        } else {
-            quiet = 0;
-        }
-        last_notes = notes;
+        // Quiet since the latest of: the last note, the last plan
+        // handed over (its first note is still to come), the horizon.
+        let idle = next_arrival_us.is_none() && pulse.settled;
+        let quiet_from_us =
+            pulse.last_note_tick.saturating_mul(tick_us).max(last_submit_us).max(past_horizon_us);
+        let quiet_us = if idle { now_us.saturating_sub(quiet_from_us) } else { 0 };
         // Success: everything streamed and the system went quiet. A
         // long quiet spell with plans still jammed behind the window
         // means the protocol blocked — stop early, the deadline is
         // only the failsafe against live churn.
-        if quiet >= 4 && all_out {
-            break elapsed.as_millis() as u64;
+        if all_out && quiet_us >= QUIET_TAIL_US {
+            break now_us / 1_000;
         }
-        if quiet >= 250 {
+        if quiet_us >= JAMMED_GIVE_UP_US {
             timed_out = true;
-            break elapsed.as_millis() as u64;
+            break now_us / 1_000;
         }
-        if elapsed >= deadline {
-            timed_out = !all_out || !ledger.settled(&txns[..submitted]);
-            break elapsed.as_millis() as u64;
+        if now_us >= deadline_us {
+            timed_out = !all_out || !pulse.settled;
+            break now_us / 1_000;
         }
-        std::thread::sleep(Duration::from_millis(1));
+        let mut wake_us = deadline_us.min(next_arrival_us.unwrap_or(u64::MAX));
+        if idle {
+            let tail = if all_out { QUIET_TAIL_US } else { JAMMED_GIVE_UP_US };
+            wake_us = wake_us.min(quiet_from_us.saturating_add(tail));
+        }
+        pulse = ledger.wait_change(pulse.epoch, start + Duration::from_micros(wake_us));
     };
     for tx in node_txs {
         let _ = tx.send(NodeEvent::Shutdown);
     }
-    for h in handles {
-        let _ = h.join();
-    }
-    drop(wiring);
+    let node_tallies: Vec<NodeTally> = handles
+        .into_iter()
+        .map(|h| h.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic)))
+        .collect();
+    let net_tally = wiring.shutdown().expect("network thread panicked");
 
     let led = ledger.snapshot();
     let trace = rec.snapshot();
@@ -313,6 +326,8 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     };
     mcv_obs::counter("dist.txn.committed", committed);
     mcv_obs::counter("dist.txn.aborted", aborted);
+    node_tallies.iter().for_each(NodeTally::emit);
+    net_tally.emit();
     let (wal_commits, wal_forces) = engines
         .iter()
         .map(|e| {
@@ -401,6 +416,71 @@ mod tests {
         assert_eq!(out.submitted, 3);
         assert_eq!(out.stats.committed, 3);
         assert_eq!(out.wal_forces, out.wal_commits, "unbatched: one force per commit");
+    }
+
+    #[test]
+    fn a_paced_run_never_decides_a_transaction_before_it_is_due() {
+        // Tick-aligned arrivals, so a decision tick converts back to
+        // microseconds without rounding below the arrival.
+        let dist = DistConfig { tick_us: 10, delay_ticks: 1, ..patient(60, 9) };
+        let arrivals: Vec<u64> = (0..60).map(|i| i * 300).collect();
+        let cfg = PipelineConfig {
+            dist,
+            max_inflight: 32,
+            batch_window_us: 200,
+            arrival_us: Some(arrivals.clone()),
+        };
+        let out = run_pipeline(&cfg);
+        assert!(out.violated().is_none(), "{:?}", out.violated());
+        assert_eq!(out.stats.committed, 60);
+        assert_eq!(out.commit_log.len(), 60);
+        assert!(out.commit_log.iter().enumerate().all(|(i, e)| e.index == i), "dense log");
+        for e in &out.commit_log {
+            let due = arrivals[(e.txn - crate::GLOBAL_TXN_BASE) as usize];
+            assert!(
+                e.tick * cfg.dist.tick_us >= due,
+                "T{} decided at {} us, due at {due} us",
+                e.txn,
+                e.tick * cfg.dist.tick_us
+            );
+        }
+    }
+
+    #[test]
+    fn the_trace_shows_the_window_never_overfilled() {
+        for max_inflight in [1usize, 4, 32] {
+            let cfg = PipelineConfig {
+                dist: patient(24, 13),
+                max_inflight,
+                batch_window_us: 600,
+                arrival_us: None,
+            };
+            let out = run_pipeline(&cfg);
+            assert!(out.violated().is_none(), "{:?}", out.violated());
+            assert_eq!(out.stats.committed, 24);
+            // The coordinator's own notes, in recording order: a plan it
+            // starts enters `q`, a decision closes it.
+            let (mut open, mut peak, mut started) = (0usize, 0usize, 0usize);
+            for e in out.trace.events.iter().filter(|e| e.site == 0) {
+                let mcv_trace::EventKind::Note { text } = &e.kind else { continue };
+                let mut words = text.split_whitespace();
+                match (words.next(), words.next(), words.next()) {
+                    (Some("state"), Some(_), Some("q")) => {
+                        open += 1;
+                        started += 1;
+                    }
+                    (Some("decide"), ..) => open -= 1,
+                    _ => {}
+                }
+                peak = peak.max(open);
+            }
+            assert_eq!(started, 24, "every plan reached the coordinator");
+            assert_eq!(open, 0, "every started plan was decided");
+            assert!(peak <= max_inflight, "window {max_inflight} held {peak} undecided plans");
+            if max_inflight < 24 {
+                assert_eq!(peak, max_inflight, "an eager pump fills its window");
+            }
+        }
     }
 
     #[test]

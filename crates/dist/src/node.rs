@@ -13,12 +13,13 @@
 
 use crate::runtime::Ledger;
 use crate::transport::{NetMsg, NodeEvent};
+use crate::wait::{recv_until, Received};
 use mcv_commit::{LocalStore, Msg, Site, TxnPlan};
 use mcv_sim::{ProcId, Process, SimTime, TimerToken};
 use mcv_trace::Cause;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,9 +44,37 @@ pub(crate) struct NodeSeat {
     pub ledger: Arc<Ledger>,
 }
 
+/// Plain counts of what one node did, returned when its thread is
+/// joined: `mcv_obs` collectors are thread-local, so only the caller of
+/// `run_pipeline` can emit them.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct NodeTally {
+    pub sent: u64,
+    pub delivered: u64,
+    pub dropped: u64,
+    pub timer_fires: u64,
+    pub submitted: u64,
+    pub crashes: u64,
+    pub recoveries: u64,
+}
+
+impl NodeTally {
+    /// Adds the counts to the calling thread's `mcv_obs` collector.
+    pub fn emit(&self) {
+        mcv_obs::counter("dist.sent", self.sent);
+        mcv_obs::counter("dist.delivered", self.delivered);
+        mcv_obs::counter("dist.dropped", self.dropped);
+        mcv_obs::counter("dist.timer_fires", self.timer_fires);
+        mcv_obs::counter("dist.submitted", self.submitted);
+        mcv_obs::counter("dist.crashes", self.crashes);
+        mcv_obs::counter("dist.recoveries", self.recoveries);
+    }
+}
+
 struct NodeLoop<S: LocalStore> {
     seat: NodeSeat,
     site: Site<S>,
+    tally: NodeTally,
     up: bool,
     deliver_seq: u64,
     next_tid: u64,
@@ -61,10 +90,11 @@ struct NodeLoop<S: LocalStore> {
 }
 
 /// Runs one node to completion (shutdown or transport hang-up).
-pub(crate) fn run_node<S: LocalStore>(seat: NodeSeat, site: Site<S>) {
+pub(crate) fn run_node<S: LocalStore>(seat: NodeSeat, site: Site<S>) -> NodeTally {
     let mut n = NodeLoop {
         seat,
         site,
+        tally: NodeTally::default(),
         up: true,
         deliver_seq: 0,
         next_tid: 0,
@@ -73,6 +103,7 @@ pub(crate) fn run_node<S: LocalStore>(seat: NodeSeat, site: Site<S>) {
         queued_submits: Vec::new(),
     };
     n.run();
+    n.tally
 }
 
 impl<S: LocalStore> NodeLoop<S> {
@@ -98,9 +129,8 @@ impl<S: LocalStore> NodeLoop<S> {
         let tracing = mcv_trace::active();
         let mut pending = Vec::with_capacity(fx.sends.len());
         for (to, msg) in fx.sends {
-            mcv_obs::counter("dist.sent", 1);
-            let label =
-                if tracing { mcv_trace::label_of(&format!("{msg:?}")) } else { String::new() };
+            self.tally.sent += 1;
+            let label = if tracing { msg.label().to_owned() } else { String::new() };
             pending.push(PendingSend { to: to.0, msg, label, cause: mcv_trace::context() });
         }
         // Cancels first: they target timers that existed before this
@@ -143,7 +173,7 @@ impl<S: LocalStore> NodeLoop<S> {
     fn crash(&mut self, t: u64) {
         self.up = false;
         self.seat.ledger.set_up(self.seat.id, false);
-        mcv_obs::counter("dist.crashes", 1);
+        self.tally.crashes += 1;
         mcv_trace::emit(self.seat.id, t, mcv_trace::EventKind::Crash);
         self.site.on_crash();
         // Pending timers of a crashed node die with it.
@@ -164,7 +194,7 @@ impl<S: LocalStore> NodeLoop<S> {
             if !self.up {
                 continue;
             }
-            mcv_obs::counter("dist.timer_fires", 1);
+            self.tally.timer_fires += 1;
             let fired = mcv_trace::emit_caused(
                 self.seat.id,
                 t,
@@ -199,21 +229,22 @@ impl<S: LocalStore> NodeLoop<S> {
         self.finish(pending);
         loop {
             self.fire_due();
-            let now_us = self.seat.start.elapsed().as_micros() as u64;
-            let wait = self
-                .next_deadline()
-                .map(|due| {
-                    Duration::from_micros((due * self.seat.tick_us.max(1)).saturating_sub(now_us))
-                })
-                .unwrap_or(Duration::from_millis(5))
-                .min(Duration::from_millis(5))
-                .max(Duration::from_micros(50));
-            match self.seat.rx.recv_timeout(wait) {
-                Ok(NodeEvent::Deliver { from, msg, sent }) => {
+            // Park until the next message or the nearest timer's tick.
+            let deadline = self.next_deadline().and_then(|due| {
+                let due_us = due.saturating_mul(self.seat.tick_us.max(1));
+                self.seat.start.checked_add(Duration::from_micros(due_us))
+            });
+            let event = match recv_until(&self.seat.rx, deadline) {
+                Received::Msg(event) => event,
+                Received::Deadline => continue,
+                Received::Disconnected => NodeEvent::Shutdown,
+            };
+            match event {
+                NodeEvent::Deliver { from, msg, sent } => {
                     let pending = self.deliver(from, msg, sent);
                     self.finish(pending);
                 }
-                Ok(NodeEvent::DeliverBatch(items)) => {
+                NodeEvent::DeliverBatch(items) => {
                     // Process every message of the batch, then flush
                     // once: all commits staged by the batch share one
                     // force wave before any acknowledgement leaves.
@@ -223,21 +254,20 @@ impl<S: LocalStore> NodeLoop<S> {
                     }
                     self.finish(pending);
                 }
-                Ok(NodeEvent::Submit(plan)) => self.submit(plan),
-                Ok(NodeEvent::Crash) => {
+                NodeEvent::Submit(plan) => self.submit(plan),
+                NodeEvent::Crash => {
                     let t = self.now_tick();
                     if self.up {
                         self.crash(t);
                     }
                 }
-                Ok(NodeEvent::Recover) => self.recover(),
-                Ok(NodeEvent::Shutdown) | Err(RecvTimeoutError::Disconnected) => {
+                NodeEvent::Recover => self.recover(),
+                NodeEvent::Shutdown => {
                     // Staged-but-unforced commits must reach the device
                     // before the run snapshots durable state.
                     self.site.db.flush();
                     return;
                 }
-                Err(RecvTimeoutError::Timeout) => {}
             }
         }
     }
@@ -253,7 +283,7 @@ impl<S: LocalStore> NodeLoop<S> {
         if !self.up {
             // A dead receiver loses the message, receiver-sited like
             // the simulator's drop-at-delivery.
-            mcv_obs::counter("dist.dropped", 1);
+            self.tally.dropped += 1;
             mcv_trace::emit_caused(
                 self.seat.id,
                 t,
@@ -262,7 +292,7 @@ impl<S: LocalStore> NodeLoop<S> {
             );
             return Vec::new();
         }
-        mcv_obs::counter("dist.delivered", 1);
+        self.tally.delivered += 1;
         self.deliver_seq += 1;
         let delivered = mcv_trace::emit_caused(self.seat.id, t, cause, {
             mcv_trace::EventKind::Deliver { from, label, deliver_seq: self.deliver_seq }
@@ -283,7 +313,7 @@ impl<S: LocalStore> NodeLoop<S> {
             self.queued_submits.push(plan);
             return;
         }
-        mcv_obs::counter("dist.submitted", 1);
+        self.tally.submitted += 1;
         let t = self.now_tick();
         let mut ctx = self.ctx(t);
         self.site.submit_plan(&mut ctx, plan);
@@ -298,7 +328,7 @@ impl<S: LocalStore> NodeLoop<S> {
         let t = self.now_tick();
         self.up = true;
         self.seat.ledger.set_up(self.seat.id, true);
-        mcv_obs::counter("dist.recoveries", 1);
+        self.tally.recoveries += 1;
         let recovered = mcv_trace::emit(self.seat.id, t, mcv_trace::EventKind::Recover);
         let prev = mcv_trace::set_context(recovered);
         let mut ctx = self.ctx(t);

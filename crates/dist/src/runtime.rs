@@ -2,12 +2,14 @@
 //! configuration, the shared decision ledger and the run statistics.
 //! The assembly itself is [`run_pipeline`](crate::run_pipeline).
 
+use crate::wait::wait_until;
 use mcv_chaos::{FaultEvent, FaultSchedule};
 use mcv_commit::{CrashPoint, TxnPlan};
 use mcv_sim::ProcId;
 use mcv_txn::TxnId;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 
 /// Global (cross-shard) transaction ids start here. The per-shard
 /// engines' own allocators count up from 1, so the two id spaces never
@@ -123,10 +125,13 @@ impl DistConfig {
 }
 
 /// Shared run ledger: decisions, liveness, and raw notes — the input
-/// to the cross-node oracles.
+/// to the cross-node oracles, and the state the submission pump parks
+/// on.
 #[derive(Debug)]
 pub(crate) struct Ledger {
     inner: Mutex<LedgerInner>,
+    /// Signalled when `LedgerInner::epoch` moves.
+    changed: Condvar,
 }
 
 #[derive(Debug, Clone)]
@@ -145,6 +150,10 @@ pub(crate) struct LedgerInner {
     /// and owes no decision — the same exemption the simulator's
     /// termination oracle grants via `local_state(txn).is_none()`.
     pub participated: BTreeSet<(usize, u64)>,
+    /// Per node, the transactions it joined and has not decided yet:
+    /// `participated` minus `decided`, kept as a count so the pump's
+    /// settled check is one pass over the nodes.
+    pub owing: Vec<usize>,
     /// Evidence of a decision flipping after it was made (AC3).
     pub flips: Vec<String>,
     /// The coordinator's commit log: node 0's first decisions in
@@ -152,6 +161,43 @@ pub(crate) struct LedgerInner {
     /// the multi-shot protocol (many in-flight transactions, one
     /// totally-ordered decision sequence).
     pub decision_log: Vec<(u64, u64, bool)>,
+    /// Counts the changes the pump acts on: a transaction's first
+    /// decision anywhere (the window opens), a decision that settles
+    /// the run, a node going down or coming up.
+    pub epoch: u64,
+}
+
+impl LedgerInner {
+    /// Whether every currently-up node has decided every transaction
+    /// whose protocol it joined. Up nodes that never participated
+    /// (crashed or partitioned away before the vote request) owe no
+    /// decision.
+    pub fn settled(&self) -> bool {
+        self.up.iter().zip(&self.owing).all(|(up, owing)| !up || *owing == 0)
+    }
+
+    fn pulse(&self) -> Pulse {
+        Pulse {
+            epoch: self.epoch,
+            decided_txns: self.decided_txns.len(),
+            settled: self.settled(),
+            last_note_tick: self.notes.last().map_or(0, |(tick, ..)| *tick),
+        }
+    }
+}
+
+/// What the submission pump reads of the ledger, once per wake.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Pulse {
+    /// Pass back to [`Ledger::wait_change`] to park until it moves.
+    pub epoch: u64,
+    /// Distinct transactions with a decision anywhere — the window
+    /// accounting.
+    pub decided_txns: usize,
+    /// [`LedgerInner::settled`].
+    pub settled: bool,
+    /// Tick of the latest note — the quiescence probe.
+    pub last_note_tick: u64,
 }
 
 impl Ledger {
@@ -163,14 +209,18 @@ impl Ledger {
                 decided: BTreeMap::new(),
                 decided_txns: BTreeSet::new(),
                 participated: BTreeSet::new(),
+                owing: vec![0; n_nodes],
                 flips: Vec::new(),
                 decision_log: Vec::new(),
+                epoch: 0,
             }),
+            changed: Condvar::new(),
         })
     }
 
     pub fn note(&self, node: usize, tick: u64, text: &str) {
         let mut g = self.inner.lock().expect("ledger mutex");
+        let before = g.epoch;
         // The site note grammar: `decide T<n> commit|abort` drives the
         // monitors, `state T<n> <s>` marks protocol participation.
         let mut parts = text.split_whitespace();
@@ -178,13 +228,21 @@ impl Ledger {
         if head == Some("decide") {
             if let (Some(txn_text), Some(verdict)) = (parts.next(), parts.next()) {
                 if let Some(Ok(txn)) = txn_text.strip_prefix('T').map(str::parse::<u64>) {
-                    g.participated.insert((node, txn));
-                    g.decided_txns.insert(txn);
+                    let joined_before = !g.participated.insert((node, txn));
+                    if g.decided_txns.insert(txn) {
+                        g.epoch += 1;
+                    }
                     let commit = verdict == "commit";
                     match g.decided.insert((node, txn), commit) {
                         None => {
                             if node == 0 {
                                 g.decision_log.push((tick, txn, commit));
+                            }
+                            if joined_before {
+                                g.owing[node] -= 1;
+                                if g.owing[node] == 0 && g.settled() {
+                                    g.epoch += 1;
+                                }
                             }
                         }
                         Some(prev) => {
@@ -204,39 +262,39 @@ impl Ledger {
             if let Some(Ok(txn)) =
                 parts.next().and_then(|t| t.strip_prefix('T')).map(str::parse::<u64>)
             {
-                g.participated.insert((node, txn));
+                if g.participated.insert((node, txn)) {
+                    g.owing[node] += 1;
+                }
             }
         }
         g.notes.push((tick, node, text.to_owned()));
+        let moved = g.epoch != before;
+        // Signal with the mutex released, so the woken pump does not
+        // run straight into it.
+        drop(g);
+        if moved {
+            self.changed.notify_one();
+        }
     }
 
     pub fn set_up(&self, node: usize, up: bool) {
-        self.inner.lock().expect("ledger mutex").up[node] = up;
+        let mut g = self.inner.lock().expect("ledger mutex");
+        g.up[node] = up;
+        g.epoch += 1;
+        drop(g);
+        self.changed.notify_one();
     }
 
-    /// Whether every currently-up node that joined a transaction's
-    /// protocol has decided it. Up nodes that never participated
-    /// (crashed or partitioned away before the vote request) owe no
-    /// decision.
-    pub fn settled(&self, txns: &[TxnId]) -> bool {
-        let g = self.inner.lock().expect("ledger mutex");
-        g.up.iter().enumerate().filter(|(_, u)| **u).all(|(node, _)| {
-            txns.iter().all(|t| {
-                !g.participated.contains(&(node, t.0)) || g.decided.contains_key(&(node, t.0))
-            })
-        })
+    /// The pump's view of the ledger right now.
+    pub fn pulse(&self) -> Pulse {
+        self.inner.lock().expect("ledger mutex").pulse()
     }
 
-    /// Total notes recorded so far — the stop monitor's quiescence
-    /// probe.
-    pub fn notes_len(&self) -> usize {
-        self.inner.lock().expect("ledger mutex").notes.len()
-    }
-
-    /// Distinct transactions with a decision anywhere — the
-    /// submission pump's window accounting.
-    pub fn decided_txn_count(&self) -> usize {
-        self.inner.lock().expect("ledger mutex").decided_txns.len()
+    /// Parks the caller until the ledger's epoch differs from `seen` or
+    /// `deadline` passes, whichever is first, and returns the view at
+    /// that moment.
+    pub fn wait_change(&self, seen: u64, deadline: Instant) -> Pulse {
+        wait_until(&self.inner, &self.changed, deadline, |g| g.epoch != seen).pulse()
     }
 
     pub fn snapshot(&self) -> LedgerInner {
@@ -284,18 +342,94 @@ pub(crate) fn fault_horizon(schedule: &FaultSchedule) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::time::Duration;
 
     #[test]
     fn ledger_counts_each_decided_transaction_once() {
         let led = Ledger::new(3);
         led.note(1, 4, "state T1000000 w");
-        assert_eq!(led.decided_txn_count(), 0);
+        assert_eq!(led.pulse().decided_txns, 0);
         led.note(0, 5, "decide T1000000 commit");
         led.note(1, 6, "decide T1000000 commit");
         led.note(1, 7, "decide T1000000 commit");
-        assert_eq!(led.decided_txn_count(), 1);
+        assert_eq!(led.pulse().decided_txns, 1);
         led.note(2, 8, "decide T1000001 abort");
-        assert_eq!(led.decided_txn_count(), 2);
+        assert_eq!(led.pulse().decided_txns, 2);
+        assert_eq!(led.pulse().last_note_tick, 8);
         assert_eq!(led.snapshot().decision_log, vec![(5, 1_000_000, true)]);
+    }
+
+    #[test]
+    fn a_decide_note_wakes_a_thread_parked_on_the_ledger() {
+        let led = Ledger::new(2);
+        led.note(1, 1, "state T7 w");
+        let seen = led.pulse();
+        assert!(!seen.settled);
+        // The channel forces the order: the waiter has read its epoch
+        // before the note is written (whether it has parked yet or not,
+        // the epoch check under the mutex catches the change).
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let led = Arc::clone(&led);
+            std::thread::spawn(move || {
+                ready_tx.send(()).expect("main thread alive");
+                let t0 = Instant::now();
+                let pulse = led.wait_change(seen.epoch, t0 + Duration::from_secs(60));
+                (pulse, t0.elapsed())
+            })
+        };
+        ready_rx.recv().expect("waiter started");
+        led.note(1, 2, "decide T7 commit");
+        let (pulse, waited) = waiter.join().expect("waiter thread");
+        assert!(waited < Duration::from_secs(30), "woken by the note, not the timeout");
+        assert_ne!(pulse.epoch, seen.epoch);
+        assert_eq!(pulse.decided_txns, 1);
+        assert!(pulse.settled);
+        // Nothing further happens: the next wait runs to its deadline.
+        let t0 = Instant::now();
+        assert_eq!(led.wait_change(pulse.epoch, t0 + Duration::from_millis(2)), pulse);
+        assert!(t0.elapsed() >= Duration::from_millis(2));
+    }
+
+    /// The set-based definition `settled` had before the per-node
+    /// counts: every up node has decided every transaction it joined.
+    fn settled_by_sets(g: &LedgerInner) -> bool {
+        g.participated
+            .iter()
+            .all(|&(node, txn)| !g.up[node] || g.decided.contains_key(&(node, txn)))
+    }
+
+    proptest! {
+        /// Random note sequences — joins, decisions, duplicate and
+        /// flipped decisions, decisions by nodes that never joined,
+        /// crashes and recoveries — keep `owing` equal to the joined-
+        /// and-undecided sets they summarise.
+        #[test]
+        fn owing_counts_agree_with_the_set_definition(
+            steps in prop::collection::vec((0usize..3, 0u64..4, 0u8..5), 0..60),
+        ) {
+            let led = Ledger::new(3);
+            for (tick, (node, txn, what)) in steps.into_iter().enumerate() {
+                match what {
+                    0 => led.note(node, tick as u64, &format!("state T{txn} w")),
+                    1 => led.note(node, tick as u64, &format!("decide T{txn} commit")),
+                    2 => led.note(node, tick as u64, &format!("decide T{txn} abort")),
+                    3 => led.set_up(node, false),
+                    _ => led.set_up(node, true),
+                }
+                let g = led.snapshot();
+                for n in 0..3 {
+                    let owed = g
+                        .participated
+                        .iter()
+                        .filter(|&&(p, t)| p == n && !g.decided.contains_key(&(p, t)))
+                        .count();
+                    prop_assert_eq!(g.owing[n], owed);
+                }
+                prop_assert_eq!(g.settled(), settled_by_sets(&g));
+                prop_assert_eq!(led.pulse().settled, g.settled());
+            }
+        }
     }
 }

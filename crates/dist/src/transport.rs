@@ -18,11 +18,12 @@
 //! flight, and the `(cause, label)` pair riding in the envelope so the
 //! receiver's `Deliver` cites the send.
 
-use crate::fabric::Fabric;
+use crate::fabric::{Fabric, NetTally};
+use crate::wait::{recv_until, sleep_until, Received};
 use mcv_chaos::FaultSchedule;
 use mcv_commit::{Msg, TxnPlan};
 use mcv_trace::Cause;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -187,7 +188,7 @@ pub(crate) struct Wiring {
     /// Each node's inbox; the runtime moves these into its node
     /// threads, [`ThreadedTransport`] drains them in place.
     pub node_rxs: Vec<Receiver<NodeEvent>>,
-    handle: Option<std::thread::JoinHandle<()>>,
+    handle: Option<std::thread::JoinHandle<NetTally>>,
 }
 
 impl Wiring {
@@ -222,46 +223,51 @@ impl Wiring {
             .expect("spawn network thread");
         Wiring { net, node_txs, node_rxs, handle: Some(handle) }
     }
+
+    /// Stops the network thread and returns what it counted; `None` if
+    /// it was stopped before or panicked.
+    pub fn shutdown(&mut self) -> Option<NetTally> {
+        let handle = self.handle.take()?;
+        let _ = self.net.send(NetMsg::Shutdown);
+        handle.join().ok()
+    }
 }
 
 impl Drop for Wiring {
     fn drop(&mut self) {
-        let _ = self.net.send(NetMsg::Shutdown);
-        if let Some(h) = self.handle.take() {
-            let _ = h.join();
-        }
+        self.shutdown();
     }
 }
 
 /// The network thread: owns every link, drives the shared fabric with
 /// wall-clock time, and dispatches due events into per-node channels
-/// until shutdown or every sender hangs up.
+/// until shutdown or every sender hangs up. Between dispatches it waits
+/// for the next send or the head's due instant, whichever is first —
+/// how late a head then leaves is the `late_us` it reports.
 fn run_network(
     rx: &Receiver<NetMsg>,
     nodes: &[Sender<NodeEvent>],
     start: Instant,
     mut fabric: Fabric,
-) {
+) -> NetTally {
     loop {
         let now_us = start.elapsed().as_micros() as u64;
+        if let Some(due) = fabric.next_due().filter(|due| *due <= now_us) {
+            fabric.tally.dispatches += 1;
+            fabric.tally.late_us += now_us - due;
+        }
         for (to, ev) in fabric.pop_due(now_us) {
             // A hung-up node (already shut down) just loses traffic.
             let _ = nodes[to].send(ev);
         }
-        let wait = fabric
-            .next_due()
-            .map(|due| Duration::from_micros(due.saturating_sub(now_us)))
-            .unwrap_or(Duration::from_millis(5))
-            .min(Duration::from_millis(5))
-            .max(Duration::from_micros(50));
-        match rx.recv_timeout(wait) {
-            Ok(NetMsg::Send { from, to, msg, label, cause }) => {
+        let due = fabric.next_due().and_then(|due| start.checked_add(Duration::from_micros(due)));
+        match recv_until(rx, due) {
+            Received::Msg(NetMsg::Send { from, to, msg, label, cause }) => {
                 let now_us = start.elapsed().as_micros() as u64;
                 fabric.submit(now_us, from, to, msg, label, cause);
             }
-            Ok(NetMsg::Shutdown) => break,
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
+            Received::Deadline => {}
+            Received::Msg(NetMsg::Shutdown) | Received::Disconnected => return fabric.tally,
         }
     }
 }
@@ -297,17 +303,10 @@ impl Transport for ThreadedTransport {
     }
 
     fn advance(&mut self, until_us: u64) -> Vec<(usize, NodeEvent)> {
-        // Wall clock: sleep past the target instant, give the network
-        // thread a beat to dispatch, then drain the node channels.
-        let target = Duration::from_micros(until_us);
-        loop {
-            let e = self.start.elapsed();
-            if e >= target {
-                break;
-            }
-            std::thread::sleep((target - e).min(Duration::from_millis(5)));
-        }
-        std::thread::sleep(Duration::from_millis(5));
+        // Wall clock: wait past the target instant plus a beat for the
+        // network thread to dispatch, then drain the node channels.
+        let target = self.start + Duration::from_micros(until_us);
+        sleep_until(target.max(Instant::now()) + Duration::from_millis(5));
         let mut out = Vec::new();
         for (node, rx) in self.wiring.node_rxs.iter().enumerate() {
             while let Ok(ev) = rx.try_recv() {

@@ -204,9 +204,49 @@ fn pipeline_smoke(seed_base: u64) -> ExitCode {
         );
         return ExitCode::FAILURE;
     }
+    // Paced leg, printed and not gated: what one commit costs when it
+    // arrives on time, and how late the network thread dispatched a due
+    // head. A timer floor creeping back into the runtime's waits shows
+    // in both (10 us hops: six of them are the whole protocol cost).
+    let arrivals: Vec<u64> = (0..200).map(|i| i * 500).collect();
+    let paced = PipelineConfig {
+        dist: DistConfig {
+            n_shards: 2,
+            n_txns: arrivals.len(),
+            seed: seed_base,
+            tick_us: 10,
+            delay_ticks: 1,
+            timeout: 1_000_000,
+            force_latency_us: 0,
+            ..DistConfig::default()
+        },
+        max_inflight: 32,
+        batch_window_us: 200,
+        arrival_us: Some(arrivals.clone()),
+    };
+    let (out, seen) = mcv::obs::collect(|| run_pipeline(&paced));
+    if out.violated().is_some() || out.stats.committed != arrivals.len() as u64 {
+        println!("pipeline smoke: paced run failed: {:?}", out.violated());
+        return ExitCode::FAILURE;
+    }
+    let mut latency_us: Vec<u64> = out
+        .commit_log
+        .iter()
+        .map(|e| {
+            let at = arrivals[(e.txn - mcv::dist::GLOBAL_TXN_BASE) as usize];
+            (e.tick * paced.dist.tick_us).saturating_sub(at)
+        })
+        .collect();
+    latency_us.sort_unstable();
+    let late_us = seen.metrics.counter("dist.net.late_us") as f64
+        / seen.metrics.counter("dist.net.dispatches").max(1) as f64;
     println!(
-        "pipeline smoke OK: 12/12 green (base {seed_base}), tput {:.1}/ms vs serial {:.1}/ms",
-        pipe_tput, serial_tput
+        "pipeline smoke OK: 12/12 green (base {seed_base}), tput {:.1}/ms vs serial {:.1}/ms; \
+         paced p50 {} us, mean dispatch lateness {:.1} us",
+        pipe_tput,
+        serial_tput,
+        latency_us[latency_us.len() / 2],
+        late_us
     );
     ExitCode::SUCCESS
 }
