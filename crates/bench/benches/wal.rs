@@ -1,5 +1,6 @@
 //! The commit path's code cost with the modeled device at zero: the
-//! log codec, the log buffer, and one engine transaction end to end.
+//! log codec, the log buffer, one engine transaction end to end, and
+//! the deferred-acknowledgement commit.
 //!
 //! The vendored criterion times each call of the routine on its own,
 //! so every routine here is a batch of 1000 units (records, force
@@ -111,5 +112,43 @@ fn bench_engine_txn(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_codec, bench_append_force, bench_engine_txn);
+/// `BATCH` one-write transactions committed eight at a time through
+/// `commit_then`: eight staged commits, then one wait for the eighth
+/// acknowledgement (the log writer runs them in order). Group commit
+/// with the device at zero, so what is timed is the staging, the
+/// hand-over to the log writer and the acknowledgements it runs.
+fn bench_commit_then(c: &mut Criterion) {
+    let keys = keys(1_000);
+    let engine = Engine::new(EngineConfig {
+        shards: 16,
+        group_commit: true,
+        force_latency_us: 0,
+        group_window_us: 0,
+        sample_every: 0,
+        ..EngineConfig::default()
+    });
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut next = 0usize;
+    c.bench_function("engine/commit_then-8", |b| {
+        b.iter(|| {
+            for _ in 0..BATCH / 8 {
+                for staged in 0..8 {
+                    next = (next + 7919) % keys.len();
+                    let mut t = engine.begin();
+                    t.write(&keys[next], staged).expect("uncontended write");
+                    let tx = (staged == 7).then(|| tx.clone());
+                    t.commit_then(move |r| {
+                        r.expect("commit");
+                        if let Some(tx) = tx {
+                            tx.send(()).expect("bench is listening");
+                        }
+                    });
+                }
+                rx.recv().expect("eighth acknowledgement");
+            }
+        })
+    });
+}
+
+criterion_group!(benches, bench_codec, bench_append_force, bench_engine_txn, bench_commit_then);
 criterion_main!(benches);

@@ -183,7 +183,7 @@ pub(crate) fn evaluate(
     {
         let mut bad = Vec::new();
         for (i, e) in engines.iter().enumerate() {
-            let recovered = Wal::from_bytes_lossy(&e.durable_image()).recover();
+            let recovered = Wal::recover_bytes(&e.durable_image());
             let state = e.state();
             let diverged = recovered
                 .keys()

@@ -4,7 +4,7 @@
 //! serializability oracle.
 
 use crate::deadlock::WaitGraph;
-use crate::gcwal::GroupWal;
+use crate::gcwal::{Ack, GroupWal};
 use crate::shard::{Shard, ShardState};
 use mcv_mvcc::{IsolationLevel, MvccStore};
 use mcv_obs::{Histogram, MetricsSnapshot};
@@ -282,33 +282,43 @@ impl Engine {
     /// from MVCC fallbacks (lsn 0) are already durable and only tally.
     pub fn finish_commits(&self, batch: Vec<StagedCommit>) {
         let Some(max_lsn) = batch.iter().map(|s| s.lsn).max() else { return };
-        let wait0 = Instant::now();
-        if max_lsn > 0 {
-            self.inner.wal.wait_durable(max_lsn);
+        if max_lsn == 0 {
+            return; // MVCC fallbacks only: committed in full already.
         }
-        let wait_ns = wait0.elapsed().as_nanos() as u64;
-        for mut s in batch {
-            if s.lsn == 0 {
-                continue; // MVCC fallback: committed in full already.
-            }
-            if let Some(t) = &self.inner.trace {
-                // The ack was enabled by the device force covering our
-                // commit record; the `wal.force` mark is published
-                // before the durable cursor advances, so it is in place
-                // by the time the wait above returns.
-                let cause = t.mark(self.inner.wal.force_mark());
-                t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: s.id.0 });
-            }
-            self.release_locks(s.id, &s.held);
-            self.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
-            if let Some(state) = s.prof.take() {
-                if let Some(profiler) = &self.inner.prof {
-                    let mut tl = state.timeline;
-                    tl.add(Phase::WalForce, wait_ns);
-                    tl.total_ns = state.begin.elapsed().as_nanos() as u64;
-                    profiler.record(&tl);
-                }
-            }
+        let wal = &self.inner.wal;
+        let t0 = wal.now_ns();
+        wal.wait_durable(max_lsn);
+        let wait = wal.split_wait(t0, wal.now_ns());
+        for s in batch.into_iter().filter(|s| s.lsn > 0) {
+            self.ack(s, wait);
+        }
+    }
+
+    /// The acknowledgement of a 2PL commit whose record is durable,
+    /// on whichever thread learned that — the committer after its wait
+    /// ([`Txn::commit`], [`Engine::finish_commits`]) or the log writer
+    /// ([`Txn::commit_then`]): the `Commit` event, lock release, the
+    /// counter and the profile timeline, whose durability wait
+    /// `(dwell_ns, force_ns)` the caller measured.
+    fn ack(&self, s: StagedCommit, (dwell_ns, force_ns): (u64, u64)) {
+        let ack0 = s.prof.as_ref().map(|_| Instant::now());
+        if let Some(t) = &self.inner.trace {
+            // The ack was enabled by the device force covering our
+            // commit record; the `wal.force` mark is published before
+            // the durable cursor advances, so it is in place by the
+            // time anyone learns the record is durable.
+            let cause = t.mark(self.inner.wal.force_mark());
+            t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: s.id.0 });
+        }
+        self.release_locks(s.id, &s.held);
+        self.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
+        if let (Some(state), Some(ack0), Some(profiler)) = (s.prof, ack0, &self.inner.prof) {
+            let mut tl = state.timeline;
+            tl.add(Phase::WalDwell, dwell_ns);
+            tl.add(Phase::WalForce, force_ns);
+            tl.add(Phase::CommitAck, ack0.elapsed().as_nanos() as u64);
+            tl.total_ns = state.begin.elapsed().as_nanos() as u64;
+            profiler.record(&tl);
         }
     }
 
@@ -330,8 +340,8 @@ impl Engine {
     }
 
     /// The bytes a crash at this instant would leave on the log
-    /// device. Feed to [`mcv_txn::Wal::from_bytes_lossy`] +
-    /// [`mcv_txn::Wal::recover`] to rebuild the committed-prefix state.
+    /// device. Feed to [`mcv_txn::Wal::recover_bytes`] to rebuild the
+    /// committed-prefix state.
     pub fn durable_image(&self) -> Vec<u8> {
         self.inner.wal.durable_image()
     }
@@ -370,7 +380,7 @@ impl Engine {
     /// scheduling-dependent (thread interleavings vary), so benches
     /// report them as facts, not as determinism-checked metrics.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let (commits, forces, records) = self.inner.wal.stats();
+        let (commits, forces, records, deferred_acks) = self.inner.wal.stats();
         let deadlocks = {
             let g = self.inner.graph.m.lock().expect("graph mutex");
             g.deadlocks
@@ -415,6 +425,7 @@ impl Engine {
         counters.insert("engine.wal.commits".to_owned(), commits);
         counters.insert("engine.wal.forces".to_owned(), forces);
         counters.insert("engine.wal.records".to_owned(), records);
+        counters.insert("engine.wal.deferred_acks".to_owned(), deferred_acks);
         counters.insert("engine.sample.ops".to_owned(), sampler.ops.len() as u64);
         counters.insert("engine.sample.txns".to_owned(), sampler.txns.len() as u64);
         MetricsSnapshot { counters, gauges: BTreeMap::new(), histograms: BTreeMap::new() }
@@ -634,7 +645,12 @@ impl Drop for Inner {
     fn drop(&mut self) {
         self.wal.shutdown();
         if let Some(writer) = self.writer.lock().expect("writer mutex").take() {
-            let _ = writer.join();
+            // An acknowledgement can own the last handle, and then this
+            // runs on the log writer, which cannot join itself: it is
+            // left to run what it still holds and return on its own.
+            if writer.thread().id() != std::thread::current().id() {
+                let _ = writer.join();
+            }
         }
     }
 }
@@ -812,28 +828,55 @@ impl Txn {
         if self.engine.inner.cfg.isolation.is_mvcc() {
             return self.mvcc_commit();
         }
-        if self.prof.is_some() {
-            let (dwell_ns, force_ns) = self.engine.inner.wal.append_commit_and_wait_timed(self.id);
-            self.prof_add_ns(Phase::WalDwell, dwell_ns);
-            self.prof_add_ns(Phase::WalForce, force_ns);
+        let wal = &self.engine.inner.wal;
+        let wait = if self.prof.is_some() {
+            wal.append_commit_and_wait_timed(self.id)
         } else {
-            self.engine.inner.wal.append_commit_and_wait(self.id);
-        }
-        let ack0 = self.prof_now();
-        if let Some(t) = &self.engine.inner.trace {
-            // The ack was enabled by the device force covering our
-            // commit record; the `wal.force` mark is published before
-            // the durable cursor advances, so it is in place by the
-            // time the wait above returns.
-            let cause = t.mark(self.engine.inner.wal.force_mark());
-            t.record(t.lane(), 0, cause, mcv_trace::EventKind::Commit { txn: self.id.0 });
-        }
-        self.engine.release_locks(self.id, &self.held);
-        self.engine.inner.counters.committed.fetch_add(1, Ordering::Relaxed);
-        self.prof_add(Phase::CommitAck, ack0);
-        self.prof_flush();
-        self.active = false;
+            wal.append_commit_and_wait(self.id);
+            (0, 0)
+        };
+        // Durable already: nobody waits on this stage's LSN.
+        let staged = self.staged(0);
+        self.engine.ack(staged, wait);
         Ok(())
+    }
+
+    /// Commits without holding the caller for the log device: under
+    /// 2PL with group commit the commit record is appended and the call
+    /// returns at once; the acknowledgement — the `Commit` event, lock
+    /// release, counters — runs on the log-writer thread after the
+    /// force that covers the record, and `done(Ok(()))` after it. Until
+    /// then the transaction keeps its locks, so nobody reads what is
+    /// not yet durable. `done` runs with no engine mutex held and may
+    /// use the engine, but the log forces nothing while it runs — so it
+    /// must not itself wait for a commit.
+    ///
+    /// With `group_commit: false` there is no writer thread: this is
+    /// [`Txn::commit`], then `done` on the caller's thread. The MVCC
+    /// levels hold their commit lock across the durability wait, so
+    /// they too commit in full first; a certification loser gets
+    /// `done(Err(..))`.
+    pub fn commit_then(self, done: impl FnOnce(Result<(), EngineError>) + Send + 'static) {
+        let cfg = &self.engine.inner.cfg;
+        if cfg.isolation.is_mvcc() || !cfg.group_commit {
+            return done(self.commit());
+        }
+        let engine = self.engine.clone();
+        let staged = match self.commit_stage() {
+            Ok(staged) => staged,
+            Err(e) => return done(Err(e)),
+        };
+        let wal = Arc::clone(&engine.inner.wal);
+        let (lsn, t0) = (staged.lsn, staged.prof.as_ref().map(|_| wal.now_ns()));
+        wal.on_durable(
+            lsn,
+            Ack::new(move || {
+                let wal = &engine.inner.wal;
+                let wait = t0.map_or((0, 0), |t0| wal.split_wait(t0, wal.now_ns()));
+                engine.ack(staged, wait);
+                done(Ok(()));
+            }),
+        );
     }
 
     /// Stages a commit without waiting for durability: appends the
@@ -854,16 +897,20 @@ impl Txn {
             return Ok(StagedCommit { id: self.id, held: Held::default(), lsn: 0, prof: None });
         }
         let lsn = self.engine.inner.wal.append_commit(self.id);
-        let staged = StagedCommit {
+        Ok(self.staged(lsn))
+    }
+
+    /// Hands what this transaction holds to a [`StagedCommit`]. Its
+    /// commit record is in the log: the transaction is decided, so the
+    /// drop guard must not roll it back.
+    fn staged(&mut self, lsn: usize) -> StagedCommit {
+        self.active = false;
+        StagedCommit {
             id: self.id,
             held: std::mem::take(&mut self.held),
             lsn,
             prof: self.prof.take(),
-        };
-        // The commit record is in the log: the transaction is decided,
-        // so the drop guard must not roll it back.
-        self.active = false;
-        Ok(staged)
+        }
     }
 
     /// The MVCC commit critical section: certify under the store's

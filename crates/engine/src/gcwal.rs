@@ -13,10 +13,15 @@
 //!
 //! Commit acknowledgements wait on a durable cursor that only advances
 //! *after* the device latency has elapsed — a commit is never acked
-//! before its log record is durable.
+//! before its log record is durable. A committer either parks on that
+//! cursor itself or, in group mode, leaves an acknowledgement behind
+//! ([`GroupWal::on_durable`]) that the log writer runs once the force
+//! covering it is done — with the mutex released, like every other
+//! call out of this module.
 
 use mcv_txn::{LogRecord, TxnId, Value};
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -49,11 +54,27 @@ pub(crate) struct GroupWal {
     /// Time origin for the force-window atomics below.
     epoch: Instant,
     /// Start/end of the most recent device operation, nanoseconds
-    /// since `epoch` (relaxed; published by the writer so timed
-    /// committers can split their wait into batching dwell vs device
-    /// time without taking a lock).
+    /// since `epoch` (relaxed; published by whoever forces a batch so
+    /// a timed wait can be split into batching dwell vs device time
+    /// without taking a lock).
     force_start_ns: AtomicU64,
     force_end_ns: AtomicU64,
+}
+
+/// What runs once a commit record is durable: the engine's lock
+/// release and the caller's completion.
+pub(crate) struct Ack(Box<dyn FnOnce() + Send>);
+
+impl Ack {
+    pub(crate) fn new(f: impl FnOnce() + Send + 'static) -> Ack {
+        Ack(Box::new(f))
+    }
+}
+
+impl fmt::Debug for Ack {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Ack")
+    }
 }
 
 #[derive(Debug, Default)]
@@ -71,6 +92,21 @@ struct GwInner {
     commits: u64,
     /// Device operations performed.
     forces: u64,
+    /// Acknowledgements not yet run, ascending by the LSN each waits
+    /// for.
+    acks: VecDeque<(usize, Ack)>,
+    /// Acknowledgements the log writer has run.
+    deferred_acks: u64,
+}
+
+impl GwInner {
+    /// Removes and returns every acknowledgement the durable cursor
+    /// covers, in LSN order.
+    fn take_ready_acks(&mut self) -> Vec<Ack> {
+        let n = self.acks.partition_point(|(lsn, _)| *lsn <= self.durable);
+        self.deferred_acks += n as u64;
+        self.acks.drain(..n).map(|(_, ack)| ack).collect()
+    }
 }
 
 impl GroupWal {
@@ -99,7 +135,7 @@ impl GroupWal {
 
     /// Nanoseconds since this log's construction (the force-window
     /// time base).
-    fn now_ns(&self) -> u64 {
+    pub(crate) fn now_ns(&self) -> u64 {
         self.epoch.elapsed().as_nanos() as u64
     }
 
@@ -158,7 +194,8 @@ impl GroupWal {
     /// and returns its log sequence number. Pairs with
     /// [`GroupWal::wait_durable`]: a staged-commit batch appends every
     /// record first, then pays one durability wait covering the highest
-    /// LSN — the group-commit dwell lifted up to the caller.
+    /// LSN — the group-commit dwell lifted up to the caller — or with
+    /// [`GroupWal::on_durable`], where nobody waits at all.
     pub(crate) fn append_commit(&self, txn: TxnId) -> usize {
         let mut g = self.inner.lock().expect("wal mutex");
         let lsn = g.log.append(LogRecord::Commit { txn });
@@ -194,7 +231,9 @@ impl GroupWal {
                 let target = g.log.forced_records();
                 g.forces += 1;
                 drop(g);
+                self.force_start_ns.store(self.now_ns(), Ordering::Relaxed);
                 self.sleep_device();
+                self.force_end_ns.store(self.now_ns(), Ordering::Relaxed);
                 // Recorded before the durable cursor moves, so the
                 // force always precedes the acks it enables.
                 self.trace_force(target);
@@ -204,6 +243,38 @@ impl GroupWal {
                 self.forced.notify_all();
             }
         }
+    }
+
+    /// Leaves `ack` to be run by the log writer once every record up
+    /// to `lsn` is durable (group mode only: without a writer thread
+    /// the committer forces for itself). Acknowledgements run in LSN
+    /// order, one at a time, on the writer thread, with this log's
+    /// mutex released — an `ack` may append, read the durable image or
+    /// take any engine mutex. One whose record is durable already is
+    /// still queued, so that order holds.
+    pub(crate) fn on_durable(&self, lsn: usize, ack: Ack) {
+        debug_assert!(self.group, "deferred acknowledgements need the log writer");
+        let mut g = self.inner.lock().expect("wal mutex");
+        let at = g.acks.partition_point(|(l, _)| *l < lsn);
+        g.acks.insert(at, (lsn, ack));
+        g.requested = g.requested.max(lsn);
+        self.work.notify_one();
+    }
+
+    /// How a durability wait over `t0..t1` (this log's [`now_ns`] time
+    /// base) splits into `(dwell_ns, force_ns)`: its overlap with the
+    /// last published force window is device time, the rest is
+    /// batching dwell. If a new operation already started (start >
+    /// end), it is still in flight and bounded by `t1`.
+    ///
+    /// [`now_ns`]: GroupWal::now_ns
+    pub(crate) fn split_wait(&self, t0: u64, t1: u64) -> (u64, u64) {
+        let total = t1.saturating_sub(t0);
+        let fs = self.force_start_ns.load(Ordering::Relaxed);
+        let fe = self.force_end_ns.load(Ordering::Relaxed);
+        let (ws, we) = if fe >= fs { (fs, fe) } else { (fs, t1) };
+        let force = we.min(t1).saturating_sub(ws.max(t0)).min(total);
+        (total - force, force)
     }
 
     /// Appends `txn`'s commit record and blocks until it is durable.
@@ -238,16 +309,8 @@ impl GroupWal {
             if !timed {
                 return (0, 0);
             }
-            let t1 = self.now_ns();
-            let total = t1.saturating_sub(t0);
-            // Overlap of our wait with the force window the writer
-            // published. If a new operation already started (start >
-            // end), it is still in flight and bounded by our ack time.
-            let fs = self.force_start_ns.load(Ordering::Relaxed);
-            let fe = self.force_end_ns.load(Ordering::Relaxed);
-            let (ws, we) = if fe >= fs { (fs, fe) } else { (fs, t1) };
-            let force = we.min(t1).saturating_sub(ws.max(t0)).min(total);
-            (total - force, force)
+            drop(g);
+            self.split_wait(t0, self.now_ns())
         } else {
             // Per-commit force: this committer always pays one full
             // device operation, even if a concurrent force already
@@ -282,43 +345,51 @@ impl GroupWal {
     /// The log-writer loop (group mode). Runs until shutdown; each
     /// iteration forces the entire pending tail in one device
     /// operation, so commits queued during the previous operation's
-    /// latency are batched. The tail is already encoded, so the mutex
+    /// latency are batched, then runs the acknowledgements that
+    /// operation covered. The tail is already encoded, so the mutex
     /// committers need for their appends is held only for the cursor
-    /// move.
+    /// move. It returns only with nothing requested and no
+    /// acknowledgement left: an acknowledgement waits for a requested
+    /// LSN, so shutdown forces once more rather than strand one.
     pub(crate) fn writer_loop(&self) {
+        let mut g = self.inner.lock().expect("wal mutex");
         loop {
-            {
-                let mut g = self.inner.lock().expect("wal mutex");
-                while !g.shutdown && g.requested <= g.log.forced_records() {
-                    g = self.work.wait(g).expect("wal mutex");
+            let ready = g.take_ready_acks();
+            if !ready.is_empty() {
+                drop(g);
+                for Ack(run) in ready {
+                    run();
                 }
-                if g.shutdown && g.requested <= g.log.forced_records() {
+                g = self.inner.lock().expect("wal mutex");
+                continue;
+            }
+            if g.requested <= g.log.forced_records() {
+                if g.shutdown {
                     return;
                 }
-                if !self.group_window.is_zero() {
-                    // Dwell with the mutex free so near-simultaneous
-                    // committers land in this batch, then force.
-                    drop(g);
-                    std::thread::sleep(self.group_window);
-                    g = self.inner.lock().expect("wal mutex");
-                }
-                g.log.force();
-                g.forces += 1;
+                g = self.work.wait(g).expect("wal mutex");
+                continue;
             }
+            if !self.group_window.is_zero() {
+                // Dwell with the mutex free so near-simultaneous
+                // committers land in this batch, then force.
+                drop(g);
+                std::thread::sleep(self.group_window);
+                g = self.inner.lock().expect("wal mutex");
+            }
+            g.log.force();
+            g.forces += 1;
+            let target = g.log.forced_records();
+            drop(g);
             // Device busy: latency elapses with the mutex free, so new
             // commit records accumulate for the next batch.
             self.force_start_ns.store(self.now_ns(), Ordering::Relaxed);
             self.sleep_device();
             self.force_end_ns.store(self.now_ns(), Ordering::Relaxed);
-            let mut g = self.inner.lock().expect("wal mutex");
-            let target = g.log.forced_records();
-            if self.trace.is_some() {
-                // Recorded before the durable cursor moves, so the
-                // force always precedes the acks it enables.
-                drop(g);
-                self.trace_force(target);
-                g = self.inner.lock().expect("wal mutex");
-            }
+            // Recorded before the durable cursor moves, so the force
+            // always precedes the acks it enables.
+            self.trace_force(target);
+            g = self.inner.lock().expect("wal mutex");
             g.durable = g.durable.max(target);
             self.forced.notify_all();
         }
@@ -351,10 +422,11 @@ impl GroupWal {
         self.inner.lock().expect("wal mutex").log.committed().iter().copied().collect()
     }
 
-    /// `(commit records, device operations, total records)`.
-    pub(crate) fn stats(&self) -> (u64, u64, u64) {
+    /// `(commit records, device operations, total records,
+    /// acknowledgements run by the log writer)`.
+    pub(crate) fn stats(&self) -> (u64, u64, u64, u64) {
         let g = self.inner.lock().expect("wal mutex");
-        (g.commits, g.forces, g.log.len() as u64)
+        (g.commits, g.forces, g.log.len() as u64, g.deferred_acks)
     }
 }
 
@@ -370,7 +442,7 @@ mod tests {
             wal.append_update(TxnId(t), "X", 0, t as i64);
             wal.append_commit_and_wait(TxnId(t));
         }
-        let (commits, forces, _) = wal.stats();
+        let (commits, forces, ..) = wal.stats();
         assert_eq!(commits, 5);
         assert_eq!(forces, 5);
     }
@@ -394,7 +466,7 @@ mod tests {
         for c in committers {
             c.join().expect("committer");
         }
-        let (commits, forces, _) = wal.stats();
+        let (commits, forces, ..) = wal.stats();
         assert_eq!(commits, 8);
         assert!(forces >= 1, "at least one device op");
         assert!(forces < commits, "group commit must batch: {forces} forces / {commits} commits");
@@ -403,5 +475,27 @@ mod tests {
         assert_eq!(crash.committed().len(), 8);
         wal.shutdown();
         writer.join().expect("writer");
+    }
+
+    #[test]
+    fn shutdown_strands_no_acknowledgement() {
+        let wal = Arc::new(GroupWal::new(true, Duration::from_millis(2), Duration::ZERO, None));
+        let acked = Arc::new(Mutex::new(Vec::new()));
+        // Queued out of order, and shut down before the writer ever
+        // ran: it still forces for them and runs them in LSN order.
+        let lsns: Vec<usize> = (1..=3).map(|t| wal.append_commit(TxnId(t))).collect();
+        for &lsn in lsns.iter().rev() {
+            let acked = Arc::clone(&acked);
+            wal.on_durable(lsn, Ack::new(move || acked.lock().expect("acked").push(lsn)));
+        }
+        wal.shutdown();
+        let writer = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.writer_loop())
+        };
+        writer.join().expect("writer");
+        assert_eq!(*acked.lock().expect("acked"), lsns);
+        assert_eq!(wal.stats(), (3, 1, 3, 3));
+        assert_eq!(mcv_txn::Wal::from_bytes_lossy(&wal.durable_image()).committed().len(), 3);
     }
 }

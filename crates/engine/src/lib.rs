@@ -14,7 +14,9 @@
 //!   undo/redo write-ahead logging;
 //! - group-commit WAL — a dedicated log-writer thread batches commit
 //!   forces so concurrent commits share device operations
-//!   (`engine.wal.forces < engine.wal.commits`);
+//!   (`engine.wal.forces < engine.wal.commits`), and runs the
+//!   acknowledgement of a commit left with it ([`Txn::commit_then`])
+//!   after the force that covers it, so no caller has to wait;
 //! - [`Pool`] — bounded worker pool with blocking backpressure
 //!   (`submit`) and a non-blocking admission path (`try_submit`) that
 //!   sheds with a typed [`Shed`] error when the queue is full;

@@ -238,7 +238,7 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
     let sampled_txns = history.transactions().len();
     let sampled_ops = history.len();
 
-    let recovered = mcv_txn::Wal::from_bytes_lossy(&engine.durable_image()).recover();
+    let recovered = mcv_txn::Wal::recover_bytes(&engine.durable_image());
     let recovered_matches = recovered == engine.state();
 
     let bank_invariant_ok = bank.then(|| {

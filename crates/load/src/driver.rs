@@ -8,7 +8,11 @@
 //! transaction is *shed* under an explicit policy — dropped, or
 //! retried after capped exponential backoff — and every transaction
 //! carries a deadline budget measured from its arrival instant, so
-//! queueing delay counts against it. Crash plans drop an engine
+//! queueing delay counts against it. A worker executes a transaction
+//! and leaves its commit with the engine (`Txn::commit_then`): the
+//! completion runs when the record is durable, by which time the
+//! worker is on its next job, and admission bounds what is in flight
+//! rather than what is queued. Crash plans drop an engine
 //! mid-run (its WAL image frozen at the crash instant), rebuild it by
 //! rollback recovery, and the report measures the recovery-time SLO:
 //! wall time from the crash until windowed p99 latency is back under
@@ -175,6 +179,8 @@ struct Tally {
     crash_lost: AtomicU64,
     committed: AtomicU64,
     goodput: AtomicU64,
+    /// Highest `in_flight` the pacer ever reached.
+    peak_in_flight: AtomicU64,
 }
 
 /// `(due_us, seq, arrival_idx, attempt)` — min-heap order on due time,
@@ -196,7 +202,14 @@ struct Shared {
     completions: Mutex<Vec<(u64, u64)>>,
     retry_q: Mutex<BinaryHeap<Reverse<RetryEntry>>>,
     retry_seq: AtomicU64,
+    /// Accepted attempts not yet resolved: queued, executing, or
+    /// committed and waiting for the log device.
     in_flight: AtomicU64,
+    /// `queue_cap + workers`, the most `in_flight` may reach. A worker
+    /// does not wait for the device, so the queue alone no longer
+    /// bounds accepted work when the device stalls; this is the bound
+    /// it gave when each worker held its transaction to the end.
+    max_in_flight: u64,
     n: Tally,
     /// Phase profiler captured at run entry; committed arrivals record
     /// their arrival-to-resolution anchor plus admission-queue dwell,
@@ -233,6 +246,22 @@ impl Shared {
         self.retry_q.lock().expect("retry queue").push(Reverse((due, seq, idx, attempt + 1)));
     }
 
+    /// One shed admission attempt: counted, then dropped or retried as
+    /// the policy says.
+    fn shed(&self, idx: usize, attempt: u32, arrival: Arrival) {
+        self.n.shed.fetch_add(1, Ordering::Relaxed);
+        if let Some(tel) = &self.telemetry {
+            tel.lock().expect("telemetry").observe_shed(arrival.at_us);
+        }
+        match self.policy {
+            ShedPolicy::Drop => {
+                self.n.dropped.fetch_add(1, Ordering::Relaxed);
+                self.observe_resolved(&arrival);
+            }
+            ShedPolicy::RetryAfter { .. } => self.schedule_retry(idx, attempt, arrival),
+        }
+    }
+
     /// Telemetry hook for an arrival abandoned short of commit
     /// (terminal: releases the arrival's window).
     fn observe_abandoned(&self, arrival: &Arrival) {
@@ -248,13 +277,6 @@ impl Shared {
     fn observe_resolved(&self, arrival: &Arrival) {
         if let Some(tel) = &self.telemetry {
             tel.lock().expect("telemetry").observe_resolved(arrival.at_us);
-        }
-    }
-
-    /// Telemetry hook for a shed admission attempt.
-    fn observe_shed(&self, arrival: &Arrival) {
-        if let Some(tel) = &self.telemetry {
-            tel.lock().expect("telemetry").observe_shed(arrival.at_us);
         }
     }
 
@@ -318,35 +340,31 @@ impl Shared {
 
 /// Executes one transaction spec on its session's engine. The spec is
 /// a pure function of `(session, seed)`, so retries replay it exactly.
-/// Returns the engine transaction id on commit so the driver's
-/// arrival-to-resolution timeline joins the engine's phase sample.
+/// The outcome goes to `done` — an abort at once, a commit when its
+/// record is durable, by which time this call has long returned and
+/// the worker is on its next job. A commit carries the engine
+/// transaction id so the driver's arrival-to-resolution timeline joins
+/// the engine's phase sample.
 fn attempt_txn(
     engine: &Engine,
     own: Ownership,
     workload: LoadWorkload,
     session: u64,
     seed: u64,
-) -> Result<TxnId, EngineError> {
+    done: impl FnOnce(Result<TxnId, EngineError>) + Send + 'static,
+) {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = engine.begin();
     let id = t.id();
-    match workload {
-        LoadWorkload::ReadWrite { write_pct, ops_per_txn } => {
-            for _ in 0..ops_per_txn {
-                let name = item_name(own.key(session, rng.gen_range(0..own.span.max(1))));
-                if rng.gen_range(0..100u8) < write_pct {
-                    let v = rng.gen_range(0..1_000_000i64);
-                    if let Err(e) = t.write(&name, v) {
-                        t.abort();
-                        return Err(e);
-                    }
-                } else if let Err(e) = t.read(&name) {
-                    t.abort();
-                    return Err(e);
-                }
+    let executed = match workload {
+        LoadWorkload::ReadWrite { write_pct, ops_per_txn } => (0..ops_per_txn).try_for_each(|_| {
+            let name = item_name(own.key(session, rng.gen_range(0..own.span.max(1))));
+            if rng.gen_range(0..100u8) < write_pct {
+                t.write(&name, rng.gen_range(0..1_000_000i64))
+            } else {
+                t.read(&name).map(drop)
             }
-            t.commit().map(|_| id)
-        }
+        }),
         LoadWorkload::Bank => {
             let a = own.key(session, rng.gen_range(0..own.span.max(1)));
             let mut b = own.key(session, rng.gen_range(0..own.span.max(1)));
@@ -355,20 +373,19 @@ fn attempt_txn(
             }
             let amount = rng.gen_range(1..=10i64);
             let (na, nb) = (item_name(a), item_name(b));
-            let result = (|| {
+            (|| {
                 let va = t.read(&na)?;
                 let vb = t.read(&nb)?;
                 t.write(&na, va - amount)?;
-                t.write(&nb, vb + amount)?;
-                Ok(())
-            })();
-            match result {
-                Ok(()) => t.commit().map(|_| id),
-                Err(e) => {
-                    t.abort();
-                    Err(e)
-                }
-            }
+                t.write(&nb, vb + amount)
+            })()
+        }
+    };
+    match executed {
+        Ok(()) => t.commit_then(move |r| done(r.map(|()| id))),
+        Err(e) => {
+            t.abort();
+            done(Err(e));
         }
     }
 }
@@ -604,6 +621,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         retry_q: Mutex::new(BinaryHeap::new()),
         retry_seq: AtomicU64::new(0),
         in_flight: AtomicU64::new(0),
+        max_in_flight: (cfg.queue_cap + cfg.workers) as u64,
         n: Tally::default(),
         prof: mcv_prof::installed(),
         telemetry: (cfg.telemetry_window_us > 0).then(|| {
@@ -656,7 +674,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
                     // the crash image into a fresh engine. The replay
                     // is real work — its wall time is part of the
                     // measured recovery window.
-                    let recovered = mcv_txn::Wal::from_bytes_lossy(&image).recover();
+                    let recovered = mcv_txn::Wal::recover_bytes(&image);
                     let fresh = Engine::new(engine_cfg);
                     let entries: Vec<_> = recovered.into_iter().collect();
                     for chunk in entries.chunks(256) {
@@ -776,7 +794,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         let slot = slot.lock().expect("slot");
         let engine = &slot.engine;
         serializable &= engine.sampled_history().is_conflict_serializable();
-        let recovered = mcv_txn::Wal::from_bytes_lossy(&engine.durable_image()).recover();
+        let recovered = mcv_txn::Wal::recover_bytes(&engine.durable_image());
         recovered_matches &= recovered == engine.state();
         if bank {
             bank_total += (0..cfg.items_per_engine)
@@ -820,6 +838,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
     c.insert("engine.admit.dropped".into(), dropped);
     c.insert("engine.admit.deadline_missed".into(), deadline_missed);
     c.insert("engine.admit.crash_lost".into(), crash_lost);
+    c.insert("engine.admit.peak_in_flight".into(), load(&n.peak_in_flight));
     c.insert("load.arrivals".into(), arrivals.len() as u64);
     metrics.histograms.insert("wall.load.latency_us".into(), latency.clone());
     let g = &mut metrics.gauges;
@@ -892,25 +911,23 @@ fn dispatch(
     };
     let gen = shared.gens[slot_idx].load(Ordering::Acquire);
     if !up {
-        shared.n.shed.fetch_add(1, Ordering::Relaxed);
         shared.n.unavailable.fetch_add(1, Ordering::Relaxed);
-        shared.observe_shed(&arrival);
-        match shared.policy {
-            ShedPolicy::Drop => {
-                shared.n.dropped.fetch_add(1, Ordering::Relaxed);
-                shared.observe_resolved(&arrival);
-            }
-            ShedPolicy::RetryAfter { .. } => shared.schedule_retry(idx, attempt, arrival),
-        }
-        return;
+        return shared.shed(idx, attempt, arrival);
     }
-    shared.in_flight.fetch_add(1, Ordering::Acquire);
+    // Only this thread raises `in_flight`, so the check holds the bound.
+    if shared.in_flight.load(Ordering::Acquire) >= shared.max_in_flight {
+        return shared.shed(idx, attempt, arrival);
+    }
+    let in_flight = shared.in_flight.fetch_add(1, Ordering::Acquire) + 1;
+    shared.n.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
     let sh = Arc::clone(shared);
     let submitted = Instant::now();
     let job = move || {
         let queue_ns = submitted.elapsed().as_nanos() as u64;
-        let result = attempt_txn(&engine, sh.own, sh.workload, arrival.session, arrival.spec_seed);
-        sh.complete(idx, attempt, arrival, slot_idx, gen, queue_ns, result);
+        let (own, workload) = (sh.own, sh.workload);
+        attempt_txn(&engine, own, workload, arrival.session, arrival.spec_seed, move |result| {
+            sh.complete(idx, attempt, arrival, slot_idx, gen, queue_ns, result)
+        });
     };
     match pool.try_submit(job) {
         Ok(()) => {
@@ -918,15 +935,7 @@ fn dispatch(
         }
         Err(_) => {
             shared.in_flight.fetch_sub(1, Ordering::Release);
-            shared.n.shed.fetch_add(1, Ordering::Relaxed);
-            shared.observe_shed(&arrival);
-            match shared.policy {
-                ShedPolicy::Drop => {
-                    shared.n.dropped.fetch_add(1, Ordering::Relaxed);
-                    shared.observe_resolved(&arrival);
-                }
-                ShedPolicy::RetryAfter { .. } => shared.schedule_retry(idx, attempt, arrival),
-            }
+            shared.shed(idx, attempt, arrival);
         }
     }
 }
@@ -1010,6 +1019,52 @@ mod tests {
         assert_eq!(report.bank_invariant_ok, Some(true), "{}", report.summary());
         assert!(report.shed > 0, "a crashed engine must shed its arrivals");
         assert_eq!(report.unresolved, 0, "{}", report.summary());
+    }
+
+    /// With a slow device commits are still staged when the crash
+    /// fires: their acknowledgements, run by the old engine's log
+    /// writer, own its last handles once the slot is swapped.
+    #[test]
+    fn crash_mid_run_with_commits_staged_resolves_every_arrival() {
+        let mut cfg = quick_cfg();
+        cfg.engines = 2;
+        cfg.workload = LoadWorkload::Bank;
+        cfg.engine.force_latency_us = 2_000;
+        cfg.profile.duration_us = 150_000;
+        cfg.crash = Some(CrashPlan { engine: 1, at_us: 50_000, restart_after_us: 30_000 });
+        let report = run_load(&cfg);
+        assert!(report.recovered_at_us.is_some(), "recovery must complete");
+        assert_eq!(report.unresolved, 0, "{}", report.summary());
+        assert!(report.oracles_ok(), "{}", report.summary());
+        assert_eq!(report.bank_invariant_ok, Some(true), "{}", report.summary());
+        assert_eq!(
+            report.committed + report.dropped + report.deadline_missed + report.crash_lost,
+            report.arrivals,
+            "{}",
+            report.summary()
+        );
+    }
+
+    /// Workers hand their commits to the log writer and move on, so a
+    /// stalled device would let accepted work pile up past the queue:
+    /// admission counts what is unresolved, not what is queued.
+    #[test]
+    fn a_stalled_device_cannot_push_in_flight_past_queue_plus_workers() {
+        let mut cfg = quick_cfg();
+        cfg.engine.force_latency_us = 20_000;
+        cfg.profile.process = ArrivalProcess::Poisson { rate_tps: 4_000.0 };
+        cfg.queue_cap = 4;
+        cfg.policy = ShedPolicy::Drop;
+        let report = run_load(&cfg);
+        let peak = report.metrics.counter("engine.admit.peak_in_flight");
+        assert_eq!(peak, (cfg.queue_cap + cfg.workers) as u64, "{}", report.summary());
+        assert!(report.shed > 0, "{}", report.summary());
+        assert_eq!(report.dropped, report.shed);
+        assert_eq!(report.unresolved, 0, "{}", report.summary());
+        assert_eq!(report.committed + report.dropped + report.deadline_missed, report.arrivals);
+        assert!(report.oracles_ok(), "{}", report.summary());
+        // Everything accepted rode a few forces.
+        assert_eq!(report.metrics.counter("engine.wal.deferred_acks"), report.committed);
     }
 
     #[test]

@@ -8,6 +8,14 @@
 //! determinism tests pin. It is also the planning tool: sweep offered
 //! rates through `simulate` to predict shed rates and queueing delay
 //! before burning wall time on a live run.
+//!
+//! What it models is `c` servers each busy `service_us` per
+//! transaction. The live driver matches that only with
+//! `group_commit: false`, where a worker forces its own commit and
+//! `service_us` is the device operation. Under group commit a worker
+//! leaves its commit with the log writer and takes the next job, so
+//! the device is a batching window shared by everything in flight: it
+//! adds latency, and the servers' service time is execution alone.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};

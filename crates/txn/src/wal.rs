@@ -240,10 +240,52 @@ impl Wal {
         let mut records = Vec::new();
         let mut rest = bytes;
         while let Some((record, tail)) = codec::decode(rest) {
-            records.push(record);
+            records.push(record.into_owned());
             rest = tail;
         }
         Wal { records }
+    }
+
+    /// [`Wal::recover`] of `Wal::from_bytes_lossy(bytes)` without the
+    /// record list in between: two scans over the intact prefix with
+    /// the item strings borrowed from `bytes` — the committed set and
+    /// where the last checkpoint sits, then the redo from there — so
+    /// the only strings built are the keys of the returned state.
+    pub fn recover_bytes(bytes: &[u8]) -> BTreeMap<Item, Value> {
+        let mut committed = BTreeSet::new();
+        let (mut rest, mut start) = (bytes, bytes);
+        while let Some((record, tail)) = codec::decode(rest) {
+            match record {
+                codec::Record::Commit { txn } => {
+                    committed.insert(txn);
+                }
+                codec::Record::Checkpoint { .. } => start = rest,
+                _ => {}
+            }
+            rest = tail;
+        }
+        let mut state = BTreeMap::new();
+        let mut rest = start;
+        while let Some((record, tail)) = codec::decode(rest) {
+            match record {
+                // Only the frame `start` points at can be one.
+                codec::Record::Checkpoint { state: snap } => {
+                    state =
+                        snap.into_iter().map(|(item, value)| (item.to_owned(), value)).collect();
+                }
+                codec::Record::Update { txn, item, new, .. } if committed.contains(&txn) => {
+                    match state.get_mut(item) {
+                        Some(slot) => *slot = new,
+                        None => {
+                            state.insert(item.to_owned(), new);
+                        }
+                    }
+                }
+                _ => {}
+            }
+            rest = tail;
+        }
+        state
     }
 
     /// Byte length of the *forced* prefix of [`Wal::to_bytes`]: the
@@ -276,8 +318,7 @@ impl Wal {
 /// The log's byte format: the only encoder and decoder of records.
 mod codec {
     use super::LogRecord;
-    use crate::ids::{Item, TxnId, Value};
-    use std::collections::BTreeMap;
+    use crate::ids::{TxnId, Value};
 
     const UPDATE: u8 = 0;
     const COMMIT: u8 = 1;
@@ -351,6 +392,44 @@ mod codec {
         }
     }
 
+    /// A decoded record whose item strings still point into the image.
+    pub(super) enum Record<'a> {
+        Update {
+            txn: TxnId,
+            item: &'a str,
+            old: Value,
+            new: Value,
+        },
+        Commit {
+            txn: TxnId,
+        },
+        Abort {
+            txn: TxnId,
+        },
+        /// The pairs in image order; a repeated item's last value wins.
+        Checkpoint {
+            state: Vec<(&'a str, Value)>,
+        },
+    }
+
+    impl Record<'_> {
+        pub(super) fn into_owned(self) -> LogRecord {
+            match self {
+                Record::Update { txn, item, old, new } => {
+                    LogRecord::Update { txn, item: item.to_owned(), old, new }
+                }
+                Record::Commit { txn } => LogRecord::Commit { txn },
+                Record::Abort { txn } => LogRecord::Abort { txn },
+                Record::Checkpoint { state } => LogRecord::CheckpointDone {
+                    state: state
+                        .into_iter()
+                        .map(|(item, value)| (item.to_owned(), value))
+                        .collect(),
+                },
+            }
+        }
+    }
+
     /// A cursor over one frame body; every read is bounds-checked and
     /// returns `None` past the end.
     struct Body<'a>(&'a [u8]);
@@ -382,9 +461,9 @@ mod codec {
             self.varint().map(TxnId)
         }
 
-        fn item(&mut self) -> Option<Item> {
+        fn item(&mut self) -> Option<&'a str> {
             let len = usize::try_from(self.varint()?).ok()?;
-            std::str::from_utf8(self.take(len)?).ok().map(str::to_owned)
+            std::str::from_utf8(self.take(len)?).ok()
         }
 
         fn value(&mut self) -> Option<Value> {
@@ -393,26 +472,23 @@ mod codec {
         }
     }
 
-    fn decode_body(body: &[u8]) -> Option<LogRecord> {
+    fn decode_body(body: &[u8]) -> Option<Record<'_>> {
         let mut b = Body(body);
         let record = match b.take(1)?[0] {
-            UPDATE => LogRecord::Update {
-                txn: b.txn()?,
-                item: b.item()?,
-                old: b.value()?,
-                new: b.value()?,
-            },
-            COMMIT => LogRecord::Commit { txn: b.txn()? },
-            ABORT => LogRecord::Abort { txn: b.txn()? },
+            UPDATE => {
+                Record::Update { txn: b.txn()?, item: b.item()?, old: b.value()?, new: b.value()? }
+            }
+            COMMIT => Record::Commit { txn: b.txn()? },
+            ABORT => Record::Abort { txn: b.txn()? },
             CHECKPOINT => {
                 // The count is input: it bounds the loop, never an
                 // allocation (each pair consumes at least two bytes of
                 // a body that is already in memory).
-                let mut state = BTreeMap::new();
+                let mut state = Vec::new();
                 for _ in 0..b.varint()? {
-                    state.insert(b.item()?, b.value()?);
+                    state.push((b.item()?, b.value()?));
                 }
-                LogRecord::CheckpointDone { state }
+                Record::Checkpoint { state }
             }
             _ => return None,
         };
@@ -422,7 +498,7 @@ mod codec {
     /// Decodes the frame at the head of `bytes`; returns the record
     /// and the bytes after it, or `None` when the head is not an
     /// intact frame.
-    pub(super) fn decode(bytes: &[u8]) -> Option<(LogRecord, &[u8])> {
+    pub(super) fn decode(bytes: &[u8]) -> Option<(Record<'_>, &[u8])> {
         let (len, rest) = bytes.split_first_chunk::<4>()?;
         let len = usize::try_from(u32::from_le_bytes(*len)).ok()?;
         let (body, rest) = rest.split_at_checked(len)?;
