@@ -3,7 +3,7 @@
 //! Pipeline (standard, see e.g. Chang & Lee): universal closure →
 //! connective elimination (`<=>`, `=>`, `if/then/else`) → negation
 //! normal form → standardize binders apart → Skolemize existentials →
-//! drop universals → distribute `or` over `&` → clause set.
+//! drop universals → clause set, built bottom-up over `&` / `or`.
 
 use crate::clause::{Clause, Literal};
 use crate::formula::Formula;
@@ -32,12 +32,19 @@ pub fn clausify(f: &Formula, fresh: &mut FreshVars) -> Vec<Clause> {
     let apart = standardize(&nnf, &mut Subst::new(), fresh);
     let sk = skolemize(&apart, &mut Vec::new(), fresh);
     let matrix = drop_universals(&sk);
-    let mut clauses = Vec::new();
-    distribute(&matrix, &mut clauses);
-    clauses.retain(|c| !c.is_tautology());
-    clauses.sort();
-    clauses.dedup();
-    clauses
+    // Every literal of the matrix once, sorted: a literal's id is its
+    // rank, so sorting ids sorts literals and `cnf` never clones one.
+    // `complement[id]` is the id of the literal's negation, if present.
+    let mut table = Vec::new();
+    collect_literals(&matrix, &mut table);
+    table.sort();
+    table.dedup();
+    let complement: Vec<Option<usize>> =
+        table.iter().map(|l| table.binary_search(&l.negated()).ok()).collect();
+    cnf(&matrix, &table, &complement)
+        .into_iter()
+        .map(|c| Clause { literals: c.into_iter().map(|i| table[i].clone()).collect() })
+        .collect()
 }
 
 /// Removes `<=>`, `=>` and `if/then/else`.
@@ -217,59 +224,60 @@ fn drop_universals(f: &Formula) -> Formula {
     }
 }
 
-/// Distributes `or` over `&` and collects clauses.
-fn distribute(f: &Formula, out: &mut Vec<Clause>) {
+fn collect_literals(f: &Formula, out: &mut Vec<Literal>) {
     match f {
-        Formula::And(fs) => {
-            for g in fs {
-                distribute(g, out);
-            }
-        }
-        Formula::True => {}
-        _ => {
-            let mut disjuncts: Vec<Vec<Literal>> = vec![Vec::new()];
-            collect_disjunction(f, &mut disjuncts);
-            for lits in disjuncts {
-                out.push(Clause::new(lits));
-            }
-        }
+        Formula::True | Formula::False => {}
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().for_each(|g| collect_literals(g, out)),
+        _ => out.push(formula_to_literal(f)),
     }
 }
 
-/// Expands one disjunctive context into cross-products of conjunctions.
-fn collect_disjunction(f: &Formula, acc: &mut Vec<Vec<Literal>>) {
-    match f {
+/// The clause set of an NNF matrix, built bottom-up: a conjunction is
+/// the union of its conjuncts' clauses, a disjunction every union of one
+/// clause per disjunct. Each clause is kept sorted and duplicate-free,
+/// and one holding a complementary pair is dropped the moment it forms —
+/// adding literals never un-makes a tautology. The result, sorted and
+/// deduplicated, is the set that distributing `or` over `&` top-down and
+/// then dropping tautologies yields.
+fn cnf(f: &Formula, table: &[Literal], complement: &[Option<usize>]) -> Vec<Vec<usize>> {
+    let mut clauses = match f {
+        Formula::True => Vec::new(),
+        Formula::False => vec![Vec::new()],
+        Formula::And(fs) => fs.iter().flat_map(|g| cnf(g, table, complement)).collect(),
         Formula::Or(fs) => {
+            let mut acc = vec![Vec::new()];
             for g in fs {
-                collect_disjunction(g, acc);
+                if acc.is_empty() {
+                    break;
+                }
+                let part = cnf(g, table, complement);
+                acc = acc
+                    .iter()
+                    .flat_map(|c| part.iter().filter_map(|d| join(c, d, complement)))
+                    .collect();
             }
-        }
-        Formula::And(fs) => {
-            // (A & B) | rest  =>  (A | rest) & (B | rest): fork the accumulator.
-            let base = acc.clone();
-            let mut result: Vec<Vec<Literal>> = Vec::new();
-            for g in fs {
-                let mut branch = base.clone();
-                collect_disjunction(g, &mut branch);
-                result.extend(branch);
-            }
-            *acc = result;
-        }
-        Formula::False => {}
-        Formula::True => {
-            // true makes the whole disjunct a tautology; encode via marker.
-            for lits in acc.iter_mut() {
-                lits.push(Literal::new(true, "$true", Vec::new()));
-                lits.push(Literal::new(false, "$true", Vec::new()));
-            }
+            acc
         }
         _ => {
             let lit = formula_to_literal(f);
-            for lits in acc.iter_mut() {
-                lits.push(lit.clone());
-            }
+            vec![vec![table.binary_search(&lit).expect("collected from this matrix")]]
         }
+    };
+    clauses.sort_unstable();
+    clauses.dedup();
+    clauses
+}
+
+/// The sorted union of two sorted, duplicate-free, tautology-free
+/// clauses, or `None` if it holds a complementary pair.
+fn join(c: &[usize], d: &[usize], complement: &[Option<usize>]) -> Option<Vec<usize>> {
+    if d.iter().any(|&l| complement[l].is_some_and(|n| c.binary_search(&n).is_ok())) {
+        return None;
     }
+    let mut out = [c, d].concat();
+    out.sort_unstable();
+    out.dedup();
+    Some(out)
 }
 
 fn formula_to_literal(f: &Formula) -> Literal {

@@ -33,6 +33,7 @@
 
 #![warn(missing_docs)]
 
+mod check;
 mod clause;
 mod cnf;
 mod formula;
@@ -46,6 +47,7 @@ mod sym;
 mod term;
 mod unify;
 
+pub use check::CheckError;
 pub use clause::{Clause, Literal};
 pub use cnf::clausify;
 pub use formula::Formula;

@@ -256,6 +256,8 @@ impl Prover {
             consistency_mode = true;
         }
         stats.generated = steps.len() as u64;
+        // One signature per step, pushed beside it.
+        let mut sigs: Vec<Signature> = steps.iter().map(|s| Signature::of(&s.clause)).collect();
         // Trivial cases.
         for (i, s) in steps.iter().enumerate() {
             if s.clause.is_empty() {
@@ -290,10 +292,13 @@ impl Prover {
                 return ProofResult::ResourceOut { generated };
             }
             stats.iterations += 1;
-            let given = steps[given_idx].clause.clone();
+            let given = &steps[given_idx].clause;
+            let given_sig = sigs[given_idx];
             // If something already processed subsumes the given clause, skip.
             if self.config.use_subsumption
-                && processed.iter().any(|&i| steps[i].clause.subsumes(&given))
+                && processed
+                    .iter()
+                    .any(|&i| sigs[i].may_subsume(&given_sig) && steps[i].clause.subsumes(given))
             {
                 stats.subsumed += 1;
                 continue;
@@ -301,13 +306,20 @@ impl Prover {
 
             let mut new_clauses: Vec<(Clause, Rule)> = Vec::new();
             // Factoring.
-            for c in factors(&given, &mut fresh, &mut stats.unify_attempts) {
+            for c in factors(given, &mut fresh, &mut stats.unify_attempts) {
                 new_clauses.push((c, Rule::Factor(given_idx)));
             }
             // Binary resolution against all processed clauses.
             for &other_idx in &processed {
                 let other = &steps[other_idx].clause;
-                for c in resolvents(&given, other, &mut fresh, &mut stats.unify_attempts) {
+                if !have_complements(given, other) {
+                    // No complementary pair: renaming both apart would
+                    // only burn names. Burn them without the renaming, so
+                    // every later fresh name stays what it would have been.
+                    fresh.skip(given_sig.vars + sigs[other_idx].vars);
+                    continue;
+                }
+                for c in resolvents(given, other, &mut fresh, &mut stats.unify_attempts) {
                     new_clauses.push((c, Rule::Resolve(given_idx, other_idx)));
                 }
             }
@@ -328,27 +340,32 @@ impl Prover {
                     continue;
                 }
                 // Forward subsumption against processed + queued.
+                let sig = Signature::of(&c);
                 if self.config.use_subsumption {
-                    if processed.iter().any(|&i| steps[i].clause.subsumes(&c)) {
+                    let subsumes =
+                        |i: usize| sigs[i].may_subsume(&sig) && steps[i].clause.subsumes(&c);
+                    if processed.iter().any(|&i| subsumes(i)) {
                         stats.subsumed += 1;
                         continue;
                     }
-                    if queue.iter().any(|Reverse((_, i))| steps[*i].clause.subsumes(&c)) {
+                    if queue.iter().any(|Reverse((_, i))| subsumes(*i)) {
                         stats.subsumed += 1;
                         continue;
                     }
                 } else {
                     // Cheap duplicate check only.
-                    if processed.iter().any(|&i| steps[i].clause == c)
-                        || queue.iter().any(|Reverse((_, i))| steps[*i].clause == c)
+                    let same = |i: usize| sigs[i] == sig && steps[i].clause == c;
+                    if processed.iter().any(|&i| same(i))
+                        || queue.iter().any(|Reverse((_, i))| same(*i))
                     {
                         continue;
                     }
                 }
                 stats.kept += 1;
                 let idx = steps.len();
-                steps.push(Step { clause: c.clone(), rule });
                 queue.push(Reverse((key(&c, &self.config), idx)));
+                steps.push(Step { clause: c, rule });
+                sigs.push(sig);
             }
         }
         let generated = stats.flush(start).counter("prover.generated") as usize;
@@ -389,6 +406,42 @@ impl SearchStats {
     }
 }
 
+/// What a clause's literals can match, folded into a few words: a
+/// pre-test that only ever skips work whose outcome it already knows.
+/// `a` θ-subsumes `b` only if `a` has no more literals than `b` (the
+/// same length test [`Clause::subsumes`] starts with) and every
+/// (predicate, polarity, arity) of `a` occurs in `b`. Bits are a fixed
+/// FNV-1a hash of that key, so a collision costs a full test, never a
+/// missed one, and nothing here depends on the process.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Signature {
+    /// Literal count.
+    len: usize,
+    /// One bit per (predicate, polarity, arity) present.
+    keys: u64,
+    /// Distinct variables: the names renaming the clause apart mints.
+    vars: usize,
+}
+
+impl Signature {
+    fn of(c: &Clause) -> Signature {
+        let bit = |l: &Literal| {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            let key = l.pred.as_str().bytes().chain([l.args.len() as u8, l.positive as u8]);
+            for b in key {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            1u64 << (h >> 58)
+        };
+        let keys = c.literals.iter().fold(0, |keys, l| keys | bit(l));
+        Signature { len: c.literals.len(), keys, vars: c.var_count() }
+    }
+
+    fn may_subsume(&self, other: &Signature) -> bool {
+        self.len <= other.len && self.keys & !other.keys == 0
+    }
+}
+
 fn finish(steps: Vec<Step>, empty_idx: usize, stats: MetricsSnapshot) -> Proof {
     // Walk parents back from the empty clause.
     let mut used = Vec::new();
@@ -413,6 +466,18 @@ fn finish(steps: Vec<Step>, empty_idx: usize, stats: MetricsSnapshot) -> Proof {
     Proof { steps, used, stats }
 }
 
+/// Whether `la` and `lb` could resolve: same predicate and arity,
+/// opposite polarity.
+fn complementary(la: &Literal, lb: &Literal) -> bool {
+    la.positive != lb.positive && la.pred == lb.pred && la.args.len() == lb.args.len()
+}
+
+/// Whether some literal pair of `a` × `b` is [`complementary`]: without
+/// one, [`resolvents`] finds nothing.
+fn have_complements(a: &Clause, b: &Clause) -> bool {
+    a.literals.iter().any(|la| b.literals.iter().any(|lb| complementary(la, lb)))
+}
+
 /// All binary resolvents of two clauses (variables renamed apart).
 fn resolvents(a: &Clause, b: &Clause, fresh: &mut FreshVars, attempts: &mut u64) -> Vec<Clause> {
     let a = a.rename_apart(fresh);
@@ -420,7 +485,7 @@ fn resolvents(a: &Clause, b: &Clause, fresh: &mut FreshVars, attempts: &mut u64)
     let mut out = Vec::new();
     for (i, la) in a.literals.iter().enumerate() {
         for (j, lb) in b.literals.iter().enumerate() {
-            if la.positive == lb.positive || la.pred != lb.pred || la.args.len() != lb.args.len() {
+            if !complementary(la, lb) {
                 continue;
             }
             *attempts += 1;

@@ -101,16 +101,23 @@ impl FreshVars {
         FreshVars::default()
     }
 
-    /// A fresh variable preserving the sort of `v`.
+    /// A fresh variable preserving the sort of `v`. Its name is not
+    /// interned: it lives as long as the clauses that mention it.
     pub fn fresh(&mut self, v: &Var) -> Var {
         self.counter += 1;
-        Var::new(format!("{}_{}", v.name(), self.counter), v.sort().clone())
+        Var::new(Sym::uninterned(format!("{}_{}", v.name(), self.counter)), v.sort().clone())
     }
 
     /// A fresh symbol with the given prefix (used for Skolem functions).
     pub fn fresh_sym(&mut self, prefix: &str) -> Sym {
         self.counter += 1;
         Sym::new(format!("{prefix}_{}", self.counter))
+    }
+
+    /// Consumes `n` names without minting them: every later name is the
+    /// one it would have been had `n` variables been renamed here.
+    pub(crate) fn skip(&mut self, n: usize) {
+        self.counter += n as u64;
     }
 }
 
@@ -141,5 +148,16 @@ mod tests {
         let a = g.fresh(&v);
         let b = g.fresh(&v);
         assert_ne!(a.name(), b.name());
+    }
+
+    #[test]
+    fn skip_leaves_later_names_as_if_minted() {
+        let v = Var::unsorted("x");
+        let mut minted = FreshVars::new();
+        minted.fresh(&v);
+        minted.fresh(&v);
+        let mut skipped = FreshVars::new();
+        skipped.skip(2);
+        assert_eq!(minted.fresh(&v), skipped.fresh(&v));
     }
 }

@@ -5,7 +5,8 @@
 //! handle to an interned string. Interning keeps term manipulation (the
 //! prover resolves thousands of clauses) allocation-light, and gives
 //! deterministic ordering, which the deterministic given-clause loop
-//! relies on.
+//! relies on. The prover's renamed-apart variables are the exception:
+//! they are minted by the thousand, so they skip the interner.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -13,9 +14,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// An interned string symbol.
 ///
-/// Two `Sym`s constructed from equal strings compare equal and share
-/// storage. Ordering is lexicographic on the underlying string so that
-/// iteration orders derived from `Sym` keys are reproducible across runs.
+/// Two `Sym`s constructed from equal strings compare equal; interned ones
+/// ([`Sym::new`]) also share storage. Ordering is lexicographic on the
+/// underlying string so that iteration orders derived from `Sym` keys are
+/// reproducible across runs.
 ///
 /// # Examples
 ///
@@ -48,6 +50,16 @@ impl Sym {
         let key: &'static str = Box::leak(name.to_owned().into_boxed_str());
         map.insert(key, Arc::clone(&arc));
         Sym(arc)
+    }
+
+    /// A symbol that bypasses the interner. It equals, orders and hashes
+    /// like the interned symbol of the same text, but owns its storage,
+    /// which is freed with its last clone. For names minted by the
+    /// thousand and mostly discarded — variables renamed apart — where
+    /// interning would take the global lock per name and keep every name
+    /// for the life of the process.
+    pub(crate) fn uninterned(name: String) -> Self {
+        Sym(Arc::from(name))
     }
 
     /// The symbol's text.

@@ -2,7 +2,124 @@
 //! every composition, discharge every proof — the complete formal
 //! artifact, exercised through the public API only.
 
-use mcv::blocks::{modules, pipeline, properties, registry, SpecLibrary};
+use mcv::blocks::{modules, pipeline, properties, registry, script_runner, SpecLibrary};
+use mcv::logic::{Proof, Rule};
+
+/// The used steps of a proof, one line each, without its timing.
+fn rendered(proof: &Proof) -> Vec<String> {
+    proof
+        .used
+        .iter()
+        .map(|&i| format!("[{i}] {} <- {:?}", proof.steps[i].clause, proof.steps[i].rule))
+        .collect()
+}
+
+#[test]
+fn the_chapter5_search_is_pinned() {
+    // The prover's counters per script, consistency pre-check and proof
+    // together: a change that alters which clauses the search generates,
+    // keeps or drops — not merely how fast — shows up here.
+    let scripts = [
+        ("5.1.1", script_runner::serializability_script(), [204, 33, 26, 21, 38]),
+        ("5.1.2", script_runner::csm_script(), [13, 3, 0, 0, 1]),
+        ("5.1.3", script_runner::rbr_script(), [1654, 371, 390, 567, 824]),
+    ];
+    for (section, source, expected) in scripts {
+        let (run, data) =
+            mcv::obs::collect(|| script_runner::run_script(section, &source).expect("script runs"));
+        assert!(run.proof.expect("a prove statement ran").1, "{section} not proved");
+        let counters = ["generated", "iterations", "kept", "subsumed", "unify_attempts"]
+            .map(|k| data.metrics.counter(&format!("prover.{k}")));
+        assert_eq!(
+            counters, expected,
+            "{section}: prover.{{generated, iterations, kept, subsumed, unify_attempts}}"
+        );
+    }
+
+    // The refutations themselves, down to the fresh variable names.
+    let lib = SpecLibrary::load();
+    let commands = properties::chapter5_commands();
+    let p1 = properties::replay(&lib, &commands[0]);
+    assert_eq!(
+        rendered(p1.result.proof().expect("p1 proved")),
+        [
+            "[4] ~Log(t_26, X_28, z_31) | ~Unlock(N_27, Z_30) | Locking(N_27, Y_29) | Write(t_26, Y_29, X_28) <- Axiom(\"Readlock\")",
+            "[5] ~Log(t_34, X_36, z_39) | ~Unlock(N_35, Z_38) | Locking(N_35, Y_37) | Read(t_34, Y_37, X_36) <- Axiom(\"Writelock\")",
+            "[103] ~Locking(sk_N_50_66, sk_Y_54_70) <- NegatedConjecture",
+            "[133] ~Read(sk_t_44_60, sk_Y_54_70, sk_X_51_67) | ~Write(sk_t_44_60, sk_Y_54_70, sk_X_51_67) <- NegatedConjecture",
+            "[156] Log(sk_t_44_60, sk_X_51_67, sk_z_53_69) <- NegatedConjecture",
+            "[158] Unlock(sk_N_50_66, sk_Z_55_71) <- NegatedConjecture",
+            "[166] ~Unlock(N_27_183, Z_30_184) | Locking(N_27_183, Y_29_185) | Write(sk_t_44_60, Y_29_185, sk_X_51_67) <- Resolve(156, 4)",
+            "[167] ~Unlock(N_35_189, Z_38_190) | Locking(N_35_189, Y_37_191) | Read(sk_t_44_60, Y_37_191, sk_X_51_67) <- Resolve(156, 5)",
+            "[170] ~Unlock(sk_N_50_66, Z_30_184_307) | Write(sk_t_44_60, sk_Y_54_70, sk_X_51_67) <- Resolve(166, 103)",
+            "[173] Write(sk_t_44_60, sk_Y_54_70, sk_X_51_67) <- Resolve(170, 158)",
+            "[175] ~Read(sk_t_44_60, sk_Y_54_70, sk_X_51_67) <- Resolve(173, 133)",
+            "[180] ~Unlock(N_35_189_621, Z_38_190_622) | Locking(N_35_189_621, sk_Y_54_70) <- Resolve(167, 175)",
+            "[181] ~Unlock(sk_N_50_66, Z_38_190_622_687) <- Resolve(180, 103)",
+            "[183] ⊥ <- Resolve(181, 158)",
+        ]
+    );
+    let p3 = properties::replay(&lib, &commands[2]);
+    assert_eq!(
+        rendered(p3.result.proof().expect("p3 proved")),
+        [
+            "[16] ~Rollback(n_55, T_57) | ~ckpt(p_54, T_57) | Restore(n_55, T_57) <- Axiom(\"Recover\")",
+            "[21] ~Ckpt(p_61, S_67) | ~rollback(n_62, S_67) | restore(n_62, S_67) <- Axiom(\"recover\")",
+            "[860] ~Restore(sk_n_73_91, sk_T_70_88) | ~restore(sk_n_73_91, sk_S_76_94) <- NegatedConjecture",
+            "[861] ~Restore(sk_n_73_91, sk_T_70_88) | Ckpt(sk_p_68_86, sk_S_76_94) <- NegatedConjecture",
+            "[862] ~Restore(sk_n_73_91, sk_T_70_88) | rollback(sk_n_73_91, sk_S_76_94) <- NegatedConjecture",
+            "[872] ~restore(sk_n_73_91, sk_S_76_94) | Rollback(sk_n_73_91, sk_T_70_88) <- NegatedConjecture",
+            "[876] ~restore(sk_n_73_91, sk_S_76_94) | ckpt(sk_p_68_86, sk_T_70_88) <- NegatedConjecture",
+            "[884] Ckpt(sk_p_68_86, sk_S_76_94) | Rollback(sk_n_73_91, sk_T_70_88) <- NegatedConjecture",
+            "[890] Ckpt(sk_p_68_86, sk_S_76_94) | ckpt(sk_p_68_86, sk_T_70_88) <- NegatedConjecture",
+            "[899] Rollback(sk_n_73_91, sk_T_70_88) | rollback(sk_n_73_91, sk_S_76_94) <- NegatedConjecture",
+            "[903] ckpt(sk_p_68_86, sk_T_70_88) | rollback(sk_n_73_91, sk_S_76_94) <- NegatedConjecture",
+            "[904] ~Rollback(sk_n_73_91, sk_T_70_88) | ~ckpt(p_54_232, sk_T_70_88) | ~restore(sk_n_73_91, sk_S_76_94) <- Resolve(860, 16)",
+            "[954] ~ckpt(p_54_232_3566, sk_T_70_88) | ~restore(sk_n_73_91, sk_S_76_94) <- Resolve(904, 872)",
+            "[958] ~restore(sk_n_73_91, sk_S_76_94) <- Resolve(954, 876)",
+            "[959] ~Ckpt(p_61_3931, sk_S_76_94) | ~rollback(sk_n_73_91, sk_S_76_94) <- Resolve(958, 21)",
+            "[962] ~Restore(sk_n_73_91, sk_T_70_88) | ~rollback(sk_n_73_91, sk_S_76_94) <- Resolve(959, 861)",
+            "[965] ~rollback(sk_n_73_91, sk_S_76_94) | Rollback(sk_n_73_91, sk_T_70_88) <- Resolve(959, 884)",
+            "[966] ~rollback(sk_n_73_91, sk_S_76_94) | ckpt(sk_p_68_86, sk_T_70_88) <- Resolve(959, 890)",
+            "[977] ~Restore(sk_n_73_91, sk_T_70_88) <- Resolve(962, 862)",
+            "[978] ~Rollback(sk_n_73_91, sk_T_70_88) | ~ckpt(p_54_4444, sk_T_70_88) <- Resolve(977, 16)",
+            "[984] Rollback(sk_n_73_91, sk_T_70_88) <- Resolve(965, 899)",
+            "[987] ckpt(sk_p_68_86, sk_T_70_88) <- Resolve(966, 903)",
+            "[997] ~ckpt(p_54_4444_5644, sk_T_70_88) <- Resolve(978, 984)",
+            "[1004] ⊥ <- Resolve(997, 987)",
+        ]
+    );
+}
+
+#[test]
+fn chapter5_refutations_pass_the_independent_checker() {
+    let lib = SpecLibrary::load();
+    let outcomes = properties::replay_all(&lib);
+    // p1 and p3 are direct proofs; p2's is the refutation of its own
+    // support set (the consistency pre-check), which makes it vacuous.
+    assert!(outcomes[1].vacuous);
+    for o in &outcomes {
+        let proof = o.result.proof().unwrap_or_else(|| panic!("{} not proved", o.command.label));
+        assert_eq!(proof.check(), Ok(()), "{}", o.command.label);
+    }
+
+    // Tampering with any inference the refutation uses is caught at
+    // that step: a dropped literal, or one with its polarity flipped.
+    let p3 = outcomes[2].result.proof().expect("p3 proved");
+    let derived = p3.used.iter().copied().filter(|&i| {
+        matches!(p3.steps[i].rule, Rule::Resolve(..) | Rule::Factor(_))
+            && !p3.steps[i].clause.is_empty()
+    });
+    for i in derived {
+        let mut dropped = p3.clone();
+        dropped.steps[i].clause.literals.pop();
+        assert_eq!(dropped.check().map_err(|e| e.step), Err(i), "dropped a literal of step {i}");
+        let mut flipped = p3.clone();
+        let lit = flipped.steps[i].clause.literals.last_mut().expect("nonempty");
+        lit.positive = !lit.positive;
+        assert_eq!(flipped.check().map_err(|e| e.step), Err(i), "flipped a literal of step {i}");
+    }
+}
 
 #[test]
 fn the_complete_chapter5_artifact() {

@@ -69,6 +69,53 @@ fn dedup_vars(vs: Vec<Var>) -> Vec<Var> {
     vs.into_iter().filter(|v| seen.insert(v.name().clone())).collect()
 }
 
+/// Propositional letters of the ground formulas below.
+const LETTERS: [&str; 4] = ["A", "B", "C", "D"];
+
+/// Quantifier-free ground formulas over at most four letters, with every
+/// connective clausification has to eliminate.
+fn ground_formula_strategy() -> impl Strategy<Value = Formula> {
+    let leaf = prop_oneof![
+        (0..LETTERS.len()).prop_map(|i| Formula::prop(LETTERS[i])),
+        Just(Formula::True),
+        Just(Formula::False),
+    ];
+    leaf.prop_recursive(4, 32, 3, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(Formula::not),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::and(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::or(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::implies(a, b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::iff(a, b)),
+            (inner.clone(), inner.clone(), inner).prop_map(|(c, t, e)| Formula::ite(c, t, e)),
+        ]
+    })
+}
+
+/// Truth of a ground formula when letter `i` is bit `i` of `world`.
+fn holds(f: &Formula, world: u32) -> bool {
+    let letter =
+        |p: &str| world >> LETTERS.iter().position(|l| *l == p).expect("a letter") & 1 == 1;
+    match f {
+        Formula::True => true,
+        Formula::False => false,
+        Formula::Pred(p, _) => letter(p.as_str()),
+        Formula::Not(g) => !holds(g, world),
+        Formula::And(fs) => fs.iter().all(|g| holds(g, world)),
+        Formula::Or(fs) => fs.iter().any(|g| holds(g, world)),
+        Formula::Implies(a, b) => !holds(a, world) || holds(b, world),
+        Formula::Iff(a, b) => holds(a, world) == holds(b, world),
+        Formula::Ite(c, t, e) => {
+            if holds(c, world) {
+                holds(t, world)
+            } else {
+                holds(e, world)
+            }
+        }
+        other => panic!("not ground and quantifier-free: {other}"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -91,6 +138,25 @@ proptest! {
         prop_assert_eq!(a.len(), b.len());
         for (ca, cb) in a.iter().zip(&b) {
             prop_assert_eq!(ca.literals.len(), cb.literals.len());
+        }
+    }
+
+    #[test]
+    fn clausification_agrees_with_the_truth_table(f in ground_formula_strategy()) {
+        let clauses = clausify(&f, &mut FreshVars::new());
+        for world in 0..1u32 << LETTERS.len() {
+            let satisfied = clauses.iter().all(|c| {
+                c.literals.iter().any(|l| {
+                    let i = LETTERS.iter().position(|p| *p == l.pred.as_str()).expect("a letter");
+                    (world >> i & 1 == 1) == l.positive
+                })
+            });
+            prop_assert_eq!(satisfied, holds(&f, world), "{} in world {:04b}: {:?}", f, world, clauses);
+        }
+        prop_assert!(clauses.windows(2).all(|w| w[0] < w[1]), "not sorted or duplicated: {:?}", clauses);
+        for c in &clauses {
+            prop_assert!(!c.is_tautology(), "tautology {}", c);
+            prop_assert!(c.literals.windows(2).all(|w| w[0] < w[1]), "unsorted clause {}", c);
         }
     }
 
