@@ -3,6 +3,7 @@
 //! only when both sides carry *known*, *different* sorts.
 
 use crate::subst::Subst;
+use crate::sym::Sym;
 use crate::term::{Term, Var};
 
 /// Attempts to extend `subst` so that `a` and `b` become equal.
@@ -49,22 +50,29 @@ fn bind(v: &Var, t: &Term, subst: &mut Subst) -> bool {
     true
 }
 
-/// Attempts to find a *matching* substitution θ with `pattern`θ = `target`
-/// (one-way unification: only variables of `pattern` may be bound).
-/// Used by subsumption checking.
-pub fn match_terms(pattern: &Term, target: &Term, subst: &mut Subst) -> bool {
+/// Attempts to extend the matching substitution θ in `binds` so that
+/// `pattern`θ = `target` (one-way unification: only variables of
+/// `pattern` may be bound). `binds` is a stack of (variable name, term)
+/// pairs, so a caller backtracking over alternatives undoes a failed
+/// match by truncating it to its earlier length. Used by subsumption
+/// checking.
+pub fn match_terms<'a>(
+    pattern: &'a Term,
+    target: &'a Term,
+    binds: &mut Vec<(&'a Sym, &'a Term)>,
+) -> bool {
     match (pattern, target) {
-        (Term::Var(x), t) => match subst.get(x.name()) {
-            Some(bound) => bound == t,
+        (Term::Var(x), t) => match binds.iter().find(|(name, _)| *name == x.name()) {
+            Some((_, bound)) => *bound == t,
             None => {
-                subst.bind(x.clone(), t.clone());
+                binds.push((x.name(), t));
                 true
             }
         },
         (Term::App(f, fa), Term::App(g, ga)) => {
             f == g
                 && fa.len() == ga.len()
-                && fa.iter().zip(ga).all(|(p, t)| match_terms(p, t, subst))
+                && fa.iter().zip(ga).all(|(p, t)| match_terms(p, t, binds))
         }
         _ => false,
     }
@@ -119,9 +127,19 @@ mod tests {
 
     #[test]
     fn matching_is_one_way() {
-        let mut s = Subst::new();
-        assert!(match_terms(&v("x"), &Term::constant("a"), &mut s));
-        let mut s2 = Subst::new();
-        assert!(!match_terms(&Term::constant("a"), &v("x"), &mut s2));
+        let (x, a) = (v("x"), Term::constant("a"));
+        let mut binds = Vec::new();
+        assert!(match_terms(&x, &a, &mut binds));
+        assert_eq!(binds.iter().map(|(x, t)| (x.as_str(), *t)).collect::<Vec<_>>(), [("x", &a)]);
+        assert!(!match_terms(&a, &x, &mut Vec::new()));
+    }
+
+    #[test]
+    fn matching_keeps_bindings_consistent() {
+        // f(x, x) matches f(a, a) but not f(a, b).
+        let (a, b) = (Term::constant("a"), Term::constant("b"));
+        let pat = Term::app("f", vec![v("x"), v("x")]);
+        assert!(match_terms(&pat, &Term::app("f", vec![a.clone(), a.clone()]), &mut Vec::new()));
+        assert!(!match_terms(&pat, &Term::app("f", vec![a, b]), &mut Vec::new()));
     }
 }
