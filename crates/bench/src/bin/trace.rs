@@ -14,7 +14,7 @@
 //! same bytes. `record-engine` keeps wall-clock timestamps so
 //! `--causal-path` can attribute time along the commit critical path.
 
-use mcv_chaos::{run_chaos, ChaosConfig, FaultPlan, FaultSchedule};
+use mcv_chaos::{run_chaos, ChaosConfig, FaultPlan, FaultSchedule, Target};
 use mcv_trace::{CausalTrace, Filter};
 use std::path::{Path, PathBuf};
 

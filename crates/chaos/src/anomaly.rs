@@ -201,7 +201,7 @@ fn fork_witness(a: &TxnView, b: &TxnView) -> Option<(String, String)> {
 }
 
 /// A shrunk, replayable anomaly counterexample packaged as JSON —
-/// `mcv-mvcc`'s analogue of [`crate::ReproArtifact`].
+/// `mcv-mvcc`'s analogue of [`crate::Artifact`].
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct AnomalyArtifact {
     /// Artifact identifier (kind + isolation + seed).

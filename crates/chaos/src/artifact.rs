@@ -1,15 +1,15 @@
-//! Repro artifacts: a minimal counterexample packaged as JSON with the
-//! exact command that replays it.
+//! Repro artifacts: a minimal counterexample of any [`Target`]
+//! packaged as JSON with the exact command that replays it.
 
-use crate::runner::{run_chaos, ChaosConfig, ChaosOutcome};
+use crate::campaign::{violates, Target};
 use std::io;
 use std::path::Path;
 
-/// A self-contained, replayable counterexample: the full chaos
-/// configuration (scenario + fault schedule), which oracle it
-/// violates, and the command line that replays it from a file.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ReproArtifact {
+/// A self-contained, replayable counterexample: the full run
+/// configuration (scenario + fault schedule), which oracle it violates,
+/// and the command line that replays it from a file.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Artifact<T> {
     /// Artifact identifier (derived from oracle + schedule size).
     pub id: String,
     /// The violated oracle's name.
@@ -17,32 +17,63 @@ pub struct ReproArtifact {
     /// Evidence text from the oracle.
     pub detail: String,
     /// The exact configuration to replay.
-    pub config: ChaosConfig,
+    pub config: T,
     /// Shell command that replays this artifact once written to a file
     /// named `<id>.json`.
     pub replay_cmd: String,
 }
 
-impl ReproArtifact {
+/// The JSON layout of every artifact, with the configuration left as
+/// a value tree for the target to read.
+#[derive(serde::Serialize, serde::Deserialize)]
+struct Wire {
+    id: String,
+    violated: String,
+    detail: String,
+    config: serde::Value,
+    replay_cmd: String,
+}
+
+impl<T: Target> Artifact<T> {
     /// Packages a violating configuration.
-    pub fn new(config: ChaosConfig, violated: String, detail: String) -> Self {
-        let id = format!("chaos-{}-{}ev-seed{}", violated, config.schedule.len(), config.seed);
-        let replay_cmd = format!("cargo run --release --example chaos_hunt -- --replay {id}.json");
-        ReproArtifact { id, violated, detail, config, replay_cmd }
+    pub fn new(config: T, violated: String, detail: String) -> Self {
+        let id =
+            format!("{}-{}-{}ev-seed{}", T::KIND, violated, config.schedule().len(), config.seed());
+        let replay_cmd =
+            format!("cargo run --release --example {} -- --replay {id}.json", T::REPLAY_EXAMPLE);
+        Artifact { id, violated, detail, config, replay_cmd }
     }
 
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("artifact serializes")
+        let wire = Wire {
+            id: self.id.clone(),
+            violated: self.violated.clone(),
+            detail: self.detail.clone(),
+            config: serde::Serialize::serialize(&self.config),
+            replay_cmd: self.replay_cmd.clone(),
+        };
+        serde_json::to_string_pretty(&wire).expect("artifact serializes")
     }
 
     /// Parses an artifact back from JSON.
     ///
     /// # Errors
     ///
-    /// Returns the underlying serde error on malformed input.
+    /// Returns a serde error on malformed input, and on a schedule
+    /// event naming a process outside the configuration's topology.
     pub fn from_json(text: &str) -> Result<Self, serde::Error> {
-        serde_json::from_str(text)
+        let wire: Wire = serde_json::from_str(text)?;
+        let config = T::deserialize(&wire.config)
+            .map_err(|e| serde::Error::custom(format!("field `config` of the artifact: {e}")))?;
+        let n_procs = config.n_procs();
+        if let Some(e) = config.schedule().events.iter().find(|e| !e.fits(n_procs)) {
+            return Err(serde::Error::custom(format!(
+                "fault event {e:?} names a process outside the {n_procs}-process topology"
+            )));
+        }
+        let Wire { id, violated, detail, replay_cmd, .. } = wire;
+        Ok(Artifact { id, violated, detail, config, replay_cmd })
     }
 
     /// Writes `<id>.json` into `dir` and returns the path.
@@ -56,9 +87,9 @@ impl ReproArtifact {
         Ok(path)
     }
 
-    /// Writes the flight-recorder window as `<id>.trace.jsonl` next to
-    /// the artifact (wall-clock timestamps stripped, so replays of the
-    /// same counterexample produce identical files).
+    /// Writes a run's causal trace as `<id>.trace.jsonl` next to the
+    /// artifact (wall-clock timestamps stripped, so replays of a
+    /// deterministic counterexample produce identical files).
     ///
     /// # Errors
     ///
@@ -75,45 +106,14 @@ impl ReproArtifact {
         Ok(path)
     }
 
-    /// Re-executes the packaged configuration. The run is
-    /// deterministic, so the violation reproduces exactly.
-    pub fn replay(&self) -> ChaosOutcome {
-        run_chaos(&self.config)
+    /// Re-executes the packaged configuration once.
+    pub fn replay(&self) -> T::Outcome {
+        self.config.run()
     }
 
-    /// Whether the replay still violates the packaged oracle.
+    /// Whether a replay, allowing [`Target::RUNS_PER_CHECK`] tries,
+    /// still violates the packaged oracle.
     pub fn reproduces(&self) -> bool {
-        self.replay().violates(&self.violated)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::schedule::FaultSchedule;
-
-    #[test]
-    fn artifact_round_trips_through_json() {
-        let cfg = ChaosConfig {
-            naive_timeouts: true,
-            seed: 17,
-            schedule: FaultSchedule::generate(17, &crate::schedule::FaultPlan::tolerated(4, 300)),
-            ..ChaosConfig::default()
-        };
-        let a = ReproArtifact::new(cfg, "ac1_agreement".into(), "split".into());
-        let back = ReproArtifact::from_json(&a.to_json()).unwrap();
-        assert_eq!(back, a);
-        assert!(back.replay_cmd.contains("--replay"));
-    }
-
-    #[test]
-    fn replay_is_deterministic() {
-        let cfg = ChaosConfig {
-            seed: 3,
-            schedule: FaultSchedule::generate(3, &crate::schedule::FaultPlan::tolerated(4, 300)),
-            ..ChaosConfig::default()
-        };
-        let a = ReproArtifact::new(cfg, "ac1_agreement".into(), String::new());
-        assert_eq!(a.replay().fingerprint, a.replay().fingerprint);
+        (0..T::RUNS_PER_CHECK).any(|_| violates::<T>(&self.replay(), &self.violated))
     }
 }

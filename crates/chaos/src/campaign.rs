@@ -1,110 +1,160 @@
-//! Seed-sweeping campaigns: generate a fault schedule per seed, run
-//! it, tally per-oracle verdicts into an [`mcv_obs::RunReport`], and
-//! on violation shrink to a minimal counterexample.
+//! Seed-sweeping campaigns over any [`Target`]: generate a fault
+//! schedule per seed, run it, tally per-oracle verdicts into an
+//! [`mcv_obs::RunReport`], and on violation shrink to a minimal,
+//! replayable counterexample.
 
-use crate::artifact::ReproArtifact;
-use crate::runner::{run_chaos, ChaosConfig};
+use crate::artifact::Artifact;
+use crate::oracle::OracleResult;
 use crate::schedule::{FaultPlan, FaultSchedule};
 use crate::shrink::shrink;
 use std::collections::BTreeMap;
+use std::fmt;
 
-/// A campaign: a base configuration (its `seed` and `schedule` are
+/// A run configuration a campaign can drive: it carries a seed and a
+/// fault schedule the campaign sets, runs to oracle verdicts, and names
+/// the topology reductions the shrinker may try. [`ChaosConfig`]
+/// (the deterministic simulator) and `mcv_dist::PipelineConfig` (real
+/// threads) implement it; everything else — the sweep, the shrinker and
+/// the artifact — is shared.
+///
+/// [`ChaosConfig`]: crate::ChaosConfig
+pub trait Target:
+    Clone + fmt::Debug + PartialEq + serde::Serialize + serde::Deserialize + 'static
+{
+    /// What one run produces.
+    type Outcome;
+    /// Artifact ids read `<KIND>-<oracle>-<n>ev-seed<seed>`.
+    const KIND: &'static str;
+    /// The example whose `--replay <file>` re-executes an artifact.
+    const REPLAY_EXAMPLE: &'static str;
+    /// Runs allowed per shrink candidate and per reproduction check: 1
+    /// for a deterministic run, more where scheduling jitter can mask a
+    /// violation on any single run.
+    const RUNS_PER_CHECK: usize;
+    /// Default shrink budget, in runs.
+    const SHRINK_BUDGET: usize;
+    /// Topology reductions, tried in order: each returns the
+    /// configuration one step smaller, or `None` at its floor. A
+    /// reduction only shrinks the process range from the top; the
+    /// shrinker restricts the schedule to what is left.
+    const REDUCTIONS: &'static [fn(&Self) -> Option<Self>];
+
+    /// Runs the configuration once.
+    fn run(&self) -> Self::Outcome;
+    /// Every oracle's verdict of a run.
+    fn oracles(out: &Self::Outcome) -> &[OracleResult];
+    /// The causal trace of a run.
+    fn trace(out: Self::Outcome) -> mcv_trace::CausalTrace;
+    /// The run's seed.
+    fn seed(&self) -> u64;
+    /// Sets the run's seed.
+    fn set_seed(&mut self, seed: u64);
+    /// The fault schedule.
+    fn schedule(&self) -> &FaultSchedule;
+    /// The fault schedule, for the campaign and the shrinker to set.
+    fn schedule_mut(&mut self) -> &mut FaultSchedule;
+    /// Process count: schedules name processes `0..n_procs`.
+    fn n_procs(&self) -> usize;
+}
+
+/// The first violated oracle of a run, if any.
+fn first_violation<T: Target>(out: &T::Outcome) -> Option<&OracleResult> {
+    T::oracles(out).iter().find(|o| !o.pass)
+}
+
+/// Whether the named oracle failed in a run.
+pub(crate) fn violates<T: Target>(out: &T::Outcome, oracle: &str) -> bool {
+    T::oracles(out).iter().any(|o| o.name == oracle && !o.pass)
+}
+
+/// A campaign: a base configuration (its seed and schedule are
 /// overwritten per run) plus the generation plan.
 #[derive(Debug, Clone)]
-pub struct Campaign {
-    /// Scenario template; `seed` and `schedule` are set per run.
-    pub base: ChaosConfig,
+pub struct Campaign<T> {
+    /// Scenario template; seed and schedule are set per run.
+    pub base: T,
     /// Random-schedule bounds.
     pub plan: FaultPlan,
     /// Run budget for shrinking each violation.
     pub shrink_budget: usize,
 }
 
-impl Campaign {
-    /// A campaign over `base` with the given plan and a default shrink
-    /// budget.
-    pub fn new(base: ChaosConfig, plan: FaultPlan) -> Self {
-        Campaign { base, plan, shrink_budget: 400 }
+impl<T: Target> Campaign<T> {
+    /// A campaign over `base` with the given plan and the target's
+    /// default shrink budget.
+    pub fn new(base: T, plan: FaultPlan) -> Self {
+        Campaign { base, plan, shrink_budget: T::SHRINK_BUDGET }
     }
 
-    /// The configuration for one seed.
-    pub fn config_for(&self, seed: u64) -> ChaosConfig {
-        ChaosConfig {
-            seed,
-            schedule: FaultSchedule::generate(seed, &self.plan),
-            ..self.base.clone()
-        }
+    /// Runs each seed's configuration — the base with that seed and
+    /// the schedule the plan generates from it — in order, lazily.
+    fn sweep(&self, seeds: std::ops::Range<u64>) -> impl Iterator<Item = (T, T::Outcome)> + '_ {
+        seeds.map(|seed| {
+            let mut cfg = self.base.clone();
+            cfg.set_seed(seed);
+            *cfg.schedule_mut() = FaultSchedule::generate(seed, &self.plan);
+            let out = cfg.run();
+            mcv_obs::counter("campaign.runs", 1);
+            if first_violation::<T>(&out).is_some() {
+                mcv_obs::counter("campaign.violations", 1);
+            }
+            (cfg, out)
+        })
     }
 
-    /// Sweeps seeds `0..n_seeds`, recording per-oracle tallies. Every
-    /// failure is kept (seed + violated oracle), but nothing is shrunk
-    /// — use [`Campaign::hunt`] for counterexample extraction.
-    pub fn run(&self, n_seeds: u64) -> CampaignSummary {
-        self.run_seeds(0, n_seeds)
-    }
-
-    /// Sweeps seeds `seed_base..seed_base + n_seeds`. Distinct bases
-    /// give the CI flake detector disjoint seed populations per round.
+    /// Sweeps seeds `seed_base..seed_base + n_seeds`, recording
+    /// per-oracle tallies. Every failure is kept (seed + violated
+    /// oracle), but nothing is shrunk — use [`Campaign::hunt`] for
+    /// counterexample extraction. Distinct bases give the CI flake
+    /// detector disjoint seed populations per round.
     pub fn run_seeds(&self, seed_base: u64, n_seeds: u64) -> CampaignSummary {
-        let _span = mcv_obs::Span::enter("chaos.campaign");
+        let _span = mcv_obs::Span::enter("campaign");
         let mut passes: BTreeMap<String, u64> = BTreeMap::new();
         let mut fails: BTreeMap<String, u64> = BTreeMap::new();
         let mut failures = Vec::new();
-        for seed in seed_base..seed_base + n_seeds {
-            let cfg = self.config_for(seed);
-            let out = run_chaos(&cfg);
-            mcv_obs::counter("chaos.runs", 1);
-            for o in &out.oracles {
+        for (cfg, out) in self.sweep(seed_base..seed_base + n_seeds) {
+            for o in T::oracles(&out) {
                 *if o.pass { &mut passes } else { &mut fails }
                     .entry(o.name.clone())
                     .or_insert(0) += 1;
             }
-            if let Some(v) = out.violated() {
-                mcv_obs::counter("chaos.violations", 1);
-                failures.push((seed, v.name.clone()));
+            if let Some(v) = first_violation::<T>(&out) {
+                failures.push((cfg.seed(), v.name.clone()));
             }
         }
         CampaignSummary { runs: n_seeds, passes, fails, failures }
     }
 
-    /// Sweeps seeds until the first violation, shrinks it, and wraps
-    /// the minimal counterexample as a replayable artifact. `None` if
-    /// all `n_seeds` runs pass every oracle.
-    pub fn hunt(&self, n_seeds: u64) -> Option<Violation> {
-        let _span = mcv_obs::Span::enter("chaos.hunt");
-        for seed in 0..n_seeds {
-            let cfg = self.config_for(seed);
-            let out = run_chaos(&cfg);
-            mcv_obs::counter("chaos.runs", 1);
-            let Some(v) = out.violated() else { continue };
-            let oracle = v.name.clone();
-            let detail = v.detail.clone();
-            mcv_obs::counter("chaos.violations", 1);
-            let shrunk = shrink(&cfg, &oracle, self.shrink_budget);
-            // Re-run the minimum for its authoritative detail text.
-            let min_out = run_chaos(&shrunk.config);
-            let min_detail = min_out
-                .oracles
-                .iter()
-                .find(|o| o.name == oracle && !o.pass)
-                .map(|o| o.detail.clone())
-                .unwrap_or(detail);
-            return Some(Violation {
-                seed,
-                oracle: oracle.clone(),
-                original_events: cfg.schedule.len(),
-                shrink_runs: shrunk.runs,
-                trace: min_out.trace,
-                artifact: ReproArtifact::new(shrunk.config, oracle, min_detail),
-            });
-        }
-        None
+    /// Sweeps seeds `0..n_seeds` until the first violation, shrinks it,
+    /// and wraps the minimal counterexample as a replayable artifact.
+    /// `None` if every run passes every oracle.
+    pub fn hunt(&self, n_seeds: u64) -> Option<Violation<T>> {
+        let _span = mcv_obs::Span::enter("campaign.hunt");
+        let (cfg, oracle, detail) = self.sweep(0..n_seeds).find_map(|(cfg, out)| {
+            let v = first_violation::<T>(&out)?;
+            Some((cfg, v.name.clone(), v.detail.clone()))
+        })?;
+        let shrunk = shrink(&cfg, &oracle, self.shrink_budget);
+        // Re-run the minimum for its authoritative detail and trace.
+        let min_out = shrunk.config.run();
+        let detail = T::oracles(&min_out)
+            .iter()
+            .find(|o| o.name == oracle && !o.pass)
+            .map_or(detail, |o| o.detail.clone());
+        Some(Violation {
+            seed: cfg.seed(),
+            oracle: oracle.clone(),
+            original_events: cfg.schedule().len(),
+            shrink_runs: shrunk.runs,
+            trace: T::trace(min_out),
+            artifact: Artifact::new(shrunk.config, oracle, detail),
+        })
     }
 }
 
 /// A found-and-shrunk violation.
 #[derive(Debug, Clone)]
-pub struct Violation {
+pub struct Violation<T> {
     /// The campaign seed that first exposed it.
     pub seed: u64,
     /// The violated oracle.
@@ -113,14 +163,14 @@ pub struct Violation {
     pub original_events: usize,
     /// Runs spent shrinking.
     pub shrink_runs: usize,
-    /// The flight-recorder window of the minimal run — the causal
-    /// events leading up to the violation.
+    /// The causal trace of the minimal run (for the simulator, its
+    /// flight-recorder window).
     pub trace: mcv_trace::CausalTrace,
     /// The minimal, replayable counterexample.
-    pub artifact: ReproArtifact,
+    pub artifact: Artifact<T>,
 }
 
-/// Aggregate tallies of a [`Campaign::run`] sweep.
+/// Aggregate tallies of a [`Campaign::run_seeds`] sweep.
 #[derive(Debug, Clone)]
 pub struct CampaignSummary {
     /// Seeds executed.
@@ -157,6 +207,7 @@ impl CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ChaosConfig;
 
     #[test]
     fn fault_free_plan_yields_green_summary() {
@@ -170,7 +221,7 @@ mod tests {
             ..FaultPlan::tolerated(4, 200)
         };
         let c = Campaign::new(ChaosConfig::default(), plan);
-        let summary = c.run(5);
+        let summary = c.run_seeds(0, 5);
         assert!(summary.all_green(), "failures: {:?}", summary.failures);
         assert_eq!(summary.runs, 5);
         let report = summary.to_report("chaos-test");

@@ -7,6 +7,10 @@
 //! delta-debugging shrinking of violations down to minimal,
 //! JSON-packaged counterexamples.
 //!
+//! The campaign stack — [`Campaign`], [`shrink`], [`Artifact`] — is
+//! generic over a [`Target`]: the simulator's [`ChaosConfig`] here, the
+//! threaded cross-shard runtime's `PipelineConfig` in `mcv-dist`.
+//!
 //! The thesis *proves* these properties from local axioms; this crate
 //! hunts for executions that would falsify them, and — for the naive
 //! Figure 3.2 timeout variant — finds the split-brain counterexample
@@ -15,12 +19,12 @@
 //! # Examples
 //!
 //! ```
-//! use mcv_chaos::{Campaign, ChaosConfig, FaultPlan};
+//! use mcv_chaos::{Campaign, ChaosConfig, FaultPlan, Target};
 //!
 //! // A short all-green sweep of the election + termination protocol.
 //! let base = ChaosConfig { quorum_termination: true, ..ChaosConfig::default() };
 //! let plan = FaultPlan::tolerated(base.n_procs(), 300);
-//! let summary = Campaign::new(base, plan).run(3);
+//! let summary = Campaign::new(base, plan).run_seeds(0, 3);
 //! assert!(summary.all_green(), "{:?}", summary.failures);
 //! ```
 
@@ -38,8 +42,8 @@ pub use anomaly::{
     detect_anomalies, find_long_forks, find_write_skews, txn_views, AnomalyArtifact, AnomalyReport,
     LongFork, TxnView, WriteSkew,
 };
-pub use artifact::ReproArtifact;
-pub use campaign::{Campaign, CampaignSummary, Violation};
+pub use artifact::Artifact;
+pub use campaign::{Campaign, CampaignSummary, Target, Violation};
 pub use oracle::{OracleResult, ORACLE_NAMES};
 pub use runner::{run_chaos, ChaosConfig, ChaosOutcome, FLIGHT_RECORDER_CAP};
 pub use schedule::{CutKind, FaultEvent, FaultPlan, FaultSchedule};

@@ -129,6 +129,14 @@ impl FaultEvent {
         }
     }
 
+    /// Whether every process the event names exists in a topology of
+    /// `n_procs` processes (ids `0..n_procs`). This is the one rule for
+    /// which events a topology can run: both runtimes skip an event
+    /// that does not fit, and an artifact carrying one does not load.
+    pub fn fits(&self, n_procs: usize) -> bool {
+        self.procs().iter().all(|p| *p < n_procs)
+    }
+
     /// A copy with the window end moved to `until` (identity for
     /// non-windowed events).
     pub fn with_until(&self, new_until: u64) -> FaultEvent {
@@ -293,7 +301,10 @@ impl FaultSchedule {
                     });
                 }
                 _ => {
-                    let keep_bytes = rng.gen_range(0..512usize);
+                    // Scaled to the log image: a cohort's unforced tail
+                    // is one 18-byte update frame, so a wider draw
+                    // mostly tears beyond the image and is a plain crash.
+                    let keep_bytes = rng.gen_range(0..32usize);
                     events.push(FaultEvent::TornWrite { proc, at, keep_bytes });
                     if plan.crashes_recover {
                         let back = rng.gen_range(at + 1..=horizon);
@@ -315,10 +326,18 @@ impl FaultSchedule {
         self.events.is_empty()
     }
 
-    /// Whether any event refers to a process index `>= n_procs` (such
-    /// a schedule cannot run against a smaller topology).
-    pub fn references_beyond(&self, n_procs: usize) -> bool {
-        self.events.iter().any(|e| e.procs().iter().any(|p| *p >= n_procs))
+    /// Fits the schedule to processes `0..n_procs` after a topology
+    /// reduction removed the others: a partition keeps the survivors on
+    /// its side (and goes once it cuts nothing), every other event that
+    /// names a removed process goes.
+    pub fn restrict(&mut self, n_procs: usize) {
+        self.events.retain_mut(|e| match e {
+            FaultEvent::Partition { side, .. } => {
+                side.retain(|p| *p < n_procs);
+                !side.is_empty() && side.len() < n_procs
+            }
+            _ => e.fits(n_procs),
+        });
     }
 }
 
@@ -339,7 +358,7 @@ mod tests {
         for seed in 0..50 {
             let s = FaultSchedule::generate(seed, &plan);
             assert!(!s.is_empty());
-            assert!(!s.references_beyond(5), "{s:?}");
+            assert!(s.events.iter().all(|e| e.fits(5)), "{s:?}");
             for e in &s.events {
                 if let Some((from, until)) = e.window() {
                     assert!(from < until && until <= 200, "{e:?}");
@@ -376,6 +395,34 @@ mod tests {
         let json = serde_json::to_string(&s).unwrap();
         let back: FaultSchedule = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
+    }
+
+    #[test]
+    fn restrict_strips_partitions_and_drops_events_naming_removed_processes() {
+        let window = |src, dst| FaultEvent::DropWindow { src, dst, from: 1, until: 9 };
+        let partition = |side: Vec<usize>| FaultEvent::Partition {
+            side,
+            cut: CutKind::Both,
+            from: 1,
+            until: 9,
+        };
+        let mut s = FaultSchedule {
+            events: vec![
+                FaultEvent::Crash { proc: 3, at: 5 },
+                FaultEvent::Recover { proc: 2, at: 6 },
+                window(None, Some(3)),
+                window(Some(0), None),
+                partition(vec![1, 3]),
+                partition(vec![3]),
+                partition(vec![0, 1, 2, 3]),
+            ],
+        };
+        s.restrict(3);
+        assert_eq!(
+            s.events,
+            vec![FaultEvent::Recover { proc: 2, at: 6 }, window(Some(0), None), partition(vec![1])]
+        );
+        assert!(s.events.iter().all(|e| e.fits(3)));
     }
 
     #[test]

@@ -1,97 +1,80 @@
-//! Delta-debugging shrinker: reduces a violating chaos configuration
-//! to a minimal counterexample that still violates the same oracle.
+//! Delta-debugging shrinker: reduces a violating configuration of any
+//! [`Target`] to a minimal counterexample that still violates the same
+//! oracle.
 //!
 //! Three reductions are applied to a fixpoint, cheapest first:
-//! dropping fault events one at a time, shrinking the topology
-//! (fewer cohorts, fewer transactions), and tightening fault windows.
-//! Every candidate is re-executed — the shrinker never assumes a
-//! smaller schedule fails just because a larger one did.
+//! dropping fault events one at a time, the target's topology
+//! reductions (the schedule restricted to the processes left), and
+//! tightening fault windows by binary search. Every candidate is
+//! re-executed, up to [`Target::RUNS_PER_CHECK`] times — the shrinker
+//! never assumes a smaller schedule fails just because a larger one did.
 
-use crate::runner::{run_chaos, ChaosConfig};
+use crate::campaign::{violates, Target};
 
 /// Outcome of a shrink: the minimal configuration found plus how much
 /// work it took.
 #[derive(Debug, Clone)]
-pub struct Shrunk {
+pub struct Shrunk<T> {
     /// The minimized configuration (still violates the oracle).
-    pub config: ChaosConfig,
+    pub config: T,
     /// Runs spent shrinking.
     pub runs: usize,
 }
 
 /// Shrinks `cfg` while `oracle` keeps failing, within a run budget.
 /// `cfg` itself must already violate `oracle`.
-pub fn shrink(cfg: &ChaosConfig, oracle: &str, budget: usize) -> Shrunk {
+pub fn shrink<T: Target>(cfg: &T, oracle: &str, budget: usize) -> Shrunk<T> {
     let mut best = cfg.clone();
     let mut runs = 0;
-    let try_candidate = |cand: &ChaosConfig, runs: &mut usize| -> bool {
-        if *runs >= budget {
-            return false;
-        }
-        *runs += 1;
-        run_chaos(cand).violates(oracle)
+    let fails = |cand: &T, runs: &mut usize| -> bool {
+        (0..T::RUNS_PER_CHECK).any(|_| {
+            if *runs >= budget {
+                return false;
+            }
+            *runs += 1;
+            violates::<T>(&cand.run(), oracle)
+        })
     };
 
-    // Pass 1 + fixpoint: greedy single-event removal. Scanning from
-    // the back first tends to drop the late, irrelevant events cheaply.
     loop {
         let mut progressed = false;
-        let mut i = best.schedule.events.len();
+
+        // Greedy single-event removal. Scanning from the back first
+        // tends to drop the late, irrelevant events cheaply.
+        let mut i = best.schedule().len();
         while i > 0 {
             i -= 1;
             let mut cand = best.clone();
-            cand.schedule.events.remove(i);
-            if try_candidate(&cand, &mut runs) {
+            cand.schedule_mut().events.remove(i);
+            if fails(&cand, &mut runs) {
                 best = cand;
                 progressed = true;
             }
         }
 
-        // Topology reduction: drop the highest cohort (and any events
-        // that reference it) while the violation survives.
-        while best.n_cohorts > 1 {
-            let gone = best.n_cohorts; // cohort ids are 1..=n_cohorts
-            let mut cand = best.clone();
-            cand.n_cohorts -= 1;
-            cand.schedule.events.retain(|e| e.procs().iter().all(|p| *p != gone));
-            cand.schedule.events.iter_mut().for_each(|e| {
-                if let crate::schedule::FaultEvent::Partition { side, .. } = e {
-                    side.retain(|p| *p != gone);
+        // Topology: each reduction while the violation survives.
+        for reduce in T::REDUCTIONS {
+            while let Some(mut cand) = reduce(&best) {
+                let n_procs = cand.n_procs();
+                cand.schedule_mut().restrict(n_procs);
+                if !fails(&cand, &mut runs) {
+                    break;
                 }
-            });
-            cand.schedule.events.retain(|e| {
-                !matches!(
-                    e,
-                    crate::schedule::FaultEvent::Partition { side, .. } if side.is_empty()
-                )
-            });
-            if try_candidate(&cand, &mut runs) {
                 best = cand;
                 progressed = true;
-            } else {
-                break;
-            }
-        }
-        while best.n_transactions > 1 {
-            let mut cand = best.clone();
-            cand.n_transactions -= 1;
-            if try_candidate(&cand, &mut runs) {
-                best = cand;
-                progressed = true;
-            } else {
-                break;
             }
         }
 
         // Window tightening: binary-search each window's end down.
-        for i in 0..best.schedule.events.len() {
-            let Some((from, until)) = best.schedule.events[i].window() else { continue };
+        for i in 0..best.schedule().len() {
+            let event = best.schedule().events[i].clone();
+            let Some((from, until)) = event.window() else { continue };
             let (mut lo, mut hi) = (from + 1, until);
             while lo < hi {
                 let mid = lo + (hi - lo) / 2;
                 let mut cand = best.clone();
-                cand.schedule.events[i] = cand.schedule.events[i].with_until(mid);
-                if try_candidate(&cand, &mut runs) {
+                cand.schedule_mut().events[i] = event.with_until(mid);
+                if fails(&cand, &mut runs) {
                     best = cand;
                     hi = mid;
                     progressed = true;
@@ -111,6 +94,7 @@ pub fn shrink(cfg: &ChaosConfig, oracle: &str, budget: usize) -> Shrunk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{run_chaos, ChaosConfig};
     use crate::schedule::{FaultEvent, FaultSchedule};
 
     #[test]

@@ -4,9 +4,9 @@
 //! replay byte-deterministically, and the election + termination
 //! protocol must survive a long tolerated-fault campaign untouched.
 
-use mcv_chaos::{run_chaos, Campaign, ChaosConfig, FaultPlan, ReproArtifact};
+use mcv_chaos::{run_chaos, Artifact, Campaign, ChaosConfig, FaultPlan, Target};
 
-fn naive_campaign() -> Campaign {
+fn naive_campaign() -> Campaign<ChaosConfig> {
     let base = ChaosConfig { naive_timeouts: true, ..ChaosConfig::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
     Campaign::new(base, plan)
@@ -42,7 +42,7 @@ fn repro_artifact_replays_byte_deterministically() {
     let path = v.artifact.write(&dir).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let loaded = ReproArtifact::from_json(&text).unwrap();
+    let loaded = Artifact::<ChaosConfig>::from_json(&text).unwrap();
     assert_eq!(loaded, v.artifact);
 
     // Replaying the loaded artifact gives bit-identical executions.
@@ -58,7 +58,7 @@ fn repro_artifact_replays_byte_deterministically() {
 fn election_and_quorum_termination_survive_500_seeds() {
     let base = ChaosConfig { quorum_termination: true, ..ChaosConfig::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
-    let summary = Campaign::new(base, plan).run(500);
+    let summary = Campaign::new(base, plan).run_seeds(0, 500);
     assert_eq!(summary.runs, 500);
     assert!(
         summary.all_green(),

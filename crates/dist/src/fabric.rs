@@ -22,7 +22,7 @@
 //! draw sequence, same FIFO clamps).
 
 use crate::transport::{DeliverItem, NodeEvent};
-use mcv_chaos::{CutKind, FaultEvent, FaultSchedule};
+use mcv_chaos::{CutKind, FaultEvent};
 use mcv_commit::Msg;
 use mcv_trace::Cause;
 use rand::rngs::StdRng;
@@ -162,16 +162,16 @@ pub(crate) struct Fabric {
 }
 
 impl Fabric {
-    /// Builds the fabric: parses the fault schedule into real-time
-    /// windows and schedules its crash/recover dispatches.
-    pub fn new(
+    /// Builds the fabric: parses the fault events into real-time
+    /// windows and schedules their crash/recover dispatches.
+    pub fn new<'a>(
         tick_us: u64,
         delay_ticks: u64,
         batch_window_us: u64,
         seed: u64,
         rec: Option<Arc<mcv_trace::Recorder>>,
         prof: Option<mcv_prof::Profiler>,
-        schedule: &FaultSchedule,
+        events: impl IntoIterator<Item = &'a FaultEvent>,
     ) -> Fabric {
         let mut f = Fabric {
             tick_us,
@@ -191,7 +191,7 @@ impl Fabric {
             tally: NetTally::default(),
         };
         let us = |ticks: u64| ticks.saturating_mul(tick_us);
-        for ev in &schedule.events {
+        for ev in events {
             match ev {
                 FaultEvent::Crash { proc, at } | FaultEvent::TornWrite { proc, at, .. } => {
                     f.seq += 1;

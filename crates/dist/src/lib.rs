@@ -20,14 +20,16 @@
 //!   engine's commit path blocks on the force and cites it in the
 //!   causal trace, which the `mcv-trace` checker verifies per shard
 //!   via per-WAL identities;
-//! - seeded campaigns sweep fault schedules and check **cross-shard
-//!   atomicity** (no shard durably commits while another settles on
-//!   abort), the AC properties, termination, per-shard
-//!   serializability, WAL recovery, and causal well-formedness;
-//! - violations shrink to minimal replayable artifacts, exactly like
-//!   `mcv-chaos` — and the naive Figure 3.2 timeouts, demonstrably
-//!   unsafe in simulation, split-brain just as reliably over real
-//!   threads.
+//! - [`PipelineConfig`] is an `mcv-chaos` campaign
+//!   [`Target`](mcv_chaos::Target): the same seeded campaigns sweep
+//!   fault schedules and check **cross-shard atomicity** (no shard
+//!   durably commits while another settles on abort), the AC
+//!   properties, termination, per-shard serializability, WAL recovery,
+//!   and causal well-formedness;
+//! - violations shrink to minimal replayable artifacts through the
+//!   same shrinker and artifact as the simulator's — and the naive
+//!   Figure 3.2 timeouts, demonstrably unsafe in simulation,
+//!   split-brain just as reliably over real threads.
 //!
 //! # Examples
 //!
@@ -45,24 +47,20 @@
 
 #![warn(missing_docs)]
 
-mod artifact;
-mod campaign;
 mod fabric;
 mod multishot;
 mod node;
 mod oracle;
 mod runtime;
-mod shrink;
 mod store;
 mod transport;
 mod wait;
 
-pub use artifact::DistArtifact;
-pub use campaign::{DistCampaign, DistViolation};
-pub use multishot::{run_pipeline, CommitLogEntry, PipelineConfig, PipelineOutcome};
+pub use multishot::{
+    run_pipeline, tolerated_campaign, CommitLogEntry, PipelineConfig, PipelineOutcome,
+};
 pub use oracle::DIST_ORACLE_NAMES;
 pub use runtime::{DistConfig, DistStats, GLOBAL_TXN_BASE};
-pub use shrink::{shrink, DistShrunk, REPRO_ATTEMPTS};
 pub use store::{CoordStore, EngineStore};
 pub use transport::{
     DeliverItem, NodeEvent, SimTransport, ThreadedTransport, Transport, TransportConfig,

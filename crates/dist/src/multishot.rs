@@ -29,7 +29,7 @@ use crate::node::{run_node, NodeSeat, NodeTally};
 use crate::runtime::{fault_horizon, DistConfig, DistStats, Ledger};
 use crate::store::{CoordStore, EngineStore};
 use crate::transport::{NodeEvent, TransportConfig, Wiring};
-use mcv_chaos::OracleResult;
+use mcv_chaos::{Campaign, FaultPlan, FaultSchedule, OracleResult, Target};
 use mcv_commit::{Protocol, Site, SiteConfig};
 use mcv_engine::{Engine, EngineConfig};
 use mcv_sim::ProcId;
@@ -68,6 +68,84 @@ impl Default for PipelineConfig {
             batch_window_us: 1_000,
             arrival_us: None,
         }
+    }
+}
+
+/// A campaign over `base` within the thesis' tolerated failure model
+/// over its nodes and horizon: crashes that recover, healing
+/// partitions, and transient drop windows. Duplication and reordering
+/// stay off (they break assumptions the protocol makes), and so do torn
+/// writes — the engine adapter models the redo-logged stable prepared
+/// state the thesis assumes, so there is no byte image to tear; the
+/// transport degrades a `TornWrite` to a plain crash when replaying
+/// foreign schedules.
+pub fn tolerated_campaign(base: PipelineConfig) -> Campaign<PipelineConfig> {
+    let plan = FaultPlan {
+        torn_writes: false,
+        ..FaultPlan::tolerated(base.dist.n_nodes(), base.dist.horizon)
+    };
+    Campaign::new(base, plan)
+}
+
+/// The threaded runtime as a campaign target. A threaded run is not
+/// bit-deterministic: scheduling jitter can mask a violation on any
+/// single run, so a candidate gets two. Reductions change the `dist`
+/// half of the configuration only: every candidate replays under the
+/// submission schedule that found the violation.
+impl Target for PipelineConfig {
+    type Outcome = PipelineOutcome;
+    const KIND: &'static str = "dist";
+    const REPLAY_EXAMPLE: &'static str = "dist_stress";
+    const RUNS_PER_CHECK: usize = 2;
+    const SHRINK_BUDGET: usize = 60;
+    const REDUCTIONS: &'static [fn(&Self) -> Option<Self>] = &[
+        // Fewer transactions; the window and the arrival offsets are
+        // clamped to the plans that remain.
+        |c| {
+            (c.dist.n_txns > 1).then(|| {
+                let mut c = c.clone();
+                c.dist.n_txns -= 1;
+                c.max_inflight = c.max_inflight.min(c.dist.n_txns);
+                if let Some(arrivals) = &mut c.arrival_us {
+                    arrivals.truncate(c.dist.n_txns);
+                }
+                c
+            })
+        },
+        // Fewer shards: two is the floor of a cross-shard
+        // counterexample.
+        |c| {
+            (c.dist.n_shards > 2).then(|| {
+                let mut c = c.clone();
+                c.dist.n_shards -= 1;
+                c
+            })
+        },
+    ];
+
+    fn run(&self) -> PipelineOutcome {
+        run_pipeline(self)
+    }
+    fn oracles(out: &PipelineOutcome) -> &[OracleResult] {
+        &out.oracles
+    }
+    fn trace(out: PipelineOutcome) -> mcv_trace::CausalTrace {
+        out.trace
+    }
+    fn seed(&self) -> u64 {
+        self.dist.seed
+    }
+    fn set_seed(&mut self, seed: u64) {
+        self.dist.seed = seed;
+    }
+    fn schedule(&self) -> &FaultSchedule {
+        &self.dist.schedule
+    }
+    fn schedule_mut(&mut self) -> &mut FaultSchedule {
+        &mut self.dist.schedule
+    }
+    fn n_procs(&self) -> usize {
+        self.dist.n_nodes()
     }
 }
 
@@ -481,6 +559,18 @@ mod tests {
                 assert_eq!(peak, max_inflight, "an eager pump fills its window");
             }
         }
+    }
+
+    #[test]
+    fn out_of_topology_events_are_inert() {
+        // The simulator's rule: an event naming a process the topology
+        // lacks is skipped, not delivered to a node that is not there.
+        let mut cfg =
+            PipelineConfig { dist: patient(2, 3), max_inflight: 2, ..PipelineConfig::default() };
+        cfg.dist.schedule.events.push(mcv_chaos::FaultEvent::Crash { proc: 99, at: 10 });
+        let out = run_pipeline(&cfg);
+        assert!(out.violated().is_none(), "{:?}", out.violated());
+        assert_eq!(out.stats.committed, 2);
     }
 
     #[test]

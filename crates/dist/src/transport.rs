@@ -143,7 +143,7 @@ impl SimTransport {
                 cfg.seed,
                 None,
                 None,
-                schedule,
+                &schedule.events,
             ),
             now_us: 0,
         }
@@ -193,9 +193,10 @@ pub(crate) struct Wiring {
 
 impl Wiring {
     /// Builds the channels for `n_nodes` endpoints and spawns the
-    /// network thread over `schedule`'s faults, with `start` as the
-    /// epoch of its clock. With a profiler, each delivery records its
-    /// measured flight time as an anonymous `transport_rtt` sample.
+    /// network thread over the faults of `schedule` that fit those
+    /// endpoints (the others are inert), with `start` as the epoch of
+    /// its clock. With a profiler, each delivery records its measured
+    /// flight time as an anonymous `transport_rtt` sample.
     pub fn spawn(
         n_nodes: usize,
         start: Instant,
@@ -215,7 +216,7 @@ impl Wiring {
             cfg.seed,
             rec,
             prof,
-            schedule,
+            schedule.events.iter().filter(|e| e.fits(n_nodes)),
         );
         let handle = std::thread::Builder::new()
             .name("dist-net".into())

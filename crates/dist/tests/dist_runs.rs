@@ -3,7 +3,7 @@
 //! naive-timeout split-brain counterexample over real threads —
 //! found, shrunk and replayed under the schedule that exposed it.
 
-use mcv_dist::{run_pipeline, DistCampaign, DistConfig, PipelineConfig};
+use mcv_dist::{run_pipeline, tolerated_campaign, DistConfig, PipelineConfig};
 
 /// Every plan submitted at once, per-message transport.
 fn all_at_once(dist: DistConfig) -> PipelineConfig {
@@ -75,7 +75,7 @@ fn naive_timeouts_split_brain_across_real_shards() {
 
 #[test]
 fn tolerated_fault_campaign_stays_green() {
-    let c = DistCampaign::tolerated(all_at_once(DistConfig { n_txns: 1, ..DistConfig::default() }));
+    let c = tolerated_campaign(all_at_once(DistConfig { n_txns: 1, ..DistConfig::default() }));
     let summary = c.run_seeds(100, 4);
     assert!(summary.all_green(), "failures: {:?}", summary.failures);
     assert_eq!(summary.runs, 4);
@@ -87,7 +87,7 @@ fn pipelined_violation_shrinks_and_replays() {
     // windowed, batched schedule that found the violation. The plan
     // generates no timed faults: the targeted crash alone exposes the
     // bug.
-    let mut c = DistCampaign::tolerated(PipelineConfig {
+    let mut c = tolerated_campaign(PipelineConfig {
         dist: naive_split_config(),
         max_inflight: 4,
         batch_window_us: 600,

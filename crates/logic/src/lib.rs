@@ -37,7 +37,6 @@ mod check;
 mod clause;
 mod cnf;
 mod formula;
-mod herbrand;
 mod model;
 mod parser;
 mod prover;
@@ -51,7 +50,6 @@ pub use check::CheckError;
 pub use clause::{Clause, Literal};
 pub use cnf::clausify;
 pub use formula::Formula;
-pub use herbrand::{prove_by_herbrand, HerbrandConfig, HerbrandResult};
 pub use model::{find_model, Model, ModelConfig};
 pub use parser::{formula, parse_formula, parse_term, ParseError};
 pub use prover::{NamedFormula, Proof, ProofResult, Prover, ProverConfig, Rule, Selection, Step};

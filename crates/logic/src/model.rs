@@ -335,11 +335,6 @@ fn eval_literal(
     GroundLit::Atom(l.positive, rendered)
 }
 
-/// DPLL entry point shared with the Herbrand prover.
-pub(crate) fn dpll_public(clauses: &[Vec<(bool, usize)>], n_atoms: usize) -> Option<Vec<bool>> {
-    dpll(clauses, n_atoms)
-}
-
 /// Plain DPLL with unit propagation.
 fn dpll(clauses: &[Vec<(bool, usize)>], n_atoms: usize) -> Option<Vec<bool>> {
     let mut assignment: Vec<Option<bool>> = vec![None; n_atoms];

@@ -577,6 +577,23 @@ mod tests {
     }
 
     #[test]
+    fn proves_exactly_the_entailed_goals_of_a_problem_battery() {
+        let battery: Vec<(Vec<NamedFormula>, Formula, bool)> = vec![
+            (vec![ax("a", "fa(x) (P(x) => Q(x))"), ax("b", "P(c())")], formula("Q(c())"), true),
+            (vec![ax("a", "A or B"), ax("l", "A => C"), ax("r", "B => C")], formula("C"), true),
+            (vec![ax("a", "fa(x) (P(x) => Q(x))")], formula("Q(c())"), false),
+            (
+                vec![ax("a", "fa(x, y) (R(x, y) => R(y, x))"), ax("b", "R(a(), b())")],
+                formula("R(b(), a())"),
+                true,
+            ),
+        ];
+        for (axioms, goal, expected) in battery {
+            assert_eq!(Prover::new().prove(&axioms, &goal).is_proved(), expected, "{goal}");
+        }
+    }
+
+    #[test]
     fn quantifier_instantiation_via_unification() {
         let axioms = vec![
             ax("agree", "fa(p, q, m, T) (Deliver(p, m, T) => Deliver(q, m, T))"),

@@ -21,7 +21,7 @@
 //!   `causal_order` chaos oracle;
 //! - [`Recorder::ring`] is the flight recorder: a bounded window,
 //!   always on in chaos campaigns and engine stress runs, dumped next
-//!   to the `ReproArtifact` on failure;
+//!   to the campaign `Artifact` on failure;
 //! - [`swimlanes`], [`causal_path`] and friends power the `trace`
 //!   explorer binary in `mcv-bench`.
 //!

@@ -16,16 +16,16 @@
 //!   election + quorum-termination protocol and must stay red for the
 //!   naive variant. Exits non-zero otherwise.
 
-use mcv::chaos::{Campaign, ChaosConfig, FaultPlan, ReproArtifact};
+use mcv::chaos::{Artifact, Campaign, ChaosConfig, FaultPlan, Target};
 use std::process::ExitCode;
 
-fn naive_campaign() -> Campaign {
+fn naive_campaign() -> Campaign<ChaosConfig> {
     let base = ChaosConfig { naive_timeouts: true, ..ChaosConfig::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
     Campaign::new(base, plan)
 }
 
-fn hardened_campaign() -> Campaign {
+fn hardened_campaign() -> Campaign<ChaosConfig> {
     let base = ChaosConfig { quorum_termination: true, ..ChaosConfig::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
     Campaign::new(base, plan)
@@ -34,7 +34,7 @@ fn hardened_campaign() -> Campaign {
 fn hunt() -> ExitCode {
     println!("=== Chaos hunt: naive Figure 3.2 timeouts, 200 seeds of tolerated faults ===\n");
     let campaign = naive_campaign();
-    let summary = campaign.run(200);
+    let summary = campaign.run_seeds(0, 200);
     println!(
         "{} runs, {} violating seeds: {:?}\n",
         summary.runs,
@@ -74,7 +74,7 @@ fn hunt() -> ExitCode {
     println!("replay:   cargo run --release --example chaos_hunt -- --replay {}", path.display());
 
     println!("\n=== Control: election + quorum termination, same faults, 200 seeds ===\n");
-    let control = hardened_campaign().run(200);
+    let control = hardened_campaign().run_seeds(0, 200);
     println!("{}", control.to_report("chaos.control").summary());
     if control.all_green() {
         println!("control is all-green: the split brain is the naive timeouts' fault");
@@ -93,7 +93,7 @@ fn replay(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let artifact = match ReproArtifact::from_json(&text) {
+    let artifact = match Artifact::<ChaosConfig>::from_json(&text) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("malformed artifact {path}: {e:?}");

@@ -26,7 +26,8 @@
 //! - `-- --replay <artifact.json>` — re-execute a written artifact
 //!   and report whether it still violates its oracle.
 
-use mcv::dist::{run_pipeline, DistArtifact, DistCampaign, DistConfig, PipelineConfig};
+use mcv::chaos::{Artifact, Campaign};
+use mcv::dist::{run_pipeline, tolerated_campaign, DistConfig, PipelineConfig};
 use std::process::ExitCode;
 
 /// The two submission schedules the gates sweep, as
@@ -41,8 +42,8 @@ fn scheduled(dist: DistConfig, (max_inflight, batch_window_us): (usize, u64)) ->
 }
 
 /// Tolerated faults over the hardened protocol, under `schedule`.
-fn hardened_campaign(schedule: (usize, u64)) -> DistCampaign {
-    DistCampaign::tolerated(scheduled(DistConfig { n_txns: 1, ..DistConfig::default() }, schedule))
+fn hardened_campaign(schedule: (usize, u64)) -> Campaign<PipelineConfig> {
+    tolerated_campaign(scheduled(DistConfig { n_txns: 1, ..DistConfig::default() }, schedule))
 }
 
 /// The deliberately unsafe configuration: naive Figure 3.2 timeouts
@@ -61,11 +62,11 @@ fn naive_config() -> PipelineConfig {
     scheduled(dist, UNBATCHED)
 }
 
-fn naive_campaign() -> DistCampaign {
+fn naive_campaign() -> Campaign<PipelineConfig> {
     // An empty plan: the targeted crash alone exposes the bug, so the
     // hunt starts from a fault-free schedule and the shrinker only has
     // topology and transaction count to reduce.
-    let mut c = DistCampaign::tolerated(naive_config());
+    let mut c = tolerated_campaign(naive_config());
     c.plan.crashes = false;
     c.plan.partitions = false;
     c.plan.drop_windows = false;
@@ -107,7 +108,7 @@ fn hunt() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn campaign(label: &str, c: &DistCampaign, n: u64, seed_base: u64) -> ExitCode {
+fn campaign(label: &str, c: &Campaign<PipelineConfig>, n: u64, seed_base: u64) -> ExitCode {
     println!("=== {label}: {n} seeds (base {seed_base}) of tolerated faults ===\n");
     let summary = c.run_seeds(seed_base, n);
     println!("{}", summary.to_report(label).summary());
@@ -128,7 +129,7 @@ fn replay(path: &str) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let artifact = match DistArtifact::from_json(&text) {
+    let artifact = match Artifact::<PipelineConfig>::from_json(&text) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("malformed artifact {path}: {e:?}");
