@@ -4,8 +4,11 @@
 //! thesis never ran.
 
 use crate::specs::SpecLibrary;
-use mcv_core::SpecRef;
-use mcv_logic::{Formula, NamedFormula, ProofResult, Prover, ProverConfig, Sym};
+use mcv_core::{chapter5_prover, SpecRef};
+use mcv_logic::{
+    checked_model, Formula, Model, NamedFormula, ProofResult, Prover, ProverConfig, Sym,
+    VettedProof,
+};
 use std::time::Duration;
 
 /// One `prove … using …` command from Chapter 5.
@@ -67,14 +70,13 @@ pub struct ProveOutcome {
     pub command: ProveCommand,
     /// Prover result.
     pub result: ProofResult,
-    /// Whether the *support set alone* is contradictory (proving `false`
-    /// from just the `using` axioms succeeds) — a soundness audit the
-    /// thesis did not perform.
-    pub support_set_inconsistent: bool,
     /// The theorem holds only because the support set is contradictory
-    /// (anything follows from ⊥). Under a strict set-of-support
-    /// strategy the direct proof does not exist.
+    /// (anything follows from ⊥): `result` is the refutation of the
+    /// support set alone, a soundness audit the thesis did not perform.
     pub vacuous: bool,
+    /// A checked finite model of the support set: the non-vacuity
+    /// witness the thesis never produced.
+    pub model: Option<Model>,
 }
 
 impl ProveOutcome {
@@ -105,25 +107,8 @@ pub fn support_axioms(lib: &SpecLibrary, cmd: &ProveCommand) -> Vec<NamedFormula
         .collect()
 }
 
-/// A prover tuned for the Chapter 5 goals (large clause sets from the
-/// `if/then/else` distribution). The three replays generate 1 871
-/// clauses together, RBR alone 1 654; the limits leave ten times that,
-/// so a search regression fails in seconds instead of running on.
-pub fn chapter5_prover() -> Prover {
-    Prover::with_config(ProverConfig {
-        max_clauses: 20_000,
-        max_weight: 120,
-        timeout: Duration::from_secs(10),
-        ..ProverConfig::default()
-    })
-}
-
-/// Replays one proof command.
-///
-/// A consistency pre-check runs first: if the support set alone proves
-/// `false`, the theorem follows vacuously and that refutation is
-/// returned (with [`ProveOutcome::vacuous`] set). SNARK behind Specware
-/// accepts such "proofs" silently; we surface them.
+/// Replays one proof command with [`Prover::prove_using`], the same
+/// vacuity rule the script interpreter's `prove` applies.
 pub fn replay(lib: &SpecLibrary, cmd: &ProveCommand) -> ProveOutcome {
     let _span = mcv_obs::Span::enter("properties.replay");
     mcv_obs::counter("properties.replays", 1);
@@ -132,39 +117,19 @@ pub fn replay(lib: &SpecLibrary, cmd: &ProveCommand) -> ProveOutcome {
         .property(&Sym::new(cmd.theorem))
         .unwrap_or_else(|| panic!("theorem {} not found in {}", cmd.theorem, cmd.spec));
     let axioms = support_axioms(lib, cmd);
-    let prover = chapter5_prover();
-    let consistency = prover.prove(&axioms, &Formula::False);
-    let support_set_inconsistent = consistency.is_proved();
-    if support_set_inconsistent {
+    let VettedProof { result, vacuous, model } =
+        chapter5_prover().prove_using(&axioms, &theorem.formula);
+    if vacuous {
         mcv_obs::counter("properties.vacuous", 1);
-        return ProveOutcome {
-            command: cmd.clone(),
-            result: consistency,
-            support_set_inconsistent,
-            vacuous: true,
-        };
-    }
-    let result = prover.prove(&axioms, &theorem.formula);
-    if result.is_proved() {
+    } else if result.is_proved() {
         mcv_obs::counter("properties.proved", 1);
     }
-    ProveOutcome { command: cmd.clone(), result, support_set_inconsistent, vacuous: false }
+    ProveOutcome { command: cmd.clone(), result, vacuous, model }
 }
 
 /// Replays all three Chapter 5 proofs.
 pub fn replay_all(lib: &SpecLibrary) -> Vec<ProveOutcome> {
     chapter5_commands().iter().map(|c| replay(lib, c)).collect()
-}
-
-/// Positive consistency certificate: a finite model of a proof
-/// command's support set (the thesis never produced one; together with
-/// the refutation-based audit this decides vacuity both ways).
-pub fn satisfiability_certificate(
-    lib: &SpecLibrary,
-    cmd: &ProveCommand,
-) -> Option<mcv_logic::Model> {
-    let axioms = support_axioms(lib, cmd);
-    mcv_logic::find_model(&axioms, &mcv_logic::ModelConfig::default())
 }
 
 /// A pair of axioms found to be jointly contradictory.
@@ -182,7 +147,9 @@ pub struct ContradictoryPair {
 /// `Broadcast`/`Deliver` pair, which assert `~Deliver ∧ Broadcast` and
 /// `~Broadcast ∧ Deliver` for all arguments). The thesis' axioms pass
 /// SNARK's per-proof use because each `using` clause selects a subset;
-/// the audit makes the latent inconsistencies visible.
+/// the audit makes the latent inconsistencies visible. A pair with a
+/// checked finite model is consistent outright; only the rest go to
+/// the prover.
 pub fn consistency_audit(lib: &SpecLibrary) -> Vec<ContradictoryPair> {
     let prover = Prover::with_config(ProverConfig {
         max_clauses: 20_000,
@@ -199,7 +166,9 @@ pub fn consistency_audit(lib: &SpecLibrary) -> Vec<ContradictoryPair> {
                     NamedFormula::new(a.name.to_string(), a.formula.clone()),
                     NamedFormula::new(b.name.to_string(), b.formula.clone()),
                 ];
-                if prover.prove(&axioms, &Formula::False).is_proved() {
+                if checked_model(&axioms).is_none()
+                    && prover.prove(&axioms, &Formula::False).is_proved()
+                {
                     let pair = ContradictoryPair {
                         spec: spec.name.to_string(),
                         a: a.name.to_string(),
@@ -252,35 +221,66 @@ mod tests {
         // (asserting next(c,a)); the proof goes through vacuously.
         let lib = SpecLibrary::load();
         let out = replay(&lib, &chapter5_commands()[1]);
-        assert!(out.support_set_inconsistent);
+        assert!(out.vacuous && out.model.is_none());
+        let proof = out.result.proof().expect("the support set is refuted");
+        assert_eq!(proof.axioms_used(), ["Constateinfo", "inconsistent"]);
     }
 
     #[test]
     fn p1_support_set_consistency() {
+        // Serializability's support set has a model, checked against
+        // its axioms, so the saturating pre-check never runs.
         let lib = SpecLibrary::load();
-        let out = replay(&lib, &chapter5_commands()[0]);
-        // Serializability's support set has no contradiction within the
-        // prover's budget.
-        assert!(!out.support_set_inconsistent);
+        let cmd = &chapter5_commands()[0];
+        let out = replay(&lib, cmd);
+        assert!(!out.vacuous);
+        let model = out.model.expect("a witness");
+        assert_eq!(model.check(&support_axioms(&lib, cmd)), Ok(()));
     }
 
     #[test]
-    fn audit_finds_the_broadcast_deliver_contradiction() {
-        let lib = SpecLibrary::load();
-        let pairs = consistency_audit(&lib);
-        assert!(
-            pairs.iter().any(|p| (p.a == "Broadcast" && p.b == "Deliver")
-                || (p.a == "Deliver" && p.b == "Broadcast")),
-            "{pairs:?}"
-        );
-        // next/adjacent is another contradictory pair.
-        assert!(
-            pairs.iter().any(|p| (p.a == "next" && p.b == "adjacent")
-                || (p.a == "adjacent" && p.b == "next")
-                || (p.a == "adjacent" && p.b == "inconsistent")
-                || (p.a == "Constateinfo" && p.b == "inconsistent")),
-            "{pairs:?}"
-        );
+    fn the_audit_reports_these_33_pairs() {
+        // 16 of them are this repo's `MVCCSNAPSHOT::Firstcommitterwins`,
+        // which is unsatisfiable by itself (take q = p and w = v).
+        let expected = [
+            ("RELIABLEBROADCAST", "Broadcast", "Deliver"),
+            ("CONSENSUS", "Proposal", "Decision"),
+            ("UNDOREDO", "Undo", "Redo"),
+            ("TWOPHASELOCK", "Read", "Write"),
+            ("TWOPHASELOCK", "Locking", "Unlock"),
+            ("SNAPSHOT", "sending", "reception"),
+            ("MVCCSNAPSHOT", "Broadcast", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Deliver", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Termbroad", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Valibroad", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Agreebroad", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Proposal", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Decision", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Valiconsensus", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Agreeconsensus", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "sending", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "reception", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "record", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Globprocstateinfo", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Installrecords", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Snapshotvisibility", "Firstcommitterwins"),
+            ("MVCCSNAPSHOT", "Firstcommitterwins", "Gcwatermark"),
+            ("DECISIONMAKING", "next", "adjacent"),
+            ("DECISIONMAKING", "next", "Constateinfo"),
+            ("DECISIONMAKING", "adjacent", "inconsistent"),
+            ("DECISIONMAKING", "inconsistent", "Constateinfo"),
+            ("CHECKPOINTING", "receive", "send"),
+            ("CHECKPOINTING", "send", "log"),
+            ("CHECKPOINTING", "Ckpt", "ckpt"),
+            ("CHECKPOINTING", "Store", "store"),
+            ("CHECKPOINTING", "Pi", "PI"),
+            ("ROLLBACKRECOVERY", "Rollback", "Restore"),
+            ("ROLLBACKRECOVERY", "rollback", "restore"),
+        ];
+        let pairs = consistency_audit(&SpecLibrary::load());
+        let found: Vec<(&str, &str, &str)> =
+            pairs.iter().map(|p| (p.spec.as_str(), p.a.as_str(), p.b.as_str())).collect();
+        assert_eq!(found, expected);
     }
 
     #[test]
@@ -288,10 +288,11 @@ mod tests {
         // Positive certificates: p1 and p3 are non-vacuous because their
         // support sets have models; p2's has none within the bounds.
         let lib = SpecLibrary::load();
-        let cmds = chapter5_commands();
-        assert!(satisfiability_certificate(&lib, &cmds[0]).is_some(), "p1 support unsat?");
-        assert!(satisfiability_certificate(&lib, &cmds[2]).is_some(), "p3 support unsat?");
-        assert!(satisfiability_certificate(&lib, &cmds[1]).is_none(), "p2 support sat?");
+        let has_model: Vec<bool> = chapter5_commands()
+            .iter()
+            .map(|c| checked_model(&support_axioms(&lib, c)).is_some())
+            .collect();
+        assert_eq!(has_model, [true, false, true]);
     }
 
     #[test]

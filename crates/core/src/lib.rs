@@ -67,7 +67,9 @@ pub use diff::{diff_specs, SpecDiff};
 pub use morphism::{MorphismError, SpecMorphism};
 pub use obligation::{DischargeReport, Obligation};
 pub use parse::parse_spec;
-pub use script::{Event as ScriptEventKind, ScriptEngine, ScriptError, Value as ScriptValue};
+pub use script::{
+    chapter5_prover, Event as ScriptEventKind, ScriptEngine, ScriptError, Value as ScriptValue,
+};
 pub use signature::{OpDecl, Signature, SortDecl};
 pub use spec::{Property, PropertyKind, Spec, SpecBuilder, SpecIssue, SpecRef};
 pub use translate::translate;

@@ -167,7 +167,7 @@ fn find_is(text: &str) -> Option<usize> {
     let bytes = text.as_bytes();
     let mut i = 0;
     while i + 2 <= bytes.len() {
-        if &text[i..i + 2] == "is" {
+        if &bytes[i..i + 2] == b"is" {
             let before_ok = i == 0 || bytes[i - 1].is_ascii_whitespace();
             let after_ok = i + 2 == bytes.len() || bytes[i + 2].is_ascii_whitespace();
             if before_ok && after_ok {

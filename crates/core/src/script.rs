@@ -21,7 +21,7 @@ use crate::morphism::SpecMorphism;
 use crate::parse::parse_spec;
 use crate::spec::SpecRef;
 use crate::translate::translate;
-use mcv_logic::{Formula, NamedFormula, ProofResult, Prover, ProverConfig, Sort, Sym};
+use mcv_logic::{Model, NamedFormula, ProofResult, Prover, ProverConfig, Sort, Sym, VettedProof};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -48,6 +48,9 @@ pub enum Value {
         proved: bool,
         /// Whether the support set alone is contradictory.
         vacuous: bool,
+        /// A checked model of the support set, the witness that the
+        /// proof is not vacuous.
+        model: Option<Model>,
     },
 }
 
@@ -84,6 +87,8 @@ pub enum Event {
         proved: bool,
         /// Whether vacuously (contradictory support set).
         vacuous: bool,
+        /// A checked model of the support set, when one was found.
+        model: Option<Model>,
     },
 }
 
@@ -118,17 +123,9 @@ impl Default for ScriptEngine {
 }
 
 impl ScriptEngine {
-    /// A fresh engine with Chapter 5-calibrated prover limits.
+    /// A fresh engine with the [`chapter5_prover`] budget.
     pub fn new() -> Self {
-        ScriptEngine {
-            env: BTreeMap::new(),
-            prover: Prover::with_config(ProverConfig {
-                max_clauses: 400_000,
-                max_weight: 120,
-                timeout: Duration::from_secs(60),
-                ..ProverConfig::default()
-            }),
-        }
+        ScriptEngine { env: BTreeMap::new(), prover: chapter5_prover() }
     }
 
     /// Looks up a bound value.
@@ -194,7 +191,8 @@ impl ScriptEngine {
                     op_renames.push((Sym::new(a), Sym::new(b)));
                 }
             }
-            let (out, _) = translate(&src, name.as_str(), sort_renames, op_renames);
+            let (out, _) = translate(&src, name.as_str(), sort_renames, op_renames)
+                .map_err(|e| Self::err(line, format!("{name}: {e}")))?;
             self.env.insert(name.clone(), Value::Spec(out));
             Ok(Event::Defined { name, kind: "translation" })
         } else if let Some(rest) = body.strip_prefix("morphism") {
@@ -227,8 +225,12 @@ impl ScriptEngine {
                 Some(Value::Morphism(m)) => m.to_string(),
                 Some(Value::Diagram(d)) => d.render(),
                 Some(Value::Text(t)) => t.clone(),
-                Some(Value::Proof { theorem, proved, vacuous }) => {
-                    format!("proof of {theorem}: proved={proved} vacuous={vacuous}")
+                Some(Value::Proof { theorem, proved, vacuous, model }) => {
+                    let text = format!("proof of {theorem}: proved={proved} vacuous={vacuous}");
+                    match model {
+                        Some(m) => format!("{text}\nnon-vacuous: {m}").trim_end().to_owned(),
+                        None => text,
+                    }
                 }
                 None => return Err(Self::err(line, format!("unknown name {target}"))),
             };
@@ -253,14 +255,9 @@ impl ScriptEngine {
                     .ok_or_else(|| Self::err(line, format!("unknown axiom {a}")))?;
                 support.push(NamedFormula::new(p.name.to_string(), p.formula.clone()));
             }
-            // Consistency pre-check, then the direct proof.
             let _prove_span = mcv_obs::Span::enter("script.prove");
-            let consistency = self.prover.prove(&support, &Formula::False);
-            let (proved, vacuous) = if consistency.is_proved() {
-                (true, true)
-            } else {
-                (self.prover.prove(&support, &thm).is_proved(), false)
-            };
+            let VettedProof { result, vacuous, model } = self.prover.prove_using(&support, &thm);
+            let proved = result.is_proved();
             mcv_obs::counter("script.proofs", 1);
             if proved {
                 mcv_obs::counter("script.proofs_succeeded", 1);
@@ -270,9 +267,14 @@ impl ScriptEngine {
             }
             self.env.insert(
                 name.clone(),
-                Value::Proof { theorem: Sym::new(theorem.as_str()), proved, vacuous },
+                Value::Proof {
+                    theorem: Sym::new(theorem.as_str()),
+                    proved,
+                    vacuous,
+                    model: model.clone(),
+                },
             );
-            Ok(Event::Proved { label: name, theorem, proved, vacuous })
+            Ok(Event::Proved { label: name, theorem, proved, vacuous, model })
         } else {
             Err(Self::err(line, format!("unrecognized statement: {body:.40?}")))
         }
@@ -351,6 +353,20 @@ struct Statement {
     line: usize,
     name: String,
     body: String,
+}
+
+/// The prover budget for the Chapter 5 goals, whose nested
+/// `if/then/else` distribute into large clause sets. The three replays
+/// generate 1 254 clauses together, RBR alone 1 046; the limits leave
+/// over ten times that, so a search regression fails in seconds instead
+/// of running on.
+pub fn chapter5_prover() -> Prover {
+    Prover::with_config(ProverConfig {
+        max_clauses: 20_000,
+        max_weight: 120,
+        timeout: Duration::from_secs(10),
+        ..ProverConfig::default()
+    })
 }
 
 /// Splits a script into `NAME = …` statements, respecting spec blocks
@@ -633,6 +649,19 @@ p = prove anything in S using both contra
             _ => None,
         });
         assert_eq!(proved, Some((true, true)));
+    }
+
+    #[test]
+    fn printing_a_proof_shows_its_witness() {
+        let mut engine = ScriptEngine::new();
+        engine.run(MINI).expect("script runs");
+        let events = engine.run("w = print p1\n").expect("prints");
+        let [Event::Printed(text)] = &events[..] else { panic!("{events:?}") };
+        assert_eq!(
+            text,
+            "proof of q_total: proved=true vacuous=false\n\
+             non-vacuous: model over domain {0..0}:\n  P(0)\n  Q(0)"
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! every spec to propagate the accumulated vocabulary to downstream
 //! specs.
 
-use crate::morphism::SpecMorphism;
+use crate::morphism::{MorphismError, SpecMorphism};
 use crate::signature::OpDecl;
 use crate::spec::{Property, Spec, SpecRef};
 use mcv_logic::{Sort, Sym};
@@ -17,6 +17,10 @@ use std::sync::Arc;
 /// Returns the renamed spec together with the isomorphism from the
 /// original (useful for diagrams).
 ///
+/// # Errors
+///
+/// A rename of a sort or op the spec does not declare.
+///
 /// # Examples
 ///
 /// ```
@@ -27,7 +31,7 @@ use std::sync::Arc;
 ///     .predicate("P", vec![Sort::new("E")])
 ///     .axiom("a", "fa(x:E) P(x)")
 ///     .build_ref().unwrap();
-/// let (t, iso) = translate(&s, "T", [], [(Sym::new("P"), Sym::new("Q"))]);
+/// let (t, iso) = translate(&s, "T", [], [(Sym::new("P"), Sym::new("Q"))]).unwrap();
 /// assert!(t.signature.op(&"Q".into()).is_some());
 /// assert_eq!(iso.apply_op(&"P".into()).as_str(), "Q");
 /// assert_eq!(t.axioms().next().unwrap().formula.to_string(), "fa(x:E) Q(x)");
@@ -37,7 +41,7 @@ pub fn translate(
     new_name: impl Into<Sym>,
     sort_renames: impl IntoIterator<Item = (Sort, Sort)>,
     op_renames: impl IntoIterator<Item = (Sym, Sym)>,
-) -> (SpecRef, SpecMorphism) {
+) -> Result<(SpecRef, SpecMorphism), MorphismError> {
     let sort_map: BTreeMap<Sort, Sort> = sort_renames.into_iter().collect();
     let op_map: BTreeMap<Sym, Sym> = op_renames.into_iter().collect();
     let ms = |s: &Sort| sort_map.get(s).cloned().unwrap_or_else(|| s.clone());
@@ -65,9 +69,8 @@ pub fn translate(
         });
     }
     let out = Arc::new(out);
-    let iso = SpecMorphism::new_lenient("translate", spec.clone(), out.clone(), sort_map, op_map)
-        .expect("translation is total by construction");
-    (out, iso)
+    let iso = SpecMorphism::new_lenient("translate", spec.clone(), out.clone(), sort_map, op_map)?;
+    Ok((out, iso))
 }
 
 #[cfg(test)]
@@ -83,7 +86,7 @@ mod tests {
             .axiom("a", "fa(x:E) P(x)")
             .build_ref()
             .unwrap();
-        let (t, iso) = translate(&s, "T", [], []);
+        let (t, iso) = translate(&s, "T", [], []).unwrap();
         assert_eq!(t.signature.op_count(), 1);
         assert_eq!(t.axioms().count(), 1);
         assert_eq!(iso.apply_op(&"P".into()).as_str(), "P");
@@ -97,7 +100,7 @@ mod tests {
             .axiom("a", "fa(x:E) P(x)")
             .build_ref()
             .unwrap();
-        let (t, _) = translate(&s, "T", [(Sort::new("E"), Sort::new("Elem"))], []);
+        let (t, _) = translate(&s, "T", [(Sort::new("E"), Sort::new("Elem"))], []).unwrap();
         assert!(t.signature.has_sort(&Sort::new("Elem")));
         assert!(!t.signature.has_sort(&Sort::new("E")));
         assert_eq!(t.signature.op(&"P".into()).unwrap().args[0], Sort::new("Elem"));
@@ -111,8 +114,15 @@ mod tests {
             .sort_alias(Sort::new("Clock"), Sort::new("Nat"))
             .build_ref()
             .unwrap();
-        let (t, _) = translate(&s, "T", [(Sort::new("Nat"), Sort::new("N"))], []);
+        let (t, _) = translate(&s, "T", [(Sort::new("Nat"), Sort::new("N"))], []).unwrap();
         let decl = t.signature.sort_decl(&Sort::new("Clock")).unwrap();
         assert_eq!(decl.definition, Some(Sort::new("N")));
+    }
+
+    #[test]
+    fn renaming_an_undeclared_op_is_an_error() {
+        let s = SpecBuilder::new("S").sort(Sort::new("E")).build_ref().unwrap();
+        let err = translate(&s, "T", [], [(Sym::new("P"), Sym::new("Q"))]).unwrap_err();
+        assert_eq!(err, MorphismError::UnknownSourceOp(Sym::new("P")));
     }
 }

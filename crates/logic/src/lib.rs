@@ -13,7 +13,10 @@
 //!   (`fa`, `ex`, `~`, `&`, `or`, `=>`, `<=>`, `if/then/else`);
 //! - [`clausify`] — conversion to clausal form;
 //! - [`Prover`] — a given-clause resolution prover with support-set
-//!   semantics mirroring Specware's `prove T in S using A1 A2 …`.
+//!   semantics mirroring Specware's `prove T in S using A1 A2 …`;
+//!   [`Prover::prove_using`] also says whether a proof is vacuous;
+//! - [`find_model`] / [`Model::check`] — finite models, found from the
+//!   clauses and checked against the formulas.
 //!
 //! # Examples
 //!
@@ -50,9 +53,11 @@ pub use check::CheckError;
 pub use clause::{Clause, Literal};
 pub use cnf::clausify;
 pub use formula::Formula;
-pub use model::{find_model, Model, ModelConfig};
+pub use model::{checked_model, find_model, Model, ModelConfig, ModelError};
 pub use parser::{formula, parse_formula, parse_term, ParseError};
-pub use prover::{NamedFormula, Proof, ProofResult, Prover, ProverConfig, Rule, Selection, Step};
+pub use prover::{
+    NamedFormula, Proof, ProofResult, Prover, ProverConfig, Rule, Selection, Step, VettedProof,
+};
 pub use sort::Sort;
 pub use subst::{FreshVars, Subst};
 pub use sym::Sym;

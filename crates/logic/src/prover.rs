@@ -10,6 +10,7 @@
 use crate::clause::{Clause, Literal};
 use crate::cnf::clausify;
 use crate::formula::Formula;
+use crate::model::{checked_model, Model};
 use crate::subst::{FreshVars, Subst};
 use crate::unify::unify;
 use mcv_obs::{MetricsRegistry, MetricsSnapshot, Span};
@@ -178,6 +179,21 @@ impl ProofResult {
             _ => None,
         }
     }
+}
+
+/// Outcome of [`Prover::prove_using`]: a proof attempt plus its vacuity
+/// verdict and, when there is one, the model that settled it.
+#[derive(Debug, Clone)]
+pub struct VettedProof {
+    /// The direct proof attempt, or the refutation of the support set
+    /// alone when `vacuous`.
+    pub result: ProofResult,
+    /// The support set alone is contradictory, so the goal follows from
+    /// ⊥ whatever it says.
+    pub vacuous: bool,
+    /// A checked finite model of the support set: the witness that the
+    /// proof is not vacuous.
+    pub model: Option<Model>,
 }
 
 /// A named axiom for proof attempts.
@@ -374,6 +390,24 @@ impl Prover {
         } else {
             ProofResult::Saturated { generated }
         }
+    }
+
+    /// Proves `goal` from a support set, Specware's `prove T in S using
+    /// A1 A2 …`, and says whether the proof is vacuous. A finite model of
+    /// the support set that passes [`Model::check`] shows it consistent,
+    /// and only the direct proof runs. Without one, the support set is
+    /// first saturated on its own: if that refutes it, the refutation is
+    /// returned as the proof and `vacuous` is set (SNARK behind Specware
+    /// accepts such proofs silently).
+    pub fn prove_using(&self, support: &[NamedFormula], goal: &Formula) -> VettedProof {
+        let model = checked_model(support);
+        if model.is_none() {
+            let consistency = self.prove(support, &Formula::False);
+            if consistency.is_proved() {
+                return VettedProof { result: consistency, vacuous: true, model };
+            }
+        }
+        VettedProof { result: self.prove(support, goal), vacuous: false, model }
     }
 }
 
@@ -626,6 +660,18 @@ mod tests {
         ];
         let res = Prover::new().prove(&axioms, &Formula::False);
         assert!(res.is_proved());
+    }
+
+    #[test]
+    fn prove_using_settles_vacuity_by_a_model_or_a_refutation() {
+        let consistent = vec![ax("a1", "fa(x) (P(x) => Q(x))"), ax("a2", "P(c())")];
+        let v = Prover::new().prove_using(&consistent, &formula("Q(c())"));
+        assert!(v.result.is_proved() && !v.vacuous, "{v:?}");
+        assert_eq!(v.model.expect("a witness").check(&consistent), Ok(()));
+        let contradictory = vec![ax("p", "P(c())"), ax("np", "~(P(c()))")];
+        let v = Prover::new().prove_using(&contradictory, &formula("Q(c())"));
+        assert!(v.result.is_proved() && v.vacuous && v.model.is_none(), "{v:?}");
+        assert_eq!(v.result.proof().expect("refuted").axioms_used(), ["np", "p"]);
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! The full Chapter 3–5 workflow: inventory the building blocks of 3PC
 //! (Table 3.1), compose the two sequential divisions (Figures 3.4/3.5),
 //! replay the module compositions of Chapter 4, and discharge the three
-//! global properties with the prover (Chapter 5).
+//! global properties with the prover (Chapter 5), each non-vacuous one
+//! with the finite model that witnesses it.
 //!
-//! Run with `cargo run --release --example compose_3pc`.
+//! Run with `cargo run --release --example compose_3pc`. Exits non-zero
+//! unless p1 and p3 are proved with a model and p2 is proved vacuously
+//! (the `spec_smoke` gate of `./ci full`).
 
 use mcv::blocks::{modules, pipeline, properties, registry, traceability, SpecLibrary};
 
@@ -35,7 +38,8 @@ fn main() {
     }
 
     println!("=== Chapter 5: the three proofs ===");
-    for outcome in properties::replay_all(&lib) {
+    let outcomes = properties::replay_all(&lib);
+    for outcome in &outcomes {
         let status = if !outcome.proved() {
             "NOT PROVED"
         } else if outcome.vacuous {
@@ -59,6 +63,11 @@ fn main() {
                 p.axioms_used()
             );
         }
+        if let Some(m) = &outcome.model {
+            for line in format!("non-vacuous: {m}").lines() {
+                println!("  {line}");
+            }
+        }
     }
 
     println!("\n=== Consistency audit (not in the thesis) ===");
@@ -69,5 +78,16 @@ fn main() {
         for p in pairs {
             println!("  {}: axioms {} and {} are jointly contradictory", p.spec, p.a, p.b);
         }
+    }
+
+    // (proved, vacuous, has a model) per proof.
+    let verdicts: Vec<_> =
+        outcomes.iter().map(|o| (o.proved(), o.vacuous, o.model.is_some())).collect();
+    let expected = [(true, false, true), (true, true, false), (true, false, true)];
+    if verdicts != expected {
+        eprintln!(
+            "Chapter 5 verdicts (proved, vacuous, model) {verdicts:?}, expected {expected:?}"
+        );
+        std::process::exit(1);
     }
 }

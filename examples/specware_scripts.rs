@@ -31,7 +31,7 @@ fn main() {
                             let first = text.lines().next().unwrap_or("");
                             println!("  print -> {first} … ({} lines)", text.lines().count());
                         }
-                        ScriptEventKind::Proved { label, theorem, proved, vacuous } => {
+                        ScriptEventKind::Proved { label, theorem, proved, vacuous, model } => {
                             println!(
                                 "  {label} = prove {theorem} … {}",
                                 match (proved, vacuous) {
@@ -40,6 +40,13 @@ fn main() {
                                     _ => "NOT PROVED",
                                 }
                             );
+                            if let Some(m) = model {
+                                let header = m.to_string();
+                                println!(
+                                    "    non-vacuous: {}",
+                                    header.lines().next().unwrap_or("")
+                                );
+                            }
                         }
                     }
                 }

@@ -16,13 +16,15 @@ fn rendered(proof: &Proof) -> Vec<String> {
 
 #[test]
 fn the_chapter5_search_is_pinned() {
-    // The prover's counters per script, consistency pre-check and proof
-    // together: a change that alters which clauses the search generates,
-    // keeps or drops — not merely how fast — shows up here.
+    // The prover's counters per script: a change that alters which
+    // clauses the search generates, keeps or drops — not merely how
+    // fast — shows up here. p1's and p3's support sets have checked
+    // models, so only their direct proofs run; p2's has none, and its
+    // saturating pre-check refutes it.
     let scripts = [
-        ("5.1.1", script_runner::serializability_script(), [204, 33, 26, 21, 38]),
+        ("5.1.1", script_runner::serializability_script(), [195, 24, 24, 19, 36]),
         ("5.1.2", script_runner::csm_script(), [13, 3, 0, 0, 1]),
-        ("5.1.3", script_runner::rbr_script(), [1654, 371, 390, 567, 824]),
+        ("5.1.3", script_runner::rbr_script(), [1046, 55, 100, 61, 142]),
     ];
     for (section, source, expected) in scripts {
         let (run, data) =
@@ -122,6 +124,38 @@ fn chapter5_refutations_pass_the_independent_checker() {
 }
 
 #[test]
+fn tampered_witnesses_are_rejected_by_axiom_name() {
+    // p3's witness is the one-element structure where every atom holds.
+    // Falsifying an atom an axiom needs, or pointing a table cell
+    // outside the domain (over one element the only other value lies
+    // outside it), is an error naming a support axiom, never a panic.
+    let lib = SpecLibrary::load();
+    let cmd = &properties::chapter5_commands()[2];
+    let support = properties::support_axioms(&lib, cmd);
+    let model = properties::replay(&lib, cmd).model.expect("p3 has a witness");
+    assert_eq!(model.check(&support), Ok(()));
+    let names: Vec<&str> = support.iter().map(|a| a.name.as_str()).collect();
+    // Most atoms can go false and leave another model; 7 of the 28 cannot.
+    let mut rejected = 0;
+    for atom in &model.true_atoms {
+        let mut flipped = model.clone();
+        flipped.true_atoms.remove(atom);
+        if let Err(e) = flipped.check(&support) {
+            assert!(names.contains(&e.axiom.as_str()), "{e}");
+            rejected += 1;
+        }
+    }
+    assert!(rejected > 0, "no flipped atom was caught");
+    assert!(!model.functions.is_empty());
+    for cell in model.functions.keys() {
+        let mut changed = model.clone();
+        changed.functions.insert(cell.clone(), 1);
+        let e = changed.check(&support).expect_err("a value outside the domain");
+        assert!(names.contains(&e.axiom.as_str()), "{e}");
+    }
+}
+
+#[test]
 fn the_complete_chapter5_artifact() {
     let lib = SpecLibrary::load();
 
@@ -186,7 +220,7 @@ fn proofs_survive_composition_into_the_apex() {
         })
         .collect();
     assert_eq!(support.len(), 5);
-    let result = properties::chapter5_prover().prove(&support, &theorem.formula);
+    let result = mcv::core::chapter5_prover().prove(&support, &theorem.formula);
     assert!(result.is_proved(), "{result:?}");
 }
 
