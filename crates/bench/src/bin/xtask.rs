@@ -14,11 +14,12 @@
 //! `--exclude` nobody balances with a `-p` silently un-wires a crate),
 //! or if a `CHANGES.md` entry tagged `[perf_opt]` has no row in
 //! EXPERIMENTS.md's "Performance trajectory" table (a claimed gain
-//! nobody can look up did not happen), or if non-test code of
-//! `crates/dist` parks on a timer anywhere but in its wait primitive
-//! (`wait.rs`): a timed park overshoots by more than the hops the
-//! runtime times, and the floor that bought came back one call site at
-//! a time once already.
+//! nobody can look up did not happen), or if non-test code of any
+//! crate parks on a timer anywhere but in the workspace's wait
+//! primitive (`crates/engine/src/wait.rs`): a timed park overshoots by
+//! more than the intervals the runtimes time (a hop, a device
+//! operation, an arrival gap), and the floor that bought came back one
+//! call site at a time once already.
 //!
 //! `ci-report` turns the gate log the `./ci` script accumulates (one
 //! `<name> <pass|fail> <seconds>` line per gate) into a summary table
@@ -41,12 +42,19 @@
 //! it checks both revisions out as `git worktree`s under `--dir`
 //! (default `target/pairs`; a relative path is taken from the repository
 //! root), builds each one's benchmark into its own `CARGO_TARGET_DIR`,
-//! then runs `benchmark/run.sh --workload <w>` on one seed per pair,
-//! untraced, with the side that runs first alternating from pair to
-//! pair. It prints every run as it finishes and ends with one row per
-//! end-to-end metric in EXPERIMENTS.md's "Performance trajectory"
-//! format: quartiles on each side, the ratio of medians and the pairs
-//! `<rev-b>` won (a `*_tps` metric is better higher, every other lower).
+//! then runs the built benchmark binary with `--workload <w>` on one
+//! seed per pair, untraced, with the side that runs first alternating
+//! from pair to pair. It runs the binary itself, not `run.sh`, so that
+//! the kernel's account of the child (`getrusage(RUSAGE_CHILDREN)`,
+//! read before and after each run) holds the benchmark's CPU time and
+//! context switches and no `cargo build`'s. It prints every run as it
+//! finishes and ends with one row per end-to-end metric in
+//! EXPERIMENTS.md's "Performance trajectory" format — quartiles on each
+//! side, the ratio of medians and the pairs `<rev-b>` won (a `*_tps`
+//! metric is better higher, every other lower) — plus two rows of work
+//! per operation: `cpu_us_per_op` (user + system CPU per attempted
+//! operation) and `invol_switches_per_s` (involuntary context switches
+//! per wall second: how often the box took a CPU away from the run).
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -143,6 +151,86 @@ fn metric_value(line: &str, name: &str) -> Option<f64> {
     rest[..rest.find([',', '}'])?].parse().ok()
 }
 
+/// The `attempted` count of a benchmark result line.
+fn attempted(line: &str) -> Option<f64> {
+    let rest = line.split_once("\"attempted\":")?.1;
+    rest[..rest.find([',', '}'])?].parse().ok()
+}
+
+/// CPU time and involuntary context switches of every child process
+/// this one has waited for so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct ChildUsage {
+    cpu_us: u64,
+    invol_switches: u64,
+}
+
+/// `struct rusage` of 64-bit Linux: user and system time as `timeval`s
+/// (seconds, microseconds), then fourteen `long` counters, of which
+/// the last is `ru_nivcsw`. Declared by hand: no `libc` crate is
+/// vendored.
+#[repr(C)]
+struct RUsage {
+    utime: [i64; 2],
+    stime: [i64; 2],
+    counters: [i64; 14],
+}
+
+const RUSAGE_CHILDREN: i32 = -1;
+
+extern "C" {
+    fn getrusage(who: i32, usage: *mut RUsage) -> i32;
+}
+
+impl ChildUsage {
+    fn now() -> ChildUsage {
+        let mut u = RUsage { utime: [0; 2], stime: [0; 2], counters: [0; 14] };
+        // SAFETY: `u` is a writable `struct rusage` that outlives the call.
+        let rc = unsafe { getrusage(RUSAGE_CHILDREN, &mut u) };
+        assert_eq!(rc, 0, "getrusage(RUSAGE_CHILDREN) failed");
+        let us = |[s, us]: [i64; 2]| (s * 1_000_000 + us) as u64;
+        ChildUsage { cpu_us: us(u.utime) + us(u.stime), invol_switches: u.counters[13] as u64 }
+    }
+
+    fn since(self, earlier: ChildUsage) -> ChildUsage {
+        ChildUsage {
+            cpu_us: self.cpu_us.saturating_sub(earlier.cpu_us),
+            invol_switches: self.invol_switches.saturating_sub(earlier.invol_switches),
+        }
+    }
+}
+
+/// The work-per-operation rows `pairs` adds to the benchmark's own.
+const USAGE_METRICS: [&str; 2] = ["cpu_us_per_op", "invol_switches_per_s"];
+
+/// One benchmark run: its result line and what the kernel charged it.
+#[derive(Debug)]
+struct Run {
+    line: String,
+    cpu_us_per_op: f64,
+    invol_switches_per_s: f64,
+}
+
+impl Run {
+    fn new(line: String, usage: ChildUsage, wall: std::time::Duration) -> Run {
+        let ops = attempted(&line).unwrap_or(0.0).max(1.0);
+        Run {
+            cpu_us_per_op: usage.cpu_us as f64 / ops,
+            invol_switches_per_s: usage.invol_switches as f64 / wall.as_secs_f64().max(1e-9),
+            line,
+        }
+    }
+
+    /// An end-to-end metric of the result line, or one of `USAGE_METRICS`.
+    fn value(&self, metric: &str) -> Option<f64> {
+        match metric {
+            "cpu_us_per_op" => Some(self.cpu_us_per_op),
+            "invol_switches_per_s" => Some(self.invol_switches_per_s),
+            _ => metric_value(&self.line, metric),
+        }
+    }
+}
+
 /// First quartile, median and third quartile (linear interpolation).
 fn quartiles(values: &[f64]) -> [f64; 3] {
     let mut v = values.to_vec();
@@ -234,18 +322,20 @@ fn pairs(args: &PairsArgs) -> ExitCode {
             }
         }
     }
-    // lines[side][pair]: the benchmark's result line.
-    let mut lines = [Vec::new(), Vec::new()];
+    // runs[side][pair]
+    let mut runs: [Vec<Run>; 2] = [Vec::new(), Vec::new()];
     for (k, seed) in args.seeds.iter().enumerate() {
         for side in if k % 2 == 0 { [0, 1] } else { [1, 0] } {
             let (tree, target) = &sides[side];
             let seconds = args.seconds.to_string();
-            let result = run(Command::new("bash")
-                .arg("benchmark/run.sh")
+            let (before, t0) = (ChildUsage::now(), std::time::Instant::now());
+            let result = run(Command::new(target.join("release/benchmark"))
+                .arg("--out")
+                .arg(tree.join("benchmark/out"))
                 .args(["--workload", &args.workload, "--seed", &seed.to_string()])
                 .args(["--seconds", &seconds, "--trace", "0"])
-                .current_dir(tree)
-                .env("CARGO_TARGET_DIR", target));
+                .current_dir(tree));
+            let (usage, wall) = (ChildUsage::now().since(before), t0.elapsed());
             let line = match result.map(|out| out.lines().last().unwrap_or_default().to_owned()) {
                 Ok(line) if !metric_names(&line).is_empty() => line,
                 Ok(line) => {
@@ -257,14 +347,18 @@ fn pairs(args: &PairsArgs) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            println!("pair {k} seed {seed} {}: {line}", args.revs[side]);
-            lines[side].push(line);
+            let r = Run::new(line, usage, wall);
+            println!(
+                "pair {k} seed {seed} {}: {:.1} cpu-us/op, {:.0} invol/s: {}",
+                args.revs[side], r.cpu_us_per_op, r.invol_switches_per_s, r.line
+            );
+            runs[side].push(r);
         }
     }
     let values = |side: usize, metric: &str| -> Vec<f64> {
-        lines[side].iter().filter_map(|l| metric_value(l, metric)).collect()
+        runs[side].iter().filter_map(|r| r.value(metric)).collect()
     };
-    for metric in metric_names(&lines[0][0]) {
+    for metric in metric_names(&runs[0][0].line).into_iter().chain(USAGE_METRICS) {
         let (a, b) = (values(0, metric), values(1, metric));
         if a.len() == args.seeds.len() && b.len() == args.seeds.len() {
             println!("{}", trajectory_row(args, metric, &a, &b));
@@ -272,7 +366,7 @@ fn pairs(args: &PairsArgs) -> ExitCode {
             eprintln!("pairs: {metric} is missing from some result lines; no row");
         }
     }
-    let incorrect = lines.iter().flatten().filter(|l| !l.contains("\"correct\":true")).count();
+    let incorrect = runs.iter().flatten().filter(|r| !r.line.contains("\"correct\":true")).count();
     println!("  runs not correct: {incorrect} of {}", 2 * args.seeds.len());
     if incorrect == 0 {
         ExitCode::SUCCESS
@@ -376,30 +470,53 @@ fn timed_parks(source: &str) -> Vec<usize> {
         .collect()
 }
 
-/// `timed_parks` over every source file of `crates/dist` but the wait
-/// primitive's own, as `file:line` complaints.
-fn dist_timed_parks(root: &Path) -> Result<Vec<String>, String> {
-    let dir = root.join("crates/dist/src");
-    let entries =
-        std::fs::read_dir(&dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
-    let mut found = Vec::new();
-    for entry in entries {
-        let path = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?.path();
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default().to_owned();
-        if !name.ends_with(".rs") || name == "wait.rs" {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        found.extend(timed_parks(&source).into_iter().map(|line| {
-            format!(
-                "crates/dist/src/{name}:{line} parks on a timer; wait through \
-                 crates/dist/src/wait.rs instead"
-            )
-        }));
+/// The one file allowed to park on a timer.
+const WAIT_PRIMITIVE: &str = "crates/engine/src/wait.rs";
+
+/// Every `.rs` file under `crates/*/src`, recursively, as `(path from
+/// the repository root, text)`.
+fn crate_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
+    let mut dirs: Vec<PathBuf> = Vec::new();
+    let crates_dir = root.join("crates");
+    for entry in std::fs::read_dir(&crates_dir)
+        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?
+    {
+        let entry = entry.map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
+        dirs.push(entry.path().join("src"));
     }
+    let mut files = Vec::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else { continue };
+        for entry in entries {
+            let path = entry.map_err(|e| format!("cannot list {}: {e}", dir.display()))?.path();
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+                let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().into_owned();
+                files.push((rel, text));
+            }
+        }
+    }
+    Ok(files)
+}
+
+/// `timed_parks` over `files` (`(path, text)`), as sorted `file:line`
+/// complaints. Exempt are the wait primitive and `mcv-bench`, whose
+/// xtask spells the call names as strings.
+fn timed_park_complaints(files: &[(String, String)]) -> Vec<String> {
+    let mut found: Vec<String> = files
+        .iter()
+        .filter(|(path, _)| path != WAIT_PRIMITIVE && !path.starts_with("crates/bench/"))
+        .flat_map(|(path, text)| {
+            timed_parks(text).into_iter().map(move |line| {
+                format!("{path}:{line} parks on a timer; wait through {WAIT_PRIMITIVE} instead")
+            })
+        })
+        .collect();
     found.sort();
-    Ok(found)
+    found
 }
 
 fn docsync() -> ExitCode {
@@ -452,8 +569,8 @@ fn docsync() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    match dist_timed_parks(&root) {
-        Ok(found) => missing.extend(found),
+    match crate_sources(&root) {
+        Ok(files) => missing.extend(timed_park_complaints(&files)),
         Err(e) => {
             eprintln!("docsync: {e}");
             return ExitCode::from(2);
@@ -462,7 +579,7 @@ fn docsync() -> ExitCode {
     if missing.is_empty() {
         println!(
             "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests; \
-             every [perf_opt] PR has its trajectory row; mcv-dist parks on timers only in wait.rs",
+             every [perf_opt] PR has its trajectory row; only {WAIT_PRIMITIVE} parks on a timer",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -784,8 +901,33 @@ mod tests {
             }\n";
         assert_eq!(timed_parks(source), vec![4, 5, 6]);
         assert!(timed_parks("fn run() { wait::sleep_until(deadline); rx.recv(); }\n").is_empty());
-        // The lint's own subject is clean at head.
-        assert_eq!(dist_timed_parks(&repo_root()), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn a_timed_park_in_any_crate_but_the_exempt_ones_is_named_by_file_and_line() {
+        let park = "fn f() {\n    std::thread::sleep(d);\n}\n";
+        let files: Vec<(String, String)> = [
+            ("crates/load/src/driver.rs", park),
+            ("crates/dist/src/node.rs", "fn g() {}\n"),
+            ("crates/engine/src/wait.rs", park),
+            ("crates/bench/src/bin/xtask.rs", park),
+        ]
+        .map(|(p, t)| (p.to_owned(), t.to_owned()))
+        .into();
+        assert_eq!(
+            timed_park_complaints(&files),
+            ["crates/load/src/driver.rs:2 parks on a timer; wait through \
+              crates/engine/src/wait.rs instead"]
+        );
+        // The lint's own subject is clean at head, and it reads every
+        // crate, nested directories included.
+        let sources = crate_sources(&repo_root()).expect("crates readable");
+        for expected in
+            [WAIT_PRIMITIVE, "crates/load/src/driver.rs", "crates/bench/src/bin/xtask.rs"]
+        {
+            assert!(sources.iter().any(|(p, _)| p == expected), "{expected} not read");
+        }
+        assert_eq!(timed_park_complaints(&sources), Vec::<String>::new());
     }
 
     #[test]
@@ -919,6 +1061,30 @@ mod tests {
         assert_eq!(short(205_600.0), "205.6k");
         assert_eq!(short(0.0014138), "0.00141");
         assert_eq!(short(0.25), "0.250");
+    }
+
+    #[test]
+    fn child_usage_is_read_from_the_kernel_and_turned_into_rates() {
+        let before = ChildUsage::now();
+        assert_eq!(ChildUsage::now().since(before), ChildUsage::default(), "no child ran");
+        let status = Command::new("sh")
+            .args(["-c", "i=0; while [ $i -lt 30000 ]; do i=$((i+1)); done"])
+            .status()
+            .expect("sh runs");
+        assert!(status.success());
+        let busy = ChildUsage::now().since(before);
+        assert!(busy.cpu_us > 0, "a busy child was charged no CPU: {busy:?}");
+        assert_eq!(before.since(ChildUsage::now()), ChildUsage::default(), "saturates");
+
+        let line = r#"{"correct":true,"attempted":300,"failed":0,"metrics":{"tput_tps":{"value":5.0,"unit":"1/s"}}}"#;
+        assert_eq!(attempted(line), Some(300.0));
+        let usage = ChildUsage { cpu_us: 1_500, invol_switches: 40 };
+        let r = Run::new(line.to_owned(), usage, std::time::Duration::from_millis(500));
+        assert_eq!(
+            (r.value("cpu_us_per_op"), r.value("invol_switches_per_s")),
+            (Some(5.0), Some(80.0))
+        );
+        assert_eq!(r.value("tput_tps"), Some(5.0));
     }
 
     #[test]

@@ -54,7 +54,6 @@ mod oracle;
 mod runtime;
 mod store;
 mod transport;
-mod wait;
 
 pub use multishot::{
     run_pipeline, tolerated_campaign, CommitLogEntry, PipelineConfig, PipelineOutcome,

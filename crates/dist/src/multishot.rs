@@ -376,7 +376,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
         .collect();
     let net_tally = wiring.shutdown().expect("network thread panicked");
 
-    let led = ledger.snapshot();
+    let led = ledger.take();
     let trace = rec.snapshot();
     // One WAL scan per engine; the tally and the oracles share it.
     let durable: Vec<BTreeSet<TxnId>> = engines.iter().map(Engine::committed_ids).collect();

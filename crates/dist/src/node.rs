@@ -13,8 +13,8 @@
 
 use crate::runtime::Ledger;
 use crate::transport::{NetMsg, NodeEvent};
-use crate::wait::{recv_until, Received};
 use mcv_commit::{LocalStore, Msg, Site, TxnPlan};
+use mcv_engine::wait::{recv_until, Received};
 use mcv_sim::{ProcId, Process, SimTime, TimerToken};
 use mcv_trace::Cause;
 use std::cmp::Reverse;

@@ -2,9 +2,9 @@
 //! configuration, the shared decision ledger and the run statistics.
 //! The assembly itself is [`run_pipeline`](crate::run_pipeline).
 
-use crate::wait::wait_until;
 use mcv_chaos::{FaultEvent, FaultSchedule};
 use mcv_commit::{CrashPoint, TxnPlan};
+use mcv_engine::wait::wait_until;
 use mcv_sim::ProcId;
 use mcv_txn::TxnId;
 use std::collections::{BTreeMap, BTreeSet};
@@ -134,7 +134,7 @@ pub(crate) struct Ledger {
     changed: Condvar,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct LedgerInner {
     /// `(tick, node, text)` in arrival order.
     pub notes: Vec<(u64, usize, String)>,
@@ -297,7 +297,15 @@ impl Ledger {
         wait_until(&self.inner, &self.changed, deadline, |g| g.epoch != seen).pulse()
     }
 
-    pub fn snapshot(&self) -> LedgerInner {
+    /// Moves the ledger's contents out, leaving it empty: the run's
+    /// oracles read it once, after every node thread has joined, so
+    /// nothing is left to note into it and nothing needs a copy.
+    pub fn take(&self) -> LedgerInner {
+        std::mem::take(&mut *self.inner.lock().expect("ledger mutex"))
+    }
+
+    #[cfg(test)]
+    fn snapshot(&self) -> LedgerInner {
         self.inner.lock().expect("ledger mutex").clone()
     }
 }
@@ -358,6 +366,10 @@ mod tests {
         assert_eq!(led.pulse().decided_txns, 2);
         assert_eq!(led.pulse().last_note_tick, 8);
         assert_eq!(led.snapshot().decision_log, vec![(5, 1_000_000, true)]);
+        // `take` hands over the same contents and leaves nothing behind.
+        let taken = led.take();
+        assert_eq!((taken.decision_log.len(), taken.decided_txns.len()), (1, 2));
+        assert_eq!(led.pulse().decided_txns, 0);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! receiver's `Deliver` cites the send.
 
 use crate::fabric::{Fabric, NetTally};
-use crate::wait::{recv_until, sleep_until, Received};
 use mcv_chaos::FaultSchedule;
 use mcv_commit::{Msg, TxnPlan};
+use mcv_engine::wait::{recv_until, sleep_until, Received};
 use mcv_trace::Cause;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;

@@ -19,6 +19,7 @@
 //! covering it is done — with the mutex released, like every other
 //! call out of this module.
 
+use crate::wait::sleep_until;
 use mcv_txn::{LogRecord, TxnId, Value};
 use std::collections::{BTreeSet, VecDeque};
 use std::fmt;
@@ -374,7 +375,7 @@ impl GroupWal {
                 // Dwell with the mutex free so near-simultaneous
                 // committers land in this batch, then force.
                 drop(g);
-                std::thread::sleep(self.group_window);
+                sleep_until(Instant::now() + self.group_window);
                 g = self.inner.lock().expect("wal mutex");
             }
             g.log.force();
@@ -395,9 +396,12 @@ impl GroupWal {
         }
     }
 
+    /// One device operation, starting now: returns once the configured
+    /// latency has passed, and never before — so a record is durable no
+    /// earlier than the model says, and no later than a clock read.
     fn sleep_device(&self) {
         if !self.force_latency.is_zero() {
-            std::thread::sleep(self.force_latency);
+            sleep_until(Instant::now() + self.force_latency);
         }
     }
 
@@ -473,6 +477,42 @@ mod tests {
         // Every committer was acked only after its record became durable.
         let crash = mcv_txn::Wal::from_bytes_lossy(&wal.durable_image());
         assert_eq!(crash.committed().len(), 8);
+        wal.shutdown();
+        writer.join().expect("writer");
+    }
+
+    /// Force-before-ack in time: a commit is durable no earlier than one
+    /// full device latency after it was appended, in both modes. Lower
+    /// bounds only — how late a busy box returns is not this test's
+    /// business.
+    #[test]
+    fn a_device_operation_never_ends_before_its_latency() {
+        let latency = Duration::from_micros(300);
+        let per_commit = GroupWal::new(false, latency, Duration::ZERO, None);
+        for t in 1..=20 {
+            let t0 = Instant::now();
+            per_commit.append_commit_and_wait(TxnId(t));
+            assert!(t0.elapsed() >= latency, "commit {t} durable after {:?}", t0.elapsed());
+        }
+        assert_eq!(per_commit.stats().1, 20, "one device operation per commit");
+
+        let wal = Arc::new(GroupWal::new(true, latency, Duration::ZERO, None));
+        let writer = {
+            let wal = Arc::clone(&wal);
+            std::thread::spawn(move || wal.writer_loop())
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        for t in 1..=20 {
+            let t0 = Instant::now();
+            let lsn = wal.append_commit(TxnId(t));
+            let tx = tx.clone();
+            wal.on_durable(lsn, Ack::new(move || tx.send(t0.elapsed()).expect("test alive")));
+            let waited = rx.recv().expect("acknowledged");
+            assert!(waited >= latency, "commit {t} acknowledged after {waited:?}");
+            let window = wal.force_end_ns.load(Ordering::Relaxed)
+                - wal.force_start_ns.load(Ordering::Relaxed);
+            assert!(window >= latency.as_nanos() as u64, "device window {window} ns");
+        }
         wal.shutdown();
         writer.join().expect("writer");
     }

@@ -27,7 +27,10 @@
 //!   oracles;
 //! - [`IsolationLevel`] — the 2PL path above, or the `mcv-mvcc`
 //!   version-chain paths (ReadCommitted / SnapshotIsolation /
-//!   SerializableSsi) where reads bypass the lock table entirely.
+//!   SerializableSsi) where reads bypass the lock table entirely;
+//! - [`wait`] — the workspace's one deadline-accurate wait (park, then
+//!   poll the last stretch), used by the modeled log device here and by
+//!   the `mcv-dist` and `mcv-load` loops.
 //!
 //! # Examples
 //!
@@ -52,6 +55,7 @@ mod engine;
 mod gcwal;
 mod pool;
 mod shard;
+pub mod wait;
 mod workload;
 
 pub use engine::{latency_histogram, Engine, EngineConfig, EngineError, StagedCommit, Txn};

@@ -1,17 +1,19 @@
-//! The one wait primitive of the cross-shard commit path: park for all
-//! but the last stretch before a deadline, poll that stretch.
+//! The one wait primitive of the workspace: park for all but the last
+//! stretch before a deadline, poll that stretch.
 //!
 //! A timed park on this class of machine returns late by more than the
-//! hops it is supposed to time (`thread::sleep(10 us)` after 79 us,
+//! intervals it is supposed to time (`thread::sleep(10 us)` after 79 us,
 //! `recv_timeout(50 us)` after 127 us — DESIGN.md "Wait discipline"),
 //! so a wait that must end *at* an instant cannot be one park. Every
-//! wait of the pump, the network thread and the node loop goes through
-//! this module instead: the park is cut short by [`POLL_STRETCH`], its
-//! overshoot lands inside the stretch, and the rest is polled against
-//! the clock. The stretch is bounded so a waiter burns at most that
-//! much CPU per deadline however far away the deadline is. These are
-//! the crate's only `thread::sleep` / `recv_timeout` / `wait_timeout`
-//! call sites on the commit path (`xtask docsync` checks).
+//! timed wait goes through this module instead — the modeled log
+//! device and the group-commit dwell here, the pump, network thread
+//! and node loop of `mcv-dist`, the open-loop pacer of `mcv-load`: the
+//! park is cut short by [`POLL_STRETCH`], its overshoot lands inside
+//! the stretch, and the rest is polled against the clock. The stretch
+//! is bounded so a waiter burns at most that much CPU per deadline
+//! however far away the deadline is. These are the workspace's only
+//! `thread::sleep` / `recv_timeout` / `wait_timeout` call sites outside
+//! test code (`xtask docsync` checks).
 
 use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::{Condvar, Mutex, MutexGuard};
@@ -20,7 +22,7 @@ use std::time::{Duration, Instant};
 /// The stretch before a deadline that is polled rather than parked:
 /// the measured overshoot of a timed park (70 us on a 10 us park,
 /// 115 us on a 1 ms one) with a margin for a busy box.
-pub(crate) const POLL_STRETCH: Duration = Duration::from_micros(150);
+pub const POLL_STRETCH: Duration = Duration::from_micros(150);
 
 /// How long to park with `left` to go before the deadline: everything
 /// but the polled stretch. `None` inside the stretch.
@@ -30,7 +32,7 @@ fn park_budget(left: Duration) -> Option<Duration> {
 
 /// How a [`recv_until`] ended.
 #[derive(Debug, PartialEq)]
-pub(crate) enum Received<T> {
+pub enum Received<T> {
     /// A message arrived (or was already queued).
     Msg(T),
     /// The deadline passed with the channel empty.
@@ -42,7 +44,7 @@ pub(crate) enum Received<T> {
 /// Receives from `rx` until `deadline` (`None`: until a message or
 /// hang-up). A queued message is returned without parking; a timeout is
 /// never reported before the deadline.
-pub(crate) fn recv_until<T>(rx: &Receiver<T>, deadline: Option<Instant>) -> Received<T> {
+pub fn recv_until<T>(rx: &Receiver<T>, deadline: Option<Instant>) -> Received<T> {
     let Some(deadline) = deadline else {
         return rx.recv().map_or(Received::Disconnected, Received::Msg);
     };
@@ -69,7 +71,7 @@ pub(crate) fn recv_until<T>(rx: &Receiver<T>, deadline: Option<Instant>) -> Rece
 }
 
 /// Blocks the thread until `deadline`, to the accuracy of a clock read.
-pub(crate) fn sleep_until(deadline: Instant) {
+pub fn sleep_until(deadline: Instant) {
     if let Some(park) = park_budget(deadline.saturating_duration_since(Instant::now())) {
         std::thread::sleep(park);
     }
@@ -84,7 +86,7 @@ pub(crate) fn sleep_until(deadline: Instant) {
 /// the lock released (it polls the clock, not the state — a change
 /// landing inside the stretch is seen at the deadline), so a waiter
 /// never spins on a mutex the signalling threads need.
-pub(crate) fn wait_until<'a, T>(
+pub fn wait_until<'a, T>(
     lock: &'a Mutex<T>,
     cv: &Condvar,
     deadline: Instant,

@@ -12,7 +12,10 @@
 //! and leaves its commit with the engine (`Txn::commit_then`): the
 //! completion runs when the record is durable, by which time the
 //! worker is on its next job, and admission bounds what is in flight
-//! rather than what is queued. Crash plans drop an engine
+//! rather than what is queued. The pacer parks until the next due
+//! instant through `mcv_engine::wait`, woken early only by the events
+//! it acts on, so an arrival leaves when it is due, not when a timer
+//! happens to fire. Crash plans drop an engine
 //! mid-run (its WAL image frozen at the crash instant), rebuild it by
 //! rollback recovery, and the report measures the recovery-time SLO:
 //! wall time from the crash until windowed p99 latency is back under
@@ -21,9 +24,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use mcv_engine::wait::wait_until;
 use mcv_engine::{latency_histogram, Engine, EngineConfig, EngineError};
 use mcv_obs::{Histogram, MetricsSnapshot};
 use mcv_prof::{TelemetryConfig, TelemetrySnapshot, TelemetryStream};
@@ -181,6 +185,13 @@ struct Tally {
     goodput: AtomicU64,
     /// Highest `in_flight` the pacer ever reached.
     peak_in_flight: AtomicU64,
+    /// Admission attempts the pacer made: arrivals and retries.
+    dispatches: AtomicU64,
+    /// Over those, dispatch instant minus due instant, summed (µs).
+    late_us: AtomicU64,
+    /// Dispatches made before their due instant (none, unless the
+    /// pacer is broken).
+    early: AtomicU64,
 }
 
 /// `(due_us, seq, arrival_idx, attempt)` — min-heap order on due time,
@@ -218,11 +229,23 @@ struct Shared {
     prof: Option<mcv_prof::Profiler>,
     /// Windowed live telemetry (when configured).
     telemetry: Option<Mutex<TelemetryStream>>,
+    /// Moves on every event the pacer acts on besides the clock — a
+    /// retry queued, `in_flight` back to zero, a recovery done — so it
+    /// parks on `pacer_cv` until the next due instant instead of
+    /// polling for them.
+    pacer_epoch: Mutex<u64>,
+    pacer_cv: Condvar,
 }
 
 impl Shared {
     fn now_us(&self) -> u64 {
         self.start.elapsed().as_micros().min(u64::MAX as u128) as u64
+    }
+
+    /// Tells the pacer something it waits for has happened.
+    fn wake_pacer(&self) {
+        *self.pacer_epoch.lock().expect("pacer epoch") += 1;
+        self.pacer_cv.notify_one();
     }
 
     /// Schedules a retry for `idx` (attempt `attempt` just failed) or
@@ -244,6 +267,7 @@ impl Shared {
         self.n.retried.fetch_add(1, Ordering::Relaxed);
         let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
         self.retry_q.lock().expect("retry queue").push(Reverse((due, seq, idx, attempt + 1)));
+        self.wake_pacer();
     }
 
     /// One shed admission attempt: counted, then dropped or retried as
@@ -334,7 +358,9 @@ impl Shared {
             }
             Err(e) => panic!("load transaction failed: {e}"),
         }
-        self.in_flight.fetch_sub(1, Ordering::Release);
+        if self.in_flight.fetch_sub(1, Ordering::Release) == 1 {
+            self.wake_pacer();
+        }
     }
 }
 
@@ -441,8 +467,10 @@ pub struct LoadReport {
     /// window whose p99 is back under target. `None` = never within
     /// the run (SLO miss), or no crash planned.
     pub recovery_ms: Option<u64>,
-    /// Merged engine counters plus the `engine.admit.*` family and
-    /// `wall.load.*` gauges.
+    /// Merged engine counters plus the `engine.admit.*` family, the
+    /// pacer's `load.pacer.{dispatches,late_us,early}` (admission
+    /// attempts, their summed lateness past due, and any made before
+    /// due) and `wall.load.*` gauges.
     pub metrics: MetricsSnapshot,
     /// Windowed telemetry snapshots, when
     /// [`LoadConfig::telemetry_window_us`] is non-zero. Windows are
@@ -627,6 +655,8 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         telemetry: (cfg.telemetry_window_us > 0).then(|| {
             Mutex::new(TelemetryStream::new(TelemetryConfig { window_us: cfg.telemetry_window_us }))
         }),
+        pacer_epoch: Mutex::new(0),
+        pacer_cv: Condvar::new(),
     });
     let pool = mcv_engine::Pool::new(cfg.workers, cfg.queue_cap);
     let arrivals = &schedule.arrivals;
@@ -647,6 +677,9 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
     let mut ptr = 0usize;
     let mut telemetry_out: Vec<TelemetrySnapshot> = Vec::new();
     loop {
+        // Read before any state the wait below depends on: an event
+        // landing after this read moves the epoch and cuts the wait short.
+        let seen = *shared.pacer_epoch.lock().expect("pacer epoch");
         let now = shared.now_us();
 
         // Chaos events first: they gate availability for everything
@@ -689,6 +722,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
                     slot.up = true;
                     drop(slot);
                     rec_at.store(sh.now_us().max(1), Ordering::Release);
+                    sh.wake_pacer();
                 }));
                 restart_spawned = true;
             }
@@ -704,8 +738,8 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
                 }
             };
             match item {
-                Some(Reverse((_, _, idx, attempt))) => {
-                    dispatch(&shared, &pool, arrivals, idx, attempt)
+                Some(Reverse((due, _, idx, attempt))) => {
+                    dispatch(&shared, &pool, arrivals, idx, attempt, due)
                 }
                 None => break,
             }
@@ -713,7 +747,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
 
         // Due arrivals.
         while ptr < arrivals.len() && arrivals[ptr].at_us <= now {
-            dispatch(&shared, &pool, arrivals, ptr, 0);
+            dispatch(&shared, &pool, arrivals, ptr, 0, arrivals[ptr].at_us);
             ptr += 1;
         }
 
@@ -750,8 +784,8 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
             break;
         }
 
-        // Sleep until the next known event, capped so retries pushed
-        // by workers are picked up promptly.
+        // Wait for the next instant something is due, or for a worker
+        // or the recovery thread to move the epoch, whichever is first.
         let next_due = [
             (ptr < arrivals.len()).then(|| arrivals[ptr].at_us),
             shared.retry_q.lock().expect("retry queue").peek().map(|&Reverse((d, ..))| d),
@@ -768,8 +802,9 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         .into_iter()
         .flatten()
         .min();
-        let wait = next_due.map(|d| d.saturating_sub(now)).unwrap_or(200).clamp(20, 200);
-        std::thread::sleep(Duration::from_micros(wait));
+        let wake_us = next_due.unwrap_or(u64::MAX).min(hard_cap_us + 1);
+        let deadline = shared.start + Duration::from_micros(wake_us);
+        drop(wait_until(&shared.pacer_epoch, &shared.pacer_cv, deadline, |e| *e != seen));
     }
 
     pool.join();
@@ -839,6 +874,9 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
     c.insert("engine.admit.deadline_missed".into(), deadline_missed);
     c.insert("engine.admit.crash_lost".into(), crash_lost);
     c.insert("engine.admit.peak_in_flight".into(), load(&n.peak_in_flight));
+    c.insert("load.pacer.dispatches".into(), load(&n.dispatches));
+    c.insert("load.pacer.late_us".into(), load(&n.late_us));
+    c.insert("load.pacer.early".into(), load(&n.early));
     c.insert("load.arrivals".into(), arrivals.len() as u64);
     metrics.histograms.insert("wall.load.latency_us".into(), latency.clone());
     let g = &mut metrics.gauges;
@@ -881,15 +919,22 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
 }
 
 /// One admission attempt for `arrivals[idx]` (attempt number
-/// `attempt`); pacer-side.
+/// `attempt`, due at `due_us`); pacer-side.
 fn dispatch(
     shared: &Arc<Shared>,
     pool: &mcv_engine::Pool,
     arrivals: &[Arrival],
     idx: usize,
     attempt: u32,
+    due_us: u64,
 ) {
     let arrival = arrivals[idx];
+    let now = shared.now_us();
+    shared.n.dispatches.fetch_add(1, Ordering::Relaxed);
+    match now.checked_sub(due_us) {
+        Some(late) => shared.n.late_us.fetch_add(late, Ordering::Relaxed),
+        None => shared.n.early.fetch_add(1, Ordering::Relaxed),
+    };
     if attempt == 0 {
         // Each arrival is observed exactly once, keyed by its
         // scheduled (virtual) time — the deterministic part of a
@@ -898,7 +943,6 @@ fn dispatch(
             tel.lock().expect("telemetry").observe_arrival(arrival.at_us);
         }
     }
-    let now = shared.now_us();
     if now >= arrival.at_us + shared.deadline_us {
         shared.n.deadline_missed.fetch_add(1, Ordering::Relaxed);
         shared.observe_abandoned(&arrival);
@@ -1065,6 +1109,24 @@ mod tests {
         assert!(report.oracles_ok(), "{}", report.summary());
         // Everything accepted rode a few forces.
         assert_eq!(report.metrics.counter("engine.wal.deferred_acks"), report.committed);
+    }
+
+    /// The pacer waits for due instants, not for a poll: no arrival or
+    /// retry leaves before it is due, and every admission attempt is one
+    /// dispatch. A throttled engine behind a short queue makes retries.
+    #[test]
+    fn the_pacer_never_dispatches_early_and_counts_every_attempt() {
+        let mut cfg = quick_cfg();
+        cfg.engine =
+            EngineConfig { group_commit: false, force_latency_us: 2_000, ..Default::default() };
+        cfg.profile.process = ArrivalProcess::Poisson { rate_tps: 6_000.0 };
+        cfg.queue_cap = 4;
+        let report = run_load(&cfg);
+        let counter = |name| report.metrics.counter(name);
+        assert!(report.retried > 0, "{}", report.summary());
+        assert_eq!(counter("load.pacer.early"), 0);
+        assert_eq!(counter("load.pacer.dispatches"), report.arrivals + report.retried);
+        assert_eq!(report.unresolved, 0, "{}", report.summary());
     }
 
     #[test]

@@ -145,13 +145,18 @@ fn parse() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Prints the report and the admission-counter family; true when the
-/// run kept every oracle and resolved every arrival.
+/// Prints the report, the admission-counter family and the pacer's
+/// (with how late it dispatched, on average); true when the run kept
+/// every oracle and resolved every arrival.
 fn judge(report: &mcv::load::LoadReport) -> bool {
     println!("\n{}", report.summary());
-    for (name, v) in report.metrics.family("engine.admit.") {
+    let m = &report.metrics;
+    for (name, v) in m.family("engine.admit.").into_iter().chain(m.family("load.pacer.")) {
         println!("  {name:<28} {v}");
     }
+    let late_us =
+        m.counter("load.pacer.late_us") as f64 / m.counter("load.pacer.dispatches").max(1) as f64;
+    println!("  {:<28} {late_us:.1} us", "mean pacer lateness");
     let conserved = report.committed + report.dropped + report.deadline_missed + report.crash_lost
         == report.arrivals;
     if !conserved {
