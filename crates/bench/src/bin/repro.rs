@@ -15,20 +15,19 @@
 //! seeded runs; only `wall.*` metrics and span/report wall-clock fields
 //! vary. The concurrent artifacts (`exp.tput`, `exp.gc`, `exp.dist`)
 //! are the exception: their `engine.*`/`dist.*` wall metrics depend on
-//! thread scheduling. `exp.tput` additionally writes its RunReport as
-//! `<dir>/BENCH_engine.json`, `exp.dist` as `<dir>/BENCH_dist.json`,
-//! `exp.pipeline` as `<dir>/BENCH_pipeline.json`, `exp.mvcc` as
-//! `<dir>/BENCH_mvcc.json`, `exp.slo` as `<dir>/BENCH_slo.json`, and
-//! `exp.prof` as `<dir>/BENCH_prof.json` — the canonical benchmark
-//! records. `--check-bench` takes one or more baseline files and
-//! dispatches each on its report id.
+//! thread scheduling.
+//!
+//! The benchmark experiments (`exp.tput`, `exp.dist`, `exp.pipeline`,
+//! `exp.mvcc`, `exp.slo`, `exp.prof`) assert their own structural
+//! claims, so a broken claim makes `repro` exit non-zero with the
+//! claim's name (`pipeline.verdict.forces_batched`, ...) in the panic
+//! message.
 
 use mcv_bench::artifacts;
 use std::path::PathBuf;
 
 fn main() {
     let mut json_dir: Option<PathBuf> = None;
-    let mut baselines: Vec<PathBuf> = Vec::new();
     let mut args: Vec<String> = Vec::new();
     let mut raw = std::env::args().skip(1);
     while let Some(a) = raw.next() {
@@ -40,36 +39,13 @@ fn main() {
                     std::process::exit(2);
                 }
             }
-        } else if a == "--check-bench" {
-            // Greedy: every following non-flag argument is a baseline,
-            // so `--check-bench baselines/*.json` gates them all.
-            match raw.next() {
-                Some(path) => baselines.push(PathBuf::from(path)),
-                None => {
-                    eprintln!("--check-bench requires at least one baseline JSON path");
-                    std::process::exit(2);
-                }
-            }
-        } else if !baselines.is_empty() && a.ends_with(".json") {
-            baselines.push(PathBuf::from(a));
         } else {
             args.push(a);
         }
     }
-    if !baselines.is_empty() {
-        let mut failed = false;
-        for path in &baselines {
-            failed |= !run_bench_gate(path);
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        return;
-    }
     let known = artifacts();
     if args.is_empty() || args[0] == "help" || args[0] == "--help" {
         eprintln!("usage: repro [--json <dir>] <artifact-id>... | all | list");
-        eprintln!("       repro --check-bench <baseline.json>...   # gate benchmarks vs baselines");
         eprintln!("artifact ids:");
         for (id, _) in &known {
             eprintln!("  {id}");
@@ -115,87 +91,7 @@ fn main() {
                         std::process::exit(1);
                     }
                 }
-                // The throughput runs are the repo's benchmark
-                // records; mirror them under their BENCH_ names.
-                let bench_id = match *id {
-                    "exp.tput" => Some("BENCH_engine"),
-                    "exp.dist" => Some("BENCH_dist"),
-                    "exp.pipeline" => Some("BENCH_pipeline"),
-                    "exp.mvcc" => Some("BENCH_mvcc"),
-                    "exp.slo" => Some("BENCH_slo"),
-                    "exp.prof" => Some("BENCH_prof"),
-                    _ => None,
-                };
-                if let Some(bench_id) = bench_id {
-                    let mut bench = report;
-                    bench.id = bench_id.to_owned();
-                    match mcv_obs::write_report(dir, &bench) {
-                        Ok(path) => eprintln!("[obs] wrote {}", path.display()),
-                        Err(e) => {
-                            eprintln!("[obs] failed to write {bench_id}.json: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
             }
         }
     }
-}
-
-/// Re-runs the benchmark a baseline records and gates its metrics
-/// against that baseline; returns false on regression. The baseline's
-/// report id picks the benchmark and its tolerances: `BENCH_engine`
-/// re-runs `exp.tput` under [`mcv_bench::engine_gate_rules`],
-/// `BENCH_dist` re-runs `exp.dist` under
-/// [`mcv_bench::dist_gate_rules`], `BENCH_pipeline` re-runs
-/// `exp.pipeline` under [`mcv_bench::pipeline_gate_rules`],
-/// `BENCH_slo` re-runs `exp.slo` under [`mcv_bench::slo_gate_rules`],
-/// and `BENCH_prof` re-runs `exp.prof` under
-/// [`mcv_bench::prof_gate_rules`] (all documented in EXPERIMENTS.md).
-fn run_bench_gate(baseline_path: &std::path::Path) -> bool {
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(text) => match mcv_obs::RunReport::from_json(&text) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("--check-bench: {} is not a RunReport: {e}", baseline_path.display());
-                std::process::exit(2);
-            }
-        },
-        Err(e) => {
-            eprintln!("--check-bench: cannot read {}: {e}", baseline_path.display());
-            std::process::exit(2);
-        }
-    };
-    let (artifact, generator, rules): (&str, fn() -> String, Vec<mcv_bench::GateRule>) =
-        match baseline.id.as_str() {
-            "BENCH_engine" => ("exp.tput", mcv_bench::exp_tput, mcv_bench::engine_gate_rules()),
-            "BENCH_dist" => ("exp.dist", mcv_bench::exp_dist, mcv_bench::dist_gate_rules()),
-            "BENCH_pipeline" => {
-                ("exp.pipeline", mcv_bench::exp_pipeline, mcv_bench::pipeline_gate_rules())
-            }
-            "BENCH_mvcc" => ("exp.mvcc", mcv_bench::exp_mvcc, mcv_bench::mvcc_gate_rules()),
-            "BENCH_slo" => ("exp.slo", mcv_bench::exp_slo, mcv_bench::slo_gate_rules()),
-            "BENCH_prof" => ("exp.prof", mcv_bench::exp_prof, mcv_bench::prof_gate_rules()),
-            other => {
-                eprintln!(
-                    "--check-bench: unknown baseline id {other:?} in {} \
-                     (expected BENCH_engine, BENCH_dist, BENCH_pipeline, BENCH_mvcc, BENCH_slo \
-                     or BENCH_prof)",
-                    baseline_path.display()
-                );
-                std::process::exit(2);
-            }
-        };
-    println!("==================== bench gate ({artifact}) ====================");
-    let (text, data) = mcv_obs::collect(generator);
-    println!("{text}");
-    let current = data.into_report(baseline.id.clone());
-    let outcome = mcv_bench::check_bench(&baseline, &current, &rules);
-    print!("{}", outcome.summary());
-    if !outcome.ok() {
-        eprintln!("bench gate FAILED against {}", baseline_path.display());
-        return false;
-    }
-    println!("bench gate OK against {}", baseline_path.display());
-    true
 }

@@ -12,7 +12,9 @@
 //! the moment a crate lands without them — or if none of `./ci`'s
 //! `cargo test` invocations runs a workspace crate's tests (an
 //! `--exclude` nobody balances with a `-p` silently un-wires a crate),
-//! or if a `CHANGES.md` entry tagged `[perf_opt]` has no row in
+//! or if a `./ci full --only|--skip <list>` example in the docs names a
+//! gate `./ci`'s `FULL_GATES` lacks (the script exits 2 on it), or if
+//! a `CHANGES.md` entry tagged `[perf_opt]` has no row in
 //! EXPERIMENTS.md's "Performance trajectory" table (a claimed gain
 //! nobody can look up did not happen), or if non-test code of any
 //! crate parks on a timer anywhere but in the workspace's wait
@@ -33,10 +35,7 @@
 //! compared against a previous `ci-report.json`: verdict flips, per-
 //! gate wall-time deltas, and any gate slowing down by more than 2x
 //! are called out (informational — the exit code still reflects only
-//! this run's verdicts). When `baselines/BENCH_prof.json` exists, the
-//! summary also renders its phase-attribution tables — where engine
-//! and cross-shard commit latency went the last time `exp.prof` was
-//! baselined.
+//! this run's verdicts).
 //!
 //! `pairs` is the measuring rule for a performance claim as one command:
 //! it checks both revisions out as `git worktree`s under `--dir`
@@ -519,6 +518,37 @@ fn timed_park_complaints(files: &[(String, String)]) -> Vec<String> {
     found
 }
 
+/// The docs whose `./ci full --only|--skip <list>` examples must name
+/// real gates.
+const GATE_DOCS: [&str; 5] = [
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    ".claude/skills/verify/SKILL.md",
+    ".github/workflows/ci.yml",
+];
+
+/// The gate names of `script`'s `FULL_GATES=(...)` array.
+fn full_gates(script: &str) -> Vec<&str> {
+    let list = script.split_once("FULL_GATES=(").and_then(|(_, rest)| rest.split_once(')'));
+    list.map_or(Vec::new(), |(names, _)| names.split_whitespace().collect())
+}
+
+/// The names a `./ci full --only|--skip <list>` in `doc` selects that
+/// `gates` lacks. The flags and the list may wrap onto the next line.
+fn unknown_doc_gates<'a>(doc: &'a str, gates: &[&str]) -> Vec<&'a str> {
+    let mut unknown = Vec::new();
+    for (at, _) in doc.match_indices("./ci full") {
+        let mut words = doc[at + "./ci full".len()..].split_whitespace();
+        while words.next().is_some_and(|w| w == "--only" || w == "--skip") {
+            let list = words.next().unwrap_or("");
+            let list = list.trim_matches(|c: char| !(c.is_alphanumeric() || c == '_'));
+            unknown.extend(list.split(',').filter(|name| !gates.contains(name)));
+        }
+    }
+    unknown
+}
+
 fn docsync() -> ExitCode {
     let root = repo_root();
     let crates = match workspace_crates(&root) {
@@ -543,18 +573,33 @@ fn docsync() -> ExitCode {
             }
         }
     }
-    match std::fs::read_to_string(root.join("ci")) {
-        Ok(script) => {
-            missing.extend(untested_crates(&script, &crates).into_iter().map(|name| {
-                format!("no `cargo test` invocation in ./ci runs workspace crate {name}")
-            }))
-        }
+    let read = |doc: &str| std::fs::read_to_string(root.join(doc));
+    let script = match read("ci") {
+        Ok(script) => script,
         Err(e) => {
             eprintln!("docsync: cannot read ci: {e}");
             return ExitCode::from(2);
         }
+    };
+    missing.extend(
+        untested_crates(&script, &crates)
+            .into_iter()
+            .map(|name| format!("no `cargo test` invocation in ./ci runs workspace crate {name}")),
+    );
+    for doc in GATE_DOCS {
+        let text = match read(doc) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("docsync: cannot read {doc}: {e}");
+                return ExitCode::from(2);
+            }
+        };
+        missing.extend(
+            unknown_doc_gates(&text, &full_gates(&script))
+                .into_iter()
+                .map(|name| format!("{doc} selects gate {name:?}, which ./ci's FULL_GATES lacks")),
+        );
     }
-    let read = |doc: &str| std::fs::read_to_string(root.join(doc));
     match (read("CHANGES.md"), read("EXPERIMENTS.md")) {
         (Ok(changes), Ok(experiments)) => missing.extend(
             perf_prs_without_trajectory_row(&changes, &experiments).into_iter().map(|n| {
@@ -579,7 +624,8 @@ fn docsync() -> ExitCode {
     if missing.is_empty() {
         println!(
             "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests; \
-             every [perf_opt] PR has its trajectory row; only {WAIT_PRIMITIVE} parks on a timer",
+             documented gate selections name real gates; every [perf_opt] PR has its \
+             trajectory row; only {WAIT_PRIMITIVE} parks on a timer",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -698,45 +744,6 @@ fn diff_summary(old: &BTreeMap<String, (bool, u64)>, gates: &[Gate]) -> String {
     lines.join("\n")
 }
 
-/// Renders the baselined `exp.prof` phase attribution (mean-latency
-/// share per phase, engine and cross-shard columns) from
-/// `baselines/BENCH_prof.json`, or `None` when no baseline exists.
-/// The shares are wall gauges — informational context for the gate
-/// table, not part of the diff-stable report facts.
-fn phase_attribution_summary(root: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(root.join("baselines/BENCH_prof.json")).ok()?;
-    let report = mcv_obs::RunReport::from_json(&text).ok()?;
-    let share = |prefix: &str| -> Vec<(String, f64)> {
-        let mut rows: Vec<(String, f64)> = report
-            .metrics
-            .gauges
-            .iter()
-            .filter_map(|(k, v)| k.strip_prefix(prefix).map(|p| (p.to_owned(), *v)))
-            .collect();
-        rows.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite shares"));
-        rows
-    };
-    let engine = share("wall.prof.engine.frac_mean.");
-    let dist = share("wall.prof.dist.frac_mean.");
-    if engine.is_empty() && dist.is_empty() {
-        return None;
-    }
-    let mut out = String::from(
-        "\n  phase attribution (baselines/BENCH_prof.json, % of mean commit latency):\n",
-    );
-    for (title, rows) in [("engine", &engine), ("cross-shard", &dist)] {
-        if rows.is_empty() {
-            continue;
-        }
-        out.push_str(&format!("    {title:<12}"));
-        for (phase, frac) in rows {
-            out.push_str(&format!(" {phase} {:.0}%", 100.0 * frac));
-        }
-        out.push('\n');
-    }
-    Some(out)
-}
-
 fn ci_report(args: &[String]) -> ExitCode {
     let mut out_path = PathBuf::from("ci-report.json");
     let mut flake = false;
@@ -814,10 +821,6 @@ fn ci_report(args: &[String]) -> ExitCode {
         }
     }
 
-    if let Some(table) = phase_attribution_summary(&repo_root()) {
-        println!("{table}");
-    }
-
     let mut report = mcv_obs::RunReport::new("ci")
         .fact("gates", gates.len())
         .fact("passed", passed)
@@ -862,6 +865,19 @@ mod tests {
         assert!(untested_crates(&balanced, &crates).is_empty());
         // A bare `cargo test` runs only the root package.
         assert_eq!(untested_crates("cargo test -q\n", &crates), crates);
+    }
+
+    #[test]
+    fn a_documented_gate_selection_naming_an_unknown_gate_is_named() {
+        let script = "FULL_GATES=(fmt clippy\n  dist_smoke experiments)\nONLY=\"\"\n";
+        let gates = full_gates(script);
+        assert_eq!(gates, ["fmt", "clippy", "dist_smoke", "experiments"]);
+        let doc = "\
+            ./ci full --only dist_smoke,bench_gate   # run just the named gates\n\
+            ./ci full --skip fmt --only experiments\n\
+            also wraps (`./ci full --only\n\
+            clippy,nope`: prose), and `./ci full` alone selects nothing.\n";
+        assert_eq!(unknown_doc_gates(doc, &gates), ["bench_gate", "nope"]);
     }
 
     #[test]
@@ -989,14 +1005,6 @@ mod tests {
         let gates = parse_gatelog("fmt pass 1\n").expect("parses");
         let diff = diff_summary(&old_gates(&old_report), &gates);
         assert!(diff.contains("no verdict flips"), "{diff}");
-    }
-
-    #[test]
-    fn phase_attribution_summary_reads_the_baseline() {
-        let table = phase_attribution_summary(&repo_root()).expect("BENCH_prof.json is committed");
-        assert!(table.contains("cross-shard"), "{table}");
-        assert!(table.contains("transport_rtt"), "{table}");
-        assert!(phase_attribution_summary(Path::new("/nonexistent")).is_none());
     }
 
     #[test]

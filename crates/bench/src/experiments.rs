@@ -703,7 +703,8 @@ pub fn exp_colim() -> String {
 /// *specs* but not the interleaving. Each run's sampled history is
 /// checked against the conflict-serializability oracle and its durable
 /// log against recovery equivalence, so the table doubles as a stress
-/// test.
+/// test. The committed count is not scheduling-dependent: the driver
+/// admits a fixed quota, and every leg must commit all of it.
 pub fn exp_tput() -> String {
     use mcv_engine::{run_driver, DriverConfig, EngineConfig, Mix, WorkloadKind};
     let mut out = String::from(
@@ -713,7 +714,7 @@ pub fn exp_tput() -> String {
     );
     let mut tput = std::collections::BTreeMap::new();
     for workers in [1usize, 2, 4, 8] {
-        let report = run_driver(&DriverConfig {
+        let cfg = DriverConfig {
             engine: EngineConfig {
                 shards: 16,
                 group_commit: true,
@@ -726,7 +727,12 @@ pub fn exp_tput() -> String {
             items: 4_096,
             workload: WorkloadKind::ReadWrite { mix: Mix::Uniform, write_pct: 50, ops_per_txn: 8 },
             seed: 4242,
-        });
+        };
+        let report = run_driver(&cfg);
+        assert_eq!(
+            report.committed, cfg.txns,
+            "engine.txn.committed: the {workers}-worker leg must commit its whole quota"
+        );
         let fpc = report.forces as f64 / report.commits.max(1) as f64;
         out.push_str(&format!(
             "  {:>7} {:>10} {:>9.0} {:>7} {:>7} {:>7} {:>14.3}  {}\n",
@@ -808,14 +814,20 @@ pub fn exp_gc() -> String {
 }
 
 /// The serial 3PC reference schedule of the cross-shard runtime: one
-/// transaction at a time over the per-message transport.
+/// transaction at a time over the per-message transport. The run is
+/// fault-free, so AC2 obliges every transaction to be decided and to
+/// commit at every shard.
 fn one_at_a_time(dist: mcv_dist::DistConfig) -> mcv_dist::PipelineOutcome {
-    mcv_dist::run_pipeline(&mcv_dist::PipelineConfig {
+    let n_txns = dist.n_txns as u64;
+    let o = mcv_dist::run_pipeline(&mcv_dist::PipelineConfig {
         dist,
         max_inflight: 1,
         batch_window_us: 0,
         arrival_us: None,
-    })
+    });
+    assert_eq!(o.stats.txns, n_txns, "dist.txn.total: a serial leg decided too few transactions");
+    assert_eq!(o.stats.committed, n_txns, "dist.txn.committed: a fault-free serial leg aborted");
+    o
 }
 
 /// exp.dist — cross-shard atomic commit over live engines: the 3PC
@@ -826,9 +838,8 @@ fn one_at_a_time(dist: mcv_dist::DistConfig) -> mcv_dist::PipelineOutcome {
 ///
 /// Wall-clock numbers, scheduling-dependent like [`exp_tput`] — but
 /// the *committed count* is deterministic: every transaction in these
-/// fault-free runs must commit at every shard (AC2), so
-/// `dist.txn.total` and `dist.txn.committed` gate exactly while
-/// `wall.dist.tput.*` gets a wide wall-clock tolerance.
+/// fault-free runs must commit at every shard (AC2), which
+/// [`one_at_a_time`] asserts for every leg.
 pub fn exp_dist() -> String {
     use mcv_dist::DistConfig;
     let mut out = String::from(
@@ -837,7 +848,6 @@ pub fn exp_dist() -> String {
          max_inflight 1 / batch 0: one transaction at a time)\n\n  \
          shards  txns  committed  settle-ms   txn/s  oracles\n",
     );
-    let mut total = 0u64;
     for n_shards in [2usize, 3, 4] {
         let o = one_at_a_time(DistConfig {
             n_shards,
@@ -857,7 +867,6 @@ pub fn exp_dist() -> String {
             o.violated().is_none(),
         ));
         mcv_obs::gauge(&format!("wall.dist.tput.s{n_shards}"), tput);
-        total += o.stats.txns;
     }
     out.push_str("\n  write weight (3 shards):\n  writes/shard  committed  settle-ms  oracles\n");
     for writes in [1usize, 4, 8] {
@@ -874,9 +883,7 @@ pub fn exp_dist() -> String {
             o.stats.wall_ms,
             o.violated().is_none(),
         ));
-        total += o.stats.txns;
     }
-    mcv_obs::counter("dist.txn.total", total);
     out.push_str(
         "\nshape check: the settle time is eight commit round trips back to back;\n\
          it barely moves with shard count or write weight — 3PC's message rounds\n\
@@ -892,8 +899,8 @@ pub fn exp_dist() -> String {
 /// commit) against the pipelined schedule (a bounded in-flight window,
 /// per-link transport batching, one force wave per delivery batch).
 ///
-/// Wall-clock gauges get the usual wide band; the structural claims
-/// gate exactly:
+/// The structural claims are asserted, each message opening with the
+/// claim's name:
 ///
 /// - `pipeline.txn.total` / `pipeline.txn.committed` — fault-free AC2:
 ///   every streamed transaction must commit at every shard;
@@ -931,12 +938,13 @@ pub fn exp_pipeline() -> String {
         serial_tput,
         s.violated().is_none(),
     ));
+    assert!(
+        s.violated().is_none(),
+        "pipeline.oracles.green: the serial reference fails {:?}",
+        s.violated()
+    );
     out.push_str("  pipelined (96 txns streamed, window 32, batch 600 us):\n");
-    out.push_str("  shards  committed  settle-ms   txn/s  forces/commit  oracles\n");
-    let mut total = 0u64;
-    let mut committed_total = 0u64;
-    let mut green_legs = u64::from(s.violated().is_none());
-    let mut dense_logs = 0u64;
+    out.push_str("  shards  committed  settle-ms   txn/s  forces/commit  dense-log  oracles\n");
     let mut tput_s3 = 0.0f64;
     let (mut wal_commits, mut wal_forces) = (0u64, 0u64);
     for n_shards in [2usize, 3, 4] {
@@ -954,22 +962,28 @@ pub fn exp_pipeline() -> String {
         };
         let o = run_pipeline(&cfg);
         let tput = o.stats.committed as f64 / (o.stats.wall_ms.max(1) as f64 / 1_000.0);
+        let dense = o.commit_log.len() == o.stats.txns as usize
+            && o.commit_log.iter().enumerate().all(|(i, e)| e.index == i);
         out.push_str(&format!(
-            "  {:>6} {:>10} {:>10} {:>7.0} {:>14.3}  {}\n",
+            "  {:>6} {:>10} {:>10} {:>7.0} {:>14.3} {:>10}  {}\n",
             n_shards,
             o.stats.committed,
             o.stats.wall_ms,
             tput,
             o.wal_forces as f64 / o.wal_commits.max(1) as f64,
+            dense,
             o.violated().is_none(),
         ));
         mcv_obs::gauge(&format!("wall.pipeline.tput.s{n_shards}"), tput);
-        total += o.stats.txns;
-        committed_total += o.stats.committed;
-        green_legs += u64::from(o.violated().is_none());
-        let dense = o.commit_log.len() == o.stats.txns as usize
-            && o.commit_log.iter().enumerate().all(|(i, e)| e.index == i);
-        dense_logs += u64::from(dense);
+        let n_txns = cfg.dist.n_txns as u64;
+        assert_eq!(o.stats.txns, n_txns, "pipeline.txn.total: {n_shards} shards decided too few");
+        assert_eq!(o.stats.committed, n_txns, "pipeline.txn.committed: {n_shards} shards aborted");
+        assert!(
+            o.violated().is_none(),
+            "pipeline.oracles.green: {n_shards} shards fail {:?}",
+            o.violated()
+        );
+        assert!(dense, "pipeline.commit_log.dense: {n_shards} shards' commit log has gaps");
         wal_commits += o.wal_commits;
         wal_forces += o.wal_forces;
         if n_shards == 3 {
@@ -978,12 +992,6 @@ pub fn exp_pipeline() -> String {
     }
     let speedup = tput_s3 / serial_tput.max(1e-9);
     let forces_per_commit = wal_forces as f64 / wal_commits.max(1) as f64;
-    mcv_obs::counter("pipeline.txn.total", total);
-    mcv_obs::counter("pipeline.txn.committed", committed_total);
-    mcv_obs::counter("pipeline.oracles.green", green_legs);
-    mcv_obs::counter("pipeline.commit_log.dense", dense_logs);
-    mcv_obs::counter("pipeline.verdict.speedup_10x", u64::from(speedup >= 10.0));
-    mcv_obs::counter("pipeline.verdict.forces_batched", u64::from(forces_per_commit <= 0.5));
     mcv_obs::gauge("wall.pipeline.speedup", speedup);
     mcv_obs::gauge("wall.pipeline.forces_per_commit", forces_per_commit);
     out.push_str(&format!(
@@ -994,6 +1002,11 @@ pub fn exp_pipeline() -> String {
         speedup >= 10.0,
         forces_per_commit <= 0.5,
     ));
+    assert!(speedup >= 10.0, "pipeline.verdict.speedup_10x: only {speedup:.1}x serial");
+    assert!(
+        forces_per_commit <= 0.5,
+        "pipeline.verdict.forces_batched: {forces_per_commit:.3} forces per commit record"
+    );
     out.push_str(
         "\nshape check: one transaction at a time pays every hop delay and one\n\
          force per commit in sequence; the pipelined schedule streams\n\
@@ -1009,15 +1022,18 @@ pub fn exp_pipeline() -> String {
 /// swept over worker count.
 ///
 /// Wall-clock throughput is scheduling-dependent like [`exp_tput`],
-/// but two counters are structural and gate exactly: the driver admits
-/// a fixed quota so `engine.txn.committed` is deterministic, and the
-/// snapshot read path never touches the 2PL lock table so
-/// `engine.locks.read_acquisitions` is exactly zero. Only the SI legs
-/// are absorbed into the benchmark record; the 2PL legs exist for the
-/// throughput comparison and would otherwise pollute the zero-lock
-/// assertion.
+/// but every SI leg asserts three structural claims: the driver admits
+/// a fixed quota, so it commits exactly that many; the snapshot read
+/// path never touches the 2PL lock table, so it takes zero read locks;
+/// and it serves at least half its expected reads off version chains
+/// (reads of a transaction's own writes never reach a chain, so the
+/// exact count depends on the draw). Only the SI legs are absorbed into
+/// the report; the 2PL legs exist for the throughput comparison.
 pub fn exp_mvcc() -> String {
     use mcv_engine::{run_driver, DriverConfig, EngineConfig, IsolationLevel, Mix, WorkloadKind};
+    const TXNS: u64 = 1_000;
+    const OPS_PER_TXN: usize = 8;
+    const WRITE_PCT: u8 = 10;
     let cfg = |isolation: IsolationLevel, workers: usize| DriverConfig {
         engine: EngineConfig {
             shards: 16,
@@ -1032,15 +1048,16 @@ pub fn exp_mvcc() -> String {
             ..Default::default()
         },
         clients: workers,
-        txns: 1_000,
+        txns: TXNS,
         items: 4_096,
         workload: WorkloadKind::ReadWrite {
             mix: Mix::Zipfian { theta: 0.9 },
-            write_pct: 10,
-            ops_per_txn: 8,
+            write_pct: WRITE_PCT,
+            ops_per_txn: OPS_PER_TXN,
         },
         seed: 2026,
     };
+    let min_snapshot_reads = TXNS * OPS_PER_TXN as u64 * u64::from(100 - WRITE_PCT) / 100 / 2;
     let mut out = String::from(
         "exp.mvcc — snapshot reads vs the 2PL read path\n\
          (zipfian theta=0.9, 10% writes, 8 ops/txn, 16 shards, 20 us force, group commit)\n\n  \
@@ -1065,6 +1082,13 @@ pub fn exp_mvcc() -> String {
             cert_aborts,
             si.oracles_ok() && lk.oracles_ok(),
         ));
+        assert_eq!(si.committed, TXNS, "engine.txn.committed: the {workers}-worker SI leg");
+        assert_eq!(read_locks, 0, "engine.locks.read_acquisitions: the {workers}-worker SI leg");
+        assert!(
+            snap_reads >= min_snapshot_reads,
+            "engine.mvcc.snapshot_reads: the {workers}-worker SI leg served {snap_reads}, \
+             fewer than {min_snapshot_reads}"
+        );
         mcv_obs::absorb(&si.metrics);
         mcv_obs::gauge(&format!("wall.mvcc.tput.si.w{workers}"), si.throughput_tps());
         mcv_obs::gauge(&format!("wall.mvcc.tput.2pl.w{workers}"), lk.throughput_tps());
@@ -1082,18 +1106,20 @@ pub fn exp_mvcc() -> String {
 /// with its saturation knee, graceful degradation at 2x the knee, and
 /// the shard-crash-during-flash-crowd recovery-time campaign.
 ///
-/// Wall-clock latencies are machine-dependent, but the record is built
-/// so the interesting claims are *self-normalized* and gate exactly:
+/// Wall-clock latencies are machine-dependent, but the interesting
+/// claims are *self-normalized* and asserted, each message opening with
+/// the claim's name:
 ///
-/// - the sweep shape and every arrival schedule are pure functions of
-///   pinned seeds (`slo.sweep.points`, `slo.arrivals.total` exact);
-/// - `slo.verdict.*` are 0/1 structural verdicts — overload sheds,
-///   goodput under 2x-knee overload stays ≥ 70% of this same run's
-///   knee, oracles stay green, and ≥ 90% of the crash campaign
-///   recovers within the SLO window — each judged against the run's
-///   own measurements, so machine speed cancels out;
+/// - the sweep shape, the campaign size and every arrival schedule are
+///   pure functions of pinned seeds (`slo.sweep.points`,
+///   `slo.recovery.runs`, `slo.arrivals.total`);
+/// - overload sheds, goodput under 2x-knee overload stays ≥ 70% of this
+///   same run's knee, oracles stay green, and ≥ 90% of the crash
+///   campaign recovers within the SLO window (`slo.verdict.*`) — each
+///   judged against the run's own measurements, so machine speed
+///   cancels out;
 /// - `wall.slo.p99_us.*` and `wall.slo.recovery_ms.*` carry the raw
-///   latencies for the lower-is-better 3x bands.
+///   latencies, reported only.
 ///
 /// The engine is deliberately throttled (no group commit, 2 ms modeled
 /// force) so the knee sits near a few thousand txn/s: the sweep and
@@ -1140,7 +1166,7 @@ pub fn exp_slo() -> String {
         ));
         mcv_obs::gauge(&format!("wall.slo.p99_us.r{rate:.0}"), p.p99_us as f64);
     }
-    mcv_obs::counter("slo.sweep.points", points.len() as u64);
+    assert_eq!(points.len(), rates.len(), "slo.sweep.points: one point per offered rate");
     let k = *knee(&points);
     mcv_obs::gauge("wall.slo.knee_tps", k.goodput_tps);
     out.push_str(&format!(
@@ -1156,9 +1182,6 @@ pub fn exp_slo() -> String {
     over_cfg.profile.process = ArrivalProcess::Poisson { rate_tps: 2.0 * k.offered_tps };
     let over = run_load(&over_cfg);
     let goodput_holds = over.goodput_tps() >= 0.7 * k.goodput_tps;
-    mcv_obs::counter("slo.verdict.overload_sheds", u64::from(over.shed > 0));
-    mcv_obs::counter("slo.verdict.goodput_holds", u64::from(goodput_holds));
-    mcv_obs::counter("slo.verdict.overload_oracles", u64::from(over.oracles_ok()));
     mcv_obs::gauge("wall.slo.goodput.overload_tps", over.goodput_tps());
     mcv_obs::absorb(&over.metrics);
     out.push_str(&format!(
@@ -1171,27 +1194,27 @@ pub fn exp_slo() -> String {
         over.shed,
         over.oracles_ok(),
     ));
+    assert!(over.shed > 0, "slo.verdict.overload_sheds: the 2x-knee leg shed nothing");
+    assert!(
+        goodput_holds,
+        "slo.verdict.goodput_holds: 2x-knee goodput {:.0} txn/s is under 70% of the knee's {:.0}",
+        over.goodput_tps(),
+        k.goodput_tps
+    );
+    assert!(over.oracles_ok(), "slo.verdict.overload_oracles: the 2x-knee leg fails an oracle");
 
     // The chaos leg: 100 seeded flash-crowd runs, each crashing engine
     // 1 mid-crowd and recovering it from its frozen WAL image while
     // admission sheds around the hole. A run passes when windowed p99
     // is back under the 20 ms target within the SLO window.
     let slo_ms = 500;
-    let campaign = mcv_load::run_slo_campaign(&SloCampaignConfig {
-        base: crash_campaign_template(),
-        seeds: 100,
-        seed_base: 1_000,
-        slo_ms,
-    });
-    mcv_obs::counter("slo.recovery.runs", campaign.runs);
-    mcv_obs::counter("slo.recovery.within_slo", campaign.recovered_within_slo);
+    let campaign_cfg =
+        SloCampaignConfig { base: crash_campaign_template(), seeds: 100, seed_base: 1_000, slo_ms };
+    let campaign = mcv_load::run_slo_campaign(&campaign_cfg);
     mcv_obs::counter("slo.recovery.never", campaign.never_recovered);
     mcv_obs::counter("slo.oracle_failures", campaign.oracle_failures);
     mcv_obs::counter("slo.unresolved_runs", campaign.unresolved_runs);
-    mcv_obs::counter("slo.arrivals.total", campaign.arrivals_total);
     mcv_obs::counter("slo.shed.total", campaign.shed_total);
-    mcv_obs::counter("slo.verdict.campaign_oracles", u64::from(campaign.oracle_failures == 0));
-    mcv_obs::counter("slo.verdict.recovery_fraction", u64::from(campaign.slo_fraction() >= 0.9));
     mcv_obs::gauge("wall.slo.recovery_ms.p50", campaign.recovery_ms.percentile(50.0) as f64);
     mcv_obs::gauge("wall.slo.recovery_ms.p99", campaign.recovery_ms.percentile(99.0) as f64);
     mcv_obs::gauge("wall.slo.worst_recovery_ms", campaign.worst_recovery_ms as f64);
@@ -1200,6 +1223,18 @@ pub fn exp_slo() -> String {
          80 ms for 40 ms,\n100 seeds, {slo_ms} ms recovery SLO):\n  {}\n",
         campaign.summary()
     ));
+    assert_eq!(campaign.runs, campaign_cfg.seeds, "slo.recovery.runs: one run per seed");
+    assert_eq!(
+        campaign.arrivals_total, 67_193,
+        "slo.arrivals.total: the pinned seeds' arrival schedules changed"
+    );
+    assert_eq!(campaign.oracle_failures, 0, "slo.verdict.campaign_oracles: a run fails an oracle");
+    assert!(
+        campaign.slo_fraction() >= 0.9,
+        "slo.verdict.recovery_fraction: {}/{} runs recovered within {slo_ms} ms",
+        campaign.recovered_within_slo,
+        campaign.runs
+    );
     out.push_str(
         "\nshape check: goodput climbs with offered load to the knee, then shedding\n\
          absorbs the excess instead of queueing collapse — latency past the knee is\n\
@@ -1215,8 +1250,8 @@ pub fn exp_slo() -> String {
 /// load run, and the profiler's own overhead.
 ///
 /// Wall-clock numbers are scheduling-dependent like [`exp_tput`], but
-/// the headline claims are self-normalized 0/1 verdicts that gate
-/// exactly:
+/// the headline claims are self-normalized and asserted, each message
+/// opening with the claim's name:
 ///
 /// - `prof.verdict.overhead_ok` — instrumented throughput within 1.05x
 ///   of the uninstrumented engine on the `exp.tput` 4-worker config
@@ -1230,12 +1265,14 @@ pub fn exp_slo() -> String {
 /// - `prof.verdict.dist_transport_dominant` — the top two phases of
 ///   the cross-shard run are `transport_rtt` and `wal_force`: message
 ///   flight and the commit-point force dominate, as 3PC predicts;
+/// - `prof.verdict.pipeline_transport_reduced` — the pipelined leg's
+///   `transport_rtt` share is below the serial leg's;
 /// - `prof.verdict.telemetry_covers_arrivals` — the windowed telemetry
 ///   stream accounts for every scheduled arrival.
 ///
 /// `prof.dist.paths`, `prof.telemetry.windows`, and
 /// `prof.telemetry.arrivals` are structural (fault-free AC2 commits
-/// and seeded arrival schedules) and also gate exactly.
+/// and seeded arrival schedules) and asserted exactly.
 pub fn exp_prof() -> String {
     use mcv_engine::{run_driver, DriverConfig, EngineConfig, Mix, WorkloadKind};
     use mcv_prof::{AttributionTable, Profiler};
@@ -1259,8 +1296,8 @@ pub fn exp_prof() -> String {
         },
         clients: 4,
         // 3x the exp.tput run length: per-trial throughput noise
-        // shrinks with duration, and the 0/1 overhead verdict gates
-        // exactly, so the estimate must be tight.
+        // shrinks with duration, and the overhead claim is asserted,
+        // so the estimate must be tight.
         txns: 3_000,
         items: 4_096,
         workload: WorkloadKind::ReadWrite { mix: Mix::Uniform, write_pct: 50, ops_per_txn: 8 },
@@ -1286,8 +1323,6 @@ pub fn exp_prof() -> String {
     let overhead_ok = ratio <= 1.05;
     let samples_match =
         engine_samples.timelines.len() as u64 == committed && engine_samples.dropped == 0;
-    mcv_obs::counter("prof.verdict.overhead_ok", u64::from(overhead_ok));
-    mcv_obs::counter("prof.verdict.engine_samples_match", u64::from(samples_match));
     mcv_obs::gauge("wall.prof.overhead_ratio", ratio);
     mcv_obs::gauge("wall.prof.tput.plain", best_plain);
     mcv_obs::gauge("wall.prof.tput.instrumented", best_prof);
@@ -1303,6 +1338,13 @@ pub fn exp_prof() -> String {
         engine_samples.dropped,
         engine_table.render(),
     ));
+    assert!(overhead_ok, "prof.verdict.overhead_ok: median paired ratio {ratio:.3}x > 1.05x");
+    assert!(
+        samples_match,
+        "prof.verdict.engine_samples_match: {} timelines for {committed} commits, {} dropped",
+        engine_samples.timelines.len(),
+        engine_samples.dropped
+    );
     for row in &engine_table.rows {
         if row.txns > 0 {
             mcv_obs::gauge(&format!("wall.prof.engine.frac_mean.{}", row.phase), row.frac_mean);
@@ -1336,9 +1378,6 @@ pub fn exp_prof() -> String {
     let top2 = dist_table.top_phases(2);
     let transport_dominant = top2.contains(&"transport_rtt") && top2.contains(&"wal_force");
     let attributed = dist_table.attributed_frac >= 0.9;
-    mcv_obs::counter("prof.dist.paths", paths.len() as u64);
-    mcv_obs::counter("prof.verdict.dist_attributed", u64::from(attributed));
-    mcv_obs::counter("prof.verdict.dist_transport_dominant", u64::from(transport_dominant));
     mcv_obs::gauge("wall.prof.dist.attributed_frac", dist_table.attributed_frac);
     for row in &dist_table.rows {
         if row.txns > 0 {
@@ -1356,6 +1395,17 @@ pub fn exp_prof() -> String {
         100.0 * dist_table.attributed_frac,
         top2,
     ));
+    assert_eq!(
+        paths.len(),
+        dist_cfg.dist.n_txns,
+        "prof.dist.paths: one critical path per committed transaction"
+    );
+    assert!(
+        attributed,
+        "prof.verdict.dist_attributed: {:.0}% of mean commit latency attributed",
+        100.0 * dist_table.attributed_frac
+    );
+    assert!(transport_dominant, "prof.verdict.dist_transport_dominant: top phases {top2:?}");
 
     // Leg 2b — the same topology under the pipelined schedule:
     // transport batching amortizes hop delays across the in-flight
@@ -1371,7 +1421,6 @@ pub fn exp_prof() -> String {
     let pipe_transport_frac = pipe_table.phase_frac("transport_rtt");
     let transport_reduced = pipe_transport_frac < serial_transport_frac;
     mcv_obs::counter("prof.pipeline.paths", pipe_paths.len() as u64);
-    mcv_obs::counter("prof.verdict.pipeline_transport_reduced", u64::from(transport_reduced));
     for row in &pipe_table.rows {
         if row.txns > 0 {
             mcv_obs::gauge(&format!("wall.prof.pipeline.frac_mean.{}", row.phase), row.frac_mean);
@@ -1388,6 +1437,13 @@ pub fn exp_prof() -> String {
         100.0 * pipe_transport_frac,
         100.0 * serial_transport_frac,
     ));
+    assert!(
+        transport_reduced,
+        "prof.verdict.pipeline_transport_reduced: transport_rtt share {:.0}% pipelined vs \
+         {:.0}% serial",
+        100.0 * pipe_transport_frac,
+        100.0 * serial_transport_frac
+    );
 
     // Leg 3 — live telemetry on an open-loop load run: windows are
     // keyed by scheduled arrival time, so their count and per-window
@@ -1410,9 +1466,13 @@ pub fn exp_prof() -> String {
     let report = mcv_prof::with_profiler(&profiler, || mcv_load::run_load(&load_cfg));
     let windowed_arrivals: u64 = report.telemetry.iter().map(|w| w.arrivals).sum();
     let covers = windowed_arrivals == report.arrivals;
-    mcv_obs::counter("prof.telemetry.windows", report.telemetry.len() as u64);
-    mcv_obs::counter("prof.telemetry.arrivals", windowed_arrivals);
-    mcv_obs::counter("prof.verdict.telemetry_covers_arrivals", u64::from(covers));
+    assert_eq!(report.telemetry.len(), 4, "prof.telemetry.windows: the seed fixes four windows");
+    assert_eq!(windowed_arrivals, 310, "prof.telemetry.arrivals: the seed fixes 310 arrivals");
+    assert!(
+        covers,
+        "prof.verdict.telemetry_covers_arrivals: {windowed_arrivals} arrivals windowed of {}",
+        report.arrivals
+    );
     let driver_table = AttributionTable::from_samples(&profiler.harvest());
     out.push_str(&format!(
         "\nopen-loop telemetry (1500 txn/s Poisson, 200 ms, 50 ms windows): {} windows, \
@@ -1520,10 +1580,12 @@ mod tests {
 
     #[test]
     fn every_artifact_generates_nonempty_output() {
-        // The heavyweight ones (fig4.*) are covered by mcv-blocks
-        // tests, and the wall-clock benches (exp.tput, exp.gc,
-        // exp.dist) by the mcv-engine/mcv-dist suites plus the ci
-        // smoke gates; here smoke-test the cheap generators.
+        // Only the cheap generators run here. fig4.* is covered by
+        // the mcv-blocks tests. The wall-clock experiments assert
+        // their own claims, and `./ci full`'s `experiments` gate runs
+        // six of them in release, one at a time: exp.prof's 1.05x
+        // overhead claim would not hold inside parallel test threads.
+        // exp.gc, exp.rec and exp.ser are skipped for their run time.
         for (id, f) in artifacts() {
             if matches!(
                 id,
@@ -1538,6 +1600,7 @@ mod tests {
                     | "exp.pipeline"
                     | "exp.mvcc"
                     | "exp.slo"
+                    | "exp.prof"
             ) {
                 continue;
             }

@@ -15,10 +15,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod gate;
 
 pub use experiments::*;
-pub use gate::{
-    check_bench, dist_gate_rules, engine_gate_rules, mvcc_gate_rules, pipeline_gate_rules,
-    prof_gate_rules, slo_gate_rules, GateOutcome, GateRule, Tolerance,
-};

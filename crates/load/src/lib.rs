@@ -27,8 +27,7 @@
 //!   sequences for the determinism suite, and a free planning tool;
 //! - [`rate_sweep`] / [`knee`] / [`run_slo_campaign`] — latency-vs-load
 //!   curves, the saturation knee, and the seeded
-//!   shard-crash-during-flash-crowd campaign behind `exp.slo` and the
-//!   `BENCH_slo.json` gate;
+//!   shard-crash-during-flash-crowd campaign behind `exp.slo`;
 //! - [`run_dist_stream`] — the cross-shard leg: the open-loop arrival
 //!   schedule streamed through one `mcv_dist` cluster, judged by the
 //!   eight cross-shard oracles.

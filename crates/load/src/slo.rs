@@ -1,6 +1,6 @@
 //! SLO measurement: latency-vs-load sweeps, the saturation knee, and
 //! the seeded shard-crash-during-flash-crowd campaign whose
-//! recovery-time distribution the bench gate pins.
+//! recovery-time distribution `exp.slo` reports.
 
 use mcv_obs::Histogram;
 
@@ -93,7 +93,7 @@ pub struct SloCampaignReport {
     /// Runs that left arrivals unresolved at the drain cap.
     pub unresolved_runs: u64,
     /// Total arrivals across the campaign (deterministic in the seed
-    /// set — a cross-machine anchor for the bench gate).
+    /// set, so `exp.slo` asserts it as a cross-machine anchor).
     pub arrivals_total: u64,
     /// Total shed events.
     pub shed_total: u64,

@@ -51,8 +51,6 @@ mod report;
 mod span;
 
 pub use global::{absorb, collect, counter, gauge, record, Collected};
-pub use metrics::{
-    Counter, CounterDelta, GaugeDelta, Histogram, MetricsDelta, MetricsRegistry, MetricsSnapshot,
-};
+pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use report::{append_jsonl, write_report, RunReport, WallClock};
 pub use span::{Span, SpanStats};

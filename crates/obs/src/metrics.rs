@@ -329,97 +329,6 @@ impl MetricsSnapshot {
         self.gauges.retain(|k, _| !k.starts_with("wall."));
         self.histograms.retain(|k, _| !k.starts_with("wall."));
     }
-
-    /// The per-metric change from `self` (the baseline) to `current`.
-    ///
-    /// Keys are the union of both snapshots: a metric absent on one
-    /// side contributes 0 (counters, histogram counts) or `None`
-    /// (gauges). Used by `repro --check-bench` and for before/after
-    /// comparisons in EXPERIMENTS.md.
-    pub fn diff(&self, current: &MetricsSnapshot) -> MetricsDelta {
-        let mut delta = MetricsDelta::default();
-        for key in self.counters.keys().chain(current.counters.keys()) {
-            if delta.counters.contains_key(key) {
-                continue;
-            }
-            let base = self.counter(key);
-            let cur = current.counter(key);
-            delta.counters.insert(
-                key.clone(),
-                CounterDelta { base, current: cur, delta: cur as i64 - base as i64 },
-            );
-        }
-        for key in self.gauges.keys().chain(current.gauges.keys()) {
-            if delta.gauges.contains_key(key) {
-                continue;
-            }
-            let base = self.gauge(key);
-            let cur = current.gauge(key);
-            let d = match (base, cur) {
-                (Some(b), Some(c)) => c - b,
-                (None, Some(c)) => c,
-                (Some(b), None) => -b,
-                (None, None) => 0.0,
-            };
-            delta.gauges.insert(key.clone(), GaugeDelta { base, current: cur, delta: d });
-        }
-        for key in self.histograms.keys().chain(current.histograms.keys()) {
-            if delta.histogram_counts.contains_key(key) {
-                continue;
-            }
-            let base = self.histograms.get(key).map_or(0, |h| h.count);
-            let cur = current.histograms.get(key).map_or(0, |h| h.count);
-            delta.histogram_counts.insert(
-                key.clone(),
-                CounterDelta { base, current: cur, delta: cur as i64 - base as i64 },
-            );
-        }
-        delta
-    }
-}
-
-/// Change of one counter-like metric between two snapshots.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct CounterDelta {
-    /// Baseline value (0 when absent).
-    pub base: u64,
-    /// Current value (0 when absent).
-    pub current: u64,
-    /// `current - base`.
-    pub delta: i64,
-}
-
-/// Change of one gauge between two snapshots.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GaugeDelta {
-    /// Baseline value, if the gauge existed there.
-    pub base: Option<f64>,
-    /// Current value, if the gauge exists now.
-    pub current: Option<f64>,
-    /// `current - base`, treating an absent side as 0.
-    pub delta: f64,
-}
-
-/// Per-metric deltas between two [`MetricsSnapshot`]s, as produced by
-/// [`MetricsSnapshot::diff`]. Keys are the union of both snapshots.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct MetricsDelta {
-    /// Counter changes.
-    pub counters: BTreeMap<String, CounterDelta>,
-    /// Gauge changes.
-    pub gauges: BTreeMap<String, GaugeDelta>,
-    /// Histogram sample-count changes (full distributions are compared
-    /// by count only; shapes live in the snapshots themselves).
-    pub histogram_counts: BTreeMap<String, CounterDelta>,
-}
-
-impl MetricsDelta {
-    /// True when nothing changed (every delta is zero).
-    pub fn is_zero(&self) -> bool {
-        self.counters.values().all(|d| d.delta == 0)
-            && self.gauges.values().all(|d| d.delta == 0.0)
-            && self.histogram_counts.values().all(|d| d.delta == 0)
-    }
 }
 
 #[cfg(test)]
@@ -592,49 +501,6 @@ mod tests {
         assert_eq!(snap.gauge("g"), Some(1.0));
         assert_eq!(snap.histograms["h"].count, 2);
         assert_eq!(snap.histograms["h"].max, 70000);
-    }
-
-    #[test]
-    fn diff_covers_union_of_keys() {
-        let a = MetricsRegistry::new();
-        a.add("shared", 10);
-        a.add("only.base", 3);
-        a.set_gauge("g.shared", 2.0);
-        a.set_gauge("g.base", 1.5);
-        a.record("h", 5);
-        let b = MetricsRegistry::new();
-        b.add("shared", 14);
-        b.add("only.cur", 2);
-        b.set_gauge("g.shared", 5.0);
-        b.set_gauge("g.cur", 7.0);
-        b.record("h", 5);
-        b.record("h", 6);
-        let delta = a.snapshot().diff(&b.snapshot());
-        assert_eq!(delta.counters["shared"], CounterDelta { base: 10, current: 14, delta: 4 });
-        assert_eq!(delta.counters["only.base"], CounterDelta { base: 3, current: 0, delta: -3 });
-        assert_eq!(delta.counters["only.cur"], CounterDelta { base: 0, current: 2, delta: 2 });
-        assert_eq!(delta.gauges["g.shared"].delta, 3.0);
-        assert_eq!(
-            delta.gauges["g.base"],
-            GaugeDelta { base: Some(1.5), current: None, delta: -1.5 }
-        );
-        assert_eq!(delta.gauges["g.cur"].delta, 7.0);
-        assert_eq!(delta.histogram_counts["h"], CounterDelta { base: 1, current: 2, delta: 1 });
-        assert!(!delta.is_zero());
-    }
-
-    #[test]
-    fn diff_of_identical_snapshots_is_zero_and_serializes() {
-        let reg = MetricsRegistry::new();
-        reg.add("c", 2);
-        reg.set_gauge("g", 1.0);
-        reg.record("h", 9);
-        let snap = reg.snapshot();
-        let delta = snap.diff(&snap);
-        assert!(delta.is_zero());
-        let text = serde_json::to_string(&delta).unwrap();
-        let back: MetricsDelta = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, delta);
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn fully_populated() -> RunReport {
     let reg = MetricsRegistry::new();
     reg.add("engine.commits", 17);
     reg.add("prof.samples", 9);
-    reg.add("prof.verdict.overhead_ok", 1);
+    reg.add("prof.pipeline.paths", 1);
     reg.add("wall.spurious.counter", 3);
     reg.set_gauge("load.offered_tps", 2_000.0);
     reg.set_gauge("wall.load.p99_us", 870.0);
@@ -126,7 +126,7 @@ fn strip_wall_preserves_all_deterministic_data() {
     report.strip_wall();
     assert_eq!(report.metrics.counter("engine.commits"), 17);
     assert_eq!(report.metrics.counter("prof.samples"), 9);
-    assert_eq!(report.metrics.counter("prof.verdict.overhead_ok"), 1);
+    assert_eq!(report.metrics.counter("prof.pipeline.paths"), 1);
     assert_eq!(report.metrics.gauge("load.offered_tps"), Some(2_000.0));
     assert_eq!(report.metrics.histograms["engine.ops_per_txn"].count, 1);
     assert_eq!(report.facts["prof.top_phase"], "transport_rtt");

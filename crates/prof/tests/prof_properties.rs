@@ -1,6 +1,6 @@
 //! Determinism and conservation properties of the profiler: the
-//! attribution table and the telemetry stream feed exact-gated facts
-//! in `BENCH_prof.json`, so their deterministic shape must be a pure
+//! attribution table and the telemetry stream feed claims `exp.prof`
+//! asserts exactly, so their deterministic shape must be a pure
 //! function of their inputs — never of drain timing, wall clock, or
 //! float formatting accidents.
 
