@@ -38,7 +38,8 @@
 //! this run's verdicts).
 //!
 //! `pairs` is the measuring rule for a performance claim as one command:
-//! it checks both revisions out as `git worktree`s under `--dir`
+//! it rejects a `--workload` that the root `BENCHMARK.json` does not
+//! name before building anything, then checks both revisions out as `git worktree`s under `--dir`
 //! (default `target/pairs`; a relative path is taken from the repository
 //! root), builds each one's benchmark into its own `CARGO_TARGET_DIR`,
 //! then runs the built benchmark binary with `--workload <w>` on one
@@ -64,7 +65,7 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("docsync") => docsync(),
         Some("ci-report") => ci_report(&args[1..]),
-        Some("pairs") => match PairsArgs::parse(&args[1..], &repo_root()) {
+        Some("pairs") => match pairs_args(&args[1..]) {
             Ok(a) => pairs(&a),
             Err(e) => {
                 eprintln!("pairs: {e}");
@@ -94,8 +95,46 @@ struct PairsArgs {
     dir: PathBuf,
 }
 
+/// `xtask pairs` arguments, checked against the repository's
+/// `BENCHMARK.json`.
+fn pairs_args(args: &[String]) -> Result<PairsArgs, String> {
+    let root = repo_root();
+    let manifest = std::fs::read_to_string(root.join("BENCHMARK.json"))
+        .map_err(|e| format!("BENCHMARK.json: {e}"))?;
+    PairsArgs::parse(args, &root, &workload_names(&manifest))
+}
+
+/// The `name` of every entry of the manifest's `workloads` array. A
+/// scan, not a parser: it relies only on names being plain strings and
+/// on `]` appearing in that array inside strings alone.
+fn workload_names(manifest: &str) -> Vec<String> {
+    let Some(start) = manifest.find("\"workloads\"") else {
+        return Vec::new();
+    };
+    let body = &manifest[start..];
+    let (mut in_string, mut escaped, mut end) = (false, false, body.len());
+    for (i, c) in body.char_indices() {
+        match c {
+            _ if escaped => escaped = false,
+            '\\' if in_string => escaped = true,
+            '"' => in_string = !in_string,
+            ']' if !in_string => {
+                end = i;
+                break;
+            }
+            _ => {}
+        }
+    }
+    body[..end]
+        .split("\"name\"")
+        .skip(1)
+        .filter_map(|rest| rest.split('"').nth(1))
+        .map(str::to_owned)
+        .collect()
+}
+
 impl PairsArgs {
-    fn parse(args: &[String], root: &Path) -> Result<PairsArgs, String> {
+    fn parse(args: &[String], root: &Path, workloads: &[String]) -> Result<PairsArgs, String> {
         let mut revs = Vec::new();
         let mut flags: BTreeMap<&str, &str> = BTreeMap::new();
         let mut it = args.iter();
@@ -110,6 +149,12 @@ impl PairsArgs {
         let [a, b]: [String; 2] =
             revs.try_into().map_err(|_| "expected exactly two revisions".to_owned())?;
         let workload = flags.remove("workload").ok_or("--workload is required")?.to_owned();
+        if !workloads.contains(&workload) {
+            return Err(format!(
+                "unknown workload {workload:?}; BENCHMARK.json names {}",
+                workloads.join(", ")
+            ));
+        }
         let (lo, hi) = flags
             .remove("seeds")
             .and_then(|s| s.split_once(".."))
@@ -1011,7 +1056,8 @@ mod tests {
     fn pairs_arguments_parse_and_are_checked() {
         let words = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
         let root = Path::new("/repo");
-        let parse = |s: &str| PairsArgs::parse(&words(s), root);
+        let workloads = ["spec-verify".to_owned(), "w".to_owned()];
+        let parse = |s: &str| PairsArgs::parse(&words(s), root, &workloads);
         let a =
             parse("HEAD~1 HEAD --workload spec-verify --seeds 301..310 --pairs 4").expect("parses");
         assert_eq!(a.revs, ["HEAD~1".to_owned(), "HEAD".to_owned()]);
@@ -1031,11 +1077,29 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_pairs_workload_is_rejected_with_the_valid_names() {
+        let manifest = std::fs::read_to_string(repo_root().join("BENCHMARK.json")).expect("read");
+        let names = workload_names(&manifest);
+        assert_eq!(names.len(), 6, "{names:?}");
+        assert!(names.iter().any(|n| n == "spec-verify"), "{names:?}");
+        let words = |w: &str| -> Vec<String> {
+            ["a", "b", "--workload", w, "--seeds", "1..2"].map(String::from).into()
+        };
+        assert!(PairsArgs::parse(&words("spec-verify"), Path::new("/repo"), &names).is_ok());
+        let err = PairsArgs::parse(&words("spec-verfy"), Path::new("/repo"), &names)
+            .expect_err("a typo is rejected");
+        assert!(err.contains("unknown workload \"spec-verfy\""), "{err}");
+        for name in &names {
+            assert!(err.contains(name.as_str()), "{err} does not list {name}");
+        }
+    }
+
+    #[test]
     fn a_relative_pairs_dir_is_taken_from_the_repository_root() {
         let dir = |flag: &str| {
             let words = ["a", "b", "--workload", "w", "--seeds", "1..2", "--dir", flag];
             let words: Vec<String> = words.map(String::from).into();
-            PairsArgs::parse(&words, Path::new("/repo")).expect("parses").dir
+            PairsArgs::parse(&words, Path::new("/repo"), &["w".to_owned()]).expect("parses").dir
         };
         assert_eq!(dir("../trees"), Path::new("/repo/../trees"));
         assert_eq!(dir("/tmp/trees"), Path::new("/tmp/trees"));

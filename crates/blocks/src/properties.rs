@@ -356,7 +356,7 @@ mod tests {
         let lib = SpecLibrary::load();
         let cmd = &chapter5_commands()[2];
         let rbr = spec_by_name(&lib, cmd.spec).property(&Sym::new(cmd.theorem)).expect("RBR");
-        let negated = Formula::not(rbr.formula.clone().close_universally());
+        let negated = Formula::not(Formula::clone(&rbr.formula).close_universally());
         let clauses = mcv_logic::clausify(&negated, &mut mcv_logic::FreshVars::new());
         assert_eq!(clauses.len(), 878);
         assert!(clauses.windows(2).all(|w| w[0] < w[1]), "sorted and duplicate-free");

@@ -9,7 +9,7 @@
 //! morphisms.
 
 use crate::diagram::Diagram;
-use crate::morphism::SpecMorphism;
+use crate::morphism::{Renaming, SpecMorphism};
 use crate::signature::OpDecl;
 use crate::spec::{Property, Spec, SpecRef};
 use mcv_logic::{Sort, Sym};
@@ -306,38 +306,24 @@ pub fn colimit(diagram: &Diagram, apex_name: impl Into<Sym>) -> Result<Colimit, 
             map_sort(&decl.result),
         ));
     }
-    let apex_partial = Arc::new(apex.clone());
-    // Cone morphisms.
-    let mut cones: BTreeMap<Sym, SpecMorphism> = BTreeMap::new();
+    // Translate properties along each node's maps; dedupe identical,
+    // rename clashes.
     for (label, spec) in diagram.nodes() {
-        let sort_pairs = node_sort_map.get(label).cloned().unwrap_or_default();
-        let op_pairs = node_op_map.get(label).cloned().unwrap_or_default();
-        let cone = SpecMorphism::new_lenient(
-            format!("in_{label}"),
-            spec.clone(),
-            apex_partial.clone(),
-            sort_pairs,
-            op_pairs,
-        )
-        .map_err(|e| ColimitError::ConeConstruction {
-            node: label.clone(),
-            detail: e.to_string(),
-        })?;
-        cones.insert(label.clone(), cone);
-    }
-    // Translate properties along cones; dedupe identical, rename clashes.
-    for (label, spec) in diagram.nodes() {
-        let cone = &cones[label];
+        let renaming = Renaming::new(
+            node_sort_map.get(label).into_iter().flatten().cloned().collect(),
+            node_op_map.get(label).into_iter().flatten().cloned().collect(),
+        );
         for p in &spec.properties {
-            let translated = cone.apply_formula(&p.formula);
+            let translated = renaming.formula(&p.formula);
             if apex.properties.iter().any(|q| q.formula == translated) {
                 continue;
             }
-            let name = if apex.property(&p.name).is_some() {
-                Sym::new(format!("{}_{label}", p.name))
-            } else {
-                p.name.clone()
-            };
+            // A clash takes the node label, as often as it takes to
+            // find a free name.
+            let mut name = p.name.clone();
+            while apex.property(&name).is_some() {
+                name = Sym::new(format!("{name}_{label}"));
+            }
             apex.properties.push(Property { name, kind: p.kind, formula: translated });
         }
     }
@@ -347,21 +333,22 @@ pub fn colimit(diagram: &Diagram, apex_name: impl Into<Sym>) -> Result<Colimit, 
     mcv_obs::counter("colimit.uf.finds", uf.finds);
     mcv_obs::counter("colimit.uf.unions", uf.unions);
     let apex = Arc::new(apex);
-    // Rebind cone targets to the final apex (with properties).
-    let cones = cones
-        .into_iter()
-        .map(|(label, c)| {
-            let rebound = SpecMorphism::new_lenient(
-                c.name.clone(),
-                c.source.clone(),
-                apex.clone(),
-                c.sort_map().clone(),
-                c.op_map().clone(),
-            )
-            .expect("rebinding cone to identical signature");
-            (label, rebound)
-        })
-        .collect();
+    // Cone morphisms, into the finished apex.
+    let mut cones: BTreeMap<Sym, SpecMorphism> = BTreeMap::new();
+    for (label, spec) in diagram.nodes() {
+        let cone = SpecMorphism::new_lenient(
+            format!("in_{label}"),
+            spec.clone(),
+            apex.clone(),
+            node_sort_map.remove(label).unwrap_or_default(),
+            node_op_map.remove(label).unwrap_or_default(),
+        )
+        .map_err(|e| ColimitError::ConeConstruction {
+            node: label.clone(),
+            detail: e.to_string(),
+        })?;
+        cones.insert(label.clone(), cone);
+    }
     Ok(Colimit { diagram: diagram.clone(), apex, cones })
 }
 
@@ -557,6 +544,32 @@ mod tests {
         // Both sorts E are separate classes too, but the op count shows
         // the disambiguation: two P classes.
         assert_eq!(c.apex.signature.op_count(), 2);
+    }
+
+    #[test]
+    fn a_renamed_property_clash_takes_a_free_name() {
+        // Node a already holds `P_b`, the name b's clashing `P` would
+        // take: the rename must skip it, not duplicate it.
+        let a = SpecBuilder::new("A")
+            .sort(Sort::new("E"))
+            .predicate("Q", vec![Sort::new("E")])
+            .axiom("P", "fa(x:E) Q(x)")
+            .axiom("P_b", "fa(x:E) ~(Q(x))")
+            .build_ref()
+            .unwrap();
+        let b = SpecBuilder::new("B")
+            .sort(Sort::new("E"))
+            .predicate("R", vec![Sort::new("E")])
+            .axiom("P", "fa(x:E) R(x)")
+            .build_ref()
+            .unwrap();
+        let mut d = Diagram::new();
+        d.add_node("a", a).unwrap();
+        d.add_node("b", b).unwrap();
+        let c = colimit(&d, "CLASH").unwrap();
+        let names: Vec<&str> = c.apex.properties.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["P", "P_b", "P_b_b"]);
+        assert_eq!(c.apex.check(), []);
     }
 
     #[test]

@@ -15,6 +15,7 @@ use crate::spec::{PropertyKind, SpecRef};
 use mcv_logic::{Formula, Sort, Sym};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Why a morphism failed to validate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,6 +63,46 @@ impl fmt::Display for MorphismError {
 
 impl std::error::Error for MorphismError {}
 
+/// Sort and op images (identity where unlisted), and whether any of
+/// them moves its symbol — decided once, when the maps are built, so a
+/// renaming that moves nothing hands every formula back shared.
+#[derive(Debug, Clone)]
+pub(crate) struct Renaming {
+    sorts: BTreeMap<Sort, Sort>,
+    ops: BTreeMap<Sym, Sym>,
+    moves: bool,
+}
+
+impl Renaming {
+    pub(crate) fn new(sorts: BTreeMap<Sort, Sort>, ops: BTreeMap<Sym, Sym>) -> Renaming {
+        let moves = sorts.iter().any(|(a, b)| a != b) || ops.iter().any(|(a, b)| a != b);
+        Renaming { sorts, ops, moves }
+    }
+
+    pub(crate) fn sort(&self, s: &Sort) -> Sort {
+        self.sorts.get(s).cloned().unwrap_or_else(|| s.clone())
+    }
+
+    pub(crate) fn op(&self, o: &Sym) -> Sym {
+        self.ops.get(o).cloned().unwrap_or_else(|| o.clone())
+    }
+
+    /// The image of `f`: one rebuild renaming ops and binder sorts
+    /// together.
+    fn rebuild(&self, f: &Formula) -> Formula {
+        f.rename(&|o| self.op(o), &|s| self.sort(s))
+    }
+
+    /// The image of a shared formula: `f` itself when nothing moves.
+    pub(crate) fn formula(&self, f: &Arc<Formula>) -> Arc<Formula> {
+        if self.moves {
+            Arc::new(self.rebuild(f))
+        } else {
+            Arc::clone(f)
+        }
+    }
+}
+
 /// A validated specification morphism.
 ///
 /// Unmapped sorts/ops are sent to the identically named sort/op of the
@@ -94,8 +135,7 @@ pub struct SpecMorphism {
     pub source: SpecRef,
     /// Codomain.
     pub target: SpecRef,
-    sort_map: BTreeMap<Sort, Sort>,
-    op_map: BTreeMap<Sym, Sym>,
+    map: Renaming,
 }
 
 impl SpecMorphism {
@@ -180,7 +220,8 @@ impl SpecMorphism {
                 }
             }
         }
-        let m = SpecMorphism { name: name.into(), source, target, sort_map, op_map };
+        let map = Renaming::new(sort_map, op_map);
+        let m = SpecMorphism { name: name.into(), source, target, map };
         if check_profiles {
             m.check_profiles()?;
         }
@@ -205,7 +246,7 @@ impl SpecMorphism {
 
     fn check_profiles(&self) -> Result<(), MorphismError> {
         for od in self.source.signature.ops() {
-            let timg = &self.op_map[&od.name];
+            let timg = &self.map.ops[&od.name];
             let tdecl = self.target.signature.op(timg).expect("op image validated at construction");
             if tdecl.arity() != od.arity() {
                 return Err(MorphismError::IncompatibleProfile {
@@ -248,32 +289,32 @@ impl SpecMorphism {
 
     /// Image of a sort.
     pub fn apply_sort(&self, s: &Sort) -> Sort {
-        self.sort_map.get(s).cloned().unwrap_or_else(|| s.clone())
+        self.map.sort(s)
     }
 
     /// Image of an operation symbol.
     pub fn apply_op(&self, o: &Sym) -> Sym {
-        self.op_map.get(o).cloned().unwrap_or_else(|| o.clone())
+        self.map.op(o)
     }
 
     /// Translates a formula along the morphism.
     pub fn apply_formula(&self, f: &Formula) -> Formula {
-        f.map_syms(&|s| self.apply_op(s)).map_sorts(&|s| self.apply_sort(s))
+        self.map.rebuild(f)
     }
 
     /// The sort map (identity-extended).
     pub fn sort_map(&self) -> &BTreeMap<Sort, Sort> {
-        &self.sort_map
+        &self.map.sorts
     }
 
     /// The op map (identity-extended).
     pub fn op_map(&self) -> &BTreeMap<Sym, Sym> {
-        &self.op_map
+        &self.map.ops
     }
 
     /// Non-identity entries, for display.
     pub fn proper_op_renames(&self) -> Vec<(Sym, Sym)> {
-        self.op_map.iter().filter(|(a, b)| a != b).map(|(a, b)| (a.clone(), b.clone())).collect()
+        self.map.ops.iter().filter(|(a, b)| a != b).map(|(a, b)| (a.clone(), b.clone())).collect()
     }
 
     /// Composition `other ∘ self` — first `self: A → B`, then
@@ -291,9 +332,9 @@ impl SpecMorphism {
             ))));
         }
         let sort_pairs: Vec<(Sort, Sort)> =
-            self.sort_map.iter().map(|(a, b)| (a.clone(), other.apply_sort(b))).collect();
+            self.map.sorts.iter().map(|(a, b)| (a.clone(), other.apply_sort(b))).collect();
         let op_pairs: Vec<(Sym, Sym)> =
-            self.op_map.iter().map(|(a, b)| (a.clone(), other.apply_op(b))).collect();
+            self.map.ops.iter().map(|(a, b)| (a.clone(), other.apply_op(b))).collect();
         SpecMorphism::new_lenient(
             format!("{}∘{}", other.name, self.name),
             self.source.clone(),
@@ -307,8 +348,8 @@ impl SpecMorphism {
     pub fn same_action(&self, other: &SpecMorphism) -> bool {
         self.source.name == other.source.name
             && self.target.name == other.target.name
-            && self.sort_map == other.sort_map
-            && self.op_map == other.op_map
+            && self.map.sorts == other.map.sorts
+            && self.map.ops == other.map.ops
     }
 
     /// Proof obligations for condition (a): every source axiom must
@@ -318,7 +359,7 @@ impl SpecMorphism {
     pub fn obligations(&self) -> Vec<Obligation> {
         let mut out = Vec::new();
         for ax in self.source.axioms() {
-            let translated = self.apply_formula(&ax.formula);
+            let translated = self.map.formula(&ax.formula);
             let already = self.target.properties.iter().any(|p| {
                 (p.kind == PropertyKind::Axiom || p.kind == PropertyKind::Theorem)
                     && p.formula == translated
@@ -333,7 +374,7 @@ impl SpecMorphism {
                         "{}: axiom {} of {} must be a theorem of {}",
                         self.name, ax.name, self.source.name, self.target.name
                     ),
-                    translated,
+                    Formula::clone(&translated),
                     self.target.axioms_as_named(),
                 ));
             }

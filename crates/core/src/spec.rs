@@ -30,6 +30,9 @@ impl fmt::Display for PropertyKind {
 }
 
 /// A named axiom or theorem of a specification.
+///
+/// The formula is shared: an import, a colimit and a translation that
+/// moves none of its symbols all hand on the same tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Property {
     /// Property name, unique within the spec.
@@ -37,18 +40,18 @@ pub struct Property {
     /// Axiom or theorem.
     pub kind: PropertyKind,
     /// The formula.
-    pub formula: Formula,
+    pub formula: Arc<Formula>,
 }
 
 impl Property {
     /// A new axiom.
-    pub fn axiom(name: impl Into<Sym>, formula: Formula) -> Self {
-        Property { name: name.into(), kind: PropertyKind::Axiom, formula }
+    pub fn axiom(name: impl Into<Sym>, formula: impl Into<Arc<Formula>>) -> Self {
+        Property { name: name.into(), kind: PropertyKind::Axiom, formula: formula.into() }
     }
 
     /// A new theorem.
-    pub fn theorem(name: impl Into<Sym>, formula: Formula) -> Self {
-        Property { name: name.into(), kind: PropertyKind::Theorem, formula }
+    pub fn theorem(name: impl Into<Sym>, formula: impl Into<Arc<Formula>>) -> Self {
+        Property { name: name.into(), kind: PropertyKind::Theorem, formula: formula.into() }
     }
 }
 

@@ -5,7 +5,7 @@
 //! every spec to propagate the accumulated vocabulary to downstream
 //! specs.
 
-use crate::morphism::{MorphismError, SpecMorphism};
+use crate::morphism::{MorphismError, Renaming, SpecMorphism};
 use crate::signature::OpDecl;
 use crate::spec::{Property, Spec, SpecRef};
 use mcv_logic::{Sort, Sym};
@@ -44,8 +44,9 @@ pub fn translate(
 ) -> Result<(SpecRef, SpecMorphism), MorphismError> {
     let sort_map: BTreeMap<Sort, Sort> = sort_renames.into_iter().collect();
     let op_map: BTreeMap<Sym, Sym> = op_renames.into_iter().collect();
-    let ms = |s: &Sort| sort_map.get(s).cloned().unwrap_or_else(|| s.clone());
-    let mo = |o: &Sym| op_map.get(o).cloned().unwrap_or_else(|| o.clone());
+    let renaming = Renaming::new(sort_map.clone(), op_map.clone());
+    let ms = |s: &Sort| renaming.sort(s);
+    let mo = |o: &Sym| renaming.op(o);
 
     let mut out = Spec::empty(new_name);
     for sd in spec.signature.sorts() {
@@ -65,7 +66,7 @@ pub fn translate(
         out.properties.push(Property {
             name: p.name.clone(),
             kind: p.kind,
-            formula: p.formula.map_syms(&mo).map_sorts(&ms),
+            formula: renaming.formula(&p.formula),
         });
     }
     let out = Arc::new(out);

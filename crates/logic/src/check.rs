@@ -97,8 +97,10 @@ fn tagged(c: &Clause, side: &str) -> Vec<Literal> {
     }
     c.literals
         .iter()
-        .map(|l| {
-            Literal::new(l.positive, l.pred.clone(), l.args.iter().map(|t| tag(t, side)).collect())
+        .map(|l| Literal {
+            positive: l.positive,
+            pred: l.pred.clone(),
+            args: l.args.iter().map(|t| tag(t, side)).collect(),
         })
         .collect()
 }
@@ -187,7 +189,7 @@ fn is_variant(x: &Clause, y: &Clause) -> bool {
                 continue;
             }
             let mark = map.len();
-            if first.args.iter().zip(&cand.args).all(|(s, t)| term(s, t, map)) {
+            if first.args.iter().zip(cand.args.iter()).all(|(s, t)| term(s, t, map)) {
                 taken[j] = true;
                 if go(rest, ys, taken, map) {
                     return true;

@@ -5,10 +5,14 @@ use crate::sym::Sym;
 use crate::term::{Term, Var};
 use crate::unify::match_terms;
 use std::fmt;
+use std::sync::Arc;
 
 /// A literal: a possibly negated predicate atom.
 ///
 /// Equality atoms are encoded with the reserved predicate symbol `=`.
+/// The argument list is shared: cloning a literal (clausification
+/// copies each out of one table into every clause that holds it) bumps
+/// two reference counts and copies no term.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Literal {
     /// `true` for a positive literal, `false` for a negated one.
@@ -16,13 +20,13 @@ pub struct Literal {
     /// Predicate symbol.
     pub pred: Sym,
     /// Argument terms.
-    pub args: Vec<Term>,
+    pub args: Arc<[Term]>,
 }
 
 impl Literal {
     /// A new literal.
-    pub fn new(positive: bool, pred: impl Into<Sym>, args: Vec<Term>) -> Self {
-        Literal { positive, pred: pred.into(), args }
+    pub fn new(positive: bool, pred: impl Into<Sym>, args: impl Into<Arc<[Term]>>) -> Self {
+        Literal { positive, pred: pred.into(), args: args.into() }
     }
 
     /// The complementary literal.
@@ -160,7 +164,7 @@ impl Clause {
             }
         }
         let mut seen = Vec::new();
-        self.literals.iter().flat_map(|l| &l.args).for_each(|t| walk(t, &mut seen));
+        self.literals.iter().flat_map(|l| l.args.iter()).for_each(|t| walk(t, &mut seen));
         seen
     }
 
@@ -189,7 +193,7 @@ impl Clause {
                     continue;
                 }
                 let mark = binds.len();
-                if first.args.iter().zip(&cand.args).all(|(p, t)| match_terms(p, t, binds))
+                if first.args.iter().zip(cand.args.iter()).all(|(p, t)| match_terms(p, t, binds))
                     && go(rest, target, binds)
                 {
                     return true;
@@ -229,7 +233,7 @@ mod tests {
     use crate::term::Var;
 
     fn lit(pos: bool, p: &str, vars: &[&str]) -> Literal {
-        Literal::new(pos, p, vars.iter().map(|v| Term::var(Var::unsorted(*v))).collect())
+        Literal::new(pos, p, vars.iter().map(|v| Term::var(Var::unsorted(*v))).collect::<Vec<_>>())
     }
 
     #[test]
@@ -277,7 +281,7 @@ mod tests {
         let r = c.rename_apart(&mut g);
         assert_eq!(c.var_count(), 2);
         for l in &r.literals {
-            for t in &l.args {
+            for t in l.args.iter() {
                 for v in t.vars() {
                     assert_ne!(v.name().as_str(), "x");
                     assert_ne!(v.name().as_str(), "y");

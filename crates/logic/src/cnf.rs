@@ -7,6 +7,7 @@
 
 use crate::clause::{Clause, Literal};
 use crate::formula::Formula;
+use crate::prover::NamedFormula;
 use crate::subst::{FreshVars, Subst};
 use crate::term::{Term, Var};
 
@@ -33,18 +34,42 @@ pub fn clausify(f: &Formula, fresh: &mut FreshVars) -> Vec<Clause> {
     let sk = skolemize(&apart, &mut Vec::new(), fresh);
     let matrix = drop_universals(&sk);
     // Every literal of the matrix once, sorted: a literal's id is its
-    // rank, so sorting ids sorts literals and `cnf` never clones one.
-    // `complement[id]` is the id of the literal's negation, if present.
-    let mut table = Vec::new();
-    collect_literals(&matrix, &mut table);
+    // rank, so ids sort like literals and `Cnf` never clones one.
+    let mut leaves = Vec::new();
+    collect_literals(&matrix, &mut leaves);
+    let mut table = leaves.clone();
     table.sort();
     table.dedup();
-    let complement: Vec<Option<usize>> =
-        table.iter().map(|l| table.binary_search(&l.negated()).ok()).collect();
-    cnf(&matrix, &table, &complement)
-        .into_iter()
-        .map(|c| Clause { literals: c.into_iter().map(|i| table[i].clone()).collect() })
-        .collect()
+    let cnf = Cnf::new(&table);
+    let mut leaf_ids = leaves.iter().map(|l| table.binary_search(l).expect("in the table"));
+    let set = cnf.of(&matrix, &mut leaf_ids);
+    cnf.clauses(set, &table)
+}
+
+/// A set of named formulas in clausal form, clausified in order from
+/// one fresh generator.
+#[derive(Clone)]
+pub(crate) struct Clausified {
+    /// The clauses of every formula, in order.
+    pub clauses: Vec<Clause>,
+    /// Per clause, the index of the formula it came from.
+    pub origin: Vec<usize>,
+    /// The generator after clausifying them.
+    pub fresh: FreshVars,
+}
+
+impl Clausified {
+    pub fn of(formulas: &[NamedFormula]) -> Clausified {
+        let mut fresh = FreshVars::new();
+        let (mut clauses, mut origin) = (Vec::new(), Vec::new());
+        for (i, f) in formulas.iter().enumerate() {
+            for c in clausify(&f.formula, &mut fresh) {
+                clauses.push(c);
+                origin.push(i);
+            }
+        }
+        Clausified { clauses, origin, fresh }
+    }
 }
 
 /// Removes `<=>`, `=>` and `if/then/else`.
@@ -224,6 +249,7 @@ fn drop_universals(f: &Formula) -> Formula {
     }
 }
 
+/// The literals of an NNF matrix, one per leaf, left to right.
 fn collect_literals(f: &Formula, out: &mut Vec<Literal>) {
     match f {
         Formula::True | Formula::False => {}
@@ -232,58 +258,161 @@ fn collect_literals(f: &Formula, out: &mut Vec<Literal>) {
     }
 }
 
-/// The clause set of an NNF matrix, built bottom-up: a conjunction is
-/// the union of its conjuncts' clauses, a disjunction every union of one
-/// clause per disjunct. Each clause is kept sorted and duplicate-free,
-/// and one holding a complementary pair is dropped the moment it forms —
-/// adding literals never un-makes a tautology. The result, sorted and
-/// deduplicated, is the set that distributing `or` over `&` top-down and
-/// then dropping tautologies yields.
-fn cnf(f: &Formula, table: &[Literal], complement: &[Option<usize>]) -> Vec<Vec<usize>> {
-    let mut clauses = match f {
-        Formula::True => Vec::new(),
-        Formula::False => vec![Vec::new()],
-        Formula::And(fs) => fs.iter().flat_map(|g| cnf(g, table, complement)).collect(),
-        Formula::Or(fs) => {
-            let mut acc = vec![Vec::new()];
-            for g in fs {
-                if acc.is_empty() {
-                    break;
-                }
-                let part = cnf(g, table, complement);
-                acc = acc
-                    .iter()
-                    .flat_map(|c| part.iter().filter_map(|d| join(c, d, complement)))
-                    .collect();
-            }
-            acc
-        }
-        _ => {
-            let lit = formula_to_literal(f);
-            vec![vec![table.binary_search(&lit).expect("collected from this matrix")]]
-        }
-    };
-    clauses.sort_unstable();
-    clauses.dedup();
-    clauses
+/// Clause algebra over literal ids: a clause is a bitset of ids with
+/// as many `u64` words as the literal table needs, stored beside the
+/// bitset of its literals' complements. A union is an OR of both
+/// halves, and a union holds a complementary pair exactly when its
+/// literals meet its complements — the parts being tautology-free.
+struct Cnf {
+    /// Words per bitset.
+    words: usize,
+    /// `complement[id]`: the id of the literal's negation, if present.
+    complement: Vec<Option<usize>>,
 }
 
-/// The sorted union of two sorted, duplicate-free, tautology-free
-/// clauses, or `None` if it holds a complementary pair.
-fn join(c: &[usize], d: &[usize], complement: &[Option<usize>]) -> Option<Vec<usize>> {
-    if d.iter().any(|&l| complement[l].is_some_and(|n| c.binary_search(&n).is_ok())) {
-        return None;
+/// A clause set: clause `i` is `flat[i * 2w..][..2w]`, its literal
+/// bitset then its complement bitset (`w` = [`Cnf::words`]).
+type ClauseSet = Vec<u64>;
+
+impl Cnf {
+    fn new(table: &[Literal]) -> Cnf {
+        let complement = table.iter().map(|l| table.binary_search(&l.negated()).ok()).collect();
+        Cnf { words: table.len().div_ceil(64).max(1), complement }
     }
-    let mut out = [c, d].concat();
-    out.sort_unstable();
-    out.dedup();
-    Some(out)
+
+    /// The clause set of an NNF matrix, built bottom-up: a conjunction
+    /// is the union of its conjuncts' clauses, a disjunction every union
+    /// of one clause per disjunct. A clause holding a complementary pair
+    /// is dropped the moment it forms — adding literals never un-makes a
+    /// tautology. `leaf_ids` yields the ids of the matrix's leaves in
+    /// [`collect_literals`] order. The set is the one distributing `or`
+    /// over `&` top-down and then dropping tautologies yields.
+    fn of(&self, f: &Formula, leaf_ids: &mut impl Iterator<Item = usize>) -> ClauseSet {
+        let stride = 2 * self.words;
+        let mut set = match f {
+            Formula::True => Vec::new(),
+            Formula::False => vec![0; stride],
+            Formula::And(fs) => {
+                let mut set = Vec::new();
+                for g in fs {
+                    set.extend(self.of(g, leaf_ids));
+                }
+                set
+            }
+            Formula::Or(fs) => {
+                let mut acc = vec![0; stride];
+                for (i, g) in fs.iter().enumerate() {
+                    if acc.is_empty() {
+                        // Nothing left to extend: skip the rest's leaves.
+                        let rest = fs[i..].iter().map(leaf_count).sum();
+                        leaf_ids.by_ref().take(rest).for_each(drop);
+                        break;
+                    }
+                    let part = self.of(g, leaf_ids);
+                    let mut next = Vec::with_capacity(acc.len() / stride * part.len());
+                    for c in acc.chunks_exact(stride) {
+                        for d in part.chunks_exact(stride) {
+                            let start = next.len();
+                            next.extend(c.iter().zip(d).map(|(x, y)| x | y));
+                            let (lits, comps) = next[start..].split_at(self.words);
+                            if lits.iter().zip(comps).any(|(l, n)| l & n != 0) {
+                                next.truncate(start);
+                            }
+                        }
+                    }
+                    acc = next;
+                }
+                acc
+            }
+            _ => {
+                let id = leaf_ids.next().expect("one id per leaf");
+                let mut clause = vec![0; stride];
+                clause[id / 64] |= 1 << (id % 64);
+                if let Some(n) = self.complement[id] {
+                    clause[self.words + n / 64] |= 1 << (n % 64);
+                }
+                clause
+            }
+        };
+        self.dedup(&mut set);
+        set
+    }
+
+    /// Sorts a clause set (in any fixed order) and drops repeats.
+    fn dedup(&self, set: &mut ClauseSet) {
+        let stride = 2 * self.words;
+        if set.len() <= stride {
+            return;
+        }
+        let mut order: Vec<&[u64]> = set.chunks_exact(stride).collect();
+        order.sort_unstable();
+        order.dedup();
+        *set = order.concat();
+    }
+
+    /// The clauses, once: literals in id order (which is literal
+    /// order) and the clause list sorted by its id sequences, the order
+    /// sorting the sorted id vectors gives.
+    fn clauses(&self, set: ClauseSet, table: &[Literal]) -> Vec<Clause> {
+        let stride = 2 * self.words;
+        let mut bits: Vec<&[u64]> = set.chunks_exact(stride).map(|c| &c[..self.words]).collect();
+        bits.sort_unstable_by(|a, b| id_order(a, b));
+        bits.into_iter()
+            .map(|c| Clause { literals: ones(c).map(|id| table[id].clone()).collect() })
+            .collect()
+    }
+}
+
+/// The ids set in a bitset, ascending.
+fn ones(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            (rest != 0).then(|| {
+                let bit = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                w * 64 + bit
+            })
+        })
+    })
+}
+
+/// Compares two bitsets as their ascending id sequences compare,
+/// lexicographically. Below the lowest id in which they differ the two
+/// sequences agree; the one holding that id is smaller unless the other
+/// has no id above it (and is then a prefix of it).
+fn id_order(a: &[u64], b: &[u64]) -> std::cmp::Ordering {
+    for (w, (&x, &y)) in a.iter().zip(b).enumerate() {
+        let diff = x ^ y;
+        if diff == 0 {
+            continue;
+        }
+        let bit = diff & diff.wrapping_neg();
+        let a_has = x & bit != 0;
+        let (word, rest) = if a_has { (y, &b[w + 1..]) } else { (x, &a[w + 1..]) };
+        let other_goes_on = word & !(bit | (bit - 1)) != 0 || rest.iter().any(|&r| r != 0);
+        return if a_has == other_goes_on {
+            std::cmp::Ordering::Less
+        } else {
+            std::cmp::Ordering::Greater
+        };
+    }
+    std::cmp::Ordering::Equal
+}
+
+/// The number of leaves [`collect_literals`] finds in `f`.
+fn leaf_count(f: &Formula) -> usize {
+    match f {
+        Formula::True | Formula::False => 0,
+        Formula::And(fs) | Formula::Or(fs) => fs.iter().map(leaf_count).sum(),
+        _ => 1,
+    }
 }
 
 fn formula_to_literal(f: &Formula) -> Literal {
     match f {
-        Formula::Pred(p, args) => Literal::new(true, p.clone(), args.clone()),
-        Formula::Eq(l, r) => Literal::new(true, "=", vec![l.clone(), r.clone()]),
+        Formula::Pred(p, args) => Literal::new(true, p.clone(), args.as_slice()),
+        Formula::Eq(l, r) => Literal::new(true, "=", [l.clone(), r.clone()]),
         Formula::Not(g) => formula_to_literal(g).negated(),
         other => panic!("not a literal after NNF: {other}"),
     }
@@ -293,6 +422,7 @@ fn formula_to_literal(f: &Formula) -> Literal {
 mod tests {
     use super::*;
     use crate::parser::parse_formula;
+    use proptest::prelude::*;
 
     fn clauses(src: &str) -> Vec<Clause> {
         let f = parse_formula(src).expect("parse");
@@ -374,5 +504,115 @@ mod tests {
         let cs = clauses("~(fa(x) P(x))");
         assert_eq!(cs.len(), 1);
         assert!(!cs[0].literals[0].positive);
+    }
+
+    #[test]
+    fn a_table_of_more_than_128_literals_clausifies() {
+        // 100 atoms in both polarities: 200 literals, four words, the
+        // negative ones first. The two tautologies pair literals whose
+        // ids sit in the second and the fourth word.
+        let atom = |i: usize| Formula::prop(format!("A{i:02}"));
+        let f = Formula::And(
+            (0..50)
+                .map(|k| Formula::iff(atom(2 * k), Formula::not(atom(2 * k + 1))))
+                .chain([
+                    Formula::Or((0..100).map(atom).collect()),
+                    Formula::Or(vec![atom(98), atom(3), Formula::not(atom(98))]),
+                    Formula::Or(vec![Formula::not(atom(70)), atom(70)]),
+                ])
+                .collect(),
+        );
+        let cs = clausify(&f, &mut FreshVars::new());
+        assert_eq!(cs.len(), 101);
+        assert_eq!(cs, reference(&f));
+    }
+
+    /// A formula in negation normal form, over literals.
+    enum Nnf {
+        Lit(Literal),
+        And(Vec<Nnf>),
+        Or(Vec<Nnf>),
+    }
+
+    fn nnf(f: &Formula, positive: bool) -> Nnf {
+        let both = |fs: &[Formula], positive: bool| fs.iter().map(|g| nnf(g, positive)).collect();
+        match (f, positive) {
+            (Formula::True, true) | (Formula::False, false) => Nnf::And(Vec::new()),
+            (Formula::True, false) | (Formula::False, true) => Nnf::Or(Vec::new()),
+            (Formula::Pred(..) | Formula::Eq(..), _) => {
+                let l = formula_to_literal(f);
+                Nnf::Lit(if positive { l } else { l.negated() })
+            }
+            (Formula::Not(g), _) => nnf(g, !positive),
+            (Formula::And(fs), true) | (Formula::Or(fs), false) => Nnf::And(both(fs, positive)),
+            (Formula::Or(fs), true) | (Formula::And(fs), false) => Nnf::Or(both(fs, positive)),
+            (Formula::Implies(a, b), _) => {
+                nnf(&Formula::Or(vec![Formula::not((**a).clone()), (**b).clone()]), positive)
+            }
+            (Formula::Iff(a, b), _) => {
+                let (a, b) = ((**a).clone(), (**b).clone());
+                let there = Formula::Or(vec![Formula::not(a.clone()), b.clone()]);
+                let back = Formula::Or(vec![Formula::not(b), a]);
+                nnf(&Formula::And(vec![there, back]), positive)
+            }
+            (other, _) => panic!("not quantifier-free: {other}"),
+        }
+    }
+
+    /// Distributes `or` over `&` top-down.
+    fn distribute(n: &Nnf) -> Vec<Vec<Literal>> {
+        match n {
+            Nnf::Lit(l) => vec![vec![l.clone()]],
+            Nnf::And(ns) => ns.iter().flat_map(distribute).collect(),
+            Nnf::Or(ns) => ns.iter().fold(vec![Vec::new()], |acc, m| {
+                let part = distribute(m);
+                acc.iter().flat_map(|c| part.iter().map(move |d| [&c[..], d].concat())).collect()
+            }),
+        }
+    }
+
+    /// Clausification the textbook way: distribute top-down, drop
+    /// tautologies, sort and dedup each clause, sort and dedup the list.
+    fn reference(f: &Formula) -> Vec<Clause> {
+        let mut clauses: Vec<Clause> = distribute(&nnf(f, true))
+            .into_iter()
+            .map(Clause::new)
+            .filter(|c| !c.is_tautology())
+            .collect();
+        clauses.sort();
+        clauses.dedup();
+        clauses
+    }
+
+    /// Quantifier-free formulas of a few leaves over 70 atoms, so a
+    /// conjunction of them fills a literal table past 64 and 128 ids.
+    fn small_formula() -> impl Strategy<Value = Formula> {
+        let leaf = prop_oneof![
+            (0..70usize).prop_map(|i| Formula::prop(format!("A{i:02}"))),
+            (0..70usize).prop_map(|i| Formula::not(Formula::prop(format!("A{i:02}")))),
+            (0..70usize).prop_map(|i| Formula::pred("E", vec![Term::constant(format!("c{i}"))])),
+            Just(Formula::True),
+            Just(Formula::False),
+        ];
+        leaf.prop_recursive(2, 16, 4, |inner| {
+            prop_oneof![
+                inner.clone().prop_map(Formula::not),
+                prop::collection::vec(inner.clone(), 2..5).prop_map(Formula::And),
+                prop::collection::vec(inner.clone(), 2..5).prop_map(Formula::Or),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| Formula::implies(a, b)),
+                (inner.clone(), inner).prop_map(|(a, b)| Formula::iff(a, b)),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn clausify_is_the_textbook_clause_list(
+            parts in prop::collection::vec(small_formula(), 4..96),
+        ) {
+            let f = Formula::And(parts);
+            prop_assert_eq!(clausify(&f, &mut FreshVars::new()), reference(&f));
+        }
     }
 }

@@ -198,45 +198,27 @@ impl Formula {
         Formula::forall(fv, self)
     }
 
-    /// Rename every predicate and function symbol via `f`; used by spec
-    /// translation and morphism application.
-    pub fn map_syms(&self, f: &impl Fn(&Sym) -> Sym) -> Formula {
+    /// Renames every predicate and function symbol via `op` and every
+    /// binder's sort via `sort`, in one rebuild; used by spec translation
+    /// and morphism application.
+    pub fn rename(&self, op: &impl Fn(&Sym) -> Sym, sort: &impl Fn(&Sort) -> Sort) -> Formula {
+        let go = |g: &Formula| g.rename(op, sort);
+        let binders = |vs: &[Var]| vs.iter().map(|v| v.with_sort(sort(v.sort()))).collect();
         match self {
             Formula::True => Formula::True,
             Formula::False => Formula::False,
             Formula::Pred(p, args) => {
-                Formula::Pred(f(p), args.iter().map(|t| t.map_syms(f)).collect())
+                Formula::Pred(op(p), args.iter().map(|t| t.map_syms(op)).collect())
             }
-            Formula::Eq(l, r) => Formula::Eq(l.map_syms(f), r.map_syms(f)),
-            Formula::Not(g) => Formula::not(g.map_syms(f)),
-            Formula::And(fs) => Formula::And(fs.iter().map(|g| g.map_syms(f)).collect()),
-            Formula::Or(fs) => Formula::Or(fs.iter().map(|g| g.map_syms(f)).collect()),
-            Formula::Implies(a, b) => Formula::implies(a.map_syms(f), b.map_syms(f)),
-            Formula::Iff(a, b) => Formula::iff(a.map_syms(f), b.map_syms(f)),
-            Formula::Forall(vs, g) => Formula::Forall(vs.clone(), Box::new(g.map_syms(f))),
-            Formula::Exists(vs, g) => Formula::Exists(vs.clone(), Box::new(g.map_syms(f))),
-            Formula::Ite(c, t, e) => Formula::ite(c.map_syms(f), t.map_syms(f), e.map_syms(f)),
-        }
-    }
-
-    /// Rename sorts via `f` (in quantifier binders); used by spec translation.
-    pub fn map_sorts(&self, f: &impl Fn(&Sort) -> Sort) -> Formula {
-        match self {
-            Formula::Forall(vs, g) => Formula::Forall(
-                vs.iter().map(|v| v.with_sort(f(v.sort()))).collect(),
-                Box::new(g.map_sorts(f)),
-            ),
-            Formula::Exists(vs, g) => Formula::Exists(
-                vs.iter().map(|v| v.with_sort(f(v.sort()))).collect(),
-                Box::new(g.map_sorts(f)),
-            ),
-            Formula::Not(g) => Formula::not(g.map_sorts(f)),
-            Formula::And(fs) => Formula::And(fs.iter().map(|g| g.map_sorts(f)).collect()),
-            Formula::Or(fs) => Formula::Or(fs.iter().map(|g| g.map_sorts(f)).collect()),
-            Formula::Implies(a, b) => Formula::implies(a.map_sorts(f), b.map_sorts(f)),
-            Formula::Iff(a, b) => Formula::iff(a.map_sorts(f), b.map_sorts(f)),
-            Formula::Ite(c, t, e) => Formula::ite(c.map_sorts(f), t.map_sorts(f), e.map_sorts(f)),
-            other => other.clone(),
+            Formula::Eq(l, r) => Formula::Eq(l.map_syms(op), r.map_syms(op)),
+            Formula::Not(g) => Formula::not(go(g)),
+            Formula::And(fs) => Formula::And(fs.iter().map(go).collect()),
+            Formula::Or(fs) => Formula::Or(fs.iter().map(go).collect()),
+            Formula::Implies(a, b) => Formula::implies(go(a), go(b)),
+            Formula::Iff(a, b) => Formula::iff(go(a), go(b)),
+            Formula::Forall(vs, g) => Formula::Forall(binders(vs), Box::new(go(g))),
+            Formula::Exists(vs, g) => Formula::Exists(binders(vs), Box::new(go(g))),
+            Formula::Ite(c, t, e) => Formula::ite(go(c), go(t), go(e)),
         }
     }
 
@@ -403,9 +385,15 @@ mod tests {
     }
 
     #[test]
-    fn map_syms_renames_predicates_and_functions() {
-        let f = Formula::pred("Deliver", vec![Term::app("clock", vec![])]);
-        let g = f.map_syms(&|s| Sym::new(format!("X_{s}")));
-        assert_eq!(g.to_string(), "X_Deliver(X_clock)");
+    fn rename_maps_symbols_and_binder_sorts() {
+        let f = Formula::forall(
+            vec![Var::new("x", Sort::new("E"))],
+            Formula::pred(
+                "Deliver",
+                vec![Term::app("clock", vec![]), Term::var(Var::unsorted("x"))],
+            ),
+        );
+        let g = f.rename(&|s| Sym::new(format!("X_{s}")), &|s| Sort::new(format!("S_{s}")));
+        assert_eq!(g.to_string(), "fa(x:S_E) X_Deliver(X_clock, x)");
     }
 }

@@ -15,10 +15,9 @@
 //! replays a refutation without the prover.
 
 use crate::clause::Clause;
-use crate::cnf::clausify;
+use crate::cnf::Clausified;
 use crate::formula::Formula;
 use crate::prover::NamedFormula;
-use crate::subst::FreshVars;
 use crate::sym::Sym;
 use crate::term::{Term, Var};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -308,15 +307,19 @@ impl Default for ModelConfig {
 /// assert_eq!(model.check(&axioms), Ok(()));
 /// ```
 pub fn find_model(formulas: &[NamedFormula], config: &ModelConfig) -> Option<Model> {
-    let mut fresh = FreshVars::new();
-    let mut clauses: Vec<Clause> = Vec::new();
-    for f in formulas {
-        clauses.extend(clausify(&f.formula, &mut fresh));
-    }
+    find_model_of(formulas, &Clausified::of(formulas).clauses, config)
+}
+
+/// [`find_model`] on `clauses`, the clausal form of `formulas`.
+fn find_model_of(
+    formulas: &[NamedFormula],
+    clauses: &[Clause],
+    config: &ModelConfig,
+) -> Option<Model> {
     if clauses.iter().any(Clause::is_empty) {
         return None;
     }
-    let problem = Problem::compile(&clauses);
+    let problem = Problem::compile(clauses);
     for n in 1..=config.max_domain {
         let pow = |k: usize| (n as u64).saturating_pow(k.min(u32::MAX as usize) as u32);
         let cells =
@@ -371,7 +374,13 @@ fn formula_funs(f: &Formula, out: &mut BTreeSet<(Sym, usize)>) {
 /// A checked certificate of consistency: a model of `formulas` within
 /// the default bounds that passes [`Model::check`].
 pub fn checked_model(formulas: &[NamedFormula]) -> Option<Model> {
-    find_model(formulas, &ModelConfig::default()).filter(|m| m.check(formulas).is_ok())
+    checked_model_of(formulas, &Clausified::of(formulas).clauses)
+}
+
+/// [`checked_model`] on `clauses`, the clausal form of `formulas` (from
+/// one fresh generator), without clausifying them again.
+pub(crate) fn checked_model_of(formulas: &[NamedFormula], clauses: &[Clause]) -> Option<Model> {
+    find_model_of(formulas, clauses, &ModelConfig::default()).filter(|m| m.check(formulas).is_ok())
 }
 
 /// A term over symbol numbers: a variable by its slot in the clause, a

@@ -8,15 +8,16 @@
 //! resolution + factoring search for the empty clause.
 
 use crate::clause::{Clause, Literal};
-use crate::cnf::clausify;
+use crate::cnf::{clausify, Clausified};
 use crate::formula::Formula;
-use crate::model::{checked_model, Model};
+use crate::model::{checked_model_of, Model};
 use crate::subst::{FreshVars, Subst};
 use crate::unify::unify;
 use mcv_obs::{MetricsRegistry, MetricsSnapshot, Span};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Given-clause selection strategy (ablation target).
@@ -196,19 +197,20 @@ pub struct VettedProof {
     pub model: Option<Model>,
 }
 
-/// A named axiom for proof attempts.
+/// A named axiom for proof attempts. The formula is shared, so a
+/// support set drawn from a spec's properties copies no tree.
 #[derive(Debug, Clone)]
 pub struct NamedFormula {
     /// Axiom name (as in the spec text).
     pub name: String,
     /// The formula.
-    pub formula: Formula,
+    pub formula: Arc<Formula>,
 }
 
 impl NamedFormula {
     /// A named formula.
-    pub fn new(name: impl Into<String>, formula: Formula) -> Self {
-        NamedFormula { name: name.into(), formula }
+    pub fn new(name: impl Into<String>, formula: impl Into<Arc<Formula>>) -> Self {
+        NamedFormula { name: name.into(), formula: formula.into() }
     }
 }
 
@@ -244,17 +246,22 @@ impl Prover {
 
     /// Attempts to prove `goal` from `axioms` by refutation.
     pub fn prove(&self, axioms: &[NamedFormula], goal: &Formula) -> ProofResult {
+        self.search(axioms, Clausified::of(axioms), goal)
+    }
+
+    /// The given-clause search for a refutation of the clausified
+    /// `support` (the clauses of `axioms`) and the negated `goal`.
+    fn search(&self, axioms: &[NamedFormula], support: Clausified, goal: &Formula) -> ProofResult {
         let _span = Span::enter("prover.prove");
         let start = Instant::now();
         let mut stats = SearchStats::default();
-        let mut fresh = FreshVars::new();
-        let mut steps: Vec<Step> = Vec::new();
+        let Clausified { clauses, origin, mut fresh } = support;
         // Usable set: axiom clauses.
-        for ax in axioms {
-            for c in clausify(&ax.formula, &mut fresh) {
-                steps.push(Step { clause: c, rule: Rule::Axiom(ax.name.clone()) });
-            }
-        }
+        let mut steps: Vec<Step> = clauses
+            .into_iter()
+            .zip(origin)
+            .map(|(clause, i)| Step { clause, rule: Rule::Axiom(axioms[i].name.clone()) })
+            .collect();
         let usable_end = steps.len();
         // Set of support: negated conjecture.
         let negated = Formula::not(goal.clone().close_universally());
@@ -399,15 +406,20 @@ impl Prover {
     /// first saturated on its own: if that refutes it, the refutation is
     /// returned as the proof and `vacuous` is set (SNARK behind Specware
     /// accepts such proofs silently).
+    ///
+    /// The support set is clausified once: the finder, the pre-check and
+    /// the direct search all start from the same clauses and the same
+    /// fresh-name state, as each would from clausifying it anew.
     pub fn prove_using(&self, support: &[NamedFormula], goal: &Formula) -> VettedProof {
-        let model = checked_model(support);
+        let clausified = Clausified::of(support);
+        let model = checked_model_of(support, &clausified.clauses);
         if model.is_none() {
-            let consistency = self.prove(support, &Formula::False);
+            let consistency = self.search(support, clausified.clone(), &Formula::False);
             if consistency.is_proved() {
                 return VettedProof { result: consistency, vacuous: true, model };
             }
         }
-        VettedProof { result: self.prove(support, goal), vacuous: false, model }
+        VettedProof { result: self.search(support, clausified, goal), vacuous: false, model }
     }
 }
 
@@ -524,7 +536,7 @@ fn resolvents(a: &Clause, b: &Clause, fresh: &mut FreshVars, attempts: &mut u64)
             }
             *attempts += 1;
             let mut s = Subst::new();
-            let ok = la.args.iter().zip(&lb.args).all(|(x, y)| unify(x, y, &mut s));
+            let ok = la.args.iter().zip(lb.args.iter()).all(|(x, y)| unify(x, y, &mut s));
             if !ok {
                 continue;
             }
@@ -557,7 +569,7 @@ fn factors(c: &Clause, fresh: &mut FreshVars, attempts: &mut u64) -> Vec<Clause>
             }
             *attempts += 1;
             let mut s = Subst::new();
-            let ok = li.args.iter().zip(&lj.args).all(|(x, y)| unify(x, y, &mut s));
+            let ok = li.args.iter().zip(lj.args.iter()).all(|(x, y)| unify(x, y, &mut s));
             if !ok {
                 continue;
             }

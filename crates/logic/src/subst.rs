@@ -90,7 +90,7 @@ impl fmt::Display for Subst {
 }
 
 /// Generates fresh variable names for standardizing clauses apart.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub struct FreshVars {
     counter: u64,
 }

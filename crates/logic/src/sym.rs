@@ -2,11 +2,14 @@
 //!
 //! Every name in the logic layer — sorts, operation symbols, predicate
 //! symbols, variable names — is a [`Sym`]: a cheaply clonable, hashable
-//! handle to an interned string. Interning keeps term manipulation (the
-//! prover resolves thousands of clauses) allocation-light, and gives
-//! deterministic ordering, which the deterministic given-clause loop
-//! relies on. The prover's renamed-apart variables are the exception:
-//! they are minted by the thousand, so they skip the interner.
+//! handle to an interned string. Cloning one bumps a reference count,
+//! and symbols order by their text, which the deterministic given-clause
+//! loop relies on. Interning alone does not keep the prover
+//! allocation-light: terms still own their argument lists, and what
+//! keeps copies cheap is sharing whole trees — a literal's argument list
+//! and a property's formula are each behind one `Arc`. The prover's
+//! renamed-apart variables skip the interner: they are minted by the
+//! thousand and mostly discarded.
 
 use std::collections::HashMap;
 use std::fmt;
