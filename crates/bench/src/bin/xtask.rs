@@ -499,20 +499,21 @@ fn perf_prs_without_trajectory_row(changes: &str, experiments: &str) -> Vec<u32>
 }
 
 /// The 1-based lines of `source`'s non-test code (everything above its
-/// first `#[cfg(test)]`) that park on a timer: `thread::sleep`,
-/// `recv_timeout`, `wait_timeout`. Comment lines are skipped.
-fn timed_parks(source: &str) -> Vec<usize> {
+/// first `#[cfg(test)]`) that mention one of `calls`. Comment lines are
+/// skipped.
+fn calls_outside_tests(source: &str, calls: &[&str]) -> Vec<usize> {
     source
         .lines()
         .take_while(|l| l.trim() != "#[cfg(test)]")
         .enumerate()
         .filter(|(_, l)| !l.trim_start().starts_with("//"))
-        .filter(|(_, l)| {
-            ["thread::sleep", "recv_timeout", "wait_timeout"].iter().any(|call| l.contains(call))
-        })
+        .filter(|(_, l)| calls.iter().any(|call| l.contains(call)))
         .map(|(i, _)| i + 1)
         .collect()
 }
+
+/// The calls that park on a timer.
+const TIMED_PARKS: [&str; 3] = ["thread::sleep", "recv_timeout", "wait_timeout"];
 
 /// The one file allowed to park on a timer.
 const WAIT_PRIMITIVE: &str = "crates/engine/src/wait.rs";
@@ -546,16 +547,36 @@ fn crate_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
     Ok(files)
 }
 
-/// `timed_parks` over `files` (`(path, text)`), as sorted `file:line`
-/// complaints. Exempt are the wait primitive and `mcv-bench`, whose
-/// xtask spells the call names as strings.
-fn timed_park_complaints(files: &[(String, String)]) -> Vec<String> {
-    let mut found: Vec<String> = files
+/// The call lints, `(applies to path, calls, complaint)`: non-test code
+/// of a file a rule applies to never mentions the rule's calls. Timed
+/// parks go through the one wait primitive (`mcv-bench`'s xtask spells
+/// the names as strings). Protocol code reports what a site did through
+/// `Ctx::record` only, so the world trace, the causal trace and the
+/// `mcv-dist` ledger cannot disagree.
+type CallRule = (fn(&str) -> bool, &'static [&'static str], &'static str);
+const CALL_RULES: [CallRule; 2] = [
+    (
+        |path| path != WAIT_PRIMITIVE && !path.starts_with("crates/bench/"),
+        &TIMED_PARKS,
+        "parks on a timer; wait through crates/engine/src/wait.rs instead",
+    ),
+    (
+        |path| path.starts_with("crates/commit/src/"),
+        &["mcv_trace::emit"],
+        "calls mcv_trace::emit; report through Ctx::record instead",
+    ),
+];
+
+/// Every [`CALL_RULES`] breach in `files` (`(path, text)`), as sorted
+/// `file:line` complaints.
+fn call_complaints(files: &[(String, String)]) -> Vec<String> {
+    let mut found: Vec<String> = CALL_RULES
         .iter()
-        .filter(|(path, _)| path != WAIT_PRIMITIVE && !path.starts_with("crates/bench/"))
-        .flat_map(|(path, text)| {
-            timed_parks(text).into_iter().map(move |line| {
-                format!("{path}:{line} parks on a timer; wait through {WAIT_PRIMITIVE} instead")
+        .flat_map(|(applies, calls, what)| {
+            files.iter().filter(|(path, _)| applies(path)).flat_map(move |(path, text)| {
+                calls_outside_tests(text, calls)
+                    .into_iter()
+                    .map(move |l| format!("{path}:{l} {what}"))
             })
         })
         .collect();
@@ -660,7 +681,7 @@ fn docsync() -> ExitCode {
         }
     }
     match crate_sources(&root) {
-        Ok(files) => missing.extend(timed_park_complaints(&files)),
+        Ok(files) => missing.extend(call_complaints(&files)),
         Err(e) => {
             eprintln!("docsync: {e}");
             return ExitCode::from(2);
@@ -670,7 +691,8 @@ fn docsync() -> ExitCode {
         println!(
             "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests; \
              documented gate selections name real gates; every [perf_opt] PR has its \
-             trajectory row; only {WAIT_PRIMITIVE} parks on a timer",
+             trajectory row; only {WAIT_PRIMITIVE} parks on a timer; no crates/commit/src \
+             code calls mcv_trace::emit",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -960,8 +982,9 @@ mod tests {
             mod tests {\n\
             \x20   fn t() { std::thread::sleep(d); }\n\
             }\n";
-        assert_eq!(timed_parks(source), vec![4, 5, 6]);
-        assert!(timed_parks("fn run() { wait::sleep_until(deadline); rx.recv(); }\n").is_empty());
+        assert_eq!(calls_outside_tests(source, &TIMED_PARKS), vec![4, 5, 6]);
+        let clean = "fn run() { wait::sleep_until(deadline); rx.recv(); }\n";
+        assert!(calls_outside_tests(clean, &TIMED_PARKS).is_empty());
     }
 
     #[test]
@@ -976,7 +999,7 @@ mod tests {
         .map(|(p, t)| (p.to_owned(), t.to_owned()))
         .into();
         assert_eq!(
-            timed_park_complaints(&files),
+            call_complaints(&files),
             ["crates/load/src/driver.rs:2 parks on a timer; wait through \
               crates/engine/src/wait.rs instead"]
         );
@@ -988,7 +1011,25 @@ mod tests {
         {
             assert!(sources.iter().any(|(p, _)| p == expected), "{expected} not read");
         }
-        assert_eq!(timed_park_complaints(&sources), Vec::<String>::new());
+        assert_eq!(call_complaints(&sources), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_direct_emit_in_protocol_code_is_named_by_file_and_line() {
+        let emit = "fn f(ctx: &mut Ctx<Msg>) {\n    mcv_trace::emit(0, 0, kind);\n}\n\
+                    #[cfg(test)]\nmod tests {\n    fn t() { mcv_trace::emit(0, 0, k); }\n}\n";
+        let files: Vec<(String, String)> = [
+            ("crates/commit/src/site.rs", emit),
+            ("crates/commit/src/monitor.rs", "// mcv_trace::emit in a comment\n"),
+            ("crates/sim/src/world.rs", emit),
+        ]
+        .map(|(p, t)| (p.to_owned(), t.to_owned()))
+        .into();
+        assert_eq!(
+            call_complaints(&files),
+            ["crates/commit/src/site.rs:2 calls mcv_trace::emit; report through Ctx::record \
+              instead"]
+        );
     }
 
     #[test]

@@ -118,18 +118,18 @@ pub fn tab3_1() -> String {
 pub fn fig3_1() -> String {
     let sc = Scenario { n_cohorts: 2, ..Scenario::default() };
     let mut world = build_world(&sc);
-    world.run_until(mcv_sim::SimTime::from_ticks(sc.deadline));
+    // Recorded causally, so the trace's deliveries carry message labels.
+    mcv_trace::record_trace(None, || world.run_until(mcv_sim::SimTime::from_ticks(sc.deadline)));
     let mut out = String::from(
         "Figure 3.1 — distributed transaction execution (master p0, cohorts p1, p2)\n",
     );
     for entry in world.trace().entries() {
-        use mcv_sim::TraceEvent::*;
-        match &entry.event {
-            Deliver { from, to, .. } => {
-                out.push_str(&format!("  {} message {from} -> {to}\n", entry.time))
-            }
-            Note { proc, text } => out.push_str(&format!("  {} {proc}: {text}\n", entry.time)),
-            _ => {}
+        use mcv_trace::EventKind::*;
+        if matches!(
+            entry.event,
+            Deliver { .. } | State { .. } | Commit { .. } | Abort { .. } | Note { .. }
+        ) {
+            out.push_str(&format!("  {entry}\n"));
         }
     }
     out

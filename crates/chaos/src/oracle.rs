@@ -8,11 +8,10 @@
 //! WAL-recovery consistency.
 
 use crate::runner::ChaosConfig;
-use mcv_commit::monitor::{check_uniformity, decisions};
+use mcv_commit::monitor::{check_uniformity, decisions, flips};
 use mcv_commit::{Msg, Site};
 use mcv_sim::{ProcId, World};
 use mcv_txn::{TxnId, Wal};
-use std::collections::BTreeMap;
 
 /// One oracle's verdict for one run.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -103,20 +102,11 @@ pub fn evaluate(
     out.push(OracleResult::check("ac2_validity", validity));
 
     // AC3/AC4 — stability: a site never reverses its own decision.
-    let mut flips = Vec::new();
-    let mut first: BTreeMap<(ProcId, TxnId), bool> = BTreeMap::new();
-    for d in &ds {
-        match first.get(&(d.site, d.txn)) {
-            None => {
-                first.insert((d.site, d.txn), d.commit);
-            }
-            Some(prev) if *prev != d.commit => {
-                flips.push(format!("{} flipped its decision on {}", d.site, d.txn));
-            }
-            _ => {}
-        }
-    }
-    out.push(OracleResult::check("ac3_stability", flips));
+    let flipped = flips(world.trace())
+        .iter()
+        .map(|d| format!("{} flipped its decision on {}", d.site, d.txn))
+        .collect();
+    out.push(OracleResult::check("ac3_stability", flipped));
 
     // Termination: every site that is operational at the deadline and
     // participated in a transaction has decided it. (Crashed-forever

@@ -206,8 +206,8 @@ pub fn run_scenario(sc: &Scenario) -> Report {
     };
     let rounds = world
         .trace()
-        .notes_of(ProcId(0))
-        .filter(|(_, text)| text.starts_with(&format!("state {TXN} ")))
+        .of(ProcId(0))
+        .filter(|e| matches!(e.event, mcv_trace::EventKind::State { txn, .. } if txn == TXN.0))
         .count() as u64;
     mcv_obs::counter(&format!("commit.{proto}.runs"), 1);
     mcv_obs::counter(&format!("commit.{proto}.messages"), stats.messages_sent);

@@ -11,6 +11,7 @@
 //!   outcome is commit; if anyone voted no, abort.
 
 use mcv_sim::{ProcId, SimTime, Trace};
+use mcv_trace::EventKind;
 use mcv_txn::TxnId;
 use std::collections::BTreeMap;
 
@@ -27,35 +28,35 @@ pub struct ObservedDecision {
     pub commit: bool,
 }
 
-/// Extracts all `decide` notes from a trace.
+/// Extracts every site decision from a trace: its `Commit` and
+/// `Abort` events, in order.
 ///
-/// A well-formed decision note is exactly `decide T<n> commit` or
-/// `decide T<n> abort`. Sites also emit `state T<n> <fsm-state>` notes
-/// (which `mcv-dist` parses to establish protocol participation); those
-/// and any other non-`decide` notes pass through untouched. Malformed
-/// `decide` notes — a missing verdict, a transaction id without the `T`
-/// prefix or with a non-numeric tail, or an unexpected verdict word —
-/// are skipped rather than guessed at: misreading an unknown verdict as
-/// an abort would fabricate an atomicity violation.
+/// Sites report decisions through [`mcv_sim::Ctx::record`] as typed
+/// events, so there is nothing to parse: a free-form note is a note,
+/// whatever its text says, and never counts as a decision.
 pub fn decisions(trace: &Trace) -> Vec<ObservedDecision> {
-    let mut out = Vec::new();
-    for (time, site, text) in trace.notes() {
-        let mut parts = text.split_whitespace();
-        if parts.next() != Some("decide") {
-            continue;
-        }
-        let Some(txn_text) = parts.next() else { continue };
-        let Some(verdict) = parts.next() else { continue };
-        let Some(digits) = txn_text.strip_prefix('T') else { continue };
-        let Ok(n) = digits.parse::<u64>() else { continue };
-        let commit = match verdict {
-            "commit" => true,
-            "abort" => false,
-            _ => continue,
-        };
-        out.push(ObservedDecision { time: *time, site, txn: TxnId(n), commit });
-    }
-    out
+    trace
+        .entries()
+        .iter()
+        .filter_map(|e| {
+            let (txn, commit) = match e.event {
+                EventKind::Commit { txn } => (txn, true),
+                EventKind::Abort { txn } => (txn, false),
+                _ => return None,
+            };
+            Some(ObservedDecision { time: e.time, site: e.proc, txn: TxnId(txn), commit })
+        })
+        .collect()
+}
+
+/// The decisions that reverse an earlier decision of the same site on
+/// the same transaction — what stability (AC3) forbids.
+pub fn flips(trace: &Trace) -> Vec<ObservedDecision> {
+    let mut first: BTreeMap<(ProcId, TxnId), bool> = BTreeMap::new();
+    decisions(trace)
+        .into_iter()
+        .filter(|d| *first.entry((d.site, d.txn)).or_insert(d.commit) != d.commit)
+        .collect()
 }
 
 /// Violations found by [`check_uniformity`].
@@ -112,84 +113,85 @@ pub fn agreed_outcome(trace: &Trace, txn: TxnId) -> Option<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcv_sim::TraceEvent;
+    use mcv_sim::{Ctx, Process, World, WorldConfig};
 
-    fn trace_with(notes: &[(u64, usize, &str)]) -> Trace {
+    fn decided(time: u64, proc: usize, txn: u64, commit: bool) -> (u64, usize, EventKind) {
+        let kind = if commit { EventKind::Commit { txn } } else { EventKind::Abort { txn } };
+        (time, proc, kind)
+    }
+
+    fn trace_with(events: &[(u64, usize, EventKind)]) -> Trace {
         let mut t = Trace::new();
-        for (time, proc, text) in notes {
-            t.push(
-                SimTime::from_ticks(*time),
-                TraceEvent::Note { proc: ProcId(*proc), text: (*text).to_string() },
-            );
+        for (time, proc, kind) in events {
+            t.push(SimTime::from_ticks(*time), ProcId(*proc), kind.clone());
         }
         t
     }
 
     #[test]
-    fn decisions_parse_notes() {
-        let t = trace_with(&[(3, 1, "decide T7 commit"), (4, 2, "decide T7 abort")]);
+    fn decisions_read_typed_events() {
+        let t = trace_with(&[decided(3, 1, 7, true), decided(4, 2, 7, false)]);
         let ds = decisions(&t);
-        assert_eq!(ds.len(), 2);
-        assert_eq!(ds[0].txn, TxnId(7));
-        assert!(ds[0].commit);
-        assert!(!ds[1].commit);
+        let seen: Vec<_> =
+            ds.iter().map(|d| (d.time.ticks(), d.site.0, d.txn.0, d.commit)).collect();
+        assert_eq!(seen, [(3, 1, 7, true), (4, 2, 7, false)]);
     }
 
     #[test]
     fn uniformity_catches_split_brain() {
-        let t = trace_with(&[(3, 1, "decide T7 commit"), (4, 2, "decide T7 abort")]);
+        let t = trace_with(&[decided(3, 1, 7, true), decided(4, 2, 7, false)]);
         let v = check_uniformity(&t).unwrap_err();
         assert_eq!(v[0].txn, TxnId(7));
     }
 
     #[test]
     fn uniform_traces_pass() {
-        let t = trace_with(&[
-            (3, 1, "decide T7 commit"),
-            (4, 2, "decide T7 commit"),
-            (5, 0, "decide T8 abort"),
-        ]);
+        let t =
+            trace_with(&[decided(3, 1, 7, true), decided(4, 2, 7, true), decided(5, 0, 8, false)]);
         assert!(check_uniformity(&t).is_ok());
         assert_eq!(agreed_outcome(&t, TxnId(7)), Some(true));
         assert_eq!(agreed_outcome(&t, TxnId(8)), Some(false));
         assert_eq!(agreed_outcome(&t, TxnId(9)), None);
+        assert!(flips(&t).is_empty());
+        let flipped = trace_with(&[decided(3, 1, 7, true), decided(4, 1, 7, false)]);
+        assert_eq!(flips(&flipped), decisions(&flipped)[1..]);
     }
 
     #[test]
     fn unrelated_notes_ignored() {
-        let t = trace_with(&[(1, 0, "state T1 p"), (2, 0, "election T1 candidate p2")]);
+        let t = trace_with(&[
+            (1, 0, EventKind::State { txn: 1, state: "c1".into() }),
+            (2, 0, EventKind::Note { text: "election T1 candidate p2".into() }),
+        ]);
         assert!(decisions(&t).is_empty());
     }
 
-    #[test]
-    fn missing_verdict_is_skipped() {
-        let t = trace_with(&[(1, 0, "decide T3"), (2, 0, "decide"), (3, 1, "decide T3 commit")]);
-        let ds = decisions(&t);
-        assert_eq!(ds.len(), 1);
-        assert_eq!(ds[0].site, ProcId(1));
+    /// Site 0 writes notes that read like decisions on T7; site 1
+    /// records the one real (typed) decision.
+    struct LookAlike;
+    impl Process<()> for LookAlike {
+        fn on_start(&mut self, ctx: &mut Ctx<()>) {
+            if ctx.id() == ProcId(0) {
+                ctx.note("decide T7 maybe");
+                ctx.note("decide T7 abort");
+            } else {
+                ctx.record(EventKind::Commit { txn: 7 });
+            }
+        }
+        fn on_message(&mut self, _: &mut Ctx<()>, _: ProcId, _: ()) {}
+        fn on_timer(&mut self, _: &mut Ctx<()>, _: u64) {}
     }
 
     #[test]
-    fn txn_id_without_t_prefix_is_skipped() {
-        // `decide 7 commit` must not silently parse as T7.
-        let t = trace_with(&[(1, 0, "decide 7 commit"), (2, 0, "decide X7 commit")]);
-        assert!(decisions(&t).is_empty());
-    }
-
-    #[test]
-    fn non_numeric_txn_id_is_skipped() {
-        let t = trace_with(&[(1, 0, "decide Tseven commit"), (2, 0, "decide T commit")]);
-        assert!(decisions(&t).is_empty());
-    }
-
-    #[test]
-    fn unexpected_verdict_is_skipped_not_misread_as_abort() {
-        // Before hardening, any non-"commit" verdict counted as an
-        // abort, so a stray note could fabricate a uniformity violation.
-        let t = trace_with(&[(1, 0, "decide T7 maybe"), (2, 1, "decide T7 commit")]);
-        let ds = decisions(&t);
-        assert_eq!(ds.len(), 1);
-        assert!(ds[0].commit);
-        assert!(check_uniformity(&t).is_ok());
+    fn a_note_shaped_like_a_decision_is_not_one() {
+        let mut w = World::new(WorldConfig::default());
+        w.add_process(LookAlike);
+        w.add_process(LookAlike);
+        w.run();
+        let ds = decisions(w.trace());
+        assert_eq!(ds.len(), 1, "only the typed commit is a decision: {ds:?}");
+        assert_eq!((ds[0].site, ds[0].commit), (ProcId(1), true));
+        assert!(check_uniformity(w.trace()).is_ok());
+        assert_eq!(agreed_outcome(w.trace(), TxnId(7)), Some(true));
     }
 }

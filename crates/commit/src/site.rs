@@ -6,6 +6,7 @@
 use crate::decision::{termination_decision, GlobalState};
 use crate::msg::{CrashPoint, LocalState, Msg, Protocol};
 use mcv_sim::{Ctx, ProcId, Process, SimTime, TimerToken};
+use mcv_trace::EventKind;
 use mcv_txn::{Item, SiteDb, TxnId, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -238,12 +239,7 @@ impl<S: LocalStore> Site<S> {
     fn set_state(&mut self, ctx: &mut Ctx<Msg>, txn: TxnId, s: LocalState) {
         self.tstate.entry(txn).or_default().state = Some(s);
         self.stable_state.insert(txn, s);
-        ctx.note(format!("state {txn} {s}"));
-        mcv_trace::emit(
-            ctx.id().0,
-            ctx.now().ticks(),
-            mcv_trace::EventKind::State { txn: txn.0, state: s.to_string() },
-        );
+        ctx.record(EventKind::State { txn: txn.0, state: s.to_string() });
     }
 
     fn decide(&mut self, ctx: &mut Ctx<Msg>, txn: TxnId, commit: bool) {
@@ -261,13 +257,11 @@ impl<S: LocalStore> Site<S> {
             self.db.resolve(txn, false);
         }
         self.set_state(ctx, txn, final_state);
-        ctx.note(format!("decide {txn} {}", if commit { "commit" } else { "abort" }));
-        let decision = if commit {
-            mcv_trace::EventKind::Commit { txn: txn.0 }
+        ctx.record(if commit {
+            EventKind::Commit { txn: txn.0 }
         } else {
-            mcv_trace::EventKind::Abort { txn: txn.0 }
-        };
-        mcv_trace::emit(ctx.id().0, ctx.now().ticks(), decision);
+            EventKind::Abort { txn: txn.0 }
+        });
         if let std::collections::btree_map::Entry::Vacant(e) = self.metrics.decisions.entry(txn) {
             e.insert((ctx.now(), commit));
             if let Some(since) = self.metrics.blocked_since.get(&txn) {

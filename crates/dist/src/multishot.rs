@@ -149,8 +149,8 @@ impl Target for PipelineConfig {
     }
 }
 
-/// The run has settled once no note has landed for this long with
-/// every plan streamed and every up participant decided.
+/// The run has settled once no site event has landed for this long
+/// with every plan streamed and every up participant decided.
 const QUIET_TAIL_US: u64 = 4_000;
 /// A run that has been that quiet for this long with plans still held
 /// back by the in-flight window is blocked: give up.
@@ -225,9 +225,10 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     // Node threads record at sites `0..n`; engine-side events (WAL,
     // locks) pick lanes above them.
     rec.reserve_lanes(n);
-    // Sized from measured traces: 37-58 events per transaction per
-    // shard at 1-8 writes. Too small a hint only brings regrowth back.
-    rec.reserve_events(d.n_txns * d.n_shards * (40 + 3 * d.writes_per_shard));
+    // Sized from measured traces over two shards: 31.4, 34.3 and 52.3
+    // events per transaction per shard at 1, 2 and 8 writes (~28.4 +
+    // 3 per write). Too small a hint only brings regrowth back.
+    rec.reserve_events(d.n_txns * d.n_shards * (30 + 3 * d.writes_per_shard));
     let start = Instant::now();
     let ledger = Ledger::new(n);
     let engines: Vec<Engine> = mcv_trace::with_recorder(Arc::clone(&rec), || {
@@ -303,8 +304,8 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     // next due arrival, the end of the quiet tail, the deadline), and
     // parks on the ledger in between. Success needs every plan
     // streamed, every up participant decided, and a short quiet tail
-    // (no note for `QUIET_TAIL_US`) so in-flight messages that would
-    // pull a late node into the protocol get to land first. Fault-free
+    // (no site event for `QUIET_TAIL_US`) so in-flight messages that
+    // would pull a late node into the protocol get to land first. Fault-free
     // runs owe no horizon wait — quiescence alone ends them; faulted
     // runs still wait out the schedule so late fault windows get their
     // chance to bite. The first pass pumps before any wait, so the
@@ -339,11 +340,11 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
             last_submit_us = now_us;
         }
         let all_out = submitted == plans.len();
-        // Quiet since the latest of: the last note, the last plan
-        // handed over (its first note is still to come), the horizon.
+        // Quiet since the latest of: the last site event, the last plan
+        // handed over (its first event is still to come), the horizon.
         let idle = next_arrival_us.is_none() && pulse.settled;
         let quiet_from_us =
-            pulse.last_note_tick.saturating_mul(tick_us).max(last_submit_us).max(past_horizon_us);
+            pulse.last_event_tick.saturating_mul(tick_us).max(last_submit_us).max(past_horizon_us);
         let quiet_us = if idle { now_us.saturating_sub(quiet_from_us) } else { 0 };
         // Success: everything streamed and the system went quiet. A
         // long quiet spell with plans still jammed behind the window
@@ -414,11 +415,19 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
         })
         .fold((0, 0), |(c, f), (dc, df)| (c + dc, f + df));
     let oracles = crate::oracle::evaluate(d, &stats, &led, &engines, &durable, &trace);
-    let commit_log = led
-        .decision_log
-        .iter()
+    // The coordinator's commit log is its lane of the ledger's trace: a
+    // site decides each transaction once (`Site::decide` ignores a
+    // second verdict), in the order the ledger received them.
+    let commit_log = mcv_commit::monitor::decisions(&led.trace)
+        .into_iter()
+        .filter(|d| d.site == ProcId(0))
         .enumerate()
-        .map(|(index, &(tick, txn, commit))| CommitLogEntry { index, tick, txn, commit })
+        .map(|(index, d)| CommitLogEntry {
+            index,
+            tick: d.time.ticks(),
+            txn: d.txn.0,
+            commit: d.commit,
+        })
         .collect();
     PipelineOutcome {
         stats,
@@ -435,6 +444,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcv_trace::EventKind;
 
     /// Two shards, no fault scheduled, and a protocol timeout far above
     /// any scheduler stall — which would otherwise surface as a
@@ -536,22 +546,40 @@ mod tests {
             let out = run_pipeline(&cfg);
             assert!(out.violated().is_none(), "{:?}", out.violated());
             assert_eq!(out.stats.committed, 24);
-            // The coordinator's own notes, in recording order: a plan it
+            // The coordinator's own events, in recording order: a plan it
             // starts enters `q`, a decision closes it.
             let (mut open, mut peak, mut started) = (0usize, 0usize, 0usize);
             for e in out.trace.events.iter().filter(|e| e.site == 0) {
-                let mcv_trace::EventKind::Note { text } = &e.kind else { continue };
-                let mut words = text.split_whitespace();
-                match (words.next(), words.next(), words.next()) {
-                    (Some("state"), Some(_), Some("q")) => {
+                match &e.kind {
+                    EventKind::State { state, .. } if state == "q" => {
                         open += 1;
                         started += 1;
                     }
-                    (Some("decide"), ..) => open -= 1,
+                    EventKind::Commit { .. } | EventKind::Abort { .. } => open -= 1,
                     _ => {}
                 }
                 peak = peak.max(open);
             }
+            // Every site lane (`0..n`) carries each of its decisions
+            // exactly once, as a typed event, and no event as text.
+            let n = cfg.dist.n_nodes();
+            let mut on_lanes: BTreeMap<(usize, u64), usize> = BTreeMap::new();
+            for e in out.trace.events.iter().filter(|e| e.site < n) {
+                match &e.kind {
+                    EventKind::Commit { txn } | EventKind::Abort { txn } => {
+                        *on_lanes.entry((e.site, *txn)).or_default() += 1;
+                    }
+                    EventKind::Note { text } => {
+                        assert!(
+                            !text.starts_with("state ") && !text.starts_with("decide "),
+                            "{text}"
+                        )
+                    }
+                    _ => {}
+                }
+            }
+            assert_eq!(out.decisions.len(), 24 * n, "every node decided every transaction");
+            assert!(out.decisions.keys().all(|k| on_lanes.get(k) == Some(&1)), "{on_lanes:?}");
             assert_eq!(started, 24, "every plan reached the coordinator");
             assert_eq!(open, 0, "every started plan was decided");
             assert!(peak <= max_inflight, "window {max_inflight} held {peak} undecided plans");

@@ -3,7 +3,7 @@
 //! the transport instead of the discrete-event simulator.
 //!
 //! The loop reproduces the simulator world's effect and trace
-//! discipline exactly — notes, then sends, then cancels (targeting
+//! discipline exactly — site events, then sends, then cancels (targeting
 //! pre-existing timers), then newly armed timers, then self-crash;
 //! `Deliver` events cite their `Send`, `TimerFire` cites its
 //! `TimerSet`, and the triggering event is installed as the ambient
@@ -122,9 +122,9 @@ impl<S: LocalStore> NodeLoop<S> {
     /// acknowledgement never leaves before the durability it claims.
     fn drain(&mut self, mut ctx: mcv_sim::Ctx<Msg>, t: u64) -> Vec<PendingSend> {
         let fx = ctx.take_effects();
-        for note in &fx.notes {
-            self.seat.ledger.note(self.seat.id, t, note);
-            mcv_trace::emit(self.seat.id, t, mcv_trace::EventKind::Note { text: note.clone() });
+        for kind in fx.events {
+            self.seat.ledger.record(self.seat.id, t, &kind);
+            mcv_trace::emit(self.seat.id, t, kind);
         }
         let tracing = mcv_trace::active();
         let mut pending = Vec::with_capacity(fx.sends.len());

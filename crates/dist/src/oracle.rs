@@ -11,7 +11,6 @@
 use crate::runtime::{DistConfig, DistStats, LedgerInner};
 use mcv_chaos::OracleResult;
 use mcv_engine::Engine;
-use mcv_sim::{ProcId, SimTime, Trace, TraceEvent};
 use mcv_txn::{TxnId, Wal};
 use std::collections::BTreeSet;
 
@@ -30,20 +29,6 @@ pub const DIST_ORACLE_NAMES: [&str; 8] = [
 fn result(name: &str, pass: bool, detail: String) -> OracleResult {
     mcv_obs::counter(&format!("dist.oracle.{name}.{}", if pass { "pass" } else { "fail" }), 1);
     OracleResult { name: name.to_owned(), pass, detail }
-}
-
-/// Rebuilds a simulator trace from the ledger's notes so the
-/// `mcv-commit` monitors (which consume `decide` notes) apply
-/// unchanged to distributed executions.
-fn sim_trace(led: &LedgerInner) -> Trace {
-    let mut t = Trace::new();
-    for (tick, node, text) in &led.notes {
-        t.push(
-            SimTime::from_ticks(*tick),
-            TraceEvent::Note { proc: ProcId(*node), text: text.clone() },
-        );
-    }
-    t
 }
 
 /// Evaluates every oracle. `durable[i]` is the set of transactions
@@ -98,8 +83,7 @@ pub(crate) fn evaluate(
 
     // AC1 (agreement): every node that decides, decides the same way.
     {
-        let st = sim_trace(led);
-        let detail = match mcv_commit::monitor::check_uniformity(&st) {
+        let detail = match mcv_commit::monitor::check_uniformity(&led.trace) {
             Ok(()) => String::new(),
             Err(vs) => vs
                 .iter()
@@ -138,7 +122,16 @@ pub(crate) fn evaluate(
     }
 
     // AC3 (stability): no node ever reverses a decision it made.
-    out.push(result("ac3_stability", led.flips.is_empty(), led.flips.join("; ")));
+    {
+        let flips: Vec<String> = mcv_commit::monitor::flips(&led.trace)
+            .iter()
+            .map(|d| {
+                let to = if d.commit { "commit" } else { "abort" };
+                format!("node {} flipped T{} to {to}", d.site.0, d.txn.0)
+            })
+            .collect();
+        out.push(result("ac3_stability", flips.is_empty(), flips.join("; ")));
+    }
 
     // Termination: the run settled before the deadline, with every
     // operational node that joined a transaction's protocol decided

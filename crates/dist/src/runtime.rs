@@ -5,8 +5,10 @@
 use mcv_chaos::{FaultEvent, FaultSchedule};
 use mcv_commit::{CrashPoint, TxnPlan};
 use mcv_engine::wait::wait_until;
-use mcv_sim::ProcId;
+use mcv_sim::{ProcId, SimTime, Trace};
+use mcv_trace::EventKind;
 use mcv_txn::TxnId;
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -124,9 +126,9 @@ impl DistConfig {
     }
 }
 
-/// Shared run ledger: decisions, liveness, and raw notes — the input
-/// to the cross-node oracles, and the state the submission pump parks
-/// on.
+/// Shared run ledger: decisions, liveness, and every site event — the
+/// input to the cross-node oracles, and the state the submission pump
+/// parks on.
 #[derive(Debug)]
 pub(crate) struct Ledger {
     inner: Mutex<LedgerInner>,
@@ -136,16 +138,17 @@ pub(crate) struct Ledger {
 
 #[derive(Debug, Clone, Default)]
 pub(crate) struct LedgerInner {
-    /// `(tick, node, text)` in arrival order.
-    pub notes: Vec<(u64, usize, String)>,
+    /// Every site event, in arrival order — what the `mcv-commit`
+    /// monitors read, as they read a simulated world's trace.
+    pub trace: Trace,
     pub up: Vec<bool>,
     /// First decision per `(node, txn)`; `true` = commit.
     pub decided: BTreeMap<(usize, u64), bool>,
     /// Transactions with a decision at any node, kept alongside
     /// `decided` so the pump's window accounting is a length read.
     pub decided_txns: BTreeSet<u64>,
-    /// Nodes that entered the protocol for a transaction (noted a
-    /// state transition for it). A node that crashed or was
+    /// Nodes that entered the protocol for a transaction (recorded a
+    /// state change for it). A node that crashed or was
     /// partitioned away before the vote request arrived never joins
     /// and owes no decision — the same exemption the simulator's
     /// termination oracle grants via `local_state(txn).is_none()`.
@@ -154,13 +157,6 @@ pub(crate) struct LedgerInner {
     /// `participated` minus `decided`, kept as a count so the pump's
     /// settled check is one pass over the nodes.
     pub owing: Vec<usize>,
-    /// Evidence of a decision flipping after it was made (AC3).
-    pub flips: Vec<String>,
-    /// The coordinator's commit log: node 0's first decisions in
-    /// arrival order, `(tick, txn, commit)` — the observable spine of
-    /// the multi-shot protocol (many in-flight transactions, one
-    /// totally-ordered decision sequence).
-    pub decision_log: Vec<(u64, u64, bool)>,
     /// Counts the changes the pump acts on: a transaction's first
     /// decision anywhere (the window opens), a decision that settles
     /// the run, a node going down or coming up.
@@ -176,12 +172,30 @@ impl LedgerInner {
         self.up.iter().zip(&self.owing).all(|(up, owing)| !up || *owing == 0)
     }
 
+    /// Node `node`'s decision on `txn`. Only the first one counts (a
+    /// contrary later one stays in the trace for the AC3 oracle).
+    fn decide(&mut self, node: usize, txn: u64, commit: bool) {
+        let joined_before = !self.participated.insert((node, txn));
+        if self.decided_txns.insert(txn) {
+            self.epoch += 1;
+        }
+        if let Entry::Vacant(first) = self.decided.entry((node, txn)) {
+            first.insert(commit);
+            if joined_before {
+                self.owing[node] -= 1;
+                if self.owing[node] == 0 && self.settled() {
+                    self.epoch += 1;
+                }
+            }
+        }
+    }
+
     fn pulse(&self) -> Pulse {
         Pulse {
             epoch: self.epoch,
             decided_txns: self.decided_txns.len(),
             settled: self.settled(),
-            last_note_tick: self.notes.last().map_or(0, |(tick, ..)| *tick),
+            last_event_tick: self.trace.entries().last().map_or(0, |e| e.time.ticks()),
         }
     }
 }
@@ -196,78 +210,38 @@ pub(crate) struct Pulse {
     pub decided_txns: usize,
     /// [`LedgerInner::settled`].
     pub settled: bool,
-    /// Tick of the latest note — the quiescence probe.
-    pub last_note_tick: u64,
+    /// Tick of the latest site event — the quiescence probe.
+    pub last_event_tick: u64,
 }
 
 impl Ledger {
     pub fn new(n_nodes: usize) -> Arc<Ledger> {
         Arc::new(Ledger {
             inner: Mutex::new(LedgerInner {
-                notes: Vec::new(),
                 up: vec![true; n_nodes],
-                decided: BTreeMap::new(),
-                decided_txns: BTreeSet::new(),
-                participated: BTreeSet::new(),
                 owing: vec![0; n_nodes],
-                flips: Vec::new(),
-                decision_log: Vec::new(),
-                epoch: 0,
+                ..LedgerInner::default()
             }),
             changed: Condvar::new(),
         })
     }
 
-    pub fn note(&self, node: usize, tick: u64, text: &str) {
+    /// Takes one site event: `State` marks the node's participation
+    /// in a transaction, `Commit`/`Abort` is its decision, and every
+    /// event joins the run's trace.
+    pub fn record(&self, node: usize, tick: u64, kind: &EventKind) {
+        let entry = kind.clone();
         let mut g = self.inner.lock().expect("ledger mutex");
         let before = g.epoch;
-        // The site note grammar: `decide T<n> commit|abort` drives the
-        // monitors, `state T<n> <s>` marks protocol participation.
-        let mut parts = text.split_whitespace();
-        let head = parts.next();
-        if head == Some("decide") {
-            if let (Some(txn_text), Some(verdict)) = (parts.next(), parts.next()) {
-                if let Some(Ok(txn)) = txn_text.strip_prefix('T').map(str::parse::<u64>) {
-                    let joined_before = !g.participated.insert((node, txn));
-                    if g.decided_txns.insert(txn) {
-                        g.epoch += 1;
-                    }
-                    let commit = verdict == "commit";
-                    match g.decided.insert((node, txn), commit) {
-                        None => {
-                            if node == 0 {
-                                g.decision_log.push((tick, txn, commit));
-                            }
-                            if joined_before {
-                                g.owing[node] -= 1;
-                                if g.owing[node] == 0 && g.settled() {
-                                    g.epoch += 1;
-                                }
-                            }
-                        }
-                        Some(prev) => {
-                            if prev != commit {
-                                g.decided.insert((node, txn), prev);
-                                g.flips.push(format!(
-                                    "node {node} flipped T{txn}: {} then {}",
-                                    if prev { "commit" } else { "abort" },
-                                    verdict
-                                ));
-                            }
-                        }
-                    }
-                }
+        match *kind {
+            EventKind::State { txn, .. } if g.participated.insert((node, txn)) => {
+                g.owing[node] += 1;
             }
-        } else if head == Some("state") {
-            if let Some(Ok(txn)) =
-                parts.next().and_then(|t| t.strip_prefix('T')).map(str::parse::<u64>)
-            {
-                if g.participated.insert((node, txn)) {
-                    g.owing[node] += 1;
-                }
-            }
+            EventKind::Commit { txn } => g.decide(node, txn, true),
+            EventKind::Abort { txn } => g.decide(node, txn, false),
+            _ => {}
         }
-        g.notes.push((tick, node, text.to_owned()));
+        g.trace.push(SimTime::from_ticks(tick), ProcId(node), entry);
         let moved = g.epoch != before;
         // Signal with the mutex released, so the woken pump does not
         // run straight into it.
@@ -353,29 +327,41 @@ mod tests {
     use proptest::prelude::*;
     use std::time::Duration;
 
+    fn state(txn: u64) -> EventKind {
+        EventKind::State { txn, state: "w".into() }
+    }
+
+    fn decision(txn: u64, commit: bool) -> EventKind {
+        if commit {
+            EventKind::Commit { txn }
+        } else {
+            EventKind::Abort { txn }
+        }
+    }
+
     #[test]
     fn ledger_counts_each_decided_transaction_once() {
         let led = Ledger::new(3);
-        led.note(1, 4, "state T1000000 w");
+        led.record(1, 4, &state(1_000_000));
         assert_eq!(led.pulse().decided_txns, 0);
-        led.note(0, 5, "decide T1000000 commit");
-        led.note(1, 6, "decide T1000000 commit");
-        led.note(1, 7, "decide T1000000 commit");
+        led.record(0, 5, &decision(1_000_000, true));
+        led.record(1, 6, &decision(1_000_000, true));
+        led.record(1, 7, &decision(1_000_000, true));
         assert_eq!(led.pulse().decided_txns, 1);
-        led.note(2, 8, "decide T1000001 abort");
+        led.record(2, 8, &decision(1_000_001, false));
         assert_eq!(led.pulse().decided_txns, 2);
-        assert_eq!(led.pulse().last_note_tick, 8);
-        assert_eq!(led.snapshot().decision_log, vec![(5, 1_000_000, true)]);
+        assert_eq!(led.pulse().last_event_tick, 8);
+        assert_eq!(led.snapshot().decided.len(), 3, "first decision per node and transaction");
         // `take` hands over the same contents and leaves nothing behind.
         let taken = led.take();
-        assert_eq!((taken.decision_log.len(), taken.decided_txns.len()), (1, 2));
+        assert_eq!((taken.decided.len(), taken.decided_txns.len()), (3, 2));
         assert_eq!(led.pulse().decided_txns, 0);
     }
 
     #[test]
     fn a_decide_note_wakes_a_thread_parked_on_the_ledger() {
         let led = Ledger::new(2);
-        led.note(1, 1, "state T7 w");
+        led.record(1, 1, &state(7));
         let seen = led.pulse();
         assert!(!seen.settled);
         // The channel forces the order: the waiter has read its epoch
@@ -392,7 +378,7 @@ mod tests {
             })
         };
         ready_rx.recv().expect("waiter started");
-        led.note(1, 2, "decide T7 commit");
+        led.record(1, 2, &decision(7, true));
         let (pulse, waited) = waiter.join().expect("waiter thread");
         assert!(waited < Duration::from_secs(30), "woken by the note, not the timeout");
         assert_ne!(pulse.epoch, seen.epoch);
@@ -404,6 +390,24 @@ mod tests {
         assert!(t0.elapsed() >= Duration::from_millis(2));
     }
 
+    #[test]
+    fn a_note_shaped_like_a_decision_is_not_one() {
+        let led = Ledger::new(3);
+        let note = |text: &str| EventKind::Note { text: text.into() };
+        led.record(1, 1, &state(7));
+        led.record(1, 2, &note("decide T7 maybe"));
+        led.record(1, 3, &note("decide T7 abort"));
+        led.record(2, 4, &state(7));
+        led.record(2, 5, &decision(7, true));
+        let g = led.snapshot();
+        assert_eq!(g.decided, BTreeMap::from([((2, 7), true)]));
+        assert_eq!(g.owing, [0, 1, 0], "node 1 joined T7 and has not decided it");
+        let observed = mcv_commit::monitor::decisions(&g.trace);
+        assert_eq!(observed.len(), 1, "{observed:?}");
+        assert!(mcv_commit::monitor::check_uniformity(&g.trace).is_ok());
+        assert_eq!(g.trace.entries().len(), 5, "the notes stay in the trace as notes");
+    }
+
     /// The set-based definition `settled` had before the per-node
     /// counts: every up node has decided every transaction it joined.
     fn settled_by_sets(g: &LedgerInner) -> bool {
@@ -413,7 +417,7 @@ mod tests {
     }
 
     proptest! {
-        /// Random note sequences — joins, decisions, duplicate and
+        /// Random event sequences — joins, decisions, duplicate and
         /// flipped decisions, decisions by nodes that never joined,
         /// crashes and recoveries — keep `owing` equal to the joined-
         /// and-undecided sets they summarise.
@@ -424,9 +428,9 @@ mod tests {
             let led = Ledger::new(3);
             for (tick, (node, txn, what)) in steps.into_iter().enumerate() {
                 match what {
-                    0 => led.note(node, tick as u64, &format!("state T{txn} w")),
-                    1 => led.note(node, tick as u64, &format!("decide T{txn} commit")),
-                    2 => led.note(node, tick as u64, &format!("decide T{txn} abort")),
+                    0 => led.record(node, tick as u64, &state(txn)),
+                    1 => led.record(node, tick as u64, &decision(txn, true)),
+                    2 => led.record(node, tick as u64, &decision(txn, false)),
                     3 => led.set_up(node, false),
                     _ => led.set_up(node, true),
                 }

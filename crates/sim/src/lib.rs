@@ -47,5 +47,5 @@ mod world;
 pub use network::{CutDirection, DelayModel, NetworkConfig, Partition};
 pub use process::{Ctx, Effects, Process, TimerToken};
 pub use time::{ProcId, SimTime};
-pub use trace::{Trace, TraceEntry, TraceEvent};
+pub use trace::{Trace, TraceEntry};
 pub use world::{RunStats, World, WorldConfig};

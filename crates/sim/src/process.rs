@@ -1,6 +1,7 @@
 //! The process (site) abstraction and its effect context.
 
 use crate::time::{ProcId, SimTime};
+use mcv_trace::EventKind;
 
 /// Opaque token identifying a timer set by a process.
 pub type TimerToken = u64;
@@ -24,8 +25,8 @@ pub struct Ctx<M> {
     pub(crate) timers: Vec<(SimTime, TimerToken)>,
     /// Cancelled timer tokens.
     pub(crate) cancels: Vec<TimerToken>,
-    /// Free-form log lines picked up by the trace.
-    pub(crate) notes: Vec<String>,
+    /// Site events (state changes, decisions, notes) for the trace.
+    pub(crate) events: Vec<EventKind>,
     /// Set when the process asks to halt the whole simulation.
     pub(crate) stop: bool,
     /// Set when the process asks to crash itself (phase-accurate fault
@@ -43,7 +44,7 @@ impl<M> Ctx<M> {
             sends: Vec::new(),
             timers: Vec::new(),
             cancels: Vec::new(),
-            notes: Vec::new(),
+            events: Vec::new(),
             stop: false,
             crash: false,
         }
@@ -91,7 +92,7 @@ impl<M> Ctx<M> {
             sends: std::mem::take(&mut self.sends),
             timers: std::mem::take(&mut self.timers),
             cancels: std::mem::take(&mut self.cancels),
-            notes: std::mem::take(&mut self.notes),
+            events: std::mem::take(&mut self.events),
             stop: std::mem::replace(&mut self.stop, false),
             crash: std::mem::replace(&mut self.crash, false),
         }
@@ -132,9 +133,15 @@ impl<M> Ctx<M> {
         self.cancels.push(token);
     }
 
-    /// Records a trace note.
+    /// Records what this site did (a state change, a decision, a note)
+    /// for the driver to hand, once, to every view of the run.
+    pub fn record(&mut self, kind: EventKind) {
+        self.events.push(kind);
+    }
+
+    /// Records a free-form note: `record(EventKind::Note { text })`.
     pub fn note(&mut self, text: impl Into<String>) {
-        self.notes.push(text.into());
+        self.record(EventKind::Note { text: text.into() });
     }
 
     /// Requests the whole simulation to stop after this event.
@@ -162,8 +169,8 @@ pub struct Effects<M> {
     pub timers: Vec<(SimTime, TimerToken)>,
     /// Cancelled timer tokens.
     pub cancels: Vec<TimerToken>,
-    /// Free-form log lines (decision ledger lines among them).
-    pub notes: Vec<String>,
+    /// Site events, in recording order (see [`Ctx::record`]).
+    pub events: Vec<EventKind>,
     /// The process asked to halt the whole run.
     pub stop: bool,
     /// The process asked to crash itself after this callback.
@@ -217,5 +224,6 @@ mod tests {
         assert_eq!(ctx.timers, vec![(SimTime::from_ticks(10), 7)]);
         assert_eq!(ctx.cancels, vec![3]);
         assert_eq!(ctx.now(), SimTime::from_ticks(5));
+        assert_eq!(ctx.take_effects().events, [EventKind::Note { text: "step".into() }]);
     }
 }

@@ -1,67 +1,30 @@
-//! Execution traces: an ordered record of everything observable that
-//! happened in a run. Used by the property monitors in `mcv-commit`
-//! (e.g. "no two concurrent local states hold commit and abort") and by
-//! the reproduction harness to render Figure 3.1's execution.
+//! The world trace: the ordered record of everything observable that
+//! happened in a simulated run, in the one event vocabulary of the
+//! workspace, [`mcv_trace::EventKind`].
+//!
+//! Each entry is one event the world also hands to the causal recorder
+//! (when one is installed): deliveries, drops, timer fires, crashes and
+//! recoveries, and whatever the sites recorded through
+//! [`crate::Ctx::record`] — `State` changes, `Commit`/`Abort`
+//! decisions and free-form `Note`s. The property monitors in
+//! `mcv-commit` read the decisions off it, and `repro fig3.1` renders
+//! it. Message labels (`Deliver`, `Drop`) are rendered only while a
+//! causal recorder is installed and are empty otherwise.
 
 use crate::time::{ProcId, SimTime};
+use mcv_trace::EventKind;
 use std::fmt;
-
-/// One observable event.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum TraceEvent {
-    /// A message was delivered.
-    Deliver {
-        /// Sender.
-        from: ProcId,
-        /// Receiver.
-        to: ProcId,
-        /// Per-receiver delivery sequence number (from 1, monotone in
-        /// delivery order even under reorder/dup schedules) — the
-        /// stable key for correlating deliveries across `RunStats`,
-        /// notes, and causal traces.
-        seq: u64,
-    },
-    /// A message was dropped (loss, partition, or dead receiver).
-    Dropped {
-        /// Sender.
-        from: ProcId,
-        /// Intended receiver.
-        to: ProcId,
-    },
-    /// A timer fired.
-    Timer {
-        /// Owner.
-        proc: ProcId,
-        /// Token passed at [`crate::Ctx::set_timer`].
-        token: u64,
-    },
-    /// A process crashed.
-    Crash {
-        /// The crashed process.
-        proc: ProcId,
-    },
-    /// A process recovered.
-    Recover {
-        /// The recovered process.
-        proc: ProcId,
-    },
-    /// A free-form note from [`crate::Ctx::note`] — protocols use these
-    /// to expose state transitions to the monitors.
-    Note {
-        /// The noting process.
-        proc: ProcId,
-        /// The text.
-        text: String,
-    },
-}
 
 /// A timestamped trace entry.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct TraceEntry {
     /// When it happened.
     pub time: SimTime,
+    /// The process that observed it (the receiver of a delivery or a
+    /// drop at a dead receiver; the sender of a drop on the wire).
+    pub proc: ProcId,
     /// What happened.
-    pub event: TraceEvent,
+    pub event: EventKind,
 }
 
 /// The ordered trace of a run.
@@ -76,9 +39,9 @@ impl Trace {
         Trace::default()
     }
 
-    /// Appends an event.
-    pub fn push(&mut self, time: SimTime, event: TraceEvent) {
-        self.entries.push(TraceEntry { time, event });
+    /// Appends an event observed by `proc`.
+    pub fn push(&mut self, time: SimTime, proc: ProcId, event: EventKind) {
+        self.entries.push(TraceEntry { time, proc, event });
     }
 
     /// All entries in order.
@@ -86,50 +49,15 @@ impl Trace {
         &self.entries
     }
 
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over the notes of one process, in order.
-    pub fn notes_of(&self, proc: ProcId) -> impl Iterator<Item = (&SimTime, &str)> {
-        self.entries.iter().filter_map(move |e| match &e.event {
-            TraceEvent::Note { proc: p, text } if *p == proc => Some((&e.time, text.as_str())),
-            _ => None,
-        })
-    }
-
-    /// All notes of all processes, in order.
-    pub fn notes(&self) -> impl Iterator<Item = (&SimTime, ProcId, &str)> {
-        self.entries.iter().filter_map(|e| match &e.event {
-            TraceEvent::Note { proc, text } => Some((&e.time, *proc, text.as_str())),
-            _ => None,
-        })
+    /// The entries of one process, in order.
+    pub fn of(&self, proc: ProcId) -> impl Iterator<Item = &TraceEntry> {
+        self.entries.iter().filter(move |e| e.proc == proc)
     }
 }
 
-impl fmt::Display for Trace {
+impl fmt::Display for TraceEntry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for e in &self.entries {
-            match &e.event {
-                TraceEvent::Deliver { from, to, seq } => {
-                    writeln!(f, "{} deliver {from} -> {to} #{seq}", e.time)?
-                }
-                TraceEvent::Dropped { from, to } => writeln!(f, "{} DROP {from} -> {to}", e.time)?,
-                TraceEvent::Timer { proc, token } => {
-                    writeln!(f, "{} timer {proc} #{token}", e.time)?
-                }
-                TraceEvent::Crash { proc } => writeln!(f, "{} CRASH {proc}", e.time)?,
-                TraceEvent::Recover { proc } => writeln!(f, "{} RECOVER {proc}", e.time)?,
-                TraceEvent::Note { proc, text } => writeln!(f, "{} {proc}: {text}", e.time)?,
-            }
-        }
-        Ok(())
+        write!(f, "{} {}: {}", self.time, self.proc, self.event)
     }
 }
 
@@ -138,20 +66,23 @@ mod tests {
     use super::*;
 
     #[test]
-    fn notes_filter_by_process() {
+    fn events_filter_by_process() {
         let mut t = Trace::new();
-        t.push(SimTime::from_ticks(1), TraceEvent::Note { proc: ProcId(0), text: "a".into() });
-        t.push(SimTime::from_ticks(2), TraceEvent::Note { proc: ProcId(1), text: "b".into() });
-        t.push(SimTime::from_ticks(3), TraceEvent::Note { proc: ProcId(0), text: "c".into() });
-        let of0: Vec<&str> = t.notes_of(ProcId(0)).map(|(_, s)| s).collect();
-        assert_eq!(of0, ["a", "c"]);
-        assert_eq!(t.notes().count(), 3);
+        let note = |text: &str| EventKind::Note { text: text.into() };
+        t.push(SimTime::from_ticks(1), ProcId(0), note("a"));
+        t.push(SimTime::from_ticks(2), ProcId(1), note("b"));
+        t.push(SimTime::from_ticks(3), ProcId(0), EventKind::Commit { txn: 7 });
+        let of0: Vec<&EventKind> = t.of(ProcId(0)).map(|e| &e.event).collect();
+        assert_eq!(of0, [&note("a"), &EventKind::Commit { txn: 7 }]);
+        assert_eq!(t.entries().len(), 3);
     }
 
     #[test]
     fn display_is_line_per_entry() {
         let mut t = Trace::new();
-        t.push(SimTime::from_ticks(1), TraceEvent::Crash { proc: ProcId(2) });
-        assert_eq!(t.to_string(), "t1 CRASH p2\n");
+        t.push(SimTime::from_ticks(1), ProcId(2), EventKind::Crash);
+        t.push(SimTime::from_ticks(2), ProcId(1), EventKind::Abort { txn: 7 });
+        let lines: Vec<String> = t.entries().iter().map(ToString::to_string).collect();
+        assert_eq!(lines, ["t1 p2: CRASH", "t2 p1: t7 ABORT"]);
     }
 }

@@ -5,7 +5,8 @@
 use crate::network::{NetworkConfig, Partition};
 use crate::process::{Ctx, Process, TimerToken};
 use crate::time::{ProcId, SimTime};
-use crate::trace::{Trace, TraceEvent};
+use crate::trace::Trace;
+use mcv_trace::{Cause, EventKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
@@ -42,13 +43,14 @@ impl Default for WorldConfig {
 /// Causal-trace payload carried by an in-flight message: the `Send`
 /// event's cause token and the message label, present only when a
 /// trace sink was active at send time.
-type SendTag = Option<(mcv_trace::Cause, String)>;
+type SendTag = Option<(Cause, String)>;
 
+/// A scheduled world event, due at its `Event::time`.
 #[derive(Debug)]
-enum EventKind<M> {
+enum Due<M> {
     Start(ProcId),
     Deliver { from: ProcId, to: ProcId, msg: M, sent: SendTag },
-    Timer { proc: ProcId, token: TimerToken, tid: u64, set: Option<mcv_trace::Cause> },
+    Timer { proc: ProcId, token: TimerToken, tid: u64, set: Option<Cause> },
     Crash(ProcId),
     Recover(ProcId),
 }
@@ -57,7 +59,7 @@ enum EventKind<M> {
 struct Event<M> {
     time: SimTime,
     seq: u64,
-    kind: EventKind<M>,
+    kind: Due<M>,
 }
 
 impl<M> PartialEq for Event<M> {
@@ -254,12 +256,12 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
 
     /// Schedules a crash of `id` at `at`.
     pub fn schedule_crash(&mut self, id: ProcId, at: SimTime) {
-        self.push(at, EventKind::Crash(id));
+        self.push(at, Due::Crash(id));
     }
 
     /// Schedules recovery of `id` at `at`.
     pub fn schedule_recovery(&mut self, id: ProcId, at: SimTime) {
-        self.push(at, EventKind::Recover(id));
+        self.push(at, Due::Recover(id));
     }
 
     /// Activates `partition` between `from` and `until`.
@@ -305,21 +307,30 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
         self.link_windows.push(LinkWindow { from, to, start, until, kind: WindowKind::Reorder });
     }
 
-    fn push(&mut self, time: SimTime, kind: EventKind<M>) {
+    fn push(&mut self, time: SimTime, kind: Due<M>) {
         self.seq += 1;
         self.queue.push(Reverse(Event { time, seq: self.seq, kind }));
+    }
+
+    /// Records `kind` as observed by `proc` now, once for every view
+    /// of the run: appended to the world trace and handed to the causal
+    /// recorder (if one is installed) citing `cause`.
+    fn record(&mut self, proc: ProcId, cause: Option<Cause>, kind: EventKind) -> Option<Cause> {
+        let recorded = if mcv_trace::active() {
+            mcv_trace::emit_caused(proc.0, self.time.ticks(), cause, kind.clone())
+        } else {
+            None
+        };
+        self.trace.push(self.time, proc, kind);
+        recorded
     }
 
     fn apply_ctx(&mut self, id: ProcId, ctx: Ctx<M>) -> bool {
         let self_crash = ctx.crash;
         let tracing = mcv_trace::active();
-        for note in &ctx.notes {
-            self.trace.push(self.time, TraceEvent::Note { proc: id, text: note.clone() });
-            mcv_trace::emit(
-                id.0,
-                self.time.ticks(),
-                mcv_trace::EventKind::Note { text: note.clone() },
-            );
+        let context = mcv_trace::context();
+        for kind in ctx.events {
+            self.record(id, context, kind);
         }
         for (to, msg) in ctx.sends {
             self.stats.messages_sent += 1;
@@ -327,43 +338,31 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             // The message label is only rendered when a sink is live.
             let label =
                 if tracing { mcv_trace::label_of(&format!("{msg:?}")) } else { String::new() };
-            let t_drop = |label: String| mcv_trace::EventKind::Drop { from: id.0, to: to.0, label };
-            // Loss?
-            if self.config.network.loss_probability > 0.0
-                && self.rng.gen_bool(self.config.network.loss_probability)
-            {
-                self.stats.messages_dropped += 1;
-                self.stats.dropped_by_loss += 1;
-                mcv_obs::counter("sim.dropped", 1);
-                mcv_obs::counter("sim.dropped_by_loss", 1);
-                self.trace.push(self.time, TraceEvent::Dropped { from: id, to });
-                mcv_trace::emit(id.0, self.time.ticks(), t_drop(label));
-                continue;
-            }
-            // Partition?
-            let cut = self
-                .partitions
-                .iter()
-                .any(|(p, a, b)| self.time >= *a && self.time < *b && p.blocks(id, to));
-            if cut {
-                self.stats.messages_dropped += 1;
-                self.stats.dropped_by_partition += 1;
-                mcv_obs::counter("sim.dropped", 1);
-                mcv_obs::counter("sim.dropped_by_partition", 1);
-                self.trace.push(self.time, TraceEvent::Dropped { from: id, to });
-                mcv_trace::emit(id.0, self.time.ticks(), t_drop(label));
-                continue;
-            }
-            // Scheduled drop window on this link?
+            // Lost to the loss probability, a partition, or a drop window
+            // on this link? Only the loss draw consumes randomness.
             let windowed =
                 |ws: &[LinkWindow], now, kind| ws.iter().any(|w| w.matches(now, id, to, kind));
-            if windowed(&self.link_windows, self.time, WindowKind::Drop) {
+            let lost = if self.config.network.loss_probability > 0.0
+                && self.rng.gen_bool(self.config.network.loss_probability)
+            {
+                Some(("sim.dropped_by_loss", &mut self.stats.dropped_by_loss))
+            } else if self
+                .partitions
+                .iter()
+                .any(|(p, a, b)| self.time >= *a && self.time < *b && p.blocks(id, to))
+            {
+                Some(("sim.dropped_by_partition", &mut self.stats.dropped_by_partition))
+            } else if windowed(&self.link_windows, self.time, WindowKind::Drop) {
+                Some(("sim.dropped_by_window", &mut self.stats.dropped_by_window))
+            } else {
+                None
+            };
+            if let Some((counter, count)) = lost {
+                *count += 1;
                 self.stats.messages_dropped += 1;
-                self.stats.dropped_by_window += 1;
                 mcv_obs::counter("sim.dropped", 1);
-                mcv_obs::counter("sim.dropped_by_window", 1);
-                self.trace.push(self.time, TraceEvent::Dropped { from: id, to });
-                mcv_trace::emit(id.0, self.time.ticks(), t_drop(label));
+                mcv_obs::counter(counter, 1);
+                self.record(id, context, EventKind::Drop { from: id.0, to: to.0, label });
                 continue;
             }
             // Duplication: a dup window, or the i.i.d. probability.
@@ -382,7 +381,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             let sent = mcv_trace::emit(
                 id.0,
                 self.time.ticks(),
-                mcv_trace::EventKind::Send { to: to.0, label: label.clone() },
+                EventKind::Send { to: to.0, label: label.clone() },
             )
             .map(|cause| (cause, label));
             for _ in 0..copies {
@@ -404,7 +403,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                 }
                 self.push(
                     deliver_at,
-                    EventKind::Deliver { from: id, to, msg: msg.clone(), sent: sent.clone() },
+                    Due::Deliver { from: id, to, msg: msg.clone(), sent: sent.clone() },
                 );
             }
         }
@@ -426,14 +425,12 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             self.tid += 1;
             let tid = self.tid;
             self.live_timers.insert((id, token, tid));
-            let set =
-                mcv_trace::emit(id.0, self.time.ticks(), mcv_trace::EventKind::TimerSet { token });
-            self.push(self.time + delay, EventKind::Timer { proc: id, token, tid, set });
+            let set = mcv_trace::emit(id.0, self.time.ticks(), EventKind::TimerSet { token });
+            self.push(self.time + delay, Due::Timer { proc: id, token, tid, set });
         }
         if self_crash && self.up[id.0] {
             self.up[id.0] = false;
-            self.trace.push(self.time, TraceEvent::Crash { proc: id });
-            mcv_trace::emit(id.0, self.time.ticks(), mcv_trace::EventKind::Crash);
+            self.record(id, context, EventKind::Crash);
             self.procs[id.0].on_crash();
             let dead: Vec<_> =
                 self.live_timers.iter().filter(|(p, _, _)| *p == id).cloned().collect();
@@ -449,7 +446,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
         if !self.started {
             self.started = true;
             for i in 0..self.procs.len() {
-                self.push(SimTime::ZERO, EventKind::Start(ProcId(i)));
+                self.push(SimTime::ZERO, Due::Start(ProcId(i)));
             }
         }
         let Some(Reverse(ev)) = self.queue.pop() else {
@@ -465,37 +462,29 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             SimTime::from_ticks((t.ticks() as f64 * (1.0 + drift(cfg, id))).round() as u64)
         };
         let stop = match ev.kind {
-            EventKind::Start(id) => {
+            Due::Start(id) => {
                 let mut ctx =
                     Ctx::new(id, n, self.time).with_local(local(&self.config, id, self.time));
                 self.procs[id.0].on_start(&mut ctx);
                 self.apply_ctx(id, ctx)
             }
-            EventKind::Deliver { from, to, msg, sent } => {
+            Due::Deliver { from, to, msg, sent } => {
                 if !self.up[to.0] {
                     self.stats.messages_dropped += 1;
                     mcv_obs::counter("sim.dropped", 1);
-                    self.trace.push(self.time, TraceEvent::Dropped { from, to });
                     let (cause, label) = sent.map(|(c, l)| (Some(c), l)).unwrap_or_default();
-                    mcv_trace::emit_caused(
-                        to.0,
-                        self.time.ticks(),
-                        cause,
-                        mcv_trace::EventKind::Drop { from: from.0, to: to.0, label },
-                    );
+                    self.record(to, cause, EventKind::Drop { from: from.0, to: to.0, label });
                     false
                 } else {
                     self.stats.messages_delivered += 1;
                     mcv_obs::counter("sim.delivered", 1);
                     self.deliver_seq[to.0] += 1;
                     let seq = self.deliver_seq[to.0];
-                    self.trace.push(self.time, TraceEvent::Deliver { from, to, seq });
                     let (cause, label) = sent.map(|(c, l)| (Some(c), l)).unwrap_or_default();
-                    let delivered = mcv_trace::emit_caused(
-                        to.0,
-                        self.time.ticks(),
+                    let delivered = self.record(
+                        to,
                         cause,
-                        mcv_trace::EventKind::Deliver { from: from.0, label, deliver_seq: seq },
+                        EventKind::Deliver { from: from.0, label, deliver_seq: seq },
                     );
                     let prev = mcv_trace::set_context(delivered);
                     let mut ctx =
@@ -506,17 +495,11 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                     stop
                 }
             }
-            EventKind::Timer { proc, token, tid, set } => {
+            Due::Timer { proc, token, tid, set } => {
                 if self.up[proc.0] && self.live_timers.remove(&(proc, token, tid)) {
                     self.stats.timer_fires += 1;
                     mcv_obs::counter("sim.timer_fires", 1);
-                    self.trace.push(self.time, TraceEvent::Timer { proc, token });
-                    let fired = mcv_trace::emit_caused(
-                        proc.0,
-                        self.time.ticks(),
-                        set,
-                        mcv_trace::EventKind::TimerFire { token },
-                    );
+                    let fired = self.record(proc, set, EventKind::TimerFire { token });
                     let prev = mcv_trace::set_context(fired);
                     let mut ctx = Ctx::new(proc, n, self.time).with_local(local(
                         &self.config,
@@ -531,11 +514,10 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                     false
                 }
             }
-            EventKind::Crash(id) => {
+            Due::Crash(id) => {
                 if self.up[id.0] {
                     self.up[id.0] = false;
-                    self.trace.push(self.time, TraceEvent::Crash { proc: id });
-                    mcv_trace::emit(id.0, self.time.ticks(), mcv_trace::EventKind::Crash);
+                    self.record(id, mcv_trace::context(), EventKind::Crash);
                     self.procs[id.0].on_crash();
                     // Pending timers of a crashed process die with it.
                     let dead: Vec<_> =
@@ -546,12 +528,10 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                 }
                 false
             }
-            EventKind::Recover(id) => {
+            Due::Recover(id) => {
                 if !self.up[id.0] {
                     self.up[id.0] = true;
-                    self.trace.push(self.time, TraceEvent::Recover { proc: id });
-                    let recovered =
-                        mcv_trace::emit(id.0, self.time.ticks(), mcv_trace::EventKind::Recover);
+                    let recovered = self.record(id, mcv_trace::context(), EventKind::Recover);
                     let prev = mcv_trace::set_context(recovered);
                     let mut ctx =
                         Ctx::new(id, n, self.time).with_local(local(&self.config, id, self.time));
@@ -867,8 +847,9 @@ mod tests {
             .trace()
             .entries()
             .iter()
+            .filter(|e| e.proc == ProcId(1))
             .filter_map(|e| match e.event {
-                TraceEvent::Deliver { to: ProcId(1), seq, .. } => Some(seq),
+                EventKind::Deliver { deliver_seq, .. } => Some(deliver_seq),
                 _ => None,
             })
             .collect();
@@ -891,7 +872,7 @@ mod tests {
         assert!(trace
             .events
             .iter()
-            .all(|e| !matches!(e.kind, mcv_trace::EventKind::Deliver { .. }) || e.cause.is_some()));
+            .all(|e| !matches!(e.kind, EventKind::Deliver { .. }) || e.cause.is_some()));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub struct Cause {
 /// Every variant is deterministic data: message payloads are reduced to
 /// a short `label` (the Debug name of the message variant), items and
 /// states to their names.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub enum EventKind {
     /// A message was handed to the network.
     Send {
@@ -118,13 +118,15 @@ pub enum EventKind {
         /// Which log was forced (0 when there is only one).
         wal: u64,
     },
-    /// A commit decision was acknowledged (protocol decision or engine
-    /// commit returning to the client).
+    /// A commit decision. On a protocol site's lane it is the site's
+    /// decision (what the Chapter 4 monitors read); on an engine lane
+    /// it is the engine acknowledging a commit to its client.
     Commit {
         /// The committed transaction.
         txn: u64,
     },
-    /// An abort decision was acknowledged.
+    /// An abort decision: a site's decision or an engine's rollback,
+    /// by lane, as for [`EventKind::Commit`].
     Abort {
         /// The aborted transaction.
         txn: u64,
