@@ -13,7 +13,9 @@
 //! `cargo test` invocations runs a workspace crate's tests (an
 //! `--exclude` nobody balances with a `-p` silently un-wires a crate),
 //! or if a `./ci full --only|--skip <list>` example in the docs names a
-//! gate `./ci`'s `FULL_GATES` lacks (the script exits 2 on it), or if
+//! gate `./ci`'s `FULL_GATES` lacks (the script exits 2 on it), or a
+//! documented command runs an `--example` that `examples/` lacks or a
+//! `--bin mcv -- <sub>` that `mcv_bench::cli::MCV` lacks, or if
 //! a `CHANGES.md` entry tagged `[perf_opt]` has no row in
 //! EXPERIMENTS.md's "Performance trajectory" table (a claimed gain
 //! nobody can look up did not happen), or if non-test code of any
@@ -56,29 +58,43 @@
 //! operation) and `invol_switches_per_s` (involuntary context switches
 //! per wall second: how often the box took a CPU away from the run).
 
+use mcv_bench::cli::{self, Kind};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
+const XTASK: &[cli::Command] = &[
+    cli::Command { path: "docsync", params: &[] },
+    cli::Command {
+        path: "ci-report",
+        params: &[
+            ("GATELOG", Kind::Text),
+            ("--out", Kind::Text),
+            ("--flake", Kind::Switch),
+            ("--diff", Kind::Text),
+        ],
+    },
+    cli::Command {
+        path: "pairs",
+        params: &[
+            ("REV_A", Kind::Text),
+            ("REV_B", Kind::Text),
+            ("--workload", Kind::Text),
+            ("--seeds", Kind::Text),
+            ("--pairs", Kind::Count),
+            ("--seconds", Kind::Count),
+            ("--dir", Kind::Text),
+        ],
+    },
+];
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("docsync") => docsync(),
-        Some("ci-report") => ci_report(&args[1..]),
-        Some("pairs") => match pairs_args(&args[1..]) {
-            Ok(a) => pairs(&a),
-            Err(e) => {
-                eprintln!("pairs: {e}");
-                ExitCode::from(2)
-            }
-        },
+    let args = cli::parse_or_exit("xtask", XTASK);
+    match args.command {
+        "docsync" => docsync(),
+        "ci-report" => ci_report(&args),
         _ => {
-            eprintln!(
-                "usage: xtask docsync | xtask ci-report <gatelog> [--out <file>] [--flake] \
-                 [--diff <old-report.json>] | xtask pairs <rev-a> <rev-b> --workload <w> \
-                 --seeds <a>..<b> [--pairs <n>] [--seconds <s>] [--dir <d>]"
-            );
-            ExitCode::from(2)
+            pairs(&pairs_args(&args).unwrap_or_else(|e| cli::bad_argument(&format!("pairs: {e}"))))
         }
     }
 }
@@ -89,7 +105,7 @@ struct PairsArgs {
     revs: [String; 2],
     workload: String,
     seeds: Vec<u64>,
-    seconds: u32,
+    seconds: u64,
     /// Where the worktrees go: `--dir` joined onto the repository root
     /// (so a relative path means the same from any working directory).
     dir: PathBuf,
@@ -97,11 +113,11 @@ struct PairsArgs {
 
 /// `xtask pairs` arguments, checked against the repository's
 /// `BENCHMARK.json`.
-fn pairs_args(args: &[String]) -> Result<PairsArgs, String> {
+fn pairs_args(args: &cli::Args) -> Result<PairsArgs, String> {
     let root = repo_root();
     let manifest = std::fs::read_to_string(root.join("BENCHMARK.json"))
         .map_err(|e| format!("BENCHMARK.json: {e}"))?;
-    PairsArgs::parse(args, &root, &workload_names(&manifest))
+    PairsArgs::new(args, &root, &workload_names(&manifest))
 }
 
 /// The `name` of every entry of the manifest's `workloads` array. A
@@ -134,50 +150,36 @@ fn workload_names(manifest: &str) -> Vec<String> {
 }
 
 impl PairsArgs {
-    fn parse(args: &[String], root: &Path, workloads: &[String]) -> Result<PairsArgs, String> {
-        let mut revs = Vec::new();
-        let mut flags: BTreeMap<&str, &str> = BTreeMap::new();
-        let mut it = args.iter();
-        while let Some(a) = it.next() {
-            if let Some(flag) = a.strip_prefix("--") {
-                let value = it.next().ok_or(format!("--{flag} needs a value"))?;
-                flags.insert(flag, value);
-            } else {
-                revs.push(a.clone());
-            }
-        }
-        let [a, b]: [String; 2] =
-            revs.try_into().map_err(|_| "expected exactly two revisions".to_owned())?;
-        let workload = flags.remove("workload").ok_or("--workload is required")?.to_owned();
+    fn new(args: &cli::Args, root: &Path, workloads: &[String]) -> Result<PairsArgs, String> {
+        let workload: String = args.get("--workload").ok_or("--workload is required")?;
         if !workloads.contains(&workload) {
             return Err(format!(
                 "unknown workload {workload:?}; BENCHMARK.json names {}",
                 workloads.join(", ")
             ));
         }
-        let (lo, hi) = flags
-            .remove("seeds")
+        let (lo, hi) = args
+            .get::<String>("--seeds")
+            .as_deref()
             .and_then(|s| s.split_once(".."))
             .and_then(|(lo, hi)| Some((lo.parse::<u64>().ok()?, hi.parse::<u64>().ok()?)))
             .filter(|(lo, hi)| lo <= hi)
             .ok_or("--seeds must read <a>..<b> (inclusive, a <= b)")?;
         let mut seeds: Vec<u64> = (lo..=hi).collect();
-        if let Some(n) = flags.remove("pairs") {
-            let n: usize = n.parse().map_err(|_| format!("--pairs {n:?} is not a count"))?;
+        if let Some(n) = args.get::<usize>("--pairs") {
             if n == 0 || n > seeds.len() {
                 return Err(format!("--pairs {n} is not between 1 and {}", seeds.len()));
             }
             seeds.truncate(n);
         }
-        let seconds = match flags.remove("seconds") {
-            Some(s) => s.parse().map_err(|_| format!("--seconds {s:?} is not whole seconds"))?,
-            None => 12,
-        };
-        let dir = root.join(flags.remove("dir").unwrap_or("target/pairs"));
-        if let Some(flag) = flags.keys().next() {
-            return Err(format!("unknown flag --{flag}"));
-        }
-        Ok(PairsArgs { revs: [a, b], workload, seeds, seconds, dir })
+        let rev = |name| args.get(name).expect("a required positional");
+        Ok(PairsArgs {
+            revs: [rev("REV_A"), rev("REV_B")],
+            workload,
+            seeds,
+            seconds: args.get("--seconds").unwrap_or(12),
+            dir: root.join(args.get::<String>("--dir").as_deref().unwrap_or("target/pairs")),
+        })
     }
 }
 
@@ -615,6 +617,33 @@ fn unknown_doc_gates<'a>(doc: &'a str, gates: &[&str]) -> Vec<&'a str> {
     unknown
 }
 
+/// The commands the `docs` run that do not exist, by file: a
+/// `--example <x>` with no `examples/<x>.rs`, or a `--bin mcv -- <sub>`
+/// naming no command of [`cli::MCV`]. The command may wrap onto the
+/// next line.
+fn unknown_doc_commands(docs: &[(&str, String)], examples: &[String]) -> Vec<String> {
+    let word = |w: &str| w.trim_matches(|c: char| !c.is_alphanumeric() && c != '_').to_owned();
+    let mut unknown = Vec::new();
+    for (file, text) in docs {
+        for (at, _) in text.match_indices("--example ") {
+            let rest = text[at + "--example ".len()..].split_whitespace().next();
+            let name = rest.map(word).unwrap_or_default();
+            if !examples.contains(&name) {
+                unknown.push(format!("{file} runs `--example {name}`, which examples/ lacks"));
+            }
+        }
+        for (at, _) in text.match_indices("--bin mcv --") {
+            let rest = text[at + "--bin mcv --".len()..].split_whitespace();
+            let words: Vec<String> = rest.filter(|w| *w != "\\").take(2).map(word).collect();
+            if cli::command(cli::MCV, &words).is_none() {
+                let sub = words.join(" ");
+                unknown.push(format!("{file} runs `mcv {sub}`, which mcv_bench::cli lacks"));
+            }
+        }
+    }
+    unknown
+}
+
 fn docsync() -> ExitCode {
     let root = repo_root();
     let crates = match workspace_crates(&root) {
@@ -652,6 +681,7 @@ fn docsync() -> ExitCode {
             .into_iter()
             .map(|name| format!("no `cargo test` invocation in ./ci runs workspace crate {name}")),
     );
+    let mut docs = Vec::new();
     for doc in GATE_DOCS {
         let text = match read(doc) {
             Ok(t) => t,
@@ -665,6 +695,19 @@ fn docsync() -> ExitCode {
                 .into_iter()
                 .map(|name| format!("{doc} selects gate {name:?}, which ./ci's FULL_GATES lacks")),
         );
+        docs.push((doc, text));
+    }
+    match std::fs::read_dir(root.join("examples")) {
+        Ok(dir) => {
+            let examples: Vec<String> = dir
+                .filter_map(|e| Some(e.ok()?.file_name().to_str()?.strip_suffix(".rs")?.to_owned()))
+                .collect();
+            missing.extend(unknown_doc_commands(&docs, &examples));
+        }
+        Err(e) => {
+            eprintln!("docsync: cannot list examples/: {e}");
+            return ExitCode::from(2);
+        }
     }
     match (read("CHANGES.md"), read("EXPERIMENTS.md")) {
         (Ok(changes), Ok(experiments)) => missing.extend(
@@ -690,7 +733,8 @@ fn docsync() -> ExitCode {
     if missing.is_empty() {
         println!(
             "docsync OK: {} workspace crates covered by DESIGN.md, README.md and ./ci's tests; \
-             documented gate selections name real gates; every [perf_opt] PR has its \
+             documented gate selections name real gates and their commands real examples \
+             and mcv subcommands; every [perf_opt] PR has its \
              trajectory row; only {WAIT_PRIMITIVE} parks on a timer; no crates/commit/src \
              code calls mcv_trace::emit",
             crates.len()
@@ -811,52 +855,16 @@ fn diff_summary(old: &BTreeMap<String, (bool, u64)>, gates: &[Gate]) -> String {
     lines.join("\n")
 }
 
-fn ci_report(args: &[String]) -> ExitCode {
-    let mut out_path = PathBuf::from("ci-report.json");
-    let mut flake = false;
-    let mut diff_path: Option<PathBuf> = None;
-    let mut log_path = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--out" => match it.next() {
-                Some(p) => out_path = PathBuf::from(p),
-                None => {
-                    eprintln!("ci-report: --out requires a path");
-                    return ExitCode::from(2);
-                }
-            },
-            "--flake" => flake = true,
-            "--diff" => match it.next() {
-                Some(p) => diff_path = Some(PathBuf::from(p)),
-                None => {
-                    eprintln!("ci-report: --diff requires a previous ci-report.json path");
-                    return ExitCode::from(2);
-                }
-            },
-            other => log_path = Some(PathBuf::from(other)),
-        }
-    }
-    let Some(log_path) = log_path else {
-        eprintln!(
-            "usage: xtask ci-report <gatelog> [--out <file>] [--flake] [--diff <old-report.json>]"
-        );
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(&log_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("ci-report: cannot read {}: {e}", log_path.display());
-            return ExitCode::from(2);
-        }
-    };
-    let gates = match parse_gatelog(&text) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("ci-report: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn ci_report(args: &cli::Args) -> ExitCode {
+    let out_path: PathBuf = args.get("--out").unwrap_or_else(|| PathBuf::from("ci-report.json"));
+    let flake = args.has("--flake");
+    let diff_path: Option<PathBuf> = args.get("--diff");
+    let log_path: PathBuf = args.get("GATELOG").expect("a required positional");
+    let text = std::fs::read_to_string(&log_path).unwrap_or_else(|e| {
+        cli::bad_argument(&format!("ci-report: cannot read {}: {e}", log_path.display()))
+    });
+    let gates =
+        parse_gatelog(&text).unwrap_or_else(|e| cli::bad_argument(&format!("ci-report: {e}")));
 
     let passed = gates.iter().filter(|g| g.pass).count();
     let failed = gates.len() - passed;
@@ -875,17 +883,13 @@ fn ci_report(args: &[String]) -> ExitCode {
     if let Some(diff_path) = &diff_path {
         let old = std::fs::read_to_string(diff_path)
             .map_err(|e| e.to_string())
-            .and_then(|t| mcv_obs::RunReport::from_json(&t).map_err(|e| e.to_string()));
-        match old {
-            Ok(old) => {
-                println!("  diff vs {}:", diff_path.display());
-                println!("{}", diff_summary(&old_gates(&old), &gates));
-            }
-            Err(e) => {
-                eprintln!("ci-report: cannot read --diff {}: {e}", diff_path.display());
-                return ExitCode::from(2);
-            }
-        }
+            .and_then(|t| mcv_obs::RunReport::from_json(&t).map_err(|e| e.to_string()))
+            .unwrap_or_else(|e| {
+                let path = diff_path.display();
+                cli::bad_argument(&format!("ci-report: cannot read --diff {path}: {e}"))
+            });
+        println!("  diff vs {}:", diff_path.display());
+        println!("{}", diff_summary(&old_gates(&old), &gates));
     }
 
     let mut report = mcv_obs::RunReport::new("ci")
@@ -945,6 +949,29 @@ mod tests {
             also wraps (`./ci full --only\n\
             clippy,nope`: prose), and `./ci full` alone selects nothing.\n";
         assert_eq!(unknown_doc_gates(doc, &gates), ["bench_gate", "nope"]);
+    }
+
+    #[test]
+    fn a_documented_command_naming_a_missing_example_or_subcommand_is_named_by_file() {
+        let examples = ["quickstart".to_owned()];
+        let docs = [
+            ("README.md", "cargo run --release --example quickstart\n".to_owned()),
+            (
+                "DESIGN.md",
+                "`cargo run --release --example chaos_hunt -- --smoke`, then\n\
+                 cargo run --release -p mcv-bench --bin mcv -- chaos smoke --seed-base 1\n\
+                 cargo run -p mcv-bench --bin mcv -- \\\n  repro exp.msg ch5\n\
+                 (`--bin mcv -- engine stress`)\n"
+                    .to_owned(),
+            ),
+        ];
+        assert_eq!(
+            unknown_doc_commands(&docs, &examples),
+            [
+                "DESIGN.md runs `--example chaos_hunt`, which examples/ lacks",
+                "DESIGN.md runs `mcv engine stress`, which mcv_bench::cli lacks",
+            ]
+        );
     }
 
     #[test]
@@ -1093,12 +1120,18 @@ mod tests {
         assert!(diff.contains("no verdict flips"), "{diff}");
     }
 
+    /// `xtask pairs <args>`, parsed and checked.
+    fn parse_pairs(args: &str, root: &Path, workloads: &[String]) -> Result<PairsArgs, String> {
+        let words: Vec<String> =
+            format!("pairs {args}").split_whitespace().map(String::from).collect();
+        PairsArgs::new(&cli::parse(XTASK, &words)?, root, workloads)
+    }
+
     #[test]
     fn pairs_arguments_parse_and_are_checked() {
-        let words = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
         let root = Path::new("/repo");
         let workloads = ["spec-verify".to_owned(), "w".to_owned()];
-        let parse = |s: &str| PairsArgs::parse(&words(s), root, &workloads);
+        let parse = |s: &str| parse_pairs(s, root, &workloads);
         let a =
             parse("HEAD~1 HEAD --workload spec-verify --seeds 301..310 --pairs 4").expect("parses");
         assert_eq!(a.revs, ["HEAD~1".to_owned(), "HEAD".to_owned()]);
@@ -1123,11 +1156,9 @@ mod tests {
         let names = workload_names(&manifest);
         assert_eq!(names.len(), 6, "{names:?}");
         assert!(names.iter().any(|n| n == "spec-verify"), "{names:?}");
-        let words = |w: &str| -> Vec<String> {
-            ["a", "b", "--workload", w, "--seeds", "1..2"].map(String::from).into()
-        };
-        assert!(PairsArgs::parse(&words("spec-verify"), Path::new("/repo"), &names).is_ok());
-        let err = PairsArgs::parse(&words("spec-verfy"), Path::new("/repo"), &names)
+        let words = |w: &str| format!("a b --workload {w} --seeds 1..2");
+        assert!(parse_pairs(&words("spec-verify"), Path::new("/repo"), &names).is_ok());
+        let err = parse_pairs(&words("spec-verfy"), Path::new("/repo"), &names)
             .expect_err("a typo is rejected");
         assert!(err.contains("unknown workload \"spec-verfy\""), "{err}");
         for name in &names {
@@ -1138,9 +1169,8 @@ mod tests {
     #[test]
     fn a_relative_pairs_dir_is_taken_from_the_repository_root() {
         let dir = |flag: &str| {
-            let words = ["a", "b", "--workload", "w", "--seeds", "1..2", "--dir", flag];
-            let words: Vec<String> = words.map(String::from).into();
-            PairsArgs::parse(&words, Path::new("/repo"), &["w".to_owned()]).expect("parses").dir
+            let words = format!("a b --workload w --seeds 1..2 --dir {flag}");
+            parse_pairs(&words, Path::new("/repo"), &["w".to_owned()]).expect("parses").dir
         };
         assert_eq!(dir("../trees"), Path::new("/repo/../trees"));
         assert_eq!(dir("/tmp/trees"), Path::new("/tmp/trees"));

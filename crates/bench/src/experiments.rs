@@ -1,6 +1,6 @@
 //! One function per paper artifact (table/figure/proof) plus the added
 //! quantitative experiments. Each returns a printable report; the
-//! `repro` binary dispatches on artifact ids.
+//! `mcv repro` subcommand dispatches on artifact ids.
 
 use mcv_blocks::{modules, pipeline, properties, registry, traceability, SpecLibrary};
 use mcv_commit::fsm::{check, figure_3_2_table, ModelConfig};
@@ -694,6 +694,25 @@ pub fn exp_colim() -> String {
     out
 }
 
+/// The engine `exp.tput`, `exp.prof` and the `mcv engine` gates drive:
+/// 16 shards, group commit over a 50 us window in front of a `force_us`
+/// device, four clients of 8-op uniform transactions, half of them writes.
+pub fn group_commit_driver(force_us: u64) -> mcv_engine::DriverConfig {
+    use mcv_engine::{EngineConfig, Mix, WorkloadKind};
+    mcv_engine::DriverConfig {
+        engine: EngineConfig {
+            force_latency_us: force_us,
+            group_window_us: 50,
+            ..Default::default()
+        },
+        clients: 4,
+        txns: 2_000,
+        items: 2_048,
+        workload: WorkloadKind::ReadWrite { mix: Mix::Uniform, write_pct: 50, ops_per_txn: 8 },
+        seed: 42,
+    }
+}
+
 /// exp.tput — committed throughput and latency of the concurrent
 /// engine vs worker count (uniform 16-shard read-write mix, group
 /// commit on, modeled 300 µs force latency).
@@ -706,7 +725,7 @@ pub fn exp_colim() -> String {
 /// test. The committed count is not scheduling-dependent: the driver
 /// admits a fixed quota, and every leg must commit all of it.
 pub fn exp_tput() -> String {
-    use mcv_engine::{run_driver, DriverConfig, EngineConfig, Mix, WorkloadKind};
+    use mcv_engine::{run_driver, DriverConfig};
     let mut out = String::from(
         "exp.tput — engine committed throughput vs workers\n\
          (uniform mix, 16 shards, 8 ops/txn, 50% writes, 300 us force, group commit)\n\n  \
@@ -715,18 +734,11 @@ pub fn exp_tput() -> String {
     let mut tput = std::collections::BTreeMap::new();
     for workers in [1usize, 2, 4, 8] {
         let cfg = DriverConfig {
-            engine: EngineConfig {
-                shards: 16,
-                group_commit: true,
-                force_latency_us: 300,
-                group_window_us: 50,
-                ..Default::default()
-            },
             clients: workers,
             txns: 1_000,
             items: 4_096,
-            workload: WorkloadKind::ReadWrite { mix: Mix::Uniform, write_pct: 50, ops_per_txn: 8 },
             seed: 4242,
+            ..group_commit_driver(300)
         };
         let report = run_driver(&cfg);
         assert_eq!(
@@ -1244,6 +1256,45 @@ pub fn exp_slo() -> String {
     out
 }
 
+/// The cross-shard run `exp.prof` and `mcv prof` attribute: fault-free,
+/// 3 shards, 8 transactions one at a time. 800 us forces model a real
+/// fsync (the default 20 us is tuned for fast protocol campaigns, not
+/// for representative attribution) and keep the commit-point force
+/// comfortably above scheduling noise.
+pub fn attribution_dist(seed: u64) -> mcv_dist::PipelineConfig {
+    mcv_dist::PipelineConfig {
+        dist: mcv_dist::DistConfig {
+            n_shards: 3,
+            n_txns: 8,
+            writes_per_shard: 2,
+            seed,
+            force_latency_us: 800,
+            ..mcv_dist::DistConfig::default()
+        },
+        max_inflight: 1,
+        batch_window_us: 0,
+        arrival_us: None,
+    }
+}
+
+/// The open-loop run whose telemetry `exp.prof` and `mcv prof` window:
+/// 1 500 txn/s Poisson for 200 ms in 50 ms windows.
+pub fn telemetry_load(seed: u64) -> mcv_load::LoadConfig {
+    mcv_load::LoadConfig {
+        profile: mcv_load::LoadProfile {
+            process: mcv_load::ArrivalProcess::Poisson { rate_tps: 1_500.0 },
+            duration_us: 200_000,
+            sessions: 50_000,
+            session_theta: 0.8,
+            seed,
+        },
+        engines: 1,
+        items_per_engine: 128,
+        telemetry_window_us: 50_000,
+        ..Default::default()
+    }
+}
+
 /// exp.prof — where commit latency goes: per-transaction phase
 /// attribution from the thread-local ring profiler, critical-path
 /// analysis of a cross-shard run, windowed telemetry of an open-loop
@@ -1274,7 +1325,7 @@ pub fn exp_slo() -> String {
 /// `prof.telemetry.arrivals` are structural (fault-free AC2 commits
 /// and seeded arrival schedules) and asserted exactly.
 pub fn exp_prof() -> String {
-    use mcv_engine::{run_driver, DriverConfig, EngineConfig, Mix, WorkloadKind};
+    use mcv_engine::{run_driver, DriverConfig};
     use mcv_prof::{AttributionTable, Profiler};
 
     let mut out =
@@ -1287,21 +1338,13 @@ pub fn exp_prof() -> String {
     // arms together, and the median discards pairs where a scheduler
     // burst hit only one arm (best-of-per-arm flaked on exactly that).
     let tput_cfg = || DriverConfig {
-        engine: EngineConfig {
-            shards: 16,
-            group_commit: true,
-            force_latency_us: 300,
-            group_window_us: 50,
-            ..Default::default()
-        },
-        clients: 4,
         // 3x the exp.tput run length: per-trial throughput noise
         // shrinks with duration, and the overhead claim is asserted,
         // so the estimate must be tight.
         txns: 3_000,
         items: 4_096,
-        workload: WorkloadKind::ReadWrite { mix: Mix::Uniform, write_pct: 50, ops_per_txn: 8 },
         seed: 4242,
+        ..group_commit_driver(300)
     };
     let mut best_plain = 0.0f64;
     let mut best_prof = 0.0f64;
@@ -1356,22 +1399,7 @@ pub fn exp_prof() -> String {
     // decision. Transport samples from the network thread surface as
     // unanchored phase time; the per-transaction attribution comes
     // from the trace, which cannot double-count parallel flights.
-    // 800us forces model a real fsync (the default 20us is tuned for
-    // fast protocol campaigns, not for representative attribution) and
-    // keep the commit-point force comfortably above scheduling noise.
-    let dist_cfg = mcv_dist::PipelineConfig {
-        dist: mcv_dist::DistConfig {
-            n_shards: 3,
-            n_txns: 8,
-            writes_per_shard: 2,
-            seed: 7,
-            force_latency_us: 800,
-            ..mcv_dist::DistConfig::default()
-        },
-        max_inflight: 1,
-        batch_window_us: 0,
-        arrival_us: None,
-    };
+    let dist_cfg = attribution_dist(7);
     let profiler = Profiler::new();
     let o = mcv_prof::with_profiler(&profiler, || mcv_dist::run_pipeline(&dist_cfg));
     let (dist_table, paths) = mcv_prof::attribute_commits(&o.trace);
@@ -1449,19 +1477,7 @@ pub fn exp_prof() -> String {
     // keyed by scheduled arrival time, so their count and per-window
     // arrivals are pure functions of the seed even though every
     // latency inside them is measured.
-    let load_cfg = mcv_load::LoadConfig {
-        profile: mcv_load::LoadProfile {
-            process: mcv_load::ArrivalProcess::Poisson { rate_tps: 1_500.0 },
-            duration_us: 200_000,
-            sessions: 50_000,
-            session_theta: 0.8,
-            seed: 77,
-        },
-        engines: 1,
-        items_per_engine: 128,
-        telemetry_window_us: 50_000,
-        ..Default::default()
-    };
+    let load_cfg = telemetry_load(77);
     let profiler = Profiler::new();
     let report = mcv_prof::with_profiler(&profiler, || mcv_load::run_load(&load_cfg));
     let windowed_arrivals: u64 = report.telemetry.iter().map(|w| w.arrivals).sum();

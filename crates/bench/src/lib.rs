@@ -5,15 +5,19 @@
 //! and adds the quantitative experiments the thesis motivates but never
 //! runs.
 //!
-//! The `repro` binary drives everything:
+//! The `mcv` binary drives everything — the reproductions, the `./ci`
+//! gates, the fault campaigns and their replays, the trace explorer —
+//! as subcommands over the one argument grammar in [`cli`]:
 //!
 //! ```text
-//! cargo run --release -p mcv-bench --bin repro -- all
-//! cargo run --release -p mcv-bench --bin repro -- fig3.2
+//! cargo run --release -p mcv-bench --bin mcv -- repro all
+//! cargo run --release -p mcv-bench --bin mcv -- repro fig3.2
+//! cargo run --release -p mcv-bench --bin mcv -- chaos smoke
 //! ```
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod experiments;
 
 pub use experiments::*;

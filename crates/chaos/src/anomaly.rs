@@ -236,10 +236,7 @@ impl AnomalyArtifact {
         witnesses: AnomalyReport,
     ) -> Self {
         let id = format!("anomaly-{anomaly}-{isolation}-seed{seed}");
-        let replay_cmd = format!(
-            "cargo run --release --example engine_stress -- --anomalies 1 \
-             --isolation {isolation} --seed {seed} --txns {txns} --threads {clients}"
-        );
+        let replay_cmd = crate::replay_command("engine", &format!("{id}.json"));
         AnomalyArtifact {
             id,
             anomaly: anomaly.to_owned(),
@@ -258,13 +255,16 @@ impl AnomalyArtifact {
         serde_json::to_string_pretty(self).expect("artifact serializes")
     }
 
-    /// Parses an artifact back from JSON.
+    /// Parses an artifact back from JSON, deriving `replay_cmd` from
+    /// the id as [`AnomalyArtifact::new`] does.
     ///
     /// # Errors
     ///
     /// Returns the underlying serde error on malformed input.
     pub fn from_json(text: &str) -> Result<Self, serde::Error> {
-        serde_json::from_str(text)
+        let artifact: Self = serde_json::from_str(text)?;
+        let replay_cmd = crate::replay_command("engine", &format!("{}.json", artifact.id));
+        Ok(AnomalyArtifact { replay_cmd, ..artifact })
     }
 
     /// Writes `<id>.json` into `dir` and returns the path.
@@ -402,7 +402,12 @@ mod tests {
         let a = AnomalyArtifact::new("write_skew", "si", 17, 2, 8, 4, report);
         let back = AnomalyArtifact::from_json(&a.to_json()).unwrap();
         assert_eq!(back, a);
-        assert!(a.replay_cmd.contains("--isolation si"));
+        let old = a.to_json().replace(&a.replay_cmd, "cargo run --example engine_stress");
+        assert_eq!(
+            AnomalyArtifact::from_json(&old).unwrap(),
+            a,
+            "the stored command is re-derived"
+        );
         assert!(a.id.contains("seed17"));
     }
 }

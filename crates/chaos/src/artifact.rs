@@ -19,8 +19,16 @@ pub struct Artifact<T> {
     /// The exact configuration to replay.
     pub config: T,
     /// Shell command that replays this artifact once written to a file
-    /// named `<id>.json`.
+    /// named `<id>.json`. Derived from the id, never read back: an
+    /// artifact written under an older command line still loads with
+    /// one that works.
     pub replay_cmd: String,
+}
+
+/// The command that replays the artifact in `file` through the
+/// `replay` subcommand of `mcv <command>`.
+pub fn replay_command(command: &str, file: &str) -> String {
+    format!("cargo run --release -p mcv-bench --bin mcv -- {command} replay {file}")
 }
 
 /// The JSON layout of every artifact, with the configuration left as
@@ -39,8 +47,7 @@ impl<T: Target> Artifact<T> {
     pub fn new(config: T, violated: String, detail: String) -> Self {
         let id =
             format!("{}-{}-{}ev-seed{}", T::KIND, violated, config.schedule().len(), config.seed());
-        let replay_cmd =
-            format!("cargo run --release --example {} -- --replay {id}.json", T::REPLAY_EXAMPLE);
+        let replay_cmd = replay_command(T::REPLAY_COMMAND, &format!("{id}.json"));
         Artifact { id, violated, detail, config, replay_cmd }
     }
 
@@ -72,7 +79,8 @@ impl<T: Target> Artifact<T> {
                 "fault event {e:?} names a process outside the {n_procs}-process topology"
             )));
         }
-        let Wire { id, violated, detail, replay_cmd, .. } = wire;
+        let replay_cmd = replay_command(T::REPLAY_COMMAND, &format!("{}.json", wire.id));
+        let Wire { id, violated, detail, .. } = wire;
         Ok(Artifact { id, violated, detail, config, replay_cmd })
     }
 

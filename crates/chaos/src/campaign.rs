@@ -25,8 +25,9 @@ pub trait Target:
     type Outcome;
     /// Artifact ids read `<KIND>-<oracle>-<n>ev-seed<seed>`.
     const KIND: &'static str;
-    /// The example whose `--replay <file>` re-executes an artifact.
-    const REPLAY_EXAMPLE: &'static str;
+    /// The `mcv` subcommand whose `replay <file>` re-executes an
+    /// artifact (see [`replay_command`](crate::replay_command)).
+    const REPLAY_COMMAND: &'static str;
     /// Runs allowed per shrink candidate and per reproduction check: 1
     /// for a deterministic run, more where scheduling jitter can mask a
     /// violation on any single run.

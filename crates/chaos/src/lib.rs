@@ -42,7 +42,7 @@ pub use anomaly::{
     detect_anomalies, find_long_forks, find_write_skews, txn_views, AnomalyArtifact, AnomalyReport,
     LongFork, TxnView, WriteSkew,
 };
-pub use artifact::Artifact;
+pub use artifact::{replay_command, Artifact};
 pub use campaign::{Campaign, CampaignSummary, Target, Violation};
 pub use oracle::{OracleResult, ORACLE_NAMES};
 pub use runner::{run_chaos, ChaosConfig, ChaosOutcome, FLIGHT_RECORDER_CAP};

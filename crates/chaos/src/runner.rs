@@ -79,7 +79,7 @@ impl ChaosConfig {
 impl Target for ChaosConfig {
     type Outcome = ChaosOutcome;
     const KIND: &'static str = "chaos";
-    const REPLAY_EXAMPLE: &'static str = "chaos_hunt";
+    const REPLAY_COMMAND: &'static str = "chaos";
     const RUNS_PER_CHECK: usize = 1;
     const SHRINK_BUDGET: usize = 400;
     const REDUCTIONS: &'static [fn(&Self) -> Option<Self>] = &[

@@ -51,7 +51,7 @@ fn repro_artifact_replays_byte_deterministically() {
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(a.stats, b.stats);
     assert!(a.violates(&loaded.violated), "replay must reproduce the violation");
-    assert!(loaded.replay_cmd.contains(&format!("{}.json", loaded.id)));
+    assert!(loaded.replay_cmd.ends_with(&format!("-- chaos replay {}.json", loaded.id)));
 }
 
 #[test]

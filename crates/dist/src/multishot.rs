@@ -95,7 +95,7 @@ pub fn tolerated_campaign(base: PipelineConfig) -> Campaign<PipelineConfig> {
 impl Target for PipelineConfig {
     type Outcome = PipelineOutcome;
     const KIND: &'static str = "dist";
-    const REPLAY_EXAMPLE: &'static str = "dist_stress";
+    const REPLAY_COMMAND: &'static str = "dist";
     const RUNS_PER_CHECK: usize = 2;
     const SHRINK_BUDGET: usize = 60;
     const REDUCTIONS: &'static [fn(&Self) -> Option<Self>] = &[

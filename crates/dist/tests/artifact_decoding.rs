@@ -48,7 +48,12 @@ fn mistyped(tree: &Value) -> Vec<Value> {
 fn check<T: Target>(artifact: &Artifact<T>, noise: &str, stray: impl Fn(usize) -> FaultEvent) {
     let good = artifact.to_json();
     assert_eq!(Artifact::<T>::from_json(&good).ok().as_ref(), Some(artifact), "{good}");
-    assert!(artifact.replay_cmd.contains(&format!("--replay {}.json", artifact.id)));
+    let command = format!("-- {} replay {}.json", T::REPLAY_COMMAND, artifact.id);
+    assert!(artifact.replay_cmd.ends_with(&command), "{}", artifact.replay_cmd);
+    // An artifact written under the old command line loads with the current one.
+    let old =
+        good.replace(&artifact.replay_cmd, "cargo run --example chaos_hunt -- --replay a.json");
+    assert_eq!(Artifact::<T>::from_json(&old).ok().as_ref(), Some(artifact), "{old}");
 
     let refused = |text: &str| {
         assert!(Artifact::<T>::from_json(text).is_err(), "accepted {text:?}");
