@@ -554,9 +554,11 @@ fn crate_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
 /// parks go through the one wait primitive (`mcv-bench`'s xtask spells
 /// the names as strings). Protocol code reports what a site did through
 /// `Ctx::record` only, so the world trace, the causal trace and the
-/// `mcv-dist` ledger cannot disagree.
+/// `mcv-dist` ledger cannot disagree. Network randomness is drawn by the
+/// one link core only, so the simulator and the dist fabric cannot drift
+/// apart.
 type CallRule = (fn(&str) -> bool, &'static [&'static str], &'static str);
-const CALL_RULES: [CallRule; 2] = [
+const CALL_RULES: [CallRule; 3] = [
     (
         |path| path != WAIT_PRIMITIVE && !path.starts_with("crates/bench/"),
         &TIMED_PARKS,
@@ -567,7 +569,18 @@ const CALL_RULES: [CallRule; 2] = [
         &["mcv_trace::emit"],
         "calls mcv_trace::emit; report through Ctx::record instead",
     ),
+    (
+        |path| {
+            (path.starts_with("crates/dist/src/") || path.starts_with("crates/sim/src/"))
+                && path != LINK_CORE
+        },
+        &["gen_range", "gen_bool"],
+        "draws network randomness; route through mcv_sim's link core",
+    ),
 ];
+
+/// The one file allowed to draw network randomness.
+const LINK_CORE: &str = "crates/sim/src/net.rs";
 
 /// Every [`CALL_RULES`] breach in `files` (`(path, text)`), as sorted
 /// `file:line` complaints.
@@ -736,7 +749,7 @@ fn docsync() -> ExitCode {
              documented gate selections name real gates and their commands real examples \
              and mcv subcommands; every [perf_opt] PR has its \
              trajectory row; only {WAIT_PRIMITIVE} parks on a timer; no crates/commit/src \
-             code calls mcv_trace::emit",
+             code calls mcv_trace::emit; only {LINK_CORE} draws network randomness",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -1056,6 +1069,25 @@ mod tests {
             call_complaints(&files),
             ["crates/commit/src/site.rs:2 calls mcv_trace::emit; report through Ctx::record \
               instead"]
+        );
+    }
+
+    #[test]
+    fn a_network_draw_outside_the_link_core_is_named_by_file_and_line() {
+        let draw = "fn hop(rng: &mut StdRng) -> u64 {\n    rng.gen_range(1..=5)\n}\n\
+                    #[cfg(test)]\nmod tests {\n    fn t() { rng.gen_bool(0.5); }\n}\n";
+        let files: Vec<(String, String)> = [
+            ("crates/dist/src/fabric.rs", draw),
+            ("crates/sim/src/world.rs", "// rng.gen_bool in a comment\n"),
+            ("crates/sim/src/net.rs", draw),
+            ("crates/chaos/src/schedule.rs", draw),
+        ]
+        .map(|(p, t)| (p.to_owned(), t.to_owned()))
+        .into();
+        assert_eq!(
+            call_complaints(&files),
+            ["crates/dist/src/fabric.rs:2 draws network randomness; route through mcv_sim's \
+              link core"]
         );
     }
 

@@ -44,7 +44,8 @@ pub use anomaly::{
 };
 pub use artifact::{replay_command, Artifact};
 pub use campaign::{Campaign, CampaignSummary, Target, Violation};
+pub use mcv_sim::{CutKind, FaultEvent};
 pub use oracle::{OracleResult, ORACLE_NAMES};
 pub use runner::{run_chaos, ChaosConfig, ChaosOutcome, FLIGHT_RECORDER_CAP};
-pub use schedule::{CutKind, FaultEvent, FaultPlan, FaultSchedule};
+pub use schedule::{FaultPlan, FaultSchedule};
 pub use shrink::{shrink, Shrunk};

@@ -3,9 +3,9 @@
 
 use crate::campaign::Target;
 use crate::oracle::{evaluate, OracleResult};
-use crate::schedule::{CutKind, FaultEvent, FaultSchedule};
+use crate::schedule::FaultSchedule;
 use mcv_commit::{build_world, Msg, Protocol, Scenario, Site};
-use mcv_sim::{Partition, ProcId, RunStats, SimTime, World};
+use mcv_sim::{FaultEvent, ProcId, RunStats, SimTime, World};
 use std::sync::Arc;
 
 /// Flight-recorder capacity: every chaos run keeps at least this many
@@ -170,62 +170,16 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     }
 }
 
-/// Schedules every fault of `cfg` that fits its topology on `world`
-/// upfront; the others are inert. Torn writes
-/// additionally need a mid-run intervention (the WAL tear): they are
-/// returned as `(at, proc, keep_bytes)`, in time order.
+/// Schedules every fault of `cfg` on `world` upfront (those naming a
+/// process the topology lacks are inert). Torn writes additionally need
+/// a mid-run intervention (the WAL tear): they are returned as `(at,
+/// proc, keep_bytes)`, in time order.
 fn schedule_faults(world: &mut World<Msg, Site>, cfg: &ChaosConfig) -> Vec<(u64, usize, usize)> {
-    let n_procs = cfg.n_procs();
     let mut tears: Vec<(u64, usize, usize)> = Vec::new();
-    for ev in cfg.schedule.events.iter().filter(|e| e.fits(n_procs)) {
-        match ev {
-            FaultEvent::Crash { proc, at } => {
-                world.schedule_crash(ProcId(*proc), SimTime::from_ticks(*at));
-            }
-            FaultEvent::Recover { proc, at } => {
-                world.schedule_recovery(ProcId(*proc), SimTime::from_ticks(*at));
-            }
-            FaultEvent::Partition { side, cut, from, until } => {
-                let ids = side.iter().map(|p| ProcId(*p));
-                let p = match cut {
-                    CutKind::Both => Partition::isolate(ids),
-                    CutKind::Outbound => Partition::one_way_from(ids),
-                    CutKind::Inbound => Partition::one_way_to(ids),
-                };
-                world.schedule_partition(
-                    p,
-                    SimTime::from_ticks(*from),
-                    SimTime::from_ticks(*until),
-                );
-            }
-            FaultEvent::DropWindow { src, dst, from, until } => {
-                world.schedule_drop_window(
-                    src.map(ProcId),
-                    dst.map(ProcId),
-                    SimTime::from_ticks(*from),
-                    SimTime::from_ticks(*until),
-                );
-            }
-            FaultEvent::DupWindow { src, dst, from, until } => {
-                world.schedule_dup_window(
-                    src.map(ProcId),
-                    dst.map(ProcId),
-                    SimTime::from_ticks(*from),
-                    SimTime::from_ticks(*until),
-                );
-            }
-            FaultEvent::ReorderWindow { src, dst, from, until } => {
-                world.schedule_reorder_window(
-                    src.map(ProcId),
-                    dst.map(ProcId),
-                    SimTime::from_ticks(*from),
-                    SimTime::from_ticks(*until),
-                );
-            }
-            FaultEvent::TornWrite { proc, at, keep_bytes } => {
-                world.schedule_crash(ProcId(*proc), SimTime::from_ticks(*at));
-                tears.push((*at, *proc, *keep_bytes));
-            }
+    for ev in &cfg.schedule.events {
+        let scheduled = world.schedule(ev);
+        if let (true, &FaultEvent::TornWrite { proc, at, keep_bytes }) = (scheduled, ev) {
+            tears.push((at, proc, keep_bytes));
         }
     }
     tears.sort_unstable();

@@ -7,150 +7,9 @@
 //! byte-deterministically: the same `(config, schedule)` pair always
 //! produces the identical execution.
 
+use mcv_sim::{CutKind, FaultEvent};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Which directions a generated partition cuts (mirrors
-/// [`mcv_sim::CutDirection`], kept separate so schedules stay a pure
-/// data format).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum CutKind {
-    /// Symmetric cut.
-    Both,
-    /// Only traffic out of the named side is lost.
-    Outbound,
-    /// Only traffic into the named side is lost.
-    Inbound,
-}
-
-/// One timed fault. Process indices are simulator ids (0 is the
-/// coordinator, `1..=n_cohorts` the cohorts); times are simulation
-/// ticks.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum FaultEvent {
-    /// Crash process `proc` at tick `at`.
-    Crash {
-        /// The victim.
-        proc: usize,
-        /// When.
-        at: u64,
-    },
-    /// Recover process `proc` at tick `at` (a no-op if it is up).
-    Recover {
-        /// The recovering process.
-        proc: usize,
-        /// When.
-        at: u64,
-    },
-    /// Partition `side` from everyone else during `[from, until)`;
-    /// healing is implicit at `until`.
-    Partition {
-        /// The isolated side.
-        side: Vec<usize>,
-        /// Which directions are cut.
-        cut: CutKind,
-        /// Activation tick.
-        from: u64,
-        /// Heal tick.
-        until: u64,
-    },
-    /// Drop every message matching the link pattern (`None` = any)
-    /// during `[from, until)`.
-    DropWindow {
-        /// Sender filter.
-        src: Option<usize>,
-        /// Receiver filter.
-        dst: Option<usize>,
-        /// Window start.
-        from: u64,
-        /// Window end.
-        until: u64,
-    },
-    /// Deliver every matching message twice during `[from, until)`.
-    DupWindow {
-        /// Sender filter.
-        src: Option<usize>,
-        /// Receiver filter.
-        dst: Option<usize>,
-        /// Window start.
-        from: u64,
-        /// Window end.
-        until: u64,
-    },
-    /// Matching messages skip the FIFO clamp and pick up extra jitter
-    /// during `[from, until)`.
-    ReorderWindow {
-        /// Sender filter.
-        src: Option<usize>,
-        /// Receiver filter.
-        dst: Option<usize>,
-        /// Window start.
-        from: u64,
-        /// Window end.
-        until: u64,
-    },
-    /// Crash `proc` at tick `at` with a torn write: the WAL's byte
-    /// image is truncated at `keep_bytes` (clamped to the forced
-    /// prefix, so durable decisions are never lost).
-    TornWrite {
-        /// The victim.
-        proc: usize,
-        /// When.
-        at: u64,
-        /// Byte offset of the tear.
-        keep_bytes: usize,
-    },
-}
-
-impl FaultEvent {
-    /// Every process index the event refers to.
-    pub fn procs(&self) -> Vec<usize> {
-        match self {
-            FaultEvent::Crash { proc, .. }
-            | FaultEvent::Recover { proc, .. }
-            | FaultEvent::TornWrite { proc, .. } => vec![*proc],
-            FaultEvent::Partition { side, .. } => side.clone(),
-            FaultEvent::DropWindow { src, dst, .. }
-            | FaultEvent::DupWindow { src, dst, .. }
-            | FaultEvent::ReorderWindow { src, dst, .. } => {
-                src.iter().chain(dst.iter()).copied().collect()
-            }
-        }
-    }
-
-    /// The window `[from, until)` of windowed events, if any.
-    pub fn window(&self) -> Option<(u64, u64)> {
-        match self {
-            FaultEvent::Partition { from, until, .. }
-            | FaultEvent::DropWindow { from, until, .. }
-            | FaultEvent::DupWindow { from, until, .. }
-            | FaultEvent::ReorderWindow { from, until, .. } => Some((*from, *until)),
-            _ => None,
-        }
-    }
-
-    /// Whether every process the event names exists in a topology of
-    /// `n_procs` processes (ids `0..n_procs`). This is the one rule for
-    /// which events a topology can run: both runtimes skip an event
-    /// that does not fit, and an artifact carrying one does not load.
-    pub fn fits(&self, n_procs: usize) -> bool {
-        self.procs().iter().all(|p| *p < n_procs)
-    }
-
-    /// A copy with the window end moved to `until` (identity for
-    /// non-windowed events).
-    pub fn with_until(&self, new_until: u64) -> FaultEvent {
-        let mut e = self.clone();
-        match &mut e {
-            FaultEvent::Partition { until, .. }
-            | FaultEvent::DropWindow { until, .. }
-            | FaultEvent::DupWindow { until, .. }
-            | FaultEvent::ReorderWindow { until, .. } => *until = new_until,
-            _ => {}
-        }
-        e
-    }
-}
 
 /// Bounds for random schedule generation.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -423,13 +282,5 @@ mod tests {
             vec![FaultEvent::Recover { proc: 2, at: 6 }, window(Some(0), None), partition(vec![1])]
         );
         assert!(s.events.iter().all(|e| e.fits(3)));
-    }
-
-    #[test]
-    fn with_until_tightens_windows_only() {
-        let w = FaultEvent::DropWindow { src: None, dst: None, from: 5, until: 50 };
-        assert_eq!(w.with_until(10).window(), Some((5, 10)));
-        let c = FaultEvent::Crash { proc: 1, at: 7 };
-        assert_eq!(c.with_until(10), c);
     }
 }

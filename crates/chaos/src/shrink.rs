@@ -95,7 +95,8 @@ pub fn shrink<T: Target>(cfg: &T, oracle: &str, budget: usize) -> Shrunk<T> {
 mod tests {
     use super::*;
     use crate::runner::{run_chaos, ChaosConfig};
-    use crate::schedule::{FaultEvent, FaultSchedule};
+    use crate::schedule::FaultSchedule;
+    use mcv_sim::FaultEvent;
 
     #[test]
     fn shrink_drops_irrelevant_events() {

@@ -5,7 +5,7 @@
 use crate::monitor::{check_uniformity, decisions, ObservedDecision};
 use crate::msg::{CrashPoint, Msg, Protocol};
 use crate::site::{Site, SiteConfig, TxnPlan};
-use mcv_sim::{ProcId, RunStats, SimTime, World, WorldConfig};
+use mcv_sim::{CutKind, FaultEvent, ProcId, RunStats, SimTime, World, WorldConfig};
 use mcv_txn::TxnId;
 use std::collections::BTreeMap;
 
@@ -130,17 +130,18 @@ pub fn build_world(sc: &Scenario) -> World<Msg, Site> {
         }));
     }
     if let Some((side, from, until)) = &sc.partition {
-        let isolated: Vec<ProcId> = side.iter().map(|i| ProcId(i + 1)).collect();
-        world.schedule_partition(
-            mcv_sim::Partition::isolate(isolated),
-            SimTime::from_ticks(*from),
-            SimTime::from_ticks(*until),
-        );
+        let side = side.iter().map(|i| i + 1).collect();
+        world.schedule(&FaultEvent::Partition {
+            side,
+            cut: CutKind::Both,
+            from: *from,
+            until: *until,
+        });
     }
     if let Some(at) = sc.recovery_at {
         // Recovery events on processes that never crashed are no-ops.
-        for i in 0..=sc.n_cohorts {
-            world.schedule_recovery(ProcId(i), SimTime::from_ticks(at));
+        for proc in 0..=sc.n_cohorts {
+            world.schedule(&FaultEvent::Recover { proc, at });
         }
     }
     world

@@ -1,32 +1,27 @@
-//! The transport fabric: the single policy core every transport
-//! implementation shares — fault windows, seeded per-hop delays, FIFO
-//! clamping, duplication/reordering, and per-link delivery batching.
+//! The transport fabric: the dispatch side of every transport
+//! implementation, over `mcv-sim`'s one [`LinkCore`].
 //!
-//! [`Fabric`] is a pure state machine over caller-supplied clocks:
-//! `submit` stamps a message into the in-flight heap at the caller's
-//! "now", `pop_due` dispatches everything whose due time has passed.
-//! The threaded network thread drives it with wall-clock microseconds;
-//! [`SimTransport`](crate::SimTransport) drives the *same* code with a
-//! virtual clock — so every chaos fault window, drop decision, and
-//! delay sample behaves identically in both worlds, and the
-//! conformance suite can assert it.
+//! The link core decides each message's fate — fault windows, seeded
+//! per-hop delay, FIFO clamp, duplication, reordering and per-link
+//! batching, in microseconds (one tick = `tick_us`). The fabric stamps
+//! the surviving copies into its dispatch heap beside the schedule's
+//! crash/recover dispatches, and `pop_due` hands out everything whose
+//! due time has passed. The threaded network thread drives it with
+//! wall-clock microseconds; [`SimTransport`](crate::SimTransport)
+//! drives the *same* code with a virtual clock, so both behave
+//! identically given the same submission times, and the conformance
+//! suite can assert it.
 //!
 //! Batching (`batch_window_us > 0`) is the multi-shot transport
-//! optimization: the first message on an idle link (the *batch head*)
-//! pays a full sampled hop delay; messages submitted to the same link
-//! while the head is still in flight ride along at the head's due time
-//! for near-zero marginal flight, and arrive together as one
-//! [`NodeEvent::DeliverBatch`] so the receiver can amortize its WAL
-//! force over the whole batch. With `batch_window_us == 0` the fabric
-//! reproduces the serial per-message schedule bit-for-bit (same RNG
-//! draw sequence, same FIFO clamps).
+//! optimization: messages joining a link's open batch arrive together
+//! as one [`NodeEvent::DeliverBatch`] so the receiver can amortize its
+//! WAL force over the whole batch. With `batch_window_us == 0` the
+//! fabric reproduces the serial per-message schedule bit-for-bit.
 
-use crate::transport::{DeliverItem, NodeEvent};
-use mcv_chaos::{CutKind, FaultEvent};
+use crate::transport::{DeliverItem, NodeEvent, TransportConfig};
 use mcv_commit::Msg;
+use mcv_sim::{Fate, FaultEvent, LinkCore};
 use mcv_trace::Cause;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
@@ -66,45 +61,6 @@ impl Ord for Scheduled {
     }
 }
 
-/// A half-open real-time window on a link pattern.
-struct LinkWindow {
-    src: Option<usize>,
-    dst: Option<usize>,
-    from_us: u64,
-    until_us: u64,
-}
-
-impl LinkWindow {
-    fn matches(&self, now_us: u64, from: usize, to: usize) -> bool {
-        self.src.is_none_or(|s| s == from)
-            && self.dst.is_none_or(|d| d == to)
-            && now_us >= self.from_us
-            && now_us < self.until_us
-    }
-}
-
-struct PartitionWindow {
-    side: Vec<usize>,
-    cut: CutKind,
-    from_us: u64,
-    until_us: u64,
-}
-
-impl PartitionWindow {
-    fn blocks(&self, now_us: u64, from: usize, to: usize) -> bool {
-        if now_us < self.from_us || now_us >= self.until_us {
-            return false;
-        }
-        let f_in = self.side.contains(&from);
-        let t_in = self.side.contains(&to);
-        match self.cut {
-            CutKind::Both => f_in != t_in,
-            CutKind::Outbound => f_in && !t_in,
-            CutKind::Inbound => !f_in && t_in,
-        }
-    }
-}
-
 /// Plain counts of what the network did, kept by the thread that owns
 /// the fabric and handed back when it is joined: `mcv_obs` collectors
 /// are thread-local, so only the caller of `run_pipeline` can emit them.
@@ -137,23 +93,12 @@ impl NetTally {
     }
 }
 
-/// The shared fault/delay/batching policy engine (see module docs).
+/// The dispatch heap over the link core (see module docs).
 pub(crate) struct Fabric {
     tick_us: u64,
-    /// Uniform per-hop delay in `1..=delay_ticks` ticks.
-    delay_ticks: u64,
-    /// Per-link batching window; 0 disables batching entirely.
-    batch_window_us: u64,
-    rng: StdRng,
+    links: LinkCore,
     heap: BinaryHeap<Reverse<Scheduled>>,
     seq: u64,
-    fifo_last: BTreeMap<(usize, usize), u64>,
-    /// Due time of each link's open batch head (batching mode only).
-    link_head: BTreeMap<(usize, usize), u64>,
-    drops: Vec<LinkWindow>,
-    dups: Vec<LinkWindow>,
-    reorders: Vec<LinkWindow>,
-    partitions: Vec<PartitionWindow>,
     rec: Option<Arc<mcv_trace::Recorder>>,
     /// Each delivery records its measured flight time as an anonymous
     /// `transport_rtt` sample.
@@ -162,101 +107,48 @@ pub(crate) struct Fabric {
 }
 
 impl Fabric {
-    /// Builds the fabric: parses the fault events into real-time
-    /// windows and schedules their crash/recover dispatches.
+    /// Builds the fabric: hands the fault windows to the link core and
+    /// schedules the crash/recover dispatches.
     pub fn new<'a>(
-        tick_us: u64,
-        delay_ticks: u64,
-        batch_window_us: u64,
-        seed: u64,
+        cfg: &TransportConfig,
         rec: Option<Arc<mcv_trace::Recorder>>,
         prof: Option<mcv_prof::Profiler>,
         events: impl IntoIterator<Item = &'a FaultEvent>,
     ) -> Fabric {
+        let TransportConfig { tick_us, delay_ticks, seed, batch_window_us } = *cfg;
         let mut f = Fabric {
             tick_us,
-            delay_ticks,
-            batch_window_us,
-            rng: StdRng::seed_from_u64(seed ^ 0x006e_6574_776f_726b_u64),
+            links: LinkCore::new(
+                tick_us,
+                delay_ticks,
+                batch_window_us,
+                seed ^ 0x006e_6574_776f_726b,
+            ),
             heap: BinaryHeap::new(),
             seq: 0,
-            fifo_last: BTreeMap::new(),
-            link_head: BTreeMap::new(),
-            drops: Vec::new(),
-            dups: Vec::new(),
-            reorders: Vec::new(),
-            partitions: Vec::new(),
             rec,
             prof,
             tally: NetTally::default(),
         };
-        let us = |ticks: u64| ticks.saturating_mul(tick_us);
         for ev in events {
-            match ev {
-                FaultEvent::Crash { proc, at } | FaultEvent::TornWrite { proc, at, .. } => {
-                    f.seq += 1;
-                    f.heap.push(Reverse(Scheduled {
-                        due_us: us(*at),
-                        seq: f.seq,
-                        to: *proc,
-                        enq_us: 0,
-                        what: Dispatch::Crash,
-                    }));
+            match ev.site_change() {
+                Some((proc, at, up)) => {
+                    let what = if up { Dispatch::Recover } else { Dispatch::Crash };
+                    f.push(at.saturating_mul(tick_us), proc, 0, what);
                 }
-                FaultEvent::Recover { proc, at } => {
-                    f.seq += 1;
-                    f.heap.push(Reverse(Scheduled {
-                        due_us: us(*at),
-                        seq: f.seq,
-                        to: *proc,
-                        enq_us: 0,
-                        what: Dispatch::Recover,
-                    }));
-                }
-                FaultEvent::Partition { side, cut, from, until } => {
-                    f.partitions.push(PartitionWindow {
-                        side: side.clone(),
-                        cut: *cut,
-                        from_us: us(*from),
-                        until_us: us(*until),
-                    });
-                }
-                FaultEvent::DropWindow { src, dst, from, until } => {
-                    f.drops.push(LinkWindow {
-                        src: *src,
-                        dst: *dst,
-                        from_us: us(*from),
-                        until_us: us(*until),
-                    });
-                }
-                FaultEvent::DupWindow { src, dst, from, until } => {
-                    f.dups.push(LinkWindow {
-                        src: *src,
-                        dst: *dst,
-                        from_us: us(*from),
-                        until_us: us(*until),
-                    });
-                }
-                FaultEvent::ReorderWindow { src, dst, from, until } => {
-                    f.reorders.push(LinkWindow {
-                        src: *src,
-                        dst: *dst,
-                        from_us: us(*from),
-                        until_us: us(*until),
-                    });
-                }
+                None => f.links.add_window(ev),
             }
         }
         f
     }
 
-    fn us(&self, ticks: u64) -> u64 {
-        ticks.saturating_mul(self.tick_us)
+    fn push(&mut self, due_us: u64, to: usize, enq_us: u64, what: Dispatch) {
+        self.seq += 1;
+        self.heap.push(Reverse(Scheduled { due_us, seq: self.seq, to, enq_us, what }));
     }
 
-    /// Stamps one message into the fabric at `now_us`: applies the
-    /// fault windows, samples a delay (or joins the link's open batch),
-    /// and records the `Send`/`Drop` trace event.
+    /// Stamps one message into the fabric at `now_us`: routes it through
+    /// the link core and records the `Send`/`Drop` trace event.
     pub fn submit(
         &mut self,
         now_us: u64,
@@ -266,76 +158,33 @@ impl Fabric {
         label: String,
         cause: Option<Cause>,
     ) {
-        let tick = now_us / self.tick_us.max(1);
         self.tally.sent += 1;
-        let lost = self.partitions.iter().any(|p| p.blocks(now_us, from, to))
-            || self.drops.iter().any(|w| w.matches(now_us, from, to));
-        if lost {
+        let Fate::Due(first, dup) = self.links.route(now_us, from, to) else {
             self.tally.dropped += 1;
             if let Some(rec) = &self.rec {
+                let tick = now_us / self.tick_us.max(1);
                 rec.record(from, tick, cause, mcv_trace::EventKind::Drop { from, to, label });
             }
             return;
-        }
-        let copies = if self.dups.iter().any(|w| w.matches(now_us, from, to)) {
-            self.tally.duplicated += 1;
-            2
-        } else {
-            1
         };
-        let reorder = self.reorders.iter().any(|w| w.matches(now_us, from, to));
+        if dup.is_some() {
+            self.tally.duplicated += 1;
+        }
         // One Send event per message; dup copies share it.
         let sent = self.rec.as_ref().map(|rec| {
+            let tick = now_us / self.tick_us.max(1);
             let c = rec.record(
                 from,
                 tick,
                 cause,
                 mcv_trace::EventKind::Send { to, label: label.clone() },
             );
-            (c, label.clone())
+            (c, label)
         });
-        let bound = self.delay_ticks.max(1);
-        for _ in 0..copies {
-            let due = if reorder {
-                // Extra jitter, skipping the FIFO clamp so the copy can
-                // overtake older traffic (and any open batch).
-                let base = self.rng.gen_range(1..=bound);
-                let jitter = self.rng.gen_range(0..=4 * bound);
-                now_us + self.us(base) + self.us(jitter)
-            } else if self.batch_window_us > 0
-                && self.link_head.get(&(from, to)).is_some_and(|h| {
-                    *h > now_us && h.saturating_sub(now_us) <= self.batch_window_us
-                })
-            {
-                // Ride the link's open batch: the head already paid the
-                // hop delay, so joiners land with it at near-zero
-                // marginal flight — the group-commit dwell window
-                // lifted up to the transport.
-                self.tally.batched += 1;
-                let h = self.link_head[&(from, to)];
-                self.fifo_last.insert((from, to), h);
-                h
-            } else {
-                let hop = self.rng.gen_range(1..=bound);
-                let mut due = now_us + self.us(hop);
-                let last = self.fifo_last.get(&(from, to)).copied().unwrap_or(0);
-                if due <= last {
-                    due = last + 1;
-                }
-                self.fifo_last.insert((from, to), due);
-                if self.batch_window_us > 0 {
-                    self.link_head.insert((from, to), due);
-                }
-                due
-            };
-            self.seq += 1;
-            self.heap.push(Reverse(Scheduled {
-                due_us: due,
-                seq: self.seq,
-                to,
-                enq_us: now_us,
-                what: Dispatch::Deliver { from, msg: msg.clone(), sent: sent.clone() },
-            }));
+        for hop in [Some(first), dup].into_iter().flatten() {
+            self.tally.batched += u64::from(hop.batched);
+            let what = Dispatch::Deliver { from, msg: msg.clone(), sent: sent.clone() };
+            self.push(hop.due, to, now_us, what);
         }
     }
 

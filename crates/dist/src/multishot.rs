@@ -26,10 +26,10 @@
 //!   scheduled also waits out their horizon.
 
 use crate::node::{run_node, NodeSeat, NodeTally};
-use crate::runtime::{fault_horizon, DistConfig, DistStats, Ledger};
+use crate::runtime::{DistConfig, DistStats, Ledger};
 use crate::store::{CoordStore, EngineStore};
 use crate::transport::{NodeEvent, TransportConfig, Wiring};
-use mcv_chaos::{Campaign, FaultPlan, FaultSchedule, OracleResult, Target};
+use mcv_chaos::{Campaign, FaultEvent, FaultPlan, FaultSchedule, OracleResult, Target};
 use mcv_commit::{Protocol, Site, SiteConfig};
 use mcv_engine::{Engine, EngineConfig};
 use mcv_sim::ProcId;
@@ -315,7 +315,8 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     let txns = d.global_txns();
     let tick_us = d.tick_us.max(1);
     let fault_free = d.schedule.events.is_empty() && d.crash_at.is_none();
-    let horizon = if fault_free { 0 } else { d.horizon.max(fault_horizon(&d.schedule)) };
+    let faults_end = d.schedule.events.iter().map(FaultEvent::ends_at).max().unwrap_or(0);
+    let horizon = if fault_free { 0 } else { d.horizon.max(faults_end) };
     // The first instant whose tick lies past the horizon.
     let past_horizon_us = horizon.saturating_add(1).saturating_mul(tick_us);
     let deadline_us = d.deadline_ms.saturating_mul(1_000);

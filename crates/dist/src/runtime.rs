@@ -2,7 +2,7 @@
 //! configuration, the shared decision ledger and the run statistics.
 //! The assembly itself is [`run_pipeline`](crate::run_pipeline).
 
-use mcv_chaos::{FaultEvent, FaultSchedule};
+use mcv_chaos::FaultSchedule;
 use mcv_commit::{CrashPoint, TxnPlan};
 use mcv_engine::wait::wait_until;
 use mcv_sim::{ProcId, SimTime, Trace};
@@ -301,24 +301,6 @@ pub struct DistStats {
     pub wall_ms: u64,
     /// The hard deadline fired before the run settled.
     pub timed_out: bool,
-}
-
-/// The tick after which no scheduled fault is still pending.
-pub(crate) fn fault_horizon(schedule: &FaultSchedule) -> u64 {
-    schedule
-        .events
-        .iter()
-        .map(|e| match e {
-            FaultEvent::Crash { at, .. }
-            | FaultEvent::Recover { at, .. }
-            | FaultEvent::TornWrite { at, .. } => *at,
-            FaultEvent::Partition { until, .. }
-            | FaultEvent::DropWindow { until, .. }
-            | FaultEvent::DupWindow { until, .. }
-            | FaultEvent::ReorderWindow { until, .. } => *until,
-        })
-        .max()
-        .unwrap_or(0)
 }
 
 #[cfg(test)]

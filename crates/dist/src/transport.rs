@@ -1,15 +1,16 @@
 //! The unified transport layer: one [`Transport`] trait over the
-//! shared policy [`Fabric`](crate::fabric::Fabric), with a
-//! deterministic virtual-clock implementation ([`SimTransport`]) and
-//! the real threaded channel implementation ([`ThreadedTransport`] /
-//! the internal network thread).
+//! shared [`Fabric`](crate::fabric::Fabric), with a deterministic
+//! virtual-clock implementation ([`SimTransport`]) and the real threaded
+//! channel implementation ([`ThreadedTransport`] / the internal network
+//! thread).
 //!
 //! Every fault decision — partitions, drop/dup/reorder windows (the
-//! same [`FaultEvent`](mcv_chaos::FaultEvent) vocabulary `mcv-chaos`
-//! generates, with simulation ticks mapped onto real microseconds),
-//! seeded delays, FIFO clamping, and per-link delivery batching — is
-//! made by the fabric, so both implementations behave identically
-//! given the same submission times, and the conformance suite
+//! one [`FaultEvent`](mcv_sim::FaultEvent) vocabulary, with simulation
+//! ticks mapped onto real microseconds), seeded delays, FIFO clamping,
+//! and per-link delivery batching — is made by `mcv-sim`'s
+//! [`LinkCore`](mcv_sim::LinkCore), the simulator's own network model,
+//! so both implementations behave identically given the same
+//! submission times, and the conformance suite
 //! (`tests/transport_conformance.rs`) drives both through this trait.
 //!
 //! Trace discipline mirrors `mcv-sim`'s world loop: one `Send` event
@@ -86,7 +87,7 @@ pub(crate) enum NetMsg {
     Shutdown,
 }
 
-/// Shared transport knobs (the fabric's policy inputs).
+/// Shared transport knobs (the link core's inputs).
 #[derive(Debug, Clone)]
 pub struct TransportConfig {
     /// Real microseconds per simulation tick.
@@ -107,7 +108,7 @@ impl Default for TransportConfig {
 }
 
 /// One transport implementation: a clocked message fabric between
-/// `n` nodes. Implementations share the policy core, so given the
+/// `n` nodes. Implementations share the link core, so given the
 /// same submission times they make the same fault/delay/batching
 /// decisions; they differ only in what "time" is (virtual vs wall
 /// clock) and how dispatches reach the nodes (direct return vs
@@ -135,18 +136,7 @@ pub struct SimTransport {
 impl SimTransport {
     /// A new virtual-clock transport over `schedule`'s faults.
     pub fn new(cfg: &TransportConfig, schedule: &FaultSchedule) -> Self {
-        SimTransport {
-            fabric: Fabric::new(
-                cfg.tick_us,
-                cfg.delay_ticks,
-                cfg.batch_window_us,
-                cfg.seed,
-                None,
-                None,
-                &schedule.events,
-            ),
-            now_us: 0,
-        }
+        SimTransport { fabric: Fabric::new(cfg, None, None, &schedule.events), now_us: 0 }
     }
 
     /// The current virtual time in microseconds.
@@ -209,15 +199,8 @@ impl Wiring {
         let (node_txs, node_rxs): (Vec<_>, Vec<_>) =
             (0..n_nodes).map(|_| mpsc::channel::<NodeEvent>()).unzip();
         let nodes = node_txs.clone();
-        let fabric = Fabric::new(
-            cfg.tick_us,
-            cfg.delay_ticks,
-            cfg.batch_window_us,
-            cfg.seed,
-            rec,
-            prof,
-            schedule.events.iter().filter(|e| e.fits(n_nodes)),
-        );
+        let fabric =
+            Fabric::new(cfg, rec, prof, schedule.events.iter().filter(|e| e.fits(n_nodes)));
         let handle = std::thread::Builder::new()
             .name("dist-net".into())
             .spawn(move || run_network(&rx, &nodes, start, fabric))

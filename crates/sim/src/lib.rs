@@ -2,10 +2,14 @@
 //!
 //! A deterministic discrete-event simulator for distributed protocols —
 //! the executable substrate under the thesis' three-phase-commit case
-//! study. The default configuration encodes the thesis' Section 3.4
-//! assumptions: FIFO channels, a reliable network without partitioning,
-//! bounded message delay, and crash/recover site failures with
-//! timeout-based detection.
+//! study. The thesis' Section 3.4 assumptions are the network model:
+//! FIFO channels, a reliable network without partitioning, message
+//! delay bounded by δ, and crash/recover site failures with
+//! timeout-based detection. Every deviation from them — a crash, a
+//! recovery, a partition, a drop, duplication or reordering window, a
+//! torn write — is a timed [`FaultEvent`], scheduled with
+//! [`World::schedule`]; the one [`LinkCore`] decides each message's
+//! fate, here and in `mcv-dist`'s threaded transport.
 //!
 //! Determinism: all scheduling is driven by a seeded RNG and a totally
 //! ordered event queue, so a `(topology, seed, failure schedule)` triple
@@ -38,13 +42,13 @@
 
 #![warn(missing_docs)]
 
-mod network;
+mod net;
 mod process;
 mod time;
 mod trace;
 mod world;
 
-pub use network::{CutDirection, DelayModel, NetworkConfig, Partition};
+pub use net::{CutKind, Fate, FaultEvent, Hop, LinkCore};
 pub use process::{Ctx, Effects, Process, TimerToken};
 pub use time::{ProcId, SimTime};
 pub use trace::{Trace, TraceEntry};

@@ -1,14 +1,11 @@
 //! The simulation world: deterministic discrete-event execution of a
-//! set of processes over the configured network, with crash/recover
-//! fault injection.
+//! set of processes over the link core, with scheduled faults.
 
-use crate::network::{NetworkConfig, Partition};
+use crate::net::{Fate, FaultEvent, LinkCore};
 use crate::process::{Ctx, Process, TimerToken};
 use crate::time::{ProcId, SimTime};
 use crate::trace::Trace;
 use mcv_trace::{Cause, EventKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -17,8 +14,9 @@ type LiveTimers = std::collections::BTreeSet<(ProcId, TimerToken, u64)>;
 /// World configuration.
 #[derive(Debug, Clone)]
 pub struct WorldConfig {
-    /// Network model.
-    pub network: NetworkConfig,
+    /// Hop delays are uniform in `1..=delay_ticks` ticks: the thesis'
+    /// delay bound δ.
+    pub delay_ticks: u64,
     /// RNG seed: equal seeds give identical executions.
     pub seed: u64,
     /// Hard cap on processed events (runaway guard).
@@ -31,12 +29,7 @@ pub struct WorldConfig {
 
 impl Default for WorldConfig {
     fn default() -> Self {
-        WorldConfig {
-            network: NetworkConfig::default(),
-            seed: 0,
-            max_events: 1_000_000,
-            drift: Vec::new(),
-        }
+        WorldConfig { delay_ticks: 5, seed: 0, max_events: 1_000_000, drift: Vec::new() }
     }
 }
 
@@ -88,18 +81,15 @@ pub struct RunStats {
     pub messages_sent: u64,
     /// Messages delivered.
     pub messages_delivered: u64,
-    /// Messages dropped in total (loss, partition, scheduled drop
-    /// window, or dead receiver) — always the sum of the attributed
-    /// counters below plus dead-receiver drops.
+    /// Messages dropped in total (partition, scheduled drop window, or
+    /// dead receiver) — always the sum of the attributed counters below
+    /// plus dead-receiver drops.
     pub messages_dropped: u64,
-    /// Messages dropped by i.i.d. loss ([`NetworkConfig::loss_probability`]).
-    pub dropped_by_loss: u64,
     /// Messages dropped by an active partition cut.
     pub dropped_by_partition: u64,
     /// Messages dropped by a scheduled per-link drop window.
     pub dropped_by_window: u64,
-    /// Extra copies delivered due to duplication (probability or
-    /// scheduled dup window).
+    /// Extra copies delivered due to a scheduled dup window.
     pub messages_duplicated: u64,
     /// Timers that actually fired (cancelled/crashed timers excluded).
     pub timer_fires: u64,
@@ -107,39 +97,9 @@ pub struct RunStats {
     pub end_time: SimTime,
     /// Whether a process called [`Ctx::stop_world`].
     pub stopped_early: bool,
-}
-
-/// What a scheduled per-link window does to matching messages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowKind {
-    /// Drop every matching message.
-    Drop,
-    /// Deliver every matching message twice (independent delays).
-    Duplicate,
-    /// Deliver with extra jitter and no FIFO clamp, so the message can
-    /// overtake earlier traffic on the same channel.
-    Reorder,
-}
-
-/// A scheduled fault window on a link pattern: `from`/`to` of `None`
-/// match any sender/receiver.
-#[derive(Debug, Clone)]
-struct LinkWindow {
-    from: Option<ProcId>,
-    to: Option<ProcId>,
-    start: SimTime,
-    until: SimTime,
-    kind: WindowKind,
-}
-
-impl LinkWindow {
-    fn matches(&self, now: SimTime, from: ProcId, to: ProcId, kind: WindowKind) -> bool {
-        self.kind == kind
-            && now >= self.start
-            && now < self.until
-            && self.from.is_none_or(|f| f == from)
-            && self.to.is_none_or(|t| t == to)
-    }
+    /// Whether [`WorldConfig::max_events`] ended the run with events
+    /// still queued: the run was cut, not quiescent.
+    pub hit_event_cap: bool,
 }
 
 /// A deterministic discrete-event world of processes of type `P`
@@ -175,12 +135,9 @@ pub struct World<M, P> {
     seq: u64,
     tid: u64,
     time: SimTime,
-    rng: StdRng,
+    net: LinkCore,
     config: WorldConfig,
-    fifo_last: std::collections::BTreeMap<(ProcId, ProcId), SimTime>,
     live_timers: LiveTimers,
-    partitions: Vec<(Partition, SimTime, SimTime)>,
-    link_windows: Vec<LinkWindow>,
     stats: RunStats,
     trace: Trace,
     deliver_seq: Vec<u64>,
@@ -197,12 +154,9 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             seq: 0,
             tid: 0,
             time: SimTime::ZERO,
-            rng: StdRng::seed_from_u64(config.seed),
+            net: LinkCore::new(1, config.delay_ticks, 0, config.seed),
             config,
-            fifo_last: Default::default(),
             live_timers: Default::default(),
-            partitions: Vec::new(),
-            link_windows: Vec::new(),
             stats: RunStats::default(),
             trace: Trace::new(),
             deliver_seq: Vec::new(),
@@ -254,57 +208,22 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
         &self.stats
     }
 
-    /// Schedules a crash of `id` at `at`.
-    pub fn schedule_crash(&mut self, id: ProcId, at: SimTime) {
-        self.push(at, Due::Crash(id));
-    }
-
-    /// Schedules recovery of `id` at `at`.
-    pub fn schedule_recovery(&mut self, id: ProcId, at: SimTime) {
-        self.push(at, Due::Recover(id));
-    }
-
-    /// Activates `partition` between `from` and `until`.
-    pub fn schedule_partition(&mut self, partition: Partition, from: SimTime, until: SimTime) {
-        self.partitions.push((partition, from, until));
-    }
-
-    /// Drops every message matching the link pattern (`None` = any)
-    /// sent in `[start, until)`.
-    pub fn schedule_drop_window(
-        &mut self,
-        from: Option<ProcId>,
-        to: Option<ProcId>,
-        start: SimTime,
-        until: SimTime,
-    ) {
-        self.link_windows.push(LinkWindow { from, to, start, until, kind: WindowKind::Drop });
-    }
-
-    /// Duplicates every message matching the link pattern (`None` =
-    /// any) sent in `[start, until)`: two copies with independent
-    /// delays are delivered.
-    pub fn schedule_dup_window(
-        &mut self,
-        from: Option<ProcId>,
-        to: Option<ProcId>,
-        start: SimTime,
-        until: SimTime,
-    ) {
-        self.link_windows.push(LinkWindow { from, to, start, until, kind: WindowKind::Duplicate });
-    }
-
-    /// Reorders messages matching the link pattern (`None` = any) sent
-    /// in `[start, until)`: they skip the FIFO clamp and get extra
-    /// delay jitter, so they can overtake earlier traffic.
-    pub fn schedule_reorder_window(
-        &mut self,
-        from: Option<ProcId>,
-        to: Option<ProcId>,
-        start: SimTime,
-        until: SimTime,
-    ) {
-        self.link_windows.push(LinkWindow { from, to, start, until, kind: WindowKind::Reorder });
+    /// Schedules `ev`: a crash or recovery (a torn write is a crash
+    /// here; tearing the log is the caller's business), or a window on
+    /// the links. An event naming a process not added yet is inert, and
+    /// `false` is returned.
+    pub fn schedule(&mut self, ev: &FaultEvent) -> bool {
+        if !ev.fits(self.procs.len()) {
+            return false;
+        }
+        match ev.site_change() {
+            Some((proc, at, up)) => {
+                let due = if up { Due::Recover(ProcId(proc)) } else { Due::Crash(ProcId(proc)) };
+                self.push(SimTime::from_ticks(at), due);
+            }
+            None => self.net.add_window(ev),
+        }
+        true
     }
 
     fn push(&mut self, time: SimTime, kind: Due<M>) {
@@ -338,44 +257,26 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             // The message label is only rendered when a sink is live.
             let label =
                 if tracing { mcv_trace::label_of(&format!("{msg:?}")) } else { String::new() };
-            // Lost to the loss probability, a partition, or a drop window
-            // on this link? Only the loss draw consumes randomness.
-            let windowed =
-                |ws: &[LinkWindow], now, kind| ws.iter().any(|w| w.matches(now, id, to, kind));
-            let lost = if self.config.network.loss_probability > 0.0
-                && self.rng.gen_bool(self.config.network.loss_probability)
-            {
-                Some(("sim.dropped_by_loss", &mut self.stats.dropped_by_loss))
-            } else if self
-                .partitions
-                .iter()
-                .any(|(p, a, b)| self.time >= *a && self.time < *b && p.blocks(id, to))
-            {
-                Some(("sim.dropped_by_partition", &mut self.stats.dropped_by_partition))
-            } else if windowed(&self.link_windows, self.time, WindowKind::Drop) {
-                Some(("sim.dropped_by_window", &mut self.stats.dropped_by_window))
-            } else {
-                None
+            let (first, dup) = match self.net.route(self.time.ticks(), id.0, to.0) {
+                Fate::Due(first, dup) => (first, dup),
+                lost => {
+                    let (counter, count) = if lost == Fate::Cut {
+                        ("sim.dropped_by_partition", &mut self.stats.dropped_by_partition)
+                    } else {
+                        ("sim.dropped_by_window", &mut self.stats.dropped_by_window)
+                    };
+                    *count += 1;
+                    self.stats.messages_dropped += 1;
+                    mcv_obs::counter("sim.dropped", 1);
+                    mcv_obs::counter(counter, 1);
+                    self.record(id, context, EventKind::Drop { from: id.0, to: to.0, label });
+                    continue;
+                }
             };
-            if let Some((counter, count)) = lost {
-                *count += 1;
-                self.stats.messages_dropped += 1;
-                mcv_obs::counter("sim.dropped", 1);
-                mcv_obs::counter(counter, 1);
-                self.record(id, context, EventKind::Drop { from: id.0, to: to.0, label });
-                continue;
-            }
-            // Duplication: a dup window, or the i.i.d. probability.
-            let mut copies = 1;
-            if windowed(&self.link_windows, self.time, WindowKind::Duplicate)
-                || (self.config.network.duplicate_probability > 0.0
-                    && self.rng.gen_bool(self.config.network.duplicate_probability))
-            {
-                copies = 2;
+            if dup.is_some() {
                 self.stats.messages_duplicated += 1;
                 mcv_obs::counter("sim.duplicated", 1);
             }
-            let reorder_window = windowed(&self.link_windows, self.time, WindowKind::Reorder);
             // One Send event per message; duplicated copies share it as
             // their causal antecedent.
             let sent = mcv_trace::emit(
@@ -384,42 +285,16 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                 EventKind::Send { to: to.0, label: label.clone() },
             )
             .map(|cause| (cause, label));
-            for _ in 0..copies {
-                let mut deliver_at = self.time + self.config.network.delay.sample(&mut self.rng);
-                let reorder = reorder_window
-                    || (self.config.network.reorder_probability > 0.0
-                        && self.rng.gen_bool(self.config.network.reorder_probability));
-                if reorder {
-                    // Extra jitter up to 4x the delay bound; skips the
-                    // FIFO clamp so the copy can overtake older traffic.
-                    let bound = self.config.network.delay.upper_bound().ticks().max(1);
-                    deliver_at += SimTime::from_ticks(self.rng.gen_range(0..=4 * bound));
-                } else if self.config.network.fifo {
-                    let last = self.fifo_last.get(&(id, to)).copied().unwrap_or(SimTime::ZERO);
-                    if deliver_at <= last {
-                        deliver_at = last + SimTime::from_ticks(1);
-                    }
-                    self.fifo_last.insert((id, to), deliver_at);
-                }
-                self.push(
-                    deliver_at,
-                    Due::Deliver { from: id, to, msg: msg.clone(), sent: sent.clone() },
-                );
+            for hop in [Some(first), dup].into_iter().flatten() {
+                let deliver = Due::Deliver { from: id, to, msg: msg.clone(), sent: sent.clone() };
+                self.push(SimTime::from_ticks(hop.due), deliver);
             }
         }
         // Cancels first: they target timers that existed *before* this
         // callback, so a timer re-armed with the same token in the same
         // callback survives.
         for token in ctx.cancels {
-            let dead: Vec<_> = self
-                .live_timers
-                .iter()
-                .filter(|(p, t, _)| *p == id && *t == token)
-                .cloned()
-                .collect();
-            for d in dead {
-                self.live_timers.remove(&d);
-            }
+            self.live_timers.retain(|(p, t, _)| !(*p == id && *t == token));
         }
         for (delay, token) in ctx.timers {
             self.tid += 1;
@@ -428,17 +303,21 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             let set = mcv_trace::emit(id.0, self.time.ticks(), EventKind::TimerSet { token });
             self.push(self.time + delay, Due::Timer { proc: id, token, tid, set });
         }
-        if self_crash && self.up[id.0] {
-            self.up[id.0] = false;
-            self.record(id, context, EventKind::Crash);
-            self.procs[id.0].on_crash();
-            let dead: Vec<_> =
-                self.live_timers.iter().filter(|(p, _, _)| *p == id).cloned().collect();
-            for d in dead {
-                self.live_timers.remove(&d);
-            }
+        if self_crash {
+            self.crash(id, context);
         }
         ctx.stop
+    }
+
+    /// Crashes `id` if it is up, recording the crash citing `cause`; its
+    /// pending timers die with it.
+    fn crash(&mut self, id: ProcId, cause: Option<Cause>) {
+        if self.up[id.0] {
+            self.up[id.0] = false;
+            self.record(id, cause, EventKind::Crash);
+            self.procs[id.0].on_crash();
+            self.live_timers.retain(|(p, _, _)| *p != id);
+        }
     }
 
     /// Processes a single event; returns `false` when the queue is empty.
@@ -515,17 +394,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                 }
             }
             Due::Crash(id) => {
-                if self.up[id.0] {
-                    self.up[id.0] = false;
-                    self.record(id, mcv_trace::context(), EventKind::Crash);
-                    self.procs[id.0].on_crash();
-                    // Pending timers of a crashed process die with it.
-                    let dead: Vec<_> =
-                        self.live_timers.iter().filter(|(p, _, _)| *p == id).cloned().collect();
-                    for d in dead {
-                        self.live_timers.remove(&d);
-                    }
-                }
+                self.crash(id, mcv_trace::context());
                 false
             }
             Due::Recover(id) => {
@@ -548,7 +417,11 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             self.stats.stopped_early = true;
             return false;
         }
-        self.stats.events < self.config.max_events
+        if self.stats.events >= self.config.max_events {
+            self.stats.hit_event_cap = !self.queue.is_empty();
+            return false;
+        }
+        true
     }
 
     /// Runs to quiescence (empty queue), stop request, or the event cap.
@@ -582,6 +455,11 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::net::CutKind;
+
+    fn partition(side: Vec<usize>, cut: CutKind) -> FaultEvent {
+        FaultEvent::Partition { side, cut, from: 0, until: 1_000 }
+    }
 
     /// Floods its peer with `count` numbered messages on start.
     struct Flood {
@@ -640,7 +518,7 @@ mod tests {
     #[test]
     fn crash_drops_in_flight_messages() {
         let mut w = flood_world(5);
-        w.schedule_crash(ProcId(1), SimTime::from_ticks(0));
+        w.schedule(&FaultEvent::Crash { proc: 1, at: 0 });
         let stats = w.run();
         assert_eq!(w.process(ProcId(1)).received.len(), 0);
         assert_eq!(stats.messages_dropped, 20);
@@ -671,8 +549,8 @@ mod tests {
         let mut w: World<u64, LateSender> = World::new(WorldConfig::default());
         w.add_process(LateSender { sent: false, received: 0 });
         w.add_process(LateSender { sent: false, received: 0 });
-        w.schedule_crash(ProcId(1), SimTime::from_ticks(1));
-        w.schedule_recovery(ProcId(1), SimTime::from_ticks(50));
+        w.schedule(&FaultEvent::Crash { proc: 1, at: 1 });
+        w.schedule(&FaultEvent::Recover { proc: 1, at: 50 });
         w.run();
         // Message sent at t=100, after recovery: delivered.
         assert_eq!(w.process(ProcId(1)).received, 1);
@@ -729,34 +607,14 @@ mod tests {
     }
 
     #[test]
-    fn lossy_network_drops_some() {
-        let mut cfg = WorldConfig { seed: 5, ..WorldConfig::default() };
-        cfg.network.loss_probability = 0.5;
-        let mut w = World::new(cfg);
-        w.add_process(Flood::new(ProcId(1), 100));
-        w.add_process(Flood::new(ProcId(0), 0));
-        let stats = w.run();
-        assert!(stats.messages_dropped > 10);
-        assert!(stats.messages_delivered > 10);
-        assert_eq!(stats.messages_dropped + stats.messages_delivered, 100);
-        // All drops here come from i.i.d. loss, and attribution adds up.
-        assert_eq!(stats.dropped_by_loss, stats.messages_dropped);
-        assert_eq!(stats.dropped_by_partition, 0);
-    }
-
-    #[test]
     fn partition_blocks_cross_traffic_during_window() {
         let mut w = flood_world(2);
-        w.schedule_partition(
-            Partition::isolate([ProcId(0)]),
-            SimTime::ZERO,
-            SimTime::from_ticks(1_000),
-        );
+        w.schedule(&partition(vec![0], CutKind::Both));
         let stats = w.run();
         assert_eq!(stats.messages_delivered, 0);
         assert_eq!(stats.messages_dropped, 20);
         assert_eq!(stats.dropped_by_partition, 20);
-        assert_eq!(stats.dropped_by_loss, 0);
+        assert_eq!(stats.dropped_by_window, 0);
     }
 
     /// Two floods in opposite directions, used by the asymmetric tests.
@@ -770,11 +628,7 @@ mod tests {
     #[test]
     fn one_way_partition_blocks_only_one_direction() {
         let mut w = duplex_world(3);
-        w.schedule_partition(
-            Partition::one_way_from([ProcId(0)]),
-            SimTime::ZERO,
-            SimTime::from_ticks(1_000),
-        );
+        w.schedule(&partition(vec![0], CutKind::Outbound));
         let stats = w.run();
         // p0 -> p1 cut; p1 -> p0 still flows.
         assert_eq!(w.process(ProcId(1)).received.len(), 0);
@@ -786,12 +640,7 @@ mod tests {
     #[test]
     fn drop_window_cuts_matching_link_only() {
         let mut w = duplex_world(4);
-        w.schedule_drop_window(
-            Some(ProcId(0)),
-            Some(ProcId(1)),
-            SimTime::ZERO,
-            SimTime::from_ticks(1_000),
-        );
+        w.schedule(&FaultEvent::DropWindow { src: Some(0), dst: Some(1), from: 0, until: 1_000 });
         let stats = w.run();
         assert_eq!(w.process(ProcId(1)).received.len(), 0);
         assert_eq!(w.process(ProcId(0)).received.len(), 10);
@@ -802,7 +651,7 @@ mod tests {
     #[test]
     fn dup_window_delivers_twice() {
         let mut w = flood_world(6);
-        w.schedule_dup_window(None, None, SimTime::ZERO, SimTime::from_ticks(1_000));
+        w.schedule(&FaultEvent::DupWindow { src: None, dst: None, from: 0, until: 1_000 });
         let stats = w.run();
         assert_eq!(stats.messages_duplicated, 20);
         assert_eq!(stats.messages_delivered, 40);
@@ -810,21 +659,9 @@ mod tests {
     }
 
     #[test]
-    fn duplicate_probability_delivers_extra_copies() {
-        let mut cfg = WorldConfig { seed: 9, ..WorldConfig::default() };
-        cfg.network.duplicate_probability = 0.5;
-        let mut w = World::new(cfg);
-        w.add_process(Flood::new(ProcId(1), 100));
-        w.add_process(Flood::new(ProcId(0), 0));
-        let stats = w.run();
-        assert!(stats.messages_duplicated > 10);
-        assert_eq!(stats.messages_delivered, 100 + stats.messages_duplicated);
-    }
-
-    #[test]
     fn reorder_window_breaks_fifo_order() {
         let mut w = flood_world(1);
-        w.schedule_reorder_window(None, None, SimTime::ZERO, SimTime::from_ticks(1_000));
+        w.schedule(&FaultEvent::ReorderWindow { src: None, dst: None, from: 0, until: 1_000 });
         w.run();
         let got = &w.process(ProcId(1)).received;
         assert_eq!(got.len(), 20);
@@ -841,7 +678,7 @@ mod tests {
         // sequence number stays 1..=n in delivery order — the stable
         // correlation key the positional scheme lacked.
         let mut w = flood_world(1);
-        w.schedule_reorder_window(None, None, SimTime::ZERO, SimTime::from_ticks(1_000));
+        w.schedule(&FaultEvent::ReorderWindow { src: None, dst: None, from: 0, until: 1_000 });
         w.run();
         let seqs: Vec<u64> = w
             .trace()
@@ -862,7 +699,7 @@ mod tests {
     fn causal_trace_of_a_run_is_hb_clean() {
         let ((), trace) = mcv_trace::record_trace(None, || {
             let mut w = flood_world(3);
-            w.schedule_dup_window(None, None, SimTime::ZERO, SimTime::from_ticks(2));
+            w.schedule(&FaultEvent::DupWindow { src: None, dst: None, from: 0, until: 2 });
             w.run();
         });
         assert!(!trace.is_empty());
@@ -919,5 +756,41 @@ mod tests {
         w.add_process(Ticker { ticks: 0 });
         w.run_until(SimTime::from_ticks(55));
         assert_eq!(w.process(ProcId(0)).ticks, 5);
+    }
+
+    /// Re-arms its timer forever: never quiescent.
+    struct Rearm;
+    impl Process<u64> for Rearm {
+        fn on_start(&mut self, ctx: &mut Ctx<u64>) {
+            ctx.set_timer(SimTime::from_ticks(1), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<u64>, _: ProcId, _: u64) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<u64>, _: u64) {
+            ctx.set_timer(SimTime::from_ticks(1), 0);
+        }
+    }
+
+    #[test]
+    fn the_event_cap_is_told_apart_from_quiescence() {
+        let mut w = World::new(WorldConfig { max_events: 10, ..WorldConfig::default() });
+        w.add_process(Rearm);
+        let stats = w.run();
+        assert_eq!(stats.events, 10);
+        assert!(stats.hit_event_cap);
+        let mut w = flood_world(0);
+        let stats = w.run();
+        assert_eq!(stats.messages_delivered, 20);
+        assert!(!stats.hit_event_cap);
+    }
+
+    #[test]
+    fn faults_naming_a_missing_process_are_inert() {
+        let mut w = flood_world(4);
+        assert!(!w.schedule(&FaultEvent::Crash { proc: 5, at: 1 }));
+        assert!(!w.schedule(&FaultEvent::Recover { proc: 5, at: 2 }));
+        assert!(!w.schedule(&partition(vec![0, 5], CutKind::Both)));
+        let stats = w.run();
+        assert_eq!(stats.messages_delivered, 20);
+        assert!(!stats.hit_event_cap);
     }
 }
