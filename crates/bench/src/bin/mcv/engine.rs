@@ -127,13 +127,15 @@ fn smoke(seed: u64) -> bool {
         let report = mcv_trace::with_recorder(rec, || run_driver(&cfg));
         println!(
             "smoke {name:<8} committed={} serializable={} recovery={} bank={:?} \
-             forces/commits={}/{}",
+             forces/commits={}/{} admission={:.1}ms oracles={:.1}ms",
             report.committed,
             report.serializable,
             report.recovered_matches,
             report.bank_invariant_ok,
             report.forces,
             report.commits,
+            report.elapsed_ns as f64 / 1e6,
+            report.oracle_ns as f64 / 1e6,
         );
         if !report.oracles_ok() {
             eprintln!("smoke {name}: ORACLE VIOLATION");

@@ -379,7 +379,7 @@ pub fn run_pipeline(cfg: &PipelineConfig) -> PipelineOutcome {
     let net_tally = wiring.shutdown().expect("network thread panicked");
 
     let led = ledger.take();
-    let trace = rec.snapshot();
+    let trace = rec.take();
     // One WAL scan per engine; the tally and the oracles share it.
     let durable: Vec<BTreeSet<TxnId>> = engines.iter().map(Engine::committed_ids).collect();
     let mut committed = 0u64;

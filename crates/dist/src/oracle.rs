@@ -12,7 +12,7 @@ use crate::runtime::{DistConfig, DistStats, LedgerInner};
 use mcv_chaos::OracleResult;
 use mcv_engine::Engine;
 use mcv_txn::{TxnId, Wal};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Every dist oracle, in evaluation order.
 pub const DIST_ORACLE_NAMES: [&str; 8] = [
@@ -25,6 +25,50 @@ pub const DIST_ORACLE_NAMES: [&str; 8] = [
     "recovery",
     "causal_order",
 ];
+
+/// Atomicity: per transaction, the set of shard engines that durably
+/// committed it must not coexist with a shard that decided abort; and a
+/// shard-site commit decision must be backed by its engine's durable
+/// commit. `decided` holds each transaction's `(node, commit)`
+/// decisions in node order; `durable[i]` is shard `i + 1`'s durably
+/// committed set. Returns one line per violation, naming the
+/// transaction.
+fn atomicity(
+    txns: &[TxnId],
+    decided: &BTreeMap<u64, Vec<(usize, bool)>>,
+    durable: &[BTreeSet<TxnId>],
+) -> Vec<String> {
+    let mut bad = Vec::new();
+    for t in txns {
+        let committed_shards: Vec<usize> = durable
+            .iter()
+            .enumerate()
+            .filter(|(_, ids)| ids.contains(t))
+            .map(|(i, _)| i + 1)
+            .collect();
+        let decisions = decided.get(&t.0).map_or(&[][..], Vec::as_slice);
+        let abort_nodes: Vec<usize> = decisions
+            .iter()
+            .filter(|&&(node, commit)| !commit && node > 0)
+            .map(|&(n, _)| n)
+            .collect();
+        if !committed_shards.is_empty() && !abort_nodes.is_empty() {
+            bad.push(format!(
+                "T{}: committed at shard(s) {committed_shards:?} but aborted at node(s) {abort_nodes:?}",
+                t.0
+            ));
+        }
+        for &(node, commit) in decisions {
+            if commit && node > 0 && !committed_shards.contains(&node) {
+                bad.push(format!(
+                    "T{}: node {node} decided commit but its engine has no durable commit",
+                    t.0
+                ));
+            }
+        }
+    }
+    bad
+}
 
 fn result(name: &str, pass: bool, detail: String) -> OracleResult {
     mcv_obs::counter(&format!("dist.oracle.{name}.{}", if pass { "pass" } else { "fail" }), 1);
@@ -44,45 +88,21 @@ pub(crate) fn evaluate(
     let mut out = Vec::new();
     let txns = cfg.global_txns();
 
-    // Atomicity: per transaction, the set of shard engines that
-    // durably committed it must not coexist with a shard that decided
-    // abort; and a shard-site commit decision must be backed by its
-    // engine's durable commit.
-    {
-        let mut bad = Vec::new();
-        for t in &txns {
-            let committed_shards: Vec<usize> = durable
-                .iter()
-                .enumerate()
-                .filter(|(_, ids)| ids.contains(t))
-                .map(|(i, _)| i + 1)
-                .collect();
-            let abort_nodes: Vec<usize> = led
-                .decided
-                .iter()
-                .filter(|((node, txn), commit)| *txn == t.0 && !**commit && *node > 0)
-                .map(|((node, _), _)| *node)
-                .collect();
-            if !committed_shards.is_empty() && !abort_nodes.is_empty() {
-                bad.push(format!(
-                    "T{}: committed at shard(s) {committed_shards:?} but aborted at node(s) {abort_nodes:?}",
-                    t.0
-                ));
-            }
-            for ((node, txn), commit) in &led.decided {
-                if *txn == t.0 && *commit && *node > 0 && !committed_shards.contains(node) {
-                    bad.push(format!(
-                        "T{}: node {node} decided commit but its engine has no durable commit",
-                        t.0
-                    ));
-                }
-            }
+    // Every decision, grouped by transaction once; AC2 reuses it.
+    let by_txn = {
+        let _span = mcv_obs::Span::enter("dist.oracle.atomicity");
+        let mut by_txn: BTreeMap<u64, Vec<(usize, bool)>> = BTreeMap::new();
+        for (&(node, txn), &commit) in &led.decided {
+            by_txn.entry(txn).or_default().push((node, commit));
         }
+        let bad = atomicity(&txns, &by_txn, durable);
         out.push(result("atomicity", bad.is_empty(), bad.join("; ")));
-    }
+        by_txn
+    };
 
     // AC1 (agreement): every node that decides, decides the same way.
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.ac1_agreement");
         let detail = match mcv_commit::monitor::check_uniformity(&led.trace) {
             Ok(()) => String::new(),
             Err(vs) => vs
@@ -102,10 +122,11 @@ pub(crate) fn evaluate(
     // AC2 (validity): a no-vote forbids commit; a fault-free run with
     // only yes votes must commit everything.
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.ac2_validity");
         let mut bad = Vec::new();
         if cfg.vote_no.is_some() {
             for t in &txns {
-                if led.decided.iter().any(|((_, txn), commit)| *txn == t.0 && *commit) {
+                if by_txn.get(&t.0).is_some_and(|ds| ds.iter().any(|&(_, commit)| commit)) {
                     bad.push(format!("T{} committed despite a no vote", t.0));
                 }
             }
@@ -123,6 +144,7 @@ pub(crate) fn evaluate(
 
     // AC3 (stability): no node ever reverses a decision it made.
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.ac3_stability");
         let flips: Vec<String> = mcv_commit::monitor::flips(&led.trace)
             .iter()
             .map(|d| {
@@ -140,6 +162,7 @@ pub(crate) fn evaluate(
     // exemption the simulator's oracle grants via
     // `local_state(txn).is_none()`.
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.termination");
         let mut bad = Vec::new();
         if stats.timed_out {
             bad.push("deadline fired before the run settled".to_owned());
@@ -162,6 +185,7 @@ pub(crate) fn evaluate(
     // Serializability: each shard's sampled history must stay
     // conflict-serializable.
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.serializability");
         let bad: Vec<String> = engines
             .iter()
             .enumerate()
@@ -174,6 +198,7 @@ pub(crate) fn evaluate(
     // Recovery: replaying each shard's durable WAL image must
     // reproduce exactly its committed state.
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.recovery");
         let mut bad = Vec::new();
         for (i, e) in engines.iter().enumerate() {
             let recovered = Wal::recover_bytes(&e.durable_image());
@@ -198,6 +223,7 @@ pub(crate) fn evaluate(
     // (Deliver cites its Send, forces precede commit acks, Lamport
     // clocks monotone, ...).
     {
+        let _span = mcv_obs::Span::enter("dist.oracle.causal_order");
         let hb = mcv_trace::check(trace);
         let detail =
             hb.violations.iter().take(5).map(|v| v.to_string()).collect::<Vec<_>>().join("; ");
@@ -206,4 +232,35 @@ pub(crate) fn evaluate(
 
     debug_assert_eq!(out.len(), DIST_ORACLE_NAMES.len());
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(ts: &[u64]) -> BTreeSet<TxnId> {
+        ts.iter().map(|&t| TxnId(t)).collect()
+    }
+
+    #[test]
+    fn agreeing_shards_pass() {
+        let decided = BTreeMap::from([(7, vec![(0, true), (1, true), (2, true)])]);
+        assert!(atomicity(&[TxnId(7)], &decided, &[ids(&[7]), ids(&[7])]).is_empty());
+        let aborted = BTreeMap::from([(7, vec![(0, false), (1, false), (2, false)])]);
+        assert!(atomicity(&[TxnId(7)], &aborted, &[ids(&[]), ids(&[])]).is_empty());
+    }
+
+    #[test]
+    fn commit_at_one_shard_with_abort_at_another_fails() {
+        let decided = BTreeMap::from([(7, vec![(0, true), (1, true), (2, false)])]);
+        let bad = atomicity(&[TxnId(7), TxnId(8)], &decided, &[ids(&[7]), ids(&[])]);
+        assert_eq!(bad, ["T7: committed at shard(s) [1] but aborted at node(s) [2]"]);
+    }
+
+    #[test]
+    fn commit_decision_without_a_durable_commit_fails() {
+        let decided = BTreeMap::from([(9, vec![(0, true), (1, true), (2, true)])]);
+        let bad = atomicity(&[TxnId(9)], &decided, &[ids(&[9]), ids(&[])]);
+        assert_eq!(bad, ["T9: node 2 decided commit but its engine has no durable commit"]);
+    }
 }

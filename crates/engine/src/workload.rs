@@ -102,6 +102,8 @@ pub struct DriverReport {
     pub retries: u64,
     /// Wall-clock duration of the admission-to-quiesce window, ns.
     pub elapsed_ns: u64,
+    /// Wall-clock duration of the oracles run after it, ns.
+    pub oracle_ns: u64,
     /// Per-transaction commit latency, µs.
     pub latency_us: Histogram,
     /// Engine + driver metrics (`engine.*` counters, `wall.*` extras).
@@ -214,17 +216,25 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
         latency: Mutex::new(latency_histogram()),
         retries: AtomicU64::new(0),
     });
+    // Built once per run: a zipfian picker is an O(items) zeta sum.
+    let picker = Arc::new(match cfg.workload {
+        WorkloadKind::ReadWrite { mix: Mix::Zipfian { theta }, .. } => {
+            KeyPicker::zipfian(cfg.items, theta)
+        }
+        _ => KeyPicker::uniform(cfg.items),
+    });
     let pool = Pool::new(cfg.clients, cfg.clients * 2);
     let start = Instant::now();
     for i in 0..cfg.txns {
         let engine = engine.clone();
         let shared = Arc::clone(&shared);
+        let picker = Arc::clone(&picker);
         let spec_seed = cfg.seed ^ (i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
         let workload = cfg.workload;
         let items = cfg.items;
         pool.submit(move || {
             let t0 = Instant::now();
-            run_one(&engine, &shared, workload, items, spec_seed);
+            run_one(&engine, &shared, workload, &picker, items, spec_seed);
             let us = t0.elapsed().as_micros().min(u64::MAX as u128) as u64;
             shared.latency.lock().expect("latency mutex").record(us);
         });
@@ -233,6 +243,7 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
     let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
     // Oracles, on the quiesced engine.
+    let oracle_start = Instant::now();
     let history = engine.sampled_history();
     let serializable = history.is_conflict_serializable();
     let sampled_txns = history.transactions().len();
@@ -246,6 +257,7 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
             (0..cfg.items).map(|i| recovered.get(&item_name(i)).copied().unwrap_or(0)).sum();
         total == BANK_INITIAL_BALANCE * cfg.items as i64
     });
+    let oracle_ns = oracle_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
     let mut metrics = engine.metrics_snapshot();
     let retries = shared.retries.load(Ordering::Relaxed);
@@ -259,6 +271,7 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
         committed,
         retries,
         elapsed_ns,
+        oracle_ns,
         latency_us: latency,
         metrics,
         serializable,
@@ -279,13 +292,14 @@ fn run_one(
     engine: &Engine,
     shared: &DriverShared,
     workload: WorkloadKind,
+    picker: &KeyPicker,
     items: usize,
     seed: u64,
 ) {
     loop {
         let mut rng = StdRng::seed_from_u64(seed);
         let t = engine.begin();
-        match attempt(engine, t, &mut rng, workload, items) {
+        match attempt(t, &mut rng, workload, picker, items) {
             Ok(()) => return,
             Err(EngineError::Deadlock { .. } | EngineError::Certification { .. }) => {
                 shared.retries.fetch_add(1, Ordering::Relaxed);
@@ -296,18 +310,14 @@ fn run_one(
 }
 
 fn attempt(
-    _engine: &Engine,
     mut t: crate::engine::Txn,
     rng: &mut StdRng,
     workload: WorkloadKind,
+    picker: &KeyPicker,
     items: usize,
 ) -> Result<(), EngineError> {
     match workload {
-        WorkloadKind::ReadWrite { mix, write_pct, ops_per_txn } => {
-            let picker = match mix {
-                Mix::Zipfian { theta } => KeyPicker::zipfian(items, theta),
-                Mix::Uniform => KeyPicker::uniform(items),
-            };
+        WorkloadKind::ReadWrite { write_pct, ops_per_txn, .. } => {
             for _ in 0..ops_per_txn {
                 let name = item_name(picker.next(rng));
                 if rng.gen_range(0..100u8) < write_pct {

@@ -87,49 +87,69 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
     };
 
     let first_id = trace.events.first().map_or(0, |e| e.id);
-    let mut pos_of: BTreeMap<u64, usize> = BTreeMap::new();
+    // Where an earlier event sits, by id. While ids increase (the rule
+    // checked below) that is a binary search over the events already
+    // replayed, after one probe at the id's offset from the first id
+    // (a recorder numbers its events densely). A trace breaking the
+    // rule switches to a map of every id seen, so its remaining causes
+    // resolve as before.
+    let mut pos_of: Option<BTreeMap<u64, usize>> = None;
+    let lookup = |pos_of: &Option<BTreeMap<u64, usize>>, pos: usize, cid: u64| match pos_of {
+        None => {
+            let seen = &trace.events[..pos];
+            let dense = usize::try_from(cid.wrapping_sub(first_id)).ok();
+            dense
+                .filter(|&p| seen.get(p).is_some_and(|e| e.id == cid))
+                .or_else(|| seen.binary_search_by_key(&cid, |e| e.id).ok())
+        }
+        Some(map) => map.get(&cid).copied(),
+    };
     let mut last_id = 0u64;
-    let mut site_seq: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut site_lamport: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut deliver_seq: BTreeMap<usize, u64> = BTreeMap::new();
+    // Per site: the last sequence number, Lamport clock and delivery
+    // sequence number seen (0 = none yet).
+    let mut sites: BTreeMap<usize, [u64; 3]> = BTreeMap::new();
     // Per-(wal, txn) lsn of the txn's WAL commit record, and the
     // highest lsn forced so far per wal. Lsn spaces are per-log:
     // concurrent per-shard WALs (mcv-dist) overlap, so the global-max
     // shortcut is only sound when the trace contains a single wal.
     let mut commit_lsn: BTreeMap<(u64, u64), u64> = BTreeMap::new();
     let mut forced: BTreeMap<u64, u64> = BTreeMap::new();
-    let wal_ids: std::collections::BTreeSet<u64> = trace
-        .events
-        .iter()
-        .filter_map(|e| match &e.kind {
-            EventKind::WalAppend { wal, .. } | EventKind::WalForce { wal, .. } => Some(*wal),
-            _ => None,
-        })
-        .collect();
-    let multi_wal = wal_ids.len() > 1;
-    // Highest appended lsn per wal over the WHOLE trace (not just the
-    // prefix before a force): append and force come from different
-    // threads, so an append's trace event may legitimately land after
-    // the force that covered it. A force claiming an lsn no append
-    // anywhere in the trace reaches is corruption — lsns are record
-    // counts, so `forced_records` can never exceed them.
+    // Every wal the trace names, and the highest appended lsn per wal
+    // over the WHOLE trace (not just the prefix before a force): append
+    // and force come from different threads, so an append's trace event
+    // may legitimately land after the force that covered it. A force
+    // claiming an lsn no append anywhere in the trace reaches is
+    // corruption — lsns are record counts, so `forced_records` can
+    // never exceed them.
+    let mut wal_ids = std::collections::BTreeSet::new();
     let mut max_append: BTreeMap<u64, u64> = BTreeMap::new();
     for e in &trace.events {
-        if let EventKind::WalAppend { lsn, wal, .. } = &e.kind {
-            let m = max_append.entry(*wal).or_insert(0);
-            *m = (*m).max(*lsn);
+        match &e.kind {
+            EventKind::WalAppend { lsn, wal, .. } => {
+                wal_ids.insert(*wal);
+                let m = max_append.entry(*wal).or_insert(0);
+                *m = (*m).max(*lsn);
+            }
+            EventKind::WalForce { wal, .. } => {
+                wal_ids.insert(*wal);
+            }
+            _ => {}
         }
     }
+    let multi_wal = wal_ids.len() > 1;
 
     for (pos, e) in trace.events.iter().enumerate() {
         if e.id <= last_id {
             viol(Some(e.id), "cause_order", format!("event id not increasing (after {last_id})"));
+            pos_of.get_or_insert_with(|| {
+                trace.events[..pos].iter().enumerate().map(|(p, e)| (e.id, p)).collect()
+            });
         }
         last_id = e.id;
 
         // Per-site sequence numbers are contiguous; strict traces
         // start every site at 1.
-        let seq = site_seq.entry(e.site).or_insert(0);
+        let [seq, lam, deliver_seq] = sites.entry(e.site).or_default();
         if *seq == 0 {
             if strict && e.seq != 1 {
                 viol(
@@ -148,7 +168,6 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
         *seq = e.seq;
 
         // Lamport clocks are strictly monotone per site.
-        let lam = site_lamport.entry(e.site).or_insert(0);
         if e.lamport <= *lam {
             viol(
                 Some(e.id),
@@ -163,7 +182,7 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
         if let Some(cid) = e.cause {
             if cid >= e.id {
                 viol(Some(e.id), "cause_order", format!("cause {cid} does not precede event"));
-            } else if let Some(&cpos) = pos_of.get(&cid) {
+            } else if let Some(cpos) = lookup(&pos_of, pos, cid) {
                 let c: &Event = &trace.events[cpos];
                 if c.lamport >= e.lamport {
                     viol(
@@ -198,7 +217,7 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
 
         // Per-site delivery sequence numbers are contiguous.
         if let EventKind::Deliver { deliver_seq: ds, .. } = &e.kind {
-            let prev = deliver_seq.entry(e.site).or_insert(0);
+            let prev = deliver_seq;
             if *prev == 0 {
                 if strict && *ds != 1 {
                     viol(
@@ -251,8 +270,8 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
             EventKind::Commit { txn } => {
                 let cited_force = e
                     .cause
-                    .and_then(|cid| pos_of.get(&cid))
-                    .map(|&cpos| &trace.events[cpos])
+                    .and_then(|cid| lookup(&pos_of, pos, cid))
+                    .map(|cpos| &trace.events[cpos])
                     .and_then(|c| match &c.kind {
                         EventKind::WalForce { upto, wal } => Some((*upto, *wal)),
                         _ => None,
@@ -270,9 +289,8 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
                             );
                         }
                     }
-                } else if !multi_wal {
-                    if let Some((&(wal, _), &lsn)) = commit_lsn.iter().find(|((_, t), _)| t == txn)
-                    {
+                } else if let (false, Some(&wal)) = (multi_wal, wal_ids.first()) {
+                    if let Some(&lsn) = commit_lsn.get(&(wal, *txn)) {
                         let forced_upto = forced.get(&wal).copied().unwrap_or(0);
                         if forced_upto < lsn {
                             viol(
@@ -287,7 +305,9 @@ pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
             _ => {}
         }
 
-        pos_of.insert(e.id, pos);
+        if let Some(map) = &mut pos_of {
+            map.insert(e.id, pos);
+        }
     }
 
     HbReport { mode, checked: trace.events.len(), violations }
@@ -381,6 +401,23 @@ mod tests {
         t.events[2].seq = 5;
         let report = check(&t);
         assert!(report.violations.iter().any(|v| v.rule == "seq_contiguous"));
+    }
+
+    #[test]
+    fn causes_still_resolve_after_ids_stop_increasing() {
+        let ((), mut t) = record_trace(None, || {
+            for i in 0..4 {
+                emit(0, i, EventKind::Note { text: format!("n{i}") });
+            }
+        });
+        for (e, id) in t.events.iter_mut().zip([1, 5, 3, 4]) {
+            e.id = id;
+        }
+        // Event 3 sits behind event 5: only the id map finds it.
+        t.events[3].cause = Some(3);
+        let report = check(&t);
+        assert_eq!(report.violations.len(), 1, "{report:?}");
+        assert!(report.violations[0].detail.starts_with("event id not increasing"), "{report:?}");
     }
 
     #[test]

@@ -170,6 +170,20 @@ impl Recorder {
         let g = self.inner.lock().unwrap();
         CausalTrace { events: g.events.iter().cloned().collect(), dropped: g.dropped }
     }
+
+    /// Moves everything currently retained out, as [`snapshot`] would
+    /// copy it, and leaves the recorder empty: for a finished run whose
+    /// trace is read once. Recording may go on; the events taken count
+    /// as dropped, so a later snapshot is a window, not a full trace.
+    ///
+    /// [`snapshot`]: Recorder::snapshot
+    pub fn take(&self) -> CausalTrace {
+        let mut g = self.inner.lock().unwrap();
+        let trace =
+            CausalTrace { events: std::mem::take(&mut g.events).into(), dropped: g.dropped };
+        g.dropped += trace.events.len() as u64;
+        trace
+    }
 }
 
 thread_local! {
@@ -317,6 +331,20 @@ mod tests {
         });
         assert_eq!(trace.events[1].cause, Some(trace.events[0].id));
         assert_eq!(trace.events[2].cause, None);
+    }
+
+    #[test]
+    fn take_moves_the_trace_out() {
+        let rec = Recorder::unbounded();
+        rec.record(0, 0, None, EventKind::Note { text: "a".into() });
+        rec.record(0, 1, None, EventKind::Note { text: "b".into() });
+        let copied = rec.snapshot();
+        let taken = rec.take();
+        assert_eq!(taken, copied);
+        assert!(taken.complete());
+        rec.record(0, 2, None, EventKind::Note { text: "c".into() });
+        let rest = rec.snapshot();
+        assert_eq!((rest.len(), rest.dropped), (1, 2), "taken events count as dropped");
     }
 
     #[test]

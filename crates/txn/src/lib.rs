@@ -50,5 +50,5 @@ pub use locks::{
     shard_of, youngest_victim, ItemHasher, ItemMap, LockError, LockManager, LockMode, LockOutcome,
     LockTable, TryAcquire, WaitsFor,
 };
-pub use schedule::{History, Op, OpKind};
+pub use schedule::{ConflictGraph, History, Op, OpKind};
 pub use wal::{ForcedWal, LogRecord, Wal};

@@ -8,7 +8,8 @@
 //! the witness serial order is a topological sort.
 
 use crate::ids::{Item, TxnId};
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 
 /// Kind of an operation.
@@ -81,21 +82,47 @@ impl History {
         self.ops.iter().map(|o| o.txn).collect()
     }
 
-    /// Conflict edges `a → b` (`a`'s op precedes and conflicts with
-    /// `b`'s).
-    pub fn conflict_edges(&self) -> BTreeSet<(TxnId, TxnId)> {
-        let mut edges = BTreeSet::new();
-        for (i, a) in self.ops.iter().enumerate() {
-            for b in &self.ops[i + 1..] {
-                if a.txn != b.txn
-                    && a.item == b.item
-                    && (a.kind == OpKind::Write || b.kind == OpKind::Write)
-                {
-                    edges.insert((a.txn, b.txn));
+    /// The conflict graph, built in one pass over the operations.
+    ///
+    /// Per item it keeps the last writer and the readers since that
+    /// write. The last writer gets an edge to each later reader and to
+    /// the next writer; each reader since gets an edge to the next
+    /// writer; self-edges are skipped. Every such edge joins two
+    /// conflicting operations in history order, and every conflicting
+    /// pair is joined by a path of them, so the graph has the same
+    /// reachability as the all-pairs conflict graph — hence the same
+    /// cycles and the same topological orders — with at most two edges
+    /// per operation.
+    pub fn conflict_graph(&self) -> ConflictGraph {
+        let txns: Vec<TxnId> = self.transactions().into_iter().collect();
+        let index = |t: TxnId| txns.binary_search(&t).expect("txn of the history");
+        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); txns.len()];
+        let mut items: HashMap<&str, (Option<usize>, Vec<usize>)> = HashMap::new();
+        for o in &self.ops {
+            let t = index(o.txn);
+            let (last_writer, readers) = items.entry(o.item.as_str()).or_default();
+            if let Some(w) = *last_writer {
+                if w != t {
+                    succ[w].push(t);
+                }
+            }
+            match o.kind {
+                OpKind::Read => {
+                    if readers.last() != Some(&t) {
+                        readers.push(t);
+                    }
+                }
+                OpKind::Write => {
+                    for r in readers.drain(..) {
+                        if r != t {
+                            succ[r].push(t);
+                        }
+                    }
+                    *last_writer = Some(t);
                 }
             }
         }
-        edges
+        ConflictGraph { txns, succ }
     }
 
     /// Whether the conflict graph is acyclic.
@@ -106,33 +133,45 @@ impl History {
     /// A serial order witnessing serializability, if one exists
     /// (topological sort of the conflict graph; ties broken by id).
     pub fn equivalent_serial_order(&self) -> Option<Vec<TxnId>> {
-        let txns = self.transactions();
-        let edges = self.conflict_edges();
-        let mut indegree: BTreeMap<TxnId, usize> = txns.iter().map(|t| (*t, 0)).collect();
-        for (_, b) in &edges {
-            *indegree.get_mut(b).expect("edge endpoints in txns") += 1;
+        self.conflict_graph().serial_order()
+    }
+}
+
+/// A history's conflict graph: nodes are its transactions in id order,
+/// `succ[i]` lists the targets of `txns[i]`'s edges (with repeats when
+/// several items link the same pair). See [`History::conflict_graph`].
+#[derive(Debug)]
+pub struct ConflictGraph {
+    txns: Vec<TxnId>,
+    succ: Vec<Vec<usize>>,
+}
+
+impl ConflictGraph {
+    /// Number of edges, repeats included.
+    pub fn edge_count(&self) -> usize {
+        self.succ.iter().map(Vec::len).sum()
+    }
+
+    /// Kahn's algorithm, always taking the smallest ready id: the least
+    /// topological order, or `None` on a cycle.
+    pub fn serial_order(&self) -> Option<Vec<TxnId>> {
+        let mut indegree = vec![0usize; self.txns.len()];
+        for &b in self.succ.iter().flatten() {
+            indegree[b] += 1;
         }
-        let mut order = Vec::new();
-        let mut ready: BTreeSet<TxnId> =
-            indegree.iter().filter(|(_, d)| **d == 0).map(|(t, _)| *t).collect();
-        while let Some(&t) = ready.iter().next() {
-            ready.remove(&t);
-            order.push(t);
-            for (a, b) in &edges {
-                if *a == t {
-                    let d = indegree.get_mut(b).expect("endpoint");
-                    *d -= 1;
-                    if *d == 0 {
-                        ready.insert(*b);
-                    }
+        let mut ready: BinaryHeap<Reverse<usize>> =
+            (0..self.txns.len()).filter(|&t| indegree[t] == 0).map(Reverse).collect();
+        let mut order = Vec::with_capacity(self.txns.len());
+        while let Some(Reverse(t)) = ready.pop() {
+            order.push(self.txns[t]);
+            for &b in &self.succ[t] {
+                indegree[b] -= 1;
+                if indegree[b] == 0 {
+                    ready.push(Reverse(b));
                 }
             }
         }
-        if order.len() == txns.len() {
-            Some(order)
-        } else {
-            None
-        }
+        (order.len() == self.txns.len()).then_some(order)
     }
 }
 
@@ -256,7 +295,7 @@ mod tests {
         h.push(TxnId(1), "X", OpKind::Read);
         h.push(TxnId(2), "X", OpKind::Read);
         h.push(TxnId(1), "X", OpKind::Read);
-        assert!(h.conflict_edges().is_empty());
+        assert_eq!(h.conflict_graph().edge_count(), 0);
         assert!(h.is_conflict_serializable());
     }
 
