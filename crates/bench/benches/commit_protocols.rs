@@ -1,6 +1,7 @@
 //! 2PC vs 3PC cost: end-to-end scenario latency and message counts
 //! across cohort counts and failure scenarios (the exp.nb / exp.msg
-//! experiments under Criterion's statistics).
+//! experiments under Criterion's statistics), and the cost of
+//! exploring every execution of the sites at `repro fig3.2`'s bound.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcv_commit::{run_scenario, CrashPoint, Protocol, Scenario};
@@ -48,18 +49,16 @@ fn bench_coordinator_failure(c: &mut Criterion) {
 }
 
 fn bench_model_checker(c: &mut Criterion) {
-    use mcv_commit::fsm::{check, ModelConfig};
+    use mcv_chaos::{explore, FaultBudget};
     let mut group = c.benchmark_group("commit/model-check");
-    for cohorts in [1usize, 2, 3, 4] {
-        group.bench_with_input(BenchmarkId::new("termination", cohorts), &cohorts, |b, &k| {
-            b.iter(|| {
-                check(&ModelConfig {
-                    cohorts: k,
-                    naive_timeouts: false,
-                    synchronous: true,
-                    coordinator_recovery: true,
-                })
-            })
+    group.sample_size(10);
+    // `repro fig3.2`'s synchronous termination row: hops of one tick
+    // against a ten-tick timeout, the coordinator crashing anywhere.
+    for cohorts in [1usize, 2] {
+        let sc = Scenario { n_cohorts: cohorts, timeout: 10, ..Scenario::default() };
+        let budget = FaultBudget { crash: vec![0], partition: Vec::new(), delta: 1 };
+        group.bench_with_input(BenchmarkId::new("termination", cohorts), &cohorts, |b, _| {
+            b.iter(|| assert!(explore(&sc, &budget).is_safe()))
         });
     }
     group.finish();

@@ -33,6 +33,7 @@
 mod anomaly;
 mod artifact;
 mod campaign;
+mod explore;
 mod oracle;
 mod runner;
 mod schedule;
@@ -44,6 +45,7 @@ pub use anomaly::{
 };
 pub use artifact::{replay_command, Artifact};
 pub use campaign::{Campaign, CampaignSummary, Target, Violation};
+pub use explore::{explore, Counterexample, Exploration, FaultBudget};
 pub use mcv_sim::{CutKind, FaultEvent};
 pub use oracle::{OracleResult, ORACLE_NAMES};
 pub use runner::{run_chaos, ChaosConfig, ChaosOutcome, FLIGHT_RECORDER_CAP};

@@ -7,9 +7,8 @@
 //! axioms: conflict-serializability of every site history and
 //! WAL-recovery consistency.
 
-use crate::runner::ChaosConfig;
 use mcv_commit::monitor::{check_uniformity, decisions, flips};
-use mcv_commit::{Msg, Site};
+use mcv_commit::{Msg, Scenario, Site};
 use mcv_sim::{ProcId, World};
 use mcv_txn::{TxnId, Wal};
 
@@ -53,18 +52,21 @@ pub const ORACLE_NAMES: &[&str] = &[
     "causal_order",
 ];
 
-/// Evaluates every oracle over the finished world. `wal_damage` holds
-/// violations the runner detected at torn-write injection time;
-/// `trace` is the run's causal event trace (possibly a flight-recorder
-/// window).
+/// Evaluates every oracle over the finished world of scenario `sc`.
+/// `faulted` says whether the run deviated from the thesis' failure
+/// model (a fault was injected, or hops could outlast the timeout);
+/// `wal_damage` holds violations the runner detected at torn-write
+/// injection time; `trace` is the run's causal event trace (possibly a
+/// flight-recorder window).
 pub fn evaluate(
     world: &World<Msg, Site>,
-    cfg: &ChaosConfig,
+    sc: &Scenario,
+    faulted: bool,
     wal_damage: &[String],
     trace: &mcv_trace::CausalTrace,
 ) -> Vec<OracleResult> {
     let ds = decisions(world.trace());
-    let txns: Vec<TxnId> = (1..=cfg.n_transactions.max(1) as u64).map(TxnId).collect();
+    let txns: Vec<TxnId> = (1..=sc.n_transactions.max(1) as u64).map(TxnId).collect();
     let mut out = Vec::new();
 
     // AC1 — agreement: no two sites decide differently on the same
@@ -88,11 +90,11 @@ pub fn evaluate(
     // AC2 — validity: commit is only possible if every cohort voted
     // yes; and a fault-free unanimous-yes run must commit.
     let mut validity = Vec::new();
-    if cfg.vote_no_cohort.is_some() {
+    if sc.vote_no_cohort.is_some() {
         for d in ds.iter().filter(|d| d.commit) {
             validity.push(format!("{} committed {} despite a no vote", d.site, d.txn));
         }
-    } else if cfg.schedule.is_empty() {
+    } else if !faulted {
         for t in &txns {
             if !ds.iter().any(|d| d.txn == *t && d.commit) {
                 validity.push(format!("fault-free unanimous-yes run did not commit {t}"));

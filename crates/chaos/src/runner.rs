@@ -213,7 +213,7 @@ fn run_chaos_traced(cfg: &ChaosConfig, rec: &Arc<mcv_trace::Recorder>) -> ChaosO
     let stats = world.run_until(SimTime::from_ticks(cfg.deadline));
 
     let trace = rec.snapshot();
-    let oracles = evaluate(&world, cfg, &wal_damage, &trace);
+    let oracles = evaluate(&world, &sc, !cfg.schedule.is_empty(), &wal_damage, &trace);
     let fingerprint = fingerprint(&world, &stats);
     ChaosOutcome { stats, oracles, fingerprint, trace }
 }

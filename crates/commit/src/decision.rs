@@ -17,7 +17,7 @@ use std::fmt;
 
 /// A snapshot of the local states of (a subset of) the sites for one
 /// transaction — the thesis' *global state vector*.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct GlobalState {
     states: BTreeMap<ProcId, LocalState>,
 }

@@ -10,7 +10,7 @@ use mcv_txn::TxnId;
 use std::collections::BTreeMap;
 
 /// Scenario configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Scenario {
     /// Which protocol to run.
     pub protocol: Protocol,
@@ -105,29 +105,22 @@ pub fn build_world(sc: &Scenario) -> World<Msg, Site> {
                 .collect(),
         })
         .collect();
-    // Coordinator.
-    world.add_process(Site::new(SiteConfig {
-        protocol: sc.protocol,
-        coordinator,
-        timeout: sc.timeout,
-        crash_at: sc.coordinator_crash,
-        vote_no: false,
-        plans,
-        naive_timeouts: sc.naive_timeouts,
-        quorum_termination: sc.quorum_termination,
-    }));
-    // Cohorts.
-    for (i, _) in cohort_ids.iter().enumerate() {
-        world.add_process(Site::new(SiteConfig {
+    let site = |crash_at, vote_no, plans| {
+        Site::new(SiteConfig {
             protocol: sc.protocol,
             coordinator,
             timeout: sc.timeout,
-            crash_at: sc.cohort_crash.and_then(|(idx, cp)| (idx == i).then_some(cp)),
-            vote_no: sc.vote_no_cohort == Some(i),
-            plans: Vec::new(),
+            crash_at,
+            vote_no,
+            plans,
             naive_timeouts: sc.naive_timeouts,
             quorum_termination: sc.quorum_termination,
-        }));
+        })
+    };
+    world.add_process(site(sc.coordinator_crash, false, plans));
+    for i in 0..cohort_ids.len() {
+        let crash_at = sc.cohort_crash.and_then(|(idx, cp)| (idx == i).then_some(cp));
+        world.add_process(site(crash_at, sc.vote_no_cohort == Some(i), Vec::new()));
     }
     if let Some((side, from, until)) = &sc.partition {
         let side = side.iter().map(|i| i + 1).collect();

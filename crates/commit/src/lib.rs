@@ -12,12 +12,13 @@
 //!   and recovery (via `mcv-txn`);
 //! - [`Scenario`]/[`run_scenario`] — a failure-injection harness
 //!   measuring atomicity, blocking and message cost;
-//! - [`fsm`] — an exhaustive model checker for the Figure 3.2
-//!   automaton, reproducing when its naive timeout transitions are
-//!   safe (one cohort) and when they split-brain (two or more);
 //! - [`GlobalState`]/[`termination_decision`] — the snapshot vector and
 //!   decision rules;
 //! - trace [monitors](monitor) for the three global properties.
+//!
+//! `mcv-chaos` explores every execution of a [`Scenario`]'s sites
+//! within a fault budget (`mcv_chaos::explore`); `mcv repro fig3.2`
+//! builds the Figure 3.2 automaton and its verdicts from that search.
 //!
 //! # Examples
 //!
@@ -38,7 +39,6 @@
 #![warn(missing_docs)]
 
 mod decision;
-pub mod fsm;
 mod harness;
 pub mod monitor;
 mod msg;
@@ -47,4 +47,4 @@ mod site;
 pub use decision::{termination_decision, GlobalState};
 pub use harness::{build_world, run_scenario, Report, Scenario, TXN};
 pub use msg::{CrashPoint, LocalState, Msg, Protocol};
-pub use site::{LocalStore, Site, SiteConfig, SiteMetrics, TxnPlan};
+pub use site::{LocalStore, Site, SiteConfig, TxnPlan};

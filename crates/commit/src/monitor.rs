@@ -99,17 +99,6 @@ pub fn check_uniformity(trace: &Trace) -> Result<(), Vec<UniformityViolation>> {
     }
 }
 
-/// The outcome agreed by the sites that decided `txn`, if uniform.
-pub fn agreed_outcome(trace: &Trace, txn: TxnId) -> Option<bool> {
-    let ds: Vec<bool> =
-        decisions(trace).into_iter().filter(|d| d.txn == txn).map(|d| d.commit).collect();
-    match ds.split_first() {
-        None => None,
-        Some((first, rest)) if rest.iter().all(|b| b == first) => Some(*first),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -149,9 +138,6 @@ mod tests {
         let t =
             trace_with(&[decided(3, 1, 7, true), decided(4, 2, 7, true), decided(5, 0, 8, false)]);
         assert!(check_uniformity(&t).is_ok());
-        assert_eq!(agreed_outcome(&t, TxnId(7)), Some(true));
-        assert_eq!(agreed_outcome(&t, TxnId(8)), Some(false));
-        assert_eq!(agreed_outcome(&t, TxnId(9)), None);
         assert!(flips(&t).is_empty());
         let flipped = trace_with(&[decided(3, 1, 7, true), decided(4, 1, 7, false)]);
         assert_eq!(flips(&flipped), decisions(&flipped)[1..]);
@@ -192,6 +178,5 @@ mod tests {
         assert_eq!(ds.len(), 1, "only the typed commit is a decision: {ds:?}");
         assert_eq!((ds[0].site, ds[0].commit), (ProcId(1), true));
         assert!(check_uniformity(w.trace()).is_ok());
-        assert_eq!(agreed_outcome(w.trace(), TxnId(7)), Some(true));
     }
 }

@@ -52,7 +52,7 @@ impl fmt::Display for LocalState {
 }
 
 /// Messages exchanged by the commit protocols (Figures 3.1–3.2).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum Msg {
     /// Master → cohort: execute this piece of work (Figure 3.1).
     StartWork {

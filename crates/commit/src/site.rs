@@ -84,7 +84,7 @@ impl Default for SiteConfig {
 }
 
 /// Volatile per-transaction protocol state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Hash)]
 struct TxnState {
     state: Option<LocalState>,
     work_ok: bool,
@@ -96,27 +96,6 @@ struct TxnState {
     is_backup: bool,
     prepare_retried: bool,
     collected: GlobalState,
-}
-
-/// Observability: when and how each transaction was decided locally,
-/// and blocking intervals (metrics only — not protocol state, so it is
-/// not wiped on crash).
-#[derive(Debug, Clone, Default)]
-pub struct SiteMetrics {
-    /// First durable local decision: `txn → (time, committed)`.
-    pub decisions: BTreeMap<TxnId, (SimTime, bool)>,
-    /// When the site first found itself blocked per transaction.
-    pub blocked_since: BTreeMap<TxnId, SimTime>,
-    /// Accumulated blocked duration (filled when the block resolves).
-    pub blocked_for: BTreeMap<TxnId, SimTime>,
-}
-
-impl SiteMetrics {
-    /// Whether the site is still blocked on `txn` (blocked and never
-    /// decided).
-    pub fn is_blocked(&self, txn: TxnId) -> bool {
-        self.blocked_since.contains_key(&txn) && !self.decisions.contains_key(&txn)
-    }
 }
 
 /// The transactional storage a [`Site`] drives: what the commit FSM
@@ -193,9 +172,6 @@ pub struct Site<S = SiteDb> {
     stable_state: BTreeMap<TxnId, LocalState>,
     /// Volatile per-transaction state. Wiped on crash.
     tstate: BTreeMap<TxnId, TxnState>,
-    /// Metrics (observer-only).
-    pub metrics: SiteMetrics,
-    me: Option<ProcId>,
 }
 
 impl Site<SiteDb> {
@@ -208,14 +184,7 @@ impl Site<SiteDb> {
 impl<S: LocalStore> Site<S> {
     /// A new site driving an arbitrary [`LocalStore`].
     pub fn with_store(cfg: SiteConfig, store: S) -> Self {
-        Site {
-            cfg,
-            db: store,
-            stable_state: BTreeMap::new(),
-            tstate: BTreeMap::new(),
-            metrics: SiteMetrics::default(),
-            me: None,
-        }
+        Site { cfg, db: store, stable_state: BTreeMap::new(), tstate: BTreeMap::new() }
     }
 
     /// This site's current protocol state for `txn`.
@@ -262,12 +231,6 @@ impl<S: LocalStore> Site<S> {
         } else {
             EventKind::Abort { txn: txn.0 }
         });
-        if let std::collections::btree_map::Entry::Vacant(e) = self.metrics.decisions.entry(txn) {
-            e.insert((ctx.now(), commit));
-            if let Some(since) = self.metrics.blocked_since.get(&txn) {
-                self.metrics.blocked_for.insert(txn, ctx.now().saturating_sub(*since));
-            }
-        }
         // Decisions cancel all pending timers of this transaction.
         for phase in [
             Phase::WorkDone,
@@ -369,6 +332,22 @@ impl<S: LocalStore> Site<S> {
         self.broadcast_decision(ctx, txn, decision);
     }
 
+    /// Asks every other site for the outcome of `txn`, again on each
+    /// timeout until one answers.
+    fn ask_decision(&self, ctx: &mut Ctx<Msg>, txn: TxnId) {
+        ctx.broadcast(Msg::DecisionReq { txn });
+        ctx.set_timer(self.timeout(), token(txn, Phase::DecisionReqWait));
+    }
+
+    /// Sends `to` this site's decision on `txn`; `false` if undecided.
+    fn tell_decision(&self, ctx: &mut Ctx<Msg>, to: ProcId, txn: TxnId) -> bool {
+        let decided = self.local_state(txn).filter(|s| s.is_final());
+        if let Some(s) = decided {
+            ctx.send(to, Msg::DecisionResp { txn, commit: s == LocalState::Committed });
+        }
+        decided.is_some()
+    }
+
     // ----- coordinator handlers -----
 
     fn coord_start(&mut self, ctx: &mut Ctx<Msg>) {
@@ -396,10 +375,13 @@ impl<S: LocalStore> Site<S> {
 
     fn coord_on_workdone(&mut self, ctx: &mut Ctx<Msg>, from: ProcId, txn: TxnId, ok: bool) {
         let n_cohorts = self.cohorts(ctx).len();
-        let t = self.tstate.entry(txn).or_default();
-        if t.state.is_some_and(|s| s != LocalState::Initial) {
+        // The stable state counts too: a late WorkDone must not reopen a
+        // transaction the coordinator decided before a crash (the edge
+        // a1 → w1, found by the state-space explorer).
+        if self.local_state(txn).is_some_and(|s| s != LocalState::Initial) {
             return;
         }
+        let t = self.tstate.entry(txn).or_default();
         if !ok {
             t.work_failed = true;
         }
@@ -587,16 +569,24 @@ impl<S: LocalStore> Site<S> {
     }
 }
 
+/// The state digest: the protocol state, stable and volatile. The
+/// configuration is fixed for a run and the database follows from the
+/// protocol state, so neither counts.
+impl<S> std::hash::Hash for Site<S> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.stable_state.hash(state);
+        self.tstate.hash(state);
+    }
+}
+
 impl<S: LocalStore> Process<Msg> for Site<S> {
     fn on_start(&mut self, ctx: &mut Ctx<Msg>) {
-        self.me = Some(ctx.id());
         if self.is_coordinator(ctx) {
             self.coord_start(ctx);
         }
     }
 
     fn on_message(&mut self, ctx: &mut Ctx<Msg>, from: ProcId, msg: Msg) {
-        self.me = Some(ctx.id());
         let txn = msg.txn();
         match msg {
             Msg::StartWork { writes, .. } => self.cohort_on_startwork(ctx, from, txn, writes),
@@ -615,9 +605,7 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
                 // elections without ever announcing anything, and the
                 // undecided site livelocks; found by the chaos
                 // campaign's termination oracle.)
-                if let Some(s) = self.local_state(txn).filter(|s| s.is_final()) {
-                    let commit = s == LocalState::Committed;
-                    ctx.send(from, Msg::DecisionResp { txn, commit });
+                if self.tell_decision(ctx, from, txn) {
                     return;
                 }
                 // Lowest id wins: veto and run our own election.
@@ -641,19 +629,7 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
             }
             Msg::StateReq { .. } => self.on_state_req(ctx, from, txn),
             Msg::StateResp { state, .. } => self.on_state_resp(ctx, from, txn, state),
-            Msg::DecisionReq { .. } => {
-                if let Some(s) = self.local_state(txn) {
-                    match s {
-                        LocalState::Committed => {
-                            ctx.send(from, Msg::DecisionResp { txn, commit: true })
-                        }
-                        LocalState::Aborted => {
-                            ctx.send(from, Msg::DecisionResp { txn, commit: false })
-                        }
-                        _ => {}
-                    }
-                }
-            }
+            Msg::DecisionReq { .. } => _ = self.tell_decision(ctx, from, txn),
             Msg::DecisionResp { commit, .. } => {
                 if !self.local_state(txn).is_some_and(|s| s.is_final()) {
                     ctx.cancel_timer(token(txn, Phase::DecisionReqWait));
@@ -664,7 +640,6 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<Msg>, t: TimerToken) {
-        self.me = Some(ctx.id());
         let (txn, phase) = untoken(t);
         if self.local_state(txn).is_some_and(|s| s.is_final()) {
             return;
@@ -733,12 +708,7 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
                     Protocol::TwoPhase => {
                         // Voted yes, no decision: BLOCKED. Hold locks and
                         // keep waiting — the defining 2PC weakness.
-                        if let std::collections::btree_map::Entry::Vacant(e) =
-                            self.metrics.blocked_since.entry(txn)
-                        {
-                            e.insert(ctx.now());
-                            ctx.note(format!("blocked {txn}"));
-                        }
+                        ctx.note(format!("blocked {txn}"));
                         ctx.set_timer(self.timeout(), token(txn, Phase::BlockedProbe));
                     }
                 }
@@ -775,24 +745,15 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
                 // failure transition (thesis: fail in w2 → abort; fail in
                 // p → commit-side is resolved by peers, so default abort
                 // only from w2/q).
+                let quorum = self.cfg.quorum_termination;
                 match self.stable_state.get(&txn).copied() {
-                    Some(LocalState::Wait) if self.cfg.quorum_termination => {
-                        // A yes-voter must not guess after recovery: its
-                        // vote may have enabled a commit whose decision
-                        // replies were lost (found by the chaos
-                        // campaign's agreement oracle). Keep asking,
-                        // like the prepared case.
-                        ctx.broadcast(Msg::DecisionReq { txn });
-                        ctx.set_timer(self.timeout(), token(txn, Phase::DecisionReqWait));
-                    }
-                    Some(LocalState::Wait) | Some(LocalState::Initial) => {
-                        self.decide(ctx, txn, false)
-                    }
-                    Some(LocalState::Prepared) => {
-                        // Keep asking: a prepared site must not guess.
-                        ctx.broadcast(Msg::DecisionReq { txn });
-                        ctx.set_timer(self.timeout(), token(txn, Phase::DecisionReqWait));
-                    }
+                    Some(LocalState::Initial) => self.decide(ctx, txn, false),
+                    Some(LocalState::Wait) if !quorum => self.decide(ctx, txn, false),
+                    // A prepared site must not guess, nor under quorum
+                    // termination may a yes-voter: its vote may have
+                    // enabled a commit whose decision replies were lost
+                    // (found by the chaos campaign's agreement oracle).
+                    Some(LocalState::Wait | LocalState::Prepared) => self.ask_decision(ctx, txn),
                     _ => {}
                 }
             }
@@ -807,7 +768,6 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<Msg>) {
-        self.me = Some(ctx.id());
         ctx.note("recovering".to_string());
         self.db.recover();
         let pending: Vec<(TxnId, LocalState)> = self
@@ -816,21 +776,23 @@ impl<S: LocalStore> Process<Msg> for Site<S> {
             .filter(|(_, s)| !s.is_final())
             .map(|(t, s)| (*t, *s))
             .collect();
+        let coordinator = ctx.id() == self.cfg.coordinator;
         for (txn, s) in pending {
-            if ctx.id() == self.cfg.coordinator {
+            match s {
                 // Failure transitions of Figure 3.2: w1 → abort on
                 // recovery; p1 → commit on recovery.
-                match s {
-                    LocalState::Initial | LocalState::Wait => {
-                        self.broadcast_decision(ctx, txn, false)
-                    }
-                    LocalState::Prepared => self.broadcast_decision(ctx, txn, true),
-                    _ => {}
+                LocalState::Initial | LocalState::Wait if coordinator => {
+                    self.broadcast_decision(ctx, txn, false)
                 }
-            } else {
-                // Cohort: ask the others for the outcome first.
-                ctx.broadcast(Msg::DecisionReq { txn });
-                ctx.set_timer(self.timeout(), token(txn, Phase::DecisionReqWait));
+                // Under quorum termination the cohorts may already have
+                // terminated to abort by quorum while this coordinator
+                // was down or cut off in p1: it asks, as a cohort does
+                // (split brain found by the state-space explorer).
+                LocalState::Prepared if coordinator && !self.cfg.quorum_termination => {
+                    self.broadcast_decision(ctx, txn, true)
+                }
+                // Ask the others for the outcome first.
+                _ => self.ask_decision(ctx, txn),
             }
         }
     }
@@ -853,14 +815,5 @@ mod tests {
         let c = SiteConfig::default();
         assert_eq!(c.protocol, Protocol::ThreePhase);
         assert!(!c.naive_timeouts);
-    }
-
-    #[test]
-    fn metrics_blocked_logic() {
-        let mut m = SiteMetrics::default();
-        m.blocked_since.insert(TxnId(1), SimTime::from_ticks(10));
-        assert!(m.is_blocked(TxnId(1)));
-        m.decisions.insert(TxnId(1), (SimTime::from_ticks(20), true));
-        assert!(!m.is_blocked(TxnId(1)));
     }
 }

@@ -52,4 +52,4 @@ pub use net::{CutKind, Fate, FaultEvent, Hop, LinkCore};
 pub use process::{Ctx, Effects, Process, TimerToken};
 pub use time::{ProcId, SimTime};
 pub use trace::{Trace, TraceEntry};
-pub use world::{RunStats, World, WorldConfig};
+pub use world::{Pending, RunStats, World, WorldConfig};

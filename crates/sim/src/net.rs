@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// Which directions a partition cuts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum CutKind {
     /// Symmetric cut.
     Both,
@@ -263,6 +263,14 @@ impl LinkCore {
     pub fn add_window(&mut self, ev: &FaultEvent) {
         if ev.window().is_some() {
             self.windows.push(ev.clone());
+        }
+    }
+
+    /// Ends every window at `now` (host units) that has not ended.
+    pub fn heal(&mut self, now: u64) {
+        let tick = now / self.unit.max(1);
+        for w in self.windows.iter_mut().filter(|w| w.ends_at() > tick) {
+            *w = w.with_until(tick);
         }
     }
 

@@ -98,13 +98,6 @@ impl<M> Ctx<M> {
         }
     }
 
-    /// Moves the context clock forward (external drivers only; the
-    /// simulator constructs a fresh context per event instead).
-    pub fn advance_to(&mut self, now: SimTime) {
-        self.now = now;
-        self.local_now = now;
-    }
-
     /// Sends `msg` to `to` (delivery subject to the network model).
     pub fn send(&mut self, to: ProcId, msg: M) {
         self.sends.push((to, msg));

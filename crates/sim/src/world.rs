@@ -7,7 +7,9 @@ use crate::time::{ProcId, SimTime};
 use crate::trace::Trace;
 use mcv_trace::{Cause, EventKind};
 use std::cmp::Reverse;
+use std::collections::hash_map::DefaultHasher;
 use std::collections::BinaryHeap;
+use std::hash::{Hash, Hasher};
 
 type LiveTimers = std::collections::BTreeSet<(ProcId, TimerToken, u64)>;
 
@@ -42,7 +44,7 @@ type SendTag = Option<(Cause, String)>;
 #[derive(Debug)]
 enum Due<M> {
     Start(ProcId),
-    Deliver { from: ProcId, to: ProcId, msg: M, sent: SendTag },
+    Deliver { from: ProcId, to: ProcId, msg: M, sent: SendTag, at: SimTime },
     Timer { proc: ProcId, token: TimerToken, tid: u64, set: Option<Cause> },
     Crash(ProcId),
     Recover(ProcId),
@@ -70,6 +72,15 @@ impl<M> Ord for Event<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         (self.time, self.seq).cmp(&(other.time, other.seq))
     }
+}
+
+/// An event a scheduler may run now: see [`World::choices`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Pending {
+    /// The event's identity in the queue.
+    pub seq: u64,
+    /// The process it happens to.
+    pub proc: ProcId,
 }
 
 /// Summary statistics of a run.
@@ -286,7 +297,9 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             )
             .map(|cause| (cause, label));
             for hop in [Some(first), dup].into_iter().flatten() {
-                let deliver = Due::Deliver { from: id, to, msg: msg.clone(), sent: sent.clone() };
+                let at = self.time;
+                let deliver =
+                    Due::Deliver { from: id, to, msg: msg.clone(), sent: sent.clone(), at };
                 self.push(SimTime::from_ticks(hop.due), deliver);
             }
         }
@@ -331,23 +344,23 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
         let Some(Reverse(ev)) = self.queue.pop() else {
             return false;
         };
+        self.run_event(ev)
+    }
+
+    /// Runs one dequeued event at its `time`; `false` when the run
+    /// must end (a stop request or the event cap).
+    fn run_event(&mut self, ev: Event<M>) -> bool {
         self.time = ev.time;
         self.stats.events += 1;
         mcv_obs::counter("sim.events", 1);
         self.stats.end_time = self.time;
-        let n = self.procs.len();
-        let drift = |cfg: &WorldConfig, id: ProcId| cfg.drift.get(id.0).copied().unwrap_or(0.0);
-        let local = |cfg: &WorldConfig, id: ProcId, t: SimTime| {
-            SimTime::from_ticks((t.ticks() as f64 * (1.0 + drift(cfg, id))).round() as u64)
-        };
         let stop = match ev.kind {
             Due::Start(id) => {
-                let mut ctx =
-                    Ctx::new(id, n, self.time).with_local(local(&self.config, id, self.time));
+                let mut ctx = self.ctx(id);
                 self.procs[id.0].on_start(&mut ctx);
                 self.apply_ctx(id, ctx)
             }
-            Due::Deliver { from, to, msg, sent } => {
+            Due::Deliver { from, to, msg, sent, .. } => {
                 if !self.up[to.0] {
                     self.stats.messages_dropped += 1;
                     mcv_obs::counter("sim.dropped", 1);
@@ -366,8 +379,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                         EventKind::Deliver { from: from.0, label, deliver_seq: seq },
                     );
                     let prev = mcv_trace::set_context(delivered);
-                    let mut ctx =
-                        Ctx::new(to, n, self.time).with_local(local(&self.config, to, self.time));
+                    let mut ctx = self.ctx(to);
                     self.procs[to.0].on_message(&mut ctx, from, msg);
                     let stop = self.apply_ctx(to, ctx);
                     mcv_trace::set_context(prev);
@@ -380,11 +392,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                     mcv_obs::counter("sim.timer_fires", 1);
                     let fired = self.record(proc, set, EventKind::TimerFire { token });
                     let prev = mcv_trace::set_context(fired);
-                    let mut ctx = Ctx::new(proc, n, self.time).with_local(local(
-                        &self.config,
-                        proc,
-                        self.time,
-                    ));
+                    let mut ctx = self.ctx(proc);
                     self.procs[proc.0].on_timer(&mut ctx, token);
                     let stop = self.apply_ctx(proc, ctx);
                     mcv_trace::set_context(prev);
@@ -397,21 +405,7 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
                 self.crash(id, mcv_trace::context());
                 false
             }
-            Due::Recover(id) => {
-                if !self.up[id.0] {
-                    self.up[id.0] = true;
-                    let recovered = self.record(id, mcv_trace::context(), EventKind::Recover);
-                    let prev = mcv_trace::set_context(recovered);
-                    let mut ctx =
-                        Ctx::new(id, n, self.time).with_local(local(&self.config, id, self.time));
-                    self.procs[id.0].on_recover(&mut ctx);
-                    let stop = self.apply_ctx(id, ctx);
-                    mcv_trace::set_context(prev);
-                    stop
-                } else {
-                    false
-                }
-            }
+            Due::Recover(id) => self.recover(id),
         };
         if stop {
             self.stats.stopped_early = true;
@@ -422,6 +416,161 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
             return false;
         }
         true
+    }
+
+    /// A fresh callback context for `id` now, its local clock drifted
+    /// by the process's ρ.
+    fn ctx(&self, id: ProcId) -> Ctx<M> {
+        let drift = self.config.drift.get(id.0).copied().unwrap_or(0.0);
+        let local = SimTime::from_ticks((self.time.ticks() as f64 * (1.0 + drift)).round() as u64);
+        Ctx::new(id, self.procs.len(), self.time).with_local(local)
+    }
+
+    /// Recovers `id` if it is down; `true` if it asked to stop the run.
+    fn recover(&mut self, id: ProcId) -> bool {
+        if self.up[id.0] {
+            return false;
+        }
+        self.up[id.0] = true;
+        let recovered = self.record(id, mcv_trace::context(), EventKind::Recover);
+        let prev = mcv_trace::set_context(recovered);
+        let mut ctx = self.ctx(id);
+        self.procs[id.0].on_recover(&mut ctx);
+        let stop = self.apply_ctx(id, ctx);
+        mcv_trace::set_context(prev);
+        stop
+    }
+
+    /// The scheduler hook, with hops of `1..=delta` ticks (FIFO per
+    /// link) and timers, crashes and recoveries exactly when due: the
+    /// events that may run now, in queue order, and the instant the
+    /// clock may move to instead if none is due now (one tick on while
+    /// a message is in flight, else the next due event). The first call
+    /// starts every process. [`World::step`] is the seeded scheduler.
+    pub fn choices(&mut self, delta: u64) -> (Vec<Pending>, Option<SimTime>) {
+        if !self.started {
+            self.started = true;
+            for i in 0..self.procs.len() {
+                self.run_event(Event { time: SimTime::ZERO, seq: 0, kind: Due::Start(ProcId(i)) });
+            }
+        }
+        let live = &self.live_timers;
+        self.queue.retain(|Reverse(ev)| match ev.kind {
+            Due::Timer { proc, token, tid, .. } => live.contains(&(proc, token, tid)),
+            _ => true,
+        });
+        let mut events: Vec<&Event<M>> = self.queue.iter().map(|Reverse(ev)| ev).collect();
+        events.sort_unstable_by_key(|ev| ev.seq);
+        let now = self.time;
+        let (mut runnable, mut links) = (Vec::new(), std::collections::BTreeSet::new());
+        let mut wait = events.first().map(|_| SimTime::from_ticks(u64::MAX));
+        for ev in events {
+            let (earliest, latest, proc) = match ev.kind {
+                Due::Deliver { from, to, at, .. } => {
+                    wait = wait.map(|w| w.min(now + SimTime::from_ticks(1)));
+                    if !links.insert((from, to)) {
+                        continue; // an older message on the link lands first
+                    }
+                    (at + SimTime::from_ticks(1), at + SimTime::from_ticks(delta), to)
+                }
+                Due::Timer { proc, .. } => (ev.time, ev.time, proc),
+                Due::Start(p) | Due::Crash(p) | Due::Recover(p) => (ev.time, ev.time, p),
+            };
+            if latest <= now {
+                wait = None;
+            } else if earliest > now {
+                wait = wait.map(|w| w.min(earliest));
+            }
+            if earliest <= now {
+                runnable.push(Pending { seq: ev.seq, proc });
+            }
+        }
+        (runnable, wait)
+    }
+
+    /// Runs the event `seq` now; `false` when the run must end.
+    pub fn run_pending(&mut self, seq: u64) -> bool {
+        let mut events = std::mem::take(&mut self.queue).into_vec();
+        let i = events.iter().position(|Reverse(ev)| ev.seq == seq).expect("a pending event");
+        let Reverse(mut ev) = events.swap_remove(i);
+        self.queue = events.into();
+        ev.time = self.time;
+        self.run_event(ev)
+    }
+
+    /// The pending event `seq` in a word: its message's kind,
+    /// `timeout`, `crash`, `recovery` or `start`.
+    pub fn label(&self, seq: u64) -> String {
+        let ev = self.queue.iter().map(|Reverse(ev)| ev).find(|ev| ev.seq == seq);
+        match ev.map(|ev| &ev.kind) {
+            Some(Due::Deliver { msg, .. }) => mcv_trace::label_of(&format!("{msg:?}")),
+            Some(Due::Timer { .. }) => "timeout".into(),
+            Some(Due::Crash(_)) => "crash".into(),
+            Some(Due::Recover(_)) => "recovery".into(),
+            _ => "start".into(),
+        }
+    }
+
+    /// Moves the clock to `until`, nothing happening meanwhile.
+    pub fn wait(&mut self, until: SimTime) {
+        self.time = self.time.max(until);
+    }
+
+    /// Applies `ev` now, not at its time: a crash or recovery at once, a
+    /// window as dated. `false` (inert) if it names a missing process.
+    pub fn inject(&mut self, ev: &FaultEvent) -> bool {
+        if !ev.fits(self.procs.len()) {
+            return false;
+        }
+        match ev.site_change() {
+            Some((proc, _, false)) => self.crash(ProcId(proc), mcv_trace::context()),
+            Some((proc, _, true)) => _ = self.recover(ProcId(proc)),
+            None => self.net.add_window(ev),
+        }
+        true
+    }
+
+    /// Closes every link window still open now: partitions heal.
+    pub fn heal(&mut self) {
+        self.net.heal(self.time.ticks());
+    }
+
+    /// A digest of the state relative to now: the up flags, each
+    /// process's `Hash`, and every pending event timed from now. Equal
+    /// digests offer the same futures, whatever the clocks read.
+    pub fn digest(&self) -> u64
+    where
+        M: Hash,
+        P: Hash,
+    {
+        let mut events: Vec<&Event<M>> = self.queue.iter().map(|Reverse(ev)| ev).collect();
+        events.sort_unstable_by_key(|ev| ev.seq);
+        let mut ranks = std::collections::BTreeMap::new();
+        let mut keys: Vec<u64> = Vec::with_capacity(events.len());
+        for ev in events {
+            let mut h = DefaultHasher::new();
+            std::mem::discriminant(&ev.kind).hash(&mut h);
+            let ahead = ev.time.saturating_sub(self.time);
+            match &ev.kind {
+                Due::Deliver { from, to, msg, at, .. } => {
+                    let rank = ranks.entry((*from, *to)).or_insert(0u32);
+                    *rank += 1;
+                    (from, to, *rank, msg, self.time.saturating_sub(*at)).hash(&mut h);
+                }
+                Due::Timer { proc, token, tid, .. } => {
+                    if !self.live_timers.contains(&(*proc, *token, *tid)) {
+                        continue;
+                    }
+                    (proc, token, ahead).hash(&mut h);
+                }
+                Due::Start(p) | Due::Crash(p) | Due::Recover(p) => (p, ahead).hash(&mut h),
+            }
+            keys.push(h.finish());
+        }
+        keys.sort_unstable();
+        let mut h = DefaultHasher::new();
+        (&self.up, &self.procs, keys).hash(&mut h);
+        h.finish()
     }
 
     /// Runs to quiescence (empty queue), stop request, or the event cap.

@@ -9,7 +9,7 @@
 
 use crate::ids::{Item, TxnId};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::collections::{BTreeSet, BinaryHeap, HashMap};
 use std::fmt;
 
 /// Kind of an operation.
@@ -175,79 +175,6 @@ impl ConflictGraph {
     }
 }
 
-impl History {
-    /// View-serializability check by brute force over serial orders
-    /// (exponential in the number of transactions — intended for the
-    /// small histories of tests and monitors). Two histories are view
-    /// equivalent when every read reads-from the same write and final
-    /// writes coincide.
-    ///
-    /// Conflict-serializability implies view-serializability; the
-    /// converse fails only with blind writes.
-    pub fn is_view_serializable(&self) -> bool {
-        let txns: Vec<TxnId> = self.transactions().into_iter().collect();
-        if txns.len() > 8 {
-            // Guard rail: factorial blow-up.
-            return self.is_conflict_serializable();
-        }
-        let target = self.view_signature(self.ops.clone());
-        permutations(&txns).into_iter().any(|order| {
-            let serial: Vec<Op> = order
-                .iter()
-                .flat_map(|t| self.ops.iter().filter(|o| o.txn == *t).cloned())
-                .collect();
-            self.view_signature(serial) == target
-        })
-    }
-
-    /// The reads-from relation and final writes of an operation
-    /// sequence: `(reader-op-index ↦ writer txn, item ↦ final writer)`.
-    #[allow(clippy::type_complexity)]
-    fn view_signature(
-        &self,
-        ops: Vec<Op>,
-    ) -> (Vec<(TxnId, Item, usize, Option<TxnId>)>, BTreeMap<Item, TxnId>) {
-        let mut last_writer: BTreeMap<Item, TxnId> = BTreeMap::new();
-        // Reads are keyed by their occurrence index within (txn, item)
-        // so the i-th read of an item by a transaction must read from
-        // the same writer in the witness order.
-        let mut occurrence: BTreeMap<(TxnId, Item), usize> = BTreeMap::new();
-        let mut reads = Vec::new();
-        for o in &ops {
-            match o.kind {
-                OpKind::Read => {
-                    let k = occurrence
-                        .entry((o.txn, o.item.clone()))
-                        .and_modify(|c| *c += 1)
-                        .or_insert(0);
-                    reads.push((o.txn, o.item.clone(), *k, last_writer.get(&o.item).copied()));
-                }
-                OpKind::Write => {
-                    last_writer.insert(o.item.clone(), o.txn);
-                }
-            }
-        }
-        reads.sort();
-        (reads, last_writer)
-    }
-}
-
-fn permutations(items: &[TxnId]) -> Vec<Vec<TxnId>> {
-    if items.is_empty() {
-        return vec![Vec::new()];
-    }
-    let mut out = Vec::new();
-    for (i, x) in items.iter().enumerate() {
-        let mut rest: Vec<TxnId> = items.to_vec();
-        rest.remove(i);
-        for mut p in permutations(&rest) {
-            p.insert(0, *x);
-            out.push(p);
-        }
-    }
-    out
-}
-
 impl fmt::Display for History {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for (i, o) in self.ops.iter().enumerate() {
@@ -314,11 +241,9 @@ mod tests {
     }
 
     #[test]
-    fn view_serializable_blind_write_history() {
-        // The classic view-but-not-conflict-serializable history:
-        // w1[X] w2[X] w2[Y] w1[Y] w3[X] w3[Y]  (all blind writes; T3
-        // overwrites everything, so T1 T2 T3 is a view-equivalent
-        // serial order, but the conflict graph has a T1/T2 cycle).
+    fn blind_writes_can_still_break_conflict_serializability() {
+        // w1[X] w2[X] w2[Y] w1[Y] w3[X] w3[Y]: all blind writes, and the
+        // conflict graph has a T1/T2 cycle.
         let mut h = History::new();
         h.push(TxnId(1), "X", OpKind::Write);
         h.push(TxnId(2), "X", OpKind::Write);
@@ -327,28 +252,6 @@ mod tests {
         h.push(TxnId(3), "X", OpKind::Write);
         h.push(TxnId(3), "Y", OpKind::Write);
         assert!(!h.is_conflict_serializable());
-        assert!(h.is_view_serializable());
-    }
-
-    #[test]
-    fn conflict_serializable_implies_view_serializable() {
-        let mut h = History::new();
-        h.push(TxnId(1), "X", OpKind::Write);
-        h.push(TxnId(2), "X", OpKind::Read);
-        h.push(TxnId(2), "Y", OpKind::Write);
-        assert!(h.is_conflict_serializable());
-        assert!(h.is_view_serializable());
-    }
-
-    #[test]
-    fn non_view_serializable_interleaving() {
-        // r1[X] w2[X] r1[X] — T1 reads initial then T2's value: no
-        // serial order reproduces both reads.
-        let mut h = History::new();
-        h.push(TxnId(1), "X", OpKind::Read);
-        h.push(TxnId(2), "X", OpKind::Write);
-        h.push(TxnId(1), "X", OpKind::Read);
-        assert!(!h.is_view_serializable());
     }
 
     #[test]

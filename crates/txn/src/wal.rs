@@ -163,13 +163,6 @@ impl Wal {
             .collect()
     }
 
-    /// Whether `txn` logged an update for `item` (write-ahead check).
-    pub fn has_update(&self, txn: TxnId, item: &str) -> bool {
-        self.records.iter().any(
-            |r| matches!(r, LogRecord::Update { txn: t, item: i, .. } if *t == txn && i == item),
-        )
-    }
-
     /// Recovery: rebuilds the database state after a crash.
     ///
     /// Starts from the most recent checkpoint image (or empty), then
@@ -730,15 +723,6 @@ mod tests {
         assert!(wal.committed().contains(&TxnId(1)));
         assert!(wal.aborted().contains(&TxnId(2)));
         assert!(wal.in_doubt().is_empty());
-    }
-
-    #[test]
-    fn has_update_checks_write_ahead() {
-        let mut wal = Wal::new();
-        wal.log_update(TxnId(1), "X", 0, 1);
-        assert!(wal.has_update(TxnId(1), "X"));
-        assert!(!wal.has_update(TxnId(1), "Y"));
-        assert!(!wal.has_update(TxnId(2), "X"));
     }
 
     #[test]

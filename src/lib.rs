@@ -18,7 +18,7 @@
 //! - [`sim`] — a deterministic discrete-event distributed-system simulator;
 //! - [`txn`] — WAL, strict 2PL, checkpointing, rollback recovery;
 //! - [`commit`] — executable 2PC/3PC with election, termination, and
-//!   failure injection, plus a Figure 3.2 model checker;
+//!   failure injection;
 //! - [`obs`] — observability: metrics, span tracing, and
 //!   machine-readable [`obs::RunReport`]s for any of the above;
 //! - [`trace`] — causal event tracing: Lamport-clocked typed events,
@@ -26,7 +26,8 @@
 //!   explorer behind the `trace` bin;
 //! - [`chaos`] — randomized fault-schedule campaigns over the commit
 //!   protocols with atomic-commitment oracles and delta-debugging
-//!   shrinking to minimal, replayable counterexamples;
+//!   shrinking to minimal, replayable counterexamples, and a bounded
+//!   exhaustive explorer of the same sites' executions (Figure 3.2);
 //! - [`engine`] — a multi-threaded transaction engine (sharded strict
 //!   2PL, cross-shard deadlock detection, group-commit WAL, worker
 //!   pool) whose concurrent histories are checked against the same

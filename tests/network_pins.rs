@@ -264,7 +264,7 @@ fn sim_transport_schedules_are_pinned() {
 
 const CHAOS_PINS: &str = "\
 b55b6dd95d4394a7 72c442b928a491cb 96c4df697546fc3c 089bf120c819edd4 d33352e4c6cf2c1f
-1035eb7e617a748d 9fd71b4320a38dac b98dd96316c388e5 24ff92a9c3ce164d a1a9b576fb90d66f
+1035eb7e617a748d d05ae89c1383e489 b98dd96316c388e5 24ff92a9c3ce164d a1a9b576fb90d66f
 44c09e8e28aa7e1d cedfc957d3b61ae8 1b1a3f8fc52b324d b68f45cd7fb6bbaa b9db6f81bbf06038
 541805c19834b4ff 03885a79c2fe6120 50c247aa26c2da85 95666c6ba484be90 25eb15b39cda936c
 8699495181e5cf5f 02cc349775f1c2c1 f8988f4200eea92f f51b0c977075a3b8 c464d95e339c1080
@@ -274,7 +274,7 @@ d181af3e96390434 86e0acb88bd61511 81ce15c92e09aba6 b4f4882f065a9347 e86cb2fb9622
 beaf61bcb59dda71 ac57ff3a29ffb02f 6f63a4a5178ba39a db374810ae4cd67d e116cf1e8881627f
 7b9f8c771ca3ae16 578a1f57f1b48c4b 6522fd5847a547fe 86d11a7ccee2956e ea411aa87d302b94
 d9c965b6260549b3 c187c2d6e6ed5993 92237a306058c680 24f3d09314f59996 82ab6ee5b4b89e2d
-f26d8a5f5a070921 d355b28c07a425c3 8c5fec8041860982 bfe1c58937b81bfd 71db17c291a03d3a
+7fbeb67f5fe888a3 d355b28c07a425c3 8c5fec8041860982 bfe1c58937b81bfd 71db17c291a03d3a
 f1be76ea5e30faae dc5a7eb8e4e916ed 24277a075009a19c a4c6b1e4f1c5665c 5d7d1d96dc3a4e66
 f1edce08290f9005 c46fe5c62c72d7b9 b24c7e6002f8f67a 8979c3dee3ad4d41 b673503e15bfad9b
 ad701f6da251bff4 0524f8b65f18ee4d 3a766b514bec90f4 b5ca957a8c587e63 0554583ce29ac086
@@ -303,18 +303,18 @@ ad701f6da251bff4 30a9bca03e2c522f 3a766b514bec90f4 b5ca957a8c587e63 708c601a0401
 2afd575e75024a02 72cbb45f500ff231 ce818850b88e0df5 f023d438da5cd273 9435d65a73a7d80e
 4955423fe96fbf6b 067a9da86e25988c 60c39faa653860bb b3f6cbdfb4040044 28e8ee6491e4f920
 515eed01a61e4280 442ff48461a1bc34 be400a574a359b59 2cd7878b540b7f1e 0be6576c87f8535e
-c1c8d6cc0a5ff7f5 72c442b928a491cb 1cddc77dbf2dd753 95c6961b5e8c73d5 0ccbae31045d57e8
+ec3d91abd7896f31 72c442b928a491cb 1cddc77dbf2dd753 95c6961b5e8c73d5 0ccbae31045d57e8
 a3212fdcdd58dc66 0b5c9026f60c9798 de68b081e3030857 20fd9d1910c299be 8c47d8f89876f265
 44c09e8e28aa7e1d 43eac1cc7e16df7b 5e25263084ce7b5d b68f45cd7fb6bbaa 176744fb81ee2be1
 5f345ff0eb76b5f3 03885a79c2fe6120 f5cd20159777a758 f18ebd167f3d2b08 25eb15b39cda936c
 4290487306cdc0fa 7157ce18649ba6f5 ab9dcfb2789b31c4 f51b0c977075a3b8 8a3580999ca91512
-ad2932ac09e82e9a ee8c5c9f611bff1d 9f5986909d0fcd73 45143e2b3ca0847f 5f306fac3a063c71
+ad2932ac09e82e9a ee8c5c9f611bff1d 9f5986909d0fcd73 45143e2b3ca0847f 45ce1de7f3372e99
 eb14ca3ea497850a 79834f72d90ce2f0 81ce15c92e09aba6 b4f4882f065a9347 b666bedfd81dbe4b
 3d919582220a8996 1b07af71703c7e75 1483002e809f2cde 9c63a4cac9564a22 5ab183c731bc5ce3
 6d5dc98183862b56 e907e1c4ab6ddf87 6f63a4a5178ba39a 5cdd831645fc53e5 87ecb05c17b77b52
 3338c850d0f0766f 062164e661fb3496 2af1e5d4e3005c61 cc2617cbb2b0fe6a ab018dcc91cae800
-d41353a449190082 32d856242028cd6c 04ec4adc90edccad 038e3639297c246d 3580b1e195855fc1
-e0661b0619353439 35b45a846dadb164 8c5fec8041860982 bf53c9974b3c0370 71db17c291a03d3a
+cc9b8593b2311b6d 32d856242028cd6c 04ec4adc90edccad 038e3639297c246d 3580b1e195855fc1
+e0661b0619353439 700243b7c26a2319 8c5fec8041860982 bf53c9974b3c0370 71db17c291a03d3a
 c073015d3e2f84b3 84305d67d15e187c 24277a075009a19c b1a02ff87d6c1d95 3cb24d18cc1658c4
 f1edce08290f9005 9dd17b7d0e68817b b24c7e6002f8f67a 6d9a277700b1e95c b5c81d257d547b6e
 ad701f6da251bff4 bdd8fc80c3a60617 3a766b514bec90f4 a8ff30fe13adf997 b507c2ea77ad57d5
@@ -344,22 +344,22 @@ c59bf163424dec9b 72cbb45f500ff231 81bc116889132c4e f80dfdb16f05052d 134e62afb798
 d1fb94a9b514ffc7 2c5e59b7f13c65b6 64fdc2dd5af74992 71f3b9e53d67bcc2 252426e403f1ed58
 a4f8f416afae4d9b 9abe2ddcd486b8b0 f75d83f9d8ca83e6 18a3044834e79dc6 ff556326e15ff121
 5934afcdb2f8f720 96c5578cb2c8d434 00b53c73bced34bf 29cefd5325f072cd 84657dec6ed9932b
-1daa4dca98f7b228 0e68cab225101390 b9697c38e6df5fc6 1a7cb53d0ec7bdae ebc02da18a01545e
-44b65c8e28a1b972 5f5a09bc53dd4a6a 506d3a0bb4dfa3b4 e182f74062702473 b9db6f81bbf06038
+1daa4dca98f7b228 0e68cab225101390 b9697c38e6df5fc6 1dac83b63ab6f5b7 ebc02da18a01545e
+44b65c8e28a1b972 9a12b5f8e62c0ba3 506d3a0bb4dfa3b4 e182f74062702473 b9db6f81bbf06038
 907f1a279efccc99 97f61511b50fcc8f 5fe5d1b211ebc112 68a9ab2cb441b491 25eb15b39cda936c
 db7c495d3288780e 02cc349775f1c2c1 f8988f4200eea92f de48fcc2d8986cf2 b88b9845584af4b1
 bf055ae4ba4ccb54 774961004bbeda6a 22ff274e1ca30b20 44e9fb957690391a f93a84946d55e3f5
 d181af3e96390434 1f2cac410da27e14 13df0162379d9027 b4f4882f065a9347 e0369784ad048acc
-41a8c3d31dd9e6fb 1516d822ce547f4e e447ba402cc0b902 eb50f662c9e2169f ccb7a9890057bf84
+b4abad3daccac27c 1516d822ce547f4e e447ba402cc0b902 eb50f662c9e2169f ccb7a9890057bf84
 30e65e351f0aa770 655240bb7906da02 d81fcc5456c72223 b75f248f4c59abf1 e116cf1e8881627f
 0d10f97e67fac02a f22bc038aadc43c9 0738ba5812d6b558 837a64634d527049 edc5e393c784023d
 b6fa2ad8851a769d 7a8394fff7a6ba7e 4496edca585f6fa4 c95b4319ad3c371e d181af3e96390434
 6ef0bc0b102f4e1c d355b28c07a425c3 afb6c5b8321683db bfe1c58937b81bfd 34c1316c5da25c43
 38cac28d22e3fdd9 2dd1213713063765 f93a84946d55e3f5 cd050c3159a735ad 24f2be7c2dc041e7
-6ee4d304373a97fa 9c59d767c564251e b24c7e6002f8f67a c20f8058bb760239 069d8d5a187057c1
+6ee4d304373a97fa 9c59d767c564251e b24c7e6002f8f67a 5a18bd8d62d13def 069d8d5a187057c1
 a9d5ed3a8c292325 6c6aa20d67e0b34e 6a91ac6cb98a6c9d b398f560ae5b1c0e ce3ac1a9d6cbfaed
 007fbdf3baa00a4e c37ac101912dfffd 4b8c91340352f608 8c94379b9c406779 56b48ebbea651d47
-845745396fba2287 6f7f3ea459f7fb54 effafc8db00c84fb c87044215403cb3c 5d97308dbd3a1877
+845745396fba2287 a112e7a3113405ba effafc8db00c84fb c87044215403cb3c 5d97308dbd3a1877
 0039317c3332daf9 35bf0058f578a086 ce818850b88e0df5 a64355a04e554e85 3f52d64ec3052f5f
 bf5a149b818595ba 6644e7ecf32a991c 83fc75936933855e 8c1ff04ec783e6d1 28e8ee6491e4f920
 25f7c0018d8219d6 f559b42b8021562d bec58158a0842d74 751becd1b8c2e6b9 55efcdd6a4cf35f8

@@ -135,31 +135,23 @@ proptest! {
     }
 }
 
-/// The Figure 3.2 model checker agrees with the simulator about the
-/// naive-timeout hazard across cohort counts.
+/// The explorer and the seeded simulator agree about the naive-timeout
+/// hazard across cohort counts: a coordinator crashing mid-way through
+/// its prepare broadcast splits two or more cohorts, never one — in
+/// every execution the explorer reaches and in the seeded run alike.
 #[test]
 fn model_and_simulation_agree_on_the_naive_hazard() {
-    use mcv::commit::fsm::{check, ModelConfig};
+    use mcv::chaos::{explore, FaultBudget};
     for cohorts in 1..=3usize {
-        let model_safe = check(&ModelConfig {
-            cohorts,
-            naive_timeouts: true,
-            synchronous: true,
-            coordinator_recovery: false,
-        })
-        .is_safe();
-        let sim = run_scenario(&Scenario {
+        let sc = Scenario {
             n_cohorts: cohorts,
             coordinator_crash: Some(CrashPoint::AfterPartialPrepare),
             naive_timeouts: true,
             ..Scenario::default()
-        });
-        if cohorts == 1 {
-            assert!(model_safe);
-            assert!(sim.uniform);
-        } else {
-            assert!(!model_safe, "model misses the {cohorts}-cohort hazard");
-            assert!(!sim.uniform, "simulation misses the {cohorts}-cohort hazard");
-        }
+        };
+        let explored = explore(&sc, &FaultBudget::none(5));
+        let sim = run_scenario(&sc);
+        assert_eq!(explored.is_safe(), cohorts == 1, "explorer, {cohorts} cohorts");
+        assert_eq!(sim.uniform, cohorts == 1, "simulation, {cohorts} cohorts");
     }
 }
