@@ -58,7 +58,7 @@ fn bench_model_checker(c: &mut Criterion) {
         let sc = Scenario { n_cohorts: cohorts, timeout: 10, ..Scenario::default() };
         let budget = FaultBudget { crash: vec![0], partition: Vec::new(), delta: 1 };
         group.bench_with_input(BenchmarkId::new("termination", cohorts), &cohorts, |b, _| {
-            b.iter(|| assert!(explore(&sc, &budget).is_safe()))
+            b.iter(|| assert!(explore(&sc, &budget).violation.is_none()))
         });
     }
     group.finish();

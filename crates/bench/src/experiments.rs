@@ -6,7 +6,7 @@ use mcv_blocks::{modules, pipeline, properties, registry, traceability, SpecLibr
 use mcv_chaos::{explore, Exploration, FaultBudget};
 use mcv_commit::{build_world, run_scenario, CrashPoint, Protocol, Scenario};
 use mcv_core::finset::{fin_pushout, fin_set, mediating, FinMap};
-use mcv_core::{SpecBuilder, SpecMorphism};
+use mcv_core::{pushout, SpecBuilder, SpecMorphism};
 use mcv_logic::Sort;
 use mcv_txn::{History, LockManager, LockMode, OpKind, SiteDb, TxnId};
 use rand::rngs::StdRng;
@@ -140,7 +140,7 @@ pub fn fig3_1() -> String {
 /// it crash: the union is every point the coordinator may fail at.
 fn fig3_2_explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
     let mut found = explore(sc, budget);
-    if budget.crash.contains(&0) && found.is_safe() {
+    if budget.crash.contains(&0) && found.violation.is_none() {
         let partial =
             Scenario { coordinator_crash: Some(CrashPoint::AfterPartialPrepare), ..sc.clone() };
         let more = explore(&partial, budget);
@@ -153,11 +153,11 @@ fn fig3_2_explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
     found
 }
 
-/// Figure 3.2: the 3PC automaton, generated from the sites that run
-/// (`mcv_commit::Site`) by the bounded explorer (`mcv_chaos::explore`).
-/// The transition table is every local-state edge the explorations
-/// took; each row's verdict is asserted, the message naming the row.
-pub fn fig3_2() -> String {
+/// Explores Figure 3.2's first `n` rows — the figure's four
+/// configurations, then three findings beyond its failure model —
+/// asserting each row's verdict, the message naming the row. Returns
+/// the local-state edges taken and one verdict line per row.
+fn fig3_2_verdicts(n: usize) -> (std::collections::BTreeSet<String>, String) {
     let sc = |n_cohorts, naive_timeouts, quorum_termination, timeout| Scenario {
         n_cohorts,
         naive_timeouts,
@@ -170,8 +170,6 @@ pub fn fig3_2() -> String {
         partition: partition.to_vec(),
         delta,
     };
-    // The figure's four configurations, then three findings beyond its
-    // failure model; each with the verdict it claims (`true`: SAFE).
     let descs = [
         "1 cohort,  naive timeouts,       synchronous",
         "2 cohorts, naive timeouts,       synchronous",
@@ -192,7 +190,7 @@ pub fn fig3_2() -> String {
     ];
     let mut edges = std::collections::BTreeSet::new();
     let mut verdicts = String::new();
-    for (i, (desc, (sc, budget, safe))) in descs.iter().zip(&rows).enumerate() {
+    for (i, (desc, (sc, budget, safe))) in descs.iter().zip(&rows).take(n).enumerate() {
         if i == 0 || i == 4 {
             let title =
                 ["Figure 3.2's configurations", "Findings beyond the figure's failure model"];
@@ -214,8 +212,17 @@ pub fn fig3_2() -> String {
             }
         }
         let claim = if *safe { "SAFE" } else { "UNSAFE" };
-        assert_eq!(found.is_safe(), *safe, "fig3.2.verdict: {desc} is {claim}");
+        assert_eq!(found.violation.is_none(), *safe, "fig3.2.verdict: {desc} is {claim}");
     }
+    (edges, verdicts)
+}
+
+/// Figure 3.2: the 3PC automaton, generated from the sites that run
+/// (`mcv_commit::Site`) by the bounded explorer (`mcv_chaos::explore`).
+/// The transition table is every local-state edge the explorations
+/// took; each row's verdict is asserted.
+pub fn fig3_2() -> String {
+    let (edges, verdicts) = fig3_2_verdicts(7);
     let mut out = String::from(
         "Figure 3.2 — 3PC with coordinator and cohort, generated from mcv_commit::Site\n\
          (q=initial w=wait p=prepared a=abort c=commit; suffix 1=coordinator, 2=cohort)\n\n\
@@ -1584,6 +1591,31 @@ pub fn artifacts() -> Vec<Artifact> {
     ]
 }
 
+/// A tiny smoke-check used by the test suite: the spec-category pushout
+/// demo of Figure 2.1 in the Spec category (complementing FinSet).
+pub fn spec_pushout_demo() -> bool {
+    let shared = SpecBuilder::new("S")
+        .sort(Sort::new("E"))
+        .predicate("P", vec![Sort::new("E")])
+        .build_ref()
+        .expect("static");
+    let l = SpecBuilder::new("L")
+        .sort(Sort::new("E"))
+        .predicate("P", vec![Sort::new("E")])
+        .predicate("L", vec![Sort::new("E")])
+        .build_ref()
+        .expect("static");
+    let r = SpecBuilder::new("R")
+        .sort(Sort::new("E"))
+        .predicate("P", vec![Sort::new("E")])
+        .predicate("R", vec![Sort::new("E")])
+        .build_ref()
+        .expect("static");
+    let f = SpecMorphism::new("f", shared.clone(), l, [], []).expect("valid");
+    let g = SpecMorphism::new("g", shared, r, [], []).expect("valid");
+    pushout(&f, &g, "D").map(|po| po.square_commutes()).unwrap_or(false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1596,7 +1628,9 @@ mod tests {
         // six of them in release, one at a time: exp.prof's 1.05x
         // overhead claim would not hold inside parallel test threads.
         // exp.gc, exp.rec and exp.ser are skipped for their run time, and
-        // so is fig3.2 (~9 s in release, where that gate runs it too).
+        // so is fig3.2 (~9 s in release, where that gate runs it too):
+        // `fig3_2_asserts_the_figure_verdicts` runs all but its two
+        // quorum rows.
         for (id, f) in artifacts() {
             if matches!(
                 id,
@@ -1629,40 +1663,18 @@ mod tests {
     }
 
     #[test]
-    fn fig3_2_finds_the_partial_prepare_hazard() {
-        // `repro fig3.2` asserts every row; its cheapest UNSAFE one here.
-        let sc =
-            Scenario { n_cohorts: 2, naive_timeouts: true, timeout: 10, ..Scenario::default() };
-        let found =
-            fig3_2_explore(&sc, &FaultBudget { crash: vec![0], partition: vec![], delta: 1 });
-        let cx = found.violation.expect("the partial prepare splits two naive cohorts");
-        assert_eq!(cx.scenario.coordinator_crash, Some(CrashPoint::AfterPartialPrepare));
-        assert!(found.edges.contains("w2 --[Prepare]--> p2"));
+    fn fig3_2_asserts_the_figure_verdicts() {
+        // Every row but the two quorum ones (~160k states together),
+        // which `./ci full`'s `experiments` gate runs in release.
+        let (edges, text) = fig3_2_verdicts(5);
+        assert_eq!((text.matches(": SAFE").count(), text.matches(": UNSAFE").count()), (2, 3));
+        assert!(text.contains("T1 split in global state ⟨p0:c, p1:p, p2:a⟩"), "{text}");
+        assert!(edges.contains("w2 --[Prepare]--> p2"), "{edges:?}");
     }
 
     #[test]
     fn spec_pushout_demo_commutes() {
-        // Figure 2.1's pushout in the Spec category (complementing FinSet).
-        let shared = SpecBuilder::new("S")
-            .sort(Sort::new("E"))
-            .predicate("P", vec![Sort::new("E")])
-            .build_ref()
-            .expect("static");
-        let l = SpecBuilder::new("L")
-            .sort(Sort::new("E"))
-            .predicate("P", vec![Sort::new("E")])
-            .predicate("L", vec![Sort::new("E")])
-            .build_ref()
-            .expect("static");
-        let r = SpecBuilder::new("R")
-            .sort(Sort::new("E"))
-            .predicate("P", vec![Sort::new("E")])
-            .predicate("R", vec![Sort::new("E")])
-            .build_ref()
-            .expect("static");
-        let f = SpecMorphism::new("f", shared.clone(), l, [], []).expect("valid");
-        let g = SpecMorphism::new("g", shared, r, [], []).expect("valid");
-        assert!(mcv_core::pushout(&f, &g, "D").expect("pushout").square_commutes());
+        assert!(spec_pushout_demo());
     }
 
     #[test]

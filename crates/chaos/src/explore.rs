@@ -16,7 +16,7 @@ use std::collections::{BTreeSet, HashSet};
 
 /// The faults an exploration may inject beyond the scenario's own, and
 /// the delay bound it runs under.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct FaultBudget {
     /// Sites that may crash, at any point: one crash in all (a scenario
     /// crash point counts), then one recovery. Empty: neither.
@@ -27,13 +27,6 @@ pub struct FaultBudget {
     /// The hop bound δ in ticks: synchronous while `2δ` is below the
     /// scenario's timeout, asynchronous once a hop may outlast it.
     pub delta: u64,
-}
-
-impl FaultBudget {
-    /// No faults, hops of `1..=delta` ticks.
-    pub fn none(delta: u64) -> Self {
-        FaultBudget { crash: Vec::new(), partition: Vec::new(), delta }
-    }
 }
 
 /// A shortest violating execution, replayable from its choice list.
@@ -55,14 +48,14 @@ pub struct Counterexample {
 }
 
 impl Counterexample {
-    /// Takes the choices as far as they still apply (a changed protocol
-    /// may offer fewer), telling `visit` what each did.
-    fn walk(&self, mut visit: impl FnMut(&Run, String)) -> Run {
-        let mut run = Run::new(&self.scenario);
-        for &choice in &self.choices {
-            let mut moves = run.moves(&self.scenario, &self.budget);
+    /// Takes the choices, telling `visit` what each did. `Err` names
+    /// the first choice no longer on offer (a changed protocol).
+    fn walk(&self, mut visit: impl FnMut(&Run, String)) -> Result<Run<'_>, String> {
+        let mut run = Run::new(&self.scenario, &self.budget);
+        for (step, &choice) in self.choices.iter().enumerate() {
+            let mut moves = run.moves();
             if choice >= moves.len() {
-                break;
+                return Err(format!("step {step} takes choice {choice} of {}", moves.len()));
             }
             let mv = moves.swap_remove(choice);
             let what = match &mv {
@@ -76,30 +69,34 @@ impl Counterexample {
             run.apply(mv);
             visit(&run, what);
         }
-        run
+        Ok(run)
     }
 
     /// Replays the choices, heals any partition, runs each earliest
-    /// event to quiescence, and returns the oracles' verdicts.
-    pub fn replay(&self) -> Vec<OracleResult> {
-        let mut run = self.walk(|_, _| {});
+    /// event to quiescence, and returns the oracles' verdicts. `Err`
+    /// when the replay drifted from the recorded execution: a choice
+    /// no longer on offer, or faults other than the recorded schedule.
+    pub fn replay(&self) -> Result<Vec<OracleResult>, String> {
+        let mut run = self.walk(|_, _| {})?;
+        if run.schedule != self.schedule.events {
+            let (got, want) = (&run.schedule, &self.schedule.events);
+            return Err(format!("the replay injected {got:?}, the record {want:?}"));
+        }
         if matches!(run.cut, Cut::Open(..)) {
             run.apply(Move::Heal);
         }
-        let none = FaultBudget::none(self.budget.delta);
-        while let Some(next @ (Move::Run(_) | Move::Wait(_))) =
-            run.moves(&self.scenario, &none).into_iter().next()
-        {
+        // Events and waits come before the budget's faults.
+        while let Some(next @ (Move::Run(_) | Move::Wait(_))) = run.moves().into_iter().next() {
             run.apply(next);
         }
-        run.judge(&self.scenario, &self.budget)
+        Ok(run.judge())
     }
 
     /// The execution, one line per choice, with every site's state of
-    /// T1 after it (`†`: down).
+    /// T1 after it (`†`: down), and a last line if the replay drifted.
     pub fn steps(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.walk(|run, what| {
+        let walked = self.walk(|run, what| {
             let world = &run.world;
             let state = |p| match world.process(p).local_state(TxnId(1)) {
                 s if world.is_up(p) => s.map_or("-".into(), |s| s.to_string()),
@@ -108,21 +105,8 @@ impl Counterexample {
             let states: Vec<String> = (0..world.n_procs()).map(ProcId).map(state).collect();
             out.push(format!("t{:<4} {what:<28} [{}]", world.now().ticks(), states.join(" ")));
         });
+        out.extend(walked.err().map(|e| format!("drifted: {e}")));
         out
-    }
-
-    /// Pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("counterexample serializes")
-    }
-
-    /// Parses [`Counterexample::to_json`]'s output.
-    ///
-    /// # Errors
-    ///
-    /// A serde error on malformed input.
-    pub fn from_json(text: &str) -> Result<Self, serde::Error> {
-        serde_json::from_str(text)
     }
 }
 
@@ -140,18 +124,19 @@ pub struct Exploration {
     /// suffix 1 the coordinator, 2 a cohort; the label the message's
     /// kind, `timeout` or `recovery`.
     pub edges: BTreeSet<String>,
-    /// The first (shortest) violation, which ended the search.
+    /// The first (shortest) violation, which ended the search; `None`:
+    /// every reached state is safe.
     pub violation: Option<Counterexample>,
 }
 
-impl Exploration {
-    /// Whether no reached state violated an oracle.
-    pub fn is_safe(&self) -> bool {
-        self.violation.is_none()
-    }
-}
-
-/// Explores every execution of `sc` within `budget`.
+/// Explores every execution of `sc` within `budget`. States that
+/// differ only in the clock are one: a state's waits end at the
+/// scenario's deadline as read when the search first reaches it.
+///
+/// # Panics
+///
+/// On a scenario partition: its window is dated, and the digest a
+/// state is keyed by leaves windows out.
 ///
 /// # Examples
 ///
@@ -159,10 +144,12 @@ impl Exploration {
 /// use mcv_chaos::{explore, FaultBudget};
 /// use mcv_commit::Scenario;
 /// // One cohort, no faults: every delivery order commits.
-/// let found = explore(&Scenario { n_cohorts: 1, ..Scenario::default() }, &FaultBudget::none(5));
-/// assert!(found.is_safe() && found.executions >= 1);
+/// let budget = FaultBudget { delta: 5, ..FaultBudget::default() };
+/// let found = explore(&Scenario { n_cohorts: 1, ..Scenario::default() }, &budget);
+/// assert!(found.violation.is_none() && found.executions >= 1);
 /// ```
 pub fn explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
+    assert!(sc.partition.is_none(), "explore: budget a partition instead of dating one");
     let _span = mcv_obs::Span::enter("chaos.explore");
     let mut found = Exploration::default();
     let mut seen = HashSet::new();
@@ -171,11 +158,11 @@ pub fn explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
         let mut next = Vec::new();
         for prefix in frontier {
             let mut run = Run::replay(sc, budget, &prefix);
-            let moves = run.moves(sc, budget);
+            let moves = run.moves();
             if !matches!(moves.first(), Some(Move::Run(_) | Move::Wait(_))) {
                 found.executions += 1;
-                if let Some(o) = run.judge(sc, budget).into_iter().find(|o| !o.pass) {
-                    found.violation = Some(run.counterexample(sc, budget, prefix, o));
+                if let Some(o) = run.judge().into_iter().find(|o| !o.pass) {
+                    found.violation = Some(run.counterexample(prefix, o));
                     return found;
                 }
             }
@@ -194,10 +181,10 @@ pub fn explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
                 found.states += 1;
                 let mut path = prefix.clone();
                 path.push(i);
-                match child.theorem(sc) {
+                match child.theorem() {
                     Ok(committable) => found.uncommittable_commits += u64::from(!committable),
                     Err(split) => {
-                        found.violation = Some(child.counterexample(sc, budget, path, split));
+                        found.violation = Some(child.counterexample(path, split));
                         return found;
                     }
                 }
@@ -228,7 +215,9 @@ enum Move {
 }
 
 /// One execution in progress and the budget it has spent.
-struct Run {
+struct Run<'a> {
+    sc: &'a Scenario,
+    budget: &'a FaultBudget,
     world: World<Msg, Site>,
     crashed: bool,
     recovered: bool,
@@ -236,18 +225,19 @@ struct Run {
     schedule: Vec<FaultEvent>,
 }
 
-impl Run {
-    fn new(sc: &Scenario) -> Self {
+impl<'a> Run<'a> {
+    fn new(sc: &'a Scenario, budget: &'a FaultBudget) -> Self {
         let mut world = build_world(sc);
         world.run_until(SimTime::ZERO); // every process starts
-        Run { world, crashed: false, recovered: false, cut: Cut::Never, schedule: Vec::new() }
+        let (crashed, recovered, cut, schedule) = (false, false, Cut::Never, Vec::new());
+        Run { sc, budget, world, crashed, recovered, cut, schedule }
     }
 
     /// The execution `choices` reach from the start.
-    fn replay(sc: &Scenario, budget: &FaultBudget, choices: &[usize]) -> Self {
-        let mut run = Run::new(sc);
+    fn replay(sc: &'a Scenario, budget: &'a FaultBudget, choices: &[usize]) -> Self {
+        let mut run = Run::new(sc, budget);
         for &choice in choices {
-            let mv = run.moves(sc, budget).swap_remove(choice);
+            let mv = run.moves().swap_remove(choice);
             run.apply(mv);
         }
         run
@@ -255,21 +245,21 @@ impl Run {
 
     /// The options now: the events that may run, in queue order, the
     /// wait (up to the deadline), then the faults left in the budget.
-    fn moves(&mut self, sc: &Scenario, budget: &FaultBudget) -> Vec<Move> {
-        let (runnable, wait) = self.world.choices(budget.delta);
+    fn moves(&mut self) -> Vec<Move> {
+        let (runnable, wait) = self.world.choices(self.budget.delta);
         let mut out: Vec<Move> = runnable.into_iter().map(Move::Run).collect();
-        out.extend(wait.filter(|t| t.ticks() <= sc.deadline).map(Move::Wait));
-        let n = self.world.n_procs();
+        out.extend(wait.filter(|t| t.ticks() <= self.sc.deadline).map(Move::Wait));
+        let (n, crash) = (self.world.n_procs(), &self.budget.crash);
         let up = |p: usize| self.world.is_up(ProcId(p));
         if !self.crashed {
-            out.extend(budget.crash.iter().filter(|&&p| p < n && up(p)).map(|&p| Move::Crash(p)));
+            out.extend(crash.iter().filter(|&&p| p < n && up(p)).map(|&p| Move::Crash(p)));
         }
-        if !self.recovered && !budget.crash.is_empty() {
+        if !self.recovered && !crash.is_empty() {
             out.extend((0..n).filter(|&p| !up(p)).map(Move::Recover));
         }
         match self.cut {
             Cut::Never => {
-                for &p in budget.partition.iter().filter(|&&p| p < n) {
+                for &p in self.budget.partition.iter().filter(|&&p| p < n) {
                     out.extend([CutKind::Both, CutKind::Outbound].map(|k| Move::Partition(p, k)));
                 }
             }
@@ -309,6 +299,12 @@ impl Run {
         self.schedule.push(ev);
     }
 
+    /// Each transaction's state at `p`.
+    fn states(&self, p: ProcId) -> Vec<Option<LocalState>> {
+        let txns = 1..=self.sc.n_transactions.max(1) as u64;
+        txns.map(|t| self.world.process(p).local_state(TxnId(t))).collect()
+    }
+
     /// [`Run::apply`], returning the local-state transitions it caused.
     fn apply_observed(&mut self, mv: Move) -> Vec<String> {
         let (actor, cause) = match &mv {
@@ -319,22 +315,12 @@ impl Run {
                 return Vec::new();
             }
         };
-        let states = |world: &World<Msg, Site>| -> Vec<Option<LocalState>> {
-            let txns = 1..=world.process(ProcId(0)).config().plans.len() as u64;
-            txns.map(|t| world.process(actor).local_state(TxnId(t))).collect()
-        };
-        let before = states(&self.world);
+        let before = self.states(actor);
         self.apply(mv);
         let role = if actor == self.world.process(actor).config().coordinator { 1 } else { 2 };
-        let pairs = before.into_iter().zip(states(&self.world));
-        pairs
-            .filter_map(|pair| match pair {
-                (Some(from), Some(to)) if from != to => {
-                    Some(format!("{from}{role} --[{cause}]--> {to}{role}"))
-                }
-                _ => None,
-            })
-            .collect()
+        let pairs = before.into_iter().zip(self.states(actor));
+        let changed = pairs.filter_map(|(a, b)| Some((a?, b?))).filter(|(a, b)| a != b);
+        changed.map(|(from, to)| format!("{from}{role} --[{cause}]--> {to}{role}")).collect()
     }
 
     /// The visited-set key: the world's digest and the budget spent.
@@ -345,9 +331,9 @@ impl Run {
     /// The non-blocking theorem on every transaction's global state:
     /// `Err` on commit beside abort (rule 1), else whether every commit
     /// stands beside committable states only (rule 2).
-    fn theorem(&self, sc: &Scenario) -> Result<bool, OracleResult> {
+    fn theorem(&self) -> Result<bool, OracleResult> {
         let mut committable = true;
-        for t in 1..=sc.n_transactions.max(1) as u64 {
+        for t in 1..=self.sc.n_transactions.max(1) as u64 {
             let mut global = GlobalState::new();
             for p in (0..self.world.n_procs()).map(ProcId) {
                 if let Some(s) = self.world.process(p).local_state(TxnId(t)) {
@@ -366,21 +352,16 @@ impl Run {
     /// The chaos oracles' verdicts on the execution so far; it counts as
     /// faulted after a fault or crash point, or with hops that may
     /// outlast half the timeout.
-    fn judge(&self, sc: &Scenario, budget: &FaultBudget) -> Vec<OracleResult> {
-        let faulted = self.crashed || !self.schedule.is_empty() || 2 * budget.delta >= sc.timeout;
+    fn judge(&self) -> Vec<OracleResult> {
+        let (sc, delta) = (self.sc, self.budget.delta);
+        let faulted = self.crashed || !self.schedule.is_empty() || 2 * delta >= sc.timeout;
         evaluate(&self.world, sc, faulted, &[], &mcv_trace::CausalTrace::default())
     }
 
-    fn counterexample(
-        &self,
-        sc: &Scenario,
-        budget: &FaultBudget,
-        choices: Vec<usize>,
-        violated: OracleResult,
-    ) -> Counterexample {
+    fn counterexample(&self, choices: Vec<usize>, violated: OracleResult) -> Counterexample {
         Counterexample {
-            scenario: sc.clone(),
-            budget: budget.clone(),
+            scenario: self.sc.clone(),
+            budget: self.budget.clone(),
             choices,
             schedule: FaultSchedule { events: self.schedule.clone() },
             violated: violated.name,
@@ -397,8 +378,8 @@ mod tests {
     #[test]
     fn fault_free_runs_commit_in_every_order() {
         let sc = Scenario { n_cohorts: 2, ..Scenario::default() };
-        let found = explore(&sc, &FaultBudget::none(5));
-        assert!(found.is_safe(), "{:?}", found.violation);
+        let found = explore(&sc, &FaultBudget { delta: 5, ..FaultBudget::default() });
+        assert!(found.violation.is_none(), "{:?}", found.violation);
         assert!(found.states > 10 && found.executions >= 1);
         assert!(found.edges.contains("p1 --[PrepareAck]--> c1"), "{:?}", found.edges);
     }
@@ -411,12 +392,14 @@ mod tests {
             coordinator_crash: Some(CrashPoint::AfterPartialPrepare),
             ..Scenario::default()
         };
-        let cx = explore(&sc, &FaultBudget::none(5)).violation.expect("partial prepare splits");
+        let budget = FaultBudget { delta: 5, ..FaultBudget::default() };
+        let cx = explore(&sc, &budget).violation.expect("partial prepare splits");
         assert_eq!(cx.violated, "ac1_agreement");
-        let back = Counterexample::from_json(&cx.to_json()).expect("parses");
+        let json = serde_json::to_string_pretty(&cx).expect("serializes");
+        let back: Counterexample = serde_json::from_str(&json).expect("parses");
         assert_eq!(back, cx);
         assert_eq!(back.steps().len(), cx.choices.len());
-        let verdicts = back.replay();
+        let verdicts = back.replay().expect("replays the recorded execution");
         assert!(verdicts.iter().any(|o| o.name == "ac1_agreement" && !o.pass), "{verdicts:?}");
     }
 }

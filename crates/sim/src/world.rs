@@ -445,15 +445,11 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
     /// link) and timers, crashes and recoveries exactly when due: the
     /// events that may run now, in queue order, and the instant the
     /// clock may move to instead if none is due now (one tick on while
-    /// a message is in flight, else the next due event). The first call
-    /// starts every process. [`World::step`] is the seeded scheduler.
+    /// a message is in flight, else the next due event). Call it once
+    /// the processes started (`run_until(SimTime::ZERO)`).
+    /// [`World::step`] is the seeded scheduler.
     pub fn choices(&mut self, delta: u64) -> (Vec<Pending>, Option<SimTime>) {
-        if !self.started {
-            self.started = true;
-            for i in 0..self.procs.len() {
-                self.run_event(Event { time: SimTime::ZERO, seq: 0, kind: Due::Start(ProcId(i)) });
-            }
-        }
+        debug_assert!(self.started, "start the processes first");
         let live = &self.live_timers;
         self.queue.retain(|Reverse(ev)| match ev.kind {
             Due::Timer { proc, token, tid, .. } => live.contains(&(proc, token, tid)),
@@ -536,8 +532,10 @@ impl<M: Clone + std::fmt::Debug, P: Process<M>> World<M, P> {
     }
 
     /// A digest of the state relative to now: the up flags, each
-    /// process's `Hash`, and every pending event timed from now. Equal
-    /// digests offer the same futures, whatever the clocks read.
+    /// process's `Hash`, and every pending event timed from now. It
+    /// leaves out the clock and the links' dated windows, so equal
+    /// digests offer the same futures only while no window opens or
+    /// closes ahead (a caller that cuts links keys the cut itself).
     pub fn digest(&self) -> u64
     where
         M: Hash,

@@ -3,7 +3,7 @@
 //! found kept fixed, the split it still finds kept visible, and the
 //! search deterministic.
 
-use mcv::chaos::{explore, Counterexample, FaultBudget};
+use mcv::chaos::{explore, Counterexample, FaultBudget, OracleResult};
 use mcv::commit::{CrashPoint, Scenario};
 use std::time::Instant;
 
@@ -22,7 +22,13 @@ fn quorum(n_cohorts: usize, n_transactions: usize) -> Scenario {
 fn load(name: &str) -> Counterexample {
     let path = format!("{}/tests/regressions/{name}", env!("CARGO_MANIFEST_DIR"));
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
-    Counterexample::from_json(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// The oracles' verdicts on the recorded execution, failing loudly if
+/// the replay drifted from it (a choice gone, or other faults).
+fn replay(cx: &Counterexample) -> Vec<OracleResult> {
+    cx.replay().unwrap_or_else(|e| panic!("the replay drifted, re-derive the artifact: {e}"))
 }
 
 /// The bound: 3 sites × 1 transaction and 2 sites × 2 transactions,
@@ -44,7 +50,7 @@ fn the_recovery_bound_is_explored_clean() {
             found.states,
             start.elapsed()
         );
-        assert!(found.is_safe(), "{:#?}", found.violation.map(|cx| cx.steps()));
+        assert!(found.violation.is_none(), "{:#?}", found.violation.map(|cx| cx.steps()));
         assert!(found.executions > 0 && found.states > 1_000);
     }
 }
@@ -58,7 +64,7 @@ fn the_recovery_bound_is_explored_clean() {
 fn the_quorum_recovery_split_brain_stays_fixed() {
     let cx = load("quorum-recovery-split-brain.json");
     assert_eq!(cx.violated, "ac1_agreement");
-    let verdicts = cx.replay();
+    let verdicts = replay(&cx);
     assert!(verdicts.iter().all(|o| o.pass), "{verdicts:#?}");
 }
 
@@ -71,7 +77,7 @@ fn the_quorum_recovery_split_brain_stays_fixed() {
 #[test]
 fn concurrent_quorum_backups_still_split() {
     let cx = load("concurrent-backups-split-brain.json");
-    let verdicts = cx.replay();
+    let verdicts = replay(&cx);
     let split = verdicts.iter().find(|o| o.name == "ac1_agreement").expect("oracle");
     assert!(!split.pass, "the concurrent-backup split is gone: flip this test");
 }

@@ -149,9 +149,9 @@ fn model_and_simulation_agree_on_the_naive_hazard() {
             naive_timeouts: true,
             ..Scenario::default()
         };
-        let explored = explore(&sc, &FaultBudget::none(5));
+        let explored = explore(&sc, &FaultBudget { delta: 5, ..FaultBudget::default() });
         let sim = run_scenario(&sc);
-        assert_eq!(explored.is_safe(), cohorts == 1, "explorer, {cohorts} cohorts");
+        assert_eq!(explored.violation.is_none(), cohorts == 1, "explorer, {cohorts} cohorts");
         assert_eq!(sim.uniform, cohorts == 1, "simulation, {cohorts} cohorts");
     }
 }
