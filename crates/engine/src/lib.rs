@@ -62,6 +62,6 @@ pub use engine::{latency_histogram, Engine, EngineConfig, EngineError, StagedCom
 pub use mcv_mvcc::IsolationLevel;
 pub use pool::{Pool, Shed};
 pub use workload::{
-    run_driver, DriverConfig, DriverReport, KeyPicker, Mix, WorkloadKind, Zipfian,
-    BANK_INITIAL_BALANCE,
+    bulk_load, fund_accounts, item_name, read_write, run_driver, transfer, DriverConfig,
+    DriverReport, KeyPicker, Mix, Oracles, WorkloadKind, Zipfian, BANK_INITIAL_BALANCE,
 };

@@ -8,7 +8,7 @@
 //! sum invariant, and recovery equivalence (the durable log replays to
 //! exactly the engine's quiesced state).
 
-use crate::engine::{latency_histogram, Engine, EngineConfig, EngineError};
+use crate::engine::{latency_histogram, Engine, EngineConfig, EngineError, Txn};
 use crate::pool::Pool;
 use mcv_obs::{Histogram, MetricsSnapshot};
 use rand::rngs::StdRng;
@@ -183,8 +183,28 @@ struct DriverShared {
 /// Initial balance per bank account.
 pub const BANK_INITIAL_BALANCE: i64 = 100;
 
-fn item_name(i: usize) -> String {
+/// The name of item `i`, the one keyspace both drivers use.
+pub fn item_name(i: usize) -> String {
     format!("item{i:05}")
+}
+
+/// Writes `entries` into `engine`, 256 writes per transaction (one
+/// huge transaction would hold every lock; chunks keep the WAL's
+/// checkpointless replay honest).
+pub fn bulk_load<K: AsRef<str>>(engine: &Engine, entries: impl IntoIterator<Item = (K, i64)>) {
+    let mut entries = entries.into_iter().peekable();
+    while entries.peek().is_some() {
+        let mut t = engine.begin();
+        for (k, v) in entries.by_ref().take(256) {
+            t.write(k.as_ref(), v).expect("bulk write");
+        }
+        t.commit().expect("bulk commit");
+    }
+}
+
+/// Funds accounts `0..items` with [`BANK_INITIAL_BALANCE`] each.
+pub fn fund_accounts(engine: &Engine, items: usize) {
+    bulk_load(engine, (0..items).map(|i| (item_name(i), BANK_INITIAL_BALANCE)));
 }
 
 /// Runs one closed-loop workload to completion and evaluates the
@@ -197,15 +217,7 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
 
     let bank = matches!(cfg.workload, WorkloadKind::BankTransfer);
     if bank {
-        // Fund the accounts in chunks (one huge txn would hold every
-        // lock; chunks keep the WAL's checkpointless replay honest).
-        for chunk in (0..cfg.items).collect::<Vec<_>>().chunks(256) {
-            let mut t = engine.begin();
-            for &i in chunk {
-                t.write(&item_name(i), BANK_INITIAL_BALANCE).expect("setup write");
-            }
-            t.commit().expect("setup commit");
-        }
+        fund_accounts(&engine, cfg.items);
     }
 
     // Setup transactions (account funding) are not admissions; the
@@ -242,21 +254,9 @@ pub fn run_driver(cfg: &DriverConfig) -> DriverReport {
     pool.join();
     let elapsed_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
-    // Oracles, on the quiesced engine.
     let oracle_start = Instant::now();
-    let history = engine.sampled_history();
-    let serializable = history.is_conflict_serializable();
-    let sampled_txns = history.transactions().len();
-    let sampled_ops = history.len();
-
-    let recovered = mcv_txn::Wal::recover_bytes(&engine.durable_image());
-    let recovered_matches = recovered == engine.state();
-
-    let bank_invariant_ok = bank.then(|| {
-        let total: i64 =
-            (0..cfg.items).map(|i| recovered.get(&item_name(i)).copied().unwrap_or(0)).sum();
-        total == BANK_INITIAL_BALANCE * cfg.items as i64
-    });
+    let Oracles { serializable, sampled_txns, sampled_ops, recovered_matches, bank_invariant_ok } =
+        Oracles::check(&engine, bank.then_some(cfg.items));
     let oracle_ns = oracle_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
     let mut metrics = engine.metrics_snapshot();
@@ -297,9 +297,39 @@ fn run_one(
     seed: u64,
 ) {
     loop {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let t = engine.begin();
-        match attempt(t, &mut rng, workload, picker, items) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let mut t = engine.begin();
+        let executed = match workload {
+            WorkloadKind::ReadWrite { write_pct, ops_per_txn, .. } => {
+                read_write(&mut t, rng, write_pct, ops_per_txn, |rng| picker.next(rng))
+            }
+            WorkloadKind::BankTransfer => {
+                transfer(&mut t, rng, items, |rng| rng.gen_range(0..items))
+            }
+            WorkloadKind::WriteSkew { pairs } => {
+                assert!(pairs > 0 && items >= 2 * pairs, "write-skew needs items >= 2*pairs");
+                let p = rng.gen_range(0..pairs);
+                let (left, right) = (item_name(2 * p), item_name(2 * p + 1));
+                (|| {
+                    let a = t.read(&left)?;
+                    let b = t.read(&right)?;
+                    // Write exactly one side, derived from both reads —
+                    // the classic "on-call doctors" shape where the
+                    // constraint spans the pair but each writer touches
+                    // half of it.
+                    let target = if rng.gen_bool(0.5) { &left } else { &right };
+                    t.write(target, a + b + 1)
+                })()
+            }
+        };
+        let result = match executed {
+            Ok(()) => t.commit(),
+            Err(e) => {
+                t.abort();
+                Err(e)
+            }
+        };
+        match result {
             Ok(()) => return,
             Err(EngineError::Deadlock { .. } | EngineError::Certification { .. }) => {
                 shared.retries.fetch_add(1, Ordering::Relaxed);
@@ -309,82 +339,81 @@ fn run_one(
     }
 }
 
-fn attempt(
-    mut t: crate::engine::Txn,
+/// The operations (not the commit) of a read-write transaction: `ops`
+/// point operations on items drawn by `key`, each a write of a random
+/// value with probability `write_pct`/100, else a read.
+pub fn read_write(
+    t: &mut Txn,
     rng: &mut StdRng,
-    workload: WorkloadKind,
-    picker: &KeyPicker,
-    items: usize,
+    write_pct: u8,
+    ops: usize,
+    mut key: impl FnMut(&mut StdRng) -> usize,
 ) -> Result<(), EngineError> {
-    match workload {
-        WorkloadKind::ReadWrite { write_pct, ops_per_txn, .. } => {
-            for _ in 0..ops_per_txn {
-                let name = item_name(picker.next(rng));
-                if rng.gen_range(0..100u8) < write_pct {
-                    let v = rng.gen_range(0..1_000_000i64);
-                    match t.write(&name, v) {
-                        Ok(()) => {}
-                        Err(e) => {
-                            t.abort();
-                            return Err(e);
-                        }
-                    }
-                } else {
-                    match t.read(&name) {
-                        Ok(_) => {}
-                        Err(e) => {
-                            t.abort();
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            t.commit()
+    for _ in 0..ops {
+        let name = item_name(key(rng));
+        if rng.gen_range(0..100u8) < write_pct {
+            t.write(&name, rng.gen_range(0..1_000_000i64))?;
+        } else {
+            t.read(&name)?;
         }
-        WorkloadKind::BankTransfer => {
-            let a = rng.gen_range(0..items);
-            let mut b = rng.gen_range(0..items);
-            if b == a {
-                b = (a + 1) % items;
-            }
-            let amount = rng.gen_range(1..=10i64);
-            let (na, nb) = (item_name(a), item_name(b));
-            let result = (|| {
-                let va = t.read(&na)?;
-                let vb = t.read(&nb)?;
-                t.write(&na, va - amount)?;
-                t.write(&nb, vb + amount)?;
-                Ok(())
-            })();
-            match result {
-                Ok(()) => t.commit(),
-                Err(e) => {
-                    t.abort();
-                    Err(e)
-                }
-            }
-        }
-        WorkloadKind::WriteSkew { pairs } => {
-            assert!(pairs > 0 && items >= 2 * pairs, "write-skew needs items >= 2*pairs");
-            let p = rng.gen_range(0..pairs);
-            let (left, right) = (item_name(2 * p), item_name(2 * p + 1));
-            let result = (|| {
-                let a = t.read(&left)?;
-                let b = t.read(&right)?;
-                // Write exactly one side, derived from both reads — the
-                // classic "on-call doctors" shape where the constraint
-                // spans the pair but each writer touches half of it.
-                let target = if rng.gen_bool(0.5) { &left } else { &right };
-                t.write(target, a + b + 1)?;
-                Ok(())
-            })();
-            match result {
-                Ok(()) => t.commit(),
-                Err(e) => {
-                    t.abort();
-                    Err(e)
-                }
-            }
+    }
+    Ok(())
+}
+
+/// The operations (not the commit) of a bank transfer: read two
+/// accounts drawn by `key` (the second moved on by one, mod `items`, if
+/// they collide) and move 1..=10 between them.
+pub fn transfer(
+    t: &mut Txn,
+    rng: &mut StdRng,
+    items: usize,
+    mut key: impl FnMut(&mut StdRng) -> usize,
+) -> Result<(), EngineError> {
+    let a = key(rng);
+    let mut b = key(rng);
+    if b == a {
+        b = (a + 1) % items;
+    }
+    let amount = rng.gen_range(1..=10i64);
+    let (na, nb) = (item_name(a), item_name(b));
+    let va = t.read(&na)?;
+    let vb = t.read(&nb)?;
+    t.write(&na, va - amount)?;
+    t.write(&nb, vb + amount)
+}
+
+/// What the oracles found on one quiesced engine.
+#[derive(Debug, Clone, Copy)]
+pub struct Oracles {
+    /// The sampled committed history is conflict-serializable.
+    pub serializable: bool,
+    /// Transactions in the sample.
+    pub sampled_txns: usize,
+    /// Operations in the sample.
+    pub sampled_ops: usize,
+    /// Replaying the durable log reproduces the volatile state exactly.
+    pub recovered_matches: bool,
+    /// The recovered bank balances sum to what was funded.
+    pub bank_invariant_ok: Option<bool>,
+}
+
+impl Oracles {
+    /// Runs every oracle on a quiesced `engine` whose accounts
+    /// `0..bank` were funded by [`fund_accounts`], if any.
+    pub fn check(engine: &Engine, bank: Option<usize>) -> Oracles {
+        let history = engine.sampled_history();
+        let recovered = mcv_txn::Wal::recover_bytes(&engine.durable_image());
+        let bank_invariant_ok = bank.map(|n| {
+            let total: i64 =
+                (0..n).map(|i| recovered.get(&item_name(i)).copied().unwrap_or(0)).sum();
+            total == BANK_INITIAL_BALANCE * n as i64
+        });
+        Oracles {
+            serializable: history.is_conflict_serializable(),
+            sampled_txns: history.transactions().len(),
+            sampled_ops: history.len(),
+            recovered_matches: recovered == engine.state(),
+            bank_invariant_ok,
         }
     }
 }

@@ -55,7 +55,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Instantaneous offered rate (txns/second) at virtual time `at_us`.
-    pub fn rate_at(&self, at_us: u64) -> f64 {
+    fn rate_at(&self, at_us: u64) -> f64 {
         match *self {
             ArrivalProcess::Poisson { rate_tps } => rate_tps,
             ArrivalProcess::FlashCrowd { base_tps, peak_tps, start_us, end_us } => {
@@ -226,7 +226,7 @@ pub struct Ownership {
 impl Ownership {
     /// The engine that owns every key of `session`'s transactions —
     /// all of a session's ops stay engine-local (cross-shard mixes go
-    /// through the `dist_waves` leg instead).
+    /// through [`run_dist_stream`](crate::run_dist_stream) instead).
     pub fn engine_of(&self, session: u64) -> usize {
         (session % self.engines as u64) as usize
     }
@@ -234,7 +234,7 @@ impl Ownership {
     /// The session's home key index inside its engine's `0..items`
     /// range (multiplicative scramble: adjacent hot sessions spread
     /// across the keyspace instead of piling onto one hot block).
-    pub fn home_key(&self, session: u64) -> usize {
+    fn home_key(&self, session: u64) -> usize {
         ((session.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 17) % self.items_per_engine as u64)
             as usize
     }

@@ -14,7 +14,6 @@ use mcv_dist::{run_pipeline, DistConfig, PipelineConfig};
 use mcv_obs::Histogram;
 
 use crate::arrivals::{ArrivalSchedule, LoadProfile};
-use crate::driver::load_latency_histogram;
 
 /// Configuration for the streaming cross-shard leg.
 #[derive(Debug, Clone)]
@@ -131,7 +130,7 @@ pub fn run_dist_stream(cfg: &DistStreamConfig) -> DistStreamReport {
         committed: outcome.stats.committed,
         aborted: outcome.stats.aborted,
         oracle_failures: u64::from(outcome.violated().is_some()),
-        latency_us: load_latency_histogram(),
+        latency_us: mcv_engine::latency_histogram(),
         goodput: 0,
         wall_ms: 0,
     };

@@ -1,14 +1,17 @@
 //! The wall-clock open-loop driver: paces a deterministic
-//! [`ArrivalSchedule`] against a cluster of live engines through the
-//! non-blocking `Pool::try_submit` admission path.
+//! [`ArrivalSchedule`] against a cluster of live engines, each attempt
+//! decided by the admission rule [`simulate`](crate::simulate) also
+//! runs.
 //!
 //! Unlike the closed-loop `mcv_engine::run_driver` (N clients, fixed
 //! quota, next transaction starts when the last finishes), arrivals
-//! here do not wait for capacity: when the bounded queue is full the
-//! transaction is *shed* under an explicit policy — dropped, or
-//! retried after capped exponential backoff — and every transaction
-//! carries a deadline budget measured from its arrival instant, so
-//! queueing delay counts against it. A worker executes a transaction
+//! here do not wait for capacity: when `queue_cap + workers` accepted
+//! attempts are unresolved the transaction is *shed* under an explicit
+//! policy — dropped, or retried after capped exponential backoff — and
+//! every transaction carries a deadline budget measured from its
+//! arrival instant, so queueing delay counts against it. The driver
+//! runs the engine driver's transaction bodies and oracles; only the
+//! commit differs. A worker executes a transaction
 //! and leaves its commit with the engine (`Txn::commit_then`): the
 //! completion runs when the record is durable, by which time the
 //! worker is on its next job, and admission bounds what is in flight
@@ -28,7 +31,10 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use mcv_engine::wait::wait_until;
-use mcv_engine::{latency_histogram, Engine, EngineConfig, EngineError};
+use mcv_engine::{
+    bulk_load, fund_accounts, latency_histogram, read_write, transfer, Engine, EngineConfig,
+    EngineError, Oracles,
+};
 use mcv_obs::{Histogram, MetricsSnapshot};
 use mcv_prof::{TelemetryConfig, TelemetrySnapshot, TelemetryStream};
 use mcv_txn::TxnId;
@@ -36,40 +42,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::admission::{Admission, Decision, ShedPolicy, Then, Verdict};
 use crate::arrivals::{Arrival, ArrivalSchedule, LoadProfile, Ownership};
-
-/// What happens to a transaction the admission gate rejects.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum ShedPolicy {
-    /// Reject outright: the arrival terminates as `dropped`.
-    Drop,
-    /// Reject with retry-after: the client resubmits after capped
-    /// exponential backoff, until its deadline budget runs out.
-    RetryAfter {
-        /// First backoff step (µs); doubles per attempt.
-        base_us: u64,
-        /// Backoff ceiling (µs).
-        cap_us: u64,
-    },
-}
-
-/// Capped exponential backoff with deterministic jitter: attempt `a`
-/// waits `min(base << a, cap)` plus a hash-of-seed jitter in
-/// `[0, base)`. Pure, so the admission simulator replays the live
-/// driver's exact schedule.
-pub fn backoff_us(base_us: u64, cap_us: u64, attempt: u32, seed: u64) -> u64 {
-    let exp = base_us.saturating_mul(1u64 << attempt.min(16)).min(cap_us.max(base_us));
-    let h = (seed ^ ((attempt as u64 + 1).wrapping_mul(0xd134_2543_de82_ef95)))
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    exp + (h >> 33) % base_us.max(1)
-}
-
-/// The latency histogram every load run records into — the engine's
-/// 50µs..16s decade bounds, so percentiles from open- and closed-loop
-/// runs are comparable.
-pub fn load_latency_histogram() -> Histogram {
-    latency_histogram()
-}
 
 /// The transaction mix an open-loop session submits.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -116,8 +90,8 @@ pub struct LoadConfig {
     pub workload: LoadWorkload,
     /// Worker threads shared by all engines.
     pub workers: usize,
-    /// Bounded admission-queue capacity (`Pool::try_submit` sheds
-    /// beyond it).
+    /// Admission-queue capacity: attempts beyond `queue_cap + workers`
+    /// unresolved are shed.
     pub queue_cap: usize,
     /// Shedding policy.
     pub policy: ShedPolicy,
@@ -133,9 +107,6 @@ pub struct LoadConfig {
     /// off). Windows are keyed by scheduled arrival time, so the
     /// stream's shape is a function of the seed alone.
     pub telemetry_window_us: u64,
-    /// Stream each completed telemetry window to stderr as a JSONL
-    /// line while the run is live (needs `telemetry_window_us > 0`).
-    pub telemetry_live: bool,
 }
 
 impl Default for LoadConfig {
@@ -155,16 +126,8 @@ impl Default for LoadConfig {
             p99_window_us: 40_000,
             crash: None,
             telemetry_window_us: 0,
-            telemetry_live: false,
         }
     }
-}
-
-/// Initial balance per bank account (matches the closed-loop driver).
-pub const BANK_INITIAL_BALANCE: i64 = 100;
-
-fn item_name(i: usize) -> String {
-    format!("item{i:05}")
 }
 
 struct Slot {
@@ -174,12 +137,10 @@ struct Slot {
 
 #[derive(Default)]
 struct Tally {
-    accepted: AtomicU64,
-    shed: AtomicU64,
+    /// Accepts, sheds, retries, deadline misses: `Decision as usize`.
+    decided: [AtomicU64; 4],
     unavailable: AtomicU64,
-    retried: AtomicU64,
     dropped: AtomicU64,
-    deadline_missed: AtomicU64,
     crash_lost: AtomicU64,
     committed: AtomicU64,
     goodput: AtomicU64,
@@ -194,6 +155,12 @@ struct Tally {
     early: AtomicU64,
 }
 
+impl Tally {
+    fn count(&self, d: Decision) {
+        self.decided[d as usize].fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// `(due_us, seq, arrival_idx, attempt)` — min-heap order on due time,
 /// seq breaking ties so the drain order is deterministic.
 type RetryEntry = (u64, u64, usize, u32);
@@ -206,8 +173,10 @@ struct Shared {
     start: Instant,
     own: Ownership,
     workload: LoadWorkload,
-    policy: ShedPolicy,
-    deadline_us: u64,
+    /// The admission rule. Its bound, `queue_cap + workers` unresolved,
+    /// is what the queue alone gave while each worker held its
+    /// transaction to the end, before commits were left to the device.
+    rule: Admission,
     latency: Mutex<Histogram>,
     /// `(completion_us, latency_us)` per commit, for windowed p99.
     completions: Mutex<Vec<(u64, u64)>>,
@@ -216,11 +185,6 @@ struct Shared {
     /// Accepted attempts not yet resolved: queued, executing, or
     /// committed and waiting for the log device.
     in_flight: AtomicU64,
-    /// `queue_cap + workers`, the most `in_flight` may reach. A worker
-    /// does not wait for the device, so the queue alone no longer
-    /// bounds accepted work when the device stalls; this is the bound
-    /// it gave when each worker held its transaction to the end.
-    max_in_flight: u64,
     n: Tally,
     /// Phase profiler captured at run entry; committed arrivals record
     /// their arrival-to-resolution anchor plus admission-queue dwell,
@@ -248,59 +212,50 @@ impl Shared {
         self.pacer_cv.notify_one();
     }
 
-    /// Schedules a retry for `idx` (attempt `attempt` just failed) or
-    /// abandons it when backoff would land past the deadline.
-    fn schedule_retry(&self, idx: usize, attempt: u32, arrival: Arrival) {
-        let now = self.now_us();
-        let (base_us, cap_us) = match self.policy {
-            ShedPolicy::RetryAfter { base_us, cap_us } => (base_us, cap_us),
-            // Drop policy never retries; abort-retries still use a
-            // small default backoff so deadlock victims back off.
-            ShedPolicy::Drop => (500, 8_000),
-        };
-        let due = now + backoff_us(base_us, cap_us, attempt, arrival.spec_seed);
-        if due >= arrival.at_us + self.deadline_us {
-            self.n.deadline_missed.fetch_add(1, Ordering::Relaxed);
-            self.observe_abandoned(&arrival);
-            return;
-        }
-        self.n.retried.fetch_add(1, Ordering::Relaxed);
-        let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
-        self.retry_q.lock().expect("retry queue").push(Reverse((due, seq, idx, attempt + 1)));
-        self.wake_pacer();
-    }
-
-    /// One shed admission attempt: counted, then dropped or retried as
-    /// the policy says.
-    fn shed(&self, idx: usize, attempt: u32, arrival: Arrival) {
-        self.n.shed.fetch_add(1, Ordering::Relaxed);
-        if let Some(tel) = &self.telemetry {
-            tel.lock().expect("telemetry").observe_shed(arrival.at_us);
-        }
-        match self.policy {
-            ShedPolicy::Drop => {
-                self.n.dropped.fetch_add(1, Ordering::Relaxed);
-                self.observe_resolved(&arrival);
+    /// Counts a rejected attempt and carries out the rest of its
+    /// verdict.
+    fn reject(&self, idx: usize, attempt: u32, arrival: Arrival, verdict: Verdict) {
+        match verdict {
+            Verdict::Accept => unreachable!("an accepted attempt is not rejected"),
+            Verdict::DeadlineMiss => self.settle(idx, attempt, arrival, Then::DeadlineMiss),
+            Verdict::Shed(then) => {
+                self.n.count(Decision::Shed);
+                self.observe(|tel| tel.observe_shed(arrival.at_us));
+                self.settle(idx, attempt, arrival, then);
             }
-            ShedPolicy::RetryAfter { .. } => self.schedule_retry(idx, attempt, arrival),
         }
     }
 
-    /// Telemetry hook for an arrival abandoned short of commit
-    /// (terminal: releases the arrival's window).
-    fn observe_abandoned(&self, arrival: &Arrival) {
-        if let Some(tel) = &self.telemetry {
-            let mut tel = tel.lock().expect("telemetry");
-            tel.observe_abort(arrival.at_us);
-            tel.observe_resolved(arrival.at_us);
+    /// Carries out what the rule made of a rejected or aborted attempt.
+    fn settle(&self, idx: usize, attempt: u32, arrival: Arrival, then: Then) {
+        match then {
+            Then::Dropped => {
+                self.n.dropped.fetch_add(1, Ordering::Relaxed);
+                self.observe(|tel| tel.observe_resolved(arrival.at_us));
+            }
+            Then::DeadlineMiss => {
+                // Abandoned short of commit: terminal, so the arrival's
+                // window stops waiting on it.
+                self.n.count(Decision::DeadlineMiss);
+                self.observe(|tel| {
+                    tel.observe_abort(arrival.at_us);
+                    tel.observe_resolved(arrival.at_us);
+                });
+            }
+            Then::Retry { due_us } => {
+                self.n.count(Decision::Retry);
+                let seq = self.retry_seq.fetch_add(1, Ordering::Relaxed);
+                let entry = Reverse((due_us, seq, idx, attempt + 1));
+                self.retry_q.lock().expect("retry queue").push(entry);
+                self.wake_pacer();
+            }
         }
     }
 
-    /// Telemetry hook for any other terminal resolution (drop, crash
-    /// loss): the arrival's window stops waiting on it.
-    fn observe_resolved(&self, arrival: &Arrival) {
+    /// Feeds the live telemetry, when configured.
+    fn observe(&self, f: impl FnOnce(&mut TelemetryStream)) {
         if let Some(tel) = &self.telemetry {
-            tel.lock().expect("telemetry").observe_resolved(arrival.at_us);
+            f(&mut tel.lock().expect("telemetry"));
         }
     }
 
@@ -324,12 +279,12 @@ impl Shared {
                     // Committed on a generation that has since crashed:
                     // the ack raced the crash, the client saw a failure.
                     self.n.crash_lost.fetch_add(1, Ordering::Relaxed);
-                    self.observe_resolved(&arrival);
+                    self.observe(|tel| tel.observe_resolved(arrival.at_us));
                 } else {
                     let now = self.now_us();
                     let lat = now.saturating_sub(arrival.at_us);
                     self.n.committed.fetch_add(1, Ordering::Relaxed);
-                    if lat <= self.deadline_us {
+                    if lat <= self.rule.deadline_us {
                         self.n.goodput.fetch_add(1, Ordering::Relaxed);
                     }
                     self.latency.lock().expect("latency").record(lat);
@@ -346,15 +301,15 @@ impl Shared {
                         p.record(&tl);
                         tl
                     });
-                    if let Some(tel) = &self.telemetry {
-                        let mut tel = tel.lock().expect("telemetry");
+                    self.observe(|tel| {
                         tel.observe_commit(arrival.at_us, lat_ns, tl.as_ref());
                         tel.observe_resolved(arrival.at_us);
-                    }
+                    });
                 }
             }
             Err(EngineError::Deadlock { .. } | EngineError::Certification { .. }) => {
-                self.schedule_retry(idx, attempt, arrival);
+                let then = self.rule.then(self.now_us(), &arrival, attempt, true);
+                self.settle(idx, attempt, arrival, then);
             }
             Err(e) => panic!("load transaction failed: {e}"),
         }
@@ -364,13 +319,10 @@ impl Shared {
     }
 }
 
-/// Executes one transaction spec on its session's engine. The spec is
-/// a pure function of `(session, seed)`, so retries replay it exactly.
-/// The outcome goes to `done` — an abort at once, a commit when its
-/// record is durable, by which time this call has long returned and
-/// the worker is on its next job. A commit carries the engine
-/// transaction id so the driver's arrival-to-resolution timeline joins
-/// the engine's phase sample.
+/// Executes one transaction spec, the engine driver's operation bodies
+/// over the session's key window; retries replay the same `seed`. The
+/// outcome goes to `done` — an abort at once, a commit when its record
+/// is durable, with the transaction id the profiler joins on.
 fn attempt_txn(
     engine: &Engine,
     own: Ownership,
@@ -382,30 +334,12 @@ fn attempt_txn(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = engine.begin();
     let id = t.id();
+    let key = |rng: &mut StdRng| own.key(session, rng.gen_range(0..own.span.max(1)));
     let executed = match workload {
-        LoadWorkload::ReadWrite { write_pct, ops_per_txn } => (0..ops_per_txn).try_for_each(|_| {
-            let name = item_name(own.key(session, rng.gen_range(0..own.span.max(1))));
-            if rng.gen_range(0..100u8) < write_pct {
-                t.write(&name, rng.gen_range(0..1_000_000i64))
-            } else {
-                t.read(&name).map(drop)
-            }
-        }),
-        LoadWorkload::Bank => {
-            let a = own.key(session, rng.gen_range(0..own.span.max(1)));
-            let mut b = own.key(session, rng.gen_range(0..own.span.max(1)));
-            if b == a {
-                b = (a + 1) % own.items_per_engine;
-            }
-            let amount = rng.gen_range(1..=10i64);
-            let (na, nb) = (item_name(a), item_name(b));
-            (|| {
-                let va = t.read(&na)?;
-                let vb = t.read(&nb)?;
-                t.write(&na, va - amount)?;
-                t.write(&nb, vb + amount)
-            })()
+        LoadWorkload::ReadWrite { write_pct, ops_per_txn } => {
+            read_write(&mut t, &mut rng, write_pct, ops_per_txn, key)
         }
+        LoadWorkload::Bank => transfer(&mut t, &mut rng, own.items_per_engine, key),
     };
     match executed {
         Ok(()) => t.commit_then(move |r| done(r.map(|()| id))),
@@ -421,9 +355,9 @@ fn attempt_txn(
 pub struct LoadReport {
     /// Arrivals in the schedule.
     pub arrivals: u64,
-    /// try-submit successes (events; retries count again).
+    /// Admitted attempts (events; retries count again).
     pub accepted: u64,
-    /// Shed events (full queue + down engine).
+    /// Shed events (in-flight bound reached, or engine down).
     pub shed: u64,
     /// Shed events caused by a crashed (down) engine.
     pub unavailable: u64,
@@ -499,7 +433,7 @@ impl LoadReport {
     /// Windowed p99 curve: `(window_start_us, p99_us)` per window of
     /// the configured width, stepped by a quarter window.
     pub fn p99_curve(&self, window_us: u64) -> Vec<(u64, u64)> {
-        p99_curve(&self.completions, window_us)
+        p99_windows(&self.completions, 0, window_us).collect()
     }
 
     /// One-paragraph rendering for the console.
@@ -542,63 +476,27 @@ impl LoadReport {
     }
 }
 
-/// Exact p99 of a completion-latency slice (sort-based, no histogram
-/// estimation — window sample counts are small).
-pub fn p99_exact(lats: &[u64]) -> u64 {
-    let mut v = lats.to_vec();
-    v.sort_unstable();
-    let rank = ((v.len() as f64 * 0.99).ceil() as usize).max(1);
-    v[rank - 1]
-}
-
-/// Windowed p99 curve over `(completion_us, latency_us)` samples.
-pub fn p99_curve(completions: &[(u64, u64)], window_us: u64) -> Vec<(u64, u64)> {
-    let window_us = window_us.max(1);
-    let mut sorted = completions.to_vec();
-    sorted.sort_unstable();
-    let Some(&(last, _)) = sorted.last() else { return Vec::new() };
-    let step = (window_us / 4).max(1);
-    let mut out = Vec::new();
-    let mut w = 0u64;
-    while w <= last {
-        let lats: Vec<u64> = sorted
-            .iter()
-            .filter(|(t, _)| (w..w + window_us).contains(t))
-            .map(|&(_, l)| l)
-            .collect();
-        if !lats.is_empty() {
-            out.push((w, p99_exact(&lats)));
-        }
-        w += step;
-    }
-    out
-}
-
-/// First window at/after `from_us` whose p99 is under `target_us`;
-/// returns the window's *end* instant.
-fn first_healthy_window(
+/// `(window_start_us, p99_us)` per non-empty window of `window_us`
+/// over `(completion_us, latency_us)` samples, starting at `from_us`
+/// and stepped by a quarter window. The p99 is exact (sort-based):
+/// window sample counts are small.
+fn p99_windows(
     completions: &[(u64, u64)],
     from_us: u64,
     window_us: u64,
-    target_us: u64,
-) -> Option<u64> {
-    let mut sorted = completions.to_vec();
-    sorted.sort_unstable();
-    let last = sorted.last()?.0;
-    let step = (window_us / 4).max(1);
-    let mut w = from_us;
-    while w <= last {
-        let lats: Vec<u64> = sorted
+) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let window_us = window_us.max(1);
+    let last = completions.iter().map(|&(t, _)| t).max().unwrap_or(0);
+    (from_us..=last).step_by((window_us / 4).max(1) as usize).filter_map(move |w| {
+        let mut lats: Vec<u64> = completions
             .iter()
             .filter(|(t, _)| (w..w + window_us).contains(t))
             .map(|&(_, l)| l)
             .collect();
-        if !lats.is_empty() && p99_exact(&lats) <= target_us {
-            return Some(w + window_us);
-        }
-        w += step;
-    }
-    None
+        lats.sort_unstable();
+        let rank = ((lats.len() as f64 * 0.99).ceil() as usize).max(1);
+        lats.get(rank - 1).map(|&p99| (w, p99))
+    })
 }
 
 /// Generates the schedule from `cfg.profile` and runs it.
@@ -619,19 +517,13 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         items_per_engine: cfg.items_per_engine,
         span: cfg.session_span.max(1),
     };
-    let bank = matches!(cfg.workload, LoadWorkload::Bank);
+    let bank = matches!(cfg.workload, LoadWorkload::Bank).then_some(cfg.items_per_engine);
 
     let mut slots = Vec::with_capacity(cfg.engines);
     for _ in 0..cfg.engines {
         let engine = Engine::new(cfg.engine.clone());
-        if bank {
-            for chunk in (0..cfg.items_per_engine).collect::<Vec<_>>().chunks(256) {
-                let mut t = engine.begin();
-                for &i in chunk {
-                    t.write(&item_name(i), BANK_INITIAL_BALANCE).expect("setup write");
-                }
-                t.commit().expect("setup commit");
-            }
+        if let Some(accounts) = bank {
+            fund_accounts(&engine, accounts);
         }
         slots.push(Mutex::new(Slot { engine, up: true }));
     }
@@ -642,14 +534,12 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         start: Instant::now(),
         own,
         workload: cfg.workload,
-        policy: cfg.policy,
-        deadline_us: cfg.deadline_us,
-        latency: Mutex::new(load_latency_histogram()),
+        rule: Admission::new(cfg.queue_cap, cfg.workers, cfg.deadline_us, cfg.policy),
+        latency: Mutex::new(latency_histogram()),
         completions: Mutex::new(Vec::new()),
         retry_q: Mutex::new(BinaryHeap::new()),
         retry_seq: AtomicU64::new(0),
         in_flight: AtomicU64::new(0),
-        max_in_flight: (cfg.queue_cap + cfg.workers) as u64,
         n: Tally::default(),
         prof: mcv_prof::installed(),
         telemetry: (cfg.telemetry_window_us > 0).then(|| {
@@ -658,7 +548,7 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         pacer_epoch: Mutex::new(0),
         pacer_cv: Condvar::new(),
     });
-    let pool = mcv_engine::Pool::new(cfg.workers, cfg.queue_cap);
+    let pool = mcv_engine::Pool::new(cfg.workers, cfg.queue_cap + cfg.workers);
     let arrivals = &schedule.arrivals;
 
     // Chaos bookkeeping (pacer-local).
@@ -707,16 +597,8 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
                     // the crash image into a fresh engine. The replay
                     // is real work — its wall time is part of the
                     // measured recovery window.
-                    let recovered = mcv_txn::Wal::recover_bytes(&image);
                     let fresh = Engine::new(engine_cfg);
-                    let entries: Vec<_> = recovered.into_iter().collect();
-                    for chunk in entries.chunks(256) {
-                        let mut t = fresh.begin();
-                        for (k, v) in chunk {
-                            t.write(k, *v).expect("replay write");
-                        }
-                        t.commit().expect("replay commit");
-                    }
+                    bulk_load(&fresh, mcv_txn::Wal::recover_bytes(&image));
                     let mut slot = sh.slots[idx].lock().expect("slot");
                     slot.engine = fresh;
                     slot.up = true;
@@ -761,9 +643,6 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         if let Some(tel) = &shared.telemetry {
             let ready =
                 tel.lock().expect("telemetry").drain_complete(now.min(cfg.profile.duration_us));
-            if cfg.telemetry_live && !ready.is_empty() {
-                eprint!("{}", mcv_prof::telemetry_jsonl(&ready));
-            }
             telemetry_out.extend(ready);
         }
 
@@ -812,42 +691,32 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         h.join().expect("recovery thread");
     }
     if let Some(tel) = &shared.telemetry {
-        let rest = tel.lock().expect("telemetry").finish();
-        if cfg.telemetry_live && !rest.is_empty() {
-            eprint!("{}", mcv_prof::telemetry_jsonl(&rest));
-        }
-        telemetry_out.extend(rest);
+        telemetry_out.extend(tel.lock().expect("telemetry").finish());
     }
     let elapsed_ns = shared.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
 
-    // Oracles, per engine, on the quiesced cluster.
+    // Oracles, per engine, on the quiesced cluster. Transfers stay on
+    // their session's engine, so the bank sum holds engine by engine.
     let mut serializable = true;
     let mut recovered_matches = true;
-    let mut bank_total = 0i64;
+    let mut bank_invariant_ok = bank.map(|_| true);
     let mut metrics = MetricsSnapshot::default();
     for slot in &shared.slots {
-        let slot = slot.lock().expect("slot");
-        let engine = &slot.engine;
-        serializable &= engine.sampled_history().is_conflict_serializable();
-        let recovered = mcv_txn::Wal::recover_bytes(&engine.durable_image());
-        recovered_matches &= recovered == engine.state();
-        if bank {
-            bank_total += (0..cfg.items_per_engine)
-                .map(|i| recovered.get(&item_name(i)).copied().unwrap_or(0))
-                .sum::<i64>();
-        }
+        let engine = &slot.lock().expect("slot").engine;
+        let verdict = Oracles::check(engine, bank);
+        serializable &= verdict.serializable;
+        recovered_matches &= verdict.recovered_matches;
+        bank_invariant_ok = bank_invariant_ok.zip(verdict.bank_invariant_ok).map(|(a, b)| a && b);
         for (k, v) in engine.metrics_snapshot().counters {
             *metrics.counters.entry(k).or_insert(0) += v;
         }
     }
-    let bank_invariant_ok = bank
-        .then(|| bank_total == BANK_INITIAL_BALANCE * (cfg.items_per_engine * cfg.engines) as i64);
 
     let n = &shared.n;
     let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+    let [accepted, shed, retried, deadline_missed] = n.decided.each_ref().map(load);
     let (committed, goodput) = (load(&n.committed), load(&n.goodput));
-    let (dropped, deadline_missed, crash_lost) =
-        (load(&n.dropped), load(&n.deadline_missed), load(&n.crash_lost));
+    let (dropped, crash_lost) = (load(&n.dropped), load(&n.crash_lost));
     let resolved = committed + dropped + deadline_missed + crash_lost;
     let unresolved = (arrivals.len() as u64).saturating_sub(resolved);
 
@@ -859,17 +728,20 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
         0 => None,
         t => Some(t),
     };
+    // Recovery ends with the first window from the restart whose p99
+    // is back under target, at that window's end.
     let recovery_ms = crash_at_actual.and_then(|crash| {
         let from = recovered_at_us.unwrap_or(crash).max(crash);
-        first_healthy_window(&completions, from, cfg.p99_window_us, cfg.p99_target_us)
-            .map(|healthy_end| (healthy_end.saturating_sub(crash)) / 1_000)
+        p99_windows(&completions, from, cfg.p99_window_us)
+            .find(|&(_, p99)| p99 <= cfg.p99_target_us)
+            .map(|(w, _)| (w + cfg.p99_window_us.max(1)).saturating_sub(crash) / 1_000)
     });
 
     let c = &mut metrics.counters;
-    c.insert("engine.admit.accepted".into(), load(&n.accepted));
-    c.insert("engine.admit.shed".into(), load(&n.shed));
+    c.insert("engine.admit.accepted".into(), accepted);
+    c.insert("engine.admit.shed".into(), shed);
     c.insert("engine.admit.unavailable".into(), load(&n.unavailable));
-    c.insert("engine.admit.retried".into(), load(&n.retried));
+    c.insert("engine.admit.retried".into(), retried);
     c.insert("engine.admit.dropped".into(), dropped);
     c.insert("engine.admit.deadline_missed".into(), deadline_missed);
     c.insert("engine.admit.crash_lost".into(), crash_lost);
@@ -893,10 +765,10 @@ pub fn run_load_with_schedule(cfg: &LoadConfig, schedule: &ArrivalSchedule) -> L
 
     LoadReport {
         arrivals: arrivals.len() as u64,
-        accepted: load(&n.accepted),
-        shed: load(&n.shed),
+        accepted,
+        shed,
         unavailable: load(&n.unavailable),
-        retried: load(&n.retried),
+        retried,
         dropped,
         deadline_missed,
         crash_lost,
@@ -939,14 +811,7 @@ fn dispatch(
         // Each arrival is observed exactly once, keyed by its
         // scheduled (virtual) time — the deterministic part of a
         // telemetry window.
-        if let Some(tel) = &shared.telemetry {
-            tel.lock().expect("telemetry").observe_arrival(arrival.at_us);
-        }
-    }
-    if now >= arrival.at_us + shared.deadline_us {
-        shared.n.deadline_missed.fetch_add(1, Ordering::Relaxed);
-        shared.observe_abandoned(&arrival);
-        return;
+        shared.observe(|tel| tel.observe_arrival(arrival.at_us));
     }
     let slot_idx = shared.own.engine_of(arrival.session);
     let (engine, up) = {
@@ -954,13 +819,14 @@ fn dispatch(
         (slot.engine.clone(), slot.up)
     };
     let gen = shared.gens[slot_idx].load(Ordering::Acquire);
-    if !up {
-        shared.n.unavailable.fetch_add(1, Ordering::Relaxed);
-        return shared.shed(idx, attempt, arrival);
-    }
     // Only this thread raises `in_flight`, so the check holds the bound.
-    if shared.in_flight.load(Ordering::Acquire) >= shared.max_in_flight {
-        return shared.shed(idx, attempt, arrival);
+    let in_flight = shared.in_flight.load(Ordering::Acquire);
+    let verdict = shared.rule.decide(now, &arrival, attempt, in_flight, up);
+    if verdict != Verdict::Accept {
+        if !up && matches!(verdict, Verdict::Shed(_)) {
+            shared.n.unavailable.fetch_add(1, Ordering::Relaxed);
+        }
+        return shared.reject(idx, attempt, arrival, verdict);
     }
     let in_flight = shared.in_flight.fetch_add(1, Ordering::Acquire) + 1;
     shared.n.peak_in_flight.fetch_max(in_flight, Ordering::Relaxed);
@@ -973,15 +839,9 @@ fn dispatch(
             sh.complete(idx, attempt, arrival, slot_idx, gen, queue_ns, result)
         });
     };
-    match pool.try_submit(job) {
-        Ok(()) => {
-            shared.n.accepted.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(_) => {
-            shared.in_flight.fetch_sub(1, Ordering::Release);
-            shared.shed(idx, attempt, arrival);
-        }
-    }
+    // Never blocks: the pool queues at most `in_flight` jobs.
+    pool.submit(job);
+    shared.n.count(Decision::Accept);
 }
 
 #[cfg(test)]
@@ -1130,23 +990,16 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_and_deterministic() {
-        assert_eq!(backoff_us(1_000, 16_000, 0, 7), backoff_us(1_000, 16_000, 0, 7));
-        for a in 0..20 {
-            let b = backoff_us(1_000, 16_000, a, 7);
-            assert!((1_000..16_000 + 1_000).contains(&b), "attempt {a}: {b}");
-        }
-    }
-
-    #[test]
     fn p99_helpers_window_correctly() {
         let completions: Vec<(u64, u64)> =
             (0..200u64).map(|i| (i * 1_000, if i < 100 { 50_000 } else { 1_000 })).collect();
         // First half slow, second half fast: a healthy window exists
         // only in the second half.
-        let healthy = first_healthy_window(&completions, 0, 20_000, 5_000).expect("heals");
-        assert!(healthy > 100_000, "healthy window end {healthy}");
-        let curve = p99_curve(&completions, 20_000);
-        assert!(!curve.is_empty());
+        let (healthy, _) =
+            p99_windows(&completions, 0, 20_000).find(|&(_, p99)| p99 <= 5_000).expect("heals");
+        assert_eq!(healthy, 100_000);
+        let curve: Vec<_> = p99_windows(&completions, 0, 20_000).collect();
+        assert_eq!(curve.first(), Some(&(0, 50_000)));
+        assert_eq!(curve.last(), Some(&(195_000, 1_000)));
     }
 }

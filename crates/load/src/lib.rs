@@ -10,8 +10,8 @@
 //!   (Poisson, flash-crowd, diurnal) over millions of zipfian user
 //!   sessions on a virtual clock; same profile, same bytes;
 //! - [`run_load`] — the wall-clock open-loop driver: paces a schedule
-//!   against live engines through the non-blocking `Pool::try_submit`
-//!   admission path, with an explicit [`ShedPolicy`]
+//!   against live engines through the one admission rule (at most
+//!   `queue_cap + workers` unresolved), with an explicit [`ShedPolicy`]
 //!   (drop vs retry-after with capped exponential backoff), per-txn
 //!   deadline budgets from *arrival* (queueing counts), the
 //!   `engine.admit.{accepted,shed,retried,deadline_missed}` counter
@@ -22,9 +22,10 @@
 //!   crash instant), rebuild it by rollback recovery while traffic
 //!   shedding continues, and measure the recovery-time SLO: wall time
 //!   from crash to windowed-p99-back-under-target;
-//! - [`simulate`] — a deterministic discrete-event replay of the same
-//!   admission machinery on the virtual clock: byte-identical decision
-//!   sequences for the determinism suite, and a free planning tool;
+//! - [`simulate`] — a deterministic discrete-event replay deciding by
+//!   the same admission rule on the virtual clock: byte-identical
+//!   decision sequences for the determinism suite, and a free planning
+//!   tool;
 //! - [`rate_sweep`] / [`knee`] / [`run_slo_campaign`] — latency-vs-load
 //!   curves, the saturation knee, and the seeded
 //!   shard-crash-during-flash-crowd campaign behind `exp.slo`;
@@ -51,20 +52,22 @@
 
 #![warn(missing_docs)]
 
+mod admission;
 mod arrivals;
 mod dist_stream;
 mod driver;
 mod sim;
 mod slo;
 
+pub use admission::{Decision, ShedPolicy};
 pub use arrivals::{Arrival, ArrivalProcess, ArrivalSchedule, LoadProfile, Ownership};
 pub use dist_stream::{run_dist_stream, DistStreamConfig, DistStreamReport};
 pub use driver::{
-    backoff_us, load_latency_histogram, p99_curve, p99_exact, run_load, run_load_with_schedule,
-    CrashPlan, LoadConfig, LoadReport, LoadWorkload, ShedPolicy, BANK_INITIAL_BALANCE,
+    run_load, run_load_with_schedule, CrashPlan, LoadConfig, LoadReport, LoadWorkload,
 };
-pub use sim::{simulate, Decision, SimConfig, SimOutcome};
+pub use mcv_engine::BANK_INITIAL_BALANCE;
+pub use sim::{simulate, SimConfig, SimOutcome};
 pub use slo::{
-    crash_campaign_template, knee, rate_sweep, recovery_histogram, run_slo_campaign,
-    SloCampaignConfig, SloCampaignReport, SweepPoint,
+    crash_campaign_template, knee, rate_sweep, run_slo_campaign, SloCampaignConfig,
+    SloCampaignReport, SweepPoint,
 };

@@ -20,10 +20,11 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
+use mcv_engine::latency_histogram;
 use mcv_obs::{Histogram, RunReport};
 
+use crate::admission::{Admission, Decision, ShedPolicy, Then, Verdict};
 use crate::arrivals::ArrivalSchedule;
-use crate::driver::ShedPolicy;
 
 /// The queueing model: `servers` workers over a FIFO queue of at most
 /// `queue_cap` waiting jobs, each job taking exactly `service_us`.
@@ -51,30 +52,6 @@ impl Default for SimConfig {
             service_us: 400,
             deadline_us: 100_000,
             policy: ShedPolicy::RetryAfter { base_us: 1_000, cap_us: 16_000 },
-        }
-    }
-}
-
-/// One admission decision, in event order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Decision {
-    /// Admitted to the queue.
-    Accept,
-    /// Queue full: shed (and, under retry-after, rescheduled).
-    Shed,
-    /// A shed transaction's retry was scheduled.
-    Retry,
-    /// Budget exhausted before admission: abandoned.
-    DeadlineMiss,
-}
-
-impl Decision {
-    fn byte(self) -> u8 {
-        match self {
-            Decision::Accept => b'A',
-            Decision::Shed => b'S',
-            Decision::Retry => b'R',
-            Decision::DeadlineMiss => b'D',
         }
     }
 }
@@ -130,25 +107,37 @@ impl SimOutcome {
     }
 }
 
+/// A pending event. The heap orders `(instant, seq, event)` and `seq`
+/// is unique, so the derived order of `Event` never decides anything:
+/// it is derived only so the tuple can be ordered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Event {
-    // Ordered so that at equal instants servers free up before new
-    // admissions are tried — the most admission-friendly determinized
-    // tie-break, applied consistently.
     ServerFree { txn: u64 },
     Submit { txn: u64, attempt: u32 },
 }
 
-/// Replays `schedule` through the queueing model. Fully deterministic:
-/// ties are broken by a monotone sequence number.
+/// Replays `schedule` through the queueing model, deciding every
+/// attempt by the one admission rule with `queue.len() + busy` in
+/// flight. The model is work-conserving (a waiting job means every
+/// server is busy), so that bound sheds exactly when the queue holds
+/// `queue_cap`.
+///
+/// Fully deterministic: events fire by instant, then in the order they
+/// were scheduled. So at one instant every arrival (all scheduled up
+/// front) fires before any completion or retry, and those fire in the
+/// order they were scheduled.
 pub fn simulate(schedule: &ArrivalSchedule, cfg: &SimConfig) -> SimOutcome {
     assert!(cfg.servers > 0 && cfg.queue_cap > 0, "sim needs servers and queue capacity");
+    let rule = Admission::new(cfg.queue_cap, cfg.servers, cfg.deadline_us, cfg.policy);
     let arrivals = &schedule.arrivals;
     let mut events: BinaryHeap<Reverse<(u64, u64, Event)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    for (i, a) in arrivals.iter().enumerate() {
-        events.push(Reverse((a.at_us, seq, Event::Submit { txn: i as u64, attempt: 0 })));
+    let mut schedule_at = |events: &mut BinaryHeap<_>, at_us: u64, ev: Event| {
+        events.push(Reverse((at_us, seq, ev)));
         seq += 1;
+    };
+    for (i, a) in arrivals.iter().enumerate() {
+        schedule_at(&mut events, a.at_us, Event::Submit { txn: i as u64, attempt: 0 });
     }
 
     let mut queue: VecDeque<u64> = VecDeque::new();
@@ -162,7 +151,7 @@ pub fn simulate(schedule: &ArrivalSchedule, cfg: &SimConfig) -> SimOutcome {
         deadline_missed: 0,
         completed: 0,
         goodput: 0,
-        latency_us: crate::driver::load_latency_histogram(),
+        latency_us: latency_histogram(),
         end_us: 0,
     };
 
@@ -171,53 +160,24 @@ pub fn simulate(schedule: &ArrivalSchedule, cfg: &SimConfig) -> SimOutcome {
         match ev {
             Event::Submit { txn, attempt } => {
                 let arrival = arrivals[txn as usize];
-                if now >= arrival.at_us + cfg.deadline_us {
-                    out.decisions.push(Decision::DeadlineMiss);
-                    out.deadline_missed += 1;
-                    continue;
-                }
-                if queue.len() >= cfg.queue_cap {
-                    out.decisions.push(Decision::Shed);
-                    out.shed += 1;
-                    if let ShedPolicy::RetryAfter { base_us, cap_us } = cfg.policy {
-                        // Capped exponential backoff with deterministic
-                        // jitter from the spec seed (same formula as the
-                        // live driver).
-                        let due = now
-                            + crate::driver::backoff_us(
-                                base_us,
-                                cap_us,
-                                attempt,
-                                arrival.spec_seed,
-                            );
-                        if due >= arrival.at_us + cfg.deadline_us {
-                            out.decisions.push(Decision::DeadlineMiss);
-                            out.deadline_missed += 1;
-                        } else {
-                            out.decisions.push(Decision::Retry);
-                            out.retried += 1;
-                            events.push(Reverse((
-                                due,
-                                seq,
-                                Event::Submit { txn, attempt: attempt + 1 },
-                            )));
-                            seq += 1;
+                let in_flight = (queue.len() + busy) as u64;
+                let verdict = rule.decide(now, &arrival, attempt, in_flight, true);
+                out.decisions.extend(verdict.decisions());
+                match verdict {
+                    Verdict::Accept => {
+                        queue.push_back(txn);
+                        if busy < cfg.servers {
+                            let started = queue.pop_front().expect("just queued");
+                            busy += 1;
+                            let free = Event::ServerFree { txn: started };
+                            schedule_at(&mut events, now + cfg.service_us, free);
                         }
                     }
-                    continue;
-                }
-                out.decisions.push(Decision::Accept);
-                out.accepted += 1;
-                queue.push_back(txn);
-                if busy < cfg.servers {
-                    let started = queue.pop_front().expect("just queued");
-                    busy += 1;
-                    events.push(Reverse((
-                        now + cfg.service_us,
-                        seq,
-                        Event::ServerFree { txn: started },
-                    )));
-                    seq += 1;
+                    Verdict::Shed(Then::Retry { due_us }) => {
+                        let retry = Event::Submit { txn, attempt: attempt + 1 };
+                        schedule_at(&mut events, due_us, retry);
+                    }
+                    Verdict::Shed(_) | Verdict::DeadlineMiss => {}
                 }
             }
             Event::ServerFree { txn } => {
@@ -231,16 +191,14 @@ pub fn simulate(schedule: &ArrivalSchedule, cfg: &SimConfig) -> SimOutcome {
                 }
                 if let Some(next) = queue.pop_front() {
                     busy += 1;
-                    events.push(Reverse((
-                        now + cfg.service_us,
-                        seq,
-                        Event::ServerFree { txn: next },
-                    )));
-                    seq += 1;
+                    schedule_at(&mut events, now + cfg.service_us, Event::ServerFree { txn: next });
                 }
             }
         }
     }
+    let count = |d| out.decisions.iter().filter(|&&x| x == d).count() as u64;
+    [out.accepted, out.shed, out.retried, out.deadline_missed] =
+        [Decision::Accept, Decision::Shed, Decision::Retry, Decision::DeadlineMiss].map(count);
     out
 }
 

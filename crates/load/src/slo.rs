@@ -29,15 +29,12 @@ pub struct SweepPoint {
 /// Runs `base` once per rate (Poisson arrivals; everything else from
 /// the base config) and returns the latency-vs-load curve.
 pub fn rate_sweep(base: &LoadConfig, rates_tps: &[f64]) -> Vec<SweepPoint> {
-    let mut picker_profile = base.profile.clone();
-    let picker = picker_profile.session_picker();
+    let picker = base.profile.session_picker();
     rates_tps
         .iter()
         .map(|&rate| {
             let mut cfg = base.clone();
             cfg.profile.process = ArrivalProcess::Poisson { rate_tps: rate };
-            picker_profile.process = cfg.profile.process;
-            picker_profile.seed = cfg.profile.seed;
             let schedule = ArrivalSchedule::generate_with(&cfg.profile, &picker);
             let r = run_load_with_schedule(&cfg, &schedule);
             SweepPoint {
@@ -133,11 +130,6 @@ impl SloCampaignReport {
     }
 }
 
-/// Millisecond-scale bounds for recovery-time distributions.
-pub fn recovery_histogram() -> Histogram {
-    Histogram::with_bounds(vec![25, 50, 75, 100, 150, 200, 300, 500, 1_000, 2_000, 5_000])
-}
-
 /// Runs the campaign. The crash plan must be present in the template.
 pub fn run_slo_campaign(cfg: &SloCampaignConfig) -> SloCampaignReport {
     assert!(cfg.base.crash.is_some(), "slo campaign needs a crash plan");
@@ -150,7 +142,10 @@ pub fn run_slo_campaign(cfg: &SloCampaignConfig) -> SloCampaignReport {
         unresolved_runs: 0,
         arrivals_total: 0,
         shed_total: 0,
-        recovery_ms: recovery_histogram(),
+        // Millisecond-scale bounds.
+        recovery_ms: Histogram::with_bounds(vec![
+            25, 50, 75, 100, 150, 200, 300, 500, 1_000, 2_000, 5_000,
+        ]),
         worst_recovery_ms: 0,
     };
     for i in 0..cfg.seeds {
@@ -189,8 +184,9 @@ fn tally(report: &mut SloCampaignReport, r: &LoadReport, slo_ms: u64) {
 /// `exp.slo` share: 2 engines, bank transfers, a 3x crowd in the
 /// middle of the run, engine 1 crashing mid-crowd.
 pub fn crash_campaign_template() -> LoadConfig {
+    use crate::admission::ShedPolicy;
     use crate::arrivals::LoadProfile;
-    use crate::driver::{LoadWorkload, ShedPolicy};
+    use crate::driver::LoadWorkload;
     LoadConfig {
         profile: LoadProfile {
             process: ArrivalProcess::FlashCrowd {
@@ -217,7 +213,6 @@ pub fn crash_campaign_template() -> LoadConfig {
         p99_window_us: 40_000,
         crash: Some(CrashPlan { engine: 1, at_us: 80_000, restart_after_us: 40_000 }),
         telemetry_window_us: 0,
-        telemetry_live: false,
     }
 }
 
