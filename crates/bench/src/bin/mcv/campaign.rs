@@ -1,10 +1,11 @@
 //! `mcv chaos …` and `mcv dist …`: seeded fault campaigns over the
-//! commit protocols in the deterministic simulator (`ChaosConfig`) and
+//! commit protocols in the deterministic simulator (`Scenario`) and
 //! on live per-shard engines (`PipelineConfig`). One hunt, one sweep and
 //! one replay serve both `mcv_chaos::Target`s.
 
 use mcv_bench::cli::Args;
-use mcv_chaos::{replay_command, Artifact, Campaign, ChaosConfig, FaultPlan, Target};
+use mcv_chaos::{replay_command, Artifact, Campaign, FaultPlan, Target};
+use mcv_commit::Scenario;
 use mcv_dist::{run_pipeline, tolerated_campaign, DistConfig, PipelineConfig};
 use std::path::Path;
 
@@ -15,7 +16,7 @@ pub fn run(args: &Args) -> bool {
     match args.command {
         "chaos hunt" => hunt(&chaos_campaign(false), 200, &chaos_campaign(true), 200),
         "chaos smoke" => chaos_smoke(base),
-        "chaos replay" => replay::<ChaosConfig>(&file()),
+        "chaos replay" => replay::<Scenario>(&file()),
         "dist hunt" => hunt(&hardened(UNBATCHED), 40, &naive(), 8),
         "dist smoke" => dist_smoke(base),
         "dist pipeline-smoke" => pipeline_smoke(base),
@@ -30,9 +31,9 @@ pub fn run(args: &Args) -> bool {
 
 /// Tolerated faults over the simulated 3PC: the naive Figure 3.2
 /// timeouts, or election + quorum termination.
-fn chaos_campaign(naive: bool) -> Campaign<ChaosConfig> {
+fn chaos_campaign(naive: bool) -> Campaign<Scenario> {
     let base =
-        ChaosConfig { naive_timeouts: naive, quorum_termination: !naive, ..ChaosConfig::default() };
+        Scenario { naive_timeouts: naive, quorum_termination: !naive, ..Scenario::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
     Campaign::new(base, plan)
 }

@@ -30,7 +30,9 @@ fn main() -> ExitCode {
 /// ids). With `--json <dir>`, each generator runs inside an
 /// [`mcv_obs::collect`] scope and its [`mcv_obs::RunReport`] is written
 /// to `<dir>/<id>.json`. The benchmark experiments assert their own
-/// claims, so a broken one panics with the claim's name.
+/// claims, so a broken one panics with the claim's name; every named
+/// artifact still runs, a verdict line per artifact closes stderr, and
+/// the command fails if any artifact did.
 fn repro(args: &Args) -> bool {
     let known = mcv_bench::artifacts();
     let ids = args.rest();
@@ -50,22 +52,36 @@ fn repro(args: &Args) -> bool {
         cli::bad_argument("mcv repro: name artifact ids, `all` or `list`");
     }
     let json_dir: Option<String> = args.get("--json");
-    for (id, gen) in selected {
+    let mut verdicts = Vec::new();
+    for &(id, gen) in selected {
         println!("==================== {id} ====================");
-        let Some(dir) = &json_dir else {
-            println!("{}", gen());
+        let run = || std::panic::catch_unwind(gen);
+        let (text, data) = match &json_dir {
+            Some(_) => {
+                let (text, data) = mcv_obs::collect(run);
+                (text, Some(data))
+            }
+            None => (run(), None),
+        };
+        let Ok(text) = text else {
+            verdicts.push((id, "FAILED (its panic above names the claim)"));
             continue;
         };
-        let (text, data) = mcv_obs::collect(gen);
         println!("{text}");
-        let report = data.into_report(*id).fact("artifact", *id).fact("generator", "mcv repro");
-        match mcv_obs::write_report(dir, &report) {
-            Ok(path) => eprintln!("[obs] wrote {}", path.display()),
-            Err(e) => {
-                eprintln!("[obs] failed to write report for {id}: {e}");
-                return false;
+        if let (Some(dir), Some(data)) = (&json_dir, data) {
+            let report = data.into_report(id).fact("artifact", id).fact("generator", "mcv repro");
+            match mcv_obs::write_report(dir, &report) {
+                Ok(path) => eprintln!("[obs] wrote {}", path.display()),
+                Err(e) => {
+                    eprintln!("[obs] failed to write report for {id}: {e}");
+                    return false;
+                }
             }
         }
+        verdicts.push((id, "ok"));
     }
-    true
+    for (id, verdict) in &verdicts {
+        eprintln!("repro {id}: {verdict}");
+    }
+    verdicts.iter().all(|(_, verdict)| *verdict == "ok")
 }

@@ -4,7 +4,8 @@
 //! attribute time along each commit's critical path.
 
 use mcv_bench::cli::{self, Args};
-use mcv_chaos::{run_chaos, ChaosConfig, FaultPlan, FaultSchedule, Target};
+use mcv_chaos::{run_chaos, FaultPlan, Target};
+use mcv_commit::Scenario;
 use mcv_trace::{CausalTrace, Filter};
 use std::path::Path;
 
@@ -32,9 +33,9 @@ pub fn run(args: &Args) -> bool {
 /// Runs a 3-cohort 3PC commit under the simulator, recording the full
 /// causal trace, and writes it (wall-clock stripped) as JSONL.
 fn record(out: &str, seed: u64, faults: bool) -> bool {
-    let mut cfg = ChaosConfig { seed, ..ChaosConfig::default() };
+    let mut cfg = Scenario { seed, ..Scenario::default() };
     if faults {
-        cfg.schedule = FaultSchedule::generate(seed, &FaultPlan::tolerated(cfg.n_procs(), 300));
+        cfg.schedule = FaultPlan::tolerated(cfg.n_procs(), 300).generate(seed);
     }
     let (outcome, mut trace) = mcv_trace::record_trace(None, || run_chaos(&cfg));
     trace.strip_wall();

@@ -328,8 +328,9 @@ mod tests {
     /// A renamed subcommand breaks this test instead of a user's replay.
     #[test]
     fn every_artifact_kind_replays_through_its_replay_subcommand() {
-        use mcv_chaos::{AnomalyArtifact, Artifact, ChaosConfig};
-        let chaos = Artifact::new(ChaosConfig::default(), "ac1_agreement".into(), String::new());
+        use mcv_chaos::{AnomalyArtifact, Artifact};
+        let chaos =
+            Artifact::new(mcv_commit::Scenario::default(), "ac1_agreement".into(), String::new());
         let dist =
             Artifact::new(mcv_dist::PipelineConfig::default(), "atomicity".into(), String::new());
         let anomaly = AnomalyArtifact::new("write_skew", "si", 1, 3, 4, 1, Default::default());

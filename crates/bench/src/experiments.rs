@@ -3,7 +3,7 @@
 //! `mcv repro` subcommand dispatches on artifact ids.
 
 use mcv_blocks::{modules, pipeline, properties, registry, traceability, SpecLibrary};
-use mcv_chaos::{explore, Exploration, FaultBudget};
+use mcv_chaos::{explore, CutKind, Exploration, FaultBudget, FaultEvent, FaultSchedule};
 use mcv_commit::{build_world, run_scenario, CrashPoint, Protocol, Scenario};
 use mcv_core::finset::{fin_pushout, fin_set, mediating, FinMap};
 use mcv_core::{pushout, SpecBuilder, SpecMorphism};
@@ -272,12 +272,21 @@ pub fn fig3_4() -> String {
     )
 }
 
-/// Figure 3.5: sequential division 2 as computed colimits.
+/// Figure 3.5: sequential division 2 as computed colimits, then the
+/// executable store's refinement of its Snapshot block, asserted to
+/// commute with no open obligation.
 pub fn fig3_5() -> String {
     let lib = SpecLibrary::load();
+    let mvcc = pipeline::mvcc_refinement(&lib);
+    assert!(
+        mvcc.commutes && mvcc.open_obligations == 0,
+        "mvcc refinement: SNAPSHOT ∘ MVCCSNAPSHOT must commute with no open obligation"
+    );
     format!(
-        "Figure 3.5 — modular dependencies, sequential division 2\n{}",
-        pipeline::render(&pipeline::sequential_division_2(&lib))
+        "Figure 3.5 — modular dependencies, sequential division 2\n{}\n\
+         the executable store's refinement (beyond the thesis)\n{}",
+        pipeline::render(&pipeline::sequential_division_2(&lib)),
+        pipeline::render(&[mvcc])
     )
 }
 
@@ -624,7 +633,14 @@ pub fn exp_part() -> String {
         let r = run_scenario(&Scenario {
             n_cohorts: 4,
             coordinator_crash: Some(CrashPoint::AfterPartialPrepare),
-            partition: Some((vec![0], 20, heals_at)),
+            schedule: FaultSchedule {
+                events: vec![FaultEvent::Partition {
+                    side: vec![1],
+                    cut: CutKind::Both,
+                    from: 20,
+                    until: heals_at,
+                }],
+            },
             quorum_termination: quorum,
             ..Scenario::default()
         });

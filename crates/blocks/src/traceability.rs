@@ -26,16 +26,16 @@ pub fn axiom_owner(lib: &SpecLibrary, axiom: &str) -> Option<String> {
 /// One sub-property dependency of a global property (one arrow of
 /// Figure 4.1/4.9/4.17).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dependency {
+struct Dependency {
     /// Sub-property (support axiom) name.
-    pub axiom: String,
+    axiom: String,
     /// The block (spec) providing it.
-    pub block: String,
+    block: String,
 }
 
 /// The dependency stack of a global property: which axiom of which
 /// block each proof leans on.
-pub fn dependency_stack(lib: &SpecLibrary, cmd: &ProveCommand) -> Vec<Dependency> {
+fn dependency_stack(lib: &SpecLibrary, cmd: &ProveCommand) -> Vec<Dependency> {
     cmd.using
         .iter()
         .map(|a| Dependency {

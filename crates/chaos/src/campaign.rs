@@ -5,19 +5,18 @@
 
 use crate::artifact::Artifact;
 use crate::oracle::OracleResult;
-use crate::schedule::{FaultPlan, FaultSchedule};
+use crate::schedule::FaultPlan;
 use crate::shrink::shrink;
+use mcv_sim::FaultSchedule;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// A run configuration a campaign can drive: it carries a seed and a
 /// fault schedule the campaign sets, runs to oracle verdicts, and names
-/// the topology reductions the shrinker may try. [`ChaosConfig`]
+/// the topology reductions the shrinker may try. `mcv_commit::Scenario`
 /// (the deterministic simulator) and `mcv_dist::PipelineConfig` (real
 /// threads) implement it; everything else — the sweep, the shrinker and
 /// the artifact — is shared.
-///
-/// [`ChaosConfig`]: crate::ChaosConfig
 pub trait Target:
     Clone + fmt::Debug + PartialEq + serde::Serialize + serde::Deserialize + 'static
 {
@@ -93,7 +92,7 @@ impl<T: Target> Campaign<T> {
         seeds.map(|seed| {
             let mut cfg = self.base.clone();
             cfg.set_seed(seed);
-            *cfg.schedule_mut() = FaultSchedule::generate(seed, &self.plan);
+            *cfg.schedule_mut() = self.plan.generate(seed);
             let out = cfg.run();
             mcv_obs::counter("campaign.runs", 1);
             if first_violation::<T>(&out).is_some() {
@@ -208,7 +207,7 @@ impl CampaignSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ChaosConfig;
+    use mcv_commit::Scenario;
 
     #[test]
     fn fault_free_plan_yields_green_summary() {
@@ -221,7 +220,7 @@ mod tests {
             torn_writes: false,
             ..FaultPlan::tolerated(4, 200)
         };
-        let c = Campaign::new(ChaosConfig::default(), plan);
+        let c = Campaign::new(Scenario::default(), plan);
         let summary = c.run_seeds(0, 5);
         assert!(summary.all_green(), "failures: {:?}", summary.failures);
         assert_eq!(summary.runs, 5);

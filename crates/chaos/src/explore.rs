@@ -1,16 +1,16 @@
 //! Bounded exhaustive exploration of the commit sites that run. Each
 //! step takes an event [`World::choices`] offers, lets a tick pass, or
 //! spends a [`FaultBudget`] (a crash, one recovery, a partition, its
-//! heal). The search is breadth-first over choice sequences, replaying
-//! each prefix on a fresh world, with a visited set of
+//! heal). The search is breadth-first over choice sequences: each
+//! expanded prefix is replayed once on a fresh world and cloned for
+//! each of its children, with a visited set of
 //! [`World::digest`]s: the first counterexample is a shortest one. Each
 //! reached state is checked against the non-blocking theorem
 //! ([`GlobalState`]); each quiescent one is judged by the chaos oracles.
 
 use crate::oracle::{evaluate, OracleResult};
-use crate::schedule::FaultSchedule;
 use mcv_commit::{build_world, GlobalState, LocalState, Msg, Scenario, Site};
-use mcv_sim::{CutKind, FaultEvent, Pending, ProcId, SimTime, World};
+use mcv_sim::{CutKind, FaultEvent, FaultSchedule, Pending, ProcId, SimTime, World};
 use mcv_txn::TxnId;
 use std::collections::{BTreeSet, HashSet};
 
@@ -135,8 +135,8 @@ pub struct Exploration {
 ///
 /// # Panics
 ///
-/// On a scenario partition: its window is dated, and the digest a
-/// state is keyed by leaves windows out.
+/// On a scenario with a fault schedule: its faults are dated, and the
+/// digest a state is keyed by leaves dated windows out.
 ///
 /// # Examples
 ///
@@ -149,7 +149,7 @@ pub struct Exploration {
 /// assert!(found.violation.is_none() && found.executions >= 1);
 /// ```
 pub fn explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
-    assert!(sc.partition.is_none(), "explore: budget a partition instead of dating one");
+    assert!(sc.schedule.is_empty(), "explore: budget the faults instead of dating them");
     let _span = mcv_obs::Span::enter("chaos.explore");
     let mut found = Exploration::default();
     let mut seen = HashSet::new();
@@ -169,10 +169,11 @@ pub fn explore(sc: &Scenario, budget: &FaultBudget) -> Exploration {
             let mut parent = Some(run);
             let n_moves = moves.len();
             for (i, mv) in moves.into_iter().enumerate() {
-                // The last option takes the expanded run itself.
+                // Each sibling starts from a clone; the last option takes
+                // the expanded run itself.
                 let mut child = match i + 1 == n_moves {
                     true => parent.take().expect("taken once"),
-                    false => Run::replay(sc, budget, &prefix),
+                    false => parent.clone().expect("not taken yet"),
                 };
                 found.edges.extend(child.apply_observed(mv));
                 if !seen.insert(child.key()) {
@@ -215,6 +216,7 @@ enum Move {
 }
 
 /// One execution in progress and the budget it has spent.
+#[derive(Clone)]
 struct Run<'a> {
     sc: &'a Scenario,
     budget: &'a FaultBudget,

@@ -8,8 +8,9 @@
 //! JSON-packaged counterexamples.
 //!
 //! The campaign stack — [`Campaign`], [`shrink`], [`Artifact`] — is
-//! generic over a [`Target`]: the simulator's [`ChaosConfig`] here, the
-//! threaded cross-shard runtime's `PipelineConfig` in `mcv-dist`.
+//! generic over a [`Target`]: the simulator's `mcv_commit::Scenario`
+//! here, the threaded cross-shard runtime's `PipelineConfig` in
+//! `mcv-dist`.
 //!
 //! The thesis *proves* these properties from local axioms; this crate
 //! hunts for executions that would falsify them, and — for the naive
@@ -19,10 +20,11 @@
 //! # Examples
 //!
 //! ```
-//! use mcv_chaos::{Campaign, ChaosConfig, FaultPlan, Target};
+//! use mcv_chaos::{Campaign, FaultPlan, Target};
+//! use mcv_commit::Scenario;
 //!
 //! // A short all-green sweep of the election + termination protocol.
-//! let base = ChaosConfig { quorum_termination: true, ..ChaosConfig::default() };
+//! let base = Scenario { quorum_termination: true, ..Scenario::default() };
 //! let plan = FaultPlan::tolerated(base.n_procs(), 300);
 //! let summary = Campaign::new(base, plan).run_seeds(0, 3);
 //! assert!(summary.all_green(), "{:?}", summary.failures);
@@ -46,8 +48,8 @@ pub use anomaly::{
 pub use artifact::{replay_command, Artifact};
 pub use campaign::{Campaign, CampaignSummary, Target, Violation};
 pub use explore::{explore, Counterexample, Exploration, FaultBudget};
-pub use mcv_sim::{CutKind, FaultEvent};
+pub use mcv_sim::{CutKind, FaultEvent, FaultSchedule};
 pub use oracle::{OracleResult, ORACLE_NAMES};
-pub use runner::{run_chaos, ChaosConfig, ChaosOutcome, FLIGHT_RECORDER_CAP};
-pub use schedule::{FaultPlan, FaultSchedule};
+pub use runner::{run_chaos, ChaosOutcome, FLIGHT_RECORDER_CAP};
+pub use schedule::FaultPlan;
 pub use shrink::{shrink, Shrunk};

@@ -54,7 +54,8 @@ pub const ORACLE_NAMES: &[&str] = &[
 
 /// Evaluates every oracle over the finished world of scenario `sc`.
 /// `faulted` says whether the run deviated from the thesis' failure
-/// model (a fault was injected, or hops could outlast the timeout);
+/// model (a fault was injected, or hops could outlast the timeout); a
+/// scenario crash point counts as a fault either way;
 /// `wal_damage` holds violations the runner detected at torn-write
 /// injection time; `trace` is the run's causal event trace (possibly a
 /// flight-recorder window).
@@ -65,6 +66,7 @@ pub fn evaluate(
     wal_damage: &[String],
     trace: &mcv_trace::CausalTrace,
 ) -> Vec<OracleResult> {
+    let faulted = faulted || sc.coordinator_crash.is_some() || sc.cohort_crash.is_some();
     let ds = decisions(world.trace());
     let txns: Vec<TxnId> = (1..=sc.n_transactions.max(1) as u64).map(TxnId).collect();
     let mut out = Vec::new();

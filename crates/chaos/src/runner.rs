@@ -1,11 +1,10 @@
-//! Executes one chaos run: a commit-protocol scenario with a fault
-//! schedule injected, followed by oracle evaluation.
+//! Executes one chaos run: a commit-protocol [`Scenario`] with its
+//! fault schedule, followed by oracle evaluation.
 
 use crate::campaign::Target;
 use crate::oracle::{evaluate, OracleResult};
-use crate::schedule::FaultSchedule;
-use mcv_commit::{build_world, Msg, Protocol, Scenario, Site};
-use mcv_sim::{FaultEvent, ProcId, RunStats, SimTime, World};
+use mcv_commit::{build_world, Msg, Scenario, Site};
+use mcv_sim::{FaultEvent, FaultSchedule, ProcId, RunStats, SimTime, World};
 use std::sync::Arc;
 
 /// Flight-recorder capacity: every chaos run keeps at least this many
@@ -13,70 +12,9 @@ use std::sync::Arc;
 /// what led up to the violation.
 pub const FLIGHT_RECORDER_CAP: usize = 4096;
 
-/// Full configuration of one chaos run: the protocol scenario plus the
-/// fault schedule. Serializable, so a violating run can be shipped as
-/// a repro artifact and replayed exactly.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct ChaosConfig {
-    /// Which protocol to run.
-    pub protocol: Protocol,
-    /// Number of cohorts (the coordinator is process 0 on top).
-    pub n_cohorts: usize,
-    /// Number of concurrent transactions.
-    pub n_transactions: usize,
-    /// Simulator seed (message delays etc.).
-    pub seed: u64,
-    /// Per-phase timeout in ticks.
-    pub timeout: u64,
-    /// Simulation deadline.
-    pub deadline: u64,
-    /// Use the naive Figure 3.2 timeout transitions.
-    pub naive_timeouts: bool,
-    /// Use quorum-based termination.
-    pub quorum_termination: bool,
-    /// This cohort votes no.
-    pub vote_no_cohort: Option<usize>,
-    /// The fault schedule to inject.
-    pub schedule: FaultSchedule,
-}
-
-impl Default for ChaosConfig {
-    fn default() -> Self {
-        ChaosConfig {
-            protocol: Protocol::ThreePhase,
-            n_cohorts: 3,
-            n_transactions: 1,
-            seed: 0,
-            timeout: 50,
-            deadline: 10_000,
-            naive_timeouts: false,
-            quorum_termination: false,
-            vote_no_cohort: None,
-            schedule: FaultSchedule::none(),
-        }
-    }
-}
-
-impl ChaosConfig {
-    fn scenario(&self) -> Scenario {
-        Scenario {
-            protocol: self.protocol,
-            n_cohorts: self.n_cohorts,
-            seed: self.seed,
-            timeout: self.timeout,
-            naive_timeouts: self.naive_timeouts,
-            quorum_termination: self.quorum_termination,
-            vote_no_cohort: self.vote_no_cohort,
-            n_transactions: self.n_transactions,
-            deadline: self.deadline,
-            ..Scenario::default()
-        }
-    }
-}
-
 /// The deterministic simulator as a campaign target: one run per
 /// shrink candidate suffices.
-impl Target for ChaosConfig {
+impl Target for Scenario {
     type Outcome = ChaosOutcome;
     const KIND: &'static str = "chaos";
     const REPLAY_COMMAND: &'static str = "chaos";
@@ -84,10 +22,10 @@ impl Target for ChaosConfig {
     const SHRINK_BUDGET: usize = 400;
     const REDUCTIONS: &'static [fn(&Self) -> Option<Self>] = &[
         // Fewer cohorts: the highest cohort id goes.
-        |c| (c.n_cohorts > 1).then(|| ChaosConfig { n_cohorts: c.n_cohorts - 1, ..c.clone() }),
+        |c| (c.n_cohorts > 1).then(|| Scenario { n_cohorts: c.n_cohorts - 1, ..c.clone() }),
         |c| {
             (c.n_transactions > 1)
-                .then(|| ChaosConfig { n_transactions: c.n_transactions - 1, ..c.clone() })
+                .then(|| Scenario { n_transactions: c.n_transactions - 1, ..c.clone() })
         },
     ];
 
@@ -151,53 +89,50 @@ impl ChaosOutcome {
     }
 }
 
-/// Runs one chaos configuration to its deadline and evaluates the
-/// oracles. Deterministic: equal configs give equal outcomes.
+/// Runs one scenario to its deadline and evaluates the oracles.
+/// Deterministic: equal scenarios give equal outcomes.
 ///
 /// The flight recorder is always on: with no outer trace sink
 /// installed, the run records into a bounded ring of
 /// [`FLIGHT_RECORDER_CAP`] events whose snapshot rides the outcome. An
 /// already-installed recorder (tests, the trace explorer) takes
 /// precedence and receives the events instead.
-pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
+pub fn run_chaos(sc: &Scenario) -> ChaosOutcome {
     match mcv_trace::installed() {
-        Some(rec) => run_chaos_traced(cfg, &rec),
+        Some(rec) => run_chaos_traced(sc, &rec),
         None => {
             let rec = mcv_trace::Recorder::ring(FLIGHT_RECORDER_CAP);
             let snap = Arc::clone(&rec);
-            mcv_trace::with_recorder(rec, || run_chaos_traced(cfg, &snap))
+            mcv_trace::with_recorder(rec, || run_chaos_traced(sc, &snap))
         }
     }
 }
 
-/// Schedules every fault of `cfg` on `world` upfront (those naming a
-/// process the topology lacks are inert). Torn writes additionally need
-/// a mid-run intervention (the WAL tear): they are returned as `(at,
-/// proc, keep_bytes)`, in time order.
-fn schedule_faults(world: &mut World<Msg, Site>, cfg: &ChaosConfig) -> Vec<(u64, usize, usize)> {
-    let mut tears: Vec<(u64, usize, usize)> = Vec::new();
-    for ev in &cfg.schedule.events {
-        let scheduled = world.schedule(ev);
-        if let (true, &FaultEvent::TornWrite { proc, at, keep_bytes }) = (scheduled, ev) {
-            tears.push((at, proc, keep_bytes));
-        }
-    }
+/// The torn writes of `sc` that its topology runs, as `(at, proc,
+/// keep_bytes)` in time order. [`build_world`] schedules each as a
+/// crash; the tear of the log is the runner's intervention.
+fn tears(sc: &Scenario) -> Vec<(u64, usize, usize)> {
+    let fitting = sc.schedule.events.iter().filter(|ev| ev.fits(sc.n_procs()));
+    let mut tears: Vec<_> = fitting
+        .filter_map(|ev| match *ev {
+            FaultEvent::TornWrite { proc, at, keep_bytes } => Some((at, proc, keep_bytes)),
+            _ => None,
+        })
+        .collect();
     tears.sort_unstable();
     tears
 }
 
-fn run_chaos_traced(cfg: &ChaosConfig, rec: &Arc<mcv_trace::Recorder>) -> ChaosOutcome {
+fn run_chaos_traced(sc: &Scenario, rec: &Arc<mcv_trace::Recorder>) -> ChaosOutcome {
     let _span = mcv_obs::Span::enter("chaos.run");
-    let sc = cfg.scenario();
-    let mut world = build_world(&sc);
-    let tears = schedule_faults(&mut world, cfg);
+    let mut world = build_world(sc);
 
     // Torn writes happen *at* the crash instant: run up to each tear,
     // then truncate the victim's WAL image. The force discipline means
     // recovery must be unaffected — checked here and fed to the
     // wal_consistency oracle.
     let mut wal_damage: Vec<String> = Vec::new();
-    for (at, proc, keep_bytes) in tears {
+    for (at, proc, keep_bytes) in tears(sc) {
         world.run_until(SimTime::from_ticks(at));
         let site: &mut Site = world.process_mut(ProcId(proc));
         let before = site.db.wal().recover();
@@ -210,10 +145,10 @@ fn run_chaos_traced(cfg: &ChaosConfig, rec: &Arc<mcv_trace::Recorder>) -> ChaosO
             ));
         }
     }
-    let stats = world.run_until(SimTime::from_ticks(cfg.deadline));
+    let stats = world.run_until(SimTime::from_ticks(sc.deadline));
 
     let trace = rec.snapshot();
-    let oracles = evaluate(&world, &sc, !cfg.schedule.is_empty(), &wal_damage, &trace);
+    let oracles = evaluate(&world, sc, !sc.schedule.is_empty(), &wal_damage, &trace);
     let fingerprint = fingerprint(&world, &stats);
     ChaosOutcome { stats, oracles, fingerprint, trace }
 }
@@ -245,16 +180,30 @@ mod tests {
 
     #[test]
     fn fault_free_run_passes_all_oracles() {
-        let out = run_chaos(&ChaosConfig::default());
+        let out = run_chaos(&Scenario::default());
         assert!(out.all_pass(), "oracles: {:?}", out.oracles);
+    }
+
+    /// A crash point is a fault: the cohorts' termination aborts a
+    /// transaction every site voted for, which AC2 allows only in a
+    /// faulted run.
+    #[test]
+    fn a_crash_point_counts_as_a_fault() {
+        let sc = Scenario {
+            coordinator_crash: Some(mcv_commit::CrashPoint::AfterVotes),
+            ..Scenario::default()
+        };
+        let out = run_chaos(&sc);
+        assert!(out.fingerprint.contains("abort"), "{}", out.fingerprint);
+        assert!(!out.violates("ac2_validity"), "oracles: {:?}", out.oracles);
     }
 
     #[test]
     fn runs_are_byte_deterministic() {
-        let cfg = ChaosConfig {
+        let cfg = Scenario {
             seed: 42,
-            schedule: FaultSchedule::generate(42, &crate::schedule::FaultPlan::tolerated(4, 300)),
-            ..ChaosConfig::default()
+            schedule: crate::schedule::FaultPlan::tolerated(4, 300).generate(42),
+            ..Scenario::default()
         };
         let a = run_chaos(&cfg);
         let b = run_chaos(&cfg);
@@ -264,9 +213,9 @@ mod tests {
 
     #[test]
     fn out_of_topology_events_are_inert() {
-        let cfg = ChaosConfig {
+        let cfg = Scenario {
             schedule: FaultSchedule { events: vec![FaultEvent::Crash { proc: 99, at: 10 }] },
-            ..ChaosConfig::default()
+            ..Scenario::default()
         };
         let out = run_chaos(&cfg);
         assert!(out.all_pass(), "oracles: {:?}", out.oracles);
@@ -274,10 +223,10 @@ mod tests {
 
     #[test]
     fn vote_no_with_faults_never_commits() {
-        let cfg = ChaosConfig {
+        let cfg = Scenario {
             vote_no_cohort: Some(1),
-            schedule: FaultSchedule::generate(7, &crate::schedule::FaultPlan::tolerated(4, 300)),
-            ..ChaosConfig::default()
+            schedule: crate::schedule::FaultPlan::tolerated(4, 300).generate(7),
+            ..Scenario::default()
         };
         let out = run_chaos(&cfg);
         assert!(!out.violates("ac2_validity"), "oracles: {:?}", out.oracles);
@@ -285,14 +234,14 @@ mod tests {
 
     #[test]
     fn torn_write_crash_keeps_wal_consistent() {
-        let cfg = ChaosConfig {
+        let cfg = Scenario {
             schedule: FaultSchedule {
                 events: vec![
                     FaultEvent::TornWrite { proc: 1, at: 15, keep_bytes: 0 },
                     FaultEvent::Recover { proc: 1, at: 120 },
                 ],
             },
-            ..ChaosConfig::default()
+            ..Scenario::default()
         };
         let out = run_chaos(&cfg);
         assert!(!out.violates("wal_consistency"), "oracles: {:?}", out.oracles);
@@ -308,14 +257,14 @@ mod tests {
         let plan = crate::schedule::FaultPlan::tolerated(4, 300);
         let mut mid_record_tears = 0;
         for seed in 0..50 {
-            let cfg = ChaosConfig {
+            let sc = Scenario {
                 seed,
                 quorum_termination: true,
-                schedule: FaultSchedule::generate(seed, &plan),
-                ..ChaosConfig::default()
+                schedule: plan.generate(seed),
+                ..Scenario::default()
             };
-            let mut world = build_world(&cfg.scenario());
-            for (at, proc, keep_bytes) in schedule_faults(&mut world, &cfg) {
+            let mut world = build_world(&sc);
+            for (at, proc, keep_bytes) in tears(&sc) {
                 world.run_until(SimTime::from_ticks(at));
                 let db = &mut world.process_mut(ProcId(proc)).db;
                 let cut =

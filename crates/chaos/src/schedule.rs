@@ -1,13 +1,10 @@
-//! Typed, timed fault schedules: the adversary's script for one run.
-//!
-//! A [`FaultSchedule`] is a list of [`FaultEvent`]s — crashes,
-//! recoveries, (possibly asymmetric) partitions, per-link loss /
-//! duplication / reordering windows, and torn WAL writes — that is
-//! seed-generatable, serde-serializable, and replayable
-//! byte-deterministically: the same `(config, schedule)` pair always
-//! produces the identical execution.
+//! Seeded fault schedules: a [`FaultPlan`] bounds what may go wrong,
+//! and [`FaultPlan::generate`] draws one [`FaultSchedule`] of
+//! [`FaultEvent`]s — crashes, recoveries, (possibly asymmetric)
+//! partitions, per-link loss / duplication / reordering windows, and
+//! torn WAL writes — from a seed.
 
-use mcv_sim::{CutKind, FaultEvent};
+use mcv_sim::{CutKind, FaultEvent, FaultSchedule};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -90,43 +87,28 @@ impl FaultPlan {
         }
         kinds
     }
-}
 
-/// A replayable fault schedule.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct FaultSchedule {
-    /// The events, in generation order (times need not be sorted; the
-    /// runner schedules each independently).
-    pub events: Vec<FaultEvent>,
-}
-
-impl FaultSchedule {
-    /// The empty (fault-free) schedule.
-    pub fn none() -> Self {
-        FaultSchedule::default()
-    }
-
-    /// Generates a random schedule within `plan`'s bounds. The same
-    /// `(seed, plan)` always yields the same schedule.
-    pub fn generate(seed: u64, plan: &FaultPlan) -> Self {
+    /// Draws a random schedule within the plan's bounds. The same
+    /// `(plan, seed)` always yields the same schedule.
+    pub fn generate(&self, seed: u64) -> FaultSchedule {
         let mut rng = StdRng::seed_from_u64(seed);
-        let kinds = plan.kinds();
+        let kinds = self.kinds();
         let mut events = Vec::new();
-        if kinds.is_empty() || plan.n_procs == 0 {
+        if kinds.is_empty() || self.n_procs == 0 {
             return FaultSchedule { events };
         }
-        let horizon = plan.horizon.max(2);
-        let n = rng.gen_range(1..=plan.max_events.max(1));
+        let horizon = self.horizon.max(2);
+        let n = rng.gen_range(1..=self.max_events.max(1));
         for _ in 0..n {
             let kind = kinds[rng.gen_range(0..kinds.len())];
             // Keep injected times >= 1 so faults never race the start
             // events at tick 0.
             let at = rng.gen_range(1..horizon);
-            let proc = rng.gen_range(0..plan.n_procs);
+            let proc = rng.gen_range(0..self.n_procs);
             match kind {
                 0 => {
                     events.push(FaultEvent::Crash { proc, at });
-                    if plan.crashes_recover {
+                    if self.crashes_recover {
                         let back = rng.gen_range(at + 1..=horizon);
                         events.push(FaultEvent::Recover { proc, at: back });
                     }
@@ -135,8 +117,8 @@ impl FaultSchedule {
                     // A random nonempty proper subset: one seed member
                     // plus coin flips for the rest.
                     let mut side = vec![proc];
-                    for p in 0..plan.n_procs {
-                        if p != proc && side.len() + 1 < plan.n_procs && rng.gen_bool(0.3) {
+                    for p in 0..self.n_procs {
+                        if p != proc && side.len() + 1 < self.n_procs && rng.gen_bool(0.3) {
                             side.push(p);
                         }
                     }
@@ -150,8 +132,8 @@ impl FaultSchedule {
                     events.push(FaultEvent::Partition { side, cut, from: at, until });
                 }
                 2..=4 => {
-                    let src = rng.gen_bool(0.5).then(|| rng.gen_range(0..plan.n_procs));
-                    let dst = rng.gen_bool(0.5).then(|| rng.gen_range(0..plan.n_procs));
+                    let src = rng.gen_bool(0.5).then(|| rng.gen_range(0..self.n_procs));
+                    let dst = rng.gen_bool(0.5).then(|| rng.gen_range(0..self.n_procs));
                     let until = rng.gen_range(at + 1..=horizon);
                     events.push(match kind {
                         2 => FaultEvent::DropWindow { src, dst, from: at, until },
@@ -165,7 +147,7 @@ impl FaultSchedule {
                     // mostly tears beyond the image and is a plain crash.
                     let keep_bytes = rng.gen_range(0..32usize);
                     events.push(FaultEvent::TornWrite { proc, at, keep_bytes });
-                    if plan.crashes_recover {
+                    if self.crashes_recover {
                         let back = rng.gen_range(at + 1..=horizon);
                         events.push(FaultEvent::Recover { proc, at: back });
                     }
@@ -173,30 +155,6 @@ impl FaultSchedule {
             }
         }
         FaultSchedule { events }
-    }
-
-    /// Number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether the schedule is empty.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Fits the schedule to processes `0..n_procs` after a topology
-    /// reduction removed the others: a partition keeps the survivors on
-    /// its side (and goes once it cuts nothing), every other event that
-    /// names a removed process goes.
-    pub fn restrict(&mut self, n_procs: usize) {
-        self.events.retain_mut(|e| match e {
-            FaultEvent::Partition { side, .. } => {
-                side.retain(|p| *p < n_procs);
-                !side.is_empty() && side.len() < n_procs
-            }
-            _ => e.fits(n_procs),
-        });
     }
 }
 
@@ -207,15 +165,15 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let plan = FaultPlan::full(4, 300);
-        assert_eq!(FaultSchedule::generate(9, &plan), FaultSchedule::generate(9, &plan));
-        assert_ne!(FaultSchedule::generate(9, &plan), FaultSchedule::generate(10, &plan));
+        assert_eq!(plan.generate(9), plan.generate(9));
+        assert_ne!(plan.generate(9), plan.generate(10));
     }
 
     #[test]
     fn generated_events_respect_the_plan() {
         let plan = FaultPlan::tolerated(5, 200);
         for seed in 0..50 {
-            let s = FaultSchedule::generate(seed, &plan);
+            let s = plan.generate(seed);
             assert!(!s.is_empty());
             assert!(s.events.iter().all(|e| e.fits(5)), "{s:?}");
             for e in &s.events {
@@ -235,7 +193,7 @@ mod tests {
     fn tolerated_crashes_are_paired_with_recoveries() {
         let plan = FaultPlan::tolerated(4, 300);
         for seed in 0..50 {
-            let s = FaultSchedule::generate(seed, &plan);
+            let s = plan.generate(seed);
             for e in &s.events {
                 if let FaultEvent::Crash { proc, at } | FaultEvent::TornWrite { proc, at, .. } = e {
                     let recovered = s.events.iter().any(|r| {
@@ -250,37 +208,9 @@ mod tests {
     #[test]
     fn schedule_round_trips_through_json() {
         let plan = FaultPlan::full(4, 300);
-        let s = FaultSchedule::generate(3, &plan);
+        let s = plan.generate(3);
         let json = serde_json::to_string(&s).unwrap();
         let back: FaultSchedule = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
-    }
-
-    #[test]
-    fn restrict_strips_partitions_and_drops_events_naming_removed_processes() {
-        let window = |src, dst| FaultEvent::DropWindow { src, dst, from: 1, until: 9 };
-        let partition = |side: Vec<usize>| FaultEvent::Partition {
-            side,
-            cut: CutKind::Both,
-            from: 1,
-            until: 9,
-        };
-        let mut s = FaultSchedule {
-            events: vec![
-                FaultEvent::Crash { proc: 3, at: 5 },
-                FaultEvent::Recover { proc: 2, at: 6 },
-                window(None, Some(3)),
-                window(Some(0), None),
-                partition(vec![1, 3]),
-                partition(vec![3]),
-                partition(vec![0, 1, 2, 3]),
-            ],
-        };
-        s.restrict(3);
-        assert_eq!(
-            s.events,
-            vec![FaultEvent::Recover { proc: 2, at: 6 }, window(Some(0), None), partition(vec![1])]
-        );
-        assert!(s.events.iter().all(|e| e.fits(3)));
     }
 }

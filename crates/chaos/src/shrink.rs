@@ -94,9 +94,9 @@ pub fn shrink<T: Target>(cfg: &T, oracle: &str, budget: usize) -> Shrunk<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run_chaos, ChaosConfig};
-    use crate::schedule::FaultSchedule;
-    use mcv_sim::FaultEvent;
+    use crate::runner::run_chaos;
+    use mcv_commit::Scenario;
+    use mcv_sim::{FaultEvent, FaultSchedule};
 
     #[test]
     fn shrink_drops_irrelevant_events() {
@@ -105,7 +105,7 @@ mod tests {
         // timeout while the others commit), padded with noise events
         // that change nothing.
         let essential = FaultEvent::DropWindow { src: None, dst: Some(3), from: 13, until: 20 };
-        let cfg = ChaosConfig {
+        let cfg = Scenario {
             naive_timeouts: true,
             schedule: FaultSchedule {
                 events: vec![
@@ -115,7 +115,7 @@ mod tests {
                     FaultEvent::Recover { proc: 3, at: 900 },
                 ],
             },
-            ..ChaosConfig::default()
+            ..Scenario::default()
         };
         let out = run_chaos(&cfg);
         assert!(out.violates("ac1_agreement"), "setup must fail: {:?}", out.oracles);

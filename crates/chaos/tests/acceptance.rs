@@ -4,10 +4,11 @@
 //! replay byte-deterministically, and the election + termination
 //! protocol must survive a long tolerated-fault campaign untouched.
 
-use mcv_chaos::{run_chaos, Artifact, Campaign, ChaosConfig, FaultPlan, Target};
+use mcv_chaos::{run_chaos, Artifact, Campaign, FaultPlan, Target};
+use mcv_commit::Scenario;
 
-fn naive_campaign() -> Campaign<ChaosConfig> {
-    let base = ChaosConfig { naive_timeouts: true, ..ChaosConfig::default() };
+fn naive_campaign() -> Campaign<Scenario> {
+    let base = Scenario { naive_timeouts: true, ..Scenario::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
     Campaign::new(base, plan)
 }
@@ -42,7 +43,7 @@ fn repro_artifact_replays_byte_deterministically() {
     let path = v.artifact.write(&dir).unwrap();
     let text = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
-    let loaded = Artifact::<ChaosConfig>::from_json(&text).unwrap();
+    let loaded = Artifact::<Scenario>::from_json(&text).unwrap();
     assert_eq!(loaded, v.artifact);
 
     // Replaying the loaded artifact gives bit-identical executions.
@@ -56,7 +57,7 @@ fn repro_artifact_replays_byte_deterministically() {
 
 #[test]
 fn election_and_quorum_termination_survive_500_seeds() {
-    let base = ChaosConfig { quorum_termination: true, ..ChaosConfig::default() };
+    let base = Scenario { quorum_termination: true, ..Scenario::default() };
     let plan = FaultPlan::tolerated(base.n_procs(), 300);
     let summary = Campaign::new(base, plan).run_seeds(0, 500);
     assert_eq!(summary.runs, 500);
@@ -73,7 +74,7 @@ fn election_and_quorum_termination_survive_500_seeds() {
 
 #[test]
 fn fault_free_baseline_commits_everywhere() {
-    let out = run_chaos(&ChaosConfig::default());
+    let out = run_chaos(&Scenario::default());
     assert!(out.all_pass(), "oracles: {:?}", out.oracles);
     assert!(out.fingerprint.contains("commit"), "fingerprint: {}", out.fingerprint);
 }

@@ -1,15 +1,21 @@
 //! Workload harness: runs one distributed transaction through 2PC or
 //! 3PC under a configurable failure scenario and reports what the
 //! thesis' global properties look like operationally.
+//!
+//! A [`Scenario`] is the one description of a simulated commit run:
+//! the harness, the chaos campaigns and the explorer all build their
+//! world from it through [`build_world`].
 
 use crate::monitor::{check_uniformity, decisions, ObservedDecision};
 use crate::msg::{CrashPoint, Msg, Protocol};
 use crate::site::{Site, SiteConfig, TxnPlan};
-use mcv_sim::{CutKind, FaultEvent, ProcId, RunStats, SimTime, World, WorldConfig};
+use mcv_sim::{FaultEvent, FaultSchedule, ProcId, RunStats, SimTime, World, WorldConfig};
 use mcv_txn::TxnId;
 use std::collections::BTreeMap;
 
-/// Scenario configuration.
+/// Scenario configuration: the protocol, the topology, the crash
+/// points the protocol positions, and the dated faults. Serializable,
+/// so a violating run ships as a replayable artifact.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct Scenario {
     /// Which protocol to run.
@@ -35,9 +41,10 @@ pub struct Scenario {
     pub deadline: u64,
     /// Number of concurrent transactions (disjoint write sets).
     pub n_transactions: usize,
-    /// Network partition: isolate these cohorts (0-based indices) from
-    /// everyone else between the two ticks.
-    pub partition: Option<(Vec<usize>, u64, u64)>,
+    /// The dated faults (host ids: 0 is the coordinator, `1..=n_cohorts`
+    /// the cohorts). An event naming a process the topology lacks is
+    /// inert.
+    pub schedule: FaultSchedule,
     /// Use quorum-based termination (partition-tolerant; see
     /// `SiteConfig::quorum_termination`).
     pub quorum_termination: bool,
@@ -57,7 +64,7 @@ impl Default for Scenario {
             recovery_at: None,
             deadline: 10_000,
             n_transactions: 1,
-            partition: None,
+            schedule: FaultSchedule::none(),
             quorum_termination: false,
         }
     }
@@ -91,7 +98,8 @@ pub struct Report {
 /// The transaction id used by single-transaction scenarios.
 pub const TXN: TxnId = TxnId(1);
 
-/// Builds the world for a scenario.
+/// Builds the world for a scenario: the only place a scenario's dated
+/// faults reach a [`World`].
 pub fn build_world(sc: &Scenario) -> World<Msg, Site> {
     let mut world = World::new(WorldConfig { seed: sc.seed, ..WorldConfig::default() });
     let coordinator = ProcId(0);
@@ -122,14 +130,8 @@ pub fn build_world(sc: &Scenario) -> World<Msg, Site> {
         let crash_at = sc.cohort_crash.and_then(|(idx, cp)| (idx == i).then_some(cp));
         world.add_process(site(crash_at, sc.vote_no_cohort == Some(i), Vec::new()));
     }
-    if let Some((side, from, until)) = &sc.partition {
-        let side = side.iter().map(|i| i + 1).collect();
-        world.schedule(&FaultEvent::Partition {
-            side,
-            cut: CutKind::Both,
-            from: *from,
-            until: *until,
-        });
+    for ev in &sc.schedule.events {
+        world.schedule(ev);
     }
     if let Some(at) = sc.recovery_at {
         // Recovery events on processes that never crashed are no-ops.
@@ -140,7 +142,9 @@ pub fn build_world(sc: &Scenario) -> World<Msg, Site> {
     world
 }
 
-/// Runs the scenario and reports.
+/// Runs the scenario and reports. A `TornWrite` in the schedule is the
+/// plain crash [`World::schedule`] makes of it: only `mcv-chaos`'s
+/// `run_chaos`, whose oracle judges the log, tears it.
 ///
 /// Besides the returned [`Report`], the run emits per-protocol
 /// counters to the ambient [`mcv_obs`] collector (if one is
@@ -229,6 +233,13 @@ pub fn run_scenario(sc: &Scenario) -> Report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcv_sim::CutKind;
+
+    /// Cuts cohort p1 off from everyone else from tick 20 to `until`.
+    fn isolate_cohort_1(until: u64) -> FaultSchedule {
+        let cut = FaultEvent::Partition { side: vec![1], cut: CutKind::Both, from: 20, until };
+        FaultSchedule { events: vec![cut] }
+    }
 
     #[test]
     fn failure_free_3pc_commits_uniformly() {
@@ -420,7 +431,7 @@ mod tests {
         let r = run_scenario(&Scenario {
             n_cohorts: 4,
             coordinator_crash: Some(CrashPoint::AfterPartialPrepare),
-            partition: Some((vec![0], 20, 9_000)),
+            schedule: isolate_cohort_1(9_000),
             ..Scenario::default()
         });
         assert!(!r.uniform, "expected split brain, got {:?}", r.decisions);
@@ -434,7 +445,7 @@ mod tests {
         let r = run_scenario(&Scenario {
             n_cohorts: 4,
             coordinator_crash: Some(CrashPoint::AfterPartialPrepare),
-            partition: Some((vec![0], 20, 2_000)),
+            schedule: isolate_cohort_1(2_000),
             quorum_termination: true,
             ..Scenario::default()
         });
@@ -451,7 +462,7 @@ mod tests {
             n_cohorts: 4,
             coordinator_crash: Some(CrashPoint::AfterPartialPrepare),
             // Partition outlives the simulation deadline.
-            partition: Some((vec![0], 20, 20_000)),
+            schedule: isolate_cohort_1(20_000),
             quorum_termination: true,
             ..Scenario::default()
         });

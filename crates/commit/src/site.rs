@@ -162,7 +162,7 @@ impl LocalStore for SiteDb {
 /// A site process: one of the networked participants of Figure 3.3.
 /// Generic over its [`LocalStore`]; defaults to the simulator's
 /// [`SiteDb`] so existing call sites are unchanged.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Site<S = SiteDb> {
     cfg: SiteConfig,
     /// The site's transactional database (stable + volatile halves).

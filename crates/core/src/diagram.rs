@@ -149,11 +149,6 @@ impl Diagram {
         self.nodes.len()
     }
 
-    /// Number of arcs.
-    pub fn arc_count(&self) -> usize {
-        self.arcs.len()
-    }
-
     /// Node labels with no outgoing arcs (colimit naming prefers these).
     pub fn sink_nodes(&self) -> Vec<Sym> {
         self.nodes.keys().filter(|n| !self.arcs.iter().any(|a| &a.from == *n)).cloned().collect()
@@ -232,7 +227,7 @@ mod tests {
         d.add_node("b", b.clone()).unwrap();
         d.add_arc("i", "a", "b", morph(&a, &b)).unwrap();
         assert_eq!(d.node_count(), 2);
-        assert_eq!(d.arc_count(), 1);
+        assert_eq!(d.arcs().count(), 1);
         assert_eq!(d.sink_nodes(), vec![Sym::new("b")]);
     }
 

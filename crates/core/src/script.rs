@@ -21,7 +21,7 @@ use crate::morphism::SpecMorphism;
 use crate::parse::parse_spec;
 use crate::spec::SpecRef;
 use crate::translate::translate;
-use mcv_logic::{Model, NamedFormula, ProofResult, Prover, ProverConfig, Sort, Sym, VettedProof};
+use mcv_logic::{Model, NamedFormula, Prover, ProverConfig, Sort, Sym, VettedProof};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -56,7 +56,7 @@ pub enum Value {
 
 impl Value {
     /// The value as a spec, if it is one (colimits expose their apex).
-    pub fn as_spec(&self) -> Option<&SpecRef> {
+    fn as_spec(&self) -> Option<&SpecRef> {
         match self {
             Value::Spec(s) => Some(s),
             Value::Colimit(c) => Some(&c.apex),
@@ -523,11 +523,6 @@ fn split_top_level_commas(text: &str) -> Vec<String> {
 
 /// Convenience: the result of one `prove` event.
 pub use Event as ScriptEvent;
-
-/// Reports whether a proof result is a success (helper for assertions).
-pub fn proof_ok(r: &ProofResult) -> bool {
-    r.is_proved()
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,12 +1,12 @@
 //! Artifact decoding under hostile input, for both campaign targets:
-//! the simulator's `ChaosConfig` and the threaded runtime's
+//! the simulator's `Scenario` and the threaded runtime's
 //! `PipelineConfig`. Whatever the text, `Artifact::from_json` returns
 //! an artifact or an error and never panics; every artifact a campaign
 //! writes reads back equal; and a schedule naming a process the
 //! topology lacks is refused by name.
 
-use mcv_chaos::{Artifact, ChaosConfig, CutKind, FaultEvent, FaultPlan, FaultSchedule, Target};
-use mcv_commit::CrashPoint;
+use mcv_chaos::{Artifact, CutKind, FaultEvent, FaultPlan, Target};
+use mcv_commit::{CrashPoint, Scenario};
 use mcv_dist::{DistConfig, PipelineConfig};
 use proptest::prelude::*;
 use serde::Value;
@@ -72,15 +72,15 @@ fn check<T: Target>(artifact: &Artifact<T>, noise: &str, stray: impl Fn(usize) -
     assert!(err.to_string().contains(&format!("{event:?}")), "{err}");
 }
 
-fn chaos_config(seed: u64, n_cohorts: usize, naive: bool) -> ChaosConfig {
-    ChaosConfig {
+fn chaos_config(seed: u64, n_cohorts: usize, naive: bool) -> Scenario {
+    Scenario {
         n_cohorts,
         naive_timeouts: naive,
         quorum_termination: !naive,
         seed,
         vote_no_cohort: naive.then_some(1),
-        schedule: FaultSchedule::generate(seed, &FaultPlan::full(n_cohorts + 1, 300)),
-        ..ChaosConfig::default()
+        schedule: FaultPlan::full(n_cohorts + 1, 300).generate(seed),
+        ..Scenario::default()
     }
 }
 
@@ -92,7 +92,7 @@ fn pipeline_config(seed: u64, n_shards: usize, naive: bool) -> PipelineConfig {
             seed,
             naive_timeouts: naive,
             crash_at: naive.then_some((0, CrashPoint::AfterVotes)),
-            schedule: FaultSchedule::generate(seed, &FaultPlan::full(n_shards + 1, 150)),
+            schedule: FaultPlan::full(n_shards + 1, 150).generate(seed),
             ..DistConfig::default()
         },
         max_inflight: 2,
@@ -105,12 +105,12 @@ fn pipeline_config(seed: u64, n_shards: usize, naive: bool) -> PipelineConfig {
 /// artifact, and one hand-picked configuration per target.
 const FIXED_NOISE: [&str; 4] = ["", "{", "[]", "{\"id\": 1}"];
 
-fn fixed_chaos() -> ChaosConfig {
-    ChaosConfig {
+fn fixed_chaos() -> Scenario {
+    Scenario {
         naive_timeouts: true,
         seed: 17,
-        schedule: FaultSchedule::generate(17, &FaultPlan::tolerated(4, 300)),
-        ..ChaosConfig::default()
+        schedule: FaultPlan::tolerated(4, 300).generate(17),
+        ..Scenario::default()
     }
 }
 

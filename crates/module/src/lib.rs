@@ -16,7 +16,7 @@
 //!
 //! # Examples
 //!
-//! See [`Module::from_interfaces`] and [`Module::compose`].
+//! See [`Module::new`] and [`Module::compose`].
 
 #![warn(missing_docs)]
 
@@ -150,61 +150,6 @@ impl Module {
             return Err(ModuleError::NotCommuting { module: name });
         }
         Ok(m)
-    }
-
-    /// Builds a module from its interfaces alone; the body is *computed*
-    /// as the pushout of `exp ←f– par –g→ imp` (the thesis: "the pushout
-    /// of these three objects giving the Body").
-    ///
-    /// # Errors
-    ///
-    /// Propagates endpoint and colimit errors.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use mcv_core::{SpecBuilder, SpecMorphism};
-    /// use mcv_module::Module;
-    /// use mcv_logic::Sort;
-    /// let par = SpecBuilder::new("R").sort(Sort::new("E")).build_ref().unwrap();
-    /// let exp = SpecBuilder::new("A").sort(Sort::new("E"))
-    ///     .predicate("Guarantee", vec![Sort::new("E")]).build_ref().unwrap();
-    /// let imp = SpecBuilder::new("B").sort(Sort::new("E"))
-    ///     .predicate("Assume", vec![Sort::new("E")]).build_ref().unwrap();
-    /// let f = SpecMorphism::new("f", par.clone(), exp, [], []).unwrap();
-    /// let g = SpecMorphism::new("g", par, imp, [], []).unwrap();
-    /// let m = Module::from_interfaces("M", f, g).unwrap();
-    /// assert!(m.commutes());
-    /// assert!(m.bod.signature.op(&"Guarantee".into()).is_some());
-    /// assert!(m.bod.signature.op(&"Assume".into()).is_some());
-    /// ```
-    pub fn from_interfaces(
-        name: impl Into<Sym>,
-        par_to_exp: SpecMorphism,
-        par_to_imp: SpecMorphism,
-    ) -> Result<Self, ModuleError> {
-        let name = name.into();
-        if par_to_exp.source.name != par_to_imp.source.name {
-            return Err(ModuleError::Endpoint {
-                which: "f/g",
-                detail: format!(
-                    "parameter mismatch: {} vs {}",
-                    par_to_exp.source.name, par_to_imp.source.name
-                ),
-            });
-        }
-        let po = pushout(&par_to_exp, &par_to_imp, format!("{name}_BOD"))?;
-        Module::new(
-            name,
-            par_to_exp.source.clone(),
-            par_to_exp.target.clone(),
-            par_to_imp.target.clone(),
-            po.object().clone(),
-            par_to_exp.clone(),
-            par_to_imp,
-            po.into_left,
-            po.into_right,
-        )
     }
 
     /// Whether the interface square `h ∘ f = k ∘ g` commutes.
@@ -348,6 +293,38 @@ mod tests {
     use mcv_core::{SpecBuilder, SpecMorphism};
     use mcv_logic::Sort;
 
+    /// Builds a module from its interfaces alone; the body is *computed*
+    /// as the pushout of `exp ←f– par –g→ imp` (the thesis: "the pushout
+    /// of these three objects giving the Body").
+    fn from_interfaces(
+        name: impl Into<Sym>,
+        par_to_exp: SpecMorphism,
+        par_to_imp: SpecMorphism,
+    ) -> Result<Module, ModuleError> {
+        let name = name.into();
+        if par_to_exp.source.name != par_to_imp.source.name {
+            return Err(ModuleError::Endpoint {
+                which: "f/g",
+                detail: format!(
+                    "parameter mismatch: {} vs {}",
+                    par_to_exp.source.name, par_to_imp.source.name
+                ),
+            });
+        }
+        let po = pushout(&par_to_exp, &par_to_imp, format!("{name}_BOD"))?;
+        Module::new(
+            name,
+            par_to_exp.source.clone(),
+            par_to_exp.target.clone(),
+            par_to_imp.target.clone(),
+            po.object().clone(),
+            par_to_exp.clone(),
+            par_to_imp,
+            po.into_left,
+            po.into_right,
+        )
+    }
+
     /// A provider module exporting `Provided`, importing a primitive.
     fn provider() -> Module {
         let par = SpecBuilder::new("R2").sort(Sort::new("E")).build_ref().unwrap();
@@ -364,7 +341,7 @@ mod tests {
             .unwrap();
         let f = SpecMorphism::new("f2", par.clone(), exp, [], []).unwrap();
         let g = SpecMorphism::new("g2", par, imp, [], []).unwrap();
-        Module::from_interfaces("PROVIDER", f, g).unwrap()
+        from_interfaces("PROVIDER", f, g).unwrap()
     }
 
     /// A consumer module importing `Required`, exporting `Offered`.
@@ -382,7 +359,7 @@ mod tests {
             .unwrap();
         let f = SpecMorphism::new("f1", par.clone(), exp, [], []).unwrap();
         let g = SpecMorphism::new("g1", par, imp, [], []).unwrap();
-        Module::from_interfaces("CONSUMER", f, g).unwrap()
+        from_interfaces("CONSUMER", f, g).unwrap()
     }
 
     #[test]
@@ -468,7 +445,7 @@ mod tests {
             .build_ref()
             .unwrap();
         let g2 = SpecMorphism::new("g2", par.clone(), imp2, [], []).unwrap();
-        let p = Module::from_interfaces("P", f2, g2).unwrap();
+        let p = from_interfaces("P", f2, g2).unwrap();
 
         let cpar = SpecBuilder::new("RC")
             .sort(Sort::new("E"))
@@ -487,7 +464,7 @@ mod tests {
             .unwrap();
         let cf = SpecMorphism::new("f1", cpar.clone(), cexp, [], []).unwrap();
         let cg = SpecMorphism::new("g1", cpar.clone(), cimp, [], []).unwrap();
-        let c = Module::from_interfaces("C", cf, cg).unwrap();
+        let c = from_interfaces("C", cf, cg).unwrap();
 
         let s = SpecMorphism::new_lenient("s", c.imp.clone(), p.exp.clone(), [], []).unwrap();
         let t = SpecMorphism::new_lenient("t", c.par.clone(), p.par.clone(), [], []).unwrap();

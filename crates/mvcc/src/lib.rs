@@ -211,11 +211,6 @@ impl MvccStore {
         }
     }
 
-    /// Number of currently registered snapshots.
-    pub fn active_snapshots(&self) -> usize {
-        self.active.lock().expect("mvcc active mutex").values().sum()
-    }
-
     /// The GC low watermark: no snapshot at or above it can observe a
     /// version older than the newest one at or below it. Equals the
     /// oldest live snapshot timestamp, or the visible watermark when
@@ -302,11 +297,6 @@ impl MvccStore {
         collected
     }
 
-    /// Length of `item`'s version chain.
-    pub fn chain_len(&self, item: &str) -> usize {
-        self.shard(item).chains.get(item).map_or(0, Vec::len)
-    }
-
     /// Total versions collected by GC since construction.
     pub fn versions_collected(&self) -> u64 {
         self.collected.load(Ordering::Relaxed)
@@ -335,6 +325,18 @@ fn trim(chain: &mut Chain, watermark: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MvccStore {
+        /// Number of currently registered snapshots.
+        fn active_snapshots(&self) -> usize {
+            self.active.lock().expect("mvcc active mutex").values().sum()
+        }
+
+        /// Length of `item`'s version chain.
+        fn chain_len(&self, item: &str) -> usize {
+            self.shard(item).chains.get(item).map_or(0, Vec::len)
+        }
+    }
 
     fn committed(store: &MvccStore, item: &str, values: &[Value]) {
         for &v in values {

@@ -52,5 +52,5 @@ mod span;
 
 pub use global::{absorb, collect, counter, gauge, record, Collected};
 pub use metrics::{Counter, Histogram, MetricsRegistry, MetricsSnapshot};
-pub use report::{append_jsonl, write_report, RunReport, WallClock};
+pub use report::{write_report, RunReport, WallClock};
 pub use span::{Span, SpanStats};

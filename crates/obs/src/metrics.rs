@@ -98,12 +98,6 @@ impl MetricsRegistry {
 pub struct Counter(Rc<Cell<u64>>);
 
 impl Counter {
-    /// Adds one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.set(self.0.get() + 1);
-    }
-
     /// Adds `delta`.
     #[inline]
     pub fn add(&self, delta: u64) {
@@ -277,16 +271,6 @@ impl Histogram {
         self.min = 0;
         self.max = 0;
     }
-
-    /// Takes the current window: returns a clone of the accumulated
-    /// samples and resets `self` in one step, so interval reporters
-    /// (telemetry windows, periodic flushes) never lose samples
-    /// between the read and the clear.
-    pub fn take_window(&mut self) -> Histogram {
-        let window = self.clone();
-        self.reset();
-        window
-    }
 }
 
 /// A frozen copy of a registry: plain sorted maps, ready for serde.
@@ -335,6 +319,13 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
+    /// One telemetry window: the accumulated samples, `h` reset.
+    fn take_window(h: &mut Histogram) -> Histogram {
+        let window = h.clone();
+        h.reset();
+        window
+    }
+
     #[test]
     fn family_selects_by_prefix() {
         let reg = MetricsRegistry::new();
@@ -351,7 +342,7 @@ mod tests {
     fn counters_accumulate_through_handles() {
         let reg = MetricsRegistry::new();
         let c = reg.counter("x");
-        c.inc();
+        c.add(1);
         c.add(4);
         reg.add("x", 5);
         assert_eq!(reg.snapshot().counter("x"), 10);
@@ -426,12 +417,12 @@ mod tests {
         for v in [5u64, 50, 500] {
             h.record(v);
         }
-        let w1 = h.take_window();
+        let w1 = take_window(&mut h);
         assert_eq!((w1.count, w1.sum, w1.min, w1.max), (3, 555, 5, 500));
         assert!(h.is_empty());
         // Second window only sees samples recorded after the first take.
         h.record(42);
-        let w2 = h.take_window();
+        let w2 = take_window(&mut h);
         assert_eq!((w2.count, w2.min, w2.max), (1, 42, 42));
         // Merging the windows reconstructs the full-run histogram
         // exactly: windowing loses nothing.
@@ -457,7 +448,7 @@ mod tests {
             acc.record(v);
             whole.record(v);
             if i % 50 == 49 {
-                windows.push(acc.take_window());
+                windows.push(take_window(&mut acc));
             }
         }
         let mut merged = Histogram::default();

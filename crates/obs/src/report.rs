@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::metrics::MetricsSnapshot;
@@ -119,19 +119,6 @@ pub fn write_report(dir: impl AsRef<Path>, report: &RunReport) -> io::Result<Pat
     Ok(path)
 }
 
-/// Appends `report` as one compact JSON line to `path`, creating the
-/// file (and parent directory) if needed.
-pub fn append_jsonl(path: impl AsRef<Path>, report: &RunReport) -> io::Result<()> {
-    let path = path.as_ref();
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            fs::create_dir_all(parent)?;
-        }
-    }
-    let mut file = fs::OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(file, "{}", report.to_jsonl_line())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,7 +167,7 @@ mod tests {
     }
 
     #[test]
-    fn write_report_and_append_jsonl_produce_parseable_files() {
+    fn write_report_produces_a_parseable_file() {
         let dir = std::env::temp_dir().join("mcv-obs-report-test");
         let _ = fs::remove_dir_all(&dir);
         let r = sample();
@@ -189,14 +176,6 @@ mod tests {
         let back = RunReport::from_json(&fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(back, r);
 
-        let jsonl = dir.join("stream.jsonl");
-        append_jsonl(&jsonl, &r).expect("append");
-        append_jsonl(&jsonl, &r).expect("append");
-        let text = fs::read_to_string(&jsonl).unwrap();
-        assert_eq!(text.lines().count(), 2);
-        for line in text.lines() {
-            assert_eq!(RunReport::from_json(line).unwrap(), r);
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 

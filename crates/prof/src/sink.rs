@@ -121,7 +121,7 @@ impl Profiler {
     }
 
     /// A profiler whose per-thread rings hold `capacity` samples each.
-    pub fn with_ring_capacity(capacity: usize) -> Self {
+    fn with_ring_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         Profiler {
             shared: Arc::new(Shared {

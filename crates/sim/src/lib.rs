@@ -7,9 +7,10 @@
 //! delay bounded by δ, and crash/recover site failures with
 //! timeout-based detection. Every deviation from them — a crash, a
 //! recovery, a partition, a drop, duplication or reordering window, a
-//! torn write — is a timed [`FaultEvent`], scheduled with
-//! [`World::schedule`]; the one [`LinkCore`] decides each message's
-//! fate, here and in `mcv-dist`'s threaded transport.
+//! torn write — is a timed [`FaultEvent`]. A run's events form one
+//! [`FaultSchedule`], each scheduled with [`World::schedule`]; the one
+//! [`LinkCore`] decides each message's fate, here and in `mcv-dist`'s
+//! threaded transport.
 //!
 //! Determinism: all scheduling is driven by a seeded RNG and a totally
 //! ordered event queue, so a `(topology, seed, failure schedule)` triple
@@ -48,7 +49,7 @@ mod time;
 mod trace;
 mod world;
 
-pub use net::{CutKind, Fate, FaultEvent, Hop, LinkCore};
+pub use net::{CutKind, Fate, FaultEvent, FaultSchedule, Hop, LinkCore};
 pub use process::{Ctx, Effects, Process, TimerToken};
 pub use time::{ProcId, SimTime};
 pub use trace::{Trace, TraceEntry};

@@ -189,6 +189,47 @@ impl FaultEvent {
     }
 }
 
+/// A replayable fault schedule: the adversary's script for one run.
+/// The same run configuration and schedule always give the identical
+/// execution.
+#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct FaultSchedule {
+    /// The events, in generation order (times need not be sorted; each
+    /// is scheduled on its own).
+    pub events: Vec<FaultEvent>,
+}
+
+impl FaultSchedule {
+    /// The empty (fault-free) schedule.
+    pub fn none() -> Self {
+        FaultSchedule::default()
+    }
+
+    /// Number of events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Whether the schedule is empty.
+    pub fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+
+    /// Fits the schedule to processes `0..n_procs` after a topology
+    /// reduction removed the others: a partition keeps the survivors on
+    /// its side (and goes once it cuts nothing), every other event that
+    /// names a removed process goes.
+    pub fn restrict(&mut self, n_procs: usize) {
+        self.events.retain_mut(|e| match e {
+            FaultEvent::Partition { side, .. } => {
+                side.retain(|p| *p < n_procs);
+                !side.is_empty() && side.len() < n_procs
+            }
+            _ => e.fits(n_procs),
+        });
+    }
+}
+
 /// One delivery instant of a routed message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
@@ -229,6 +270,7 @@ pub enum Fate {
 /// assert_eq!(net.route(12, 0, 1), Fate::Dropped);
 /// assert!(matches!(net.route(12, 1, 0), Fate::Due(..)));
 /// ```
+#[derive(Clone)]
 pub struct LinkCore {
     unit: u64,
     /// Uniform per-hop delay in `1..=delay_ticks` ticks (the δ bound).
@@ -371,6 +413,34 @@ mod tests {
         assert_eq!(w.with_until(10).window(), Some((5, 10)));
         let c = FaultEvent::Crash { proc: 1, at: 7 };
         assert_eq!(c.with_until(10), c);
+    }
+
+    #[test]
+    fn restrict_strips_partitions_and_drops_events_naming_removed_processes() {
+        let window = |src, dst| FaultEvent::DropWindow { src, dst, from: 1, until: 9 };
+        let partition = |side: Vec<usize>| FaultEvent::Partition {
+            side,
+            cut: CutKind::Both,
+            from: 1,
+            until: 9,
+        };
+        let mut s = FaultSchedule {
+            events: vec![
+                FaultEvent::Crash { proc: 3, at: 5 },
+                FaultEvent::Recover { proc: 2, at: 6 },
+                window(None, Some(3)),
+                window(Some(0), None),
+                partition(vec![1, 3]),
+                partition(vec![3]),
+                partition(vec![0, 1, 2, 3]),
+            ],
+        };
+        s.restrict(3);
+        assert_eq!(
+            s.events,
+            vec![FaultEvent::Recover { proc: 2, at: 6 }, window(Some(0), None), partition(vec![1])]
+        );
+        assert!(s.events.iter().all(|e| e.fits(3)));
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl Default for WorldConfig {
 type SendTag = Option<(Cause, String)>;
 
 /// A scheduled world event, due at its `Event::time`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Due<M> {
     Start(ProcId),
     Deliver { from: ProcId, to: ProcId, msg: M, sent: SendTag, at: SimTime },
@@ -50,7 +50,7 @@ enum Due<M> {
     Recover(ProcId),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Event<M> {
     time: SimTime,
     seq: u64,
@@ -139,6 +139,7 @@ pub struct RunStats {
 /// w.run();
 /// assert_eq!(w.process(ProcId(1)).got, Some("ping"));
 /// ```
+#[derive(Clone)]
 pub struct World<M, P> {
     procs: Vec<P>,
     up: Vec<bool>,

@@ -62,12 +62,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Discards the tentative checkpoint (e.g. the coordinating process
-    /// aborted the checkpoint round).
-    pub fn discard_tentative(&mut self) {
-        self.tentative = None;
-    }
-
     /// The current tentative checkpoint.
     pub fn tentative(&self) -> Option<&Snapshot> {
         self.tentative.as_ref()
@@ -110,14 +104,13 @@ mod tests {
     }
 
     #[test]
-    fn discard_keeps_permanent() {
+    fn a_tentative_checkpoint_keeps_the_permanent_one() {
         let mut cs = CheckpointStore::new();
         cs.take_tentative(state(1));
         cs.promote();
         cs.take_tentative(state(2));
-        cs.discard_tentative();
         assert_eq!(cs.permanent().unwrap().state, state(1));
-        assert!(cs.tentative().is_none());
+        assert_eq!(cs.tentative().unwrap().state, state(2));
     }
 
     #[test]

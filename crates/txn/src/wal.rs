@@ -529,9 +529,9 @@ mod codec {
 /// let mut fw = ForcedWal::new();
 /// fw.append(LogRecord::Update { txn: TxnId(1), item: "X".into(), old: 0, new: 7 });
 /// let lsn = fw.append(LogRecord::Commit { txn: TxnId(1) });
-/// assert!(!fw.is_forced(lsn));
+/// assert!(fw.forced_records() < lsn);
 /// fw.force();
-/// assert!(fw.is_forced(lsn));
+/// assert!(fw.forced_records() >= lsn);
 /// let survivor = Wal::from_bytes_lossy(fw.durable_image());
 /// assert_eq!(survivor.recover().get("X"), Some(&7));
 /// ```
@@ -596,12 +596,6 @@ impl ForcedWal {
     /// Number of records covered by the durable image.
     pub fn forced_records(&self) -> usize {
         self.forced_records
-    }
-
-    /// Whether the record at `lsn` (as returned by [`ForcedWal::append`])
-    /// has reached stable storage.
-    pub fn is_forced(&self, lsn: usize) -> bool {
-        self.forced_records >= lsn
     }
 
     /// How many force operations ran so far. Group commit shows up as
@@ -829,10 +823,10 @@ mod tests {
             last = fw.append(LogRecord::Commit { txn: TxnId(t) });
         }
         assert_eq!(fw.pending(), 10);
-        assert!(!fw.is_forced(last));
+        assert!(fw.forced_records() < last);
         assert_eq!(fw.force(), 10);
         assert_eq!(fw.forces(), 1);
-        assert!(fw.is_forced(last));
+        assert!(fw.forced_records() >= last);
         assert_eq!(fw.pending(), 0);
         // Forcing with nothing pending neither writes nor counts.
         assert_eq!(fw.force(), 0);

@@ -13,7 +13,7 @@
 //! a mismatch the test names the first diverging case and prints its
 //! text.
 
-use mcv::chaos::{run_chaos, ChaosConfig, CutKind, FaultEvent, FaultPlan, FaultSchedule};
+use mcv::chaos::{run_chaos, CutKind, FaultEvent, FaultPlan, FaultSchedule};
 use mcv::commit::{run_scenario, CrashPoint, Msg, Protocol, Scenario};
 use mcv::dist::{NodeEvent, SimTransport, Transport, TransportConfig};
 use mcv::txn::TxnId;
@@ -56,17 +56,13 @@ fn chaos_runs_are_pinned() {
         ("tolerated", FaultPlan::tolerated(4, 300)),
     ] {
         for naive in [false, true] {
-            let base = ChaosConfig {
+            let base = Scenario {
                 naive_timeouts: naive,
                 quorum_termination: !naive,
-                ..ChaosConfig::default()
+                ..Scenario::default()
             };
             for seed in 0..CHAOS_SEEDS {
-                let cfg = ChaosConfig {
-                    seed,
-                    schedule: FaultSchedule::generate(seed, &plan),
-                    ..base.clone()
-                };
+                let cfg = Scenario { seed, schedule: plan.generate(seed), ..base.clone() };
                 let out = run_chaos(&cfg);
                 let mut text = out.fingerprint.clone();
                 for o in &out.oracles {
@@ -108,7 +104,14 @@ fn shapes() -> Vec<(&'static str, Scenario)> {
             "partition",
             Scenario {
                 n_cohorts: 4,
-                partition: Some((vec![0, 2], 3, 250)),
+                schedule: FaultSchedule {
+                    events: vec![FaultEvent::Partition {
+                        side: vec![1, 3],
+                        cut: CutKind::Both,
+                        from: 3,
+                        until: 250,
+                    }],
+                },
                 quorum_termination: true,
                 ..Scenario::default()
             },
@@ -163,6 +166,27 @@ fn harness_scenarios_are_pinned() {
     check("harness", cases, HARNESS_PINS);
 }
 
+/// Both runners apply a scenario's dated faults and late recovery
+/// through one path: on every harness shape, `run_scenario`'s decisions
+/// are the decision lines of `run_chaos`'s fingerprint.
+#[test]
+fn both_runners_decide_the_harness_shapes_alike() {
+    for (name, shape) in shapes() {
+        for seed in 0..4 {
+            let sc = Scenario { seed, ..shape.clone() };
+            let mut harness = String::new();
+            for d in &run_scenario(&sc).decisions {
+                let verdict = if d.commit { "commit" } else { "abort" };
+                let _ = writeln!(harness, "{} {} {} {verdict}", d.time.ticks(), d.site, d.txn);
+            }
+            let fingerprint = run_chaos(&sc).fingerprint;
+            let chaos = fingerprint.lines().filter(|l| !l.starts_with("sent="));
+            let chaos: String = chaos.map(|l| format!("{l}\n")).collect();
+            assert_eq!(harness, chaos, "{name} seed={seed}");
+        }
+    }
+}
+
 /// One schedule per fault kind, then generated `FaultPlan::full` ones.
 fn transport_schedules() -> Vec<(String, FaultSchedule)> {
     let one = |e: FaultEvent| FaultSchedule { events: vec![e] };
@@ -204,7 +228,7 @@ fn transport_schedules() -> Vec<(String, FaultSchedule)> {
         one(FaultEvent::ReorderWindow { src: None, dst: None, from: 3, until: 45 }),
     ));
     for seed in 0..4 {
-        out.push((format!("full-{seed}"), FaultSchedule::generate(seed, &FaultPlan::full(4, 60))));
+        out.push((format!("full-{seed}"), FaultPlan::full(4, 60).generate(seed)));
     }
     out
 }

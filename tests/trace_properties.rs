@@ -4,16 +4,17 @@
 //! rejects hand-mutated ones (deliver before its send, a Lamport clock
 //! regression, a commit ack before the force that covers it).
 
-use mcv::chaos::{run_chaos, ChaosConfig, FaultPlan, FaultSchedule};
+use mcv::chaos::{run_chaos, FaultPlan};
+use mcv::commit::Scenario;
 use mcv::engine::{Engine, EngineConfig};
 use mcv::trace::{check, CausalTrace, EventKind};
 use proptest::prelude::*;
 
 fn traced_chaos(seed: u64) -> CausalTrace {
-    let cfg = ChaosConfig {
+    let cfg = Scenario {
         seed,
-        schedule: FaultSchedule::generate(seed, &FaultPlan::tolerated(4, 300)),
-        ..ChaosConfig::default()
+        schedule: FaultPlan::tolerated(4, 300).generate(seed),
+        ..Scenario::default()
     };
     let (_, mut trace) = mcv::trace::record_trace(None, || run_chaos(&cfg));
     trace.strip_wall();
