@@ -64,7 +64,7 @@ fn repro(args: &Args) -> bool {
             None => (run(), None),
         };
         let Ok(text) = text else {
-            verdicts.push((id, "FAILED (its panic above names the claim)"));
+            verdicts.push((id, false));
             continue;
         };
         println!("{text}");
@@ -78,10 +78,11 @@ fn repro(args: &Args) -> bool {
                 }
             }
         }
-        verdicts.push((id, "ok"));
+        verdicts.push((id, true));
     }
-    for (id, verdict) in &verdicts {
+    for (id, ok) in &verdicts {
+        let verdict = if *ok { "ok" } else { "FAILED (its panic above names the claim)" };
         eprintln!("repro {id}: {verdict}");
     }
-    verdicts.iter().all(|(_, verdict)| *verdict == "ok")
+    verdicts.iter().all(|(_, ok)| *ok)
 }
