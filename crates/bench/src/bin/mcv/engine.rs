@@ -6,7 +6,10 @@
 use mcv_bench::cli::{self, Args};
 use mcv_bench::group_commit_driver;
 use mcv_chaos::{detect_anomalies, AnomalyArtifact, AnomalyReport};
-use mcv_engine::{run_driver, DriverConfig, EngineConfig, IsolationLevel, Mix, WorkloadKind};
+use mcv_engine::{
+    run_driver, DriverConfig, DriverReport, EngineConfig, IsolationLevel, Mix, WorkloadKind,
+};
+use mcv_txn::{Dependency, Isolation};
 use std::sync::Arc;
 
 pub fn run(args: &Args) -> bool {
@@ -151,17 +154,13 @@ fn smoke(seed: u64) -> bool {
     true
 }
 
-/// The isolation-matrix gate: a read-heavy run per level. Every level
-/// must commit everything and replay from the WAL; MVCC levels must
-/// serve all reads from version chains (zero shared-lock traffic).
+/// The isolation-matrix gate: a read-heavy run per level, recorded in
+/// full. Every level must commit everything, replay from the WAL and
+/// keep its promise (2PL and SSI Serializable, SI SnapshotIsolation, RC
+/// ReadCommitted); MVCC levels must serve all reads from version chains
+/// (zero shared-lock traffic).
 fn mvcc_smoke(base: u64) -> bool {
-    let levels = [
-        IsolationLevel::Serializable2pl,
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::SnapshotIsolation,
-        IsolationLevel::SerializableSsi,
-    ];
-    for (i, isolation) in levels.into_iter().enumerate() {
+    for (i, isolation) in LEVELS.into_iter().enumerate() {
         let mut cfg = DriverConfig {
             txns: 400,
             items: 512,
@@ -170,21 +169,28 @@ fn mvcc_smoke(base: u64) -> bool {
             ..group_commit_driver(200)
         };
         cfg.engine.isolation = isolation;
-        let report = run_driver(&cfg);
+        let (report, verdicts) = judged_run(&cfg);
         let reads = report.metrics.counter("engine.mvcc.snapshot_reads");
         let read_locks = report.metrics.counter("engine.locks.read_acquisitions");
+        let broken = broken_promise(isolation, &report, &verdicts);
         println!(
             "mvcc smoke {:<4} committed={} recovery={} snapshot_reads={} read_locks={} \
-             cert_aborts={}",
+             cert_aborts={} {}={}",
             isolation.name(),
             report.committed,
             report.recovered_matches,
             reads,
             read_locks,
             report.metrics.counter("engine.mvcc.cert_aborts"),
+            promise(isolation),
+            broken.is_none(),
         );
         if report.committed != cfg.txns || !report.recovered_matches {
             eprintln!("mvcc smoke {isolation}: driver oracles failed");
+            return false;
+        }
+        if let Some(why) = broken {
+            eprintln!("mvcc smoke {isolation}: {why}");
             return false;
         }
         if isolation.is_mvcc() {
@@ -196,13 +202,61 @@ fn mvcc_smoke(base: u64) -> bool {
                 eprintln!("mvcc smoke {isolation}: snapshot reads acquired {read_locks} locks");
                 return false;
             }
-        } else if !report.serializable {
-            eprintln!("mvcc smoke {isolation}: 2PL history not serializable");
-            return false;
         }
     }
-    println!("mvcc smoke: isolation matrix green (zero read locks on every MVCC level)");
+    println!(
+        "mvcc smoke: isolation matrix green (every level keeps its promise, zero read locks \
+         on every MVCC level)"
+    );
     true
+}
+
+/// The engine's isolation levels.
+const LEVELS: [IsolationLevel; 4] = [
+    IsolationLevel::Serializable2pl,
+    IsolationLevel::ReadCommitted,
+    IsolationLevel::SnapshotIsolation,
+    IsolationLevel::SerializableSsi,
+];
+
+/// The level an engine isolation level promises.
+fn promise(isolation: IsolationLevel) -> Isolation {
+    match isolation {
+        IsolationLevel::ReadCommitted => Isolation::ReadCommitted,
+        IsolationLevel::SnapshotIsolation => Isolation::SnapshotIsolation,
+        IsolationLevel::Serializable2pl | IsolationLevel::SerializableSsi => {
+            Isolation::Serializable
+        }
+    }
+}
+
+/// Why a judged run breaks its level's promise, if it does. 2PL emits
+/// no version events, so its sampled single-version history (the
+/// driver's `serializable`) speaks for it; MVCC levels sample nothing.
+fn broken_promise(
+    isolation: IsolationLevel,
+    report: &DriverReport,
+    verdicts: &AnomalyReport,
+) -> Option<String> {
+    let level = promise(isolation);
+    if let Some(cycle) = verdicts.violation(level) {
+        return Some(format!("violates {level}: {}", render(cycle)));
+    }
+    (!report.serializable).then(|| "sampled 2PL history not serializable".to_owned())
+}
+
+/// A witness cycle on one line.
+fn render(cycle: &[Dependency]) -> String {
+    cycle.iter().map(ToString::to_string).collect::<Vec<_>>().join(", ")
+}
+
+/// Runs `cfg` under an unbounded recorder: the driver's report and the
+/// verdicts on its trace.
+fn judged_run(cfg: &DriverConfig) -> (DriverReport, AnomalyReport) {
+    let rec = mcv_trace::Recorder::unbounded();
+    let flight = Arc::clone(&rec);
+    let report = mcv_trace::with_recorder(rec, || run_driver(cfg));
+    (report, detect_anomalies(&flight.snapshot()))
 }
 
 /// One anomaly-campaign run: a tiny write-skew workload.
@@ -234,94 +288,98 @@ fn anomaly_config(
     }
 }
 
-/// The detectors' verdict over the causal trace of one run.
-fn anomaly_run(cfg: &DriverConfig) -> AnomalyReport {
-    let rec = mcv_trace::Recorder::unbounded();
-    let flight = Arc::clone(&rec);
-    mcv_trace::with_recorder(rec, || run_driver(cfg));
-    detect_anomalies(&flight.snapshot())
-}
-
 /// The campaign's clients, transactions and pairs per run.
 const CLIENTS: usize = 3;
 const TXNS: u64 = 16;
 const PAIRS: usize = 2;
 
-/// Shrinks a write-skew repro at `seed`: smallest (txns, pairs) on a
-/// fixed ladder that still witnesses the anomaly.
-fn shrink_skew(seed: u64) -> (u64, usize, AnomalyReport) {
-    let si =
-        |t, p| anomaly_run(&anomaly_config(IsolationLevel::SnapshotIsolation, seed, CLIENTS, t, p));
-    let mut best = (TXNS, PAIRS, si(TXNS, PAIRS));
+/// The canaries: a weak level whose runs the next stronger check must
+/// reject on at least one seed, or that check is dead and would pass any
+/// protocol.
+const CANARIES: [(IsolationLevel, Isolation); 2] = [
+    (IsolationLevel::SnapshotIsolation, Isolation::Serializable),
+    (IsolationLevel::ReadCommitted, Isolation::SnapshotIsolation),
+];
+
+/// Shrinks the campaign run of `isolation` at `seed` whose verdicts
+/// `found` `level` rejects: the smallest (txns, pairs) on a fixed ladder
+/// that it still rejects.
+fn shrink_run(
+    isolation: IsolationLevel,
+    level: Isolation,
+    (seed, found): (u64, AnomalyReport),
+) -> (u64, usize, AnomalyReport) {
+    let run = |t, p| judged_run(&anomaly_config(isolation, seed, CLIENTS, t, p)).1;
+    let mut best = (TXNS, PAIRS, found);
     for (t, p) in [(12, 2), (8, 2), (8, 1), (4, 1)] {
         if t >= best.0 && p >= best.1 {
             continue;
         }
-        let rep = si(t, p);
-        if !rep.write_skews.is_empty() {
+        let rep = run(t, p);
+        if rep.violation(level).is_some() {
             best = (t, p, rep);
         }
     }
     best
 }
 
-/// The anomaly campaign over `n` seeds starting at `base`.
+/// The anomaly campaign over `n` seeds starting at `base`: every level
+/// keeps its promise on every run, and each canary fires on some seed;
+/// the first firing seed of each is shrunk into an artifact.
 fn anomalies(n: u64, base: u64) -> bool {
-    let mut si_skews = 0u64;
-    let mut si_first: Option<u64> = None;
+    let mut fired: [(u64, Option<(u64, AnomalyReport)>); 2] = Default::default();
     let mut failures = 0u64;
     for seed in base..base + n {
-        let at = |isolation| anomaly_run(&anomaly_config(isolation, seed, CLIENTS, TXNS, PAIRS));
-        // SI may exhibit write skew (that's the finding); it must never
-        // long-fork. SSI and 2PL must be clean outright. RC exercises
-        // the long-fork detector; any verdict is legal there.
-        let si = at(IsolationLevel::SnapshotIsolation);
-        if !si.write_skews.is_empty() {
-            si_skews += si.write_skews.len() as u64;
-            si_first.get_or_insert(seed);
+        for isolation in LEVELS {
+            let cfg = anomaly_config(isolation, seed, CLIENTS, TXNS, PAIRS);
+            let (report, verdicts) = judged_run(&cfg);
+            if let Some(why) = broken_promise(isolation, &report, &verdicts) {
+                eprintln!("seed {seed}: {isolation} {why}");
+                failures += 1;
+            }
+            for (i, &(weak, level)) in CANARIES.iter().enumerate() {
+                if weak == isolation && verdicts.violation(level).is_some() {
+                    fired[i].0 += 1;
+                    fired[i].1.get_or_insert_with(|| (seed, verdicts.clone()));
+                }
+            }
         }
-        if !si.long_forks.is_empty() {
-            eprintln!("seed {seed}: long fork under SI — snapshots must be totally ordered");
-            failures += 1;
-        }
-        let ssi = at(IsolationLevel::SerializableSsi);
-        if !ssi.clean() {
-            eprintln!("seed {seed}: anomaly under SSI: {ssi:?}");
-            failures += 1;
-        }
-        let tpl = at(IsolationLevel::Serializable2pl);
-        if !tpl.clean() {
-            eprintln!("seed {seed}: anomaly under 2PL: {tpl:?}");
-            failures += 1;
-        }
-        at(IsolationLevel::ReadCommitted);
     }
+    let tally: Vec<String> = CANARIES
+        .iter()
+        .zip(&fired)
+        .map(|((weak, level), (runs, _))| format!("{level} rejects {weak} on {runs}/{n} runs"))
+        .collect();
     println!(
-        "anomaly campaign: {n} seeds from {base}: SI write skews={si_skews}, \
-         SSI/2PL violations={failures}"
+        "anomaly campaign: {n} seeds from {base}: {}, broken promises={failures}",
+        tally.join(", ")
     );
-    if let Some(seed) = si_first {
-        let (txns, pairs, witnesses) = shrink_skew(seed);
-        let si = IsolationLevel::SnapshotIsolation.name();
+    let mut ok = failures == 0;
+    for (&(weak, level), (_, first)) in CANARIES.iter().zip(fired) {
+        let Some(first) = first else {
+            eprintln!(
+                "anomaly campaign: {level} rejected no {weak} run over {n} seeds — check dead?"
+            );
+            ok = false;
+            continue;
+        };
+        let seed = first.0;
+        let (txns, pairs, witnesses) = shrink_run(weak, level, first);
         let artifact =
-            AnomalyArtifact::new("write_skew", si, seed, CLIENTS, txns, pairs, witnesses);
+            AnomalyArtifact::new(level, weak.name(), seed, CLIENTS, txns, pairs, witnesses);
         match artifact.write("target/chaos") {
             Ok(path) => println!(
-                "shrunk SI counterexample ({txns} txns, {pairs} pairs): {}\nreplay: {}",
+                "shrunk {weak} run that {level} rejects ({txns} txns, {pairs} pairs): {}\nreplay: {}",
                 path.display(),
                 mcv_chaos::replay_command("engine", &path.display().to_string())
             ),
             Err(e) => eprintln!("could not write anomaly artifact: {e}"),
         }
     }
-    if si_skews == 0 {
-        eprintln!("anomaly campaign: SI produced no write skew over {n} seeds — detector dead?");
-        return false;
+    if ok {
+        println!("anomaly campaign: every level kept its promise, both canaries fired");
     }
-    if failures == 0 {
-        println!("anomaly campaign: SI skews found, SSI and 2PL clean");
-    }
-    failures == 0
+    ok
 }
 
 /// The run an anomaly artifact records.
@@ -349,9 +407,9 @@ fn replay(path: &str) -> bool {
         }
     };
     println!(
-        "replaying {}: {} under {}, seed {}, {} clients, {} txns, {} pairs",
+        "replaying {}: {} rejects {}, seed {}, {} clients, {} txns, {} pairs",
         artifact.id,
-        artifact.anomaly,
+        artifact.level,
         artifact.isolation,
         artifact.seed,
         artifact.clients,
@@ -359,13 +417,9 @@ fn replay(path: &str) -> bool {
         artifact.pairs
     );
     for run in 1..=REPLAY_RUNS {
-        let report = anomaly_run(&cfg);
-        let found = match artifact.anomaly.as_str() {
-            "write_skew" => report.write_skews.len(),
-            _ => report.long_forks.len(),
-        };
-        if found > 0 {
-            println!("reproduced on run {run}: {report:?}");
+        let (_, verdicts) = judged_run(&cfg);
+        if let Some(cycle) = verdicts.violation(artifact.level) {
+            println!("reproduced on run {run}: {}", render(cycle));
             return true;
         }
     }
@@ -379,7 +433,15 @@ mod tests {
 
     #[test]
     fn a_replay_runs_exactly_the_recorded_configuration() {
-        let a = AnomalyArtifact::new("write_skew", "ssi", 17, 2, 8, 3, AnomalyReport::default());
+        let a = AnomalyArtifact::new(
+            Isolation::Serializable,
+            "ssi",
+            17,
+            2,
+            8,
+            3,
+            AnomalyReport::default(),
+        );
         let cfg = replay_config(&a).expect("a valid artifact");
         assert_eq!(
             (cfg.engine.isolation.name(), cfg.seed, cfg.clients, cfg.txns, cfg.workload),

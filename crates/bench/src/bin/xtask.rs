@@ -59,7 +59,7 @@
 //! per wall second: how often the box took a CPU away from the run).
 
 use mcv_bench::cli::{self, Kind};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -531,6 +531,12 @@ fn crate_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
         let entry = entry.map_err(|e| format!("cannot list {}: {e}", crates_dir.display()))?;
         dirs.push(entry.path().join("src"));
     }
+    rust_files(root, dirs)
+}
+
+/// Every `.rs` file under `dirs`, recursively, as `(path from the
+/// repository root, text)`; a missing directory holds none.
+fn rust_files(root: &Path, mut dirs: Vec<PathBuf>) -> Result<Vec<(String, String)>, String> {
     let mut files = Vec::new();
     while let Some(dir) = dirs.pop() {
         let Ok(entries) = std::fs::read_dir(&dir) else { continue };
@@ -547,6 +553,99 @@ fn crate_sources(root: &Path) -> Result<Vec<(String, String)>, String> {
         }
     }
     Ok(files)
+}
+
+/// The trees whose files can use a public item of `crates/*/src`.
+const USER_TREES: [&str; 5] = ["crates", "tests", "examples", "src", "benchmark/src"];
+
+/// Public items that may go unnamed outside their own file; each entry's
+/// reason is in CHANGES.md.
+const UNUSED_PUB_ALLOWED: [&str; 0] = [];
+
+/// The name of the item a `pub fn|struct|enum|trait|const|type` line
+/// declares (`pub const fn`, `pub async fn` and `pub unsafe fn` are
+/// fns), and whether it is a type.
+fn pub_item(line: &str) -> Option<(&str, bool)> {
+    let mut words = line.split_whitespace().peekable();
+    (words.next()? == "pub").then_some(())?;
+    let mut kind = words.next()?;
+    while matches!(kind, "async" | "unsafe") || (kind == "const" && words.peek() == Some(&"fn")) {
+        kind = words.next()?;
+    }
+    let is_type = match kind {
+        "fn" | "const" => false,
+        "struct" | "enum" | "trait" | "type" => true,
+        _ => return None,
+    };
+    let name = words.next()?.split(|c: char| !is_word_char(c)).next()?;
+    (!name.is_empty()).then_some((name, is_type))
+}
+
+fn is_word_char(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
+fn words(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !is_word_char(c)).filter(|w| !w.is_empty())
+}
+
+fn is_reexport(line: &str) -> bool {
+    line.trim_start().starts_with("pub use ")
+}
+
+/// The words of `source`'s public signatures and fields — each non-test
+/// `pub` line but `pub use`, a `pub fn` up to the `{` or `;` that closes
+/// its signature — without the name each declares.
+fn pub_signature_words(source: &str) -> BTreeSet<&str> {
+    let mut found = BTreeSet::new();
+    let mut open_fn: Option<&str> = None;
+    for line in source.lines().take_while(|l| l.trim() != "#[cfg(test)]") {
+        let name = if line.trim_start().starts_with("pub ") && !is_reexport(line) {
+            let item = pub_item(line);
+            if item.is_some_and(|(_, is_type)| !is_type) && line.contains("fn ") {
+                open_fn = item.map(|(name, _)| name);
+            }
+            item.map_or("", |(name, _)| name)
+        } else if let Some(name) = open_fn {
+            name
+        } else {
+            continue;
+        };
+        found.extend(words(line).filter(|w| *w != name));
+        if line.contains(['{', ';']) {
+            open_fn = None;
+        }
+    }
+    found
+}
+
+/// `path:line` and name of every public item in the non-test code of a
+/// `sources` file that no other file of `users` names as a whole word
+/// outside `pub use` lines (a re-export publishes an item, it does not
+/// use it). A type named in a public signature or field of its own file
+/// is reached through that item, which this rule checks in its turn.
+fn unused_pub_items(sources: &[(String, String)], users: &[(String, String)]) -> Vec<String> {
+    let used: Vec<(&str, BTreeSet<&str>)> = users
+        .iter()
+        .map(|(path, text)| {
+            (path.as_str(), text.lines().filter(|l| !is_reexport(l)).flat_map(words).collect())
+        })
+        .collect();
+    let mut found = Vec::new();
+    for (path, text) in sources {
+        let own_api = pub_signature_words(text);
+        for (i, line) in text.lines().take_while(|l| l.trim() != "#[cfg(test)]").enumerate() {
+            let Some((name, is_type)) = pub_item(line) else { continue };
+            let used = used.iter().any(|(user, words)| user != path && words.contains(name))
+                || (is_type && own_api.contains(name))
+                || UNUSED_PUB_ALLOWED.contains(&name);
+            if !used {
+                found.push(format!("{path}:{} pub item {name} is named by no other file", i + 1));
+            }
+        }
+    }
+    found.sort();
+    found
 }
 
 /// The call lints, `(applies to path, calls, complaint)`: non-test code
@@ -736,9 +835,13 @@ fn docsync() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    match crate_sources(&root) {
-        Ok(files) => missing.extend(call_complaints(&files)),
-        Err(e) => {
+    let users = rust_files(&root, USER_TREES.iter().map(|t| root.join(t)).collect());
+    match (crate_sources(&root), users) {
+        (Ok(files), Ok(users)) => {
+            missing.extend(call_complaints(&files));
+            missing.extend(unused_pub_items(&files, &users));
+        }
+        (Err(e), _) | (_, Err(e)) => {
             eprintln!("docsync: {e}");
             return ExitCode::from(2);
         }
@@ -749,7 +852,8 @@ fn docsync() -> ExitCode {
              documented gate selections name real gates and their commands real examples \
              and mcv subcommands; every [perf_opt] PR has its \
              trajectory row; only {WAIT_PRIMITIVE} parks on a timer; no crates/commit/src \
-             code calls mcv_trace::emit; only {LINK_CORE} draws network randomness",
+             code calls mcv_trace::emit; only {LINK_CORE} draws network randomness; every \
+             public item is named outside its own file",
             crates.len()
         );
         ExitCode::SUCCESS
@@ -1088,6 +1192,34 @@ mod tests {
             call_complaints(&files),
             ["crates/dist/src/fabric.rs:2 draws network randomness; route through mcv_sim's \
               link core"]
+        );
+    }
+
+    #[test]
+    fn a_public_item_no_other_file_names_is_named_by_file_and_line() {
+        let lib = "pub use graph::{Graph, Edge, orphan};\n\
+                   pub const fn sized() -> usize { 1 }\n";
+        let graph = "pub struct Graph {\n    pub edges: Vec<Edge>,\n}\n\
+                     pub struct Edge;\n\
+                     pub struct Loose;\n\
+                     pub fn build(\n    n: usize,\n) -> Graph {\n    todo!()\n}\n\
+                     pub fn orphan() {}\n\
+                     #[cfg(test)]\nmod tests {\n    pub fn helper() {}\n}\n";
+        let sources: Vec<(String, String)> =
+            [("crates/g/src/lib.rs", lib), ("crates/g/src/graph.rs", graph)]
+                .map(|(p, t)| (p.to_owned(), t.to_owned()))
+                .into();
+        let mut users = sources.clone();
+        users.push(("tests/uses.rs".to_owned(), "let g = g::build(3); // sized\n".to_owned()));
+        // `Graph` is reached through `build`'s signature and `Edge` through
+        // `Graph`'s field; `orphan` is only re-exported, `Loose` named by
+        // nobody, and the test module's `helper` is not public code.
+        assert_eq!(
+            unused_pub_items(&sources, &users),
+            [
+                "crates/g/src/graph.rs:11 pub item orphan is named by no other file",
+                "crates/g/src/graph.rs:5 pub item Loose is named by no other file",
+            ]
         );
     }
 

@@ -333,7 +333,15 @@ mod tests {
             Artifact::new(mcv_commit::Scenario::default(), "ac1_agreement".into(), String::new());
         let dist =
             Artifact::new(mcv_dist::PipelineConfig::default(), "atomicity".into(), String::new());
-        let anomaly = AnomalyArtifact::new("write_skew", "si", 1, 3, 4, 1, Default::default());
+        let anomaly = AnomalyArtifact::new(
+            mcv_txn::Isolation::Serializable,
+            "si",
+            1,
+            3,
+            4,
+            1,
+            Default::default(),
+        );
         for (replay_cmd, id, command) in [
             (chaos.replay_cmd, chaos.id, "chaos replay"),
             (dist.replay_cmd, dist.id, "dist replay"),

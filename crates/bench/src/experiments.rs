@@ -6,7 +6,7 @@ use mcv_blocks::{modules, pipeline, properties, registry, traceability, SpecLibr
 use mcv_chaos::{explore, CutKind, Exploration, FaultBudget, FaultEvent, FaultSchedule};
 use mcv_commit::{build_world, run_scenario, CrashPoint, Protocol, Scenario};
 use mcv_core::finset::{fin_pushout, fin_set, mediating, FinMap};
-use mcv_core::{pushout, SpecBuilder, SpecMorphism};
+use mcv_core::{SpecBuilder, SpecMorphism};
 use mcv_logic::Sort;
 use mcv_txn::{History, LockManager, LockMode, OpKind, SiteDb, TxnId};
 use rand::rngs::StdRng;
@@ -14,7 +14,7 @@ use rand::{Rng, SeedableRng};
 
 /// Figure 2.1: a pushout with the universal property's mediating
 /// morphism, demonstrated in FinSet.
-pub fn fig2_1() -> String {
+fn fig2_1() -> String {
     let a = fin_set(["shared"]);
     let b = fin_set(["shared", "left"]);
     let c = fin_set(["shared", "right"]);
@@ -43,7 +43,7 @@ pub fn fig2_1() -> String {
 
 /// Figure 2.2: the colimit of a multi-node diagram of specifications,
 /// with the cone identities `I_j ∘ a_x = I_i` checked.
-pub fn fig2_2() -> String {
+fn fig2_2() -> String {
     let lib = SpecLibrary::load();
     let step = pipeline::controller(&lib);
     let mut out = String::from("Figure 2.2 — colimit of a diagram of specifications\n");
@@ -64,7 +64,7 @@ pub fn fig2_2() -> String {
 
 /// Figure 2.3: a module's four components and commuting interface
 /// square.
-pub fn fig2_3() -> String {
+fn fig2_3() -> String {
     let lib = SpecLibrary::load();
     let factory = modules::ModuleFactory::new(lib);
     let m = factory.broadcast();
@@ -86,7 +86,7 @@ pub fn fig2_3() -> String {
 }
 
 /// Figure 2.4: composition of two modules with its certificate.
-pub fn fig2_4() -> String {
+fn fig2_4() -> String {
     let lib = SpecLibrary::load();
     let factory = modules::ModuleFactory::new(lib);
     let step = factory.controller();
@@ -108,14 +108,14 @@ pub fn fig2_4() -> String {
 }
 
 /// Table 3.1: the building-block inventory.
-pub fn tab3_1() -> String {
+fn tab3_1() -> String {
     let lib = SpecLibrary::load();
     registry::render_table(&lib)
 }
 
 /// Figure 3.1: a distributed transaction execution (master/cohort
 /// startwork–workdone–commit), traced.
-pub fn fig3_1() -> String {
+fn fig3_1() -> String {
     let sc = Scenario { n_cohorts: 2, ..Scenario::default() };
     let mut world = build_world(&sc);
     // Recorded causally, so the trace's deliveries carry message labels.
@@ -221,7 +221,7 @@ fn fig3_2_verdicts(n: usize) -> (std::collections::BTreeSet<String>, String) {
 /// (`mcv_commit::Site`) by the bounded explorer (`mcv_chaos::explore`).
 /// The transition table is every local-state edge the explorations
 /// took; each row's verdict is asserted.
-pub fn fig3_2() -> String {
+fn fig3_2() -> String {
     let (edges, verdicts) = fig3_2_verdicts(7);
     let mut out = String::from(
         "Figure 3.2 — 3PC with coordinator and cohort, generated from mcv_commit::Site\n\
@@ -248,7 +248,7 @@ pub fn fig3_2() -> String {
 
 /// Figure 3.3: the global view — which building block serves which part
 /// of a running site.
-pub fn fig3_3() -> String {
+fn fig3_3() -> String {
     let lib = SpecLibrary::load();
     let mut out = String::from(
         "Figure 3.3 — global view of modulated 3PC: block wiring of a running site\n\n",
@@ -264,7 +264,7 @@ pub fn fig3_3() -> String {
 }
 
 /// Figure 3.4: sequential division 1 as computed colimits.
-pub fn fig3_4() -> String {
+fn fig3_4() -> String {
     let lib = SpecLibrary::load();
     format!(
         "Figure 3.4 — modular dependencies, sequential division 1\n{}",
@@ -275,7 +275,7 @@ pub fn fig3_4() -> String {
 /// Figure 3.5: sequential division 2 as computed colimits, then the
 /// executable store's refinement of its Snapshot block, asserted to
 /// commute with no open obligation.
-pub fn fig3_5() -> String {
+fn fig3_5() -> String {
     let lib = SpecLibrary::load();
     let mvcc = pipeline::mvcc_refinement(&lib);
     assert!(
@@ -291,7 +291,7 @@ pub fn fig3_5() -> String {
 }
 
 /// Figures 4.1–4.8: the serializability chain.
-pub fn fig4_s() -> String {
+fn fig4_s() -> String {
     let lib = SpecLibrary::load();
     let mut out = String::from("Figures 4.1–4.8 — serializability of transactions\n\n");
     out.push_str(&traceability::render_dependencies(&lib, &properties::chapter5_commands()[0]));
@@ -302,7 +302,7 @@ pub fn fig4_s() -> String {
 }
 
 /// Figures 4.9–4.16: the consistent-state chain.
-pub fn fig4_c() -> String {
+fn fig4_c() -> String {
     let lib = SpecLibrary::load();
     let mut out = String::from("Figures 4.9–4.16 — consistent state maintenance\n\n");
     out.push_str(&traceability::render_dependencies(&lib, &properties::chapter5_commands()[1]));
@@ -313,7 +313,7 @@ pub fn fig4_c() -> String {
 }
 
 /// Figures 4.17–4.28: the roll-back recovery chain.
-pub fn fig4_r() -> String {
+fn fig4_r() -> String {
     let lib = SpecLibrary::load();
     let mut out = String::from("Figures 4.17–4.28 — roll-back recovery\n\n");
     out.push_str(&traceability::render_dependencies(&lib, &properties::chapter5_commands()[2]));
@@ -369,7 +369,7 @@ pub fn ch5() -> String {
 
 /// exp.nb — blocking vs non-blocking under coordinator failure, swept
 /// over crash point and cohort count.
-pub fn exp_nb() -> String {
+fn exp_nb() -> String {
     let mut out = String::from(
         "exp.nb — termination at operational sites under coordinator failure\n\
          (crash point x cohorts; 'blocked' = operational cohorts undecided until recovery;\n\
@@ -426,7 +426,7 @@ pub fn exp_nb() -> String {
 
 /// exp.msg — message cost of non-blocking: messages per transaction vs
 /// cohort count.
-pub fn exp_msg() -> String {
+fn exp_msg() -> String {
     let mut out = String::from(
         "exp.msg — messages per committed transaction (failure-free)\n\n\
          cohorts     2PC     3PC   ratio\n",
@@ -455,7 +455,7 @@ pub fn exp_msg() -> String {
 }
 
 /// exp.ser — serializability with and without 2PL on random workloads.
-pub fn exp_ser() -> String {
+fn exp_ser() -> String {
     let mut out = String::from(
         "exp.ser — conflict-serializable histories out of 200 random workloads\n\n\
          txns  ops  with-2PL  without-2PL\n",
@@ -515,7 +515,7 @@ pub fn exp_ser() -> String {
 }
 
 /// exp.rec — recovery correctness and cost vs checkpoint period.
-pub fn exp_rec() -> String {
+fn exp_rec() -> String {
     let mut out = String::from(
         "exp.rec — crash-recovery over 100 random workloads per configuration\n\n\
          ckpt-every  correct  avg-records-replayed\n",
@@ -582,7 +582,7 @@ pub fn exp_rec() -> String {
 /// exp.timeout — sensitivity to the timeout constant (assumption 6:
 /// synchronous timers with timeout > 2δ): decision latency and message
 /// overhead of 3PC termination vs the configured timeout.
-pub fn exp_timeout() -> String {
+fn exp_timeout() -> String {
     let mut out = String::from(
         "exp.timeout — 3PC under coordinator crash (AfterPrepare), 3 cohorts,\n\
          δ ≤ 5 ticks; sweeping the per-phase timeout (6 < 2δ: spurious firings)\n\n\
@@ -621,7 +621,7 @@ pub fn exp_timeout() -> String {
 /// exp.part — partition tolerance: the thesis' "reliable network
 /// without partitioning" assumption tested, and the quorum-based
 /// termination extension (future work in the thesis) evaluated.
-pub fn exp_part() -> String {
+fn exp_part() -> String {
     let mut out = String::from(
         "exp.part — a partition isolates the partially-prepared cohort after the\n\
          coordinator crashes mid-prepare (5 sites; partition from t=20)\n\n\
@@ -667,7 +667,7 @@ pub fn exp_part() -> String {
 }
 
 /// exp.mod — modular vs monolithic re-verification.
-pub fn exp_mod() -> String {
+fn exp_mod() -> String {
     let lib = SpecLibrary::load();
     let mut out = String::from(
         "exp.mod — proofs to re-check after changing one block\n\n\
@@ -692,7 +692,7 @@ pub fn exp_mod() -> String {
 
 /// exp.colim — colimit cost scaling (inline version of the Criterion
 /// bench, for the text report).
-pub fn exp_colim() -> String {
+fn exp_colim() -> String {
     use mcv_core::{colimit, Diagram};
     let mut out = String::from("exp.colim — colimit wall time vs diagram size (chain topology)\n\n  nodes  ops/node  time\n");
     for (nodes, ops) in [(2usize, 10usize), (4, 10), (8, 10), (8, 40), (16, 40)] {
@@ -766,7 +766,7 @@ pub fn group_commit_driver(force_us: u64) -> mcv_engine::DriverConfig {
 /// log against recovery equivalence, so the table doubles as a stress
 /// test. The committed count is not scheduling-dependent: the driver
 /// admits a fixed quota, and every leg must commit all of it.
-pub fn exp_tput() -> String {
+fn exp_tput() -> String {
     use mcv_engine::{run_driver, DriverConfig};
     let mut out = String::from(
         "exp.tput — engine committed throughput vs workers\n\
@@ -816,7 +816,7 @@ pub fn exp_tput() -> String {
 /// against a force-per-commit baseline, plus forces/commit vs workers.
 ///
 /// Wall-clock numbers; scheduling-dependent like [`exp_tput`].
-pub fn exp_gc() -> String {
+fn exp_gc() -> String {
     use mcv_engine::{run_driver, DriverConfig, EngineConfig, Mix, WorkloadKind};
     let base = |workers: usize, group: bool| DriverConfig {
         engine: EngineConfig {
@@ -894,7 +894,7 @@ fn one_at_a_time(dist: mcv_dist::DistConfig) -> mcv_dist::PipelineOutcome {
 /// the *committed count* is deterministic: every transaction in these
 /// fault-free runs must commit at every shard (AC2), which
 /// [`one_at_a_time`] asserts for every leg.
-pub fn exp_dist() -> String {
+fn exp_dist() -> String {
     use mcv_dist::DistConfig;
     let mut out = String::from(
         "exp.dist — cross-shard atomic transactions (3PC over threaded transport,\n\
@@ -969,7 +969,7 @@ pub fn exp_dist() -> String {
 ///   shard WALs pay at most 0.5 device forces per commit record
 ///   (batching must actually amortize; serial pays ~1.0, the
 ///   pipelined path measures ~0.04).
-pub fn exp_pipeline() -> String {
+fn exp_pipeline() -> String {
     use mcv_dist::{run_pipeline, DistConfig, PipelineConfig};
     let mut out = String::from(
         "exp.pipeline — multi-shot pipelined cross-shard commit vs the serial reference\n\
@@ -1083,7 +1083,7 @@ pub fn exp_pipeline() -> String {
 /// (reads of a transaction's own writes never reach a chain, so the
 /// exact count depends on the draw). Only the SI legs are absorbed into
 /// the report; the 2PL legs exist for the throughput comparison.
-pub fn exp_mvcc() -> String {
+fn exp_mvcc() -> String {
     use mcv_engine::{run_driver, DriverConfig, EngineConfig, IsolationLevel, Mix, WorkloadKind};
     const TXNS: u64 = 1_000;
     const OPS_PER_TXN: usize = 8;
@@ -1179,7 +1179,7 @@ pub fn exp_mvcc() -> String {
 /// force) so the knee sits near a few thousand txn/s: the sweep and
 /// the 2x-overload leg stay cheap and saturation is reachable on any
 /// machine.
-pub fn exp_slo() -> String {
+fn exp_slo() -> String {
     use mcv_load::{
         crash_campaign_template, knee, rate_sweep, run_load, ArrivalProcess, LoadConfig,
         LoadProfile, SloCampaignConfig,
@@ -1366,7 +1366,7 @@ pub fn telemetry_load(seed: u64) -> mcv_load::LoadConfig {
 /// `prof.dist.paths`, `prof.telemetry.windows`, and
 /// `prof.telemetry.arrivals` are structural (fault-free AC2 commits
 /// and seeded arrival schedules) and asserted exactly.
-pub fn exp_prof() -> String {
+fn exp_prof() -> String {
     use mcv_engine::{run_driver, DriverConfig};
     use mcv_prof::{AttributionTable, Profiler};
 
@@ -1607,34 +1607,35 @@ pub fn artifacts() -> Vec<Artifact> {
     ]
 }
 
-/// A tiny smoke-check used by the test suite: the spec-category pushout
-/// demo of Figure 2.1 in the Spec category (complementing FinSet).
-pub fn spec_pushout_demo() -> bool {
-    let shared = SpecBuilder::new("S")
-        .sort(Sort::new("E"))
-        .predicate("P", vec![Sort::new("E")])
-        .build_ref()
-        .expect("static");
-    let l = SpecBuilder::new("L")
-        .sort(Sort::new("E"))
-        .predicate("P", vec![Sort::new("E")])
-        .predicate("L", vec![Sort::new("E")])
-        .build_ref()
-        .expect("static");
-    let r = SpecBuilder::new("R")
-        .sort(Sort::new("E"))
-        .predicate("P", vec![Sort::new("E")])
-        .predicate("R", vec![Sort::new("E")])
-        .build_ref()
-        .expect("static");
-    let f = SpecMorphism::new("f", shared.clone(), l, [], []).expect("valid");
-    let g = SpecMorphism::new("g", shared, r, [], []).expect("valid");
-    pushout(&f, &g, "D").map(|po| po.square_commutes()).unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcv_core::pushout;
+
+    /// The spec-category pushout
+    /// demo of Figure 2.1 in the Spec category (complementing FinSet).
+    fn spec_pushout_demo() -> bool {
+        let shared = SpecBuilder::new("S")
+            .sort(Sort::new("E"))
+            .predicate("P", vec![Sort::new("E")])
+            .build_ref()
+            .expect("static");
+        let l = SpecBuilder::new("L")
+            .sort(Sort::new("E"))
+            .predicate("P", vec![Sort::new("E")])
+            .predicate("L", vec![Sort::new("E")])
+            .build_ref()
+            .expect("static");
+        let r = SpecBuilder::new("R")
+            .sort(Sort::new("E"))
+            .predicate("P", vec![Sort::new("E")])
+            .predicate("R", vec![Sort::new("E")])
+            .build_ref()
+            .expect("static");
+        let f = SpecMorphism::new("f", shared.clone(), l, [], []).expect("valid");
+        let g = SpecMorphism::new("g", shared, r, [], []).expect("valid");
+        pushout(&f, &g, "D").map(|po| po.square_commutes()).unwrap_or(false)
+    }
 
     #[test]
     fn every_artifact_generates_nonempty_output() {

@@ -41,10 +41,7 @@ mod runner;
 mod schedule;
 mod shrink;
 
-pub use anomaly::{
-    detect_anomalies, find_long_forks, find_write_skews, txn_views, AnomalyArtifact, AnomalyReport,
-    LongFork, TxnView, WriteSkew,
-};
+pub use anomaly::{detect_anomalies, AnomalyArtifact, AnomalyReport};
 pub use artifact::{replay_command, Artifact};
 pub use campaign::{Campaign, CampaignSummary, Target, Violation};
 pub use explore::{explore, Counterexample, Exploration, FaultBudget};

@@ -56,7 +56,7 @@ impl GlobalState {
     }
 
     /// Rule 2: no non-committable state may coexist with a commit.
-    pub fn respects_committable_rule(&self) -> bool {
+    fn respects_committable_rule(&self) -> bool {
         let has_commit = self.states.values().any(|s| *s == LocalState::Committed);
         if !has_commit {
             return true;

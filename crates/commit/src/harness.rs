@@ -96,7 +96,7 @@ pub struct Report {
 }
 
 /// The transaction id used by single-transaction scenarios.
-pub const TXN: TxnId = TxnId(1);
+const TXN: TxnId = TxnId(1);
 
 /// Builds the world for a scenario: the only place a scenario's dated
 /// faults reach a [`World`].

@@ -45,6 +45,6 @@ mod msg;
 mod site;
 
 pub use decision::{termination_decision, GlobalState};
-pub use harness::{build_world, run_scenario, Report, Scenario, TXN};
+pub use harness::{build_world, run_scenario, Report, Scenario};
 pub use msg::{CrashPoint, LocalState, Msg, Protocol};
 pub use site::{LocalStore, Site, SiteConfig, TxnPlan};

@@ -58,7 +58,6 @@ mod transport;
 pub use multishot::{
     run_pipeline, tolerated_campaign, CommitLogEntry, PipelineConfig, PipelineOutcome,
 };
-pub use oracle::DIST_ORACLE_NAMES;
 pub use runtime::{DistConfig, DistStats, GLOBAL_TXN_BASE};
 pub use store::{CoordStore, EngineStore};
 pub use transport::{

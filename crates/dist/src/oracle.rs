@@ -15,7 +15,7 @@ use mcv_txn::{TxnId, Wal};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Every dist oracle, in evaluation order.
-pub const DIST_ORACLE_NAMES: [&str; 8] = [
+const DIST_ORACLE_NAMES: [&str; 8] = [
     "atomicity",
     "ac1_agreement",
     "ac2_validity",

@@ -8,7 +8,7 @@
 //! timed wait goes through this module instead — the modeled log
 //! device and the group-commit dwell here, the pump, network thread
 //! and node loop of `mcv-dist`, the open-loop pacer of `mcv-load`: the
-//! park is cut short by [`POLL_STRETCH`], its overshoot lands inside
+//! park is cut short by `POLL_STRETCH`, its overshoot lands inside
 //! the stretch, and the rest is polled against the clock. The stretch
 //! is bounded so a waiter burns at most that much CPU per deadline
 //! however far away the deadline is. These are the workspace's only
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 /// The stretch before a deadline that is polled rather than parked:
 /// the measured overshoot of a timed park (70 us on a 10 us park,
 /// 115 us on a 1 ms one) with a margin for a busy box.
-pub const POLL_STRETCH: Duration = Duration::from_micros(150);
+const POLL_STRETCH: Duration = Duration::from_micros(150);
 
 /// How long to park with `left` to go before the deadline: everything
 /// but the polled stretch. `None` inside the stretch.

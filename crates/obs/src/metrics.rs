@@ -258,19 +258,6 @@ impl Histogram {
         self.count += other.count;
         self.sum += other.sum;
     }
-
-    /// Clears every sample, keeping the bucket bounds. Afterwards the
-    /// histogram is indistinguishable from a fresh
-    /// [`Histogram::with_bounds`] with the same bounds.
-    pub fn reset(&mut self) {
-        for c in &mut self.counts {
-            *c = 0;
-        }
-        self.count = 0;
-        self.sum = 0;
-        self.min = 0;
-        self.max = 0;
-    }
 }
 
 /// A frozen copy of a registry: plain sorted maps, ready for serde.
@@ -319,11 +306,11 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    /// One telemetry window: the accumulated samples, `h` reset.
+    /// One telemetry window: the accumulated samples, `h` swapped for a
+    /// fresh histogram with the same bounds.
     fn take_window(h: &mut Histogram) -> Histogram {
-        let window = h.clone();
-        h.reset();
-        window
+        let fresh = Histogram::with_bounds(h.bounds.clone());
+        std::mem::replace(h, fresh)
     }
 
     #[test]
@@ -393,22 +380,6 @@ mod tests {
         assert_eq!(over.percentile(100.0), 9000);
         assert!(over.percentile(50.0) <= 9000);
         assert!(over.percentile(50.0) >= 5000);
-    }
-
-    #[test]
-    fn reset_restores_the_freshly_constructed_state() {
-        let mut h = Histogram::with_bounds(vec![10, 100, 1000]);
-        for v in [1u64, 50, 5000] {
-            h.record(v);
-        }
-        h.reset();
-        assert_eq!(h, Histogram::with_bounds(vec![10, 100, 1000]));
-        assert!(h.is_empty());
-        assert_eq!(h.percentile(99.0), 0);
-        // Recording after a reset behaves exactly like a fresh start:
-        // min/max re-seed from the first new sample.
-        h.record(7);
-        assert_eq!((h.min, h.max, h.count, h.sum), (7, 7, 1, 7));
     }
 
     #[test]

@@ -49,7 +49,7 @@ mod telemetry;
 pub use attribution::{AttributionTable, PhaseRow};
 pub use critical::{attribute_commits, commit_path, committed_txns, CommitPath, PathSegment};
 pub use phase::{Phase, Timeline, PHASES};
-pub use sink::{installed, with_profiler, ProfSamples, Profiler, DEFAULT_RING_CAPACITY};
+pub use sink::{installed, with_profiler, ProfSamples, Profiler};
 pub use telemetry::{
     strip_wall_all, telemetry_jsonl, TelemetryConfig, TelemetrySnapshot, TelemetryStream,
     TelemetryWall,

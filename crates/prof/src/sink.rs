@@ -28,7 +28,7 @@ use std::sync::{Arc, Mutex};
 const SLOT_WORDS: usize = 10;
 
 /// Default per-thread ring capacity, in samples.
-pub const DEFAULT_RING_CAPACITY: usize = 16 * 1024;
+const DEFAULT_RING_CAPACITY: usize = 16 * 1024;
 
 /// One thread's sample ring: a flat array of atomics written with
 /// `Relaxed` stores by its owning thread only.

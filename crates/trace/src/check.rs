@@ -79,7 +79,7 @@ pub fn check(trace: &CausalTrace) -> HbReport {
 }
 
 /// Checks `trace` under an explicit mode.
-pub fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
+fn check_mode(trace: &CausalTrace, mode: CheckMode) -> HbReport {
     let strict = mode == CheckMode::Strict;
     let mut violations = Vec::new();
     let mut viol = |event: Option<u64>, rule: &str, detail: String| {

@@ -53,7 +53,7 @@ mod event;
 mod explore;
 mod recorder;
 
-pub use check::{check, check_mode, explain_divergence, CheckMode, HbReport, HbViolation};
+pub use check::{check, explain_divergence, CheckMode, HbReport, HbViolation};
 pub use event::{CausalTrace, Cause, Event, EventKind};
 pub use explore::{causal_path, render_causal_path, swimlanes, Filter, PathStep};
 pub use recorder::{

@@ -13,7 +13,9 @@
 //! - [`ItemMap`] — the one hashed item index under the lock table,
 //!   `mcv-engine`'s shard data and `mcv-mvcc`'s version chains;
 //! - [`CheckpointStore`] — tentative/permanent checkpoints (SP9);
-//! - [`History`] — conflict-serializability checking (global property 1);
+//! - [`History`] and [`ConflictGraph`] — the one isolation checker:
+//!   conflict-serializability (global property 1), and ReadCommitted,
+//!   SnapshotIsolation and Serializable on multi-version executions;
 //! - [`SiteDb`] — the crash-faithful site database integrating all of
 //!   the above with rollback recovery (SP10).
 //!
@@ -50,5 +52,5 @@ pub use locks::{
     shard_of, youngest_victim, ItemHasher, ItemMap, LockError, LockManager, LockMode, LockOutcome,
     LockTable, TryAcquire, WaitsFor,
 };
-pub use schedule::{ConflictGraph, History, Op, OpKind};
+pub use schedule::{ConflictGraph, Dep, Dependency, History, Isolation, Op, OpKind};
 pub use wal::{ForcedWal, LogRecord, Wal};

@@ -1,7 +1,9 @@
 //! The one-pass conflict graph against the all-pairs definition of
-//! conflict-serializability, and the work it does on a long history.
+//! conflict-serializability, the work it does on a long history, and
+//! the multi-version graph's three isolation checks against operational
+//! definitions decided by brute force.
 
-use mcv::txn::{History, OpKind, TxnId};
+use mcv::txn::{ConflictGraph, History, Isolation, OpKind, TxnId};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -100,4 +102,161 @@ fn a_long_history_builds_at_most_two_edges_per_operation() {
     assert!(graph.edge_count() <= 2 * h.len(), "{} edges", graph.edge_count());
     let order = graph.serial_order().expect("pairs on disjoint halves serialize");
     assert_eq!(order.len(), TXNS as usize);
+}
+
+/// The items of the multi-version executions.
+const ITEMS: [&str; 3] = ["x", "y", "z"];
+
+/// A multi-version execution of committed transactions `0..n`.
+#[derive(Debug, Clone)]
+struct Execution {
+    /// Per item, its installers in version order: version `k + 1` is
+    /// `order[item][k]`'s, version 0 the initial state.
+    order: Vec<Vec<usize>>,
+    /// Per transaction, the `(item, version)` pairs it read.
+    reads: Vec<Vec<(usize, usize)>>,
+}
+
+impl Execution {
+    /// The graph of the execution; versions are spaced ten apart.
+    fn graph(&self) -> ConflictGraph {
+        let txn = |t: usize| TxnId(t as u64 + 1);
+        let reads: Vec<_> = (self.reads.iter().enumerate())
+            .flat_map(|(t, rs)| rs.iter().map(move |&(x, v)| (txn(t), ITEMS[x], 10 * v as u64)))
+            .collect();
+        let installs: Vec<_> = (self.order.iter().enumerate())
+            .flat_map(|(x, ws)| {
+                ws.iter().enumerate().map(move |(k, &t)| (txn(t), ITEMS[x], 10 * (k as u64 + 1)))
+            })
+            .collect();
+        ConflictGraph::multi_version(&reads, &installs)
+    }
+
+    /// Whether `t` installs item `x`.
+    fn writes(&self, t: usize, x: usize) -> bool {
+        self.order[x].contains(&t)
+    }
+
+    /// The version of `x` that the transactions at commit positions
+    /// `< k` leave: the latest one of them installed.
+    fn served(&self, pos: &[usize], k: usize, x: usize) -> usize {
+        self.order[x]
+            .iter()
+            .enumerate()
+            .filter(|(_, &w)| pos[w] < k)
+            .map(|(i, _)| i + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Whether a snapshot of the first `k` committed transactions serves
+    /// every read of `t`.
+    fn serves(&self, pos: &[usize], k: usize, t: usize) -> bool {
+        self.reads[t].iter().all(|&(x, v)| self.served(pos, k, x) == v)
+    }
+
+    /// The levels some commit order agreeing with every version order
+    /// satisfies, by brute force over the orders:
+    /// - ReadCommitted: every version read was installed by a
+    ///   transaction that commits before the reader;
+    /// - SnapshotIsolation: each transaction reads from a snapshot that
+    ///   is a prefix of the commit order ending before it, and includes
+    ///   every earlier transaction that writes an item it writes;
+    /// - Serializable: each transaction reads from the whole prefix
+    ///   before it.
+    fn reference(&self) -> [bool; 3] {
+        let n = self.reads.len();
+        let mut holds = [false; 3];
+        for co in permutations(n) {
+            let mut pos = vec![0; n];
+            for (i, &t) in co.iter().enumerate() {
+                pos[t] = i;
+            }
+            if !self.order.iter().all(|ws| ws.windows(2).all(|p| pos[p[0]] < pos[p[1]])) {
+                continue;
+            }
+            let rc = (0..n).all(|t| {
+                self.reads[t].iter().all(|&(x, v)| v == 0 || pos[self.order[x][v - 1]] < pos[t])
+            });
+            let si = (0..n).all(|t| {
+                let writers_before = (0..n).filter(|&u| {
+                    pos[u] < pos[t]
+                        && (0..ITEMS.len()).any(|x| self.writes(u, x) && self.writes(t, x))
+                });
+                let floor = writers_before.map(|u| pos[u] + 1).max().unwrap_or(0);
+                (floor..=pos[t]).any(|k| self.serves(&pos, k, t))
+            });
+            let ser = (0..n).all(|t| self.serves(&pos, pos[t], t));
+            for (h, now) in holds.iter_mut().zip([rc, si, ser]) {
+                *h |= now;
+            }
+            if holds == [true; 3] {
+                break;
+            }
+        }
+        holds
+    }
+}
+
+/// Every ordering of `0..n`.
+fn permutations(n: usize) -> Vec<Vec<usize>> {
+    if n == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for p in permutations(n - 1) {
+        for i in 0..=p.len() {
+            let mut q = p.clone();
+            q.insert(i, n - 1);
+            out.push(q);
+        }
+    }
+    out
+}
+
+/// Up to six transactions, each with a write set, a read set and random
+/// bytes that order its installs and pick the versions it reads: the
+/// initial one or another transaction's, never its own.
+fn execution_strategy() -> impl Strategy<Value = Execution> {
+    prop::collection::vec((0u8..8, 0u8..8, any::<u64>()), 1..7).prop_map(|txns| {
+        let byte = |t: usize, i: usize| (txns[t].2 >> (8 * i)) as usize & 0xff;
+        let order: Vec<Vec<usize>> = (0..ITEMS.len())
+            .map(|x| {
+                let mut ws: Vec<usize> =
+                    (0..txns.len()).filter(|&t| txns[t].0 >> x & 1 == 1).collect();
+                ws.sort_by_key(|&t| (byte(t, x), t));
+                ws
+            })
+            .collect();
+        let reads = (0..txns.len())
+            .map(|t| {
+                (0..ITEMS.len())
+                    .filter(|&x| txns[t].1 >> x & 1 == 1)
+                    .map(|x| {
+                        let mut versions = vec![0];
+                        versions.extend((1..=order[x].len()).filter(|&v| order[x][v - 1] != t));
+                        // Version 0 half the time: the overlapping
+                        // snapshots write skew needs are common.
+                        let b = byte(t, 3 + x);
+                        (x, if b < 128 { 0 } else { versions[b % versions.len()] })
+                    })
+                    .collect()
+            })
+            .collect();
+        Execution { order, reads }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    #[test]
+    fn multi_version_checks_agree_with_their_definitions(e in execution_strategy()) {
+        let graph = e.graph();
+        let verdicts = Isolation::ALL.map(|level| graph.check(level).is_ok());
+        prop_assert_eq!(verdicts, e.reference(), "execution: {:?}", e);
+        let [rc, si, ser] = verdicts;
+        prop_assert!((!ser || si) && (!si || rc), "SER ⇒ SI ⇒ RC: {:?}", e);
+        prop_assert_eq!(graph.serial_order().is_some(), ser);
+    }
 }
