@@ -16,6 +16,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cli;
 pub mod experiments;

@@ -46,6 +46,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod fabric;
 mod multishot;

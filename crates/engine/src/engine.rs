@@ -10,7 +10,7 @@ use mcv_mvcc::{IsolationLevel, MvccStore};
 use mcv_obs::{Histogram, MetricsSnapshot};
 use mcv_prof::Phase;
 use mcv_txn::{
-    shard_of, youngest_victim, History, Item, LockMode, OpKind, TryAcquire, TxnId, Value,
+    shard_of, youngest_victim, History, Item, ItemKey, LockMode, OpKind, TryAcquire, TxnId, Value,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -96,9 +96,13 @@ impl fmt::Display for EngineError {
                 write!(f, "deadlock: transaction {} selected as victim", victim.0)
             }
             EngineError::Finished(t) => write!(f, "transaction {} already finished", t.0),
-            EngineError::Certification { txn, item } => {
-                write!(f, "certification: transaction {} lost {item} to a first committer", txn.0)
-            }
+            EngineError::Certification { txn, item } => write!(
+                f,
+                "certification: transaction {} must abort: {item} has a version committed after \
+                 its snapshot (a concurrent write under first-committer-wins, or a stale read \
+                 under SSI)",
+                txn.0
+            ),
         }
     }
 }
@@ -334,7 +338,7 @@ impl Engine {
         let mut out = BTreeMap::new();
         for shard in &self.inner.shards {
             let state = shard.state.lock().expect("shard mutex");
-            out.extend(state.data.iter().map(|(item, value)| (item.clone(), *value)));
+            out.extend(state.data.iter().map(|(item, value)| (item.as_str().to_owned(), *value)));
         }
         out
     }
@@ -622,14 +626,14 @@ impl Engine {
         item: &str,
         value: Value,
     ) -> Option<Value> {
-        match state.data.get_mut(item) {
+        match state.data.get_mut(item.as_bytes()) {
             Some(slot) => {
                 self.inner.wal.append_update(txn, item, *slot, value);
                 Some(std::mem::replace(slot, value))
             }
             None => {
                 self.inner.wal.append_update(txn, item, 0, value);
-                state.data.insert(item.to_owned(), value);
+                state.data.insert(ItemKey::new(item), value);
                 None
             }
         }
@@ -673,7 +677,7 @@ pub struct Txn {
     /// `(item, before-image)` of every write, in write order; rollback
     /// replays it in reverse. `None` is the before-image of an item
     /// the shard did not store: rollback removes it again.
-    undo: Vec<(Item, Option<Value>)>,
+    undo: Vec<(ItemKey, Option<Value>)>,
     held: Held,
     active: bool,
     /// Phase-attribution state (present only when the engine was built
@@ -806,7 +810,7 @@ impl Txn {
         let t1 = self.prof_now();
         let before = self.engine.log_and_store(&mut state, self.id, item, value);
         drop(state);
-        self.undo.push((item.to_owned(), before));
+        self.undo.push((ItemKey::new(item), before));
         if self.sampled {
             self.engine.sample(self.id, item, OpKind::Write);
         }
@@ -1090,7 +1094,7 @@ impl Txn {
         let inner = &self.engine.inner;
         for (item, before) in self.undo.iter().rev() {
             let s = shard_of(item, inner.cfg.shards);
-            inner.shards[s].state.lock().expect("shard mutex").restore(item, *before);
+            inner.shards[s].state.lock().expect("shard mutex").restore(item.as_bytes(), *before);
         }
         self.engine.inner.wal.append_abort(self.id);
         if let Some(t) = &self.engine.inner.trace {
@@ -1279,6 +1283,50 @@ mod tests {
         // Worker lanes are distinct: events span at least 2 sites.
         let sites: BTreeSet<usize> = trace.events.iter().map(|e| e.site).collect();
         assert!(sites.len() >= 2, "expected multiple lanes, got {sites:?}");
+    }
+
+    /// Both certification paths fail with the one message, which names
+    /// the item and fits either cause: the write-write loser under
+    /// first-committer-wins, and the SSI reader whose read went stale.
+    #[test]
+    fn certification_message_covers_write_and_read_conflicts() {
+        let engine = |isolation| {
+            Engine::new(EngineConfig { group_commit: false, isolation, ..Default::default() })
+        };
+        let message = |txn: TxnId, item: &str| {
+            format!(
+                "certification: transaction {} must abort: {item} has a version committed after \
+                 its snapshot (a concurrent write under first-committer-wins, or a stale read \
+                 under SSI)",
+                txn.0
+            )
+        };
+
+        // Write-write: X gets a version after b's snapshot, so b loses
+        // when it writes X (the eager first-committer-wins check).
+        let si = engine(IsolationLevel::SnapshotIsolation);
+        let (mut a, mut b) = (si.begin(), si.begin());
+        a.write("X", 1).expect("write");
+        b.write("Y", 2).expect("write");
+        a.commit().expect("first committer");
+        let loser = b.id();
+        let e = b.write("X", 3).expect_err("X has a version after b's snapshot");
+        assert_eq!(e, EngineError::Certification { txn: loser, item: "X".to_owned() });
+        assert_eq!(e.to_string(), message(loser, "X"));
+
+        // Read-write under SSI: r reads X, w overwrites X and commits,
+        // then r's commit finds its read stale.
+        let ssi = engine(IsolationLevel::SerializableSsi);
+        let mut r = ssi.begin();
+        assert_eq!(r.read("X").expect("read"), 0);
+        let mut w = ssi.begin();
+        w.write("X", 1).expect("write");
+        w.commit().expect("commit");
+        r.write("Y", 1).expect("write");
+        let reader = r.id();
+        let e = r.commit().expect_err("r read X before w's commit");
+        assert_eq!(e, EngineError::Certification { txn: reader, item: "X".to_owned() });
+        assert_eq!(e.to_string(), message(reader, "X"));
     }
 
     #[test]

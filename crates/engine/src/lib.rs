@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod deadlock;
 #[allow(clippy::module_inception)]

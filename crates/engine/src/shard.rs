@@ -27,12 +27,12 @@ impl ShardState {
     /// The current value of `item` (0 if never written, matching the
     /// recovery semantics of an absent WAL entry).
     pub(crate) fn value(&self, item: &str) -> Value {
-        self.data.get(item).copied().unwrap_or(0)
+        self.data.get(item.as_bytes()).copied().unwrap_or(0)
     }
 
     /// Puts a before-image back: the old value, or absence for an item
-    /// the rolled-back transaction created.
-    pub(crate) fn restore(&mut self, item: &str, before: Option<Value>) {
+    /// the rolled-back transaction created. `item` is the name's bytes.
+    pub(crate) fn restore(&mut self, item: &[u8], before: Option<Value>) {
         match before {
             // The exclusive lock is still held: the slot is still there.
             Some(value) => *self.data.get_mut(item).expect("overwritten item is stored") = value,

@@ -51,6 +51,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod admission;
 mod arrivals;

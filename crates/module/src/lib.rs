@@ -19,6 +19,7 @@
 //! See [`Module::new`] and [`Module::compose`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use mcv_core::{pushout, ColimitError, MorphismError, Pushout, SpecMorphism, SpecRef};
 use mcv_logic::Sym;

@@ -30,8 +30,9 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-use mcv_txn::{shard_of, ItemMap, TxnId, Value};
+use mcv_txn::{shard_of, ItemKey, ItemMap, TxnId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
@@ -226,7 +227,7 @@ impl MvccStore {
     /// written read as `(0, 0)`, matching the engine's default value.
     pub fn read_at(&self, item: &str, ts: u64) -> (Value, u64) {
         let shard = self.shard(item);
-        match shard.chains.get(item) {
+        match shard.chains.get(item.as_bytes()) {
             None => (0, 0),
             Some(chain) => {
                 // Chains are short (GC-bounded) and newest-last: scan
@@ -246,7 +247,7 @@ impl MvccStore {
     /// This is the first-committer-wins certificate: a writer whose
     /// snapshot began before this timestamp lost the race.
     pub fn latest_ts(&self, item: &str) -> u64 {
-        self.shard(item).chains.get(item).and_then(|c| c.last()).map_or(0, |v| v.ts)
+        self.shard(item).chains.get(item.as_bytes()).and_then(|c| c.last()).map_or(0, |v| v.ts)
     }
 
     /// Installs a version. Call only inside the commit critical
@@ -254,7 +255,7 @@ impl MvccStore {
     /// `item` and above the visible watermark.
     pub fn install(&self, item: &str, ts: u64, value: Value, txn: TxnId) {
         let mut shard = self.shard(item);
-        let chain = shard.chains.entry(item.to_owned()).or_default();
+        let chain = shard.chains.entry(ItemKey::new(item)).or_default();
         debug_assert!(chain.last().map_or(0, |v| v.ts) < ts, "version timestamps regress");
         chain.push(Version { ts, value, txn });
         self.installed.fetch_add(1, Ordering::Relaxed);
@@ -275,7 +276,7 @@ impl MvccStore {
         let mut collected = 0;
         for item in items {
             let mut shard = self.shard(item);
-            if let Some(chain) = shard.chains.get_mut(item) {
+            if let Some(chain) = shard.chains.get_mut(item.as_bytes()) {
                 collected += trim(chain, watermark);
             }
         }
@@ -334,7 +335,7 @@ mod tests {
 
         /// Length of `item`'s version chain.
         fn chain_len(&self, item: &str) -> usize {
-            self.shard(item).chains.get(item).map_or(0, Vec::len)
+            self.shard(item).chains.get(item.as_bytes()).map_or(0, Vec::len)
         }
     }
 

@@ -44,6 +44,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod global;
 mod metrics;

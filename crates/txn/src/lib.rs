@@ -11,7 +11,8 @@
 //!   one implementation under both [`LockManager`] (single-threaded
 //!   driver) and `mcv-engine`'s shards;
 //! - [`ItemMap`] — the one hashed item index under the lock table,
-//!   `mcv-engine`'s shard data and `mcv-mvcc`'s version chains;
+//!   `mcv-engine`'s shard data and `mcv-mvcc`'s version chains, keyed
+//!   by [`ItemKey`] (names up to 22 bytes inline);
 //! - [`CheckpointStore`] — tentative/permanent checkpoints (SP9);
 //! - [`History`] and [`ConflictGraph`] — the one isolation checker:
 //!   conflict-serializability (global property 1), and ReadCommitted,
@@ -35,6 +36,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod checkpoint;
 mod db;
@@ -49,8 +51,8 @@ pub use db::{DbError, SiteDb};
 pub use ids::{Item, TxnId, TxnStatus, Value};
 pub use keys::{KeyPicker, Zipfian};
 pub use locks::{
-    shard_of, youngest_victim, ItemHasher, ItemMap, LockError, LockManager, LockMode, LockOutcome,
-    LockTable, TryAcquire, WaitsFor,
+    shard_of, youngest_victim, ItemHasher, ItemKey, ItemMap, LockError, LockManager, LockMode,
+    LockOutcome, LockTable, TryAcquire, WaitsFor,
 };
 pub use schedule::{ConflictGraph, Dep, Dependency, History, Isolation, Op, OpKind};
 pub use wal::{ForcedWal, LogRecord, Wal};

@@ -20,9 +20,10 @@
 //!   may not acquire another (growing/shrinking phases).
 
 use crate::ids::{Item, TxnId};
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Lock modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -64,11 +65,13 @@ pub fn youngest_victim(cycle: &[TxnId]) -> TxnId {
 /// Maps `item` to one of `shards` lock-table/data shards (FNV-1a hash).
 /// Shared between the engine's sharded lock table and anything else
 /// that partitions the item space, so co-located items stay co-located
-/// across layers. Panics if `shards` is zero.
-pub fn shard_of(item: &str, shards: usize) -> usize {
+/// across layers. Takes the name's bytes, so a `&str` and an
+/// [`ItemKey`] of one name land in one shard. Panics if `shards` is
+/// zero.
+pub fn shard_of(item: impl AsRef<[u8]>, shards: usize) -> usize {
     assert!(shards > 0, "shard_of: zero shards");
     let mut h: u64 = 0xcbf29ce484222325;
-    for b in item.as_bytes() {
+    for b in item.as_ref() {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100000001b3);
     }
@@ -78,8 +81,102 @@ pub fn shard_of(item: &str, shards: usize) -> usize {
 /// The item index: every per-shard map keyed by item name (the
 /// engine's data, the lock table, the version chains) is this one
 /// hashed map. Seedless, so runs repeat; iteration order is still
-/// arbitrary and must never reach an output (sort first).
-pub type ItemMap<V> = HashMap<Item, V, BuildHasherDefault<ItemHasher>>;
+/// arbitrary and must never reach an output (sort first). Probe it
+/// with the name's bytes: `map.get(item.as_bytes())`.
+pub type ItemMap<V> = HashMap<ItemKey, V, BuildHasherDefault<ItemHasher>>;
+
+/// The longest name an [`ItemKey`] keeps inline.
+const INLINE: usize = 22;
+
+/// An item name as the item index stores it. A name of up to 22 bytes
+/// lives in the key itself, so the map's bucket holds the whole name
+/// and a probe compares it without reading a second cache line; a
+/// longer one is kept in a `Box<str>`. 24 bytes either way.
+///
+/// A key is its bytes: `Hash` and `Eq` are those of
+/// [`ItemKey::as_bytes`], which is what makes `Borrow<[u8]>` sound and
+/// lets an [`ItemMap`] be probed with `item.as_bytes()` without
+/// building a key. [`ItemKey::as_str`] checks the bytes again, so it is
+/// for cold paths.
+#[derive(Clone)]
+pub struct ItemKey(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the name; the rest is zero.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE],
+    },
+    Heap(Box<str>),
+}
+
+impl ItemKey {
+    /// The key of `item`: inline when it fits, boxed otherwise.
+    pub fn new(item: &str) -> ItemKey {
+        let name = item.as_bytes();
+        if name.len() > INLINE {
+            return ItemKey(Repr::Heap(item.into()));
+        }
+        let mut bytes = [0; INLINE];
+        bytes[..name.len()].copy_from_slice(name);
+        ItemKey(Repr::Inline { len: name.len() as u8, bytes })
+    }
+
+    /// The name's bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(name) => name.as_bytes(),
+        }
+    }
+
+    /// The name. An inline name is validated as UTF-8 again (it always
+    /// is: only a whole `&str` is ever stored), so keep this off the
+    /// per-operation path.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("an item key holds a whole str")
+            }
+            Repr::Heap(name) => name,
+        }
+    }
+}
+
+const _: () = assert!(std::mem::size_of::<ItemKey>() == 24);
+
+impl Borrow<[u8]> for ItemKey {
+    fn borrow(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl AsRef<[u8]> for ItemKey {
+    fn as_ref(&self) -> &[u8] {
+        self.as_bytes()
+    }
+}
+
+impl Hash for ItemKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_bytes().hash(state);
+    }
+}
+
+impl PartialEq for ItemKey {
+    fn eq(&self, other: &ItemKey) -> bool {
+        self.as_bytes() == other.as_bytes()
+    }
+}
+
+impl Eq for ItemKey {}
+
+impl fmt::Debug for ItemKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
 
 /// The hasher behind [`ItemMap`]: eight bytes at a time through a
 /// folded 64x64 -> 128-bit multiply. Deliberately not FNV: all items of
@@ -274,12 +371,12 @@ impl LockTable {
     /// keeps its queue slot (the mode is updated in place).
     pub fn try_or_enqueue(&mut self, txn: TxnId, item: &str, mode: LockMode) -> TryAcquire {
         // Entries are dropped when idle, so a miss means nobody holds
-        // or awaits `item`: grant outright, and allocate the key only
+        // or awaits `item`: grant outright, and build the key only
         // here.
-        let Some(entry) = self.locks.get_mut(item) else {
+        let Some(entry) = self.locks.get_mut(item.as_bytes()) else {
             let mut entry = LockEntry::default();
             entry.grant(txn, mode);
-            self.locks.insert(item.to_owned(), entry);
+            self.locks.insert(ItemKey::new(item), entry);
             return TryAcquire::Granted;
         };
         if entry.holds(txn, mode) {
@@ -315,10 +412,10 @@ impl LockTable {
     /// Removes `txn`'s pending request on `item` (a deadlock victim or
     /// a caller that will not wait); holders are untouched.
     pub fn dequeue(&mut self, txn: TxnId, item: &str) {
-        if let Some(entry) = self.locks.get_mut(item) {
+        if let Some(entry) = self.locks.get_mut(item.as_bytes()) {
             entry.waiting.retain(|(t, _)| *t != txn);
             if entry.is_idle() {
-                self.locks.remove(item);
+                self.locks.remove(item.as_bytes());
             }
         }
     }
@@ -342,11 +439,11 @@ impl LockTable {
             }
             entry.waiting.retain(|(t, _)| *t != txn);
             if involved && !entry.waiting.is_empty() {
-                contended.push(item.clone());
+                contended.push(item.as_str().to_owned());
             }
             if held {
                 if let Some(out) = released.as_deref_mut() {
-                    out.push(item.clone());
+                    out.push(item.as_str().to_owned());
                 }
             }
             !entry.is_idle()
@@ -360,7 +457,7 @@ impl LockTable {
 
     /// The request at the head of `item`'s wait queue, if any.
     fn queue_head(&self, item: &str) -> Option<(TxnId, LockMode)> {
-        self.locks.get(item).and_then(|e| e.waiting.front().copied())
+        self.locks.get(item.as_bytes()).and_then(|e| e.waiting.front().copied())
     }
 
     /// Number of items somebody currently holds or awaits.
@@ -554,17 +651,17 @@ impl LockManager {
 
     /// Whether `txn` holds a lock on `item` at least as strong as `mode`.
     pub fn holds(&self, txn: TxnId, item: &str, mode: LockMode) -> bool {
-        self.table.locks.get(item).is_some_and(|e| e.holds(txn, mode))
+        self.table.locks.get(item.as_bytes()).is_some_and(|e| e.holds(txn, mode))
     }
 
     /// Number of shared holders of `item` (the thesis' read counter).
     pub fn read_count(&self, item: &str) -> usize {
-        self.table.locks.get(item).map_or(0, |e| e.sharers.len())
+        self.table.locks.get(item.as_bytes()).map_or(0, |e| e.sharers.len())
     }
 
     /// Whether `item` is write-locked (the 1-bit write-lock flag).
     pub fn write_locked(&self, item: &str) -> bool {
-        self.table.locks.get(item).is_some_and(|e| e.exclusive.is_some())
+        self.table.locks.get(item.as_bytes()).is_some_and(|e| e.exclusive.is_some())
     }
 
     /// The underlying lock table.
@@ -700,13 +797,37 @@ mod tests {
         }
         // Not everything lands in one shard.
         let spread: std::collections::BTreeSet<usize> =
-            (0..64).map(|i| shard_of(&format!("item{i}"), 16)).collect();
+            (0..64).map(|i| shard_of(format!("item{i}"), 16)).collect();
         assert!(spread.len() > 4, "hash should spread: {spread:?}");
     }
 
+    /// What an [`ItemMap`] hashes for `item`: its bytes.
     fn item_hash(item: &str) -> u64 {
         use std::hash::BuildHasher;
-        BuildHasherDefault::<ItemHasher>::default().hash_one(item)
+        BuildHasherDefault::<ItemHasher>::default().hash_one(item.as_bytes())
+    }
+
+    /// A key hashes as the bytes it is probed with (the `Borrow`
+    /// contract), reads back as the name it was built from, and is
+    /// inline up to 22 bytes: names around the edge, with multi-byte
+    /// characters straddling it.
+    #[test]
+    fn item_key_hashes_as_its_bytes_and_round_trips() {
+        use std::hash::BuildHasher;
+        let hasher = BuildHasherDefault::<ItemHasher>::default();
+        let mut names: Vec<String> = (0..=40).map(|n| "k".repeat(n)).collect();
+        names.extend(["é", "🔑", "item000123"].map(String::from));
+        // 21 + 2 and 20 + 4 bytes: the character crosses byte 22.
+        names.extend([format!("{}é", "a".repeat(21)), format!("{}🔑", "a".repeat(20))]);
+        names.extend([format!("{}é", "a".repeat(20)), format!("{}🔑", "a".repeat(18))]);
+        for name in &names {
+            let key = ItemKey::new(name);
+            assert_eq!(hasher.hash_one(&key), hasher.hash_one(name.as_bytes()), "{name:?}");
+            assert_eq!(key.as_str(), name);
+            assert_eq!(key.as_bytes(), name.as_bytes());
+            assert_eq!(format!("{key:?}"), format!("{name:?}"));
+            assert_eq!(matches!(key.0, Repr::Inline { .. }), name.len() <= INLINE, "{name:?}");
+        }
     }
 
     /// All keys of one shard share `fnv1a(key) % shards`; the in-shard
@@ -809,17 +930,21 @@ mod item_map_properties {
     use super::*;
     use proptest::prelude::*;
 
-    /// Keys a hasher could trip over: empty, NUL and multi-byte
-    /// characters, a shared `item000123`-style prefix, a shared 1 KiB
-    /// prefix.
+    /// Keys a hasher or the inline edge could trip over: empty, NUL
+    /// and multi-byte characters, a shared `item000123`-style prefix,
+    /// a shared 1 KiB prefix, and 0..=40 bytes of `a` before the tail,
+    /// so names of every length around the 22-byte inline limit occur,
+    /// with `é` and `🔑` straddling it, and longer names take the
+    /// boxed fallback.
     fn key_strategy() -> impl Strategy<Value = String> {
         let tail =
             prop::collection::vec(prop_oneof![Just('a'), Just('\0'), Just('é'), Just('🔑')], 0..10);
-        (tail, 0u8..3, 0u32..4).prop_map(|(tail, prefix, n)| {
+        (tail, 0u8..4, 0u32..4, 0usize..=40).prop_map(|(tail, prefix, n, pad)| {
             let tail: String = tail.into_iter().collect();
             match prefix {
                 0 => tail,
                 1 => format!("item{n:06}{tail}"),
+                2 => format!("{}{tail}", "a".repeat(pad)),
                 _ => format!("{}{tail}", "p".repeat(1024)),
             }
         })
@@ -827,7 +952,8 @@ mod item_map_properties {
 
     proptest! {
         /// Whatever the keys, the hashed index stores what a B-tree
-        /// stores and finds a `String` key by its `&str`.
+        /// stores, finds a key by the name's bytes, and gives the name
+        /// back.
         #[test]
         fn adversarial_keys_read_back_exactly(
             keys in prop::collection::vec(key_strategy(), 1..48),
@@ -835,15 +961,18 @@ mod item_map_properties {
             let mut map: ItemMap<usize> = ItemMap::default();
             let mut model = BTreeMap::new();
             for (i, key) in keys.iter().enumerate() {
-                prop_assert_eq!(map.insert(key.clone(), i), model.insert(key.clone(), i));
+                prop_assert_eq!(map.insert(ItemKey::new(key), i), model.insert(key.clone(), i));
             }
             prop_assert_eq!(map.len(), model.len());
             for (key, value) in &model {
-                prop_assert_eq!(map.get(key.as_str()), Some(value));
+                prop_assert_eq!(map.get(key.as_bytes()), Some(value));
             }
-            prop_assert_eq!(map.get("never stored"), None);
+            let mut names: Vec<&str> = map.keys().map(ItemKey::as_str).collect();
+            names.sort_unstable();
+            prop_assert!(names.iter().copied().eq(model.keys().map(String::as_str)));
+            prop_assert_eq!(map.get("never stored".as_bytes()), None);
             for key in &keys {
-                prop_assert_eq!(map.remove(key.as_str()), model.remove(key.as_str()));
+                prop_assert_eq!(map.remove(key.as_bytes()), model.remove(key.as_str()));
             }
             prop_assert!(map.is_empty());
         }

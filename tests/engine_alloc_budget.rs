@@ -1,15 +1,18 @@
-//! Allocation budget of the uncontended 2PL transaction.
+//! Allocation budget of the uncontended single-client transaction.
 //!
 //! A counting global allocator watches a warmed single-client engine
-//! run eight-operation transactions. Two claims: the count per
-//! transaction does not depend on how many items the engine stores
-//! (finding an item allocates nothing, whatever the table size), and
-//! it stays within the budget measured when the item index landed.
+//! run eight-operation transactions, under strict 2PL and under
+//! snapshot isolation. Two claims per level: the count per transaction
+//! does not depend on how many items the engine stores (finding an
+//! item allocates nothing, whatever the table size), and it is exactly
+//! the count measured when item names moved inline into the item
+//! index, in the debug and the release build alike.
 //!
 //! One test only: the counter is process-wide, and a second test
 //! running on a sibling thread would be counted too.
 
-use mcv_engine::{Engine, EngineConfig};
+use mcv::engine::{Engine, EngineConfig};
+use mcv::mvcc::IsolationLevel;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,10 +64,14 @@ fn run_txns(engine: &Engine, keys: &[String], from: u64, n: u64) {
 
 /// Allocations per transaction (rounded down, which drops the few
 /// doublings of the log buffer that fall inside the window) of a warmed
-/// engine holding `items` items.
-fn allocations_per_txn(items: usize) -> u64 {
-    let engine =
-        Engine::new(EngineConfig { group_commit: false, sample_every: 0, ..Default::default() });
+/// engine at `isolation` holding `items` items.
+fn allocations_per_txn(isolation: IsolationLevel, items: usize) -> u64 {
+    let engine = Engine::new(EngineConfig {
+        group_commit: false,
+        sample_every: 0,
+        isolation,
+        ..Default::default()
+    });
     let keys: Vec<String> = (0..items).map(|i| format!("item{i:06}")).collect();
     for chunk in keys.chunks(256) {
         let mut t = engine.begin();
@@ -81,11 +88,21 @@ fn allocations_per_txn(items: usize) -> u64 {
 
 #[test]
 fn allocations_per_transaction_are_few_and_independent_of_table_size() {
-    let small = allocations_per_txn(1_000);
-    let large = allocations_per_txn(100_000);
-    assert_eq!(small, large, "allocations per transaction grew with the table");
-    // Measured when the item index landed: 14 — eight lock-table keys,
-    // four undo keys, the undo list, the shard set (its parent made 18:
-    // four B-tree nodes of sharers more). The bound is that plus 10 %.
-    assert!(large <= 15, "{large} allocations per transaction, over budget");
+    // (level, budget): the count measured when item names moved inline
+    // into the item index, with no slack.
+    // - 2PL: the undo list and the set of locked shards. Its parent
+    //   made 14: eight lock-table keys and four undo keys more.
+    // - SI: the write buffer and its four `String` keys, the deduplicated
+    //   write list and its four key clones, and the set of locked shards.
+    //   Its parent made 19: four lock-table and four version-chain keys
+    //   more.
+    for (isolation, budget) in
+        [(IsolationLevel::Serializable2pl, 2), (IsolationLevel::SnapshotIsolation, 11)]
+    {
+        let small = allocations_per_txn(isolation, 1_000);
+        let large = allocations_per_txn(isolation, 100_000);
+        eprintln!("{isolation:?}: {small} at 1 000 items, {large} at 100 000");
+        assert_eq!(small, large, "{isolation:?}: allocations per transaction grew with the table");
+        assert_eq!(large, budget, "{isolation:?}: allocations per transaction moved");
+    }
 }
